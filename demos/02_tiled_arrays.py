@@ -57,8 +57,9 @@ a = arrays["csr"]
 a.reset_io_stats()
 tc = tuple(int(c) // 16 for c in coords[0])
 tile = a.pin(tc)
+found, (value,) = tile.lookup((coords[0] % 16).astype(np.uint64)[None, :])
 print("cell", tuple(map(int, coords[0])), "->",
-      tile.get_cell(coords[0] % 16))
+      value[0] if found[0] else "absent")
 a.unpin(tc)
 print("pins for one lookup:", a.total_pins)
 

@@ -48,9 +48,7 @@ from .array_engine import (
     ewise,
     matmul,
     spatial_join_array,
-    subarray,
     transpose,
-    window,
 )
 from .planner import (
     LogicalPlan,
@@ -80,9 +78,7 @@ from .bridge import (
     match_all_dims_binding,
     mshj,
     to_array,
-    to_collection,
     to_relation,
-    to_relation_from_collection,
 )
 from .executor import Catalog, Engine, EngineConfig, format_result, run_script
 from .script import bind_script, parse_script

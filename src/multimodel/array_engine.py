@@ -1,16 +1,13 @@
 """Array operators over tiled storage.
 
-Element-wise arithmetic, matrix multiplication, transposition, window and
-dimension aggregation, sub-array, array build, deterministic random
-initialization, and array-array spatial join. Operators pin tiles through the
-buffer pool and unpin before returning; results are new StoredArrays.
+The operators a script can reach: element-wise arithmetic, matrix
+multiplication, transposition, deterministic random initialization, and
+array-array spatial join. Operators pin tiles through the buffer pool and
+unpin before returning; results are new StoredArrays.
 
 Sparse semantics: an absent cell counts as 0 for + - *; division keeps the
 divisor's support (absent divisor -> absent output) so missing cells never
 manufacture NaNs. Division by a present zero propagates IEEE inf/nan.
-
-Window boundaries clip to the array (no padding), and a window cell exists
-iff its neighborhood contains at least one present cell.
 """
 
 from __future__ import annotations
@@ -22,17 +19,15 @@ import numpy as np
 
 from .array_store import StoredArray, dtype_for, make_tile
 from .buffer_pool import BufferPool
-from .errors import BoundsError, ShapeError
+from .errors import ShapeError
 from .models import ArrayMeta, CellSchema, ValueType
 
 __all__ = [
-    "ewise", "matmul", "transpose", "window", "aggregate", "subarray",
-    "build", "rand", "spatial_join_array", "to_grid", "from_grid",
+    "ewise", "matmul", "transpose", "rand", "spatial_join_array", "to_grid",
+    "from_grid",
 ]
 
 _AUTO_NAME = re.compile(r"^(dim\d+|value\d*)$")
-
-_AGGS = ("sum", "avg", "min", "max", "count")
 
 
 def _is_auto(name: str) -> bool:
@@ -58,12 +53,9 @@ def _fix_layout(layout: str, d: int) -> str:
     return layout if layout != "csr" or d == 2 else "coo"
 
 
-def _auto_schema(d: int, n_attrs: int = 1,
-                 kinds: tuple[str, ...] | None = None) -> CellSchema:
-    kinds = kinds or ("float",) * n_attrs
-    attr_names = ("value",) if n_attrs == 1 else tuple(f"value{i}" for i in range(n_attrs))
-    return CellSchema(tuple(f"dim{i}" for i in range(d)), attr_names,
-                      tuple(ValueType(k) for k in kinds))
+def _auto_schema(d: int) -> CellSchema:
+    return CellSchema(tuple(f"dim{i}" for i in range(d)), ("value",),
+                      (ValueType("float"),))
 
 
 # ------------------------------------------------------- grid materialization
@@ -251,193 +243,7 @@ def transpose(a: StoredArray, *, name: str = "") -> StoredArray:
     return out
 
 
-# ----------------------------------------------------------- window / shift
-
-def window(a: StoredArray, radius, agg: str, *, name: str = "") -> StoredArray:
-    if agg not in _AGGS:
-        raise ValueError(f"unknown window aggregate {agg!r}")
-    radius = tuple(int(r) for r in radius)
-    if len(radius) != a.meta.d:
-        raise ShapeError(f"radius needs {a.meta.d} entries, got {len(radius)}")
-    if any(r < 0 for r in radius):
-        raise ValueError("window radius must be non-negative")
-    mask, values = to_grid(a)
-    size = a.meta.size
-    count = np.zeros(size, dtype=np.int64)
-    outs = [_agg_init(agg, size, v.dtype) for v in values]
-
-    for offset in itertools.product(*[range(-r, r + 1) for r in radius]):
-        src, dst = [], []
-        for off, extent in zip(offset, size):
-            # output[i] aggregates input[i+off] for every in-bounds off
-            lo, hi = max(0, -off), min(extent, extent - off)
-            dst.append(slice(lo, hi))
-            src.append(slice(lo + off, hi + off))
-        src, dst = tuple(src), tuple(dst)
-        m = mask[src]
-        count[dst] += m
-        for out, v in zip(outs, values):
-            _agg_step(agg, out[dst], v[src], m)
-
-    out_mask = count > 0
-    results, kinds = [], []
-    for out, vt in zip(outs, a.meta.schema.attr_types):
-        grid, kind = _agg_final(agg, out, count, out_mask, vt)
-        results.append(grid)
-        kinds.append(kind)
-    sch = CellSchema(a.meta.schema.dim_names, a.meta.schema.attr_names,
-                     tuple(ValueType(k) for k in kinds))
-    meta = ArrayMeta(sch, size, a.meta.tile_size,
-                     layout=_fix_layout(a.meta.layout, a.meta.d))
-    return from_grid(meta, out_mask, results, a.pool, name=name,
-                     spool_dir=a.spool_dir)
-
-
-def _agg_init(agg: str, shape, dtype):
-    if agg in ("sum", "avg"):
-        return np.zeros(shape, dtype=np.float64 if agg == "avg" else dtype)
-    if agg == "count":
-        return np.zeros(shape, dtype=np.int64)
-    fill = _extreme(dtype, want_max=(agg == "min"))
-    return np.full(shape, fill, dtype=dtype)
-
-
-def _extreme(dtype, want_max: bool):
-    if np.issubdtype(dtype, np.inexact):
-        return np.inf if want_max else -np.inf
-    info = np.iinfo(dtype)
-    return info.max if want_max else info.min
-
-
-def _agg_step(agg: str, out_view, src_vals, src_mask) -> None:
-    if agg in ("sum", "avg"):
-        out_view += np.where(src_mask, src_vals, 0)
-    elif agg == "count":
-        pass  # count handled by the shared counter
-    elif agg == "min":
-        np.minimum(out_view, np.where(src_mask, src_vals,
-                                      _extreme(src_vals.dtype, True)), out=out_view)
-    else:
-        np.maximum(out_view, np.where(src_mask, src_vals,
-                                      _extreme(src_vals.dtype, False)), out=out_view)
-
-
-def _agg_final(agg: str, acc, count, out_mask, vt: ValueType):
-    if agg == "count":
-        return count, "int"
-    if agg == "avg":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(out_mask, acc / count, 0.0), "float"
-    if agg == "sum":
-        return acc, vt.kind
-    return np.where(out_mask, acc, 0), vt.kind  # min/max
-
-
-# ------------------------------------------------------------- aggregation
-
-def aggregate(a: StoredArray, collapse_dims, agg: str, *, name: str = "") -> StoredArray:
-    """Collapse the named (or indexed) dimensions with one aggregate."""
-    if agg not in _AGGS:
-        raise ValueError(f"unknown aggregate {agg!r}")
-    axes = _resolve_dims(a.meta.schema, collapse_dims)
-    if not axes:
-        raise ShapeError("aggregate needs at least one dimension to collapse")
-    keep = [i for i in range(a.meta.d) if i not in axes]
-    mask, values = to_grid(a)
-    ax = tuple(sorted(axes))
-    count = mask.sum(axis=ax)
-    out_mask = count > 0
-
-    grids, kinds = [], []
-    for v, vt in zip(values, a.meta.schema.attr_types):
-        if agg == "count":
-            grids.append(count.astype(np.int64))
-            kinds.append("int")
-            continue
-        if agg in ("sum", "avg"):
-            s = np.where(mask, v, 0).sum(axis=ax,
-                                         dtype=np.float64 if agg == "avg" else None)
-            if agg == "avg":
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    s = np.where(out_mask, s / count, 0.0)
-                kinds.append("float")
-            else:
-                kinds.append(vt.kind)
-            grids.append(s)
-        else:
-            fill = _extreme(v.dtype, want_max=(agg == "min"))
-            red = np.minimum.reduce if agg == "min" else np.maximum.reduce
-            r = red(np.where(mask, v, fill), axis=ax)
-            grids.append(np.where(out_mask, r, 0))
-            kinds.append(vt.kind)
-
-    sch = a.meta.schema
-    if keep:
-        dims = tuple(sch.dim_names[i] for i in keep)
-        size = tuple(a.meta.size[i] for i in keep)
-        ts = tuple(a.meta.tile_size[i] for i in keep)
-    else:
-        # everything collapsed: a single-cell 1-D array
-        dims, size, ts = ("dim0",), (1,), (1,)
-        out_mask = out_mask.reshape(1)
-        grids = [g.reshape(1) for g in grids]
-    if set(dims) & set(sch.attr_names):
-        dims = tuple(f"dim{i}" for i in range(len(dims)))
-    meta = ArrayMeta(
-        CellSchema(dims, sch.attr_names, tuple(ValueType(k) for k in kinds)),
-        size, ts, layout=_fix_layout(a.meta.layout, len(size)))
-    return from_grid(meta, out_mask, grids, a.pool, name=name,
-                     spool_dir=a.spool_dir)
-
-
-def _resolve_dims(sch: CellSchema, dims) -> set[int]:
-    axes: set[int] = set()
-    for d in dims:
-        if isinstance(d, int):
-            if not 0 <= d < sch.d:
-                raise BoundsError(f"dimension index {d} out of range")
-            axes.add(d)
-        else:
-            try:
-                axes.add(sch.dim_names.index(d))
-            except ValueError:
-                raise BoundsError(f"unknown dimension {d!r}") from None
-    return axes
-
-
-# ------------------------------------------------------------------ subarray
-
-def subarray(a: StoredArray, lo, hi, *, name: str = "") -> StoredArray:
-    lo = tuple(int(x) for x in lo)
-    hi = tuple(int(x) for x in hi)
-    if len(lo) != a.meta.d or len(hi) != a.meta.d:
-        raise ShapeError(f"bounds need {a.meta.d} entries")
-    for l, h, s in zip(lo, hi, a.meta.size):
-        if not (0 <= l < h <= s):
-            raise BoundsError(f"invalid range [{lo}, {hi}) for size {a.meta.size}")
-    mask, values = to_grid(a)
-    sl = tuple(slice(l, h) for l, h in zip(lo, hi))
-    size = tuple(h - l for l, h in zip(lo, hi))
-    meta = ArrayMeta(a.meta.schema, size, a.meta.tile_size, layout=a.meta.layout)
-    return from_grid(meta, mask[sl], [v[sl] for v in values], a.pool,
-                     name=name, spool_dir=a.spool_dir)
-
-
-# ---------------------------------------------------------------- build/rand
-
-def build(meta: ArrayMeta, cells, pool: BufferPool, *, name: str = "",
-          spool_dir: str | None = None) -> StoredArray:
-    """cells: iterable of (coord tuple, value tuple)."""
-    from .array_store import ArrayBuilder
-
-    b = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
-    rows = list(cells)
-    if rows:
-        coords = np.array([c for c, _ in rows], dtype=np.int64)
-        cols = [np.array([v[i] for _, v in rows]) for i in range(len(rows[0][1]))]
-        b.add_cells(coords, cols)
-    return b.finish()
-
+# ---------------------------------------------------------------------- rand
 
 def rand(size, tile_size, seed: int, pool: BufferPool, *, name: str = "",
          spool_dir: str | None = None) -> StoredArray:

@@ -19,19 +19,17 @@ import itertools
 import json
 import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .buffer_pool import BufferObject, BufferPool
 from .errors import BoundsError, DuplicateCellError, InternalError, TypeMismatchError
-from .models import ABSENT, ArrayMeta, CellSchema, ValueType
+from .models import ArrayMeta, CellSchema, ValueType
 
 __all__ = [
     "Tile",
     "StoredArray",
-    "TileWriter",
     "ArrayBuilder",
     "make_tile",
     "array_to_coo_csv",
@@ -85,7 +83,6 @@ class Tile:
         self.ts = tuple(ts)
         self.valid = tuple(valid)  # valid extent (edge tiles are shorter)
         self.attr_dtypes = list(attr_dtypes)
-        self.search_comparisons = 0  # binary-search instrumentation
         # dense
         self.mask = None
         self.dense_values: list[np.ndarray] | None = None
@@ -126,60 +123,7 @@ class Tile:
             return [self.coords, *self.coo_values]
         return [self.indptr, self.cols, *self.csr_values]
 
-    def _values_list(self):
-        if self.layout == "dense":
-            return self.dense_values
-        if self.layout == "coo":
-            return self.coo_values
-        return self.csr_values
-
-    # -- point and batch access -------------------------------------------
-
-    def _check_cc(self, cc):
-        if len(cc) != self.d or any(c < 0 or c >= t for c, t in zip(cc, self.ts)):
-            raise BoundsError(f"cell coord {tuple(cc)} outside tile box {self.ts}")
-
-    def get_cell(self, cc):
-        """Values at cc, or ABSENT. Dense is positional; sparse layouts binary
-        search (comparison count accumulated in search_comparisons)."""
-        self._check_cc(cc)
-        if self.layout == "dense":
-            idx = tuple(int(c) for c in cc)
-            if not self.mask[idx]:
-                return ABSENT
-            return tuple(v[idx].item() for v in self.dense_values)
-        if self.layout == "coo":
-            key = 0
-            for c, extent in zip(cc, self.ts):
-                key = key * extent + int(c)
-            pos = self._bisect(self.keys, key)
-            if pos < 0:
-                return ABSENT
-            return tuple(v[pos].item() for v in self.coo_values)
-        # csr
-        r, c = int(cc[0]), int(cc[1])
-        lo, hi = int(self.indptr[r]), int(self.indptr[r + 1])
-        pos = self._bisect(self.cols, c, lo, hi)
-        if pos < 0:
-            return ABSENT
-        return tuple(v[pos].item() for v in self.csr_values)
-
-    def _bisect(self, arr, key, lo=0, hi=None) -> int:
-        """Index of key in sorted arr[lo:hi] or -1; counts comparisons."""
-        if hi is None:
-            hi = len(arr)
-        end = hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.search_comparisons += 1
-            if arr[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.search_comparisons += 1
-        if lo < end and arr[lo] == key:
-            return lo
-        return -1
+    # -- batch access -----------------------------------------------------
 
     def lookup(self, cc: np.ndarray):
         """Batch probe: cc is (k, d). Returns (found bool array, value arrays);
@@ -371,7 +315,6 @@ class StoredArray:
         self.spool_dir = spool_dir
         self.attr_dtypes = [dtype_for(t) for t in meta.schema.attr_types]
         self._slots: dict[tuple, _Slot] = {}
-        self._lock = threading.Lock()
         self.pin_counts: dict[tuple, int] = {}
         self.disk_reads: dict[tuple, int] = {}
         self.active_pins: dict[tuple, int] = {}
@@ -601,44 +544,6 @@ class StoredArray:
     @property
     def total_reads(self) -> int:
         return sum(self.disk_reads.values())
-
-
-class TileWriter:
-    """Write path used by array-producing joins: buffers exactly one output
-    tile and flushes it when the tile coordinate changes."""
-
-    def __init__(self, arr: StoredArray):
-        self.arr = arr
-        self._tc = None
-        self._cc: list[np.ndarray] = []
-        self._vals: list[list[np.ndarray]] = []
-        self.flushes = 0
-
-    def put_run(self, tc, cc: np.ndarray, values: list[np.ndarray]) -> None:
-        tc = tuple(int(x) for x in tc)
-        if self._tc is not None and tc != self._tc:
-            self.flush()
-        self._tc = tc
-        self._cc.append(np.asarray(cc))
-        self._vals.append(values)
-
-    def flush(self) -> None:
-        if self._tc is None:
-            return
-        cc = np.concatenate(self._cc) if self._cc else np.zeros((0, self.arr.meta.d))
-        cols = [np.concatenate(parts) for parts in zip(*self._vals)] \
-            if self._vals else [[] for _ in self.arr.attr_dtypes]
-        tile = make_tile(self._tc, self.arr.meta.tile_size,
-                         self.arr.valid_extent(self._tc), self.arr.attr_dtypes,
-                         self.arr.meta.layout, cc, cols)
-        self.arr.write_tile(self._tc, tile)
-        self.flushes += 1
-        self._tc = None
-        self._cc = []
-        self._vals = []
-
-    def close(self) -> None:
-        self.flush()
 
 
 class ArrayBuilder:

@@ -3,10 +3,12 @@
 The centerpiece is the multi-stage hash join (``mshj``): records are
 re-ordered to match the array's tiling through D stable bucketing stages
 (one per dimension, bucket index ``floor(v_d / TS_d)``), then probed in
-bucket order so that every referenced tile is pinned exactly once.  Two
-baselines share the same emit path: ``join_probe_only`` skips the bucketing
-and probes in input order, ``join_via_conversion`` turns the array into a
-relation and runs a plain relational join.
+bucket order so that every referenced tile is pinned exactly once.
+``join_probe_only`` runs the same probe in input record order.
+``join_via_conversion`` turns the array into a relation and runs a plain
+relational join.  All three hand their result to one emit step, which
+returns relational, document or array output; array output is always built
+by ``to_array``.  Document records join to document output only.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_store import ArrayBuilder, StoredArray, TileWriter, dtype_for
-from .errors import (BindingError, OutputSpecError, PathError,
-                     TypeMismatchError)
+from .array_store import ArrayBuilder, StoredArray
+from .errors import BindingError, OutputSpecError, PathError
 from .models import (ABSENT, BOOL, FLOAT, INT, STRING, UINT, ArrayMeta,
                      CellSchema, Collection, Relation, ValueType, dot_get)
 from .predicates import equi_conjuncts
@@ -40,13 +41,10 @@ class DimBinding:
 
 @dataclass(frozen=True)
 class JoinOutputSpec:
-    """Target model plus an optional projection over the combined columns
-    (record columns first, then array value attributes)."""
+    """Target model of a record-array join.  Relational and array output
+    hold the record columns first, then the array's value attributes."""
 
     model: str = "relational"  # relational | document | array
-    project: tuple[str, ...] | None = None
-    name: str = ""
-    layout: str | None = None  # array output only; defaults to the input's
 
     def __post_init__(self):
         if self.model not in ("relational", "document", "array"):
@@ -74,7 +72,6 @@ class JoinTrace:
     tcs: list = field(default_factory=list)            # tile coords, probe order
     ccs: list = field(default_factory=list)            # cell coords, probe order
     pins: list = field(default_factory=list)           # tile pin sequence
-    emits: list = field(default_factory=list)          # record indices with a match
 
 
 # ---------------------------------------------------------------------------
@@ -142,193 +139,101 @@ def _dedupe(names: list[str], taken: set[str]) -> list[str]:
     return out
 
 
-class _Emitter:
-    """Accumulates matched (record, cell) pairs and materializes the
-    requested output model."""
-
-    def __init__(self, records, arr: StoredArray, binding: DimBinding,
-                 out: JoinOutputSpec, trace: JoinTrace | None):
-        self.records = records
-        self.arr = arr
-        self.binding = binding
-        self.out = out
-        self.trace = trace
-        self.schema = arr.meta.schema
-        self.matched_idx: list[np.ndarray] = []
-        self.matched_coords: list[np.ndarray] = []
-        self.matched_vals: list[list[np.ndarray]] = []
-        self.count = 0
-        if isinstance(records, Relation):
-            taken = set(records.attr_names)
-            self.attr_out_names = _dedupe(list(self.schema.attr_names), taken)
-        else:
-            self.attr_out_names = list(self.schema.attr_names)
-        self._writer = None
-        if out.model == "array":
-            self._prepare_array_output()
-
-    # -- column bookkeeping ------------------------------------------------
-
-    def _combined_names(self) -> list[str]:
-        if isinstance(self.records, Relation):
-            return self.records.attr_names + self.attr_out_names
+def _output_model(records, out: JoinOutputSpec | None) -> str:
+    """The requested output model; records keep their own model by default.
+    Document records have no fixed columns to lay out as rows or cells, so
+    they join to document output only."""
+    if out is None:
+        return "document" if isinstance(records, Collection) else "relational"
+    if isinstance(records, Collection) and out.model != "document":
         raise OutputSpecError(
-            "array output from a document join needs a projection of paths")
-
-    def _prepare_array_output(self):
-        names = self._combined_names()
-        project = list(self.out.project) if self.out.project is not None else names
-        unknown = [p for p in project if p not in names]
-        if unknown:
-            raise OutputSpecError(f"projected columns {unknown} not in join output")
-        missing = [a for a in self.binding.attrs if a not in project]
-        if missing:
-            raise OutputSpecError(
-                f"array output requires every dimension binding projected; "
-                f"missing {missing}")
-        self._out_attrs = [p for p in project if p not in self.binding.attrs]
-        types = []
-        for p in self._out_attrs:
-            if p in self.schema.attr_names:
-                types.append(self.schema.attr_types[self.schema.attr_names.index(p)])
-            else:
-                rel = self.records
-                types.append(rel.schema[rel.attr_index(p)][1])
-        for t in types:
-            dtype_for(t)  # strings etc. cannot live in an array
-        meta = ArrayMeta(
-            CellSchema(tuple(self.binding.attrs), tuple(self._out_attrs),
-                       tuple(types)),
-            self.arr.meta.size, self.arr.meta.tile_size,
-            self.out.layout or self.arr.meta.layout)
-        self._out_array = StoredArray(meta, self.arr.pool,
-                                      name=self.out.name or "joined")
-        self._writer = TileWriter(self._out_array)
-        # per output attr: how to source its column from a matched run
-        rel = self.records
-        self._out_sources = []
-        for p in self._out_attrs:
-            if p in self.attr_out_names:
-                self._out_sources.append(("cell", self.attr_out_names.index(p)))
-            else:
-                col = np.asarray([row[rel.attr_index(p)] for row in rel.rows])
-                self._out_sources.append(("rec", col))
-
-    # -- per-run emission ----------------------------------------------------
-
-    def run(self, tc, rec_idx: np.ndarray, cc: np.ndarray,
-            found: np.ndarray, vals: list[np.ndarray]) -> None:
-        hit_idx = rec_idx[found]
-        if self.trace is not None:
-            self.trace.emits.extend(int(i) for i in hit_idx)
-        if len(hit_idx) == 0:
-            return
-        self.count += len(hit_idx)
-        cc_hit = cc[found]
-        if self._writer is not None:
-            cols = []
-            for kind, src in self._out_sources:
-                cols.append(vals[src][found] if kind == "cell" else src[hit_idx])
-            self._writer.put_run(tc, cc_hit, cols)
-            return
-        self.matched_idx.append(hit_idx)
-        coords = cc_hit.astype(np.int64) + \
-            np.asarray(tc, dtype=np.int64) * np.asarray(self.arr.meta.tile_size,
-                                                        dtype=np.int64)
-        self.matched_coords.append(coords)
-        self.matched_vals.append([v[found] for v in vals])
-
-    # -- finalization --------------------------------------------------------
-
-    def finish(self):
-        out = self.out
-        if self._writer is not None:
-            self._writer.close()
-            return self._out_array
-        idx = np.concatenate(self.matched_idx) if self.matched_idx else \
-            np.zeros(0, dtype=np.int64)
-        vals = [np.concatenate(parts) for parts in zip(*self.matched_vals)] \
-            if self.matched_vals else [[] for _ in self.schema.attr_names]
-        if isinstance(self.records, Relation):
-            schema = list(self.records.schema) + [
-                (n, t) for n, t in zip(self.attr_out_names, self.schema.attr_types)]
-            rows = [self.records.rows[i] + tuple(v[k].item() for v in vals)
-                    for k, i in enumerate(idx)]
-            rel = Relation(schema, rows)
-            rel = _project_relation(rel, out.project)
-            if out.model == "relational":
-                return rel
-            if out.model == "document":
-                return Collection(out.name or "joined",
-                                  [dict(zip(rel.attr_names, r)) for r in rel.rows])
-            raise OutputSpecError(f"cannot emit {out.model} output here")
-        # document records: merge keeps the record's value on key collisions
-        coords = np.concatenate(self.matched_coords) if self.matched_coords \
-            else np.zeros((0, self.schema.d), dtype=np.int64)
-        docs = []
-        for k, i in enumerate(idx):
-            merged = dict(self.records.docs[i])
-            for j, dn in enumerate(self.schema.dim_names):
-                merged.setdefault(dn, int(coords[k, j]))
-            for v, an in zip(vals, self.schema.attr_names):
-                merged.setdefault(an, v[k].item())
-            docs.append(merged)
-        col = Collection(out.name or "joined", docs)
-        if out.model == "document":
-            return col
-        if out.model == "relational":
-            if out.project is None:
-                raise OutputSpecError(
-                    "relational output from a document join needs projected paths")
-            return to_relation_from_collection(col, out.project)
-        raise OutputSpecError(f"cannot emit {out.model} output here")
+            f"document records join to DOCUMENT output only, not "
+            f"{out.model.upper()}")
+    return out.model
 
 
-def _project_relation(rel: Relation, project) -> Relation:
-    if project is None:
-        return rel
-    idx = []
-    for p in project:
-        try:
-            idx.append(rel.attr_index(p))
-        except KeyError:
-            raise OutputSpecError(f"projected column {p!r} not in join output") \
-                from None
-    return Relation([rel.schema[i] for i in idx],
-                    [tuple(r[i] for i in idx) for r in rel.rows])
+def _joined_records(records, arr: StoredArray, idx: np.ndarray,
+                    coords: np.ndarray, vals: list[np.ndarray]):
+    """Each matched record extended with its cell.  Rows gain the cell's
+    value attributes as columns (renamed with ``_r`` on a collision);
+    documents gain the cell's dimensions and values under keys they do not
+    already have."""
+    schema = arr.meta.schema
+    cols = [v.tolist() for v in vals]
+    if isinstance(records, Relation):
+        names = _dedupe(list(schema.attr_names), set(records.attr_names))
+        rows = [records.rows[i] + tuple(c[k] for c in cols)
+                for k, i in enumerate(idx.tolist())]
+        return Relation(list(records.schema) +
+                        list(zip(names, schema.attr_types)), rows)
+    coords = coords.tolist()
+    docs = []
+    for k, i in enumerate(idx.tolist()):
+        merged = dict(records.docs[i])
+        for dn, c in zip(schema.dim_names, coords[k]):
+            merged.setdefault(dn, c)
+        for an, c in zip(schema.attr_names, cols):
+            merged.setdefault(an, c[k])
+        docs.append(merged)
+    return Collection("joined", docs)
+
+
+def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str):
+    """Turn a join result into the requested output model; every strategy
+    ends here.  Array output keeps the input array's extent, tiling and
+    layout: each row becomes the cell at its bound coordinates, and every
+    other column becomes a value attribute."""
+    if isinstance(joined, Collection) or model == "relational":
+        return joined
+    if model == "document":
+        return Collection("joined", [dict(zip(joined.attr_names, r))
+                                     for r in joined.rows])
+    if binding is None:
+        raise OutputSpecError("array output needs a dimension binding")
+    values = [n for n in joined.attr_names if n not in binding.attrs]
+    types = [joined.schema[joined.attr_index(n)][1] for n in values]
+    meta = ArrayMeta(CellSchema(binding.attrs, tuple(values), tuple(types)),
+                     arr.meta.size, arr.meta.tile_size, arr.meta.layout)
+    return to_array(joined, list(binding.attrs), values, meta, arr.pool,
+                    name="joined", spool_dir=arr.spool_dir)
 
 
 # ---------------------------------------------------------------------------
 # the join strategies
 
 def _probe(arr: StoredArray, dims: np.ndarray, kept: np.ndarray,
-           order: np.ndarray, emitter: _Emitter, stats: JoinStats,
-           trace: JoinTrace | None) -> None:
-    """Scan records in `order`, pinning each tile once per contiguous run."""
+           order: np.ndarray, stats: JoinStats, trace: JoinTrace | None):
+    """Scan records in `order`, pinning each tile once per contiguous run.
+
+    Returns the matched record indices, their cell coordinates and the
+    cells' value columns, in probe order.
+    """
     ts = np.asarray(arr.meta.tile_size, dtype=np.int64)
-    tcs = dims[order] // ts
-    ccs = dims[order] % ts
+    dims = dims[order]
+    tcs = dims // ts
+    ccs = (dims % ts).astype(np.uint64)
     rec = kept[order]
     if trace is not None:
         trace.probe_order.extend(int(i) for i in rec)
         trace.tcs.extend(tuple(int(x) for x in t) for t in tcs)
         trace.ccs.extend(tuple(int(x) for x in c) for c in ccs)
     stats.block_scans += 1
-    if len(order) == 0:
-        return
+    found = np.zeros(len(rec), dtype=bool)
+    vals = [np.zeros(len(rec), dt) for dt in arr.attr_dtypes]
     change = np.flatnonzero((tcs[1:] != tcs[:-1]).any(axis=1)) + 1
-    bounds = np.concatenate(([0], change, [len(order)]))
-    for i in range(len(bounds) - 1):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
+    bounds = np.concatenate(([0], change, [len(rec)])) if len(rec) else []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         tc = tuple(int(x) for x in tcs[lo])
         tile = arr.pin(tc)
         stats.tile_pins += 1
         if trace is not None:
             trace.pins.append(tc)
-        cc = ccs[lo:hi].astype(np.uint64)
-        found, vals = tile.lookup(cc)
+        f, v = tile.lookup(ccs[lo:hi])
         arr.unpin(tc)
-        emitter.run(tc, rec[lo:hi], cc, found, vals)
+        found[lo:hi] = f
+        for col, part in zip(vals, v):
+            col[lo:hi] = part
+    return rec[found], dims[found], [v[found] for v in vals]
 
 
 def _drop_out_of_range(dims, kept, size):
@@ -336,11 +241,52 @@ def _drop_out_of_range(dims, kept, size):
     return dims[ok], kept[ok]
 
 
-def _default_out(records, out):
-    if out is not None:
-        return out
-    model = "document" if isinstance(records, Collection) else "relational"
-    return JoinOutputSpec(model)
+def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
+                binding: DimBinding, out: JoinOutputSpec | None,
+                stats: JoinStats | None, trace: JoinTrace | None):
+    """The probe path of mshj and probe-only: extract the bound dimensions,
+    drop records outside the array, probe in ``probe_order(...)`` and emit.
+    Records probing an absent cell produce no output."""
+    model = _output_model(records, out)
+    stats = stats if stats is not None else JoinStats()
+    stats.strategy = strategy
+    _check_binding(arr, binding)
+    dims, kept = _extract_dims(records, binding)
+    stats.n_records = len(dims)
+    dims, kept = _drop_out_of_range(dims, kept, arr.meta.size)
+
+    t0 = time.perf_counter()
+    order = probe_order(arr, dims, kept, stats, trace)
+    stats.build_seconds += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    idx, coords, vals = _probe(arr, dims, kept, order, stats, trace)
+    joined = _joined_records(records, arr, idx, coords, vals)
+    stats.probe_seconds += time.perf_counter() - t0
+    stats.output_rows = len(idx)
+    return _emit(joined, arr, binding, model)
+
+
+def _bucket_order(arr: StoredArray, dims, kept, stats: JoinStats,
+                  trace: JoinTrace | None) -> np.ndarray:
+    """D stable bucketing stages, one per dimension, by ``floor(v_d / TS_d)``."""
+    ts = np.asarray(arr.meta.tile_size, dtype=np.int64)
+    order = np.arange(len(dims), dtype=np.int64)
+    for d in range(arr.meta.d):
+        keys = dims[order, d] // ts[d]
+        order = order[np.argsort(keys, kind="stable")]
+        stats.block_scans += 1
+        if trace is not None:
+            buckets = [[] for _ in range(arr.meta.grid[d])]
+            for i in order:
+                buckets[int(dims[i, d] // ts[d])].append(int(kept[i]))
+            trace.stage_buckets.append(buckets)
+    return order
+
+
+def _input_order(arr: StoredArray, dims, kept, stats: JoinStats,
+                 trace: JoinTrace | None) -> np.ndarray:
+    return np.arange(len(dims), dtype=np.int64)
 
 
 def mshj(records, arr: StoredArray, binding: DimBinding,
@@ -353,90 +299,19 @@ def mshj(records, arr: StoredArray, binding: DimBinding,
     referenced tile exactly once.  Records outside the array extent or
     probing an absent cell produce no output.
     """
-    out = _default_out(records, out)
-    stats = stats if stats is not None else JoinStats()
-    stats.strategy = "mshj"
-    _check_binding(arr, binding)
-    dims, kept = _extract_dims(records, binding)
-    stats.n_records = len(dims)
-    dims, kept = _drop_out_of_range(dims, kept, arr.meta.size)
-
-    t0 = time.perf_counter()
-    ts = np.asarray(arr.meta.tile_size, dtype=np.int64)
-    grid = arr.meta.grid
-    order = np.arange(len(dims), dtype=np.int64)
-    for d in range(arr.meta.d):
-        keys = dims[order, d] // ts[d]
-        order = order[np.argsort(keys, kind="stable")]
-        stats.block_scans += 1
-        if trace is not None:
-            buckets = [[] for _ in range(grid[d])]
-            for i in order:
-                buckets[int(dims[i, d] // ts[d])].append(int(kept[i]))
-            trace.stage_buckets.append(buckets)
-    stats.build_seconds += time.perf_counter() - t0
-
-    emitter = _Emitter(records, arr, binding, out, trace)
-    t0 = time.perf_counter()
-    _probe(arr, dims, kept, order, emitter, stats, trace)
-    result = emitter.finish()
-    stats.probe_seconds += time.perf_counter() - t0
-    stats.output_rows = emitter.count
-    return result
+    return _probe_join("mshj", _bucket_order, records, arr, binding, out,
+                       stats, trace)
 
 
 def join_probe_only(records, arr: StoredArray, binding: DimBinding,
                     out: JoinOutputSpec | None = None, *,
                     stats: JoinStats | None = None,
                     trace: JoinTrace | None = None):
-    """Baseline: identical probe, but in input record order (no bucketing).
+    """Baseline: mshj's probe in input record order (no bucketing).
     A tile is still pinned once per contiguous run, so scattered orders pin
     the same tile repeatedly."""
-    out = _default_out(records, out)
-    stats = stats if stats is not None else JoinStats()
-    stats.strategy = "probe-only"
-    _check_binding(arr, binding)
-    dims, kept = _extract_dims(records, binding)
-    stats.n_records = len(dims)
-    dims, kept = _drop_out_of_range(dims, kept, arr.meta.size)
-
-    if out.model == "array":
-        # scattered probes may revisit a tile; collect and build at the end
-        collect = JoinOutputSpec("relational", None, out.name)
-        emitter = _Emitter(records, arr, binding, collect, trace)
-        t0 = time.perf_counter()
-        _probe(arr, dims, kept, np.arange(len(dims)), emitter, stats, trace)
-        rel = emitter.finish()
-        stats.probe_seconds += time.perf_counter() - t0
-        stats.output_rows = emitter.count
-        spec = JoinOutputSpec("array", out.project, out.name, out.layout)
-        return _relation_rows_to_array(rel, arr, binding, spec)
-    emitter = _Emitter(records, arr, binding, out, trace)
-    t0 = time.perf_counter()
-    _probe(arr, dims, kept, np.arange(len(dims)), emitter, stats, trace)
-    result = emitter.finish()
-    stats.probe_seconds += time.perf_counter() - t0
-    stats.output_rows = emitter.count
-    return result
-
-
-def _relation_rows_to_array(rel: Relation, arr: StoredArray,
-                            binding: DimBinding, out: JoinOutputSpec):
-    names = rel.attr_names
-    project = list(out.project) if out.project is not None else names
-    missing = [a for a in binding.attrs if a not in project]
-    if missing:
-        raise OutputSpecError(
-            f"array output requires every dimension binding projected; "
-            f"missing {missing}")
-    value_names = [p for p in project if p not in binding.attrs]
-    types = [rel.schema[rel.attr_index(p)][1] for p in value_names]
-    meta = ArrayMeta(CellSchema(tuple(binding.attrs), tuple(value_names),
-                                tuple(types)),
-                     arr.meta.size, arr.meta.tile_size,
-                     out.layout or arr.meta.layout)
-    return to_array(rel, list(binding.attrs), value_names, meta, arr.pool,
-                    name=out.name or "joined")
+    return _probe_join("probe-only", _input_order, records, arr, binding, out,
+                       stats, trace)
 
 
 def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
@@ -449,7 +324,7 @@ def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
     / `arr_name`); when omitted it is derived from `binding` as an equi-join
     on every dimension.
     """
-    out = _default_out(records, out)
+    model = _output_model(records, out)
     stats = stats if stats is not None else JoinStats()
     stats.strategy = "convert"
     if pred is None:
@@ -459,8 +334,7 @@ def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
         parts = [f"{rec_name}.{a} = {arr_name}.{d}"
                  for a, d in zip(binding.attrs, arr.meta.schema.dim_names)]
         pred = parse_predicate(" and ".join(parts))
-    stats.n_records = len(records.rows) if isinstance(records, Relation) \
-        else len(records.docs)
+    stats.n_records = len(records)
 
     t0 = time.perf_counter()
     arel = to_relation(arr)
@@ -481,32 +355,8 @@ def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
                     names=records.attr_names + attr_out)
     joined = execute_tree(tree, {"__rec": records, "__arr": arel})
     stats.probe_seconds += time.perf_counter() - t0
-
-    if isinstance(joined, Relation):
-        stats.output_rows = len(joined.rows)
-        if out.model == "array":
-            if binding is None:
-                raise OutputSpecError("array output needs a dimension binding")
-            t0 = time.perf_counter()
-            result = _relation_rows_to_array(joined, arr, binding, out)
-            stats.convert_seconds += time.perf_counter() - t0
-            return result
-        joined = _project_relation(joined, out.project)
-        if out.model == "document":
-            return Collection(out.name or "joined",
-                              [dict(zip(joined.attr_names, r))
-                               for r in joined.rows])
-        return joined
-    stats.output_rows = len(joined.docs)
-    if out.model == "document":
-        return joined
-    if out.model == "relational":
-        if out.project is None:
-            raise OutputSpecError(
-                "relational output from a document join needs projected paths")
-        return to_relation_from_collection(joined, out.project)
-    raise OutputSpecError("array output from a document conversion join is "
-                          "not supported; bind dimensions and use mshj")
+    stats.output_rows = len(joined)
+    return _emit(joined, arr, binding, model)
 
 
 def _check_binding(arr: StoredArray, binding: DimBinding) -> None:
@@ -559,7 +409,6 @@ def dispatch_join(records, arr: StoredArray, pred,
                   trace: JoinTrace | None = None):
     """Route an inter-model join: all-dimension equi-joins go to mshj, any
     other predicate falls back to the conversion strategy."""
-    out = _default_out(records, out)
     binding = match_all_dims_binding(pred, arr, rec_name, arr_name)
     if strategy == "auto":
         strategy = "mshj" if binding is not None else "convert"
@@ -656,34 +505,3 @@ def _infer_column_type(values) -> ValueType:
     if kinds == {"doc"}:
         return ValueType("doc")
     return STRING
-
-
-def to_relation_from_collection(col: Collection, paths, *,
-                                null_fill: bool = False) -> Relation:
-    """Flatten documents over the given dotted paths, one column per path."""
-    rows = []
-    cols: list[list] = [[] for _ in paths]
-    for r, doc in enumerate(col.docs):
-        row = []
-        for j, p in enumerate(paths):
-            v = dot_get(doc, p)
-            if v is ABSENT:
-                if not null_fill:
-                    raise PathError(f"document {r} lacks required path {p!r}")
-                v = None
-            row.append(v)
-            cols[j].append(v)
-        rows.append(tuple(row))
-    schema = [(p, _infer_column_type(c)) for p, c in zip(paths, cols)]
-    return Relation(schema, rows)
-
-
-def to_collection(src, name: str = "") -> Collection:
-    """Relation or array to documents, one per row/cell."""
-    if isinstance(src, StoredArray):
-        src = to_relation(src)
-    if isinstance(src, Collection):
-        return src
-    names = src.attr_names
-    return Collection(name or "converted",
-                      [dict(zip(names, row)) for row in src.rows])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -10,7 +9,7 @@ import pytest
 from multimodel import array_engine as ae
 from multimodel.array_store import ArrayBuilder, StoredArray
 from multimodel.buffer_pool import BufferPool
-from multimodel.errors import BoundsError, ShapeError
+from multimodel.errors import ShapeError
 from multimodel.models import ABSENT
 
 from conftest import array_meta
@@ -188,138 +187,7 @@ def test_transpose_requires_2d(pool):
         ae.transpose(a)
 
 
-# ------------------------------------------------------------------ window
-
-def test_window_radius_zero_identity(pool):
-    cells = {(1, 2): (4.0,), (3, 0): (7.0,)}
-    a = from_cells(pool, (4, 4), (2, 2), cells)
-    assert cells_dict(ae.window(a, (0, 0), "sum")) == cells
-
-
-def test_window_sum_all_ones(pool):
-    a = from_dense(pool, np.ones((3, 3)), (3, 3))
-    got = grid_of(ae.window(a, (1, 1), "sum"))
-    expect = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=float)
-    assert np.array_equal(got, expect)
-
-
-def _window_oracle(cells: dict, size, radius, agg):
-    out = {}
-    for coord in itertools.product(*[range(s) for s in size]):
-        vals = []
-        for off in itertools.product(*[range(-r, r + 1) for r in radius]):
-            p = tuple(c + o for c, o in zip(coord, off))
-            if all(0 <= x < s for x, s in zip(p, size)) and p in cells:
-                vals.append(cells[p][0])
-        if not vals:
-            continue
-        if agg == "sum":
-            out[coord] = (sum(vals),)
-        elif agg == "count":
-            out[coord] = (len(vals),)
-        elif agg == "min":
-            out[coord] = (min(vals),)
-        elif agg == "max":
-            out[coord] = (max(vals),)
-        else:
-            out[coord] = (sum(vals) / len(vals),)
-    return out
-
-
-@pytest.mark.parametrize("agg", ["sum", "avg", "min", "max", "count"])
-def test_window_matches_brute_force(pool, agg):
-    rng = random.Random(9)
-    size = (12, 9)
-    cells = {(rng.randrange(12), rng.randrange(9)): (float(rng.randint(-20, 20)),)
-             for _ in range(40)}
-    a = from_cells(pool, size, (5, 4), cells, layout="coo")
-    got = cells_dict(ae.window(a, (1, 2), agg))
-    expect = _window_oracle(cells, size, (1, 2), agg)
-    assert set(got) == set(expect)
-    for k in expect:
-        assert got[k][0] == pytest.approx(expect[k][0])
-
-
-def test_window_3d_brute_force(pool):
-    rng = random.Random(10)
-    size = (5, 6, 4)
-    cells = {(rng.randrange(5), rng.randrange(6), rng.randrange(4)): (float(rng.randint(0, 9)),)
-             for _ in range(30)}
-    a = from_cells(pool, size, (2, 3, 2), cells, layout="coo")
-    got = cells_dict(ae.window(a, (1, 0, 1), "sum"))
-    expect = _window_oracle(cells, size, (1, 0, 1), "sum")
-    assert got == {k: (pytest.approx(v[0]),) for k, v in expect.items()}
-
-
-# --------------------------------------------------------------- aggregate
-
-def test_aggregate_sum_all_dims(pool):
-    a = from_dense(pool, np.ones((10, 10)), (4, 4))
-    out = ae.aggregate(a, ["dim0", "dim1"], "sum")
-    assert out.meta.size == (1,)
-    assert cells_dict(out) == {(0,): (100.0,)}
-
-
-def test_aggregate_axis_matches_numpy(pool):
-    rng = np.random.default_rng(4)
-    g = rng.random((6, 8))
-    a = from_dense(pool, g, (3, 3))
-    out = ae.aggregate(a, [0], "sum")
-    assert out.meta.size == (8,)
-    got = cells_dict(out)
-    expect = g.sum(axis=0)
-    for j in range(8):
-        assert got[(j,)][0] == pytest.approx(expect[j])
-
-
-def test_aggregate_count_and_avg_ignore_absent(pool):
-    cells = {(0, 0): (2.0,), (0, 3): (4.0,), (2, 1): (6.0,)}
-    a = from_cells(pool, (3, 4), (3, 4), cells, layout="coo")
-    cnt = cells_dict(ae.aggregate(a, [1], "count"))
-    assert cnt == {(0,): (2,), (2,): (1,)}  # row 1 has no cells at all
-    avg = cells_dict(ae.aggregate(a, [1], "avg"))
-    assert avg[(0,)][0] == pytest.approx(3.0)
-    assert avg[(2,)][0] == pytest.approx(6.0)
-
-
-def test_aggregate_min_max(pool):
-    cells = {(0, 0): (5.0,), (1, 0): (-2.0,), (2, 2): (9.0,)}
-    a = from_cells(pool, (3, 3), (3, 3), cells, layout="coo")
-    assert cells_dict(ae.aggregate(a, [0], "min")) == {(0,): (-2.0,), (2,): (9.0,)}
-    assert cells_dict(ae.aggregate(a, [0], "max")) == {(0,): (5.0,), (2,): (9.0,)}
-
-
-# ---------------------------------------------------------------- subarray
-
-def test_subarray_full_range_is_identity(pool):
-    cells = {(1, 2): (4.0,), (3, 0): (7.0,)}
-    a = from_cells(pool, (4, 4), (2, 2), cells)
-    assert cells_dict(ae.subarray(a, (0, 0), (4, 4))) == cells
-
-
-def test_subarray_shifts_coordinates(pool):
-    cells = {(1, 2): (4.0,), (3, 3): (7.0,), (0, 0): (1.0,)}
-    a = from_cells(pool, (4, 4), (2, 2), cells)
-    out = ae.subarray(a, (1, 1), (4, 4))
-    assert out.meta.size == (3, 3)
-    assert cells_dict(out) == {(0, 1): (4.0,), (2, 2): (7.0,)}
-
-
-def test_subarray_inverted_bounds(pool):
-    a = from_dense(pool, np.ones((4, 4)), (2, 2))
-    with pytest.raises(BoundsError):
-        ae.subarray(a, (2, 0), (1, 4))
-    with pytest.raises(BoundsError):
-        ae.subarray(a, (0, 0), (5, 4))
-
-
-# -------------------------------------------------------------- build / rand
-
-def test_build_round_trip(pool):
-    meta = array_meta((6, 6), (3, 3), attrs=(("value", "int"),))
-    arr = ae.build(meta, [((0, 0), (1,)), ((5, 5), (2,)), ((2, 4), (3,))], pool)
-    assert cells_dict(arr) == {(0, 0): (1,), (5, 5): (2,), (2, 4): (3,)}
-
+# -------------------------------------------------------------------- rand
 
 def test_rand_is_deterministic(pool):
     a = ae.rand((9, 7), (4, 4), 42, pool)
@@ -405,15 +273,15 @@ def test_nmf_update_preserves_nonnegativity(pool):
 @pytest.mark.parametrize("ts", [(2, 2), (5, 4), (7, 3), (12, 9)])
 def test_results_independent_of_tile_size(pool, ts):
     rng = random.Random(13)
-    cells = {(rng.randrange(12), rng.randrange(9)): (float(rng.randint(1, 9)),)
-             for _ in range(35)}
-    a = from_cells(pool, (12, 9), ts, cells, layout="coo")
-    base = from_cells(pool, (12, 9), (4, 4), cells, layout="coo")
-    for make in (lambda r: ae.window(r, (1, 1), "sum"),
-                 lambda r: ae.aggregate(r, [0], "max"),
-                 lambda r: ae.transpose(r),
-                 lambda r: ae.subarray(r, (1, 1), (10, 8))):
-        assert cells_dict(make(a)) == cells_dict(make(base))
+    cells = [{(rng.randrange(12), rng.randrange(9)): (float(rng.randint(1, 9)),)
+              for _ in range(35)} for _ in range(2)]
+
+    def results(tile):
+        a, b = (from_cells(pool, (12, 9), tile, c, layout="coo") for c in cells)
+        return ([cells_dict(ae.ewise(op, a, b)) for op in "+-*/"]
+                + [cells_dict(ae.transpose(a))])
+
+    assert results(ts) == results((4, 4))
 
 
 def test_grid_round_trip(pool):

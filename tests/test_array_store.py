@@ -32,21 +32,19 @@ def _dense_linear_tile(ts=(10, 5)):
     return make_tile((0, 0), ts, ts, [I8], "dense", cc, [vals])
 
 
+def cell(tile, cc):
+    """Values of one cell through the batch lookup, or ABSENT."""
+    found, vals = tile.lookup(np.asarray([cc], dtype=np.uint64))
+    return tuple(v[0].item() for v in vals) if found[0] else ABSENT
+
+
 # ------------------------------------------------------------------- tiles
 
 def test_dense_positional_access():
     t = _dense_linear_tile()
-    assert t.get_cell((3, 3)) == (18,)
-    assert t.get_cell((0, 0)) == (0,)
-    assert t.get_cell((9, 4)) == (49,)
-
-
-def test_get_cell_out_of_bounds():
-    t = _dense_linear_tile()
-    with pytest.raises(BoundsError):
-        t.get_cell((10, 0))
-    with pytest.raises(BoundsError):
-        t.get_cell((0, -1))
+    assert cell(t, (3, 3)) == (18,)
+    assert cell(t, (0, 0)) == (0,)
+    assert cell(t, (9, 4)) == (49,)
 
 
 def test_coo_membership_matches_construction_set():
@@ -58,7 +56,7 @@ def test_coo_membership_matches_construction_set():
                   cc, [[float(r * 10 + c) for r, c in cc]])
     for r in range(8):
         for c in range(7):
-            got = t.get_cell((r, c))
+            got = cell(t, (r, c))
             if (r, c) in cells:
                 assert got == (float(r * 10 + c),)
             else:
@@ -66,7 +64,7 @@ def test_coo_membership_matches_construction_set():
 
 
 def test_layout_equivalence():
-    # same logical cells in all three layouts answer get_cell identically
+    # same logical cells in all three layouts answer lookups identically
     rng = random.Random(5)
     ts = (6, 9)
     cc = sorted({(rng.randrange(6), rng.randrange(9)) for _ in range(20)})
@@ -75,7 +73,7 @@ def test_layout_equivalence():
              for lay in ("dense", "coo", "csr")]
     for r in range(6):
         for c in range(9):
-            answers = {repr(t.get_cell((r, c))) for t in tiles}
+            answers = {repr(cell(t, (r, c))) for t in tiles}
             assert len(answers) == 1
 
 
@@ -93,8 +91,8 @@ def test_csr_row_pointer_invariant():
     t = make_tile((0, 0), (4, 5), (4, 5), [I8], "csr", cc, [[1, 2, 3]])
     assert len(t.indptr) == 5  # TS_0 + 1
     assert (np.diff(t.indptr.astype(np.int64)) >= 0).all()
-    assert t.get_cell((0, 4)) == (2,)
-    assert t.get_cell((1, 0)) is ABSENT
+    assert cell(t, (0, 4)) == (2,)
+    assert cell(t, (1, 0)) is ABSENT
 
 
 def test_duplicate_cell_rejected():
@@ -107,18 +105,6 @@ def test_make_tile_rejects_out_of_extent():
     # valid extent shorter than the tile box (edge tile)
     with pytest.raises(BoundsError):
         make_tile((1, 0), (4, 4), (2, 4), [I8], "dense", [(3, 0)], [[1]])
-
-
-def test_sparse_search_comparison_bound():
-    ts = (40, 40)
-    cc = [(i // 40, i % 40) for i in range(0, 1600, 2)]  # M = 800 cells
-    t = make_tile((0, 0), ts, ts, [I8], "coo", cc, [list(range(len(cc)))])
-    m = len(cc)
-    bound = int(np.ceil(np.log2(m))) + 1
-    for q in [(0, 0), (3, 17), (39, 38), (20, 21)]:
-        t.search_comparisons = 0
-        t.get_cell(q)
-        assert t.search_comparisons <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,7 +237,7 @@ def test_absent_tile_is_empty_and_free(pool):
     arr = b.finish()
     t = arr.pin((1, 1))  # never written
     assert t.cell_count() == 0
-    assert t.get_cell((3, 3)) is ABSENT
+    assert cell(t, (3, 3)) is ABSENT
     arr.unpin((1, 1))
     assert arr.disk_reads.get((1, 1), 0) == 0
 
@@ -312,7 +298,7 @@ def test_dirty_tile_spills_and_reloads(tmp_path):
     b.add_cells(np.array([[1, 1], [12, 3]]), [np.array([5, 9])])
     arr = b.finish()  # writing tile (1,0) evicted dirty tile (0,0) -> spill
     t = arr.pin((0, 0))  # read back from the spill file
-    assert t.get_cell((1, 1)) == (5,)
+    assert cell(t, (1, 1)) == (5,)
     arr.unpin((0, 0))
     assert arr.disk_reads[(0, 0)] == 1
     assert list(tmp_path.glob("*.spill"))

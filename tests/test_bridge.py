@@ -8,12 +8,10 @@ from multimodel.array_store import ArrayBuilder
 from multimodel.bridge import (DimBinding, JoinOutputSpec, JoinStats,
                                JoinTrace, dispatch_join, join_probe_only,
                                join_via_conversion, match_all_dims_binding,
-                               mshj, to_array, to_collection, to_relation,
-                               to_relation_from_collection)
-from multimodel.errors import (BindingError, BoundsError, DuplicateCellError,
-                               OutputSpecError, PathError)
-from multimodel.models import (ABSENT, BOOL, FLOAT, INT, UINT, ArrayMeta,
-                               CellSchema, Collection, Relation, dot_get)
+                               mshj, to_array, to_relation)
+from multimodel.errors import BindingError, BoundsError, DuplicateCellError
+from multimodel.models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
+                               Collection, Relation)
 from multimodel.predicates import parse_predicate
 
 
@@ -106,17 +104,15 @@ def test_block_scans_are_dims_plus_one(pool, small_array):
     assert stats.block_scans == 1
 
 
-def test_probe_only_in_reversed_order_pins_more(pool, small_array):
+def test_probe_only_in_input_order_revisits_tiles(pool, small_array):
     stats = JoinStats()
     mshj(FIVE, small_array, DimBinding(("v0", "v1")), stats=stats)
     base = stats.tile_pins
 
     small_array.pin_counts.clear()
     stats2 = JoinStats()
-    shuffled = Relation(FIVE.schema, [FIVE.rows[i] for i in (0, 1, 2, 3, 4)])
     # input order revisits tiles: (2,1),(0,0),(1,0),(0,0),(1,0)
-    shuffled = Relation(FIVE.schema, [FIVE.rows[i] for i in (0, 1, 2, 3, 4)])
-    join_probe_only(shuffled, small_array, DimBinding(("v0", "v1")),
+    join_probe_only(FIVE, small_array, DimBinding(("v0", "v1")),
                     stats=stats2)
     assert stats2.tile_pins == 5 > base
 
@@ -209,16 +205,38 @@ def test_mshj_matches_nested_loop_oracle_other_dims(pool, d):
         assert multiset(got.rows) == multiset(nested_loop_oracle(rel, attrs, arr))
 
 
+def _unique_records(rng, size, n):
+    """Records at n distinct in-range coordinates (array output forbids
+    duplicate cells), tagged by position."""
+    coords = rng.sample([(i, j) for i in range(size[0])
+                         for j in range(size[1])], n)
+    return Relation([("a0", INT), ("a1", INT), ("tag", INT)],
+                    [c + (k,) for k, c in enumerate(coords)])
+
+
+STRATEGIES = (mshj, join_probe_only, join_via_conversion)
+
+
 def test_strategies_agree_everywhere(pool):
     rng = random.Random(99)
+    b = DimBinding(("a0", "a1"))
+    doc_key = lambda d: repr(sorted(d.items()))
     for trial in range(5):
         rel, arr = _random_instance(pool, rng, 2, "dense", n_rows=80)
-        b = DimBinding(("a0", "a1"))
-        r1 = mshj(rel, arr, b)
-        r2 = join_probe_only(rel, arr, b)
-        r3 = join_via_conversion(rel, arr, b)
+        r1, r2, r3 = (join(rel, arr, b) for join in STRATEGIES)
         assert multiset(r1.rows) == multiset(r2.rows) == multiset(r3.rows)
         assert r1.schema == r2.schema == r3.schema
+
+        docs = [join(rel, arr, b, JoinOutputSpec("document")).docs
+                for join in STRATEGIES]
+        assert len({tuple(sorted(map(doc_key, d))) for d in docs}) == 1
+        assert len(docs[0]) == len(r1.rows)
+
+        uniq = _unique_records(rng, arr.meta.size, 30)
+        arrays = [join(uniq, arr, b, JoinOutputSpec("array"))
+                  for join in STRATEGIES]
+        assert cells_of(arrays[0]) == cells_of(arrays[1]) == cells_of(arrays[2])
+        assert len({a.meta for a in arrays}) == 1
 
 
 def test_probe_order_is_radix_sorted(pool):
@@ -264,26 +282,15 @@ def test_join_to_array_output(pool):
     rng = random.Random(31)
     _, arr = _random_instance(pool, rng, 2, "dense", n_rows=0,
                               out_of_range=False)
-    # unique coordinates per record (array output forbids duplicates)
-    coords = rng.sample([(i, j) for i in range(arr.meta.size[0])
-                         for j in range(arr.meta.size[1])], 40)
-    rel = Relation([("a0", INT), ("a1", INT), ("tag", INT)],
-                   [c + (k,) for k, c in enumerate(coords)])
-    spec = JoinOutputSpec("array", project=("a0", "a1", "tag"))
-    out = mshj(rel, arr, DimBinding(("a0", "a1")), spec)
+    rel = _unique_records(rng, arr.meta.size, 40)
+    out = mshj(rel, arr, DimBinding(("a0", "a1")), JoinOutputSpec("array"))
     assert out.meta.schema.dim_names == ("a0", "a1")
-    assert out.meta.schema.attr_names == ("tag",)
-    oracle = {(r[0], r[1]): (r[2],) for r in
+    assert out.meta.schema.attr_names == ("tag", "val")
+    oracle = {(r[0], r[1]): (r[2], r[3]) for r in
               nested_loop_oracle(rel, ("a0", "a1"), arr)}
     assert cells_of(out) == oracle
     assert out.meta.size == arr.meta.size
     assert out.meta.tile_size == arr.meta.tile_size
-
-
-def test_array_output_requires_dims_projected(pool, small_array):
-    with pytest.raises(OutputSpecError):
-        mshj(FIVE, small_array, DimBinding(("v0", "v1")),
-             JoinOutputSpec("array", project=("v0", "val")))
 
 
 def test_array_output_duplicate_coordinates(pool, small_array):
@@ -443,32 +450,3 @@ def test_to_relation_is_tile_major(pool):
     arr = build_array(pool, (4, 4), (2, 2), cells)
     rel = to_relation(arr)
     assert [r[:2] for r in rel.rows] == [(0, 0), (0, 3), (3, 0), (3, 3)]
-
-
-def test_collection_flattening_matches_walker(pool):
-    rng = random.Random(8)
-    docs = []
-    for i in range(40):
-        d = {"id": i, "a": {"b": rng.randrange(5)}}
-        if rng.random() < 0.5:
-            d["opt"] = rng.random()
-        docs.append(d)
-    col = Collection("c", docs)
-    with pytest.raises(PathError):
-        to_relation_from_collection(col, ["id", "a.b", "opt"])
-    rel = to_relation_from_collection(col, ["id", "a.b", "opt"],
-                                      null_fill=True)
-    for row, doc in zip(rel.rows, docs):
-        expect = tuple(None if (v := dot_get(doc, p)) is ABSENT else v
-                       for p in ("id", "a.b", "opt"))
-        assert row == expect
-    assert [n for n, _ in rel.schema] == ["id", "a.b", "opt"]
-
-
-def test_to_collection_round_trip(pool):
-    rel = Relation([("x", INT), ("s", INT)], [(1, 2), (3, 4)])
-    col = to_collection(rel, "c")
-    assert col.docs == [{"x": 1, "s": 2}, {"x": 3, "s": 4}]
-    arr = build_array(pool, (4,), (2,), {(1,): (7.25,)}, dims=("x",))
-    col2 = to_collection(arr)
-    assert col2.docs == [{"x": 1, "val": 7.25}]

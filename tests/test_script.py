@@ -9,6 +9,7 @@ from multimodel import (
     Engine,
     EngineConfig,
     NotFoundError,
+    OutputSpecError,
     PlanError,
     Relation,
     ScriptError,
@@ -276,3 +277,19 @@ def test_document_model_join_in_script(tmp_path):
     assert isinstance(res, Collection)
     assert sorted((d["who"], d["age"], d["n"]) for d in res.docs) == \
         [("ann", 41, 1), ("bo", 29, 2)]
+
+
+@pytest.mark.parametrize("model", ["RELATIONAL", "ARRAY"])
+@pytest.mark.parametrize("strategy", ["auto", "probe-only", "convert"])
+def test_document_records_join_to_document_output_only(tmp_path, strategy,
+                                                       model):
+    (tmp_path / "cells.csv").write_text("r,c,v\n0,0,1.5\n1,2,2.0\n")
+    (tmp_path / "visits.jsonl").write_text(
+        json.dumps({"r": 0, "c": 0, "who": "ann"}) + "\n"
+        + json.dumps({"r": 1, "c": 2, "who": "bo"}) + "\n")
+    with pytest.raises(OutputSpecError,
+                       match="document records join to DOCUMENT output only"):
+        engine(tmp_path, strategy=strategy).run(
+            "a = openTable('cells').toArray({'r', 'c'}, {'v'})\n"
+            "d = openCollection('visits')\n"
+            f"execute(a.join(d, 'd.r = a.r AND d.c = a.c', {model}))\n")
