@@ -77,11 +77,10 @@ def _linearize(cc: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
 class Tile:
     """One tile of an array. Payload depends on layout; see module docstring."""
 
-    def __init__(self, tc, layout, ts, valid, attr_dtypes):
+    def __init__(self, tc, layout, ts, attr_dtypes):
         self.tc = tuple(int(x) for x in tc)
         self.layout = layout
         self.ts = tuple(ts)
-        self.valid = tuple(valid)  # valid extent (edge tiles are shorter)
         self.attr_dtypes = list(attr_dtypes)
         # dense
         self.mask = None
@@ -201,8 +200,8 @@ class Tile:
         return b"".join(parts)
 
     @staticmethod
-    def from_bytes(buf: bytes, tc, layout, ts, valid, attr_dtypes) -> "Tile":
-        t = Tile(tc, layout, ts, valid, attr_dtypes)
+    def from_bytes(buf: bytes, tc, layout, ts, attr_dtypes) -> "Tile":
+        t = Tile(tc, layout, ts, attr_dtypes)
         n_box = int(np.prod(ts))
         off = 0
         if layout == "dense":
@@ -257,7 +256,7 @@ def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values, *, sort=True) -> T
     if len(keys) > 1 and (keys[1:] == keys[:-1]).any():
         dup = cc[1:][keys[1:] == keys[:-1]][0]
         raise DuplicateCellError(f"duplicate cell {tuple(int(x) for x in dup)} in tile {tuple(tc)}")
-    t = Tile(tc, layout, ts, valid, attr_dtypes)
+    t = Tile(tc, layout, ts, attr_dtypes)
     if layout == "dense":
         t.mask = np.zeros(ts, dtype=bool)
         t.dense_values = [np.zeros(ts, dt) for dt in attr_dtypes]
@@ -391,7 +390,7 @@ class StoredArray:
             f.seek(slot.offset)
             buf = f.read(slot.length)
         return Tile.from_bytes(buf, tc, slot.layout, self.meta.tile_size,
-                               self.valid_extent(tc), self.attr_dtypes)
+                               self.attr_dtypes)
 
     def _spill(self, tile: Tile, slot: _Slot) -> None:
         if self._spill_path is None:

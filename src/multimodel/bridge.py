@@ -9,6 +9,11 @@ bucket order so that every referenced tile is pinned exactly once.
 relational join.  All three hand their result to one emit step, which
 returns relational, document or array output; array output is always built
 by ``to_array``.  Document records join to document output only.
+
+``to_array`` is the one way records become an array.  A single walk over
+the records (``_extract_dims``) yields the bound coordinates, the kept
+records and the value columns; when no metadata is given, the extent,
+value types and tiling are derived from that same walk.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_store import ArrayBuilder, StoredArray
-from .errors import BindingError, OutputSpecError, PathError
-from .models import (ABSENT, BOOL, FLOAT, INT, STRING, UINT, ArrayMeta,
-                     CellSchema, Collection, Relation, ValueType, dot_get)
+from .errors import BindingError, OutputSpecError
+from .models import (ABSENT, UINT, ArrayMeta, CellSchema, Collection,
+                     Relation, dot_get, infer_column_type, tile_extent)
 from .predicates import equi_conjuncts
 from .rd_engine import execute_tree, node
 
@@ -81,20 +86,26 @@ def _is_uint(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
 
 
-def _extract_dims(records, binding: DimBinding):
-    """Pull bound dimension values into an (N, d) int64 matrix.
+def _attr_index(rel: Relation, attr: str) -> int:
+    try:
+        return rel.attr_index(attr)
+    except KeyError:
+        raise BindingError(f"relation has no attribute {attr!r}") from None
 
-    Returns (dims, kept) where kept maps matrix rows back to record indices;
-    documents missing a bound path are dropped (inner join), anything
-    non-integer or negative is a binding error.
+
+def _extract_dims(records, binding: DimBinding, value_paths=()):
+    """One walk over the records: bound dimension values as an (N, d) int64
+    matrix, plus the values at ``value_paths`` of the same records.
+
+    Returns (dims, kept, values) where kept maps matrix rows back to record
+    indices and values holds one list per value path, aligned with the rows.
+    Documents missing a bound path are dropped (inner join); anything
+    non-integer or negative, and a missing value attribute, is a binding
+    error.
     """
     if isinstance(records, Relation):
-        idx = []
-        for a in binding.attrs:
-            try:
-                idx.append(records.attr_index(a))
-            except KeyError:
-                raise BindingError(f"relation has no attribute {a!r}") from None
+        idx = [_attr_index(records, a) for a in binding.attrs]
+        vidx = [_attr_index(records, a) for a in value_paths]
         n = len(records.rows)
         dims = np.empty((n, len(idx)), dtype=np.int64)
         for j, i in enumerate(idx):
@@ -105,9 +116,11 @@ def _extract_dims(records, binding: DimBinding):
                         f"row {r}: dimension attribute {binding.attrs[j]!r} "
                         f"must be a non-negative integer, got {v!r}")
             dims[:, j] = col
-        return dims, np.arange(n, dtype=np.int64)
+        values = [[row[i] for row in records.rows] for i in vidx]
+        return dims, np.arange(n, dtype=np.int64), values
 
-    kept, vals = [], []
+    kept, coords = [], []
+    values = [[] for _ in value_paths]
     for r, doc in enumerate(records.docs):
         row = []
         for path in binding.attrs:
@@ -120,10 +133,17 @@ def _extract_dims(records, binding: DimBinding):
                     f"integer, got {v!r}")
             row.append(v)
         else:
+            for path, col in zip(value_paths, values):
+                v = dot_get(doc, path)
+                if v is ABSENT:
+                    raise BindingError(
+                        f"document {r} has no value attribute {path!r}")
+                col.append(v)
             kept.append(r)
-            vals.append(row)
-    dims = np.asarray(vals, dtype=np.int64).reshape(len(kept), len(binding.attrs))
-    return dims, np.asarray(kept, dtype=np.int64)
+            coords.append(row)
+    dims = np.asarray(coords, dtype=np.int64).reshape(len(kept),
+                                                      len(binding.attrs))
+    return dims, np.asarray(kept, dtype=np.int64), values
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +271,7 @@ def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
     stats = stats if stats is not None else JoinStats()
     stats.strategy = strategy
     _check_binding(arr, binding)
-    dims, kept = _extract_dims(records, binding)
+    dims, kept, _ = _extract_dims(records, binding)
     stats.n_records = len(dims)
     dims, kept = _drop_out_of_range(dims, kept, arr.meta.size)
 
@@ -431,35 +451,35 @@ def dispatch_join(records, arr: StoredArray, pred,
 # model conversions
 
 def to_array(src, dim_names: list[str], value_names: list[str],
-             meta: ArrayMeta, pool, *, name: str = "",
-             spool_dir: str | None = None) -> StoredArray:
-    """One cell per record at the bound coordinates.  Coordinates must be
-    unique unsigned integers inside meta.size."""
-    if len(dim_names) != meta.d or len(value_names) != len(meta.schema.attr_names):
+             meta: ArrayMeta | None, pool, *, name: str = "",
+             spool_dir: str | None = None,
+             default_tile: int = 0) -> StoredArray:
+    """One cell per record at the bound coordinates; records lacking a bound
+    path are dropped.  Coordinates must be unique unsigned integers inside
+    the extent.
+
+    With ``meta=None`` the array is dense, its extent is the tight bounding
+    box of the kept records (1 per dimension when none is kept), its value
+    types come from the relation schema or from the document values that
+    become cells, and its tiles are capped at ``default_tile``
+    (``tile_extent``)."""
+    if meta is not None and (len(dim_names) != meta.d or
+                             len(value_names) != len(meta.schema.attr_names)):
         raise OutputSpecError("dim/value name count does not match the array schema")
     binding = DimBinding(tuple(dim_names))
-    dims, kept = _extract_dims(src, binding)
+    dims, _, cols = _extract_dims(src, binding, value_names)
+    if meta is None:
+        if isinstance(src, Relation):
+            types = [src.schema[_attr_index(src, vn)][1] for vn in value_names]
+        else:
+            types = [infer_column_type(c) for c in cols]
+        size = (tuple(int(x) + 1 for x in dims.max(axis=0)) if len(dims)
+                else (1,) * len(dim_names))
+        meta = ArrayMeta(CellSchema(binding.attrs, tuple(value_names),
+                                    tuple(types)),
+                         size, tile_extent(size, default_tile))
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
-    if isinstance(src, Relation):
-        cols = []
-        for vn in value_names:
-            try:
-                i = src.attr_index(vn)
-            except KeyError:
-                raise BindingError(f"relation has no attribute {vn!r}") from None
-            cols.append(np.asarray([row[i] for row in src.rows]))
-        cols = [c[kept] for c in cols]
-    else:
-        cols = []
-        for vn in value_names:
-            vals = []
-            for r in kept:
-                v = dot_get(src.docs[int(r)], vn)
-                if v is ABSENT:
-                    raise PathError(f"document {int(r)} lacks value path {vn!r}")
-                vals.append(v)
-            cols.append(np.asarray(vals))
-    builder.add_cells(dims, cols)
+    builder.add_cells(dims, [np.asarray(c) for c in cols])
     return builder.finish()
 
 
@@ -475,33 +495,3 @@ def to_relation(arr: StoredArray) -> Relation:
         for k in range(len(coord_cols)):
             rows.append(tuple(coord_cols[k]) + tuple(c[k] for c in val_cols))
     return Relation(schema, rows)
-
-
-def _infer_column_type(values) -> ValueType:
-    kinds = set()
-    for v in values:
-        if v is None:
-            continue
-        if isinstance(v, bool):
-            kinds.add("bool")
-        elif isinstance(v, numbers.Integral):
-            kinds.add("int")
-        elif isinstance(v, numbers.Real):
-            kinds.add("float")
-        elif isinstance(v, str):
-            kinds.add("string")
-        elif isinstance(v, list):
-            kinds.add("list")
-        else:
-            kinds.add("doc")
-    if kinds == {"int"}:
-        return INT
-    if kinds <= {"int", "float"} and kinds:
-        return FLOAT
-    if kinds == {"bool"}:
-        return BOOL
-    if kinds == {"list"}:
-        return ValueType("list")
-    if kinds == {"doc"}:
-        return ValueType("doc")
-    return STRING

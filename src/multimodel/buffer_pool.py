@@ -3,7 +3,7 @@
 Engines register memory objects with size, owner tag and two callbacks:
 ``is_evictable`` (consulted before eviction; pinned tiles return False) and
 ``do_eviction`` (spill/teardown, invoked exactly once per evicted object).
-Recency uses a logical clock so tests are deterministic.
+Recency is the registry dict's insertion order, so tests are deterministic.
 
 Callbacks run while the pool holds its internal lock and therefore must not
 call back into the pool.
@@ -41,7 +41,6 @@ class BufferObject:
     payload: Any = None
     is_evictable: Callable[[], bool] = _always
     do_eviction: Callable[[], None] = _noop
-    last_use: int = 0  # logical timestamp, maintained by the pool
 
     def __post_init__(self):
         if self.size <= 0:
@@ -54,7 +53,6 @@ class PoolStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    do_eviction_calls: int = 0
     resident_bytes: int = 0
     resident_count: int = 0
 
@@ -72,7 +70,6 @@ class BufferPool:
         self.quotas = dict(quotas) if quotas else None
         self._lock = threading.Lock()
         self._objects: dict[Any, BufferObject] = {}  # insertion order == LRU order
-        self._clock = 0
         self._stats = PoolStats(capacity=capacity)
         self.eviction_log: list[Any] = []  # ids in eviction order, for test oracles
 
@@ -91,9 +88,7 @@ class BufferPool:
             return self._stats.resident_bytes
         return sum(o.size for o in self._objects.values() if o.owner == owner)
 
-    def _tick(self, obj: BufferObject) -> None:
-        self._clock += 1
-        obj.last_use = self._clock
+    def _to_mru(self, obj: BufferObject) -> None:
         # dict preserves insertion order; re-insert to move to MRU position
         del self._objects[obj.id]
         self._objects[obj.id] = obj
@@ -124,7 +119,6 @@ class BufferPool:
             if not obj.is_evictable():
                 continue
             obj.do_eviction()
-            self._stats.do_eviction_calls += 1
             self._stats.evictions += 1
             self.eviction_log.append(obj.id)
             del self._objects[obj.id]
@@ -151,8 +145,6 @@ class BufferPool:
                 raise TooLargeError(f"object of {obj.size} bytes exceeds capacity {cap}")
             scope = None if self.quotas is None else obj.owner
             self._evict_locked(obj.size, scope)
-            self._clock += 1
-            obj.last_use = self._clock
             self._objects[obj.id] = obj
             self._stats.resident_bytes += obj.size
             self._stats.resident_count += 1
@@ -176,7 +168,7 @@ class BufferPool:
             obj = self._objects.get(id)
             if obj is None:
                 raise NotFoundError(f"buffer object {id!r} not registered")
-            self._tick(obj)
+            self._to_mru(obj)
             self._audit()
 
     def get(self, id: Any) -> BufferObject | None:
@@ -187,7 +179,7 @@ class BufferPool:
                 self._stats.misses += 1
                 return None
             self._stats.hits += 1
-            self._tick(obj)
+            self._to_mru(obj)
             return obj
 
     def contains(self, id: Any) -> bool:
@@ -215,5 +207,5 @@ class BufferPool:
     def reset_stats(self) -> None:
         with self._lock:
             s = self._stats
-            s.hits = s.misses = s.evictions = s.do_eviction_calls = 0
+            s.hits = s.misses = s.evictions = 0
             self.eviction_log.clear()

@@ -46,7 +46,8 @@ class PlanError(EngineError):
 
 
 class BindingError(EngineError):
-    """Dimension binding produced a non-integer or negative value."""
+    """Records do not fit a dimension binding or conversion: a missing
+    attribute, or a non-integer or negative coordinate."""
 
 
 class OutputSpecError(EngineError):

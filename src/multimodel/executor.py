@@ -4,7 +4,10 @@ A bound plan is partitioned, partitions run in topological order, and every
 partition's result lands in a registry under its output node's alias key
 (``n<id>``), where downstream partitions pick it up.  Relational and document
 partitions run as operator trees; array partitions run node by node on tiled
-arrays; inter-model partitions are the conversion / join bridge calls.
+arrays; inter-model partitions are the conversion / join bridge calls.  A
+conversion passes its records to ``bridge.to_array`` with only the default
+tile extent and spool directory; the bridge derives the array's extent,
+value types and tiling from its one walk over the records.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from dataclasses import dataclass
 
 from . import array_engine
 from .array_store import StoredArray, array_from_coo_csv, array_to_coo_csv
-from .bridge import (DimBinding, JoinOutputSpec, JoinStats, _extract_dims,
-                     _infer_column_type, dispatch_join, to_array)
+from .bridge import JoinOutputSpec, JoinStats, dispatch_join, to_array
 from .buffer_pool import BufferPool
 from .errors import ConfigError, EngineError, NotFoundError, PlanError
-from .models import (ABSENT, ArrayMeta, CellSchema, Collection, Relation,
-                     collection_from_jsonl, collection_to_jsonl, dot_get,
-                     relation_from_csv, relation_to_csv)
+from .models import (ArrayMeta, CellSchema, Collection, Relation,
+                     collection_from_jsonl, collection_to_jsonl,
+                     relation_from_csv, relation_to_csv, tile_extent)
 from .planner import (LogicalPlan, Partition, TreeNode, alias_key,
                       dag_to_trees, partition, partition_dag_to_dict,
                       plan_to_dict, topo_order)
@@ -38,7 +40,6 @@ class EngineConfig:
     buffer_bytes: int = 64 << 20
     seed: int = 0
     default_tile: int = 0  # per-dimension tile extent; 0 = one tile per array
-    layout: str = "dense"  # for arrays the engine materializes
     strategy: str = "auto"  # inter-model join routing
     spool_dir: str | None = None
 
@@ -203,19 +204,15 @@ class Engine:
             self._datasets[key] = load(name)
         return self._datasets[key]
 
-    def _tile_for(self, size) -> tuple[int, ...]:
-        dt = self.config.default_tile
-        if dt <= 0:
-            return tuple(size)
-        return tuple(min(dt, s) for s in size)
-
     def _array_node(self, n, reg) -> StoredArray:
         ins = [reg[alias_key(i)] for i in n.inputs]
         p = n.params
         if n.op == "rand":
             size = tuple(p["size"])
-            return array_engine.rand(size, self._tile_for(size), p["seed"],
-                                     self.pool, spool_dir=self.config.spool_dir)
+            return array_engine.rand(size,
+                                     tile_extent(size, self.config.default_tile),
+                                     p["seed"], self.pool,
+                                     spool_dir=self.config.spool_dir)
         if n.op == "scan_array":
             return self.catalog.load_array(p["name"], self.pool,
                                            spool_dir=self.config.spool_dir)
@@ -232,9 +229,9 @@ class Engine:
     def _bridge_node(self, n, reg):
         p = n.params
         if n.op == "to_array":
-            records = reg[alias_key(n.inputs[0])]
-            meta = self._infer_meta(records, p["dims"], p["values"])
-            return to_array(records, p["dims"], p["values"], meta, self.pool,
+            return to_array(reg[alias_key(n.inputs[0])], p["dims"],
+                            p["values"], None, self.pool,
+                            default_tile=self.config.default_tile,
                             spool_dir=self.config.spool_dir)
         if n.op == "join_rel_array":
             records = reg[alias_key(n.inputs[0])]
@@ -248,33 +245,6 @@ class Engine:
             self.join_stats.append(stats)
             return res
         raise PlanError(f"unsupported inter-model operator {n.op!r}")
-
-    def _infer_meta(self, records, dims, values) -> ArrayMeta:
-        """Array extent for a conversion: tight bounding box of the bound
-        coordinates (dropped records don't count)."""
-        matrix, kept = _extract_dims(records, DimBinding(tuple(dims)))
-        if len(matrix):
-            size = tuple(int(x) + 1 for x in matrix.max(axis=0))
-        else:
-            size = (1,) * len(dims)
-        if isinstance(records, Relation):
-            types = []
-            for vn in values:
-                try:
-                    i = records.attr_index(vn)
-                except KeyError:
-                    raise NotFoundError(
-                        f"no attribute {vn!r} to convert") from None
-                types.append(records.schema[i][1])
-        else:
-            types = []
-            for vn in values:
-                seen = [dot_get(d, vn) for d in records.docs]
-                types.append(_infer_column_type(
-                    [v for v in seen if v is not None and v is not ABSENT]))
-        schema = CellSchema(tuple(dims), tuple(values), tuple(types))
-        return ArrayMeta(schema, size, self._tile_for(size),
-                         self.config.layout)
 
 
 def _rd_tree(t: TreeNode):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import PathError
@@ -37,6 +38,8 @@ __all__ = [
     "collection_to_jsonl",
     "collection_from_jsonl",
     "infer_type",
+    "infer_column_type",
+    "tile_extent",
 ]
 
 
@@ -211,6 +214,14 @@ class ArrayMeta:
         return tuple(-(-s // t) for s, t in zip(self.size, self.tile_size))
 
 
+def tile_extent(size, default_tile: int) -> tuple[int, ...]:
+    """Tile extent per dimension for an array the engine creates: each
+    dimension's extent capped at ``default_tile``; 0 means one tile."""
+    if default_tile <= 0:
+        return tuple(size)
+    return tuple(min(default_tile, s) for s in size)
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     row: int
@@ -332,6 +343,38 @@ def infer_type(texts: list[str]) -> ValueType:
         return FLOAT
     except ValueError:
         pass
+    return STRING
+
+
+def infer_column_type(values) -> ValueType:
+    """Cheapest type that holds every non-null Python value; FLOAT when
+    there is none, and STRING for a mix no other type holds."""
+    kinds = set()
+    for v in values:
+        if v is None:
+            continue
+        if isinstance(v, bool):
+            kinds.add("bool")
+        elif isinstance(v, numbers.Integral):
+            kinds.add("int")
+        elif isinstance(v, numbers.Real):
+            kinds.add("float")
+        elif isinstance(v, str):
+            kinds.add("string")
+        elif isinstance(v, list):
+            kinds.add("list")
+        else:
+            kinds.add("doc")
+    if kinds == {"int"}:
+        return INT
+    if kinds <= {"int", "float"}:
+        return FLOAT
+    if kinds == {"bool"}:
+        return BOOL
+    if kinds == {"list"}:
+        return ValueType("list")
+    if kinds == {"doc"}:
+        return ValueType("doc")
     return STRING
 
 

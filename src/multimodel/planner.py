@@ -111,12 +111,6 @@ class PartitionDag:
     partitions: tuple[Partition, ...]
     edges: frozenset[tuple[int, int]]  # (producer index, consumer index)
 
-    def of(self, node_id: int) -> Partition:
-        for p in self.partitions:
-            if node_id in p.node_ids:
-                return p
-        raise PlanError(f"node {node_id} not in any partition")
-
 
 def partition(plan: LogicalPlan) -> PartitionDag:
     """Group plan nodes into single-model partitions.

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import NotFoundError, PlanError, TypeMismatchError
-from .models import ABSENT, Collection, Relation, ValueType, dot_get, dot_set
+from .models import (ABSENT, FLOAT, INT, STRING, Collection, Relation,
+                     dot_get, dot_set, infer_column_type)
 from .predicates import (
     And,
     eval_predicate,
@@ -31,10 +32,6 @@ from .predicates import (
 
 __all__ = ["RdNode", "RelFrame", "DocFrame", "execute_tree", "node",
            "frame_to_public", "relation_frame", "collection_frame"]
-
-INT = ValueType("int")
-FLOAT = ValueType("float")
-STRING = ValueType("string")
 
 
 @dataclass
@@ -276,6 +273,9 @@ _STAR = object()  # count(*) marker: counts rows, nulls included
 
 
 def _aggregate(f, keys, aggs):
+    for func, ref, _ in aggs:
+        if ref is None and func != "count":
+            raise PlanError(f"{func}(*) is not defined; name an attribute")
     if isinstance(f, RelFrame):
         key_idx = [_col_index(f, k) for k in keys]
         get_key = lambda r: tuple(r[i] for i in key_idx)
@@ -309,24 +309,18 @@ def _aggregate(f, keys, aggs):
 
     cols = [(None, k.rpartition(".")[2]) for k in keys] + \
            [(None, name) for _, _, name in aggs]
-    agg_types = [_agg_type(func, i, groups) for i, (func, _, _) in enumerate(aggs)]
+    # count is INT and avg FLOAT; sum, min and max keep the aggregated
+    # column's declared type, or for documents the type of the group results
+    agg_types = []
+    for i, (func, ref, _) in enumerate(aggs):
+        if func in ("count", "avg"):
+            agg_types.append(INT if func == "count" else FLOAT)
+        elif isinstance(f, RelFrame):
+            agg_types.append(f.types[_col_index(f, ref)])
+        else:
+            agg_types.append(infer_column_type(
+                accs[i]["value"] for _, accs in groups.values()))
     return RelFrame(cols, key_types + agg_types, out_rows)
-
-
-def _agg_type(func, i, groups) -> ValueType:
-    if func == "count":
-        return INT
-    if func == "avg":
-        return FLOAT
-    for _, accs in groups.values():
-        v = accs[i]["value"]
-        if isinstance(v, bool) or isinstance(v, str):
-            return STRING
-        if isinstance(v, float):
-            return FLOAT
-        if isinstance(v, int):
-            return INT
-    return FLOAT
 
 
 def _new_acc():
@@ -338,8 +332,6 @@ def _acc_add(acc, func, v):
         if v is _STAR or v is not None:
             acc["n"] += 1
         return
-    if v is _STAR:
-        raise PlanError(f"{func}(*) is not defined; name an attribute")
     if v is None:
         return  # nulls never feed sum/min/max/avg
     if func in ("sum", "avg"):

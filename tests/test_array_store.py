@@ -130,7 +130,7 @@ def test_tile_serialization_round_trip_is_byte_identical(data):
         min_size=k, max_size=k))
     t = make_tile((0,) * d, ts, ts, [F8], layout, cc, [vals])
     buf = t.to_bytes()
-    t2 = Tile.from_bytes(buf, (0,) * d, layout, ts, ts, [F8])
+    t2 = Tile.from_bytes(buf, (0,) * d, layout, ts, [F8])
     assert t2.to_bytes() == buf
     c1, v1 = t.cells()
     c2, v2 = t2.cells()

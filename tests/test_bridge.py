@@ -437,6 +437,21 @@ def test_to_array_membership_oracle(pool):
     assert got == {c: (float(k), k % 2 == 0) for k, c in enumerate(coords)}
 
 
+def test_to_array_inferred_meta(pool):
+    rel = Relation([("x", UINT), ("y", UINT), ("v", INT), ("ok", BOOL)],
+                   [(0, 6, 1, True), (2, 1, 2, False)])
+    arr = to_array(rel, ["x", "y"], ["v", "ok"], None, pool, default_tile=4)
+    assert arr.meta == ArrayMeta(CellSchema(("x", "y"), ("v", "ok"),
+                                            (INT, BOOL)), (3, 7), (3, 4))
+    assert cells_of(arr) == {(0, 6): (1, True), (2, 1): (2, False)}
+    # no record becomes a cell: a 1-cell extent, typed FLOAT, left empty
+    docs = Collection("c", [{"x": 1, "v": 2}, {"y": 2, "v": "a"}])
+    empty = to_array(docs, ["x", "y"], ["v"], None, pool)
+    assert (empty.meta.size, empty.meta.schema.attr_types) == ((1, 1),
+                                                               (FLOAT,))
+    assert empty.cell_count() == 0
+
+
 def test_to_relation_empty_array(pool):
     meta = ArrayMeta(CellSchema(("x", "y"), ("v",), (FLOAT,)), (4, 4), (2, 2))
     arr = ArrayBuilder(meta, pool).finish()

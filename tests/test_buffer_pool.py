@@ -192,7 +192,7 @@ def test_do_eviction_called_exactly_once():
     pool.add(BufferObject(id="a", size=60, do_eviction=lambda: calls.append("a")))
     pool.add(BufferObject(id="b", size=60, do_eviction=lambda: calls.append("b")))
     assert calls == ["a"]
-    assert pool.stats().do_eviction_calls == 1
+    assert pool.stats().evictions == 1
 
 
 def test_drop_skips_do_eviction():

@@ -229,6 +229,31 @@ def test_aggregate_on_documents():
     assert out.rows == [("a", 2, 4), ("b", 1, None)]
 
 
+def test_aggregate_output_types():
+    BOOL = ValueType("bool")
+    rel = Relation([("g", INT), ("f", FLOAT), ("b", BOOL)],
+                   [(1, 2, True), (2, 2.5, False), (2, None, True)])
+    out = execute_tree(
+        node("aggregate", scan("t"), keys=["g"],
+             aggs=[("sum", "f", "s"), ("min", "f", "mn"), ("max", "b", "mb"),
+                   ("min", "b", "nb"), ("count", "f", "n"),
+                   ("avg", "f", "a")]), {"t": rel})
+    # a relation's sum/min/max keep the column's declared type, whatever
+    # the first group's result looks like
+    assert [t for _, t in out.schema] == [INT, FLOAT, FLOAT, BOOL, BOOL, INT,
+                                          FLOAT]
+    assert out.rows == [(1, 2.0, 2.0, True, True, 1, 2.0),
+                        (2, 2.5, 2.5, True, False, 1, 2.5)]
+    # documents: the type of all group results, FLOAT when every one is null
+    col = Collection("c", [{"g": "a", "v": 2, "ok": True},
+                           {"g": "b", "v": 2.5, "ok": False}, {"g": "c"}])
+    out = execute_tree(
+        node("aggregate", scan("c"), keys=["g"],
+             aggs=[("sum", "v", "s"), ("max", "ok", "m"),
+                   ("min", "none", "z")]), {"c": col})
+    assert [t for _, t in out.schema][1:] == [FLOAT, BOOL, FLOAT]
+
+
 # --------------------------------------------------------------- sort/limit
 
 def test_sort_desc_limit_is_prefix_of_full_sort():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from multimodel import (
+    BindingError,
     Collection,
     Engine,
     EngineConfig,
@@ -196,6 +197,65 @@ def test_array_round_trip_through_script(tmp_path):
     from multimodel.bridge import to_relation
     rows = sorted(to_relation(res).rows)
     assert rows == [(0, 0, 1.5, 1.5), (0, 2, 2.0, 2.0), (3, 1, 4.5, 4.5)]
+
+
+def write_visits(tmp_path, dropped_value="n/a"):
+    # two documents lack a dimension path; by default one of them holds a
+    # string value, which must not reach the inferred value type
+    docs = [{"r": 0, "c": 1, "v": 1.5}, {"r": 4, "c": 2, "v": 2},
+            {"r": 2, "v": dropped_value}, {"c": 7, "v": 3.0},
+            {"r": 1, "c": 0, "v": 0.5}]
+    (tmp_path / "visits.jsonl").write_text(
+        "".join(json.dumps(d) + "\n" for d in docs))
+
+
+def test_to_array_infers_meta_from_kept_records(tmp_path):
+    write_visits(tmp_path)
+    res = engine(tmp_path, default_tile=2).run(
+        "execute(openCollection('visits').toArray({'r', 'c'}, {'v'}))\n")
+    from multimodel.models import FLOAT, ArrayMeta, CellSchema
+    # extent: bounding box of the kept documents; tiles capped at 2
+    assert res.meta == ArrayMeta(CellSchema(("r", "c"), ("v",), (FLOAT,)),
+                                 (5, 3), (2, 2), "dense")
+    from multimodel.bridge import to_relation
+    assert sorted(to_relation(res).rows) == [(0, 1, 1.5), (1, 0, 0.5),
+                                             (4, 2, 2.0)]
+
+
+def test_to_array_walks_records_once(tmp_path, monkeypatch):
+    from multimodel import bridge, executor
+    write_visits(tmp_path, dropped_value=9.0)
+    walks = []
+    walk = bridge._extract_dims
+
+    def spy(*args, **kwargs):
+        walks.append(args[1].attrs)
+        return walk(*args, **kwargs)
+
+    for mod in (bridge, executor):  # wherever the walk is looked up
+        if getattr(mod, "_extract_dims", None) is walk:
+            monkeypatch.setattr(mod, "_extract_dims", spy)
+    engine(tmp_path, default_tile=2).run(
+        "execute(openCollection('visits').toArray({'r', 'c'}, {'v'}))\n")
+    assert walks == [("r", "c")]
+
+
+@pytest.mark.parametrize("model", ["table", "collection"])
+def test_missing_value_attribute_is_one_error(tmp_path, pool, model):
+    (tmp_path / "cells.csv").write_text("r,c,v\n0,0,1.5\n1,2,2.0\n")
+    write_visits(tmp_path)
+    name, opener = (("cells", "openTable") if model == "table"
+                    else ("visits", "openCollection"))
+    with pytest.raises(BindingError, match="'w'") as scripted:
+        engine(tmp_path).run(
+            f"execute({opener}('{name}').toArray({{'r', 'c'}}, {{'w'}}))\n")
+    from multimodel.bridge import to_array
+    eng = engine(tmp_path)
+    records = (eng.catalog.load_table(name) if model == "table"
+               else eng.catalog.load_collection(name))
+    with pytest.raises(BindingError) as direct:
+        to_array(records, ["r", "c"], ["w"], None, pool)
+    assert str(direct.value) == str(scripted.value)
 
 
 def test_node_shared_across_partitions(tmp_path):
