@@ -26,9 +26,9 @@ from .errors import ConfigError
 from .models import (FLOAT, INT, ArrayMeta, CellSchema, Collection, Relation)
 
 REPORT_COLUMNS = [
-    "scenario", "strategy", "n", "d", "layout", "wall_ms", "build_ms",
-    "convert_ms", "tile_pins", "tile_reads", "block_scans", "pool_hits",
-    "pool_misses", "pool_evictions", "seed", "checksum",
+    "scenario", "strategy", "n", "d", "layout", "wall_ms", "extract_ms",
+    "build_ms", "convert_ms", "tile_pins", "tile_reads", "block_scans",
+    "pool_hits", "pool_misses", "pool_evictions", "seed", "checksum",
 ]
 
 # array shape per dimensionality: (extent, tile extent)
@@ -187,6 +187,7 @@ def bench_mshj(dims: int = 2, layout: str = "dense",
                     "d": dims,
                     "layout": layout,
                     "wall_ms": round(statistics.median(walls), 3),
+                    "extract_ms": round(stats.extract_seconds * 1000.0, 3),
                     "build_ms": round(stats.build_seconds * 1000.0, 3),
                     "convert_ms": round(stats.convert_seconds * 1000.0, 3),
                     "tile_pins": stats.tile_pins,
@@ -269,6 +270,7 @@ def bench_bufferpool(capacity: int, mode: str = "both", *,
                 "d": 0,
                 "layout": "-",
                 "wall_ms": round(dt, 3),
+                "extract_ms": 0.0,
                 "build_ms": 0.0,
                 "convert_ms": 0.0,
                 "tile_pins": 0,

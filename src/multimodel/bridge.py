@@ -21,13 +21,14 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .array_store import ArrayBuilder, StoredArray
 from .errors import BindingError, OutputSpecError
 from .models import (ABSENT, UINT, ArrayMeta, CellSchema, Collection,
-                     Relation, dot_get, infer_column_type, tile_extent)
+                     Relation, compile_path, infer_column_type, tile_extent)
 from .predicates import equi_conjuncts
 from .rd_engine import execute_tree, node
 
@@ -63,6 +64,7 @@ class JoinStats:
     block_scans: int = 0
     tile_pins: int = 0
     output_rows: int = 0
+    extract_seconds: float = 0.0  # dimension extraction and extent check
     build_seconds: float = 0.0
     probe_seconds: float = 0.0
     convert_seconds: float = 0.0
@@ -83,6 +85,8 @@ class JoinTrace:
 # dimension extraction
 
 def _is_uint(v) -> bool:
+    if type(v) is int:  # the common case, without the ABC check
+        return v >= 0
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
 
 
@@ -101,7 +105,8 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     indices and values holds one list per value path, aligned with the rows.
     Documents missing a bound path are dropped (inner join); anything
     non-integer or negative, and a missing value attribute, is a binding
-    error.
+    error.  A relation column of plain ints is checked by its minimum; any
+    other column is checked value by value.
     """
     if isinstance(records, Relation):
         idx = [_attr_index(records, a) for a in binding.attrs]
@@ -109,22 +114,27 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
         n = len(records.rows)
         dims = np.empty((n, len(idx)), dtype=np.int64)
         for j, i in enumerate(idx):
-            col = [row[i] for row in records.rows]
-            for r, v in enumerate(col):
-                if not _is_uint(v):
-                    raise BindingError(
-                        f"row {r}: dimension attribute {binding.attrs[j]!r} "
-                        f"must be a non-negative integer, got {v!r}")
+            col = list(map(itemgetter(i), records.rows))
+            if set(map(type, col)) != {int} or min(col) < 0:
+                for r, v in enumerate(col):  # find the first bad value
+                    if not _is_uint(v):
+                        raise BindingError(
+                            f"row {r}: dimension attribute "
+                            f"{binding.attrs[j]!r} must be a non-negative "
+                            f"integer, got {v!r}")
             dims[:, j] = col
-        values = [[row[i] for row in records.rows] for i in vidx]
+        values = [list(map(itemgetter(i), records.rows)) for i in vidx]
         return dims, np.arange(n, dtype=np.int64), values
 
     kept, coords = [], []
     values = [[] for _ in value_paths]
+    dim_gets = [(p, compile_path(p)) for p in binding.attrs]
+    value_gets = [(p, compile_path(p), col)
+                  for p, col in zip(value_paths, values)]
     for r, doc in enumerate(records.docs):
         row = []
-        for path in binding.attrs:
-            v = dot_get(doc, path)
+        for path, get in dim_gets:
+            v = get(doc)
             if v is ABSENT:
                 break
             if not _is_uint(v):
@@ -133,8 +143,8 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
                     f"integer, got {v!r}")
             row.append(v)
         else:
-            for path, col in zip(value_paths, values):
-                v = dot_get(doc, path)
+            for path, get, col in value_gets:
+                v = get(doc)
                 if v is ABSENT:
                     raise BindingError(
                         f"document {r} has no value attribute {path!r}")
@@ -271,9 +281,11 @@ def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
     stats = stats if stats is not None else JoinStats()
     stats.strategy = strategy
     _check_binding(arr, binding)
+    t0 = time.perf_counter()
     dims, kept, _ = _extract_dims(records, binding)
     stats.n_records = len(dims)
     dims, kept = _drop_out_of_range(dims, kept, arr.meta.size)
+    stats.extract_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     order = probe_order(arr, dims, kept, stats, trace)

@@ -31,6 +31,8 @@ __all__ = [
     "ArrayMeta",
     "ValidationIssue",
     "validate_relation",
+    "compile_path",
+    "compile_set",
     "dot_get",
     "dot_set",
     "relation_to_csv",
@@ -258,31 +260,56 @@ def _split_path(path: str) -> list[str]:
     return parts
 
 
-def dot_get(doc: dict, path: str):
-    """Value at a dotted path inside a nested document, or ABSENT.
+def compile_path(path: str, absent=ABSENT):
+    """``doc -> value`` for a dotted path, split and validated here once
+    rather than on every lookup.
 
-    ABSENT means a key along the path is missing or an intermediate value is
-    not a document; a stored null comes back as None, which is different.
+    ``absent`` (ABSENT by default) comes back when a key along the path is
+    missing or an intermediate value is not a document; a stored null comes
+    back as None, which is different.
     """
-    cur = doc
-    for part in _split_path(path):
-        if not isinstance(cur, dict) or part not in cur:
-            return ABSENT
-        cur = cur[part]
-    return cur
+    parts = _split_path(path)
+    if len(parts) == 1:
+        key = parts[0]
+        return lambda doc: doc.get(key, absent) if isinstance(doc, dict) \
+            else absent
+
+    def get(doc):
+        cur = doc
+        for part in parts:
+            if not isinstance(cur, dict) or part not in cur:
+                return absent
+            cur = cur[part]
+        return cur
+    return get
+
+
+def dot_get(doc: dict, path: str):
+    """Value at a dotted path inside a nested document, or ABSENT (see
+    ``compile_path``)."""
+    return compile_path(path)(doc)
+
+
+def compile_set(path: str):
+    """``(doc, value) -> copy of doc with the value at path replaced``; the
+    path must resolve."""
+    *heads, last = _split_path(path)
+
+    def set_value(doc: dict, value) -> dict:
+        out = dict(doc)
+        cur = out
+        for part in heads:
+            nxt = dict(cur[part])
+            cur[part] = nxt
+            cur = nxt
+        cur[last] = value
+        return out
+    return set_value
 
 
 def dot_set(doc: dict, path: str, value) -> dict:
     """Copy of doc with the value at path replaced (path must resolve)."""
-    parts = _split_path(path)
-    out = dict(doc)
-    cur = out
-    for part in parts[:-1]:
-        nxt = dict(cur[part])
-        cur[part] = nxt
-        cur = nxt
-    cur[parts[-1]] = value
-    return out
+    return compile_set(path)(doc, value)
 
 
 # --- canonical text formats ------------------------------------------------
@@ -350,18 +377,16 @@ def infer_column_type(values) -> ValueType:
     """Cheapest type that holds every non-null Python value; FLOAT when
     there is none, and STRING for a mix no other type holds."""
     kinds = set()
-    for v in values:
-        if v is None:
-            continue
-        if isinstance(v, bool):
+    for t in set(map(type, values)) - {type(None)}:  # each type once
+        if issubclass(t, bool):
             kinds.add("bool")
-        elif isinstance(v, numbers.Integral):
+        elif issubclass(t, numbers.Integral):
             kinds.add("int")
-        elif isinstance(v, numbers.Real):
+        elif issubclass(t, numbers.Real):
             kinds.add("float")
-        elif isinstance(v, str):
+        elif issubclass(t, str):
             kinds.add("string")
-        elif isinstance(v, list):
+        elif issubclass(t, list):
             kinds.add("list")
         else:
             kinds.add("doc")

@@ -4,12 +4,18 @@ Comparisons (=, !=, <, <=, >, >=) over dotted references and literals,
 combined with AND/OR/NOT and parentheses — exactly expressive enough for
 method-chain scripts and benchmark filters.
 
-Null semantics are SQL-like: a comparison involving null is false, including
-both `x = null-ish` and `x != null-ish` forms.
+Null semantics follow SQL's three-valued (Kleene) logic.  A comparison with
+a null operand is unknown; AND is false if any operand is false, OR is true
+if any operand is true, and otherwise either is unknown when an operand is;
+NOT unknown is unknown.  A filter or join keeps only the rows where the
+predicate is true, so ``NOT x = 3`` and ``x != 3`` both drop a null ``x``.
+A predicate is compiled once per operator (``compile_predicate``) and then
+evaluated per row.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -18,7 +24,7 @@ from .errors import ScriptError, TypeMismatchError
 
 __all__ = [
     "Lit", "Ref", "Cmp", "And", "Or", "Not",
-    "parse_predicate", "parse_sort_spec", "eval_predicate",
+    "parse_predicate", "parse_sort_spec", "compile_predicate",
     "equi_conjuncts", "predicate_refs", "universal_key", "compare_values",
 ]
 
@@ -189,7 +195,9 @@ def parse_sort_spec(text: str) -> list[tuple[str, bool]]:
 
 # ----------------------------------------------------------------- evaluation
 
-_KIND_RANK = {type(None): 0, bool: 1, int: 2, float: 2, str: 3}
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_SCALARS = {bool, int, float, str}  # same-type pairs that always compare
 
 
 def universal_key(v):
@@ -218,50 +226,65 @@ def _comparable(a, b) -> bool:
 
 
 def compare_values(op: str, a, b) -> bool:
-    """Three-valued-logic collapse: any null operand makes the predicate false."""
+    """Two-valued comparison: a null operand gives False.  Compiled
+    predicates test for null first and make such a comparison unknown."""
     if a is None or b is None:
         return False
-    if not _comparable(a, b):
-        if op == "=":
-            return False
-        if op == "!=":
-            return True
-        raise TypeMismatchError(
-            f"cannot order {type(a).__name__} against {type(b).__name__}")
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparison {op!r}")
+    if op not in _OPS:
+        raise ValueError(f"unknown comparison {op!r}")
+    if _comparable(a, b):
+        try:
+            return _OPS[op](a, b)
+        except TypeError:  # documents, or lists of incomparable values
+            pass
+    elif op in ("=", "!="):
+        return op == "!="
+    raise TypeMismatchError(
+        f"cannot order {type(a).__name__} against {type(b).__name__}")
 
 
-def eval_predicate(node, lookup: Callable[[str], Any]) -> bool:
-    """lookup maps a dotted reference to a value (None for SQL null)."""
+def compile_predicate(node, resolve: Callable[[str], Callable]):
+    """Compile a predicate into ``row -> True | False | None`` (None is
+    unknown).  ``resolve(path)`` is called once per reference and returns
+    the getter ``row -> value`` (None for null) that every row then uses."""
     if isinstance(node, Cmp):
-        return compare_values(node.op, _operand(node.left, lookup),
-                              _operand(node.right, lookup))
-    if isinstance(node, And):
-        return all(eval_predicate(n, lookup) for n in node.items)
-    if isinstance(node, Or):
-        return any(eval_predicate(n, lookup) for n in node.items)
+        fn, op = _OPS[node.op], node.op
+        left = _operand(node.left, resolve)
+        right = _operand(node.right, resolve)
+
+        def cmp(row):
+            a, b = left(row), right(row)
+            if a is None or b is None:
+                return None
+            if type(a) is type(b) and type(a) in _SCALARS:
+                return fn(a, b)
+            return compare_values(op, a, b)
+        return cmp
+    if isinstance(node, (And, Or)):
+        items = [compile_predicate(n, resolve) for n in node.items]
+        decisive = isinstance(node, Or)  # the value that settles the result
+
+        def junction(row):
+            unknown = False
+            for item in items:
+                v = item(row)
+                if v is None:
+                    unknown = True
+                elif v == decisive:
+                    return decisive
+            return None if unknown else not decisive
+        return junction
     if isinstance(node, Not):
-        return not eval_predicate(node.item, lookup)
+        item = compile_predicate(node.item, resolve)
+        return lambda row: None if (v := item(row)) is None else not v
     raise ValueError(f"not a predicate node: {node!r}")
 
 
-def _operand(node, lookup):
+def _operand(node, resolve):
     if isinstance(node, Lit):
-        return node.value
+        return lambda row, v=node.value: v
     if isinstance(node, Ref):
-        return lookup(node.path)
+        return resolve(node.path)
     raise ValueError(f"not an operand: {node!r}")
 
 

@@ -10,25 +10,27 @@ resolve to exactly one column, a qualified name matches its source relation.
 Joins preserve qualifiers so collisions stay addressable; converting back to a
 public Relation renders colliding names as "qualifier.name".
 
-Null semantics are SQL-like (see predicates); sorting places nulls last under
-either direction, with full-row lexicographic order as the deterministic
-tie-break.
+Each operator resolves its references once, when it starts, into getters
+and compiled predicates that every row then runs through; an unknown or
+ambiguous column raises PlanError there, even on empty input.
+
+Null semantics are SQL's three-valued logic (see predicates): filters and
+join conditions keep only the rows where the predicate is true.  Sorting
+places nulls last under either direction, with full-row lexicographic order
+as the deterministic tie-break.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any
+from operator import itemgetter
 
 from .errors import NotFoundError, PlanError, TypeMismatchError
-from .models import (ABSENT, FLOAT, INT, STRING, Collection, Relation,
-                     dot_get, dot_set, infer_column_type)
-from .predicates import (
-    And,
-    eval_predicate,
-    equi_conjuncts,
-    universal_key,
-)
+from .models import (ABSENT, FLOAT, INT, Collection, Relation, compile_path,
+                     compile_set, infer_column_type)
+from .predicates import (And, Cmp, Ref, compile_predicate, equi_conjuncts,
+                         universal_key)
 
 __all__ = ["RdNode", "RelFrame", "DocFrame", "execute_tree", "node",
            "frame_to_public", "relation_frame", "collection_frame"]
@@ -107,25 +109,21 @@ def _col_index(frame: RelFrame, path: str) -> int:
     raise PlanError(f"ambiguous column reference {path!r}")
 
 
-def _doc_value(quals: tuple, doc: dict, path: str):
-    v = dot_get(doc, path)
-    if v is ABSENT:
-        head, _, rest = path.partition(".")
-        if rest and head in quals:
-            v = dot_get(doc, rest)
-    return None if v is ABSENT else v
+def _doc_value(quals: tuple, path: str, absent=None):
+    """Compiled ``doc -> value`` (``absent`` when missing).  A path whose
+    head is one of the frame's qualifiers falls back to the rest of it."""
+    head, _, rest = path.partition(".")
+    if not (rest and head in quals):
+        return compile_path(path, absent)
+    get, get_rest = compile_path(path), compile_path(rest, absent)
+    return lambda doc: get_rest(doc) if (v := get(doc)) is ABSENT else v
 
 
-def _rel_lookup(frame: RelFrame, row):
-    cache: dict[str, int] = {}
-
-    def lookup(path: str):
-        idx = cache.get(path)
-        if idx is None:
-            idx = cache[path] = _col_index(frame, path)
-        return row[idx]
-
-    return lookup
+def _resolver(f):
+    """``path -> getter`` over the frame's rows or documents."""
+    if isinstance(f, RelFrame):
+        return lambda path: itemgetter(_col_index(f, path))
+    return lambda path: _doc_value(f.quals, path)
 
 
 # ----------------------------------------------------------------- execution
@@ -185,12 +183,10 @@ def _as_frame(obj, qualifier):
 
 
 def _filter(f, pred):
+    keep = compile_predicate(pred, _resolver(f))
     if isinstance(f, RelFrame):
-        rows = [r for r in f.rows if eval_predicate(pred, _rel_lookup(f, r))]
-        return RelFrame(f.cols, f.types, rows)
-    docs = [d for d in f.docs
-            if eval_predicate(pred, lambda p, d=d: _doc_value(f.quals, d, p))]
-    return DocFrame(f.quals, docs)
+        return RelFrame(f.cols, f.types, [r for r in f.rows if keep(r)])
+    return DocFrame(f.quals, [d for d in f.docs if keep(d)])
 
 
 def _project(f, cols, names):
@@ -200,18 +196,10 @@ def _project(f, cols, names):
         rows = [tuple(r[i] for i in idx) for r in f.rows]
         return RelFrame([(None, n) for n in out_names],
                         [f.types[i] for i in idx], rows)
-    docs = []
-    for d in f.docs:
-        out = {}
-        for c, n in zip(cols, out_names):
-            v = dot_get(d, c)
-            if v is ABSENT:
-                head, _, rest = c.partition(".")
-                if rest and head in f.quals:
-                    v = dot_get(d, rest)
-            if v is not ABSENT:
-                out[n] = v
-        docs.append(out)
+    gets = [(n, _doc_value(f.quals, c, ABSENT))
+            for c, n in zip(cols, out_names)]
+    docs = [{n: v for n, get in gets if (v := get(d)) is not ABSENT}
+            for d in f.docs]
     return DocFrame(f.quals, docs)
 
 
@@ -224,8 +212,8 @@ def _sort(f, keys):
         return RelFrame(f.cols, f.types, rows)
     docs = sorted(f.docs, key=universal_key)
     for ref, desc in reversed(keys):
-        docs.sort(key=lambda d: _sort_key(_doc_value(f.quals, d, ref), desc),
-                  reverse=desc)
+        get = _doc_value(f.quals, ref)
+        docs.sort(key=lambda d: _sort_key(get(d), desc), reverse=desc)
     return DocFrame(f.quals, docs)
 
 
@@ -255,15 +243,16 @@ def _union(a, b):
 def _unwind(f, path: str):
     if not isinstance(f, DocFrame):
         raise TypeMismatchError("unwind applies to collections")
+    get, set_value = compile_path(path), compile_set(path)
     docs = []
     for d in f.docs:
-        v = dot_get(d, path)
+        v = get(d)
         if v is ABSENT:
             continue  # documents lacking the path contribute nothing
         if not isinstance(v, list):
             raise TypeMismatchError(f"unwind path {path!r} is not a list")
         for elem in v:
-            docs.append(dot_set(d, path, elem))
+            docs.append(set_value(d, elem))
     return DocFrame(f.quals, docs)
 
 
@@ -276,27 +265,21 @@ def _aggregate(f, keys, aggs):
     for func, ref, _ in aggs:
         if ref is None and func != "count":
             raise PlanError(f"{func}(*) is not defined; name an attribute")
-    if isinstance(f, RelFrame):
-        key_idx = [_col_index(f, k) for k in keys]
-        get_key = lambda r: tuple(r[i] for i in key_idx)
-        get_val = lambda r, ref: r[_col_index(f, ref)]
-        rows_iter = f.rows
-        key_types = [f.types[i] for i in key_idx]
-    else:
-        get_key = lambda d: tuple(_doc_value(f.quals, d, k) for k in keys)
-        get_val = lambda d, ref: _doc_value(f.quals, d, ref)
-        rows_iter = f.docs
-        key_types = [STRING for _ in keys]  # document key types are dynamic
+    resolve = _resolver(f)
+    key_gets = [resolve(k) for k in keys]
+    val_gets = [(func, (lambda r: _STAR) if ref is None else resolve(ref))
+                for func, ref, _ in aggs]
+    rows_iter = f.rows if isinstance(f, RelFrame) else f.docs
 
     groups: dict = {}  # insertion order == first appearance
     for r in rows_iter:
-        kv = get_key(r)
+        kv = tuple(get(r) for get in key_gets)
         gk = tuple(universal_key(v) for v in kv)
         if gk not in groups:
             groups[gk] = (kv, [_new_acc() for _ in aggs])
         _, accs = groups[gk]
-        for acc, (func, ref, _) in zip(accs, aggs):
-            _acc_add(acc, func, _STAR if ref is None else get_val(r, ref))
+        for acc, (func, get) in zip(accs, val_gets):
+            _acc_add(acc, func, get(r))
 
     out_rows = []
     if not keys and not rows_iter:
@@ -309,6 +292,13 @@ def _aggregate(f, keys, aggs):
 
     cols = [(None, k.rpartition(".")[2]) for k in keys] + \
            [(None, name) for _, _, name in aggs]
+    # group keys keep a relation's column types; document keys are typed by
+    # the values of their groups
+    if isinstance(f, RelFrame):
+        key_types = [f.types[_col_index(f, k)] for k in keys]
+    else:
+        key_types = [infer_column_type(kv[i] for kv, _ in groups.values())
+                     for i in range(len(keys))]
     # count is INT and avg FLOAT; sum, min and max keep the aggregated
     # column's declared type, or for documents the type of the group results
     agg_types = []
@@ -397,48 +387,48 @@ def _split_equi(pred, left_has, right_has):
         else:
             rest.append(("=", a, b))
     if rest:
-        from .predicates import Cmp, Ref
         extra = tuple(Cmp(op, Ref(a), Ref(b)) for op, a, b in rest)
         residual = And(extra + ((residual,) if residual else ())) \
             if len(extra) + (residual is not None) > 1 else extra[0]
     return keyed, residual
 
 
-def _join_rel(left: RelFrame, right: RelFrame, pred):
-    out_cols = list(left.cols) + list(right.cols)
-    out_types = list(left.types) + list(right.types)
-    out = RelFrame(out_cols, out_types, [])
+def _hash_join(lrecs, rrecs, keys, combine, cond, resolve):
+    """Each pair of records whose keys (``(left getter, right getter)``
+    pairs) are equal and not null, combined, where ``cond`` is true.
+    Without keys every pair is a candidate: a nested loop in input order."""
+    keep = (lambda rec: True) if cond is None else \
+        compile_predicate(cond, resolve)
+    lgets, rgets = [lg for lg, _ in keys], [rg for _, rg in keys]
 
+    def key(rec, gets):  # None when a key is null: it matches nothing
+        kv = [get(rec) for get in gets]
+        return None if None in kv else tuple(map(universal_key, kv))
+
+    table: dict = {}
+    for rr in rrecs:
+        k = key(rr, rgets)
+        if k is not None:
+            table.setdefault(k, []).append(rr)
+    out = []
+    for lr in lrecs:
+        for rr in table.get(key(lr, lgets), ()):
+            rec = combine(lr, rr)
+            if keep(rec):
+                out.append(rec)
+    return out
+
+
+def _join_rel(left: RelFrame, right: RelFrame, pred):
+    out = RelFrame(list(left.cols) + list(right.cols),
+                   list(left.types) + list(right.types), [])
     keyed, residual = _split_equi(
         pred, lambda p: _resolvable_rel(left, p),
         lambda p: _resolvable_rel(right, p))
-
-    def keep(row):
-        return residual is None or eval_predicate(residual, _rel_lookup(out, row))
-
-    if keyed:
-        li = [_col_index(left, a) for a, _ in keyed]
-        ri = [_col_index(right, b) for _, b in keyed]
-        table: dict = {}
-        for rr in right.rows:
-            kv = tuple(rr[i] for i in ri)
-            if any(v is None for v in kv):
-                continue
-            table.setdefault(tuple(universal_key(v) for v in kv), []).append(rr)
-        for lr in left.rows:
-            kv = tuple(lr[i] for i in li)
-            if any(v is None for v in kv):
-                continue
-            for rr in table.get(tuple(universal_key(v) for v in kv), ()):
-                row = lr + rr
-                if keep(row):
-                    out.rows.append(row)
-    else:
-        for lr in left.rows:
-            for rr in right.rows:
-                row = lr + rr
-                if eval_predicate(pred, _rel_lookup(out, row)):
-                    out.rows.append(row)
+    keys = [(itemgetter(_col_index(left, a)), itemgetter(_col_index(right, b)))
+            for a, b in keyed]
+    out.rows = _hash_join(left.rows, right.rows, keys, operator.add,
+                          residual if keyed else pred, _resolver(out))
     return out
 
 
@@ -449,23 +439,16 @@ def _join_doc(left: DocFrame, right: DocFrame, pred):
         head, _, rest = path.partition(".")
         return rest if rest and head in side.quals else path
 
-    def lhas(p):
-        head = p.partition(".")[0]
-        if head in left.quals:
-            return True
-        if head in right.quals:
-            return False
-        return any(_doc_value(left.quals, d, p) is not None for d in left.docs)
+    def has(side: DocFrame, other: DocFrame):
+        def side_has(p):
+            head = p.partition(".")[0]
+            if head in side.quals or head in other.quals:
+                return head in side.quals
+            get = _doc_value(side.quals, p)
+            return any(get(d) is not None for d in side.docs)
+        return side_has
 
-    def rhas(p):
-        head = p.partition(".")[0]
-        if head in right.quals:
-            return True
-        if head in left.quals:
-            return False
-        return any(_doc_value(right.quals, d, p) is not None for d in right.docs)
-
-    keyed, residual = _split_equi(pred, lhas, rhas)
+    keyed, residual = _split_equi(pred, has(left, right), has(right, left))
 
     def merged(ld, rd):
         out = dict(ld)
@@ -474,28 +457,8 @@ def _join_doc(left: DocFrame, right: DocFrame, pred):
                 out[k] = v
         return out
 
-    out_docs = []
-    if keyed:
-        table: dict = {}
-        for rd in right.docs:
-            kv = tuple(_doc_value(right.quals, rd, strip(b, right)) for _, b in keyed)
-            if any(v is None for v in kv):
-                continue
-            table.setdefault(tuple(universal_key(v) for v in kv), []).append(rd)
-        for ld in left.docs:
-            kv = tuple(_doc_value(left.quals, ld, strip(a, left)) for a, _ in keyed)
-            if any(v is None for v in kv):
-                continue
-            for rd in table.get(tuple(universal_key(v) for v in kv), ()):
-                doc = merged(ld, rd)
-                if residual is None or eval_predicate(
-                        residual, lambda p, doc=doc: _doc_value(quals, doc, p)):
-                    out_docs.append(doc)
-    else:
-        for ld in left.docs:
-            for rd in right.docs:
-                doc = merged(ld, rd)
-                if eval_predicate(pred,
-                                  lambda p, doc=doc: _doc_value(quals, doc, p)):
-                    out_docs.append(doc)
-    return DocFrame(quals, out_docs)
+    keys = [(_doc_value(left.quals, strip(a, left)),
+             _doc_value(right.quals, strip(b, right))) for a, b in keyed]
+    return DocFrame(quals, _hash_join(
+        left.docs, right.docs, keys, merged, residual if keyed else pred,
+        lambda p: _doc_value(quals, p)))

@@ -67,6 +67,15 @@ def test_convert_cost_is_separately_recorded():
     assert rows[0]["build_ms"] == 0
 
 
+def test_extraction_is_reported_beside_build():
+    rows = bench_mshj(2, "dense", "500:500:1", "all", seed=9, **SMALL)
+    by = {r["strategy"]: r for r in rows}
+    assert by["mshj"]["extract_ms"] > 0 and by["probe-only"]["extract_ms"] > 0
+    assert by["convert"]["extract_ms"] == 0
+    cols = REPORT_COLUMNS
+    assert cols.index("extract_ms") + 1 == cols.index("build_ms")
+
+
 # ---------------------------------------------------------------- pool bench
 
 def test_unified_wins_on_skewed_working_set():

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -158,6 +159,35 @@ def test_binding_errors(pool, small_array):
         mshj(FIVE, small_array, DimBinding(("v0",)))
     with pytest.raises(BindingError):
         mshj(FIVE, small_array, DimBinding(("v0", "nope")))
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0, "3", None])
+@pytest.mark.parametrize("at", [0, 5, 9])
+def test_dimension_check_names_first_bad_value(pool, small_array, bad, at):
+    col = [1] * 9 + [-7]  # a later bad value is not the one named
+    col[at] = bad
+    with pytest.raises(BindingError) as err:
+        mshj(Relation([("v0", INT), ("v1", INT)], [(v, 2) for v in col]),
+             small_array, DimBinding(("v0", "v1")))
+    assert str(err.value) == (f"row {at}: dimension attribute 'v0' must be "
+                              f"a non-negative integer, got {bad!r}")
+    with pytest.raises(BindingError) as err:
+        mshj(Collection("c", [{"v0": v, "v1": 2} for v in col]), small_array,
+             DimBinding(("v0", "v1")), JoinOutputSpec("document"))
+    assert str(err.value) == (f"document {at}: path 'v0' must be a "
+                              f"non-negative integer, got {bad!r}")
+
+
+def test_join_phases_fit_in_its_wall_time(pool):
+    rng = random.Random(8)
+    rel, arr = _random_instance(pool, rng, 2, "dense", n_rows=3000)
+    stats = JoinStats()
+    t0 = time.perf_counter()
+    mshj(rel, arr, DimBinding(("a0", "a1")), stats=stats)
+    wall = time.perf_counter() - t0
+    phases = (stats.extract_seconds, stats.build_seconds, stats.probe_seconds)
+    assert all(p > 0 for p in phases)
+    assert sum(phases) <= wall
 
 
 def test_out_of_range_records_are_dropped(pool, small_array):

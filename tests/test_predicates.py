@@ -1,8 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import os
+import tempfile
+from collections import Counter
 
-from multimodel.errors import ScriptError, TypeMismatchError
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from multimodel import Engine, EngineConfig
+from multimodel.errors import PlanError, ScriptError, TypeMismatchError
+from multimodel.models import compile_path
 from multimodel.predicates import (
     And,
     Cmp,
@@ -11,8 +19,8 @@ from multimodel.predicates import (
     Or,
     Ref,
     compare_values,
+    compile_predicate,
     equi_conjuncts,
-    eval_predicate,
     parse_predicate,
     parse_sort_spec,
     predicate_refs,
@@ -90,12 +98,25 @@ def test_incomparable_types():
         compare_values("<", 1, "1")
 
 
+def dict_resolve(path):
+    return lambda row: row.get(path)
+
+
+def test_ordering_documents_is_type_mismatch():
+    assert compare_values("=", {"a": 1}, {"a": 1}) is True
+    for a, b in (({"a": 1}, {"a": 2}), ([1], ["x"])):
+        with pytest.raises(TypeMismatchError):
+            compare_values("<", a, b)
+        with pytest.raises(TypeMismatchError):
+            compile_predicate(Cmp("<", Lit(a), Lit(b)), dict_resolve)({})
+
+
 def test_eval_with_lookup():
-    pred = parse_predicate("cid = 3 and rating > 2")
-    row = {"cid": 3, "rating": 4.5}
-    assert eval_predicate(pred, row.get) is True
-    assert eval_predicate(pred, {"cid": 3, "rating": 1.0}.get) is False
-    assert eval_predicate(pred, {"cid": 3, "rating": None}.get) is False
+    pred = compile_predicate(parse_predicate("cid = 3 and rating > 2"),
+                             dict_resolve)
+    assert pred({"cid": 3, "rating": 4.5}) is True
+    assert pred({"cid": 3, "rating": 1.0}) is False
+    assert pred({"cid": 3, "rating": None}) is None
 
 
 def test_universal_key_total_order():
@@ -133,3 +154,207 @@ def test_literal_equality_is_not_a_pair():
 def test_predicate_refs_in_order():
     refs = predicate_refs(parse_predicate("b = 1 and a.c > 2 or not b = 2"))
     assert refs == ["b", "a.c"]
+
+
+# ------------------------------------------------- three-valued evaluation
+
+def test_kleene_truth_tables():
+    # x is null, so "x = 1" is unknown; "y = 1" is true, "y = 2" false
+    row = {"x": None, "y": 1}
+
+    def ev(text):
+        return compile_predicate(parse_predicate(text), dict_resolve)(row)
+
+    assert ev("x = 1") is None and ev("x != 1") is None
+    assert ev("not x = 1") is None
+    assert ev("x = 1 and y = 2") is False
+    assert ev("x = 1 and y = 1") is None
+    assert ev("x = 1 or y = 1") is True
+    assert ev("x = 1 or y = 2") is None
+    assert ev("not (x = 1 or y = 2)") is None
+    assert ev("y = null") is None
+
+
+def test_compiled_predicate_resolves_each_reference_once():
+    resolved = []
+
+    def resolve(path):
+        resolved.append(path)
+        return lambda row: row[path]
+
+    pred = compile_predicate(parse_predicate("a = 1 or (a = 2 and b > 0)"),
+                             resolve)
+    assert resolved == ["a", "a", "b"]
+    assert [pred({"a": a, "b": 1}) for a in (1, 2, 3)] == [True, True, False]
+    assert resolved == ["a", "a", "b"]
+
+
+# ------------------------------------------------------ property tests
+
+OPS = ("=", "!=", "<", "<=", ">", ">=")
+VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                   st.floats(-3, 3, allow_nan=False), st.sampled_from("abc"))
+F, U, T = 0, 1, 2  # Kleene truth values ordered so that AND=min, OR=max
+
+
+def reference_kleene(node, lookup) -> int:
+    """Evaluates every operand, no short cuts: AND is the minimum, OR the
+    maximum and NOT the mirror image of F < U < T."""
+    if isinstance(node, Cmp):
+        a, b = (lookup(n.path) if isinstance(n, Ref) else n.value
+                for n in (node.left, node.right))
+        if a is None or b is None:
+            return U
+        return T if compare_values(node.op, a, b) else F
+    if isinstance(node, Not):
+        return T - reference_kleene(node.item, lookup)
+    vals = [reference_kleene(n, lookup) for n in node.items]
+    return min(vals) if isinstance(node, And) else max(vals)
+
+
+def predicates(paths):
+    operand = st.one_of(st.sampled_from(paths).map(Ref), VALUES.map(Lit))
+    cmp = st.builds(Cmp, st.sampled_from(OPS), operand, operand)
+    return st.recursive(cmp, lambda kids: st.one_of(
+        kids.map(Not),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: And(tuple(xs))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: Or(tuple(xs)))),
+        max_leaves=8)
+
+
+def check_against_reference(pred, records, resolve, lookup):
+    compiled = compile_predicate(pred, resolve)
+    for rec in records:
+        try:
+            want = reference_kleene(pred, lambda p: lookup(rec, p))
+        except TypeMismatchError:
+            continue  # some operand orders incomparable types
+        assert compiled(rec) is {F: False, U: None, T: True}[want]
+
+
+COLS = ("a", "b", "c")
+
+
+@settings(max_examples=200, deadline=None)
+@given(predicates(list(COLS)),
+       st.lists(st.tuples(VALUES, VALUES, VALUES), max_size=6))
+def test_compiled_matches_reference_over_rows(pred, rows):
+    check_against_reference(
+        pred, rows, lambda p: (lambda row, i=COLS.index(p): row[i]),
+        lambda row, p: row[COLS.index(p)])
+
+
+def documents():
+    leaf = VALUES
+    inner = st.dictionaries(st.sampled_from("cd"), leaf, max_size=2)
+    return st.fixed_dictionaries({}, optional={
+        "a": leaf, "b": st.one_of(leaf, inner)})
+
+
+def walk(doc, path):
+    """Reference path walk: null for anything missing along the way."""
+    for part in path.split("."):
+        if not isinstance(doc, dict) or part not in doc:
+            return None
+        doc = doc[part]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(predicates(["a", "b", "b.c", "b.d", "e"]),
+       st.lists(documents(), max_size=6))
+def test_compiled_matches_reference_over_documents(pred, docs):
+    check_against_reference(pred, docs, lambda p: compile_path(p, None), walk)
+
+
+# --------------------------------------- ternary logic partitioning (TLP)
+
+TLP_LITS = {"x": st.integers(-3, 3), "y": st.floats(-3, 3, allow_nan=False),
+            "s": st.sampled_from("abc")}
+
+
+@st.composite
+def tlp_predicates(draw):
+    def cmp():
+        col = draw(st.sampled_from(sorted(TLP_LITS)))
+        if draw(st.booleans()) and col != "s":  # number against number
+            right = Ref("y" if col == "x" else "x")
+        else:
+            right = Lit(draw(st.one_of(st.none(), TLP_LITS[col])))
+        return Cmp(draw(st.sampled_from(OPS)), Ref(col), right)
+
+    def tree(depth):
+        kind = draw(st.sampled_from(["cmp", "not", "and", "or"])) \
+            if depth < 3 else "cmp"
+        if kind == "cmp":
+            return cmp()
+        if kind == "not":
+            return Not(tree(depth + 1))
+        items = tuple(tree(depth + 1) for _ in range(2))
+        return And(items) if kind == "and" else Or(items)
+    return tree(0)
+
+
+def render(node) -> str:
+    if isinstance(node, Ref):
+        return node.path
+    if isinstance(node, Lit):
+        v = node.value
+        return ("null" if v is None else f'"{v}"' if isinstance(v, str)
+                else repr(v))
+    if isinstance(node, Cmp):
+        return f"{render(node.left)} {node.op} {render(node.right)}"
+    if isinstance(node, Not):
+        return f"NOT ({render(node.item)})"
+    joiner = " AND " if isinstance(node, And) else " OR "
+    return "(" + joiner.join(render(n) for n in node.items) + ")"
+
+
+def test_render_round_trips():
+    pred = parse_predicate('NOT (x < 1.5 OR s = "b") AND y != null')
+    assert parse_predicate(render(pred)) == pred
+
+
+TLP_ROW = st.tuples(st.one_of(st.none(), TLP_LITS["x"]),
+                    st.one_of(st.none(), TLP_LITS["y"]),
+                    st.one_of(st.none(), TLP_LITS["s"]))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tlp_predicates(), st.lists(TLP_ROW, max_size=8))
+def test_filter_partitions_rows_by_truth_value(pred, rows):
+    """filter(p), filter(NOT p) and the rows where p is unknown together
+    give back the input, and each part is the one the reference picks."""
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "t.csv"), "w") as f:
+            f.write("x,y,s\n")
+            for row in rows:  # an empty cell is a null
+                f.write(",".join("" if v is None else str(v) for v in row)
+                        + "\n")
+        eng = Engine(EngineConfig(data_dir=d))
+        table = eng.catalog.load_table("t")
+        text = render(pred)
+        parts = [eng.run(f"execute(openTable('t').filter('{p}'))").rows
+                 for p in (text, f"NOT ({text})")]
+    cols = [n for n, _ in table.schema]
+    truth = [reference_kleene(pred, lambda p, r=r: r[cols.index(p)])
+             for r in table.rows]
+    unknown = [r for r, t in zip(table.rows, truth) if t == U]
+    assert Counter(parts[0]) == Counter(
+        r for r, t in zip(table.rows, truth) if t == T)
+    assert Counter(parts[1]) == Counter(
+        r for r, t in zip(table.rows, truth) if t == F)
+    assert Counter(parts[0]) + Counter(parts[1]) + Counter(unknown) == \
+        Counter(table.rows)
+
+
+# ------------------------------------------------- reference resolution
+
+@pytest.mark.parametrize("rows", ["", "1\n7\n"])
+def test_unresolvable_reference_fails_before_any_row(tmp_path, rows):
+    (tmp_path / "t.csv").write_text("id\n" + rows)
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    # on an empty table, and behind a conjunct that is false on every row
+    with pytest.raises(PlanError, match="nosuch"):
+        eng.run("execute(openTable('t').filter('id > 5 AND nosuch = 1'))")

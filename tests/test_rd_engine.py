@@ -332,6 +332,56 @@ def test_unknown_column_is_plan_error():
                      {"t": rel})
 
 
+def test_unknown_column_fails_on_empty_input_and_behind_false_conjunct():
+    for rows in ([], [(1,), (2,)]):
+        rel = Relation([("x", INT)], rows)
+        with pytest.raises(PlanError, match="nosuch"):
+            execute_tree(node("filter", scan("t"), pred=parse_predicate(
+                "x > 5 and nosuch = 1")), {"t": rel})
+
+
+def test_not_drops_null_rows_like_not_equal():
+    # three-valued logic: "x = 3" is unknown on a null x, and so is its NOT
+    rel = Relation([("x", INT)], [(3,), (4,), (None,)])
+    for text in ("not x = 3", "x != 3", "not (x = 3 and x = x)"):
+        out = execute_tree(node("filter", scan("t"),
+                                pred=parse_predicate(text)), {"t": rel})
+        assert out.rows == [(4,)], text
+
+
+def test_join_keeps_only_pairs_where_condition_is_true():
+    left = Relation([("k", INT), ("v", INT)], [(1, None), (1, 2)])
+    right = Relation([("k", INT), ("w", INT)], [(1, 5)])
+    for text in ("l.k = r.k and not v > w", "not v > w"):  # hashed, nested
+        out = execute_tree(node("join", scan("l", "l"), scan("r", "r"),
+                                pred=parse_predicate(text)),
+                           {"l": left, "r": right})
+        assert out.rows == [(1, 2, 1, 5)], text
+
+
+def test_column_references_resolve_once_per_operator(monkeypatch):
+    from multimodel import rd_engine
+    calls = []
+    resolve = rd_engine._col_index
+
+    def spy(frame, path):
+        calls.append(path)
+        return resolve(frame, path)
+
+    monkeypatch.setattr(rd_engine, "_col_index", spy)
+    tree = node("aggregate", scan("t"), keys=["g"],
+                aggs=[("sum", "v", "s"), ("max", "v", "m")])
+    counts = []
+    for n in (100, 10_000):
+        rel = Relation([("g", INT), ("v", INT)],
+                       [(i % 7, i) for i in range(n)])
+        calls.clear()
+        out = execute_tree(tree, {"t": rel})
+        assert len(out.rows) == 7
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1]
+
+
 def test_predicate_type_mismatch_is_type_error():
     rel = Relation([("x", STRING)], [("a",)])
     with pytest.raises(TypeMismatchError):

@@ -240,6 +240,44 @@ def test_to_array_walks_records_once(tmp_path, monkeypatch):
     assert walks == [("r", "c")]
 
 
+def test_document_group_keys_are_typed_by_their_values(tmp_path):
+    docs = [{"g": 0, "p": 1, "v": 2.0}, {"g": 1, "p": 0, "v": 1.0},
+            {"g": 0, "p": 1, "v": 0.5}]
+    (tmp_path / "ev.jsonl").write_text(
+        "".join(json.dumps(d) + "\n" for d in docs))
+    res = engine(tmp_path).run(
+        "execute(openCollection('ev').aggregate('g, p', 'sum(v) as s')"
+        ".toArray({'p'}, {'g'}))\n")
+    from multimodel.bridge import to_relation
+    from multimodel.models import INT
+    assert res.meta.schema.attr_types == (INT,)
+    assert sorted(to_relation(res).rows) == [(0, 1), (1, 0)]
+
+
+def test_document_paths_split_once_per_operator(tmp_path, monkeypatch):
+    from multimodel import models
+    splits = []
+    split = models._split_path
+
+    def spy(path):
+        splits.append(path)
+        return split(path)
+
+    monkeypatch.setattr(models, "_split_path", spy)
+    script = ("execute(openCollection('grid').filter('v >= 0 and c < 10')"
+              ".project('r, c, v').toArray({'r', 'c'}, {'v'}))\n")
+    counts = []
+    for n in (20, 2000):
+        (tmp_path / "grid.jsonl").write_text("".join(
+            json.dumps({"r": i // 10, "c": i % 10, "v": i / 2}) + "\n"
+            for i in range(n)))
+        splits.clear()
+        res = engine(tmp_path).run(script)
+        assert res.cell_count() == n
+        counts.append(len(splits))
+    assert 0 < counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("model", ["table", "collection"])
 def test_missing_value_attribute_is_one_error(tmp_path, pool, model):
     (tmp_path / "cells.csv").write_text("r,c,v\n0,0,1.5\n1,2,2.0\n")
