@@ -2,8 +2,9 @@
 
 The operators a script can reach: element-wise arithmetic, matrix
 multiplication, transposition, deterministic random initialization, and
-array-array spatial join. Operators pin tiles through the buffer pool and
-unpin before returning; results are new StoredArrays.
+array-array spatial join. Operators pin tiles through the buffer pool with
+``StoredArray.pinned``, which unpins however the body ends; results are new
+StoredArrays.
 
 Sparse semantics: an absent cell counts as 0 for + - *; division keeps the
 divisor's support (absent divisor -> absent output) so missing cells never
@@ -67,15 +68,14 @@ def to_grid(arr: StoredArray):
     values = [np.zeros(size, dt) for dt in arr.attr_dtypes]
     ts = arr.meta.tile_size
     for tc in arr.tile_coords():
-        tile = arr.pin(tc)
-        m, vs = tile.to_scratch()
+        with arr.pinned(tc) as tile:
+            m, vs = tile.to_scratch()
         sl = tuple(slice(c * t, c * t + v)
                    for c, t, v in zip(tc, ts, arr.valid_extent(tc)))
         box = tuple(slice(0, v) for v in arr.valid_extent(tc))
         mask[sl] = m[box]
         for grid, v in zip(values, vs):
             grid[sl] = v[box]
-        arr.unpin(tc)
     return mask, values
 
 
@@ -126,11 +126,9 @@ def ewise(op: str, a: StoredArray, b: StoredArray, *, name: str = "") -> StoredA
         tcs = sorted(set(a.tile_coords()) | set(b.tile_coords()))
     dt = dtype_for(ValueType(kind))
     for tc in tcs:
-        ta, tb = a.pin(tc), b.pin(tc)
-        ma, (va,) = ta.to_scratch()
-        mb, (vb,) = tb.to_scratch()
-        a.unpin(tc)
-        b.unpin(tc)
+        with a.pinned(tc) as ta, b.pinned(tc) as tb:
+            ma, (va,) = ta.to_scratch()
+            mb, (vb,) = tb.to_scratch()
         va = va.astype(dt, copy=False)
         vb = vb.astype(dt, copy=False)
         if op == "+":
@@ -186,12 +184,9 @@ def matmul(a: StoredArray, b: StoredArray, *, name: str = "") -> StoredArray:
                 cj = out.valid_extent((0, j))[1]
                 acc = np.zeros((ri, cj), dtype=dt)
                 for k in range(kt):
-                    ta = a.pin((i, k))
-                    tb = b.pin((k, j))
-                    _, (va,) = ta.to_scratch()
-                    _, (vb,) = tb.to_scratch()
-                    a.unpin((i, k))
-                    b.unpin((k, j))
+                    with a.pinned((i, k)) as ta, b.pinned((k, j)) as tb:
+                        _, (va,) = ta.to_scratch()
+                        _, (vb,) = tb.to_scratch()
                     va = va[: a.valid_extent((i, k))[0], : a.valid_extent((i, k))[1]]
                     vb = vb[: b.valid_extent((k, j))[0], : b.valid_extent((k, j))[1]]
                     acc += va.astype(dt, copy=False) @ vb.astype(dt, copy=False)
@@ -231,9 +226,8 @@ def transpose(a: StoredArray, *, name: str = "") -> StoredArray:
                      layout=a.meta.layout)
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
     for tc in a.tile_coords():
-        tile = a.pin(tc)
-        cc, vals = tile.cells()
-        a.unpin(tc)
+        with a.pinned(tc) as tile:
+            cc, vals = tile.cells()
         if len(cc) == 0:
             continue
         tile2 = make_tile((tc[1], tc[0]), meta.tile_size,
@@ -279,11 +273,9 @@ def spatial_join_array(a: StoredArray, b: StoredArray, *, name: str = "") -> Sto
                      layout=_fix_layout(a.meta.layout, a.meta.d))
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
     for tc in sorted(set(a.tile_coords()) & set(b.tile_coords())):
-        ta, tb = a.pin(tc), b.pin(tc)
-        ma, va = ta.to_scratch()
-        mb, vb = tb.to_scratch()
-        a.unpin(tc)
-        b.unpin(tc)
+        with a.pinned(tc) as ta, b.pinned(tc) as tb:
+            ma, va = ta.to_scratch()
+            mb, vb = tb.to_scratch()
         om = ma & mb
         if not om.any():
             continue

@@ -6,6 +6,8 @@ implicit), sorted-COO (cell coordinates sorted lexicographically, binary
 searched), or CSR (2-D only: row pointers + column indices). Tiles are the
 unit of I/O: readers pin a tile through the shared buffer pool, which makes it
 non-evictable until unpinned; dirty tiles spill to disk on eviction.
+``release()`` frees a whole array: its tiles leave the pool without being
+spilled and its spill file is deleted.
 
 On-disk format (one file per array, little-endian):
 magic "M2AR" | u32 version=1 | u32 d | u64 size[d] | u64 tile_size[d]
@@ -15,8 +17,10 @@ magic "M2AR" | u32 version=1 | u32 d | u64 size[d] | u64 tile_size[d]
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -202,7 +206,7 @@ class Tile:
     @staticmethod
     def from_bytes(buf: bytes, tc, layout, ts, attr_dtypes) -> "Tile":
         t = Tile(tc, layout, ts, attr_dtypes)
-        n_box = int(np.prod(ts))
+        n_box = math.prod(ts)
         off = 0
         if layout == "dense":
             t.mask = np.frombuffer(buf, "|b1", n_box, off).reshape(ts).copy()
@@ -301,8 +305,9 @@ _uid_counter = itertools.count(1)
 class StoredArray:
     """A tiled array whose tiles are cached in the shared buffer pool.
 
-    pin()/unpin() are the only read path; per-tile pin and disk-read counters
-    are kept for tests and for the benchmark harness.
+    pin()/unpin() (or the ``pinned`` context) are the only read path; per-tile
+    pin and disk-read counters are kept for tests and for the benchmark
+    harness.
     """
 
     def __init__(self, meta: ArrayMeta, pool: BufferPool, *, name: str = "",
@@ -313,6 +318,7 @@ class StoredArray:
         self.uid = next(_uid_counter)
         self.spool_dir = spool_dir
         self.attr_dtypes = [dtype_for(t) for t in meta.schema.attr_types]
+        self._grid = meta.grid
         self._slots: dict[tuple, _Slot] = {}
         self.pin_counts: dict[tuple, int] = {}
         self.disk_reads: dict[tuple, int] = {}
@@ -322,7 +328,7 @@ class StoredArray:
     # -- geometry ---------------------------------------------------------
 
     def _check_tc(self, tc):
-        grid = self.meta.grid
+        grid = self._grid
         if len(tc) != len(grid) or any(c < 0 or c >= g for c, g in zip(tc, grid)):
             raise BoundsError(f"tile coord {tuple(tc)} outside grid {grid}")
 
@@ -372,6 +378,15 @@ class StoredArray:
             raise InternalError(f"unpin without pin for tile {tc}")
         self.active_pins[tc] = n - 1
 
+    @contextlib.contextmanager
+    def pinned(self, tc):
+        """pin(tc) for the body of a ``with``; unpinned however it ends."""
+        tile = self.pin(tc)
+        try:
+            yield tile
+        finally:
+            self.unpin(tc)
+
     def _register(self, tc, tile: Tile, slot: _Slot) -> None:
         def evictable() -> bool:
             return self.active_pins.get(tc, 0) == 0
@@ -386,9 +401,15 @@ class StoredArray:
         ))
 
     def _read_slot(self, tc, slot: _Slot) -> Tile:
-        with open(slot.path, "rb") as f:
-            f.seek(slot.offset)
-            buf = f.read(slot.length)
+        # one exact-length read: a buffered file would read a whole block
+        fd = os.open(slot.path, os.O_RDONLY)
+        try:
+            buf = os.pread(fd, slot.length, slot.offset)
+        finally:
+            os.close(fd)
+        if len(buf) != slot.length:
+            raise InternalError(f"short read of tile {tc} from {slot.path}: "
+                                f"{len(buf)} of {slot.length} bytes")
         return Tile.from_bytes(buf, tc, slot.layout, self.meta.tile_size,
                                self.attr_dtypes)
 
@@ -428,17 +449,15 @@ class StoredArray:
         row-major order, cells in lexicographic order within each tile."""
         ts = np.array(self.meta.tile_size, dtype=np.uint64)
         for tc in self.tile_coords():
-            tile = self.pin(tc)
-            cc, vals = tile.cells()
-            self.unpin(tc)
+            with self.pinned(tc) as tile:
+                cc, vals = tile.cells()
             yield np.asarray(tc, dtype=np.uint64) * ts + cc, vals
 
     def cell_count(self) -> int:
         total = 0
         for tc in self.tile_coords():
-            tile = self.pin(tc)
-            total += tile.cell_count()
-            self.unpin(tc)
+            with self.pinned(tc) as tile:
+                total += tile.cell_count()
         return total
 
     # -- persistence -----------------------------------------------------
@@ -468,9 +487,8 @@ class StoredArray:
             if tc not in self._slots:
                 directory.append((0, 0))
                 continue
-            tile = self.pin(tc)
-            buf = tile.to_bytes()
-            self.unpin(tc)
+            with self.pinned(tc) as tile:
+                buf = tile.to_bytes()
             tags[i] = _LAYOUT_TAGS[tile.layout]
             directory.append((pos, len(buf)))
             blocks.append(buf)
@@ -528,9 +546,16 @@ class StoredArray:
     # -- bookkeeping -------------------------------------------------------
 
     def release(self) -> None:
-        """Drop all resident tiles from the pool (owner-initiated cleanup)."""
-        for tc in list(self._slots):
+        """Free the array: drop its tiles from the pool without spilling
+        them, delete its spill file, and forget every tile (it reads as
+        empty afterwards).  Files the array was loaded from stay."""
+        for tc in self._slots:
             self.pool.drop(self._key(tc))
+        self._slots.clear()
+        if self._spill_path is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self._spill_path)
+            self._spill_path = None
 
     def reset_io_stats(self) -> None:
         self.pin_counts.clear()

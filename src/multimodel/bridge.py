@@ -84,10 +84,25 @@ class JoinTrace:
 # ---------------------------------------------------------------------------
 # dimension extraction
 
-def _is_uint(v) -> bool:
+_MAX_DIM = int(np.iinfo(np.int64).max)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_dim(v) -> bool:
+    """A coordinate: a non-negative integer that fits in int64."""
     if type(v) is int:  # the common case, without the ABC check
-        return v >= 0
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+        return 0 <= v <= _MAX_DIM
+    return _is_int(v) and 0 <= v <= _MAX_DIM
+
+
+def _dim_error(where: str, v) -> BindingError:
+    if _is_int(v) and v > _MAX_DIM:
+        return BindingError(f"{where} must fit in a signed 64-bit integer, "
+                            f"got {v!r}")
+    return BindingError(f"{where} must be a non-negative integer, got {v!r}")
 
 
 def _attr_index(rel: Relation, attr: str) -> int:
@@ -104,9 +119,9 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     Returns (dims, kept, values) where kept maps matrix rows back to record
     indices and values holds one list per value path, aligned with the rows.
     Documents missing a bound path are dropped (inner join); anything
-    non-integer or negative, and a missing value attribute, is a binding
-    error.  A relation column of plain ints is checked by its minimum; any
-    other column is checked value by value.
+    non-integer, negative or beyond int64, and a missing value attribute,
+    is a binding error.  A relation column of plain ints is checked by its
+    minimum and maximum; any other column is checked value by value.
     """
     if isinstance(records, Relation):
         idx = [_attr_index(records, a) for a in binding.attrs]
@@ -115,13 +130,12 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
         dims = np.empty((n, len(idx)), dtype=np.int64)
         for j, i in enumerate(idx):
             col = list(map(itemgetter(i), records.rows))
-            if set(map(type, col)) != {int} or min(col) < 0:
+            if (set(map(type, col)) != {int} or min(col) < 0
+                    or max(col) > _MAX_DIM):
                 for r, v in enumerate(col):  # find the first bad value
-                    if not _is_uint(v):
-                        raise BindingError(
-                            f"row {r}: dimension attribute "
-                            f"{binding.attrs[j]!r} must be a non-negative "
-                            f"integer, got {v!r}")
+                    if not _is_dim(v):
+                        raise _dim_error(f"row {r}: dimension attribute "
+                                         f"{binding.attrs[j]!r}", v)
             dims[:, j] = col
         values = [list(map(itemgetter(i), records.rows)) for i in vidx]
         return dims, np.arange(n, dtype=np.int64), values
@@ -137,10 +151,8 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
             v = get(doc)
             if v is ABSENT:
                 break
-            if not _is_uint(v):
-                raise BindingError(
-                    f"document {r}: path {path!r} must be a non-negative "
-                    f"integer, got {v!r}")
+            if not _is_dim(v):
+                raise _dim_error(f"document {r}: path {path!r}", v)
             row.append(v)
         else:
             for path, get, col in value_gets:
@@ -254,12 +266,11 @@ def _probe(arr: StoredArray, dims: np.ndarray, kept: np.ndarray,
     bounds = np.concatenate(([0], change, [len(rec)])) if len(rec) else []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         tc = tuple(int(x) for x in tcs[lo])
-        tile = arr.pin(tc)
-        stats.tile_pins += 1
-        if trace is not None:
-            trace.pins.append(tc)
-        f, v = tile.lookup(ccs[lo:hi])
-        arr.unpin(tc)
+        with arr.pinned(tc) as tile:
+            stats.tile_pins += 1
+            if trace is not None:
+                trace.pins.append(tc)
+            f, v = tile.lookup(ccs[lo:hi])
         found[lo:hi] = f
         for col, part in zip(vals, v):
             col[lo:hi] = part

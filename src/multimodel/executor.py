@@ -8,6 +8,14 @@ arrays; inter-model partitions are the conversion / join bridge calls.  A
 conversion passes its records to ``bridge.to_array`` with only the default
 tile extent and spool directory; the bridge derives the array's extent,
 value types and tiling from its one walk over the records.
+
+Intermediates live until their last consumer has run: each node's consumers
+are counted from the plan, and when the count reaches zero the node's
+registry entry is dropped and, for an array, ``StoredArray.release`` takes
+its tiles out of the pool unspilled and deletes its spill file.  Array
+partitions count per node, the other partitions when the whole partition
+has run.  The run's target is never freed; a failed run frees every array
+still registered.
 """
 
 from __future__ import annotations
@@ -159,25 +167,36 @@ class Engine:
     def run_plan(self, plan: LogicalPlan, target: int):
         pd = partition(plan)
         reg: dict[str, object] = {}
-        for part in topo_order(pd):
-            try:
-                self._run_partition(plan, part, reg)
-            except EngineError as e:
-                e.partition = part.index  # which stage failed, for reporting
-                raise
-        return reg[alias_key(target)]
+        live = _Liveness(plan, target, reg)
+        try:
+            for part in topo_order(pd):
+                try:
+                    self._run_partition(plan, part, reg, live)
+                except EngineError as e:
+                    e.partition = part.index  # which stage failed, for reporting
+                    raise
+            return reg[alias_key(target)]
+        except BaseException:
+            for value in reg.values():
+                if isinstance(value, StoredArray):
+                    value.release()
+            raise
 
     # -- per-partition dispatch ---------------------------------------------
 
-    def _run_partition(self, plan: LogicalPlan, part: Partition, reg: dict):
+    def _run_partition(self, plan: LogicalPlan, part: Partition, reg: dict,
+                       live: _Liveness):
         if part.model in ("relational", "document"):
             self._run_rd_partition(plan, part, reg)
+            live.ran(part.node_ids)
         elif part.model == "array":
             for nid in sorted(part.node_ids):  # inputs have lower ids
                 reg[alias_key(nid)] = self._array_node(plan.node(nid), reg)
+                live.ran((nid,))
         else:
             nid = part.output_node
             reg[alias_key(nid)] = self._bridge_node(plan.node(nid), reg)
+            live.ran((nid,))
 
     def _run_rd_partition(self, plan, part, reg):
         scope = dict(reg)
@@ -245,6 +264,30 @@ class Engine:
             self.join_stats.append(stats)
             return res
         raise PlanError(f"unsupported inter-model operator {n.op!r}")
+
+
+class _Liveness:
+    """Remaining consumers per plan node; frees a node's registry entry once
+    none is left."""
+
+    def __init__(self, plan: LogicalPlan, target: int, reg: dict):
+        self.plan, self.target, self.reg = plan, target, reg
+        self.remaining = {nid: len(set(cs))
+                          for nid, cs in plan.consumers().items()}
+
+    def ran(self, nids) -> None:
+        """`nids` have run: each of their inputs has one consumer fewer, and
+        whatever has none left (a node nothing reads included) is freed."""
+        done = set(nids)
+        for nid in nids:
+            for i in set(self.plan.node(nid).inputs):
+                self.remaining[i] -= 1
+                done.add(i)
+        for nid in done:
+            if self.remaining[nid] == 0 and nid != self.target:
+                value = self.reg.pop(alias_key(nid), None)
+                if isinstance(value, StoredArray):
+                    value.release()
 
 
 def _rd_tree(t: TreeNode):

@@ -201,13 +201,16 @@ _SCALARS = {bool, int, float, str}  # same-type pairs that always compare
 
 
 def universal_key(v):
-    """Total order over all values: used for deterministic tie-breaking."""
+    """Total order over all values: used for deterministic tie-breaking and
+    as the hash key of joins and groups.  Numbers key on their exact value
+    (Python compares and hashes int and float exactly), so ``1 == 1.0`` but
+    ``2**53 != 2**53 + 1``."""
     if v is None:
         return (0,)
     if isinstance(v, bool):
         return (1, v)
     if isinstance(v, (int, float)):
-        return (2, float(v))
+        return (2, v)
     if isinstance(v, str):
         return (3, v)
     if isinstance(v, list):

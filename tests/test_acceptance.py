@@ -316,6 +316,7 @@ def test_criterion_8_pool_matches_simulator_and_policy_comparison():
         cap = 10_000
         pool, sim = BufferPool(cap), SimPool(cap)
         pinned: set = set()
+        evicted: list = []
         next_id = 0
         for _ in range(N_POOL_EVENTS):
             resident = sim.order  # both pools agree or the test fails anyway
@@ -327,7 +328,8 @@ def test_criterion_8_pool_matches_simulator_and_policy_comparison():
                 assert sim.add(oid, size) == "ok"
                 pool.add(BufferObject(
                     id=oid, size=size,
-                    is_evictable=lambda o=oid: o not in pinned))
+                    is_evictable=lambda o=oid: o not in pinned,
+                    do_eviction=lambda o=oid: evicted.append(o)))
             elif roll < 0.65:
                 oid = rng.choice(resident) if rng.random() < 0.8 \
                     else f"o{rng.randrange(next_id)}"
@@ -350,7 +352,8 @@ def test_criterion_8_pool_matches_simulator_and_policy_comparison():
                 sim.pinned.discard(oid)
                 pool.drop(oid)
                 sim.drop(oid)
-        assert pool.eviction_log == sim.log
+            pool._audit()  # the full recount agrees with the O(1) counters
+        assert evicted == sim.log
         assert sorted(pool.resident_ids()) == sorted(sim.order)
         st = pool.stats()
         assert (st.hits, st.misses) == (sim.hits, sim.misses)

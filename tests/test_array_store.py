@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 
 import numpy as np
@@ -17,7 +18,8 @@ from multimodel.array_store import (
     make_tile,
 )
 from multimodel.buffer_pool import BufferPool
-from multimodel.errors import BoundsError, CapacityError, DuplicateCellError
+from multimodel.errors import (BoundsError, CapacityError, DuplicateCellError,
+                               InternalError)
 from multimodel.models import ABSENT
 
 from conftest import array_meta
@@ -302,6 +304,71 @@ def test_dirty_tile_spills_and_reloads(tmp_path):
     arr.unpin((0, 0))
     assert arr.disk_reads[(0, 0)] == 1
     assert list(tmp_path.glob("*.spill"))
+
+
+def _spilled_array(tmp_path):
+    """Two tiles through a one-tile pool: (0, 0) spilled, (1, 0) dirty."""
+    meta = array_meta((20, 10), (10, 5), attrs=(("value", "int"),))
+    probe = ArrayBuilder(meta, BufferPool(64 << 20))
+    probe.add_cells(np.array([[0, 0]]), [np.array([1])])
+    pool = BufferPool(probe.finish().pin((0, 0)).nbytes)
+    b = ArrayBuilder(meta, pool, name="spilly", spool_dir=str(tmp_path))
+    b.add_cells(np.array([[1, 1], [12, 3]]), [np.array([5, 9])])
+    return b.finish(), pool
+
+
+def test_release_drops_tiles_unspilled_and_deletes_the_spill_file(
+        tmp_path, monkeypatch):
+    arr, pool = _spilled_array(tmp_path)
+    assert len(list(tmp_path.glob("*.spill"))) == 1
+    assert len(pool.resident_ids()) == 1
+    spills = []
+    monkeypatch.setattr(StoredArray, "_spill",
+                        lambda self, tile, slot: spills.append(tile))
+    arr.release()
+    assert spills == []  # the dirty resident tile was dropped, not written
+    assert pool.resident_ids() == []
+    assert list(tmp_path.glob("*")) == []
+    assert arr.tile_coords() == [] and arr.cell_count() == 0
+
+
+def test_release_keeps_the_file_an_array_was_loaded_from(tmp_path, pool):
+    path = str(tmp_path / "a.m2ar")
+    _filled_array(pool).save(path)
+    own = BufferPool(64 << 20)
+    arr = StoredArray.load(path, own)
+    assert arr.cell_count() == 25 and own.resident_ids()
+    arr.release()
+    assert own.resident_ids() == [] and os.path.isfile(path)
+
+
+def test_tile_read_is_one_exact_length_pread(tmp_path, pool, monkeypatch):
+    path = str(tmp_path / "a.m2ar")
+    _filled_array(pool).save(path)
+    arr = StoredArray.load(path, pool)
+    reads = []
+    pread = os.pread
+
+    def spy(fd, n, offset):
+        reads.append((n, offset))
+        return pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", spy)
+    arr.pin((1, 1))
+    arr.unpin((1, 1))
+    slot = arr._slots[(1, 1)]
+    assert reads == [(slot.length, slot.offset)]
+
+
+def test_short_tile_read_is_internal_error(tmp_path, pool):
+    path = str(tmp_path / "a.m2ar")
+    _filled_array(pool).save(path)
+    arr = StoredArray.load(path, pool)
+    last = max(arr.tile_coords(), key=lambda tc: arr._slots[tc].offset)
+    os.truncate(path, arr._slots[last].offset + 1)
+    with pytest.raises(InternalError, match="short read"):
+        arr.pin(last)
+    assert arr.active_pins.get(last, 0) == 0
 
 
 def test_no_tile_left_pinned_after_iteration(pool):

@@ -96,11 +96,12 @@ def test_pool_bench_matches_reference_simulator():
     for scen in ("tight", "roomy"):
         pool = BufferPool(capacity)
         sim = SimPool(capacity)
-        replay_events(events, pool, scen)
+        evicted: list = []
+        replay_events(events, pool, scen, evicted)
         for s, owner, oid, size in events:
             if s == scen and not sim.get(oid):
                 assert sim.add(oid, size) == "ok"
-        assert pool.eviction_log == sim.log
+        assert evicted == sim.log
 
 
 def test_pool_workload_deterministic():

@@ -178,6 +178,28 @@ def test_dimension_check_names_first_bad_value(pool, small_array, bad, at):
                               f"non-negative integer, got {bad!r}")
 
 
+@pytest.mark.parametrize("big", [2**63, 2**70])
+def test_dimension_beyond_int64_is_binding_error(pool, small_array, big):
+    pairs = [(1, 2), (big, 2)]
+    rel = Relation([("v0", INT), ("v1", INT)], pairs)
+    docs = Collection("c", [{"v0": a, "v1": b} for a, b in pairs])
+    on_row = (f"row 1: dimension attribute 'v0' must fit in a signed 64-bit "
+              f"integer, got {big!r}")
+    on_doc = (f"document 1: path 'v0' must fit in a signed 64-bit integer, "
+              f"got {big!r}")
+    calls = [
+        (lambda: to_array(rel, ["v0", "v1"], [], None, pool), on_row),
+        (lambda: to_array(docs, ["v0", "v1"], [], None, pool), on_doc),
+        (lambda: mshj(rel, small_array, DimBinding(("v0", "v1"))), on_row),
+        (lambda: mshj(docs, small_array, DimBinding(("v0", "v1")),
+                      JoinOutputSpec("document")), on_doc),
+    ]
+    for call, message in calls:
+        with pytest.raises(BindingError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_join_phases_fit_in_its_wall_time(pool):
     rng = random.Random(8)
     rel, arr = _random_instance(pool, rng, 2, "dense", n_rows=3000)

@@ -80,19 +80,23 @@ class SimPool:
             del self.sizes[i]
 
 
-def _add(pool: BufferPool, i, size, pinned: set | None = None, owner="anon"):
+def _add(pool: BufferPool, i, size, pinned: set | None = None, owner="anon",
+         log: list | None = None):
+    """Register i; its eviction appends i to `log`."""
     evictable = (lambda: i not in pinned) if pinned is not None else (lambda: True)
-    pool.add(BufferObject(id=i, size=size, owner=owner, is_evictable=evictable))
+    evict = (lambda: log.append(i)) if log is not None else (lambda: None)
+    pool.add(BufferObject(id=i, size=size, owner=owner, is_evictable=evictable,
+                          do_eviction=evict))
 
 
 # ------------------------------------------------------------------ basics
 
 def test_add_evicts_lru_first():
-    pool = BufferPool(100)
-    _add(pool, "a", 60)
-    _add(pool, "b", 60)
+    pool, log = BufferPool(100), []
+    _add(pool, "a", 60, log=log)
+    _add(pool, "b", 60, log=log)
     assert pool.resident_ids() == ["b"]
-    assert pool.eviction_log == ["a"]
+    assert log == ["a"]
 
 
 def test_add_pinned_blocks_eviction():
@@ -118,33 +122,33 @@ def test_add_duplicate_id_is_internal_error():
 
 
 def test_evict_strict_lru_order():
-    pool = BufferPool(100)
+    pool, log = BufferPool(100), []
     for i in range(4):
-        _add(pool, i, 25)
+        _add(pool, i, 25, log=log)
     pool.evict(50)
-    assert pool.eviction_log == [0, 1]
+    assert log == [0, 1]
     assert pool.resident_ids() == [2, 3]
 
 
 def test_evict_skips_unevictable_head():
-    pool = BufferPool(100)
+    pool, log = BufferPool(100), []
     pinned = {"old"}
-    _add(pool, "old", 40, pinned)
-    _add(pool, "new", 40, pinned)
+    _add(pool, "old", 40, pinned, log=log)
+    _add(pool, "new", 40, pinned, log=log)
     pool.evict(30)
-    assert pool.eviction_log == ["new"]
+    assert log == ["new"]
     assert pool.resident_ids() == ["old"]
 
 
 def test_evict_reports_freed_on_failure():
-    pool = BufferPool(100)
+    pool, log = BufferPool(100), []
     pinned = {"b"}
-    _add(pool, "a", 30, pinned)
-    _add(pool, "b", 30, pinned)
+    _add(pool, "a", 30, pinned, log=log)
+    _add(pool, "b", 30, pinned, log=log)
     with pytest.raises(CapacityError) as info:
         pool.evict(80)
     assert info.value.freed == 30
-    assert pool.eviction_log == ["a"]
+    assert log == ["a"]
 
 
 def test_evict_noop_when_already_free():
@@ -155,12 +159,12 @@ def test_evict_noop_when_already_free():
 
 
 def test_touch_changes_victim():
-    pool = BufferPool(100)
-    _add(pool, "a", 50)
-    _add(pool, "b", 50)
+    pool, log = BufferPool(100), []
+    _add(pool, "a", 50, log=log)
+    _add(pool, "b", 50, log=log)
     pool.touch("a")
     pool.evict(1)
-    assert pool.eviction_log == ["b"]
+    assert log == ["b"]
 
 
 def test_touch_unknown_id():
@@ -218,12 +222,12 @@ def test_do_eviction_never_called_when_unevictable():
 # ------------------------------------------------------------------ quotas
 
 def test_quota_confines_eviction_to_owner():
-    pool = BufferPool(100, quotas={"arr": 60, "rd": 40})
-    _add(pool, "a1", 30, owner="arr")
-    _add(pool, "a2", 30, owner="arr")
-    _add(pool, "r1", 40, owner="rd")
-    _add(pool, "a3", 30, owner="arr")  # must evict a1, never r1
-    assert pool.eviction_log == ["a1"]
+    pool, log = BufferPool(100, quotas={"arr": 60, "rd": 40}), []
+    _add(pool, "a1", 30, owner="arr", log=log)
+    _add(pool, "a2", 30, owner="arr", log=log)
+    _add(pool, "r1", 40, owner="rd", log=log)
+    _add(pool, "a3", 30, owner="arr", log=log)  # must evict a1, never r1
+    assert log == ["a1"]
     assert set(pool.resident_ids()) == {"a2", "r1", "a3"}
 
 
@@ -260,6 +264,7 @@ def _mixed_workload(seed: int, events: int = 1000, capacity: int = 100):
     sim = SimPool(capacity)
     pinned: set = set()
     sim.pinned = pinned
+    log: list = []
     next_id = 0
 
     for _ in range(events):
@@ -272,7 +277,7 @@ def _mixed_workload(seed: int, events: int = 1000, capacity: int = 100):
             size = rng.randint(1, 40)
             expect = sim.add(i, size)
             try:
-                _add(pool, i, size, pinned)
+                _add(pool, i, size, pinned, log=log)
                 got = "ok"
             except TooLargeError:
                 got = "too-large"
@@ -313,14 +318,92 @@ def _mixed_workload(seed: int, events: int = 1000, capacity: int = 100):
             pool.drop(i)
 
         assert pool.resident_ids() == sim.order  # recency order, LRU first
+        pool._audit()  # the full recount agrees with the O(1) counters
 
-    return pool, sim
+    return pool, sim, log
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_mixed_workload_matches_simulator(seed):
-    pool, sim = _mixed_workload(seed)
-    assert pool.eviction_log == sim.log  # doEviction call sequence
+    pool, sim, log = _mixed_workload(seed)
+    assert log == sim.log  # doEviction call sequence
     s = pool.stats()
     assert (s.hits, s.misses) == (sim.hits, sim.misses)
     assert s.resident_bytes == sum(sim.sizes[i] for i in sim.order)
+
+
+# ------------------------------------------------------ O(1) bookkeeping
+
+class _Counted(BufferObject):
+    """Counts every attribute read the pool makes on a registered object."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        _Counted.reads += 1
+        return object.__getattribute__(self, name)
+
+
+def _visits_per_call(resident: int, calls: int = 200) -> tuple[int, int]:
+    """Attribute reads of `calls` evicting adds and of `calls` touches on a
+    full pool of `resident` objects."""
+    pool = BufferPool(resident * 10)
+    for i in range(resident):
+        pool.add(_Counted(id=i, size=10))
+    _Counted.reads = 0
+    for i in range(resident, resident + calls):
+        pool.add(_Counted(id=i, size=10))  # evicts the LRU object
+    adds = _Counted.reads
+    _Counted.reads = 0
+    for i in range(resident, resident + calls):
+        pool.touch(i)
+    return adds, _Counted.reads
+
+
+def test_add_and_touch_visit_as_many_objects_at_1k_as_at_16k():
+    small, large = _visits_per_call(1_000), _visits_per_call(16_000)
+    assert small == large
+    assert small[0] > 0
+
+
+def test_raising_do_eviction_leaves_accounting_whole():
+    pool, log = BufferPool(100), []
+
+    def boom():
+        raise RuntimeError("spill failed")
+
+    _add(pool, "a", 30, log=log)
+    pool.add(BufferObject(id="b", size=30, do_eviction=boom))
+    _add(pool, "c", 30, log=log)
+    with pytest.raises(RuntimeError):
+        pool.evict(80)
+    assert log == ["a"]  # evicted before the failure, and gone
+    assert pool.resident_ids() == ["b", "c"]
+    assert pool.stats().evictions == 1
+    pool._audit()
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_split_pool_counters_match_full_recount(seed):
+    rng = random.Random(seed)
+    quotas = {"arr": 60, "rd": 40}
+    pool = BufferPool(100, quotas=quotas)
+    pinned: set = set()
+    for i in range(1500):
+        op = rng.choice(["add", "add", "touch", "pin", "evict", "drop"])
+        owner = rng.choice(sorted(quotas))
+        ids = pool.resident_ids()
+        try:
+            if op == "add":
+                _add(pool, i, rng.randint(1, 30), pinned, owner=owner)
+            elif op == "touch" and ids:
+                pool.touch(rng.choice(ids))
+            elif op == "pin" and ids:
+                pinned.symmetric_difference_update({rng.choice(ids)})
+            elif op == "evict":
+                pool.evict(rng.randint(1, quotas[owner]), owner)
+            elif op == "drop" and ids:
+                pool.drop(rng.choice(ids))
+        except CapacityError:
+            pass
+        pool._audit()

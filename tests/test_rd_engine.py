@@ -359,6 +359,21 @@ def test_join_keeps_only_pairs_where_condition_is_true():
         assert out.rows == [(1, 2, 1, 5)], text
 
 
+def test_int_keys_beyond_float_precision_stay_distinct():
+    big = 2**53  # big + 1 rounds to big as a float
+    left = Relation([("k", INT)], [(big,), (1,)])
+    right = Relation([("k", FLOAT)], [(big + 1,), (big,), (1.0,)])
+    for text in ("l.k = r.k", "l.k <= r.k and l.k >= r.k"):  # hashed, nested
+        out = execute_tree(node("join", scan("l", "l"), scan("r", "r"),
+                                pred=parse_predicate(text)),
+                           {"l": left, "r": right})
+        assert out.rows == [(big, big), (1, 1.0)], text
+    rel = Relation([("k", INT)], [(big,), (big + 1,), (big,)])
+    out = execute_tree(node("aggregate", scan("t"), keys=["k"],
+                            aggs=[("count", None, "n")]), {"t": rel})
+    assert sorted(out.rows) == [(big, 2), (big + 1, 1)]
+
+
 def test_column_references_resolve_once_per_operator(monkeypatch):
     from multimodel import rd_engine
     calls = []
