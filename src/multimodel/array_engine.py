@@ -3,8 +3,10 @@
 The operators a script can reach: element-wise arithmetic, matrix
 multiplication, transposition, deterministic random initialization, and
 array-array spatial join. Operators pin tiles through the buffer pool with
-``StoredArray.pinned``, which unpins however the body ends; results are new
-StoredArrays.
+``StoredArray.pinned``, which unpins however the body ends, and read each tile
+as blocks through ``Tile.to_scratch``; results are new StoredArrays, whose
+tiles are installed as blocks by ``_write_block``. An operator that fails
+releases its partial result before the error propagates.
 
 Sparse semantics: an absent cell counts as 0 for + - *; division keeps the
 divisor's support (absent divisor -> absent output) so missing cells never
@@ -18,7 +20,7 @@ import re
 
 import numpy as np
 
-from .array_store import StoredArray, dtype_for, make_tile
+from .array_store import StoredArray, block_tile, dtype_for
 from .buffer_pool import BufferPool
 from .errors import ShapeError
 from .models import ArrayMeta, CellSchema, ValueType
@@ -84,19 +86,20 @@ def from_grid(meta: ArrayMeta, mask: np.ndarray, values, pool: BufferPool, *,
     """Tile a full-size grid into a new StoredArray (tile-at-a-time)."""
     arr = StoredArray(meta, pool, name=name, spool_dir=spool_dir)
     ts = meta.tile_size
-    for tc in itertools.product(*[range(g) for g in meta.grid]):
-        sl = tuple(slice(c * t, c * t + v)
-                   for c, t, v in zip(tc, ts, arr.valid_extent(tc)))
-        m = mask[sl]
-        if not m.any():
-            continue
-        cc = np.argwhere(m)
-        idx = tuple(cc[:, i] for i in range(meta.d))
-        cols = [np.ascontiguousarray(v[sl][idx]) for v in values]
-        tile = make_tile(tc, ts, arr.valid_extent(tc), arr.attr_dtypes,
-                         meta.layout, cc, cols, sort=False)
-        arr.write_tile(tc, tile)
+    with arr.release_on_error():
+        for tc in itertools.product(*[range(g) for g in meta.grid]):
+            sl = tuple(slice(c * t, c * t + v)
+                       for c, t, v in zip(tc, ts, arr.valid_extent(tc)))
+            _write_block(arr, tc, mask[sl], [v[sl] for v in values])
     return arr
+
+
+def _write_block(out: StoredArray, tc, mask: np.ndarray, values) -> None:
+    """Install a mask and value blocks anchored at tile `tc`'s origin as that
+    tile of `out`; an all-false mask writes nothing."""
+    if mask.any():
+        out.write_tile(tc, block_tile(tc, out.meta.tile_size, out.valid_extent(tc),
+                                      out.attr_dtypes, out.meta.layout, mask, values))
 
 
 # --------------------------------------------------------------- element-wise
@@ -125,30 +128,25 @@ def ewise(op: str, a: StoredArray, b: StoredArray, *, name: str = "") -> StoredA
     else:
         tcs = sorted(set(a.tile_coords()) | set(b.tile_coords()))
     dt = dtype_for(ValueType(kind))
-    for tc in tcs:
-        with a.pinned(tc) as ta, b.pinned(tc) as tb:
-            ma, (va,) = ta.to_scratch()
-            mb, (vb,) = tb.to_scratch()
-        va = va.astype(dt, copy=False)
-        vb = vb.astype(dt, copy=False)
-        if op == "+":
-            om, ov = ma | mb, va + vb
-        elif op == "-":
-            om, ov = ma | mb, va - vb
-        elif op == "*":
-            om, ov = ma & mb, va * vb
-        else:
-            om = mb
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ov = np.divide(va, vb, where=mb,
-                               out=np.zeros_like(va, dtype=np.float64))
-        if not om.any():
-            continue
-        cc = np.argwhere(om)
-        idx = tuple(cc[:, i] for i in range(meta.d))
-        tile = make_tile(tc, meta.tile_size, out.valid_extent(tc),
-                         out.attr_dtypes, meta.layout, cc, [ov[idx]], sort=False)
-        out.write_tile(tc, tile)
+    with out.release_on_error():
+        for tc in tcs:
+            with a.pinned(tc) as ta, b.pinned(tc) as tb:
+                ma, (va,) = ta.to_scratch()
+                mb, (vb,) = tb.to_scratch()
+            va = va.astype(dt, copy=False)
+            vb = vb.astype(dt, copy=False)
+            if op == "+":
+                om, ov = ma | mb, va + vb
+            elif op == "-":
+                om, ov = ma | mb, va - vb
+            elif op == "*":
+                om, ov = ma & mb, va * vb
+            else:
+                om = mb
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ov = np.divide(va, vb, where=mb,
+                                   out=np.zeros_like(va, dtype=np.float64))
+            _write_block(out, tc, om, [ov])
     return out
 
 
@@ -173,11 +171,18 @@ def matmul(a: StoredArray, b: StoredArray, *, name: str = "") -> StoredArray:
     size = (a.meta.size[0], b.meta.size[1])
     ts = (a.meta.tile_size[0], b.meta.tile_size[1])
     meta = ArrayMeta(sch, size, ts, layout="dense")
-    out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
 
-    if a.meta.tile_size[1] == b.meta.tile_size[0]:
-        # conforming inner tiling: dense scratch per tile pair
-        kt = a.meta.grid[1]
+    if a.meta.tile_size[1] != b.meta.tile_size[0]:
+        # mixed tile sizes: no shared inner tiling, go through full grids
+        _, (ga,) = to_grid(a)
+        _, (gb,) = to_grid(b)
+        prod = ga.astype(dt, copy=False) @ gb.astype(dt, copy=False)
+        return from_grid(meta, np.broadcast_to(True, size), [prod], a.pool,
+                         name=name, spool_dir=a.spool_dir)
+    # conforming inner tiling: one dense block per output tile
+    out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
+    kt = a.meta.grid[1]
+    with out.release_on_error():
         for i in range(meta.grid[0]):
             ri = out.valid_extent((i, 0))[0]
             for j in range(meta.grid[1]):
@@ -190,25 +195,8 @@ def matmul(a: StoredArray, b: StoredArray, *, name: str = "") -> StoredArray:
                     va = va[: a.valid_extent((i, k))[0], : a.valid_extent((i, k))[1]]
                     vb = vb[: b.valid_extent((k, j))[0], : b.valid_extent((k, j))[1]]
                     acc += va.astype(dt, copy=False) @ vb.astype(dt, copy=False)
-                _write_dense_block(out, (i, j), acc)
-    else:
-        # mixed tile sizes: no shared inner tiling, go through full grids
-        _, (ga,) = to_grid(a)
-        _, (gb,) = to_grid(b)
-        prod = ga.astype(dt, copy=False) @ gb.astype(dt, copy=False)
-        return from_grid(meta, np.ones(size, dtype=bool), [prod], a.pool,
-                         name=name, spool_dir=a.spool_dir)
+                _write_block(out, (i, j), np.broadcast_to(True, acc.shape), [acc])
     return out
-
-
-def _write_dense_block(out: StoredArray, tc, block: np.ndarray) -> None:
-    """Install a fully-present value block as one tile of `out`."""
-    cc = np.argwhere(np.ones(block.shape, dtype=bool))
-    idx = tuple(cc[:, i] for i in range(block.ndim))
-    tile = make_tile(tc, out.meta.tile_size, out.valid_extent(tc),
-                     out.attr_dtypes, out.meta.layout, cc, [block[idx]],
-                     sort=False)
-    out.write_tile(tc, tile)
 
 
 # ----------------------------------------------------------------- transpose
@@ -225,15 +213,11 @@ def transpose(a: StoredArray, *, name: str = "") -> StoredArray:
                      (a.meta.tile_size[1], a.meta.tile_size[0]),
                      layout=a.meta.layout)
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
-    for tc in a.tile_coords():
-        with a.pinned(tc) as tile:
-            cc, vals = tile.cells()
-        if len(cc) == 0:
-            continue
-        tile2 = make_tile((tc[1], tc[0]), meta.tile_size,
-                          out.valid_extent((tc[1], tc[0])), out.attr_dtypes,
-                          meta.layout, cc[:, ::-1], [v.copy() for v in vals])
-        out.write_tile((tc[1], tc[0]), tile2)
+    with out.release_on_error():
+        for tc in a.tile_coords():
+            with a.pinned(tc) as tile:
+                m, vals = tile.to_scratch()
+            _write_block(out, (tc[1], tc[0]), m.T, [v.T for v in vals])
     return out
 
 
@@ -249,7 +233,7 @@ def rand(size, tile_size, seed: int, pool: BufferPool, *, name: str = "",
                      layout="dense", seed=int(seed))
     gen = np.random.Generator(np.random.Philox(seed))
     grid = gen.random(size)
-    return from_grid(meta, np.ones(size, dtype=bool), [grid], pool,
+    return from_grid(meta, np.broadcast_to(True, size), [grid], pool,
                      name=name, spool_dir=spool_dir)
 
 
@@ -272,17 +256,10 @@ def spatial_join_array(a: StoredArray, b: StoredArray, *, name: str = "") -> Sto
     meta = ArrayMeta(sch, a.meta.size, a.meta.tile_size,
                      layout=_fix_layout(a.meta.layout, a.meta.d))
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
-    for tc in sorted(set(a.tile_coords()) & set(b.tile_coords())):
-        with a.pinned(tc) as ta, b.pinned(tc) as tb:
-            ma, va = ta.to_scratch()
-            mb, vb = tb.to_scratch()
-        om = ma & mb
-        if not om.any():
-            continue
-        cc = np.argwhere(om)
-        idx = tuple(cc[:, i] for i in range(meta.d))
-        cols = [v[idx] for v in va] + [v[idx] for v in vb]
-        tile = make_tile(tc, meta.tile_size, out.valid_extent(tc),
-                         out.attr_dtypes, meta.layout, cc, cols, sort=False)
-        out.write_tile(tc, tile)
+    with out.release_on_error():
+        for tc in sorted(set(a.tile_coords()) & set(b.tile_coords())):
+            with a.pinned(tc) as ta, b.pinned(tc) as tb:
+                ma, va = ta.to_scratch()
+                mb, vb = tb.to_scratch()
+            _write_block(out, tc, ma & mb, [*va, *vb])
     return out

@@ -2,12 +2,14 @@
 
 Arrays are partitioned into fixed-size rectangular tiles, each stored in one
 of three layouts: dense (positional values plus a validity mask, coordinates
-implicit), sorted-COO (cell coordinates sorted lexicographically, binary
-searched), or CSR (2-D only: row pointers + column indices). Tiles are the
-unit of I/O: readers pin a tile through the shared buffer pool, which makes it
-non-evictable until unpinned; dirty tiles spill to disk on eviction.
-``release()`` frees a whole array: its tiles leave the pool without being
-spilled and its spill file is deleted.
+implicit, every value zero where the mask is false), sorted-COO (cell
+coordinates sorted lexicographically, binary searched), or CSR (2-D only: row
+pointers + column indices). Tiles are the unit of I/O: readers pin a tile
+through the shared buffer pool, which makes it non-evictable until unpinned;
+dirty tiles spill to disk on eviction. ``release()`` frees a whole array: its
+tiles leave the pool without being spilled and its spill file is deleted.
+Operators build tiles from blocks (``block_tile``) and read them as blocks
+(``Tile.to_scratch``: a dense tile's own, as read-only views).
 
 On-disk format (one file per array, little-endian):
 magic "M2AR" | u32 version=1 | u32 d | u64 size[d] | u64 tile_size[d]
@@ -36,6 +38,7 @@ __all__ = [
     "StoredArray",
     "ArrayBuilder",
     "make_tile",
+    "block_tile",
     "array_to_coo_csv",
     "array_from_coo_csv",
     "MAGIC",
@@ -61,13 +64,6 @@ def dtype_for(vt: ValueType) -> np.dtype:
         return _DTYPES[vt.kind]
     except KeyError:
         raise TypeMismatchError(f"arrays cannot store {vt} attributes") from None
-
-
-def _lex_order(cc: np.ndarray) -> np.ndarray:
-    """Stable permutation sorting coordinate rows lexicographically."""
-    if len(cc) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.lexsort(tuple(cc[:, i] for i in range(cc.shape[1] - 1, -1, -1)))
 
 
 def _linearize(cc: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
@@ -143,11 +139,7 @@ class Tile:
             keys, table, values = _linearize(cc, self.ts), self.keys, self.coo_values
         else:
             if self._csr_keys is None:
-                rows = np.repeat(
-                    np.arange(self.ts[0], dtype=np.uint64),
-                    np.diff(self.indptr).astype(np.int64),
-                )
-                self._csr_keys = rows * np.uint64(self.ts[1]) + self.cols.astype(np.uint64)
+                self._csr_keys = _linearize(self.cells()[0], self.ts)
             keys, table, values = _linearize(cc, self.ts), self._csr_keys, self.csr_values
         if len(table) == 0:
             return (np.zeros(k, dtype=bool),
@@ -172,36 +164,22 @@ class Tile:
         return cc, self.csr_values
 
     def to_scratch(self):
-        """Dense scratch copy: (mask over full ts, zero-filled value arrays)."""
-        mask = np.zeros(self.ts, dtype=bool)
-        values = [np.zeros(self.ts, dt) for dt in self.attr_dtypes]
-        cc, vals = self.cells()
-        idx = tuple(cc[:, i].astype(np.int64) for i in range(self.d))
-        mask[idx] = True
-        for out, col in zip(values, vals):
-            out[idx] = col
-        return mask, values
+        """(mask over the full ts, value arrays), values zero where the mask
+        is false. A dense tile returns read-only views of its own blocks;
+        coo/csr tiles scatter their cells into fresh ones."""
+        if self.layout == "dense":
+            return _readonly(self.mask), [_readonly(v) for v in self.dense_values]
+        return _scatter(self.ts, self.attr_dtypes, *self.cells())
 
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        parts = []
-        if self.layout == "dense":
-            parts.append(self.mask.astype("|b1").tobytes())
-            for v in self.dense_values:
-                parts.append(np.ascontiguousarray(v).tobytes())
-        elif self.layout == "coo":
-            parts.append(struct.pack("<Q", len(self.keys)))
-            parts.append(np.ascontiguousarray(self.coords.astype("<u8")).tobytes())
-            for v in self.coo_values:
-                parts.append(np.ascontiguousarray(v).tobytes())
-        else:
-            parts.append(struct.pack("<Q", len(self.cols)))
-            parts.append(np.ascontiguousarray(self.indptr.astype("<u8")).tobytes())
-            parts.append(np.ascontiguousarray(self.cols.astype("<u8")).tobytes())
-            for v in self.csr_values:
-                parts.append(np.ascontiguousarray(v).tobytes())
-        return b"".join(parts)
+        """The cell count (coo/csr only), then each of ``_arrays()`` in
+        order, little-endian."""
+        head = b"" if self.layout == "dense" else struct.pack("<Q", self.cell_count())
+        return head + b"".join(
+            np.ascontiguousarray(a, a.dtype.newbyteorder("<")).tobytes()
+            for a in self._arrays())
 
     @staticmethod
     def from_bytes(buf: bytes, tc, layout, ts, attr_dtypes) -> "Tile":
@@ -242,7 +220,24 @@ class Tile:
         return t
 
 
-def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values, *, sort=True) -> Tile:
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+def _scatter(ts, attr_dtypes, cc, cols):
+    """Fresh ts-shaped (mask, value blocks) holding the cells at `cc` (M, d)."""
+    mask = np.zeros(ts, dtype=bool)
+    values = [np.zeros(ts, dt) for dt in attr_dtypes]
+    idx = tuple(cc.T.astype(np.intp))
+    mask[idx] = True
+    for out, col in zip(values, cols):
+        out[idx] = col
+    return mask, values
+
+
+def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values) -> Tile:
     """Build a tile from cell coordinates (relative to the tile) and value
     columns. Rejects out-of-extent coordinates and duplicate cells."""
     cc = np.asarray(cc, dtype=np.int64).reshape(len(cc), len(ts))
@@ -252,22 +247,16 @@ def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values, *, sort=True) -> T
                 f"cell coords outside valid extent {valid} of tile {tuple(tc)}"
             )
     cols = [np.asarray(v, dtype=dt) for v, dt in zip(values, attr_dtypes)]
-    if sort and len(cc):
-        order = _lex_order(cc)
-        cc = cc[order]
-        cols = [c[order] for c in cols]
+    order = np.lexsort(cc.T[::-1])
+    cc = cc[order]
+    cols = [c[order] for c in cols]
     keys = _linearize(cc, ts)
     if len(keys) > 1 and (keys[1:] == keys[:-1]).any():
         dup = cc[1:][keys[1:] == keys[:-1]][0]
         raise DuplicateCellError(f"duplicate cell {tuple(int(x) for x in dup)} in tile {tuple(tc)}")
     t = Tile(tc, layout, ts, attr_dtypes)
     if layout == "dense":
-        t.mask = np.zeros(ts, dtype=bool)
-        t.dense_values = [np.zeros(ts, dt) for dt in attr_dtypes]
-        idx = tuple(cc[:, i] for i in range(len(ts)))
-        t.mask[idx] = True
-        for out, col in zip(t.dense_values, cols):
-            out[idx] = col
+        t.mask, t.dense_values = _scatter(ts, attr_dtypes, cc, cols)
     elif layout == "coo":
         t.coords = cc.astype(np.uint64)
         t.keys = keys
@@ -281,6 +270,26 @@ def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values, *, sort=True) -> T
         t.csr_values = cols
     else:
         raise InternalError(f"unknown layout {layout!r}")
+    return t
+
+
+def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
+    """Build a tile from a mask and value blocks of shape at most ts, anchored
+    at the tile origin. Dense tiles copy them into fresh ts-shaped blocks,
+    zero where the mask is false; coo/csr tiles take the set cells."""
+    if layout != "dense":
+        cc = np.argwhere(mask)
+        return make_tile(tc, ts, valid, attr_dtypes, layout, cc,
+                         [v[tuple(cc.T)] for v in values])
+    if np.count_nonzero(mask[tuple(slice(0, v) for v in valid)]) != np.count_nonzero(mask):
+        raise BoundsError(f"cells outside valid extent {valid} of tile {tuple(tc)}")
+    box = tuple(slice(0, n) for n in mask.shape)
+    t = Tile(tc, layout, ts, attr_dtypes)
+    t.mask = np.zeros(ts, dtype=bool)
+    t.mask[box] = mask
+    t.dense_values = [np.zeros(ts, dt) for dt in attr_dtypes]
+    for out, v in zip(t.dense_values, values):
+        np.copyto(out[box], v, where=mask)
     return t
 
 
@@ -545,6 +554,16 @@ class StoredArray:
 
     # -- bookkeeping -------------------------------------------------------
 
+    @contextlib.contextmanager
+    def release_on_error(self):
+        """For the body of a ``with`` that fills this array: if it raises,
+        release the partial array, then re-raise."""
+        try:
+            yield
+        except BaseException:
+            self.release()
+            raise
+
     def release(self) -> None:
         """Free the array: drop its tiles from the pool without spilling
         them, delete its spill file, and forget every tile (it reads as
@@ -599,10 +618,10 @@ class ArrayBuilder:
             cols = [np.concatenate(parts) for parts in zip(*self._values)]
             ts = np.array(self.arr.meta.tile_size, dtype=np.int64)
             tcs = coords // ts
-            order = np.lexsort(tuple(tcs[:, i] for i in range(tcs.shape[1] - 1, -1, -1)))
+            order = np.lexsort(tcs.T[::-1])
             coords, tcs = coords[order], tcs[order]
             cols = [c[order] for c in cols]
-            if len(coords):
+            with self.arr.release_on_error():  # non-empty: add_cells skips empty batches
                 change = np.flatnonzero((tcs[1:] != tcs[:-1]).any(axis=1)) + 1
                 bounds = np.concatenate(([0], change, [len(coords)]))
                 for i in range(len(bounds) - 1):

@@ -270,18 +270,36 @@ def test_nmf_update_preserves_nonnegativity(pool):
 
 # ------------------------------------------------------ tile-size independence
 
+def zeroed_cells(arr: StoredArray) -> dict:
+    """cells_dict(arr), after checking that every tile's blocks hold zero
+    wherever the mask is false."""
+    for tc in arr.tile_coords():
+        with arr.pinned(tc) as tile:
+            mask, values = tile.to_scratch()
+        assert all((v[~mask] == 0).all() for v in values), (arr.name, tc)
+    return cells_dict(arr)
+
+
 @pytest.mark.parametrize("ts", [(2, 2), (5, 4), (7, 3), (12, 9)])
 def test_results_independent_of_tile_size(pool, ts):
+    """Every operator gives the same cells at any tile size in every layout.
+    b lacks some of a's cells, so the spatial join sees values of a under a
+    false output mask, which dense tiles must zero."""
     rng = random.Random(13)
     cells = [{(rng.randrange(12), rng.randrange(9)): (float(rng.randint(1, 9)),)
               for _ in range(35)} for _ in range(2)]
+    assert set(cells[0]) - set(cells[1])
 
-    def results(tile):
-        a, b = (from_cells(pool, (12, 9), tile, c, layout="coo") for c in cells)
-        return ([cells_dict(ae.ewise(op, a, b)) for op in "+-*/"]
-                + [cells_dict(ae.transpose(a))])
+    def results(tile, layout):
+        a, b = (from_cells(pool, (12, 9), tile, c, layout=layout) for c in cells)
+        outs = [ae.ewise(op, a, b) for op in "+-*/"]
+        outs += [ae.transpose(a), ae.spatial_join_array(a, b),
+                 ae.matmul(a, ae.transpose(b))]  # conforming inner tiling
+        return [zeroed_cells(out) for out in outs]
 
-    assert results(ts) == results((4, 4))
+    want = results((4, 4), "coo")
+    for layout in ("dense", "coo", "csr"):
+        assert results(ts, layout) == want, layout
 
 
 def test_grid_round_trip(pool):

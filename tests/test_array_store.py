@@ -15,6 +15,7 @@ from multimodel.array_store import (
     Tile,
     array_from_coo_csv,
     array_to_coo_csv,
+    block_tile,
     make_tile,
 )
 from multimodel.buffer_pool import BufferPool
@@ -137,6 +138,27 @@ def test_tile_serialization_round_trip_is_byte_identical(data):
     c1, v1 = t.cells()
     c2, v2 = t2.cells()
     assert np.array_equal(c1, c2) and np.array_equal(v1[0], v2[0])
+
+    # the block path agrees with the coordinate path, in every layout and
+    # for a block smaller than ts; junk under a false mask is not a cell
+    mask, block = np.zeros(ts, dtype=bool), np.full(ts, 7.5)
+    idx = tuple(np.asarray(cc, dtype=np.intp).reshape(k, d).T)
+    mask[idx], block[idx] = True, vals
+    lo = np.max(idx, axis=1) + 1 if k else np.ones(d, dtype=int)
+    sub = tuple(slice(0, data.draw(st.integers(int(n), s), label=f"block{i}"))
+                for i, (n, s) in enumerate(zip(lo, ts)))
+    for lay in layouts:
+        want = make_tile((0,) * d, ts, ts, [F8], lay, cc, [vals])
+        for m, v in ((mask, block), (mask[sub], block[sub])):
+            got = block_tile((0,) * d, ts, ts, [F8], lay, m, [v])
+            assert got.to_bytes() == want.to_bytes(), lay
+        m, (v,) = want.to_scratch()
+        assert np.array_equal(m, mask)
+        assert np.array_equal(v, np.where(mask, block, 0))
+    m, (v,) = make_tile((0,) * d, ts, ts, [F8], "dense", cc, [vals]).to_scratch()
+    for view in (m, v):
+        with pytest.raises(ValueError):
+            view[(0,) * d] = 1
 
 
 # ------------------------------------------------------------- stored arrays

@@ -84,11 +84,15 @@ def test_pipeline_frees_every_array_it_made(tmp_path, node_outputs):
     assert eng.pool.stats().resident_bytes == 0
 
 
-@pytest.mark.parametrize("method, nth", [
-    ("lookup", 3),      # inside the mshj probe
-    ("to_scratch", 5),  # inside matmul / ewise, two tiles pinned
-    ("cells", 4),       # inside transpose
-])
+# the operator each injected failure below must hit
+FAILS_INSIDE = {
+    ("lookup", 3): "_probe",         # the mshj probe
+    ("to_scratch", 5): "transpose",  # one tile pinned
+    ("to_scratch", 17): "matmul",    # two tiles pinned
+}
+
+
+@pytest.mark.parametrize("method, nth", list(FAILS_INSIDE))
 def test_pins_are_released_when_a_run_fails(tmp_path, monkeypatch,
                                             method, nth):
     arrays: list = []
@@ -109,8 +113,9 @@ def test_pins_are_released_when_a_run_fails(tmp_path, monkeypatch,
 
     monkeypatch.setattr(StoredArray, "__init__", track)
     monkeypatch.setattr(Tile, method, fail_on_nth)
-    with pytest.raises(RuntimeError, match="injected"):
+    with pytest.raises(RuntimeError, match="injected") as failure:
         engine(tmp_path, **TIGHT).run(RECOMMEND)
+    assert FAILS_INSIDE[method, nth] in [e.name for e in failure.traceback]
     assert arrays
     for arr in arrays:
         assert all(n == 0 for n in arr.active_pins.values()), arr.name
@@ -125,3 +130,32 @@ def test_failed_run_deletes_the_spill_files_of_its_arrays(tmp_path,
     with pytest.raises(RuntimeError, match="injected"):
         engine(tmp_path, **TIGHT).run(RECOMMEND)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("nth, inside", [
+    (20, "finish"),      # toArray's ArrayBuilder
+    (47, "from_grid"),   # rand
+    (59, "transpose"),
+    (94, "matmul"),
+    (150, "ewise"),
+])
+def test_operator_failing_mid_build_deletes_its_partial_spill(
+        tmp_path, monkeypatch, nth, inside):
+    """The array an operator is still building is not registered with the
+    run yet, so the operator itself frees it."""
+    calls = Counter()
+    write_tile = StoredArray.write_tile
+
+    def fail_on_nth(self, tc, tile):
+        calls["write_tile"] += 1
+        if calls["write_tile"] == nth:
+            raise RuntimeError("injected failure in StoredArray.write_tile")
+        write_tile(self, tc, tile)
+
+    monkeypatch.setattr(StoredArray, "write_tile", fail_on_nth)
+    eng = engine(tmp_path, **TIGHT)
+    with pytest.raises(RuntimeError, match="injected") as failure:
+        eng.run(RECOMMEND)
+    assert inside in [e.name for e in failure.traceback]
+    assert os.listdir(tmp_path) == []
+    assert eng.pool.stats().resident_bytes == 0  # unspilled tiles freed too

@@ -21,7 +21,8 @@ from multimodel import (
 from multimodel.script import parse_script
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
-RECOMMEND = os.path.join(DATA, "recommend.m2s")
+with open(os.path.join(DATA, "recommend.m2s"), encoding="utf-8") as _f:
+    RECOMMEND = _f.read()
 
 
 def engine(tmp_path, seed=0, **kw):
@@ -327,7 +328,7 @@ def recommend_engine(seed=7, **kw):
 
 
 def test_recommend_partition_shape():
-    doc = recommend_engine().explain(open(RECOMMEND).read())
+    doc = recommend_engine().explain(RECOMMEND)
     models = Counter(p["model"] for p in doc["partitions"])
     assert len(doc["partitions"]) == 6
     assert models == {"relational": 2, "document": 1, "array": 1,
@@ -338,7 +339,7 @@ def test_recommend_partition_shape():
 
 
 def test_recommend_result_shape():
-    res = recommend_engine().run(open(RECOMMEND).read())
+    res = recommend_engine().run(RECOMMEND)
     assert [c for c, _ in res.schema] == ["cid", "pid", "rating"]
     assert len(res.rows) == 10
     assert all(r[0] == 3 for r in res.rows)
@@ -347,15 +348,15 @@ def test_recommend_result_shape():
 
 
 def test_recommend_same_result_any_strategy():
-    base = recommend_engine().run(open(RECOMMEND).read())
-    forced = recommend_engine(strategy="convert").run(open(RECOMMEND).read())
+    base = recommend_engine().run(RECOMMEND)
+    forced = recommend_engine(strategy="convert").run(RECOMMEND)
     assert base.rows == forced.rows
 
 
 def test_explain_round_trips_through_plan_json():
-    doc = recommend_engine().explain(open(RECOMMEND).read())
+    doc = recommend_engine().explain(RECOMMEND)
     plan = plan_from_json(json.dumps(doc))
-    again = recommend_engine().plan_script(open(RECOMMEND).read())[0]
+    again = recommend_engine().plan_script(RECOMMEND)[0]
     assert plan_to_json(plan) == plan_to_json(again)
     # and the re-parsed plan partitions identically
     pd = partition(plan)
