@@ -84,11 +84,13 @@ def test_pipeline_frees_every_array_it_made(tmp_path, node_outputs):
     assert eng.pool.stats().resident_bytes == 0
 
 
-# the operator each injected failure below must hit
+# the operator each injected failure below must hit, and the join strategy
+# that routes the run through it
 FAILS_INSIDE = {
-    ("lookup", 3): "_probe",         # the mshj probe
-    ("to_scratch", 5): "transpose",  # one tile pinned
-    ("to_scratch", 17): "matmul",    # two tiles pinned
+    ("lookup", 3): ("_probe", "auto"),         # the mshj probe
+    ("to_scratch", 5): ("transpose", "auto"),  # one tile pinned
+    ("to_scratch", 17): ("matmul", "auto"),    # two tiles pinned
+    ("cells", 4): ("to_relation", "convert"),  # the conversion join's scan
 }
 
 
@@ -111,11 +113,12 @@ def test_pins_are_released_when_a_run_fails(tmp_path, monkeypatch,
             raise RuntimeError(f"injected failure in Tile.{method}")
         return orig(self, *args, **kwargs)
 
+    inside, strategy = FAILS_INSIDE[method, nth]
     monkeypatch.setattr(StoredArray, "__init__", track)
     monkeypatch.setattr(Tile, method, fail_on_nth)
     with pytest.raises(RuntimeError, match="injected") as failure:
-        engine(tmp_path, **TIGHT).run(RECOMMEND)
-    assert FAILS_INSIDE[method, nth] in [e.name for e in failure.traceback]
+        engine(tmp_path, strategy=strategy, **TIGHT).run(RECOMMEND)
+    assert inside in [e.name for e in failure.traceback]
     assert arrays
     for arr in arrays:
         assert all(n == 0 for n in arr.active_pins.values()), arr.name
