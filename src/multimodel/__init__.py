@@ -9,6 +9,7 @@ from .errors import (
     BoundsError,
     CapacityError,
     ConfigError,
+    DataFormatError,
     DuplicateCellError,
     EngineError,
     InternalError,

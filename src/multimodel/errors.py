@@ -58,6 +58,19 @@ class ConfigError(EngineError):
     """Inconsistent benchmark or engine configuration."""
 
 
+class DataFormatError(EngineError, ValueError):
+    """Dataset text that does not parse: a malformed or ragged CSV row, a
+    cell that does not fit its declared type, or a JSONL line that is not
+    one JSON object.  Names the dataset (when known) and the 1-based line;
+    also a ValueError, as the loaders raised before it existed."""
+
+    def __init__(self, msg: str, name: str = "", line: int = 0):
+        where = f"dataset {name!r}, " if name else ""
+        super().__init__(f"{where}line {line}: {msg}")
+        self.name = name
+        self.line = line
+
+
 class InternalError(EngineError):
     """Invariant breach; indicates a bug, not a user error."""
 

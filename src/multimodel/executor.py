@@ -15,13 +15,16 @@ registry entry is dropped and, for an array, ``StoredArray.release`` takes
 its tiles out of the pool unspilled and deletes its spill file.  Array
 partitions count per node, the other partitions when the whole partition
 has run.  The run's target is never freed; a failed run frees every array
-still registered.
+still registered.  A scanned table or collection is loaded at most once per
+run and dropped after the last partition that scans it: a run holds only
+the inputs it still needs, and never data an earlier run loaded.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from . import array_engine
@@ -32,9 +35,9 @@ from .errors import ConfigError, EngineError, NotFoundError, PlanError
 from .models import (ArrayMeta, CellSchema, Collection, Relation,
                      collection_from_jsonl, collection_to_jsonl,
                      relation_from_csv, relation_to_csv, tile_extent)
-from .planner import (LogicalPlan, Partition, TreeNode, alias_key,
-                      dag_to_trees, partition, partition_dag_to_dict,
-                      plan_to_dict, topo_order)
+from .planner import (LogicalPlan, Partition, PartitionDag, TreeNode,
+                      alias_key, dag_to_trees, partition,
+                      partition_dag_to_dict, plan_to_dict, topo_order)
 from .predicates import parse_predicate, parse_sort_spec
 from .rd_engine import execute_tree, node
 from .script import bind_script
@@ -73,7 +76,7 @@ class Catalog:
             return f.read()
 
     def load_table(self, name: str) -> Relation:
-        return relation_from_csv(self._read(name, "relational"))
+        return relation_from_csv(self._read(name, "relational"), name=name)
 
     def load_collection(self, name: str) -> Collection:
         return collection_from_jsonl(self._read(name, "document"), name)
@@ -105,7 +108,7 @@ class Catalog:
             text = f.read()
         os.makedirs(self.data_dir, exist_ok=True)
         if fmt == "csv":
-            rel = relation_from_csv(text)
+            rel = relation_from_csv(text, name=name)
             dst = self.path(name, "relational")
             payload = relation_to_csv(rel)
         elif fmt == "jsonl":
@@ -146,7 +149,6 @@ class Engine:
         self.catalog = Catalog(self.config.data_dir)
         self.pool = BufferPool(self.config.buffer_bytes)
         self.join_stats: list[JoinStats] = []
-        self._datasets: dict[tuple[str, str], object] = {}
 
     # -- entry points ------------------------------------------------------
 
@@ -167,7 +169,7 @@ class Engine:
     def run_plan(self, plan: LogicalPlan, target: int):
         pd = partition(plan)
         reg: dict[str, object] = {}
-        live = _Liveness(plan, target, reg)
+        live = _Liveness(plan, target, reg, pd)
         try:
             for part in topo_order(pd):
                 try:
@@ -181,14 +183,17 @@ class Engine:
                 if isinstance(value, StoredArray):
                     value.release()
             raise
+        finally:
+            live.datasets.clear()  # a held traceback keeps `live` alive
 
     # -- per-partition dispatch ---------------------------------------------
 
     def _run_partition(self, plan: LogicalPlan, part: Partition, reg: dict,
                        live: _Liveness):
         if part.model in ("relational", "document"):
-            self._run_rd_partition(plan, part, reg)
+            self._run_rd_partition(plan, part, reg, live)
             live.ran(part.node_ids)
+            live.scanned(part)
         elif part.model == "array":
             for nid in sorted(part.node_ids):  # inputs have lower ids
                 reg[alias_key(nid)] = self._array_node(plan.node(nid), reg)
@@ -198,13 +203,14 @@ class Engine:
             reg[alias_key(nid)] = self._bridge_node(plan.node(nid), reg)
             live.ran((nid,))
 
-    def _run_rd_partition(self, plan, part, reg):
+    def _run_rd_partition(self, plan, part, reg, live):
         scope = dict(reg)
-        for nid in part.node_ids:
-            n = plan.node(nid)
-            if n.op == "scan":
-                scope[n.params["name"]] = self._dataset(n.params["name"],
-                                                        n.model)
+        for model, name in _scans(plan, part):
+            if (model, name) not in live.datasets:
+                load = (self.catalog.load_table if model == "relational"
+                        else self.catalog.load_collection)
+                live.datasets[model, name] = load(name)
+            scope[name] = live.datasets[model, name]
         # nodes other partitions read must materialize under their alias keys
         cons = plan.consumers()
         exports = [nid for nid in part.node_ids
@@ -214,14 +220,6 @@ class Engine:
             value = execute_tree(_rd_tree(tree), scope)
             scope[key] = reg[key] = value
         reg[alias_key(part.output_node)] = execute_tree(_rd_tree(main), scope)
-
-    def _dataset(self, name: str, model: str):
-        key = (model, name)
-        if key not in self._datasets:
-            load = (self.catalog.load_table if model == "relational"
-                    else self.catalog.load_collection)
-            self._datasets[key] = load(name)
-        return self._datasets[key]
 
     def _array_node(self, n, reg) -> StoredArray:
         ins = [reg[alias_key(i)] for i in n.inputs]
@@ -266,14 +264,33 @@ class Engine:
         raise PlanError(f"unsupported inter-model operator {n.op!r}")
 
 
+def _scans(plan: LogicalPlan, part: Partition) -> set[tuple[str, str]]:
+    """(model, name) of each dataset a partition scans."""
+    return {(n.model, n.params["name"]) for n in map(plan.node, part.node_ids)
+            if n.op == "scan"}
+
+
 class _Liveness:
     """Remaining consumers per plan node; frees a node's registry entry once
-    none is left."""
+    none is left.  Likewise the datasets the run has loaded: each is loaded
+    at most once per run and dropped after the last partition that scans
+    it."""
 
-    def __init__(self, plan: LogicalPlan, target: int, reg: dict):
+    def __init__(self, plan: LogicalPlan, target: int, reg: dict,
+                 pd: PartitionDag):
         self.plan, self.target, self.reg = plan, target, reg
         self.remaining = {nid: len(set(cs))
                           for nid, cs in plan.consumers().items()}
+        self.datasets: dict[tuple[str, str], object] = {}
+        self.scans = Counter(key for part in pd.partitions
+                             for key in _scans(plan, part))
+
+    def scanned(self, part: Partition) -> None:
+        """`part` has run: drop each dataset no later partition scans."""
+        for key in _scans(self.plan, part):
+            self.scans[key] -= 1
+            if self.scans[key] == 0:
+                self.datasets.pop(key, None)
 
     def ran(self, nids) -> None:
         """`nids` have run: each of their inputs has one consumer fewer, and

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
 
-from .errors import PathError
+from .errors import DataFormatError, PathError
 
 __all__ = [
     "ABSENT",
@@ -39,7 +40,6 @@ __all__ = [
     "relation_from_csv",
     "collection_to_jsonl",
     "collection_from_jsonl",
-    "infer_type",
     "infer_column_type",
     "tile_extent",
 ]
@@ -326,19 +326,48 @@ def _cell_to_text(v) -> str:
     return str(v)
 
 
-def _cell_from_text(text: str, vt: ValueType):
-    if text == "":
-        return None
-    k = vt.kind
-    if k in ("int", "uint"):
-        return int(text)
-    if k == "float":
-        return float(text)
-    if k == "bool":
-        return text.strip().lower() == "true"
-    if k in ("list", "doc"):
-        return json.loads(text)
-    return text
+def _strict_bool(text: str) -> bool:
+    s = text.strip().lower()
+    if s == "true":
+        return True
+    if s == "false":
+        return False
+    raise ValueError(f"not a bool: {text!r}")
+
+
+# cell text -> value for a declared type; an empty cell is null whatever the
+# type, and a string cell is its text
+_FROM_TEXT = {
+    "int": int,
+    "uint": int,
+    "float": float,
+    "bool": lambda t: t.strip().lower() == "true",
+    "list": json.loads,
+    "doc": json.loads,
+}
+
+
+def _convert(col: list[str], conv) -> list:
+    """``conv`` over a column of cell texts, None for each empty cell."""
+    if conv is None:  # string
+        return [t or None for t in col] if "" in col else col
+    if "" in col:
+        return [None if t == "" else conv(t) for t in col]
+    return list(map(conv, col))
+
+
+def _infer_column(col: list[str]) -> tuple[ValueType, list]:
+    """Type and values of a column: the first of bool, int and float that
+    converts every non-empty cell, else string (also for no such cell).
+    The conversion that succeeds is the type check, so no cell is parsed
+    again once its type is known."""
+    if any(col):
+        for vt, conv in ((BOOL, _strict_bool), (INT, int), (FLOAT, float)):
+            try:
+                return vt, _convert(col, conv)
+            except ValueError:
+                pass
+    return STRING, _convert(col, None)
 
 
 def relation_to_csv(rel: Relation) -> str:
@@ -349,28 +378,6 @@ def relation_to_csv(rel: Relation) -> str:
     for row in rel.rows:
         w.writerow([_cell_to_text(v) for v in row])
     return buf.getvalue()
-
-
-def infer_type(texts: list[str]) -> ValueType:
-    """Cheapest type that parses every non-empty sample."""
-    seen = [t for t in texts if t != ""]
-    if not seen:
-        return STRING
-    if all(t.strip().lower() in ("true", "false") for t in seen):
-        return BOOL
-    try:
-        for t in seen:
-            int(t)
-        return INT
-    except ValueError:
-        pass
-    try:
-        for t in seen:
-            float(t)
-        return FLOAT
-    except ValueError:
-        pass
-    return STRING
 
 
 def infer_column_type(values) -> ValueType:
@@ -403,24 +410,87 @@ def infer_column_type(values) -> ValueType:
     return STRING
 
 
-def relation_from_csv(text: str, schema: list[tuple[str, ValueType]] | None = None) -> Relation:
-    """Parse canonical CSV. Without a declared schema, column types are
-    inferred from the data (int, then float, then bool, else string)."""
-    rows_raw = list(csv.reader(io.StringIO(text)))
-    if not rows_raw:
-        raise ValueError("CSV needs at least a header row")
-    header, body = rows_raw[0], rows_raw[1:]
+# rows taken from csv.reader at a time: only one chunk of row lists is held
+# beside the column lists they are moved into
+_CSV_CHUNK = 4096
+
+
+def _csv_row_line(text: str, index: int) -> int:
+    """1-based first line of the index-th non-blank CSV row (0 is the
+    header): the error path's way from a row back to its line."""
+    reader = csv.reader(io.StringIO(text))
+    start = 1
+    for row in reader:
+        if row:
+            if index == 0:
+                return start
+            index -= 1
+        start = reader.line_num + 1
+    raise IndexError(index)
+
+
+def relation_from_csv(text: str,
+                      schema: list[tuple[str, ValueType]] | None = None,
+                      name: str = "") -> Relation:
+    """Parse canonical CSV a column at a time.
+
+    Blank lines are skipped; every other row must have as many fields as
+    the header.  An empty cell is null.  Without a declared schema each
+    column's type is inferred (bool, then int, then float, else string).
+    Malformed text raises DataFormatError with ``name`` and the 1-based
+    line of the offending row.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = filter(None, reader)  # csv yields [] for a blank line
+        header = next(rows, None)
+        if header is None:
+            raise DataFormatError("CSV needs at least a header row", name, 1)
+        if len(set(header)) != len(header):
+            raise DataFormatError(f"duplicate column names in {header}",
+                                  name, reader.line_num)
+        if schema is not None and [n for n, _ in schema] != header:
+            raise DataFormatError("declared schema does not match CSV header",
+                                  name, reader.line_num)
+        ncols = len(header)
+        cols: list[list[str]] = [[] for _ in header]
+        n = 0
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            if set(map(len, chunk)) != {ncols}:
+                bad = next(i for i, r in enumerate(chunk) if len(r) != ncols)
+                raise DataFormatError(f"{len(chunk[bad])} fields, header has "
+                                      f"{ncols}", name,
+                                      _csv_row_line(text, n + bad + 1))
+            for col, cells in zip(cols, zip(*chunk)):
+                col.extend(cells)
+            n += len(chunk)
+    except csv.Error as e:
+        raise DataFormatError(str(e), name, reader.line_num) from None
     if schema is None:
-        cols = list(zip(*body)) if body else [[] for _ in header]
-        schema = [
-            (name, infer_type(list(col))) for name, col in zip(header, cols)
-        ]
+        schema = []
+        for j, hname in enumerate(header):
+            vt, cols[j] = _infer_column(cols[j])
+            schema.append((hname, vt))
     else:
-        if [n for n, _ in schema] != header:
-            raise ValueError("declared schema does not match CSV header")
-    types = [vt for _, vt in schema]
-    rows = [tuple(_cell_from_text(t, vt) for t, vt in zip(r, types)) for r in body]
-    return Relation(schema, rows)
+        for j, (hname, vt) in enumerate(schema):
+            conv = _FROM_TEXT.get(vt.kind)
+            try:
+                cols[j] = _convert(cols[j], conv)
+            except ValueError:
+                bad = next(i for i, t in enumerate(cols[j])
+                           if not _converts(conv, t))
+                raise DataFormatError(f"column {hname!r}: {cols[j][bad]!r} is "
+                                      f"not {vt}", name,
+                                      _csv_row_line(text, bad + 1)) from None
+    return Relation(schema, list(zip(*cols)))
+
+
+def _converts(conv, text: str) -> bool:
+    try:
+        conv(text)
+    except ValueError:
+        return False
+    return True
 
 
 def collection_to_jsonl(col: Collection) -> str:
@@ -428,5 +498,31 @@ def collection_to_jsonl(col: Collection) -> str:
 
 
 def collection_from_jsonl(text: str, name: str = "") -> Collection:
-    docs = [json.loads(line) for line in text.splitlines() if line.strip()]
+    """One JSON object per line.
+
+    Lines split on "\\n" only, so U+2028, U+0085 and the other breaks that
+    ``str.splitlines`` knows stay inside a string.  Blank lines are skipped
+    and " \\t\\r" around a line is ignored.  A line that is not exactly one
+    JSON object raises DataFormatError with ``name`` and its 1-based line.
+    """
+    scan = json.JSONDecoder().scan_once  # json.loads' C scanner
+    docs = []
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip(" \t\r")
+        if not line:
+            continue
+        try:
+            doc, end = scan(line, 0)
+        except StopIteration as e:
+            msg, pos = "Expecting value", e.value
+        except json.JSONDecodeError as e:
+            msg, pos = e.msg, e.pos
+        else:
+            if end == len(line) and type(doc) is dict:
+                docs.append(doc)
+                continue
+            msg, pos = (("Extra data", end) if end != len(line) else
+                        (f"a JSON {type(doc).__name__}, not an object", 0))
+        col = len(raw) - len(raw.lstrip(" \t\r")) + pos + 1
+        raise DataFormatError(f"{msg} (column {col})", name, lineno)
     return Collection(name, docs)

@@ -4,12 +4,14 @@ consumer, pins are released on error, and spill files do not outlive a run."""
 from __future__ import annotations
 
 import os
+import weakref
 from collections import Counter
 
 import pytest
 
 from multimodel import Engine, EngineConfig
 from multimodel.array_store import StoredArray, Tile
+from multimodel.executor import Catalog
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
 with open(os.path.join(DATA, "recommend.m2s"), encoding="utf-8") as _f:
@@ -162,3 +164,63 @@ def test_operator_failing_mid_build_deletes_its_partial_spill(
     assert inside in [e.name for e in failure.traceback]
     assert os.listdir(tmp_path) == []
     assert eng.pool.stats().resident_bytes == 0  # unspilled tiles freed too
+
+
+def test_rerun_after_ingest_reads_the_new_data(tmp_path):
+    src = tmp_path / "raw.csv"
+    src.write_text("k,v\n1,10\n2,20\n")
+    eng = Engine(EngineConfig(data_dir=str(tmp_path / "cat")))
+    eng.catalog.ingest("csv", str(src), "t")
+    script = "execute(openTable('t').sort('k'))"
+    assert eng.run(script).rows == [(1, 10), (2, 20)]
+    src.write_text("k,v\n7,70\n")
+    eng.catalog.ingest("csv", str(src), "t")
+    assert eng.run(script).rows == [(7, 70)]
+
+
+def test_each_dataset_is_loaded_once_per_run(tmp_path, monkeypatch):
+    (tmp_path / "t.csv").write_text("r,c,v\n0,0,1.5\n1,1,2.5\n")
+    loads = Counter()
+    load_table = Catalog.load_table
+
+    def counting(self, name):
+        loads[name] += 1
+        return load_table(self, name)
+
+    monkeypatch.setattr(Catalog, "load_table", counting)
+    # the table is scanned by the conversion's partition and again by the
+    # join's, which runs after the array partition in between
+    script = ("a = openTable('t').toArray({'r', 'c'}, {'v'})\n"
+              "b = a + a\n"
+              "execute(b.join(openTable('t'), 't.r = b.r AND t.c = b.c', "
+              "RELATIONAL))\n")
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    first = eng.run(script)
+    assert loads["t"] == 1 and len(first.rows) == 2
+    eng.run(script)
+    assert loads["t"] == 2  # a new run loads again
+
+
+def test_dataset_is_freed_after_the_last_partition_that_scans_it(
+        tmp_path, monkeypatch):
+    loaded = {}
+    load_collection = Catalog.load_collection
+
+    def keep_ref(self, name):
+        col = load_collection(self, name)
+        loaded[name] = weakref.ref(col)
+        return col
+
+    alive_at_conversion = {}
+    bridge_node = Engine._bridge_node
+
+    def check(self, n, reg):
+        if n.op == "to_array":  # the ratings partition has run
+            alive_at_conversion.update(
+                (name, ref() is not None) for name, ref in loaded.items())
+        return bridge_node(self, n, reg)
+
+    monkeypatch.setattr(Catalog, "load_collection", keep_ref)
+    monkeypatch.setattr(Engine, "_bridge_node", check)
+    engine(tmp_path, default_tile=4).run(RECOMMEND)
+    assert alive_at_conversion == {"review": False, "order": False}

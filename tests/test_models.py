@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from multimodel.errors import PathError
+from multimodel.cli import main
+from multimodel.errors import DataFormatError, EngineError, PathError
 from multimodel.models import (
+    _CSV_CHUNK,
     ABSENT,
+    BOOL,
+    FLOAT,
     INT,
     STRING,
     Collection,
@@ -16,7 +25,6 @@ from multimodel.models import (
     collection_to_jsonl,
     dot_get,
     dot_set,
-    infer_type,
     relation_from_csv,
     relation_to_csv,
     validate_relation,
@@ -165,6 +173,10 @@ def test_csv_infers_types_without_schema():
 
 
 def test_infer_type_order():
+    def infer_type(texts):
+        text = "c\n" + "".join(f"{t}\n" for t in texts)
+        return relation_from_csv(text).schema[0][1]
+
     assert infer_type(["true", "false"]).kind == "bool"
     assert infer_type(["3", "4"]).kind == "int"
     assert infer_type(["3", "4.5"]).kind == "float"
@@ -182,3 +194,212 @@ def test_jsonl_round_trip_preserves_order():
 def test_value_type_parse_round_trip():
     for s in ["int", "uint", "float", "string", "bool", "list<int>", "doc"]:
         assert str(ValueType.parse(s)) == s
+
+
+# ------------------------------------------------------- loader reference
+
+def _ref_infer_type(texts):
+    seen = [t for t in texts if t != ""]
+    if not seen:
+        return STRING
+    if all(t.strip().lower() in ("true", "false") for t in seen):
+        return BOOL
+    for vt, conv in ((INT, int), (FLOAT, float)):
+        try:
+            for t in seen:
+                conv(t)
+            return vt
+        except ValueError:
+            pass
+    return STRING
+
+
+def _ref_cell(text, vt):
+    if text == "":
+        return None
+    k = vt.kind
+    if k in ("int", "uint"):
+        return int(text)
+    if k == "float":
+        return float(text)
+    if k == "bool":
+        return text.strip().lower() == "true"
+    if k in ("list", "doc"):
+        return json.loads(text)
+    return text
+
+
+def reference_relation_from_csv(text, schema=None):
+    """The row-wise parser the column-wise loader replaced: every cell
+    typed on its own.  Holds for rectangular CSV without blank lines."""
+    rows_raw = list(csv.reader(io.StringIO(text)))
+    if not rows_raw:
+        raise ValueError("CSV needs at least a header row")
+    header, body = rows_raw[0], rows_raw[1:]
+    if schema is None:
+        cols = list(zip(*body)) if body else [[] for _ in header]
+        schema = [(n, _ref_infer_type(list(c))) for n, c in zip(header, cols)]
+    elif [n for n, _ in schema] != header:
+        raise ValueError("declared schema does not match CSV header")
+    types = [vt for _, vt in schema]
+    rows = [tuple(_ref_cell(t, vt) for t, vt in zip(r, types)) for r in body]
+    return Relation(schema, rows)
+
+
+# cell texts chosen to sit on the borders of the inference order
+CELLS = ["", "0", "-0", "7", " 3 ", "1_000", "-12", "1.5", "1e3", "nan",
+         "-inf", "inf", "true", "FALSE", " True", "tRuE ", "x", "a,b",
+         "line\nbreak", 'say "hi"', "[1, 2]", "{}", "\u00e9"]
+ROW_COUNTS = [0, 1, 2, 5, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV with a unique header; its body repeats a few drawn rows up to a
+    row count around the chunk size and ends in one more drawn row, so a
+    column can change type in its very last cell."""
+    ncols = draw(st.integers(1, 4))
+    cell = st.sampled_from(CELLS) | st.text(
+        st.characters(codec="utf-8"), max_size=4)
+    row = st.lists(cell, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    n = draw(st.sampled_from(ROW_COUNTS))
+    body = [base[i % len(base)] for i in range(n - 1)]
+    if n:
+        body.append(draw(row))
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow([f"c{j}" for j in range(ncols)])
+    for r in body:
+        # a lone empty field is written quoted, so no row is a blank line
+        w.writerow(r)
+    return buf.getvalue()
+
+
+def _same(a, b):
+    # repr tells nan, -0.0, 1 from 1.0 and True from 1 apart, as == does not
+    assert a.schema == b.schema
+    assert repr(a.rows) == repr(b.rows)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(csv_texts(), st.data())
+def test_csv_loader_matches_row_wise_reference(text, data):
+    expect = reference_relation_from_csv(text)
+    _same(relation_from_csv(text), expect)
+    # the same text under a declared schema, which may not fit the cells
+    declared = [(n, data.draw(st.sampled_from(
+        [vt, STRING, BOOL, INT, FLOAT, ValueType("list")])))
+        for n, vt in expect.schema]
+    try:
+        expect = reference_relation_from_csv(text, declared)
+    except ValueError:
+        with pytest.raises(DataFormatError):
+            relation_from_csv(text, declared)
+    else:
+        _same(relation_from_csv(text, declared), expect)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a,b\n1,2\n3\n", 3),      # short row: column b was lost
+    ("a,b\n1,2\n3,4,5\n", 3),  # long row: the 5 was dropped
+    ('a,b\n"x\ny",2\n\n1\n', 5),  # line counts a quoted break and a blank
+])
+def test_ragged_csv_row_is_rejected_with_its_line(tmp_path, capsys, text,
+                                                 line):
+    with pytest.raises(DataFormatError) as e:
+        relation_from_csv(text, name="t")
+    assert e.value.line == line and e.value.name == "t"
+    assert isinstance(e.value, EngineError) and isinstance(e.value, ValueError)
+    src = tmp_path / "raw.csv"
+    src.write_text(text)
+    assert main(["ingest", "csv", str(src), "--as", "t",
+                 "--data", str(tmp_path / "cat")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {e.value}"]
+    assert not (tmp_path / "cat" / "t.csv").exists()
+
+
+def test_blank_csv_lines_are_skipped(tmp_path, capsys):
+    text = "a,b\n\n1,2\n\n"
+    rel = relation_from_csv(text)
+    assert rel.attr_names == ["a", "b"] and rel.rows == [(1, 2)]
+    src = tmp_path / "raw.csv"
+    src.write_text(text)
+    assert main(["ingest", "csv", str(src), "--as", "t",
+                 "--data", str(tmp_path)]) == 0
+    assert (tmp_path / "t.csv").read_text() == "a,b\n1,2\n"
+
+
+@pytest.mark.parametrize("text, schema, line", [
+    ("", None, 1),
+    ("a,a\n1,2\n", None, 1),
+    ("a,b\n1,2\n", [("a", INT)], 1),
+    ("a\n1\n\n2\nx\n", [("a", INT)], 5),
+    ("a\n[1]\n[2,\n", [("a", ValueType("list"))], 3),
+])
+def test_csv_errors_name_the_line(text, schema, line):
+    with pytest.raises(DataFormatError, match=f"line {line}:") as e:
+        relation_from_csv(text, schema)
+    assert e.value.line == line
+
+
+@pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\u0085"])
+def test_jsonl_round_trip_keeps_line_separators_inside_strings(ch):
+    col = Collection("x", [{"s": f"a{ch}b"}, {"t": ch}])
+    text = collection_to_jsonl(col)
+    assert ch in text  # written raw, not escaped
+    assert collection_from_jsonl(text, "x").docs == col.docs
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ('{"a": 1}\n{"a": }\n', 2, r"Expecting value \(column 7\)"),
+    ('{"a": 1}\n\n  {"a": 1} {"b": 2}\n', 3, r"Extra data \(column 11\)"),
+    ('{"a": 1}\n3\n', 2, "a JSON int, not an object"),
+    ('[1, 2]\n', 1, "a JSON list, not an object"),
+    ('{"a": 1}\r\n"x"\r\n', 2, "a JSON str, not an object"),
+    ('{"a": 1}\n\u00a0\n', 2, r"Expecting value \(column 1\)"),
+])
+def test_bad_jsonl_line_is_rejected_with_its_line(text, line, what):
+    with pytest.raises(DataFormatError, match=what) as e:
+        collection_from_jsonl(text, "c")
+    assert e.value.line == line and e.value.name == "c"
+    assert isinstance(e.value, EngineError) and isinstance(e.value, ValueError)
+
+
+def test_bad_jsonl_in_a_run_is_one_line_naming_partition_and_line(
+        tmp_path, capsys):
+    (tmp_path / "ev.jsonl").write_text('{"k": 1}\n{"k": 1,}\n')
+    script = tmp_path / "q.m2s"
+    script.write_text("execute(openCollection('ev').filter('k = 1'))\n")
+    assert main(["run", str(script), "--data", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: dataset 'ev', line 2: ")
+    assert err[0].endswith("(partition 0)")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(codec="utf-8")),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.dictionaries(st.text(max_size=4), json_values, max_size=4),
+    st.sampled_from(["", " ", "\t", "\r", " \r"]),
+    st.booleans(), st.booleans()), max_size=8))
+def test_jsonl_loader_matches_json_loads_per_line(lines):
+    """Padding, CRLF endings, blank lines and non-ASCII text, written as
+    collection_to_jsonl would and as ASCII escapes."""
+    parts = []
+    for doc, pad, ascii_only, blank_after in lines:
+        parts.append(pad + json.dumps(doc, ensure_ascii=ascii_only) + pad)
+        if blank_after:
+            parts.append(pad)
+    text = "\n".join(parts)
+    expect = [json.loads(p) for p in parts if p.strip(" \t\r")]
+    assert repr(collection_from_jsonl(text).docs) == repr(expect)
