@@ -327,12 +327,8 @@ def _cell_to_text(v) -> str:
 
 
 def _strict_bool(text: str) -> bool:
-    s = text.strip().lower()
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    raise ValueError(f"not a bool: {text!r}")
+    # ValueError unless the text is true or false
+    return bool(("false", "true").index(text.strip().lower()))
 
 
 # cell text -> value for a declared type; an empty cell is null whatever the
