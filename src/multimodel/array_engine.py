@@ -52,10 +52,6 @@ def _merge_schema(a: CellSchema, b: CellSchema) -> CellSchema:
     return CellSchema(dims, attrs, a.attr_types)
 
 
-def _fix_layout(layout: str, d: int) -> str:
-    return layout if layout != "csr" or d == 2 else "coo"
-
-
 def _auto_schema(d: int) -> CellSchema:
     return CellSchema(tuple(f"dim{i}" for i in range(d)), ("value",),
                       (ValueType("float"),))
@@ -118,7 +114,7 @@ def ewise(op: str, a: StoredArray, b: StoredArray, *, name: str = "") -> StoredA
     sch = _merge_schema(a.meta.schema, b.meta.schema)
     sch = CellSchema(sch.dim_names, sch.attr_names, (ValueType(kind),))
     meta = ArrayMeta(sch, a.meta.size, a.meta.tile_size,
-                     layout=_fix_layout(a.meta.layout, a.meta.d))
+                     layout=a.meta.layout)
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
 
     if op == "*":
@@ -254,7 +250,7 @@ def spatial_join_array(a: StoredArray, b: StoredArray, *, name: str = "") -> Sto
     sch = CellSchema(sa.dim_names, tuple(names),
                      tuple(sa.attr_types) + tuple(sb.attr_types))
     meta = ArrayMeta(sch, a.meta.size, a.meta.tile_size,
-                     layout=_fix_layout(a.meta.layout, a.meta.d))
+                     layout=a.meta.layout)
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
     with out.release_on_error():
         for tc in sorted(set(a.tile_coords()) & set(b.tile_coords())):

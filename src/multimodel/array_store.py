@@ -1,10 +1,13 @@
 """Tiled array storage.
 
-Arrays are partitioned into fixed-size rectangular tiles, each stored in one
-of three layouts: dense (positional values plus a validity mask, coordinates
-implicit, every value zero where the mask is false), sorted-COO (cell
-coordinates sorted lexicographically, binary searched), or CSR (2-D only: row
-pointers + column indices). Tiles are the unit of I/O: readers pin a tile
+Arrays are partitioned into fixed-size rectangular tiles. A tile holds an
+``index`` and one ``values`` array per attribute. A dense tile's index is a
+validity mask over the tile box and its values are box-shaped blocks, zero
+where the mask is false. A sparse tile's index is the strictly increasing
+row-major keys of its cells within the box, binary searched, and each value
+column lines up with it. Sparse tiles have two byte encodings, which is all
+that tells them apart: COO (cell coordinates) and CSR (2-D only: row pointers
++ column indices). Tiles are the unit of I/O: readers pin a tile
 through the shared buffer pool, which makes it non-evictable until unpinned;
 dirty tiles spill to disk on eviction. ``release()`` frees a whole array: its
 tiles leave the pool without being spilled and its spill file is deleted.
@@ -75,52 +78,27 @@ def _linearize(cc: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
 
 
 class Tile:
-    """One tile of an array. Payload depends on layout; see module docstring."""
+    """One tile of an array: its layout and two payload attributes, ``index``
+    and ``values``; see the module docstring."""
 
-    def __init__(self, tc, layout, ts, attr_dtypes):
+    def __init__(self, tc, layout, ts, attr_dtypes, index, values):
         self.tc = tuple(int(x) for x in tc)
         self.layout = layout
         self.ts = tuple(ts)
         self.attr_dtypes = list(attr_dtypes)
-        # dense
-        self.mask = None
-        self.dense_values: list[np.ndarray] | None = None
-        # coo
-        self.coords = None
-        self.keys = None
-        self.coo_values: list[np.ndarray] | None = None
-        # csr
-        self.indptr = None
-        self.cols = None
-        self.csr_values: list[np.ndarray] | None = None
-        self._csr_keys = None
+        self.index: np.ndarray = index
+        self.values: list[np.ndarray] = values
 
     # -- introspection ----------------------------------------------------
 
-    @property
-    def d(self) -> int:
-        return len(self.ts)
-
     def cell_count(self) -> int:
         if self.layout == "dense":
-            return int(self.mask.sum())
-        if self.layout == "coo":
-            return len(self.keys)
-        return len(self.cols)
+            return int(np.count_nonzero(self.index))
+        return len(self.index)
 
     @property
     def nbytes(self) -> int:
-        total = 64
-        for a in self._arrays():
-            total += a.nbytes
-        return total
-
-    def _arrays(self):
-        if self.layout == "dense":
-            return [self.mask, *self.dense_values]
-        if self.layout == "coo":
-            return [self.coords, *self.coo_values]
-        return [self.indptr, self.cols, *self.csr_values]
+        return 64 + self.index.nbytes + sum(v.nbytes for v in self.values)
 
     # -- batch access -----------------------------------------------------
 
@@ -128,96 +106,79 @@ class Tile:
         """Batch probe: cc is (k, d). Returns (found bool array, value arrays);
         value entries where found is False are meaningless."""
         k = len(cc)
-        if k == 0:
-            return (np.zeros(0, dtype=bool),
-                    [np.zeros(0, dt) for dt in self.attr_dtypes])
-        if self.layout == "dense":
-            idx = tuple(cc[:, i] for i in range(self.d))
-            found = self.mask[idx]
-            return found, [v[idx] for v in self.dense_values]
-        if self.layout == "coo":
-            keys, table, values = _linearize(cc, self.ts), self.keys, self.coo_values
-        else:
-            if self._csr_keys is None:
-                self._csr_keys = _linearize(self.cells()[0], self.ts)
-            keys, table, values = _linearize(cc, self.ts), self._csr_keys, self.csr_values
-        if len(table) == 0:
+        if self.layout == "dense" and k:
+            idx = tuple(cc.T)
+            return self.index[idx], [v[idx] for v in self.values]
+        if k == 0 or len(self.index) == 0:
             return (np.zeros(k, dtype=bool),
                     [np.zeros(k, dt) for dt in self.attr_dtypes])
-        pos = np.searchsorted(table, keys)
-        inside = pos < len(table)
-        pos_c = np.where(inside, pos, 0)
-        found = inside & (table[pos_c] == keys)
-        return found, [v[pos_c] for v in values]
+        keys = _linearize(cc, self.ts)
+        pos = np.minimum(np.searchsorted(self.index, keys), len(self.index) - 1)
+        return self.index[pos] == keys, [v[pos] for v in self.values]
 
     def cells(self):
         """All cells as (coords (M,d) ascending lexicographic, value arrays)."""
         if self.layout == "dense":
-            cc = np.argwhere(self.mask)  # C-order scan == lexicographic
-            idx = tuple(cc[:, i] for i in range(self.d))
-            return cc.astype(np.uint64), [v[idx] for v in self.dense_values]
-        if self.layout == "coo":
-            return self.coords, self.coo_values
-        rows = np.repeat(np.arange(self.ts[0], dtype=np.uint64),
-                         np.diff(self.indptr).astype(np.int64))
-        cc = np.stack([rows, self.cols.astype(np.uint64)], axis=1)
-        return cc, self.csr_values
+            keys = np.flatnonzero(self.index)  # C-order scan == lexicographic
+            return _delinearize(keys, self.ts), [v.reshape(-1)[keys] for v in self.values]
+        return _delinearize(self.index, self.ts), self.values
 
     def to_scratch(self):
         """(mask over the full ts, value arrays), values zero where the mask
         is false. A dense tile returns read-only views of its own blocks;
         coo/csr tiles scatter their cells into fresh ones."""
         if self.layout == "dense":
-            return _readonly(self.mask), [_readonly(v) for v in self.dense_values]
-        return _scatter(self.ts, self.attr_dtypes, *self.cells())
+            return _readonly(self.index), [_readonly(v) for v in self.values]
+        return _scatter(self.ts, self.attr_dtypes, self.index, self.values)
 
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """The cell count (coo/csr only), then each of ``_arrays()`` in
-        order, little-endian."""
-        head = b"" if self.layout == "dense" else struct.pack("<Q", self.cell_count())
+        """Dense: the mask, then each value block. COO: the cell count, the
+        (M, d) coordinates, then each value column. CSR: the cell count,
+        ts[0]+1 row pointers, the column indices, then each value column.
+        All little-endian."""
+        if self.layout == "dense":
+            head, arrays = b"", [self.index]
+        else:
+            head = struct.pack("<Q", len(self.index))
+            if self.layout == "coo":
+                arrays = [_delinearize(self.index, self.ts)]
+            else:
+                rows, cols = np.divmod(self.index, np.uint64(self.ts[1]))
+                starts = np.arange(self.ts[0] + 1, dtype=np.uint64)
+                arrays = [np.searchsorted(rows, starts).astype(np.uint64), cols]
         return head + b"".join(
             np.ascontiguousarray(a, a.dtype.newbyteorder("<")).tobytes()
-            for a in self._arrays())
+            for a in [*arrays, *self.values])
 
     @staticmethod
     def from_bytes(buf: bytes, tc, layout, ts, attr_dtypes) -> "Tile":
-        t = Tile(tc, layout, ts, attr_dtypes)
-        n_box = math.prod(ts)
-        off = 0
         if layout == "dense":
-            t.mask = np.frombuffer(buf, "|b1", n_box, off).reshape(ts).copy()
-            off += n_box
-            t.dense_values = []
-            for dt in attr_dtypes:
-                t.dense_values.append(
-                    np.frombuffer(buf, dt, n_box, off).reshape(ts).copy()
-                )
-                off += n_box * dt.itemsize
-        elif layout == "coo":
-            (m,) = struct.unpack_from("<Q", buf, off)
-            off += 8
-            d = len(ts)
-            t.coords = np.frombuffer(buf, "<u8", m * d, off).reshape(m, d).copy()
-            off += m * d * 8
-            t.coo_values = []
-            for dt in attr_dtypes:
-                t.coo_values.append(np.frombuffer(buf, dt, m, off).copy())
-                off += m * dt.itemsize
-            t.keys = _linearize(t.coords, ts)
+            shape = ts
+            index = np.frombuffer(buf, "|b1", math.prod(ts)).reshape(ts).copy()
+            off = index.nbytes
         else:
-            (m,) = struct.unpack_from("<Q", buf, off)
-            off += 8
-            t.indptr = np.frombuffer(buf, "<u8", ts[0] + 1, off).copy()
-            off += (ts[0] + 1) * 8
-            t.cols = np.frombuffer(buf, "<u8", m, off).copy()
-            off += m * 8
-            t.csr_values = []
-            for dt in attr_dtypes:
-                t.csr_values.append(np.frombuffer(buf, dt, m, off).copy())
-                off += m * dt.itemsize
-        return t
+            (m,) = struct.unpack_from("<Q", buf)
+            off = 8
+            if layout == "coo":
+                coords = np.frombuffer(buf, "<u8", m * len(ts), off).reshape(m, len(ts))
+                off += coords.nbytes
+                index = _linearize(coords, ts)
+            else:
+                indptr = np.frombuffer(buf, "<u8", ts[0] + 1, off)
+                cols = np.frombuffer(buf, "<u8", m, off + indptr.nbytes)
+                off += indptr.nbytes + cols.nbytes
+                rows = np.repeat(np.arange(ts[0], dtype=np.uint64),
+                                 np.diff(indptr).astype(np.int64))
+                index = rows * np.uint64(ts[1]) + cols
+            shape = (m,)
+        values = []
+        for dt in attr_dtypes:
+            values.append(np.frombuffer(buf, dt, math.prod(shape), off)
+                          .reshape(shape).copy())
+            off += values[-1].nbytes
+        return Tile(tc, layout, ts, attr_dtypes, index, values)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -226,14 +187,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _scatter(ts, attr_dtypes, cc, cols):
-    """Fresh ts-shaped (mask, value blocks) holding the cells at `cc` (M, d)."""
+def _delinearize(keys: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
+    """The (M, d) coordinates of row-major linear keys within the given box."""
+    return np.stack(np.unravel_index(keys, box), axis=1).astype(np.uint64)
+
+
+def _scatter(ts, attr_dtypes, keys, cols):
+    """Fresh ts-shaped (mask, value blocks) holding the cells at row-major
+    `keys`."""
     mask = np.zeros(ts, dtype=bool)
     values = [np.zeros(ts, dt) for dt in attr_dtypes]
-    idx = tuple(cc.T.astype(np.intp))
-    mask[idx] = True
+    mask.reshape(-1)[keys] = True
     for out, col in zip(values, cols):
-        out[idx] = col
+        out.reshape(-1)[keys] = col
     return mask, values
 
 
@@ -246,31 +212,21 @@ def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values) -> Tile:
             raise BoundsError(
                 f"cell coords outside valid extent {valid} of tile {tuple(tc)}"
             )
-    cols = [np.asarray(v, dtype=dt) for v, dt in zip(values, attr_dtypes)]
-    order = np.lexsort(cc.T[::-1])
-    cc = cc[order]
-    cols = [c[order] for c in cols]
-    keys = _linearize(cc, ts)
-    if len(keys) > 1 and (keys[1:] == keys[:-1]).any():
-        dup = cc[1:][keys[1:] == keys[:-1]][0]
-        raise DuplicateCellError(f"duplicate cell {tuple(int(x) for x in dup)} in tile {tuple(tc)}")
-    t = Tile(tc, layout, ts, attr_dtypes)
-    if layout == "dense":
-        t.mask, t.dense_values = _scatter(ts, attr_dtypes, cc, cols)
-    elif layout == "coo":
-        t.coords = cc.astype(np.uint64)
-        t.keys = keys
-        t.coo_values = cols
-    elif layout == "csr":
-        if len(ts) != 2:
-            raise InternalError("csr tiles are 2-D only")
-        counts = np.bincount(cc[:, 0], minlength=ts[0]) if len(cc) else np.zeros(ts[0], int)
-        t.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.uint64)
-        t.cols = cc[:, 1].astype(np.uint64)
-        t.csr_values = cols
-    else:
+    if layout not in ("dense", "coo", "csr"):
         raise InternalError(f"unknown layout {layout!r}")
-    return t
+    if layout == "csr" and len(ts) != 2:
+        raise InternalError("csr tiles are 2-D only")
+    keys = _linearize(cc, ts)
+    order = np.argsort(keys, kind="stable")  # row-major order == lexicographic
+    keys = keys[order]
+    cols = [np.asarray(v, dtype=dt)[order] for v, dt in zip(values, attr_dtypes)]
+    dup = keys[1:] == keys[:-1]
+    if dup.any():
+        first = cc[order[1:][dup][0]]
+        raise DuplicateCellError(f"duplicate cell {tuple(int(x) for x in first)} in tile {tuple(tc)}")
+    if layout == "dense":
+        return Tile(tc, layout, ts, attr_dtypes, *_scatter(ts, attr_dtypes, keys, cols))
+    return Tile(tc, layout, ts, attr_dtypes, keys, cols)
 
 
 def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
@@ -284,13 +240,12 @@ def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
     if np.count_nonzero(mask[tuple(slice(0, v) for v in valid)]) != np.count_nonzero(mask):
         raise BoundsError(f"cells outside valid extent {valid} of tile {tuple(tc)}")
     box = tuple(slice(0, n) for n in mask.shape)
-    t = Tile(tc, layout, ts, attr_dtypes)
-    t.mask = np.zeros(ts, dtype=bool)
-    t.mask[box] = mask
-    t.dense_values = [np.zeros(ts, dt) for dt in attr_dtypes]
-    for out, v in zip(t.dense_values, values):
+    index = np.zeros(ts, dtype=bool)
+    index[box] = mask
+    blocks = [np.zeros(ts, dt) for dt in attr_dtypes]
+    for out, v in zip(blocks, values):
         np.copyto(out[box], v, where=mask)
-    return t
+    return Tile(tc, layout, ts, attr_dtypes, index, blocks)
 
 
 # ---------------------------------------------------------------------------

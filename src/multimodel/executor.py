@@ -167,6 +167,7 @@ class Engine:
         return self.run_plan(plan, target)
 
     def run_plan(self, plan: LogicalPlan, target: int):
+        self.join_stats = []  # the joins of this run only
         pd = partition(plan)
         reg: dict[str, object] = {}
         live = _Liveness(plan, target, reg, pd)

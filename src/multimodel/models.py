@@ -331,11 +331,18 @@ def _strict_bool(text: str) -> bool:
     return bool(("false", "true").index(text.strip().lower()))
 
 
+def _uint(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise ValueError(f"{text!r} is negative")
+    return v
+
+
 # cell text -> value for a declared type; an empty cell is null whatever the
 # type, and a string cell is its text
 _FROM_TEXT = {
     "int": int,
-    "uint": int,
+    "uint": _uint,
     "float": float,
     "bool": lambda t: t.strip().lower() == "true",
     "list": json.loads,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 
@@ -86,16 +87,39 @@ def test_coo_sorted_even_with_shuffled_input():
     coords, vals = t.cells()
     assert [tuple(x) for x in coords] == [(0, 1), (0, 3), (1, 0), (2, 1)]
     assert list(vals[0]) == [4, 2, 3, 1]
-    assert (t.keys[1:] > t.keys[:-1]).all()  # strictly increasing
+    assert (t.index[1:] > t.index[:-1]).all()  # strictly increasing keys
 
 
 def test_csr_row_pointer_invariant():
     cc = [(0, 2), (0, 4), (2, 1)]
     t = make_tile((0, 0), (4, 5), (4, 5), [I8], "csr", cc, [[1, 2, 3]])
-    assert len(t.indptr) == 5  # TS_0 + 1
-    assert (np.diff(t.indptr.astype(np.int64)) >= 0).all()
+    buf = t.to_bytes()  # cell count, then TS_0 + 1 row pointers
+    indptr = np.frombuffer(buf, "<u8", 5, 8)
+    assert len(buf) == 8 + 5 * 8 + 3 * 8 + 3 * 8
+    assert (np.diff(indptr.astype(np.int64)) >= 0).all()
+    assert list(indptr) == [0, 2, 2, 3, 3]
     assert cell(t, (0, 4)) == (2,)
     assert cell(t, (1, 0)) is ABSENT
+
+
+def _held_bytes(tile) -> int:
+    return 64 + sum(a.nbytes for v in vars(tile).values()
+                    for a in (v if isinstance(v, list) else [v])
+                    if isinstance(a, np.ndarray))
+
+
+@pytest.mark.parametrize("layout", ["dense", "coo", "csr"])
+def test_nbytes_counts_every_array_a_tile_holds(layout):
+    cc = [(0, 2), (0, 4), (2, 1), (3, 3)]
+    t = make_tile((0, 0), (4, 5), (4, 5), [I8, F8], layout, cc,
+                  [[1, 2, 3, 4], [0.5, 1.5, 2.5, 3.5]])
+    assert t.nbytes == _held_bytes(t)
+    for use in (lambda: t.lookup(np.asarray(cc, dtype=np.uint64)), t.cells,
+                t.to_scratch, t.to_bytes):
+        use()
+        assert t.nbytes == _held_bytes(t)
+    back = Tile.from_bytes(t.to_bytes(), (0, 0), layout, (4, 5), [I8, F8])
+    assert back.nbytes == _held_bytes(back) == t.nbytes
 
 
 def test_duplicate_cell_rejected():
@@ -197,6 +221,19 @@ def test_save_load_round_trip(tmp_path, pool):
     back = StoredArray.load(str(path), pool)
     assert back.meta == arr.meta
     assert _cells_dict(back) == _cells_dict(arr)
+
+
+@pytest.mark.parametrize("layout,digest", [
+    ("dense", "4b6fc172c9ca3716cf858efbb9a555da0caf1da384183e145d2aeb73a738f08c"),
+    ("coo", "4f59d3bfdeac83e1405d290dc4169edc29d7028b312eb04693ada7120bc09958"),
+    ("csr", "e8c35acaff2768a14ecd45768b3fc4845e0372229a5a44c2fd2cffa23ec0a5dc"),
+])
+def test_saved_bytes_are_pinned(tmp_path, pool, layout, digest):
+    # encode and decode could drift together and still round-trip; the file
+    # format may not
+    path = tmp_path / "a.m2ar"
+    _filled_array(pool, layout=layout).save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_save_twice_is_byte_identical(tmp_path, pool):

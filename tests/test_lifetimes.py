@@ -201,6 +201,17 @@ def test_each_dataset_is_loaded_once_per_run(tmp_path, monkeypatch):
     assert loads["t"] == 2  # a new run loads again
 
 
+def test_join_stats_hold_the_last_run_only(tmp_path):
+    (tmp_path / "t.csv").write_text("r,c,v\n0,0,1.5\n1,1,2.5\n")
+    script = ("a = openTable('t').toArray({'r', 'c'}, {'v'})\n"
+              "execute(a.join(openTable('t'), 't.r = a.r AND t.c = a.c', "
+              "RELATIONAL))\n")
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    for _ in range(3):
+        assert len(eng.run(script).rows) == 2
+        assert len(eng.join_stats) == 1
+
+
 def test_dataset_is_freed_after_the_last_partition_that_scans_it(
         tmp_path, monkeypatch):
     loaded = {}

@@ -18,6 +18,7 @@ from multimodel.models import (
     FLOAT,
     INT,
     STRING,
+    UINT,
     Collection,
     Relation,
     ValueType,
@@ -231,8 +232,9 @@ def _ref_cell(text, vt):
 
 def reference_relation_from_csv(text, schema=None):
     """The row-wise parser the column-wise loader replaced: every cell
-    typed on its own.  Holds for rectangular CSV without blank lines."""
-    rows_raw = list(csv.reader(io.StringIO(text)))
+    typed on its own.  Holds for rectangular CSV; blank rows are skipped,
+    as the loader skips them."""
+    rows_raw = [r for r in csv.reader(io.StringIO(text)) if r]
     if not rows_raw:
         raise ValueError("CSV needs at least a header row")
     header, body = rows_raw[0], rows_raw[1:]
@@ -286,7 +288,14 @@ def _same(a, b):
           suppress_health_check=[HealthCheck.too_slow])
 @given(csv_texts(), st.data())
 def test_csv_loader_matches_row_wise_reference(text, data):
-    expect = reference_relation_from_csv(text)
+    # csv.writer leaves a cell holding "\r" unquoted, which csv.reader may
+    # then reject as malformed
+    try:
+        expect = reference_relation_from_csv(text)
+    except csv.Error:
+        with pytest.raises(DataFormatError):
+            relation_from_csv(text)
+        return
     _same(relation_from_csv(text), expect)
     # the same text under a declared schema, which may not fit the cells
     declared = [(n, data.draw(st.sampled_from(
@@ -337,6 +346,7 @@ def test_blank_csv_lines_are_skipped(tmp_path, capsys):
     ("a,b\n1,2\n", [("a", INT)], 1),
     ("a\n1\n\n2\nx\n", [("a", INT)], 5),
     ("a\n[1]\n[2,\n", [("a", ValueType("list"))], 3),
+    ("a\n1\n-1\n", [("a", UINT)], 3),
 ])
 def test_csv_errors_name_the_line(text, schema, line):
     with pytest.raises(DataFormatError, match=f"line {line}:") as e:
