@@ -24,7 +24,8 @@ from .bridge import (DimBinding, JoinStats, join_probe_only,
                      join_via_conversion, mshj)
 from .buffer_pool import BufferObject, BufferPool
 from .errors import ConfigError
-from .models import (FLOAT, INT, ArrayMeta, CellSchema, Collection, Relation)
+from .models import (FLOAT, INT, ArrayMeta, CellSchema, Collection, Column,
+                     Relation)
 
 REPORT_COLUMNS = [
     "scenario", "strategy", "n", "d", "layout", "wall_ms", "extract_ms",
@@ -113,8 +114,9 @@ def _gen_records(n: int, d: int, size, seed: int) -> Relation:
     rng = np.random.Generator(np.random.Philox(seed))
     coords = rng.integers(0, np.asarray(size), size=(n, d))
     schema = [(f"a{i}", INT) for i in range(d)] + [("rid", INT)]
-    rows = [tuple(int(c) for c in coords[k]) + (k,) for k in range(n)]
-    return Relation(schema, rows)
+    return Relation.from_columns(
+        schema, [Column(np.ascontiguousarray(coords[:, i])) for i in range(d)]
+        + [Column(np.arange(n, dtype=np.int64))])
 
 
 def _max_tile_bytes(path: str) -> int:

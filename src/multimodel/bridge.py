@@ -13,7 +13,9 @@ by ``to_array``.  Document records join to document output only.
 ``to_array`` is the one way records become an array.  A single walk over
 the records (``_extract_dims``) yields the bound coordinates, the kept
 records and the value columns; when no metadata is given, the extent,
-value types and tiling are derived from that same walk.
+value types and tiling are derived from that same walk.  For a relation
+that walk is a dtype and minimum check of its int64 columns, and a join
+emits relational output as columns gathered at the matched rows.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
 from .array_store import ArrayBuilder, StoredArray
 from .errors import BindingError, OutputSpecError
 from .models import (ABSENT, UINT, ArrayMeta, CellSchema, Collection,
-                     Relation, compile_path, infer_column_type, tile_extent)
+                     Relation, column_from_array, compile_path,
+                     infer_column_type, tile_extent)
 from .predicates import equi_conjuncts
 from .rd_engine import execute_tree, node
 
@@ -117,27 +119,30 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     matrix, plus the values at ``value_paths`` of the same records.
 
     Returns (dims, kept, values) where kept maps matrix rows back to record
-    indices and values holds one list per value path, aligned with the rows.
-    Documents missing a bound path are dropped (inner join); anything
-    non-integer, negative or beyond int64, and a missing value attribute,
-    is a binding error.  A relation column of plain ints is checked by its
-    minimum and maximum; any other column is checked value by value.
+    indices and values holds one list (or, for a relation's null-free typed
+    column, its array) per value path, aligned with the rows.  Documents
+    missing a bound path are dropped (inner join); anything non-integer,
+    negative or beyond int64, and a missing value attribute, is a binding
+    error.  A relation's int64 column without nulls is checked by its
+    minimum; any other column is checked value by value.
     """
     if isinstance(records, Relation):
-        idx = [_attr_index(records, a) for a in binding.attrs]
-        vidx = [_attr_index(records, a) for a in value_paths]
-        n = len(records.rows)
-        dims = np.empty((n, len(idx)), dtype=np.int64)
-        for j, i in enumerate(idx):
-            col = list(map(itemgetter(i), records.rows))
-            if (set(map(type, col)) != {int} or min(col) < 0
-                    or max(col) > _MAX_DIM):
-                for r, v in enumerate(col):  # find the first bad value
+        n = len(records)
+        dims = np.empty((n, len(binding.attrs)), dtype=np.int64)
+        for j, attr in enumerate(binding.attrs):
+            col = records.columns[_attr_index(records, attr)]
+            if (col.values.dtype != np.int64 or col.null is not None
+                    or (n and col.values.min() < 0)):
+                for r, v in enumerate(col.tolist()):  # the first bad value
                     if not _is_dim(v):
                         raise _dim_error(f"row {r}: dimension attribute "
-                                         f"{binding.attrs[j]!r}", v)
-            dims[:, j] = col
-        values = [list(map(itemgetter(i), records.rows)) for i in vidx]
+                                         f"{attr!r}", v)
+            dims[:, j] = col.values
+        values = []
+        for attr in value_paths:
+            col = records.columns[_attr_index(records, attr)]
+            plain = col.null is None and col.values.dtype != object
+            values.append(col.values if plain else col.tolist())
         return dims, np.arange(n, dtype=np.int64), values
 
     kept, coords = [], []
@@ -196,18 +201,19 @@ def _output_model(records, out: JoinOutputSpec | None) -> str:
 
 def _joined_records(records, arr: StoredArray, idx: np.ndarray,
                     coords: np.ndarray, vals: list[np.ndarray]):
-    """Each matched record extended with its cell.  Rows gain the cell's
-    value attributes as columns (renamed with ``_r`` on a collision);
-    documents gain the cell's dimensions and values under keys they do not
-    already have."""
+    """Each matched record extended with its cell.  A relation's columns
+    are gathered at the matched rows and the cell value arrays appended as
+    columns (renamed with ``_r`` on a collision); documents gain the cell's
+    dimensions and values under keys they do not already have."""
     schema = arr.meta.schema
-    cols = [v.tolist() for v in vals]
     if isinstance(records, Relation):
         names = _dedupe(list(schema.attr_names), set(records.attr_names))
-        rows = [records.rows[i] + tuple(c[k] for c in cols)
-                for k, i in enumerate(idx.tolist())]
-        return Relation(list(records.schema) +
-                        list(zip(names, schema.attr_types)), rows)
+        return Relation.from_columns(
+            list(records.schema) + list(zip(names, schema.attr_types)),
+            [c.take(idx) for c in records.columns] +
+            [column_from_array(v, t) for v, t in zip(vals, schema.attr_types)],
+            len(idx))
+    cols = [v.tolist() for v in vals]
     coords = coords.tolist()
     docs = []
     for k, i in enumerate(idx.tolist()):
@@ -278,8 +284,10 @@ def _probe(arr: StoredArray, dims: np.ndarray, kept: np.ndarray,
 
 
 def _drop_out_of_range(dims, kept, size):
-    ok = (dims < np.asarray(size, dtype=np.int64)).all(axis=1)
-    return dims[ok], kept[ok]
+    ok = np.ones(len(dims), dtype=bool)
+    for j, extent in enumerate(size):  # a column at a time: no (N, d) mask
+        ok &= dims[:, j] < extent
+    return (dims, kept) if ok.all() else (dims[ok], kept[ok])
 
 
 def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
@@ -507,14 +515,17 @@ def to_array(src, dim_names: list[str], value_names: list[str],
 
 
 def to_relation(arr: StoredArray) -> Relation:
-    """All cells as rows: dimension columns (unsigned) then value attributes,
-    tile-major order."""
-    schema = [(n, UINT) for n in arr.meta.schema.dim_names] + \
-        list(zip(arr.meta.schema.attr_names, arr.meta.schema.attr_types))
-    rows = []
-    for coords, vals in arr.iter_cells():
-        coord_cols = coords.tolist()
-        val_cols = [v.tolist() for v in vals]
-        for k in range(len(coord_cols)):
-            rows.append(tuple(coord_cols[k]) + tuple(c[k] for c in val_cols))
-    return Relation(schema, rows)
+    """All cells as a relation, built column by column: dimension columns
+    (unsigned) then value attributes, cells in tile-major order."""
+    sch = arr.meta.schema
+    cells = list(arr.iter_cells())
+    coords = np.concatenate([c for c, _ in cells]) if cells else \
+        np.zeros((0, sch.d), dtype=np.uint64)
+    values = [np.concatenate(parts) for parts in zip(*(v for _, v in cells))] \
+        if cells else [np.zeros(0, dt) for dt in arr.attr_dtypes]
+    return Relation.from_columns(
+        [(n, UINT) for n in sch.dim_names] +
+        list(zip(sch.attr_names, sch.attr_types)),
+        [column_from_array(coords[:, j], UINT) for j in range(sch.d)] +
+        [column_from_array(v, t) for v, t in zip(values, sch.attr_types)],
+        len(coords))

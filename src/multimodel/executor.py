@@ -91,7 +91,7 @@ class Catalog:
 
     def count(self, name: str, model: str) -> int:
         if model == "relational":
-            return len(self.load_table(name).rows)
+            return len(self.load_table(name))
         if model == "document":
             return len(self.load_collection(name).docs)
         raise ConfigError(f"cannot count a {model} dataset at bind time")

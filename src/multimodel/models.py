@@ -1,10 +1,14 @@
 """Core data model: relations, documents/collections and array metadata.
 
 Three value families live here. Relational data is a schema (name, type pairs)
-plus rows of plain Python values; documents are order-preserving dicts whose
-order never affects equality; arrays carry only metadata here (storage is in
-array_store). Values are restricted to: int, unsigned int, 64-bit float, str,
-bool, None, list, nested dict.
+plus one column per attribute: int, uint, float and bool attributes are int64,
+float64 or bool numpy arrays with a null mask, and every other attribute, or
+one whose values do not all fit that array, is an object array of plain
+Python values.  Row tuples are built only on request (``Relation.rows``).
+Documents are order-preserving dicts whose order never affects equality;
+arrays carry only metadata here (storage is in array_store). Values are
+restricted to: int, unsigned int, 64-bit float, str, bool, None, list, nested
+dict.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import io
 import itertools
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataFormatError, PathError
 
@@ -26,6 +32,10 @@ __all__ = [
     "FLOAT",
     "STRING",
     "BOOL",
+    "Column",
+    "column_of",
+    "object_column",
+    "column_from_array",
     "Relation",
     "Collection",
     "CellSchema",
@@ -124,17 +134,122 @@ STRING = ValueType("string")
 BOOL = ValueType("bool")
 
 
-@dataclass
+class Column:
+    """One attribute's values.  ``values`` is an int64, float64 or bool
+    array, or an object array of Python values (None for null); ``null``
+    marks the null rows, and is None when there are none.  A typed array
+    holds a filler (0 or False) under each null."""
+
+    __slots__ = ("values", "null")
+
+    def __init__(self, values: np.ndarray, null: np.ndarray | None = None):
+        self.values = values
+        self.null = null if null is not None and null.any() else None
+
+    def __len__(self):
+        return len(self.values)
+
+    def null_mask(self) -> np.ndarray:
+        """``null`` as an array, all False when there is no null."""
+        return np.zeros(len(self), bool) if self.null is None else self.null
+
+    def take(self, idx) -> "Column":
+        return Column(self.values[idx],
+                      None if self.null is None else self.null[idx])
+
+    def tolist(self) -> list:
+        out = self.values.tolist()
+        if self.null is not None and self.values.dtype != object:
+            for i in np.flatnonzero(self.null).tolist():
+                out[i] = None
+        return out
+
+
+# kind -> (array dtype, the one Python type its values must all have)
+_TYPED = {"int": (np.dtype(np.int64), int), "uint": (np.dtype(np.int64), int),
+          "float": (np.dtype(np.float64), float),
+          "bool": (np.dtype(np.bool_), bool)}
+
+
+def object_column(values: list) -> Column:
+    """The values as they are, in an object array (None for null)."""
+    arr = np.fromiter(values, dtype=object, count=len(values))
+    return Column(arr, np.equal(arr, None))
+
+
+def column_of(values: list, vt: "ValueType") -> Column:
+    """The column of a list of Python values declared ``vt``: a typed array
+    when every non-null value has the type's Python type (and an int fits
+    int64), else an object array."""
+    typed = _TYPED.get(vt.kind)
+    if typed is not None:
+        dtype, pytype = typed
+        types = set(map(type, values))
+        if types <= {pytype, type(None)}:
+            try:
+                if type(None) not in types:
+                    return Column(np.array(values, dtype=dtype))
+                col = object_column(values)
+                col.values[col.null] = pytype()
+                return Column(col.values.astype(dtype), col.null)
+            except OverflowError:
+                pass
+    return object_column(values)
+
+
+def column_from_array(arr: np.ndarray, vt: "ValueType") -> Column:
+    """The column of a null-free numpy array declared ``vt`` (array cells,
+    coordinates); the array is used as it is when it has the column's
+    dtype."""
+    typed = _TYPED.get(vt.kind)
+    if typed is not None and arr.dtype == typed[0]:
+        return Column(arr)
+    if arr.dtype.kind == "u" and typed is not None and typed[1] is int \
+            and (not len(arr) or arr.max() <= np.iinfo(np.int64).max):
+        return Column(arr.astype(np.int64))
+    return column_of(arr.tolist(), vt)
+
+
 class Relation:
-    """Schema plus rows. Rows are tuples; treat instances as immutable."""
+    """Schema plus one Column per attribute; treat instances as immutable.
 
-    schema: list[tuple[str, ValueType]]
-    rows: list[tuple]
+    ``Relation(schema, rows)`` takes row tuples, and ``rows`` builds them
+    again; ``from_columns`` and ``columns`` skip the tuples.  ``len()``
+    counts rows without building them."""
 
-    def __post_init__(self):
-        names = [n for n, _ in self.schema]
+    __slots__ = ("schema", "columns", "_n")
+    __hash__ = None
+
+    def __init__(self, schema: list[tuple[str, ValueType]], rows=()):
+        rows = rows if isinstance(rows, list) else list(rows)
+        if set(map(len, rows)) - {len(schema)}:
+            bad = next(r for r in rows if len(r) != len(schema))
+            raise ValueError(f"row {bad!r} has {len(bad)} values for "
+                             f"{len(schema)} attributes")
+        cols = list(zip(*rows)) or [()] * len(schema)
+        self._init(schema, [column_of(list(c), vt)
+                            for c, (_, vt) in zip(cols, schema)], len(rows))
+
+    @classmethod
+    def from_columns(cls, schema, columns: list[Column],
+                     n: int | None = None) -> "Relation":
+        """A relation over existing columns (shared, not copied); ``n`` is
+        needed only when there is no column."""
+        rel = cls.__new__(cls)
+        rel._init(schema, columns, len(columns[0]) if columns else n or 0)
+        return rel
+
+    def _init(self, schema, columns, n):
+        names = [name for name, _ in schema]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute names in schema: {names}")
+        self.schema, self.columns, self._n = list(schema), columns, n
+
+    @property
+    def rows(self) -> list[tuple]:
+        if not self.columns:
+            return [()] * self._n
+        return list(zip(*(c.tolist() for c in self.columns)))
 
     @property
     def attr_names(self) -> list[str]:
@@ -147,7 +262,15 @@ class Relation:
         raise KeyError(name)
 
     def __len__(self):
-        return len(self.rows)
+        return self._n
+
+    def __eq__(self, other):
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return self.schema == other.schema and self.rows == other.rows
+
+    def __repr__(self):
+        return f"Relation(schema={self.schema!r}, rows={self.rows!r})"
 
 
 @dataclass
@@ -227,22 +350,19 @@ def tile_extent(size, default_tile: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class ValidationIssue:
     row: int
-    attr: int | None  # None for arity violations
+    attr: int
     reason: str
 
 
 def validate_relation(rel: Relation) -> list[ValidationIssue]:
-    """Report every row violating schema arity or per-attribute type.
+    """Report every value violating its attribute's type.
 
     Never raises; an empty report means the relation is valid. Null is
-    permitted in any attribute.
+    permitted in any attribute.  (Rows of the wrong arity cannot be built:
+    the Relation constructor rejects them.)
     """
     issues: list[ValidationIssue] = []
-    arity = len(rel.schema)
     for r, row in enumerate(rel.rows):
-        if len(row) != arity:
-            issues.append(ValidationIssue(r, None, f"arity {len(row)} != {arity}"))
-            continue
         for a, ((name, vt), v) in enumerate(zip(rel.schema, row)):
             if not vt.accepts(v):
                 issues.append(
@@ -350,27 +470,36 @@ _FROM_TEXT = {
 }
 
 
-def _convert(col: list[str], conv) -> list:
-    """``conv`` over a column of cell texts, None for each empty cell."""
+def _convert(col: list[str], conv, vt: ValueType) -> Column:
+    """``conv`` over a column of cell texts into a column of ``vt``, null
+    for each empty cell.  Without an empty cell a typed column is filled
+    straight from the conversions, as ``conv`` returns the type's own Python
+    type."""
     if conv is None:  # string
-        return [t or None for t in col] if "" in col else col
+        return object_column([t or None for t in col] if "" in col else col)
     if "" in col:
-        return [None if t == "" else conv(t) for t in col]
-    return list(map(conv, col))
+        return column_of([None if t == "" else conv(t) for t in col], vt)
+    if vt.kind in _TYPED:
+        try:
+            return Column(np.fromiter(map(conv, col), _TYPED[vt.kind][0],
+                                      len(col)))
+        except OverflowError:  # an int beyond int64
+            pass
+    return column_of(list(map(conv, col)), vt)
 
 
-def _infer_column(col: list[str]) -> tuple[ValueType, list]:
-    """Type and values of a column: the first of bool, int and float that
-    converts every non-empty cell, else string (also for no such cell).
-    The conversion that succeeds is the type check, so no cell is parsed
-    again once its type is known."""
+def _infer_column(col: list[str]) -> tuple[ValueType, Column]:
+    """Type and column of a column's cell texts: the first of bool, int and
+    float that converts every non-empty cell, else string (also for no such
+    cell).  The conversion that succeeds is the type check, so no cell is
+    parsed again once its type is known."""
     if any(col):
         for vt, conv in ((BOOL, _strict_bool), (INT, int), (FLOAT, float)):
             try:
-                return vt, _convert(col, conv)
+                return vt, _convert(col, conv, vt)
             except ValueError:
                 pass
-    return STRING, _convert(col, None)
+    return STRING, _convert(col, None, STRING)
 
 
 def relation_to_csv(rel: Relation) -> str:
@@ -456,7 +585,7 @@ def relation_from_csv(text: str,
             raise DataFormatError("declared schema does not match CSV header",
                                   name, reader.line_num)
         ncols = len(header)
-        cols: list[list[str]] = [[] for _ in header]
+        cols: list = [[] for _ in header]  # cell texts, then Columns
         n = 0
         while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
             if set(map(len, chunk)) != {ncols}:
@@ -478,14 +607,14 @@ def relation_from_csv(text: str,
         for j, (hname, vt) in enumerate(schema):
             conv = _FROM_TEXT.get(vt.kind)
             try:
-                cols[j] = _convert(cols[j], conv)
+                cols[j] = _convert(cols[j], conv, vt)
             except ValueError:
                 bad = next(i for i, t in enumerate(cols[j])
                            if not _converts(conv, t))
                 raise DataFormatError(f"column {hname!r}: {cols[j][bad]!r} is "
                                       f"not {vt}", name,
                                       _csv_row_line(text, bad + 1)) from None
-    return Relation(schema, list(zip(*cols)))
+    return Relation.from_columns(schema, cols, n)
 
 
 def _converts(conv, text: str) -> bool:

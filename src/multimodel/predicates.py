@@ -9,8 +9,10 @@ a null operand is unknown; AND is false if any operand is false, OR is true
 if any operand is true, and otherwise either is unknown when an operand is;
 NOT unknown is unknown.  A filter or join keeps only the rows where the
 predicate is true, so ``NOT x = 3`` and ``x != 3`` both drop a null ``x``.
-A predicate is compiled once per operator (``compile_predicate``) and then
-evaluated per row.
+A predicate is compiled once per operator: ``compile_predicate`` for
+documents, evaluated per document, and ``compile_columns`` for relations,
+evaluated a column at a time over masks.  Both give the same values and
+raise on the same inputs.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import ScriptError, TypeMismatchError
 
 __all__ = [
     "Lit", "Ref", "Cmp", "And", "Or", "Not",
     "parse_predicate", "parse_sort_spec", "compile_predicate",
+    "compile_columns",
     "equi_conjuncts", "predicate_refs", "universal_key", "compare_values",
 ]
 
@@ -259,9 +264,7 @@ def compile_predicate(node, resolve: Callable[[str], Callable]):
             a, b = left(row), right(row)
             if a is None or b is None:
                 return None
-            if type(a) is type(b) and type(a) in _SCALARS:
-                return fn(a, b)
-            return compare_values(op, a, b)
+            return _compare(op, fn, a, b)
         return cmp
     if isinstance(node, (And, Or)):
         items = [compile_predicate(n, resolve) for n in node.items]
@@ -283,12 +286,140 @@ def compile_predicate(node, resolve: Callable[[str], Callable]):
     raise ValueError(f"not a predicate node: {node!r}")
 
 
+def _compare(op, fn, a, b):
+    """Comparison of two non-null values."""
+    if type(a) is type(b) and type(a) in _SCALARS:
+        return fn(a, b)
+    return compare_values(op, a, b)
+
+
 def _operand(node, resolve):
     if isinstance(node, Lit):
         return lambda row, v=node.value: v
     if isinstance(node, Ref):
         return resolve(node.path)
     raise ValueError(f"not an operand: {node!r}")
+
+
+# ------------------------------------------------------- column evaluation
+
+_MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_KIND_NAMES = {"i": "int", "f": "float", "b": "bool"}
+_INT64 = np.iinfo(np.int64)
+
+
+def compile_columns(node, resolve: Callable[[str], Callable]):
+    """Compile a predicate into ``rows -> (true, unknown)``, two bool masks
+    over the row indices ``rows`` (false where neither is set).
+    ``resolve(path)`` is called once per reference and returns the getter
+    ``rows -> (values, null mask or None)``.
+
+    An AND or OR evaluates each item only on the rows that its earlier
+    items left undecided, as the row-at-a-time form stops at the first
+    item that settles a row; so both raise on exactly the same inputs."""
+    if isinstance(node, Cmp):
+        op = node.op
+        left = _column_operand(node.left, resolve)
+        right = _column_operand(node.right, resolve)
+        return lambda rows: _compare_columns(op, *left(rows), *right(rows),
+                                             len(rows))
+    if isinstance(node, (And, Or)):
+        first, *rest = [compile_columns(n, resolve) for n in node.items]
+        is_or = isinstance(node, Or)  # True settles an OR, False an AND
+
+        def junction(rows):
+            t, unknown = first(rows)
+            settled = t.copy() if is_or else ~(t | unknown)
+            unknown = unknown.copy()
+            todo = np.flatnonzero(~settled)  # positions still undecided
+            for item in rest:
+                if not len(todo):
+                    break
+                t, u = item(rows[todo])
+                hit = t if is_or else ~(t | u)
+                settled[todo[hit]] = True
+                unknown[todo[u]] = True
+                todo = todo[~hit]
+            unknown &= ~settled
+            return (settled if is_or else ~settled & ~unknown), unknown
+        return junction
+    if isinstance(node, Not):
+        item = compile_columns(node.item, resolve)
+
+        def negate(rows):
+            t, unknown = item(rows)
+            return ~t & ~unknown, unknown
+        return negate
+    raise ValueError(f"not a predicate node: {node!r}")
+
+
+def _column_operand(node, resolve):
+    if isinstance(node, Ref):
+        return resolve(node.path)
+    if not isinstance(node, Lit):
+        raise ValueError(f"not an operand: {node!r}")
+    v = node.value
+    if type(v) is int and _INT64.min <= v <= _INT64.max:
+        v = np.int64(v)
+    elif type(v) in (float, bool):
+        v = np.array(v)[()]  # numpy scalar: its dtype gives the kind
+    null = None if v is not None else True
+    return lambda rows: (v, null)
+
+
+def _kind(v) -> str:
+    """i, f, b for int64, float64 and bool operands; O for any other."""
+    kind = getattr(v, "dtype", None)
+    return kind.kind if kind is not None and kind.kind in "ifb" else "O"
+
+
+def _compare_columns(op, a, a_null, b, b_null, n):
+    """One comparison over ``n`` rows; an operand is a column slice or a
+    literal scalar, and a null mask of None means no nulls (True: all)."""
+    unknown = np.zeros(n, dtype=bool)
+    for null in (a_null, b_null):
+        if null is not None:
+            unknown |= null
+    ka, kb = _kind(a), _kind(b)
+    if "O" in (ka, kb):
+        known = np.flatnonzero(~unknown)
+        xs, ys = (v[known].tolist() if np.ndim(v) else
+                  [v.item() if isinstance(v, np.generic) else v] * len(known)
+                  for v in (a, b))
+        res = np.zeros(n, dtype=bool)
+        fn = _OPS[op]
+        res[known] = [_compare(op, fn, x, y) for x, y in zip(xs, ys)]
+        return res, unknown
+    if ka == kb:
+        res = _OPS[op](a, b)
+    elif {ka, kb} == {"i", "f"}:
+        res = (_int_float(op, a, b) if ka == "i"
+               else _int_float(_MIRROR[op], b, a))
+    elif op in ("=", "!="):  # bool against a number: never equal
+        res = op == "!="
+    elif (~unknown).any():
+        raise TypeMismatchError(f"cannot order {_KIND_NAMES[ka]} against "
+                                f"{_KIND_NAMES[kb]}")
+    else:
+        res = False
+    return np.broadcast_to(res, (n,)) & ~unknown, unknown
+
+
+def _int_float(op, i, f):
+    """``i op f`` compared exactly, as Python compares int and float: an
+    int64 past 2**53 is not rounded to the float it is compared with."""
+    fi = np.asarray(i, dtype=np.float64)
+    lt, gt = fi < f, fi > f
+    # rounding keeps order, so only equal-after-rounding pairs need the exact
+    # test; there f is integral, and 2**63 is above every int64
+    tie = fi == f
+    top = np.asarray(f) >= 2.0 ** 63
+    fint = np.where(tie & ~top, f, 0).astype(np.int64)
+    lt = lt | (tie & (top | (i < fint)))
+    gt = gt | (tie & ~top & (i > fint))
+    eq = tie & ~top & (i == fint)
+    return {"=": eq, "!=": ~eq, "<": lt, "<=": lt | eq, ">": gt,
+            ">=": gt | eq}[op]
 
 
 # ------------------------------------------------------------------- analysis

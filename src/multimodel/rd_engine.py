@@ -5,32 +5,43 @@ sort, limit, aggregate, union, join, unwind, plus alias-refs into a registry
 of materialized results. One executor serves both record models; documents
 use dotted paths wherever relations use column references.
 
+Relations run a column at a time.  A RelFrame holds one Column per attribute
+(see models): filter evaluates the compiled predicate over whole columns with
+Kleene logic on masks; the equi-join and grouping key on column codes;
+project, sort, limit and union select, order and concatenate columns through
+index vectors.  Documents stay dicts and run one at a time through compiled
+paths.
+
 Column references carry optional qualifiers ("review.oid"): a bare name must
 resolve to exactly one column, a qualified name matches its source relation.
 Joins preserve qualifiers so collisions stay addressable; converting back to a
 public Relation renders colliding names as "qualifier.name".
 
-Each operator resolves its references once, when it starts, into getters
-and compiled predicates that every row then runs through; an unknown or
-ambiguous column raises PlanError there, even on empty input.
+Each operator resolves its references once, when it starts, into column
+getters and compiled predicates; an unknown or ambiguous column raises
+PlanError there, even on empty input.
 
 Null semantics are SQL's three-valued logic (see predicates): filters and
 join conditions keep only the rows where the predicate is true.  Sorting
 places nulls last under either direction, with full-row lexicographic order
-as the deterministic tie-break.
+as the deterministic tie-break.  Join output is in left input order, then
+right input order; groups keep the order of their first rows.  Values keep
+Python's semantics throughout: ints compare and sum exactly, a bool never
+equals a number, and a float NaN matches nothing and groups alone.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from operator import itemgetter
+
+import numpy as np
 
 from .errors import NotFoundError, PlanError, TypeMismatchError
-from .models import (ABSENT, FLOAT, INT, Collection, Relation, compile_path,
-                     compile_set, infer_column_type)
-from .predicates import (And, Cmp, Ref, compile_predicate, equi_conjuncts,
-                         universal_key)
+from .models import (ABSENT, FLOAT, INT, Collection, Column, Relation,
+                     object_column, column_of, compile_path, compile_set,
+                     infer_column_type)
+from .predicates import (And, Cmp, Ref, compile_columns, compile_predicate,
+                         equi_conjuncts, universal_key)
 
 __all__ = ["RdNode", "RelFrame", "DocFrame", "execute_tree", "node",
            "frame_to_public", "relation_frame", "collection_frame"]
@@ -51,7 +62,12 @@ def node(op: str, *children: RdNode, **params) -> RdNode:
 class RelFrame:
     cols: list  # [(qualifier | None, name)]
     types: list
-    rows: list  # [tuple]
+    columns: list  # [Column], one per entry of cols
+    n: int  # rows
+
+    def take(self, idx: np.ndarray) -> "RelFrame":
+        return RelFrame(self.cols, self.types,
+                        [c.take(idx) for c in self.columns], len(idx))
 
 
 @dataclass
@@ -62,7 +78,7 @@ class DocFrame:
 
 def relation_frame(rel: Relation, qualifier: str | None = None) -> RelFrame:
     return RelFrame([(qualifier, n) for n, _ in rel.schema],
-                    [t for _, t in rel.schema], list(rel.rows))
+                    [t for _, t in rel.schema], list(rel.columns), len(rel))
 
 
 def collection_frame(col: Collection, qualifier: str | None = None) -> DocFrame:
@@ -73,7 +89,7 @@ def frame_to_public(f):
     if isinstance(f, DocFrame):
         return Collection("result", f.docs)
     names = _public_names(f.cols)
-    return Relation(list(zip(names, f.types)), list(f.rows))
+    return Relation.from_columns(list(zip(names, f.types)), f.columns, f.n)
 
 
 def _public_names(cols) -> list[str]:
@@ -119,11 +135,16 @@ def _doc_value(quals: tuple, path: str, absent=None):
     return lambda doc: get_rest(doc) if (v := get(doc)) is ABSENT else v
 
 
-def _resolver(f):
-    """``path -> getter`` over the frame's rows or documents."""
-    if isinstance(f, RelFrame):
-        return lambda path: itemgetter(_col_index(f, path))
-    return lambda path: _doc_value(f.quals, path)
+def _getter(col: Column):
+    """``rows -> (values, null mask or None)`` of one column."""
+    if col.null is None:
+        return lambda rows: (col.values[rows], None)
+    return lambda rows: (col.values[rows], col.null[rows])
+
+
+def _resolver(f: RelFrame):
+    """``path -> column getter`` over the frame."""
+    return lambda path: _getter(f.columns[_col_index(f, path)])
 
 
 # ----------------------------------------------------------------- execution
@@ -176,16 +197,19 @@ def _as_frame(obj, qualifier):
     if isinstance(obj, Collection):
         return collection_frame(obj, qualifier)
     if isinstance(obj, RelFrame):
-        return RelFrame(list(obj.cols), list(obj.types), list(obj.rows))
+        return RelFrame(list(obj.cols), list(obj.types), list(obj.columns),
+                        obj.n)
     if isinstance(obj, DocFrame):
         return DocFrame(obj.quals, list(obj.docs))
     raise PlanError(f"cannot scan object of type {type(obj).__name__}")
 
 
 def _filter(f, pred):
-    keep = compile_predicate(pred, _resolver(f))
     if isinstance(f, RelFrame):
-        return RelFrame(f.cols, f.types, [r for r in f.rows if keep(r)])
+        keep = compile_columns(pred, _resolver(f))
+        t, _ = keep(np.arange(f.n))
+        return f.take(np.flatnonzero(t))
+    keep = compile_predicate(pred, lambda path: _doc_value(f.quals, path))
     return DocFrame(f.quals, [d for d in f.docs if keep(d)])
 
 
@@ -193,9 +217,9 @@ def _project(f, cols, names):
     out_names = names or [c.rpartition(".")[2] for c in cols]
     if isinstance(f, RelFrame):
         idx = [_col_index(f, c) for c in cols]
-        rows = [tuple(r[i] for i in idx) for r in f.rows]
         return RelFrame([(None, n) for n in out_names],
-                        [f.types[i] for i in idx], rows)
+                        [f.types[i] for i in idx],
+                        [f.columns[i] for i in idx], f.n)
     gets = [(n, _doc_value(f.quals, c, ABSENT))
             for c, n in zip(cols, out_names)]
     docs = [{n: v for n, get in gets if (v := get(d)) is not ABSENT}
@@ -205,16 +229,38 @@ def _project(f, cols, names):
 
 def _sort(f, keys):
     if isinstance(f, RelFrame):
-        rows = sorted(f.rows, key=lambda r: tuple(universal_key(v) for v in r))
-        for ref, desc in reversed(keys):
-            i = _col_index(f, ref)
-            rows.sort(key=lambda r: _sort_key(r[i], desc), reverse=desc)
-        return RelFrame(f.cols, f.types, rows)
+        idx = [_col_index(f, ref) for ref, _ in keys]
+        ranks = [_rank(c) for c in f.columns]  # the full-row tie-break
+        by = []
+        for i, (_, desc) in zip(idx, keys):
+            rank, top = ranks[i]
+            k = top - 1 - rank if desc else rank
+            null = f.columns[i].null
+            by.append(k if null is None else np.where(null, top, k))
+        # lexsort's primary key is its last: the sort keys, then each column
+        order = np.lexsort([r for r, _ in reversed(ranks)] + by[::-1]) \
+            if f.columns else np.arange(f.n)
+        return f.take(order)
     docs = sorted(f.docs, key=universal_key)
     for ref, desc in reversed(keys):
         get = _doc_value(f.quals, ref)
         docs.sort(key=lambda d: _sort_key(get(d), desc), reverse=desc)
     return DocFrame(f.quals, docs)
+
+
+def _rank(col: Column) -> tuple[np.ndarray, int]:
+    """Dense rank of each value in universal_key order, and an int above
+    every rank; a null ranks below every value."""
+    v = col.values
+    if v.dtype == object:
+        keys = list(map(universal_key, v.tolist()))
+        ids = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return np.fromiter(map(ids.__getitem__, keys), np.int64,
+                           len(keys)), len(ids)
+    distinct, rank = np.unique(v, return_inverse=True)
+    if col.null is not None:
+        rank[col.null] = -1
+    return rank, len(distinct)
 
 
 def _sort_key(v, desc: bool):
@@ -225,7 +271,7 @@ def _sort_key(v, desc: bool):
 
 def _limit(f, k: int):
     if isinstance(f, RelFrame):
-        return RelFrame(f.cols, f.types, f.rows[:k])
+        return f.take(np.arange(f.n)[:k])
     return DocFrame(f.quals, f.docs[:k])
 
 
@@ -234,10 +280,49 @@ def _union(a, b):
         if len(a.cols) != len(b.cols):
             raise TypeMismatchError(
                 f"union arity mismatch: {len(a.cols)} vs {len(b.cols)}")
-        return RelFrame(a.cols, a.types, a.rows + b.rows)
+        types = [_union_type(n, ta, tb)
+                 for (_, n), ta, tb in zip(a.cols, a.types, b.types)]
+        columns = [_concat(_as_type(ca, ta, t), _as_type(cb, tb, t), t)
+                   for ca, cb, ta, tb, t in zip(a.columns, b.columns, a.types,
+                                                b.types, types)]
+        return RelFrame(a.cols, types, columns, a.n + b.n)
     if isinstance(a, DocFrame) and isinstance(b, DocFrame):
         return DocFrame(tuple(dict.fromkeys(a.quals + b.quals)), a.docs + b.docs)
     raise TypeMismatchError("cannot union a relation with a collection")
+
+
+_NUMERIC = {"int", "uint", "float"}
+
+
+def _union_type(name: str, ta, tb):
+    """Equal types pass; int with uint is int, and any other pair of
+    numeric types, which then includes float, is float."""
+    if ta == tb:
+        return ta
+    kinds = {ta.kind, tb.kind}
+    if kinds == {"int", "uint"}:
+        return INT
+    if kinds <= _NUMERIC:
+        return FLOAT
+    raise TypeMismatchError(f"union column {name!r}: {ta} vs {tb}")
+
+
+def _as_type(col: Column, vt, to) -> Column:
+    """A union input column in the union's type: values become floats
+    (``float()``) when an int column meets a float one."""
+    if to.kind != "float" or vt.kind == "float":
+        return col
+    if col.values.dtype == np.int64:
+        return Column(col.values.astype(np.float64), col.null)
+    return column_of([None if v is None else float(v) for v in col.tolist()],
+                     to)
+
+
+def _concat(a: Column, b: Column, vt) -> Column:
+    if a.values.dtype == b.values.dtype != object:
+        return Column(np.concatenate([a.values, b.values]),
+                      np.concatenate([a.null_mask(), b.null_mask()]))
+    return column_of(a.tolist() + b.tolist(), vt)
 
 
 def _unwind(f, path: str):
@@ -258,59 +343,160 @@ def _unwind(f, path: str):
 
 # ---------------------------------------------------------------- aggregate
 
-_STAR = object()  # count(*) marker: counts rows, nulls included
-
-
 def _aggregate(f, keys, aggs):
     for func, ref, _ in aggs:
         if ref is None and func != "count":
             raise PlanError(f"{func}(*) is not defined; name an attribute")
-    resolve = _resolver(f)
-    key_gets = [resolve(k) for k in keys]
-    val_gets = [(func, (lambda r: _STAR) if ref is None else resolve(ref))
-                for func, ref, _ in aggs]
-    rows_iter = f.rows if isinstance(f, RelFrame) else f.docs
-
-    groups: dict = {}  # insertion order == first appearance
-    for r in rows_iter:
-        kv = tuple(get(r) for get in key_gets)
-        gk = tuple(universal_key(v) for v in kv)
-        if gk not in groups:
-            groups[gk] = (kv, [_new_acc() for _ in aggs])
-        _, accs = groups[gk]
-        for acc, (func, get) in zip(accs, val_gets):
-            _acc_add(acc, func, get(r))
-
-    out_rows = []
-    if not keys and not rows_iter:
-        # aggregate over empty input with no grouping -> one identity row
-        out_rows.append(tuple(_acc_final(_new_acc(), func)
-                              for func, _, _ in aggs))
-    for kv, accs in groups.values():
-        out_rows.append(tuple(kv) + tuple(
-            _acc_final(acc, func) for acc, (func, _, _) in zip(accs, aggs)))
-
-    cols = [(None, k.rpartition(".")[2]) for k in keys] + \
-           [(None, name) for _, _, name in aggs]
-    # group keys keep a relation's column types; document keys are typed by
-    # the values of their groups
+    # (column, declared type): a document path becomes an object column,
+    # absent as null, typed below by the values it yields
     if isinstance(f, RelFrame):
-        key_types = [f.types[_col_index(f, k)] for k in keys]
+        n = f.n
+
+        def column(path):
+            i = _col_index(f, path)
+            return f.columns[i], f.types[i]
     else:
-        key_types = [infer_column_type(kv[i] for kv, _ in groups.values())
-                     for i in range(len(keys))]
+        n = len(f.docs)
+
+        def column(path):
+            get = _doc_value(f.quals, path)
+            return object_column([get(d) for d in f.docs]), None
+    key_cols, types = map(list, zip(*map(column, keys))) if keys else ([], [])
+    vals = [(None, None) if ref is None else column(ref) for _, ref, _ in aggs]
+    if keys:
+        codes, first = _group(key_cols)
+        key_cols = [c.take(first) for c in key_cols]
+        ngroups = len(first)
+    else:  # one group, even over no rows: the identity row
+        codes, ngroups = np.zeros(n, dtype=np.int64), 1
+    types = [vt or infer_column_type(c.tolist())
+             for c, vt in zip(key_cols, types)]
     # count is INT and avg FLOAT; sum, min and max keep the aggregated
     # column's declared type, or for documents the type of the group results
-    agg_types = []
-    for i, (func, ref, _) in enumerate(aggs):
-        if func in ("count", "avg"):
-            agg_types.append(INT if func == "count" else FLOAT)
-        elif isinstance(f, RelFrame):
-            agg_types.append(f.types[_col_index(f, ref)])
-        else:
-            agg_types.append(infer_column_type(
-                accs[i]["value"] for _, accs in groups.values()))
-    return RelFrame(cols, key_types + agg_types, out_rows)
+    out = list(key_cols)
+    for (func, _, _), (col, vt) in zip(aggs, vals):
+        res = _agg(func, col, codes, ngroups)
+        vt = INT if func == "count" else FLOAT if func == "avg" else vt
+        if not isinstance(res, Column):
+            vt = vt or infer_column_type(res)
+            res = column_of(res, vt)
+        types.append(vt)
+        out.append(res)
+    cols = [(None, k.rpartition(".")[2]) for k in keys] + \
+           [(None, name) for _, _, name in aggs]
+    return RelFrame(cols, types, out, ngroups)
+
+
+def _group(cols: list[Column]) -> tuple[np.ndarray, np.ndarray]:
+    """Group number of each row, groups numbered by first appearance, and
+    the first row of each group."""
+    code = _codes(cols[0])
+    for col in cols[1:]:
+        c = _codes(col)
+        code = np.unique(code * (int(c.max(initial=0)) + 1) + c,
+                         return_inverse=True)[1]
+    _, first, code = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    renumber = np.empty(len(order), dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    return renumber[code], first[order]
+
+
+def _codes(col: Column) -> np.ndarray:
+    """Non-negative codes, equal where universal_key is: null is one group,
+    and each NaN of a float column is a group of its own."""
+    v = col.values
+    if v.dtype == object:
+        ids: dict = {}
+        return np.fromiter((ids.setdefault(k, len(ids))
+                            for k in map(universal_key, v.tolist())),
+                           np.int64, len(v))
+    code = np.unique(v, return_inverse=True)[1] + 1
+    if col.null is not None:
+        code[col.null] = 0
+    if v.dtype.kind == "f":
+        nan = np.isnan(v) & ~col.null_mask()
+        code[nan] = code.max(initial=0) + 1 + np.arange(np.count_nonzero(nan))
+    return code
+
+
+def _agg(func: str, col: Column | None, codes: np.ndarray, ngroups: int):
+    """One aggregate per group: a Column, or for an object column a list of
+    Python values accumulated in input order."""
+    if func == "count":
+        if col is not None and col.null is not None:
+            codes = codes[~col.null]
+        return Column(np.bincount(codes, minlength=ngroups).astype(np.int64))
+    if func not in ("sum", "avg", "min", "max"):
+        raise PlanError(f"unknown aggregate {func!r}")
+    v = col.values
+    if v.dtype == object:
+        accs = [_new_acc() for _ in range(ngroups)]
+        for g, x in zip(codes.tolist(), v.tolist()):
+            _acc_add(accs[g], func, x)
+        return [_acc_final(acc, func) for acc in accs]
+    if col.null is not None:
+        codes, v = codes[~col.null], v[~col.null]
+    if func in ("sum", "avg") and v.dtype == bool and len(v):
+        raise TypeMismatchError(f"{func} needs numeric input, got "
+                                f"{bool(v[0])!r}")
+    count = np.bincount(codes, minlength=ngroups)
+    empty = count == 0
+    if func in ("min", "max"):
+        return Column(_extreme(func, codes, v, ngroups), empty)
+    if v.dtype == np.float64:  # -0.0 + x is x, so a lone -0.0 stays -0.0
+        total = np.full(ngroups, -0.0)
+        np.add.at(total, codes, v)  # in input order, one value at a time
+        return Column(total / np.maximum(count, 1) if func == "avg"
+                      else total, empty)
+    total = _int_sums(codes, v, ngroups)
+    if func == "sum":
+        if total.dtype == object:
+            return column_of([None if e else t for t, e in
+                              zip(total.tolist(), empty.tolist())], INT)
+        return Column(total, empty)
+    if total.dtype != object and np.abs(total).max(initial=0) <= 2 ** 53:
+        return Column(total / np.maximum(count, 1), empty)  # as Python does
+    return Column(np.array([t / c if c else 0.0 for t, c in
+                            zip(total.tolist(), count.tolist())]), empty)
+
+
+def _int_sums(codes, v, ngroups) -> np.ndarray:
+    """Exact per-group sums of int64 values: int64 when no partial sum can
+    wrap, else Python ints in an object array."""
+    bound = max(-int(v.min()), int(v.max())) * len(v) if len(v) else 0
+    total = np.zeros(ngroups, dtype=np.int64 if bound < 2 ** 63 else object)
+    np.add.at(total, codes, v if total.dtype != object else v.astype(object))
+    return total
+
+
+def _extreme(func, codes, v, ngroups) -> np.ndarray:
+    """min or max per group as Python's ``min(cur, x)`` folds it in input
+    order: the first of the equal extremes, and NaN when a group's first
+    value is NaN (nothing compares below or above it)."""
+    if v.dtype != np.float64:
+        acc = np.zeros(ngroups, dtype=v.dtype)
+        acc[codes] = v  # some member of each group as the start value
+        (np.minimum if func == "min" else np.maximum).at(acc, codes, v)
+        return acc
+    acc = np.full(ngroups, np.nan)
+    (np.fmin if func == "min" else np.fmax).at(acc, codes, v)  # NaN skipped
+    hit = v == acc[codes]
+    first = _first_rows(codes[hit], np.flatnonzero(hit), ngroups)
+    g = np.flatnonzero(first >= 0)
+    acc[g] = v[first[g]]  # the first extreme: its sign, for a zero
+    first = _first_rows(codes, np.arange(len(v)), ngroups)
+    g = np.flatnonzero(first >= 0)
+    acc[g[np.isnan(v[first[g]])]] = np.nan
+    return acc
+
+
+def _first_rows(codes, rows, ngroups) -> np.ndarray:
+    """The first of ``rows`` in each group, -1 for none."""
+    first = np.full(ngroups, np.iinfo(np.int64).max)
+    np.minimum.at(first, codes, rows)
+    first[first == np.iinfo(np.int64).max] = -1
+    return first
 
 
 def _new_acc():
@@ -318,10 +504,6 @@ def _new_acc():
 
 
 def _acc_add(acc, func, v):
-    if func == "count":
-        if v is _STAR or v is not None:
-            acc["n"] += 1
-        return
     if v is None:
         return  # nulls never feed sum/min/max/avg
     if func in ("sum", "avg"):
@@ -329,20 +511,16 @@ def _acc_add(acc, func, v):
             raise TypeMismatchError(f"{func} needs numeric input, got {v!r}")
         acc["n"] += 1
         acc["value"] = v if acc["value"] is None else acc["value"] + v
-    elif func in ("min", "max"):
+    else:
         cur = acc["value"]
         if cur is not None and type(cur) is not type(v) and not (
                 isinstance(cur, (int, float)) and isinstance(v, (int, float))):
             raise TypeMismatchError(f"{func} over mixed types")
         acc["value"] = v if cur is None else (
             min(cur, v) if func == "min" else max(cur, v))
-    else:
-        raise PlanError(f"unknown aggregate {func!r}")
 
 
 def _acc_final(acc, func):
-    if func == "count":
-        return acc["n"]
     if func == "avg":
         return None if acc["n"] == 0 else acc["value"] / acc["n"]
     return acc["value"]
@@ -361,7 +539,7 @@ def _join(left, right, pred):
 def _rel_to_doc(f: RelFrame) -> DocFrame:
     quals = tuple(dict.fromkeys(q for q, _ in f.cols if q))
     docs = [{n: v for (_, n), v in zip(f.cols, r) if v is not None}
-            for r in f.rows]
+            for r in frame_to_public(f).rows]
     return DocFrame(quals, docs)
 
 
@@ -394,7 +572,7 @@ def _split_equi(pred, left_has, right_has):
 
 
 def _hash_join(lrecs, rrecs, keys, combine, cond, resolve):
-    """Each pair of records whose keys (``(left getter, right getter)``
+    """Each pair of documents whose keys (``(left getter, right getter)``
     pairs) are equal and not null, combined, where ``cond`` is true.
     Without keys every pair is a candidate: a nested loop in input order."""
     keep = (lambda rec: True) if cond is None else \
@@ -419,17 +597,103 @@ def _hash_join(lrecs, rrecs, keys, combine, cond, resolve):
     return out
 
 
+# candidate pairs tested at a time by a join without equi-keys
+_CROSS_BATCH = 1 << 16
+
+
 def _join_rel(left: RelFrame, right: RelFrame, pred):
-    out = RelFrame(list(left.cols) + list(right.cols),
-                   list(left.types) + list(right.types), [])
+    """Candidate row pairs (equal keys, or all pairs), kept where the rest
+    of the condition is true, then the output columns gathered once.  The
+    condition reads its columns through the candidates' row indices."""
+    out = RelFrame(left.cols + right.cols, left.types + right.types,
+                   left.columns + right.columns, 0)
     keyed, residual = _split_equi(
         pred, lambda p: _resolvable_rel(left, p),
         lambda p: _resolvable_rel(right, p))
-    keys = [(itemgetter(_col_index(left, a)), itemgetter(_col_index(right, b)))
-            for a, b in keyed]
-    out.rows = _hash_join(left.rows, right.rows, keys, operator.add,
-                          residual if keyed else pred, _resolver(out))
-    return out
+    keys = [(left.columns[_col_index(left, a)],
+             right.columns[_col_index(right, b)]) for a, b in keyed]
+    cond = residual if keyed else pred
+    pair = [None, None]  # left and right row of each candidate under test
+
+    def resolve(path):
+        i = _col_index(out, path)
+        side, get = int(i >= len(left.cols)), _getter(out.columns[i])
+        return lambda rows: get(pair[side][rows])
+
+    keep = None if cond is None else compile_columns(cond, resolve)
+    lidx, ridx = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for li, ri in ([_equi_pairs(keys)] if keys else
+                   _cross_pairs(left.n, right.n)):
+        if keep is not None:
+            pair[:] = li, ri
+            t, _ = keep(np.arange(len(li)))
+            li, ri = li[t], ri[t]
+        lidx.append(li)
+        ridx.append(ri)
+    lidx, ridx = np.concatenate(lidx), np.concatenate(ridx)
+    return RelFrame(out.cols, out.types, [c.take(lidx) for c in left.columns]
+                    + [c.take(ridx) for c in right.columns], len(lidx))
+
+
+def _cross_pairs(nl: int, nr: int):
+    """Every (left, right) row pair in left-major order, in batches."""
+    step = max(1, _CROSS_BATCH // max(nr, 1))
+    for lo in range(0, nl, step):
+        li = np.arange(lo, min(lo + step, nl))
+        yield np.repeat(li, nr), np.tile(np.arange(nr), len(li))
+
+
+def _equi_pairs(keys: list[tuple[Column, Column]]):
+    """Row pairs whose key columns are all equal (and not null), in left
+    row order, then right row order."""
+    code = None
+    for a, b in keys:
+        c = _join_codes(a, b)
+        if code is not None:  # pairs of codes, renumbered
+            bad = (code < 0) | (c < 0)
+            code = np.unique(code * (int(c.max(initial=0)) + 1) + c,
+                             return_inverse=True)[1]
+            code[bad] = -1
+        else:
+            code = c
+    lk, rk = code[:len(keys[0][0])], code[len(keys[0][0]):]
+    order = np.flatnonzero(rk >= 0)
+    order = order[np.argsort(rk[order], kind="stable")]
+    sk = rk[order]
+    lo = np.searchsorted(sk, lk, "left")
+    count = np.where(lk >= 0, np.searchsorted(sk, lk, "right") - lo, 0)
+    li = np.repeat(np.arange(len(lk)), count)
+    offset = np.arange(len(li)) - np.repeat(np.cumsum(count) - count, count)
+    return li, order[np.repeat(lo, count) + offset]
+
+
+def _join_codes(a: Column, b: Column) -> np.ndarray:
+    """Codes of a's values then b's, equal where universal_key is; -1 for
+    a value that can match nothing (null, NaN, a float no int equals)."""
+    ka, kb = a.values.dtype.kind, b.values.dtype.kind
+    n = len(a) + len(b)
+    if "O" in (ka, kb):
+        ids: dict = {}
+        return np.fromiter((-1 if v is None else
+                            ids.setdefault(universal_key(v), len(ids))
+                            for v in a.tolist() + b.tolist()), np.int64, n)
+    if ka != kb and "b" in (ka, kb):
+        return np.full(n, -1, dtype=np.int64)  # a bool never equals a number
+    values = [a.values, b.values]
+    bad = [a.null_mask(), b.null_mask()]
+    if ka != kb:  # int64 against float64: compare in int64 where exact
+        j = int(kb == "f")
+        f = values[j]
+        exact = (np.floor(f) == f) & (f >= -2.0 ** 63) & (f < 2.0 ** 63)
+        values[j] = np.where(exact, f, 0).astype(np.int64)
+        bad[j] = bad[j] | ~exact
+    v = np.concatenate(values)
+    code = np.unique(v, return_inverse=True)[1]
+    bad = np.concatenate(bad)
+    if v.dtype.kind == "f":
+        bad |= np.isnan(v)
+    code[bad] = -1
+    return code
 
 
 def _join_doc(left: DocFrame, right: DocFrame, pred):
