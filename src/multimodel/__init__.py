@@ -31,7 +31,6 @@ from .models import (
     ValueType,
     collection_from_jsonl,
     collection_to_jsonl,
-    dot_get,
     relation_from_csv,
     relation_to_csv,
     validate_relation,

@@ -44,8 +44,6 @@ __all__ = [
     "validate_relation",
     "compile_path",
     "compile_set",
-    "dot_get",
-    "dot_set",
     "relation_to_csv",
     "relation_from_csv",
     "collection_to_jsonl",
@@ -404,12 +402,6 @@ def compile_path(path: str, absent=ABSENT):
     return get
 
 
-def dot_get(doc: dict, path: str):
-    """Value at a dotted path inside a nested document, or ABSENT (see
-    ``compile_path``)."""
-    return compile_path(path)(doc)
-
-
 def compile_set(path: str):
     """``(doc, value) -> copy of doc with the value at path replaced``; the
     path must resolve."""
@@ -425,11 +417,6 @@ def compile_set(path: str):
         cur[last] = value
         return out
     return set_value
-
-
-def dot_set(doc: dict, path: str, value) -> dict:
-    """Copy of doc with the value at path replaced (path must resolve)."""
-    return compile_set(path)(doc, value)
 
 
 # --- canonical text formats ------------------------------------------------
@@ -543,8 +530,9 @@ def infer_column_type(values) -> ValueType:
 
 
 # rows taken from csv.reader at a time: only one chunk of row lists is held
-# beside the column lists they are moved into
-_CSV_CHUNK = 4096
+# beside the column lists they are moved into, and a chunk stays below the
+# 700 live containers (gc.get_threshold()[0]) that start a young collection
+_CSV_CHUNK = 512
 
 
 def _csv_row_line(text: str, index: int) -> int:

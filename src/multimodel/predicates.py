@@ -9,10 +9,10 @@ a null operand is unknown; AND is false if any operand is false, OR is true
 if any operand is true, and otherwise either is unknown when an operand is;
 NOT unknown is unknown.  A filter or join keeps only the rows where the
 predicate is true, so ``NOT x = 3`` and ``x != 3`` both drop a null ``x``.
-A predicate is compiled once per operator: ``compile_predicate`` for
-documents, evaluated per document, and ``compile_columns`` for relations,
-evaluated a column at a time over masks.  Both give the same values and
-raise on the same inputs.
+A predicate is compiled once per operator by ``compile_columns``, the one
+evaluator for both record models, and runs a column at a time over masks:
+typed comparisons over int64, float64 and bool columns, and one comparison
+per value over object columns, which is what a document path reads as.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from .errors import ScriptError, TypeMismatchError
 
 __all__ = [
     "Lit", "Ref", "Cmp", "And", "Or", "Not",
-    "parse_predicate", "parse_sort_spec", "compile_predicate",
-    "compile_columns",
-    "equi_conjuncts", "predicate_refs", "universal_key", "compare_values",
+    "parse_predicate", "parse_sort_spec", "compile_columns",
+    "equi_conjuncts", "universal_key", "compare_values",
 ]
 
 
@@ -251,54 +250,11 @@ def compare_values(op: str, a, b) -> bool:
         f"cannot order {type(a).__name__} against {type(b).__name__}")
 
 
-def compile_predicate(node, resolve: Callable[[str], Callable]):
-    """Compile a predicate into ``row -> True | False | None`` (None is
-    unknown).  ``resolve(path)`` is called once per reference and returns
-    the getter ``row -> value`` (None for null) that every row then uses."""
-    if isinstance(node, Cmp):
-        fn, op = _OPS[node.op], node.op
-        left = _operand(node.left, resolve)
-        right = _operand(node.right, resolve)
-
-        def cmp(row):
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return None
-            return _compare(op, fn, a, b)
-        return cmp
-    if isinstance(node, (And, Or)):
-        items = [compile_predicate(n, resolve) for n in node.items]
-        decisive = isinstance(node, Or)  # the value that settles the result
-
-        def junction(row):
-            unknown = False
-            for item in items:
-                v = item(row)
-                if v is None:
-                    unknown = True
-                elif v == decisive:
-                    return decisive
-            return None if unknown else not decisive
-        return junction
-    if isinstance(node, Not):
-        item = compile_predicate(node.item, resolve)
-        return lambda row: None if (v := item(row)) is None else not v
-    raise ValueError(f"not a predicate node: {node!r}")
-
-
 def _compare(op, fn, a, b):
     """Comparison of two non-null values."""
     if type(a) is type(b) and type(a) in _SCALARS:
         return fn(a, b)
     return compare_values(op, a, b)
-
-
-def _operand(node, resolve):
-    if isinstance(node, Lit):
-        return lambda row, v=node.value: v
-    if isinstance(node, Ref):
-        return resolve(node.path)
-    raise ValueError(f"not an operand: {node!r}")
 
 
 # ------------------------------------------------------- column evaluation
@@ -315,8 +271,9 @@ def compile_columns(node, resolve: Callable[[str], Callable]):
     ``rows -> (values, null mask or None)``.
 
     An AND or OR evaluates each item only on the rows that its earlier
-    items left undecided, as the row-at-a-time form stops at the first
-    item that settles a row; so both raise on exactly the same inputs."""
+    items left undecided, as a row-at-a-time evaluation stops at the first
+    item that settles a row; so a comparison that cannot be made raises
+    only where such an evaluation would reach it."""
     if isinstance(node, Cmp):
         op = node.op
         left = _column_operand(node.left, resolve)
@@ -444,23 +401,3 @@ def equi_conjuncts(node):
         residual = rest[0] if len(rest) == 1 else And(tuple(rest))
     return pairs, residual
 
-
-def predicate_refs(node) -> list[str]:
-    """All reference paths mentioned, in first-appearance order."""
-    out: list[str] = []
-
-    def walk(n):
-        if isinstance(n, Ref):
-            if n.path not in out:
-                out.append(n.path)
-        elif isinstance(n, Cmp):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, (And, Or)):
-            for x in n.items:
-                walk(x)
-        elif isinstance(n, Not):
-            walk(n.item)
-
-    walk(node)
-    return out

@@ -5,12 +5,15 @@ sort, limit, aggregate, union, join, unwind, plus alias-refs into a registry
 of materialized results. One executor serves both record models; documents
 use dotted paths wherever relations use column references.
 
-Relations run a column at a time.  A RelFrame holds one Column per attribute
-(see models): filter evaluates the compiled predicate over whole columns with
-Kleene logic on masks; the equi-join and grouping key on column codes;
-project, sort, limit and union select, order and concatenate columns through
-index vectors.  Documents stay dicts and run one at a time through compiled
-paths.
+Both models run a column at a time.  A RelFrame holds one Column per
+attribute (see models); a DocFrame holds its documents, and a path read from
+them is an object column, absent as null.  Filter, sort, limit, aggregate
+and the join's pairing have one body for both models: filter evaluates the
+compiled predicate over whole columns with Kleene logic on masks; the
+equi-join and grouping key on column codes; sort and limit order and cut
+through index vectors.  Per-value work is left only where the values are
+objects.  Project, union and unwind change a frame's shape and stay
+model-specific.
 
 Column references carry optional qualifiers ("review.oid"): a bare name must
 resolve to exactly one column, a qualified name matches its source relation.
@@ -19,12 +22,15 @@ public Relation renders colliding names as "qualifier.name".
 
 Each operator resolves its references once, when it starts, into column
 getters and compiled predicates; an unknown or ambiguous column raises
-PlanError there, even on empty input.
+PlanError there, even on empty input.  A document path always resolves: a
+document that lacks it reads null.
 
 Null semantics are SQL's three-valued logic (see predicates): filters and
 join conditions keep only the rows where the predicate is true.  Sorting
 places nulls last under either direction, with full-row lexicographic order
-as the deterministic tie-break.  Join output is in left input order, then
+(a whole document's universal_key) as the deterministic tie-break.  A join
+of documents merges each pair into one document, the left's keys first and
+then the right's keys that the left lacks.  Join output is in left input order, then
 right input order; groups keep the order of their first rows.  Values keep
 Python's semantics throughout: ints compare and sum exactly, a bool never
 equals a number, and a float NaN matches nothing and groups alone.
@@ -40,8 +46,8 @@ from .errors import NotFoundError, PlanError, TypeMismatchError
 from .models import (ABSENT, FLOAT, INT, Collection, Column, Relation,
                      object_column, column_of, compile_path, compile_set,
                      infer_column_type)
-from .predicates import (And, Cmp, Ref, compile_columns, compile_predicate,
-                         equi_conjuncts, universal_key)
+from .predicates import (And, Cmp, Ref, compile_columns, equi_conjuncts,
+                         universal_key)
 
 __all__ = ["RdNode", "RelFrame", "DocFrame", "execute_tree", "node",
            "frame_to_public", "relation_frame", "collection_frame"]
@@ -74,6 +80,14 @@ class RelFrame:
 class DocFrame:
     quals: tuple
     docs: list
+
+    @property
+    def n(self) -> int:
+        return len(self.docs)
+
+    def take(self, idx: np.ndarray) -> "DocFrame":
+        return DocFrame(self.quals,
+                        list(map(self.docs.__getitem__, idx.tolist())))
 
 
 def relation_frame(rel: Relation, qualifier: str | None = None) -> RelFrame:
@@ -142,9 +156,25 @@ def _getter(col: Column):
     return lambda rows: (col.values[rows], col.null[rows])
 
 
-def _resolver(f: RelFrame):
+def _column(f, path: str):
+    """``(Column, declared type)`` of a path on either frame.  A document
+    path is an object column, absent read as null, with no declared type."""
+    if isinstance(f, RelFrame):
+        i = _col_index(f, path)
+        return f.columns[i], f.types[i]
+    get = _doc_value(f.quals, path)
+    return object_column([get(d) for d in f.docs]), None
+
+
+def _row_columns(f) -> list:
+    """The columns whose ranks, in turn, order whole rows: a relation's
+    attributes, or a collection's documents as one object column."""
+    return f.columns if isinstance(f, RelFrame) else [object_column(f.docs)]
+
+
+def _resolver(f):
     """``path -> column getter`` over the frame."""
-    return lambda path: _getter(f.columns[_col_index(f, path)])
+    return lambda path: _getter(_column(f, path)[0])
 
 
 # ----------------------------------------------------------------- execution
@@ -205,12 +235,9 @@ def _as_frame(obj, qualifier):
 
 
 def _filter(f, pred):
-    if isinstance(f, RelFrame):
-        keep = compile_columns(pred, _resolver(f))
-        t, _ = keep(np.arange(f.n))
-        return f.take(np.flatnonzero(t))
-    keep = compile_predicate(pred, lambda path: _doc_value(f.quals, path))
-    return DocFrame(f.quals, [d for d in f.docs if keep(d)])
+    keep = compile_columns(pred, _resolver(f))
+    t, _ = keep(np.arange(f.n))
+    return f.take(np.flatnonzero(t))
 
 
 def _project(f, cols, names):
@@ -228,24 +255,16 @@ def _project(f, cols, names):
 
 
 def _sort(f, keys):
-    if isinstance(f, RelFrame):
-        idx = [_col_index(f, ref) for ref, _ in keys]
-        ranks = [_rank(c) for c in f.columns]  # the full-row tie-break
-        by = []
-        for i, (_, desc) in zip(idx, keys):
-            rank, top = ranks[i]
-            k = top - 1 - rank if desc else rank
-            null = f.columns[i].null
-            by.append(k if null is None else np.where(null, top, k))
-        # lexsort's primary key is its last: the sort keys, then each column
-        order = np.lexsort([r for r, _ in reversed(ranks)] + by[::-1]) \
-            if f.columns else np.arange(f.n)
-        return f.take(order)
-    docs = sorted(f.docs, key=universal_key)
-    for ref, desc in reversed(keys):
-        get = _doc_value(f.quals, ref)
-        docs.sort(key=lambda d: _sort_key(get(d), desc), reverse=desc)
-    return DocFrame(f.quals, docs)
+    by = []
+    for ref, desc in keys:
+        col = _column(f, ref)[0]
+        rank, top = _rank(col)
+        k = top - 1 - rank if desc else rank
+        by.append(k if col.null is None else np.where(col.null, top, k))
+    ties = [_rank(c)[0] for c in _row_columns(f)]  # the whole-row tie-break
+    # lexsort's primary key is its last: the sort keys, then the tie-break
+    order = np.lexsort(ties[::-1] + by[::-1]) if ties else np.arange(f.n)
+    return f.take(order)
 
 
 def _rank(col: Column) -> tuple[np.ndarray, int]:
@@ -263,16 +282,8 @@ def _rank(col: Column) -> tuple[np.ndarray, int]:
     return rank, len(distinct)
 
 
-def _sort_key(v, desc: bool):
-    # nulls sort last under both directions
-    null_rank = (0 if desc else 1) if v is None else (1 if desc else 0)
-    return (null_rank, universal_key(v))
-
-
 def _limit(f, k: int):
-    if isinstance(f, RelFrame):
-        return f.take(np.arange(f.n)[:k])
-    return DocFrame(f.quals, f.docs[:k])
+    return f.take(np.arange(f.n)[:k])
 
 
 def _union(a, b):
@@ -347,28 +358,18 @@ def _aggregate(f, keys, aggs):
     for func, ref, _ in aggs:
         if ref is None and func != "count":
             raise PlanError(f"{func}(*) is not defined; name an attribute")
-    # (column, declared type): a document path becomes an object column,
-    # absent as null, typed below by the values it yields
-    if isinstance(f, RelFrame):
-        n = f.n
-
-        def column(path):
-            i = _col_index(f, path)
-            return f.columns[i], f.types[i]
-    else:
-        n = len(f.docs)
-
-        def column(path):
-            get = _doc_value(f.quals, path)
-            return object_column([get(d) for d in f.docs]), None
-    key_cols, types = map(list, zip(*map(column, keys))) if keys else ([], [])
-    vals = [(None, None) if ref is None else column(ref) for _, ref, _ in aggs]
+    # a document path has no declared type: it is typed below by the values
+    # it yields
+    key_cols, types = map(list, zip(*(_column(f, k) for k in keys))) \
+        if keys else ([], [])
+    vals = [(None, None) if ref is None else _column(f, ref)
+            for _, ref, _ in aggs]
     if keys:
         codes, first = _group(key_cols)
         key_cols = [c.take(first) for c in key_cols]
         ngroups = len(first)
     else:  # one group, even over no rows: the identity row
-        codes, ngroups = np.zeros(n, dtype=np.int64), 1
+        codes, ngroups = np.zeros(f.n, dtype=np.int64), 1
     types = [vt or infer_column_type(c.tolist())
              for c, vt in zip(key_cols, types)]
     # count is INT and avg FLOAT; sum, min and max keep the aggregated
@@ -516,8 +517,12 @@ def _acc_add(acc, func, v):
         if cur is not None and type(cur) is not type(v) and not (
                 isinstance(cur, (int, float)) and isinstance(v, (int, float))):
             raise TypeMismatchError(f"{func} over mixed types")
-        acc["value"] = v if cur is None else (
-            min(cur, v) if func == "min" else max(cur, v))
+        try:
+            acc["value"] = v if cur is None else (
+                min(cur, v) if func == "min" else max(cur, v))
+        except TypeError:  # documents, or lists of incomparable values
+            raise TypeMismatchError(f"{func} cannot order "
+                                    f"{type(v).__name__} values") from None
 
 
 def _acc_final(acc, func):
@@ -537,10 +542,13 @@ def _join(left, right, pred):
 
 
 def _rel_to_doc(f: RelFrame) -> DocFrame:
+    """Each row as a document keyed by bare column names; a null stays a
+    None value."""
     quals = tuple(dict.fromkeys(q for q, _ in f.cols if q))
-    docs = [{n: v for (_, n), v in zip(f.cols, r) if v is not None}
-            for r in frame_to_public(f).rows]
-    return DocFrame(quals, docs)
+    names = [n for _, n in f.cols]
+    rows = zip(*(c.tolist() for c in f.columns)) if f.columns else \
+        [()] * f.n
+    return DocFrame(quals, [dict(zip(names, r)) for r in rows])
 
 
 def _resolvable_rel(f: RelFrame, path: str) -> bool:
@@ -569,32 +577,6 @@ def _split_equi(pred, left_has, right_has):
         residual = And(extra + ((residual,) if residual else ())) \
             if len(extra) + (residual is not None) > 1 else extra[0]
     return keyed, residual
-
-
-def _hash_join(lrecs, rrecs, keys, combine, cond, resolve):
-    """Each pair of documents whose keys (``(left getter, right getter)``
-    pairs) are equal and not null, combined, where ``cond`` is true.
-    Without keys every pair is a candidate: a nested loop in input order."""
-    keep = (lambda rec: True) if cond is None else \
-        compile_predicate(cond, resolve)
-    lgets, rgets = [lg for lg, _ in keys], [rg for _, rg in keys]
-
-    def key(rec, gets):  # None when a key is null: it matches nothing
-        kv = [get(rec) for get in gets]
-        return None if None in kv else tuple(map(universal_key, kv))
-
-    table: dict = {}
-    for rr in rrecs:
-        k = key(rr, rgets)
-        if k is not None:
-            table.setdefault(k, []).append(rr)
-    out = []
-    for lr in lrecs:
-        for rr in table.get(key(lr, lgets), ()):
-            rec = combine(lr, rr)
-            if keep(rec):
-                out.append(rec)
-    return out
 
 
 # candidate pairs tested at a time by a join without equi-keys
@@ -697,6 +679,9 @@ def _join_codes(a: Column, b: Column) -> np.ndarray:
 
 
 def _join_doc(left: DocFrame, right: DocFrame, pred):
+    """Candidate pairs as ``_join_rel`` takes them, from key columns of the
+    document paths; each pair merged into one document, and the rest of the
+    condition evaluated over each batch of merged documents."""
     quals = tuple(dict.fromkeys(left.quals + right.quals))
 
     def strip(path: str, side: DocFrame) -> str:
@@ -713,16 +698,23 @@ def _join_doc(left: DocFrame, right: DocFrame, pred):
         return side_has
 
     keyed, residual = _split_equi(pred, has(left, right), has(right, left))
+    keys = [(_column(left, strip(a, left))[0],
+             _column(right, strip(b, right))[0]) for a, b in keyed]
+    cond = residual if keyed else pred
+    docs = []
+    for li, ri in ([_equi_pairs(keys)] if keys else
+                   _cross_pairs(left.n, right.n)):
+        pairs = DocFrame(quals, list(map(
+            _merged, map(left.docs.__getitem__, li.tolist()),
+            map(right.docs.__getitem__, ri.tolist()))))
+        docs += (pairs if cond is None else _filter(pairs, cond)).docs
+    return DocFrame(quals, docs)
 
-    def merged(ld, rd):
-        out = dict(ld)
-        for k, v in rd.items():
-            if k not in out:
-                out[k] = v
-        return out
 
-    keys = [(_doc_value(left.quals, strip(a, left)),
-             _doc_value(right.quals, strip(b, right))) for a, b in keyed]
-    return DocFrame(quals, _hash_join(
-        left.docs, right.docs, keys, merged, residual if keyed else pred,
-        lambda p: _doc_value(quals, p)))
+def _merged(ld: dict, rd: dict) -> dict:
+    """The left document's keys, then the right's keys the left lacks."""
+    out = dict(ld)
+    for k, v in rd.items():
+        if k not in out:
+            out[k] = v
+    return out

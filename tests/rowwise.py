@@ -1,14 +1,20 @@
-"""Row-at-a-time reference for the relational operators.
+"""Row-at-a-time reference for the relational and document operators.
 
-The engine runs relations a column at a time (``rd_engine``).  This module
-keeps the row-wise form those operators replaced: a frame holds a list of row
-tuples, every operator runs one row at a time through ``itemgetter``s, and
-``compile_predicate`` evaluates filter and join conditions row by row, so an
-AND or OR stops at the first item that settles a row.  ``run`` executes the
-same plan trees over relations; ``test_columnar.py`` compares the two.
+The engine runs both record models a column at a time (``rd_engine``): a
+collection's paths become object columns.  This module keeps the row-wise
+forms those operators replaced: a relation frame holds a list of row tuples,
+a document frame a list of dicts, and every operator runs one record at a
+time through getters.  ``compile_predicate`` evaluates filter and join
+conditions record by record, so an AND or OR stops at the first item that
+settles a record; a document sort orders by ``universal_key`` of the whole
+document and then by each key in turn; a document join hashes its keys into
+a dict and merges each pair left first.  ``run`` executes the same plan
+trees; ``test_columnar.py`` compares the two.
 
-Column resolution (``_col_index``, ``_split_equi``) is shared with the engine:
-it is not what the comparison tests.
+Reference resolution (``_col_index``, ``_doc_value``, ``_split_equi``) and a
+relation's conversion into documents for a join with a collection
+(``_rel_to_doc``) are shared with the engine: they are not what the
+comparison tests.
 """
 
 from __future__ import annotations
@@ -16,11 +22,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Callable
 
 from multimodel.errors import PlanError, TypeMismatchError
-from multimodel.models import FLOAT, INT
-from multimodel.predicates import compile_predicate, universal_key
-from multimodel.rd_engine import _col_index, _public_names, _split_equi
+from multimodel.models import (FLOAT, INT, Collection, Relation,
+                               infer_column_type)
+from multimodel.predicates import (And, Cmp, Lit, Not, Or, Ref,
+                                   compare_values, universal_key)
+from multimodel.rd_engine import (RelFrame, _col_index, _doc_value,
+                                  _public_names, _rel_to_doc, _split_equi)
 
 
 @dataclass
@@ -30,19 +40,30 @@ class RowFrame:
     rows: list  # [tuple]
 
 
-def run(tree, registry: dict) -> tuple[list, list]:
-    """Execute a plan tree of relational operators over the registry's
-    relations, a row at a time: the result's schema and row tuples."""
+@dataclass
+class DocRows:
+    quals: tuple
+    docs: list  # [dict]
+
+
+def run(tree, registry: dict):
+    """Execute a plan tree over the registry's relations and collections, a
+    record at a time: a relation's schema and row tuples, or a collection's
+    documents."""
     f = _exec(tree, registry)
+    if isinstance(f, DocRows):
+        return f.docs
     return list(zip(_public_names(f.cols), f.types)), f.rows
 
 
 def _exec(n, reg):
     if n.op == "scan":
-        rel = reg[n.params["name"]]
+        obj = reg[n.params["name"]]
         q = n.params.get("qualifier") or n.params["name"]
-        return RowFrame([(q, name) for name, _ in rel.schema],
-                        [t for _, t in rel.schema], list(rel.rows))
+        if isinstance(obj, Collection):
+            return DocRows((q,), list(obj.docs))
+        return RowFrame([(q, name) for name, _ in obj.schema],
+                        [t for _, t in obj.schema], list(obj.rows))
     kids = [_exec(c, reg) for c in n.children]
     p = n.params
     if n.op == "filter":
@@ -52,7 +73,7 @@ def _exec(n, reg):
     if n.op == "sort":
         return _sort(kids[0], p["keys"])
     if n.op == "limit":
-        return RowFrame(kids[0].cols, kids[0].types, kids[0].rows[:p["n"]])
+        return _like(kids[0], _records(kids[0])[:p["n"]])
     if n.op == "aggregate":
         return _aggregate(kids[0], p.get("keys", []), p["aggs"])
     if n.op == "union":
@@ -62,13 +83,75 @@ def _exec(n, reg):
     raise PlanError(f"unknown operator {n.op!r}")
 
 
-def _resolver(f):
-    return lambda path: itemgetter(_col_index(f, path))
+def _records(f) -> list:
+    return f.docs if isinstance(f, DocRows) else f.rows
 
+
+def _like(f, records: list):
+    """A frame of the same model and columns as ``f`` over ``records``."""
+    if isinstance(f, DocRows):
+        return DocRows(f.quals, records)
+    return RowFrame(f.cols, f.types, records)
+
+
+def _getter(f, path: str):
+    """``record -> value`` of a path, None for null or absent."""
+    if isinstance(f, DocRows):
+        return _doc_value(f.quals, path)
+    return itemgetter(_col_index(f, path))
+
+
+# ------------------------------------------------------------- predicates
+
+def compile_predicate(node, resolve: Callable[[str], Callable]):
+    """Compile a predicate into ``record -> True | False | None`` (None is
+    unknown).  ``resolve(path)`` is called once per reference and returns
+    the getter ``record -> value`` (None for null) that every record then
+    uses.  An AND or OR stops at the first item that settles the record."""
+    if isinstance(node, Cmp):
+        op = node.op
+        left = _operand(node.left, resolve)
+        right = _operand(node.right, resolve)
+
+        def cmp(rec):
+            a, b = left(rec), right(rec)
+            if a is None or b is None:
+                return None
+            return compare_values(op, a, b)
+        return cmp
+    if isinstance(node, (And, Or)):
+        items = [compile_predicate(n, resolve) for n in node.items]
+        decisive = isinstance(node, Or)  # the value that settles the result
+
+        def junction(rec):
+            unknown = False
+            for item in items:
+                v = item(rec)
+                if v is None:
+                    unknown = True
+                elif v == decisive:
+                    return decisive
+            return None if unknown else not decisive
+        return junction
+    if isinstance(node, Not):
+        item = compile_predicate(node.item, resolve)
+        return lambda rec: None if (v := item(rec)) is None else not v
+    raise ValueError(f"not a predicate node: {node!r}")
+
+
+def _operand(node, resolve):
+    if isinstance(node, Lit):
+        return lambda rec, v=node.value: v
+    if isinstance(node, Ref):
+        return resolve(node.path)
+    raise ValueError(f"not an operand: {node!r}")
+
+
+# -------------------------------------------------------------- operators
 
 def _filter(f, pred):
-    keep = compile_predicate(pred, _resolver(f))
-    return RowFrame(f.cols, f.types, [r for r in f.rows if keep(r)])
+    keep = compile_predicate(pred, lambda path: _getter(f, path))
+    return _like(f, [r for r in _records(f) if keep(r)])
 
 
 def _project(f, cols, names):
@@ -85,11 +168,15 @@ def _sort_key(v, desc: bool):
 
 
 def _sort(f, keys):
-    rows = sorted(f.rows, key=lambda r: tuple(universal_key(v) for v in r))
+    """The whole record's ``universal_key`` order (each attribute in turn
+    for a row), then a stable sort by each key from the last to the first."""
+    whole = universal_key if isinstance(f, DocRows) else \
+        (lambda r: tuple(map(universal_key, r)))
+    recs = sorted(_records(f), key=whole)
     for ref, desc in reversed(keys):
-        i = _col_index(f, ref)
-        rows.sort(key=lambda r: _sort_key(r[i], desc), reverse=desc)
-    return RowFrame(f.cols, f.types, rows)
+        get = _getter(f, ref)
+        recs.sort(key=lambda r: _sort_key(get(r), desc), reverse=desc)
+    return _like(f, recs)
 
 
 def _union(a, b):
@@ -121,15 +208,17 @@ _STAR = object()  # count(*) marker: counts rows, nulls included
 
 
 def _aggregate(f, keys, aggs):
+    """Groups in first-appearance order, keyed on ``universal_key``.  A
+    relation's columns keep their declared types; over documents each output
+    column has the type of the values it holds."""
     for func, ref, _ in aggs:
         if ref is None and func != "count":
             raise PlanError(f"{func}(*) is not defined; name an attribute")
-    key_gets = [itemgetter(_col_index(f, k)) for k in keys]
-    val_gets = [(func, (lambda r: _STAR) if ref is None
-                 else itemgetter(_col_index(f, ref)))
+    key_gets = [_getter(f, k) for k in keys]
+    val_gets = [(func, (lambda r: _STAR) if ref is None else _getter(f, ref))
                 for func, ref, _ in aggs]
     groups: dict = {}  # insertion order == first appearance
-    for r in f.rows:
+    for r in _records(f):
         kv = tuple(get(r) for get in key_gets)
         gk = tuple(universal_key(v) for v in kv)
         if gk not in groups:
@@ -137,7 +226,7 @@ def _aggregate(f, keys, aggs):
         for acc, (func, get) in zip(groups[gk][1], val_gets):
             _acc_add(acc, func, get(r))
     out = []
-    if not keys and not f.rows:  # no grouping over no rows: identity row
+    if not keys and not _records(f):  # no grouping over no rows: identity row
         out.append(tuple(_acc_final({"n": 0, "value": None}, func)
                          for func, _, _ in aggs))
     for kv, accs in groups.values():
@@ -145,9 +234,15 @@ def _aggregate(f, keys, aggs):
                               for acc, (func, _, _) in zip(accs, aggs)))
     cols = [(None, k.rpartition(".")[2]) for k in keys] + \
         [(None, name) for _, _, name in aggs]
-    types = [f.types[_col_index(f, k)] for k in keys] + [
-        INT if func == "count" else FLOAT if func == "avg" else
-        f.types[_col_index(f, ref)] for func, ref, _ in aggs]
+    funcs = [None] * len(keys) + [func for func, _, _ in aggs]
+    if isinstance(f, DocRows):
+        values = list(zip(*out)) or [()] * len(cols)
+        types = [INT if func == "count" else FLOAT if func == "avg" else
+                 infer_column_type(vs) for func, vs in zip(funcs, values)]
+    else:
+        types = [f.types[_col_index(f, k)] for k in keys] + [
+            INT if func == "count" else FLOAT if func == "avg" else
+            f.types[_col_index(f, ref)] for func, ref, _ in aggs]
     return RowFrame(cols, types, out)
 
 
@@ -168,8 +263,12 @@ def _acc_add(acc, func, v):
         if cur is not None and type(cur) is not type(v) and not (
                 isinstance(cur, (int, float)) and isinstance(v, (int, float))):
             raise TypeMismatchError(f"{func} over mixed types")
-        acc["value"] = v if cur is None else (
-            min(cur, v) if func == "min" else max(cur, v))
+        try:
+            acc["value"] = v if cur is None else (
+                min(cur, v) if func == "min" else max(cur, v))
+        except TypeError:  # documents, or lists of incomparable values
+            raise TypeMismatchError(f"{func} cannot order "
+                                    f"{type(v).__name__} values") from None
     else:
         raise PlanError(f"unknown aggregate {func!r}")
 
@@ -182,7 +281,36 @@ def _acc_final(acc, func):
     return acc["value"]
 
 
+# ------------------------------------------------------------------ joins
+
+def _hash_join(lrecs, rrecs, lgets, rgets, combine, keep):
+    """Each pair of records whose keys are equal and not null, combined,
+    where ``keep`` is true; without keys every pair, left-major."""
+    def key(rec, gets):  # None when a key is null: it matches nothing
+        kv = [get(rec) for get in gets]
+        return None if None in kv else tuple(map(universal_key, kv))
+
+    table: dict = {}
+    for rr in rrecs:
+        k = key(rr, rgets)
+        if k is not None:
+            table.setdefault(k, []).append(rr)
+    out = []
+    for lr in lrecs:
+        for rr in table.get(key(lr, lgets), ()):
+            rec = combine(lr, rr)
+            if keep(rec):
+                out.append(rec)
+    return out
+
+
 def _join(left, right, pred):
+    if isinstance(left, RowFrame) and isinstance(right, RowFrame):
+        return _join_rows(left, right, pred)
+    return _join_docs(_as_docs(left), _as_docs(right), pred)
+
+
+def _join_rows(left, right, pred):
     out = RowFrame(left.cols + right.cols, left.types + right.types, [])
 
     def has(f):
@@ -195,24 +323,55 @@ def _join(left, right, pred):
         return side_has
 
     keyed, residual = _split_equi(pred, has(left), has(right))
-    lgets = [itemgetter(_col_index(left, a)) for a, _ in keyed]
-    rgets = [itemgetter(_col_index(right, b)) for _, b in keyed]
     cond = residual if keyed else pred
     keep = (lambda rec: True) if cond is None else \
-        compile_predicate(cond, _resolver(out))
-
-    def key(rec, gets):  # None when a key is null: it matches nothing
-        kv = [get(rec) for get in gets]
-        return None if None in kv else tuple(map(universal_key, kv))
-
-    table: dict = {}
-    for rr in right.rows:
-        k = key(rr, rgets)
-        if k is not None:
-            table.setdefault(k, []).append(rr)
-    for lr in left.rows:
-        for rr in table.get(key(lr, lgets), ()):
-            rec = operator.add(lr, rr)
-            if keep(rec):
-                out.rows.append(rec)
+        compile_predicate(cond, lambda path: _getter(out, path))
+    out.rows = _hash_join(left.rows, right.rows,
+                          [_getter(left, a) for a, _ in keyed],
+                          [_getter(right, b) for _, b in keyed],
+                          operator.add, keep)
     return out
+
+
+def _as_docs(f) -> DocRows:
+    if isinstance(f, DocRows):
+        return f
+    rel = Relation(list(zip(_public_names(f.cols), f.types)), f.rows)
+    docs = _rel_to_doc(RelFrame(f.cols, f.types, list(rel.columns),
+                                len(f.rows)))
+    return DocRows(docs.quals, docs.docs)
+
+
+def _join_docs(left: DocRows, right: DocRows, pred):
+    quals = tuple(dict.fromkeys(left.quals + right.quals))
+
+    def strip(path: str, side: DocRows) -> str:
+        head, _, rest = path.partition(".")
+        return rest if rest and head in side.quals else path
+
+    def has(side: DocRows, other: DocRows):
+        def side_has(p):
+            head = p.partition(".")[0]
+            if head in side.quals or head in other.quals:
+                return head in side.quals
+            get = _doc_value(side.quals, p)
+            return any(get(d) is not None for d in side.docs)
+        return side_has
+
+    keyed, residual = _split_equi(pred, has(left, right), has(right, left))
+
+    def merged(ld, rd):  # the left's keys, then the right's it lacks
+        out = dict(ld)
+        for k, v in rd.items():
+            if k not in out:
+                out[k] = v
+        return out
+
+    cond = residual if keyed else pred
+    keep = (lambda rec: True) if cond is None else \
+        compile_predicate(cond, lambda p: _doc_value(quals, p))
+    return DocRows(quals, _hash_join(
+        left.docs, right.docs,
+        [_doc_value(left.quals, strip(a, left)) for a, _ in keyed],
+        [_doc_value(right.quals, strip(b, right)) for _, b in keyed],
+        merged, keep))

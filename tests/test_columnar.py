@@ -1,11 +1,14 @@
-"""The column-at-a-time relational operators against the row-wise reference
-(``rowwise.py``): the same trees over random tables must give equal schemas
-and rows, or raise the same error type.
+"""The column-at-a-time record operators against the row-wise reference
+(``rowwise.py``): the same trees over random tables and collections must
+give equal schemas and rows, or equal documents with the same key order, or
+raise the same error type.
 
 Tables mix nulls, ints around +-2**53 and beyond int64, floats, bools and
 strings, and now and then a value of another type than its column's, which
-makes the column an object array.  Floats leave out NaN: a NaN is never
-equal to itself, so no result holding one compares equal.
+makes the column an object array.  Documents draw their keys in random order,
+leave some out, and hold the same scalars, nulls, lists and nested documents.
+Floats leave out NaN: a NaN is never equal to itself, so no result holding
+one compares equal.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from hypothesis import strategies as st
 
 import rowwise
 from multimodel.errors import TypeMismatchError
-from multimodel.models import (BOOL, FLOAT, INT, STRING, UINT, Relation,
-                               validate_relation)
+from multimodel.models import (BOOL, FLOAT, INT, STRING, UINT, Collection,
+                               Relation, validate_relation)
 from multimodel.predicates import And, Cmp, Lit, Not, Or, Ref, parse_predicate
 from multimodel.rd_engine import execute_tree, node
 
@@ -69,6 +72,10 @@ def same(tree, reg):
         assert type(got.value) is type(e), (got.value, e)
         return
     out = execute_tree(tree, reg)
+    if isinstance(out, Collection):
+        assert out.docs == want
+        assert [list(d) for d in out.docs] == [list(d) for d in want]
+        return
     assert (out.schema, out.rows) == want
     assert len(out) == len(want[1])
 
@@ -140,6 +147,89 @@ def test_sort_limit_project_match_reference(rel, keys, k, cols):
 @given(tables(["x", "s"]), tables(["x", "s"]))
 def test_union_matches_reference(a, b):
     same(node("union", scan("a"), scan("b")), {"a": a, "b": b})
+
+
+# ------------------------------------------------------------ documents
+
+DOC_VALUES = st.one_of(
+    st.integers(0, 2), ANY, st.none(),
+    st.lists(st.one_of(ANY, st.none()), max_size=2),
+    st.dictionaries(st.sampled_from("cd"), st.one_of(ANY, st.none()),
+                    max_size=2))
+# join and group keys: mostly a few small ints, so that keys meet
+KEY_VALUES = st.one_of(*[st.integers(0, 2)] * 3, DOC_VALUES)
+
+
+@st.composite
+def collections(draw, keys, max_docs=8):
+    """Documents over some of ``keys`` in random order, each value a scalar,
+    null, list or nested document; ``k`` and ``g`` hold mostly small ints."""
+    docs = []
+    for _ in range(draw(st.integers(0, max_docs))):
+        names = [k for k in draw(st.permutations(keys))
+                 if draw(st.integers(0, 3))]  # each present 3 times in 4
+        docs.append({k: draw(KEY_VALUES if k in ("k", "g") else DOC_VALUES)
+                     for k in names})
+    return Collection("c", docs)
+
+
+DOC_REFS = ["a", "b", "b.c", "k", "t.a", "t.b.d"]
+
+
+@SETTINGS
+@given(collections(["a", "b", "k"]), predicates(DOC_REFS))
+def test_document_filter_matches_reference(col, pred):
+    same(node("filter", scan("t"), pred=pred), {"t": col})
+
+
+@SETTINGS
+@given(collections(["a", "b", "k"], max_docs=12),
+       st.lists(st.tuples(st.sampled_from(["a", "b", "b.c", "t.k"]),
+                          st.booleans()), max_size=2),
+       st.integers(0, 12))
+def test_document_sort_limit_matches_reference(col, keys, k):
+    same(node("limit", node("sort", scan("t"), keys=keys), n=k), {"t": col})
+
+
+@SETTINGS
+@given(collections(["k", "a", "x"]), collections(["k", "b", "x"]),
+       st.sampled_from(JOINS + ["l.k = r.k AND x = r.x", "l.x = r.k"]))
+def test_document_join_matches_reference(left, right, text):
+    same(node("join", scan("l", "l"), scan("r", "r"),
+              pred=parse_predicate(text)), {"l": left, "r": right})
+
+
+@SETTINGS
+@given(collections(["k", "a", "x"]), collections(["k", "b", "x"]),
+       predicates(["a", "b", "x", "b.c", "l.x", "r.x"]))
+def test_document_join_residual_matches_reference(left, right, residual):
+    pred = And((parse_predicate("l.k = r.k"), residual))
+    same(node("join", scan("l", "l"), scan("r", "r"), pred=pred),
+         {"l": left, "r": right})
+
+
+@SETTINGS
+@given(tables(["k", "a"]), collections(["k", "b", "a"]),
+       st.sampled_from(["l.k = r.k", "r.k = l.k AND a < b", "a < b"]),
+       st.booleans())
+def test_relation_collection_join_matches_reference(rel, col, text, flip):
+    sides = [scan("l", "l"), scan("r", "r")]
+    same(node("join", *(sides[::-1] if flip else sides),
+              pred=parse_predicate(text)), {"l": rel, "r": col})
+
+
+DOC_AGGS = [("count", None, "n"), ("count", "x", "nx"), ("sum", "x", "sx"),
+            ("avg", "x", "ax"), ("min", "x", "lo"), ("max", "x", "hi"),
+            ("min", "s", "ls"), ("max", "g.c", "hc")]
+
+
+@SETTINGS
+@given(collections(["g", "x", "s"], max_docs=12),
+       st.lists(st.sampled_from(["g", "g.c", "s"]), unique=True, max_size=2),
+       st.lists(st.sampled_from(DOC_AGGS), min_size=1, max_size=3,
+                unique_by=lambda a: a[2]))
+def test_document_aggregate_matches_reference(col, keys, aggs):
+    same(node("aggregate", scan("t"), keys=keys, aggs=aggs), {"t": col})
 
 
 # ------------------------------------------------------ stated semantics

@@ -24,8 +24,8 @@ from multimodel.models import (
     ValueType,
     collection_from_jsonl,
     collection_to_jsonl,
-    dot_get,
-    dot_set,
+    compile_path,
+    compile_set,
     relation_from_csv,
     relation_to_csv,
     validate_relation,
@@ -91,25 +91,30 @@ def test_bool_is_not_an_int():
 
 def test_dot_get_nested():
     doc = {"id": 1015, "geometry": {"type": "Point"}}
-    assert dot_get(doc, "geometry.type") == "Point"
+    assert compile_path("geometry.type")(doc) == "Point"
 
 
 def test_dot_get_top_level():
-    assert dot_get({"x": 3}, "x") == 3
+    assert compile_path("x")({"x": 3}) == 3
 
 
 def test_dot_get_missing_key_absent():
-    assert dot_get({"a": {"b": 1}}, "a.c") is ABSENT
+    assert compile_path("a.c")({"a": {"b": 1}}) is ABSENT
+    assert compile_path("a.c", None)({"a": {"b": 1}}) is None
 
 
 def test_dot_get_through_non_dict_absent():
-    assert dot_get({"a": {"b": [1, 2]}}, "a.b.c") is ABSENT
+    assert compile_path("a.b.c")({"a": {"b": [1, 2]}}) is ABSENT
+    assert compile_path("a")([1]) is ABSENT
 
 
 @pytest.mark.parametrize("path", ["", "a..b", ".a", "a."])
 def test_dot_get_malformed_path(path):
+    # refused when compiled, before any document is read
     with pytest.raises(PathError):
-        dot_get({"a": 1}, path)
+        compile_path(path)
+    with pytest.raises(PathError):
+        compile_set(path)
 
 
 def _random_doc(rng: random.Random, depth: int):
@@ -134,24 +139,23 @@ def test_dot_get_matches_reference_walker():
         if not isinstance(doc, dict):
             continue
         for path, expect in _walk(doc):
-            assert dot_get(doc, path) == expect
+            assert compile_path(path)(doc) == expect
 
 
 def test_dot_get_absent_iff_not_a_prefix_path():
     doc = {"a": {"b": 1}, "c": 2}
     present = {p for p, _ in _walk(doc)}
     for path in ["a", "a.b", "c", "a.x", "c.d", "q", "a.b.c"]:
-        if path in present:
-            assert dot_get(doc, path) is not ABSENT
-        else:
-            assert dot_get(doc, path) is ABSENT
+        got = compile_path(path)(doc)
+        assert (got is not ABSENT) == (path in present), path
 
 
 def test_dot_set_copy_on_write():
     doc = {"a": {"b": 1}}
-    out = dot_set(doc, "a.c", 9)
+    out = compile_set("a.c")(doc, 9)
     assert out == {"a": {"b": 1, "c": 9}}
     assert doc == {"a": {"b": 1}}  # original untouched
+    assert compile_set("x")({"x": 1, "y": 2}, 3) == {"x": 3, "y": 2}
 
 
 # ---------------------------------------------------------------- text formats

@@ -4,13 +4,15 @@ import os
 import tempfile
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multimodel import Engine, EngineConfig
 from multimodel.errors import PlanError, ScriptError, TypeMismatchError
-from multimodel.models import compile_path
+from multimodel.models import (column_of, compile_path, infer_column_type,
+                               object_column)
 from multimodel.predicates import (
     And,
     Cmp,
@@ -19,11 +21,10 @@ from multimodel.predicates import (
     Or,
     Ref,
     compare_values,
-    compile_predicate,
+    compile_columns,
     equi_conjuncts,
     parse_predicate,
     parse_sort_spec,
-    predicate_refs,
     universal_key,
 )
 
@@ -98,8 +99,20 @@ def test_incomparable_types():
         compare_values("<", 1, "1")
 
 
-def dict_resolve(path):
-    return lambda row: row.get(path)
+def compiled(pred, records, column=object_column, get=dict.get):
+    """``compile_columns`` over one column per path, built by ``column``
+    from ``get(record, path)`` of every record: ``rows -> [True, False or
+    None (unknown) for each row]``."""
+    def resolve(path):
+        col = column([get(r, path) for r in records])
+        return lambda rows: (col.values[rows],
+                             None if col.null is None else col.null[rows])
+    keep = compile_columns(pred, resolve)
+
+    def evaluate(rows):
+        t, unknown = keep(np.asarray(rows, dtype=np.int64))
+        return [None if u else x for x, u in zip(t.tolist(), unknown.tolist())]
+    return evaluate
 
 
 def test_ordering_documents_is_type_mismatch():
@@ -107,16 +120,20 @@ def test_ordering_documents_is_type_mismatch():
     for a, b in (({"a": 1}, {"a": 2}), ([1], ["x"])):
         with pytest.raises(TypeMismatchError):
             compare_values("<", a, b)
+        evaluate = compiled(parse_predicate("a < b"), [{"a": a, "b": b}])
         with pytest.raises(TypeMismatchError):
-            compile_predicate(Cmp("<", Lit(a), Lit(b)), dict_resolve)({})
+            evaluate([0])
+    evaluate = compiled(parse_predicate("a = b"),
+                        [{"a": {"a": 1}, "b": {"a": 1}}, {"a": [1], "b": ["x"]}])
+    assert evaluate([0, 1]) == [True, False]
 
 
 def test_eval_with_lookup():
-    pred = compile_predicate(parse_predicate("cid = 3 and rating > 2"),
-                             dict_resolve)
-    assert pred({"cid": 3, "rating": 4.5}) is True
-    assert pred({"cid": 3, "rating": 1.0}) is False
-    assert pred({"cid": 3, "rating": None}) is None
+    evaluate = compiled(parse_predicate("cid = 3 and rating > 2"),
+                        [{"cid": 3, "rating": 4.5}, {"cid": 3, "rating": 1.0},
+                         {"cid": 3, "rating": None}])
+    assert evaluate([0, 1, 2]) == [True, False, None]
+    assert evaluate([2, 0]) == [None, True]
 
 
 def test_universal_key_total_order():
@@ -151,11 +168,6 @@ def test_literal_equality_is_not_a_pair():
     assert rest == Cmp("=", Ref("a.x"), Lit(3))
 
 
-def test_predicate_refs_in_order():
-    refs = predicate_refs(parse_predicate("b = 1 and a.c > 2 or not b = 2"))
-    assert refs == ["b", "a.c"]
-
-
 # ------------------------------------------------- three-valued evaluation
 
 def test_kleene_truth_tables():
@@ -163,7 +175,7 @@ def test_kleene_truth_tables():
     row = {"x": None, "y": 1}
 
     def ev(text):
-        return compile_predicate(parse_predicate(text), dict_resolve)(row)
+        return compiled(parse_predicate(text), [row])([0])[0]
 
     assert ev("x = 1") is None and ev("x != 1") is None
     assert ev("not x = 1") is None
@@ -178,14 +190,18 @@ def test_kleene_truth_tables():
 def test_compiled_predicate_resolves_each_reference_once():
     resolved = []
 
+    columns = {"a": object_column([1, 2, 3]), "b": object_column([1, 1, 1])}
+
     def resolve(path):
         resolved.append(path)
-        return lambda row: row[path]
+        return lambda rows: (columns[path].values[rows], None)
 
-    pred = compile_predicate(parse_predicate("a = 1 or (a = 2 and b > 0)"),
-                             resolve)
+    pred = compile_columns(parse_predicate("a = 1 or (a = 2 and b > 0)"),
+                           resolve)
     assert resolved == ["a", "a", "b"]
-    assert [pred({"a": a, "b": 1}) for a in (1, 2, 3)] == [True, True, False]
+    for rows in ([0, 1, 2], [2, 1]):
+        t, _ = pred(np.array(rows))
+        assert t.tolist() == [r < 2 for r in rows]
     assert resolved == ["a", "a", "b"]
 
 
@@ -222,26 +238,45 @@ def predicates(paths):
         max_leaves=8)
 
 
-def check_against_reference(pred, records, resolve, lookup):
-    compiled = compile_predicate(pred, resolve)
+def check_against_reference(pred, records, column, get, lookup):
+    """Each record alone, then all together: the compiled predicate gives
+    the reference's value wherever the reference orders no incomparable
+    types, and raises only where the reference raises too (the reference
+    evaluates every operand, the compiled form stops where a row is
+    settled)."""
+    want = []
     for rec in records:
         try:
-            want = reference_kleene(pred, lambda p: lookup(rec, p))
+            truth = reference_kleene(pred, lambda p: lookup(rec, p))
+            want.append({F: False, U: None, T: True}[truth])
         except TypeMismatchError:
-            continue  # some operand orders incomparable types
-        assert compiled(rec) is {F: False, U: None, T: True}[want]
+            want.append(TypeMismatchError)
+    evaluate = compiled(pred, records, column, get)
+    for i, w in enumerate(want):
+        try:
+            got = evaluate([i])
+        except TypeMismatchError:
+            assert w is TypeMismatchError
+            continue
+        assert w is TypeMismatchError or got == [w]
+    if TypeMismatchError not in want:
+        assert evaluate(range(len(records))) == want
 
 
 COLS = ("a", "b", "c")
+
+
+def typed_column(values):
+    """int64, float64 or bool when the values allow, else object."""
+    return column_of(values, infer_column_type(values))
 
 
 @settings(max_examples=200, deadline=None)
 @given(predicates(list(COLS)),
        st.lists(st.tuples(VALUES, VALUES, VALUES), max_size=6))
 def test_compiled_matches_reference_over_rows(pred, rows):
-    check_against_reference(
-        pred, rows, lambda p: (lambda row, i=COLS.index(p): row[i]),
-        lambda row, p: row[COLS.index(p)])
+    lookup = lambda row, p: row[COLS.index(p)]  # noqa: E731
+    check_against_reference(pred, rows, typed_column, lookup, lookup)
 
 
 def documents():
@@ -264,7 +299,8 @@ def walk(doc, path):
 @given(predicates(["a", "b", "b.c", "b.d", "e"]),
        st.lists(documents(), max_size=6))
 def test_compiled_matches_reference_over_documents(pred, docs):
-    check_against_reference(pred, docs, lambda p: compile_path(p, None), walk)
+    check_against_reference(pred, docs, object_column,
+                            lambda doc, p: compile_path(p, None)(doc), walk)
 
 
 # --------------------------------------- ternary logic partitioning (TLP)

@@ -430,3 +430,27 @@ def test_random_operator_pipeline_matches_reference():
     ref.sort(key=lambda r: (r[0], r[1]))
     ref.sort(key=lambda r: r[1], reverse=True)
     assert got.rows == ref[:25]
+
+
+def test_relation_null_survives_a_join_with_a_collection(tmp_path):
+    from multimodel import Engine, EngineConfig
+    (tmp_path / "r.csv").write_text("k,x\n1,\n2,y\n")
+    (tmp_path / "d.jsonl").write_text('{"k": 1, "x": "doc"}\n{"k": 2}\n')
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    out = eng.run("execute(openTable('r').join(openCollection('d'), "
+                  "'k = d.k'))")
+    # the left side's null wins the merge as its values do
+    assert out.docs == [{"k": 1, "x": None}, {"k": 2, "x": "y"}]
+    out = eng.run("execute(openCollection('d').join(openTable('r'), "
+                  "'d.k = k'))")
+    assert out.docs == [{"k": 1, "x": "doc"}, {"k": 2, "x": "y"}]
+    assert [list(d) for d in out.docs] == [["k", "x"], ["k", "x"]]
+
+
+def test_min_max_over_unorderable_values_is_type_error():
+    for a, b in (({"a": 1}, {"a": 2}), ([1], ["x"])):
+        col = Collection("c", [{"v": a}, {"v": b}])
+        for func in ("min", "max"):
+            with pytest.raises(TypeMismatchError, match=func):
+                execute_tree(node("aggregate", scan("c"),
+                                  aggs=[(func, "v", "m")]), {"c": col})
