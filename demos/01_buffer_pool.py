@@ -3,8 +3,8 @@
 Every engine in this package registers its memory objects (array tiles, hash
 partitions, scratch blocks) with a single capacity-bounded LRU pool instead
 of carving out private caches. This walks the core behaviours: recency-based
-eviction, pinning via the is_evictable callback, and per-owner quotas that
-simulate physically split pools.
+eviction, pinning via the is_evictable callback, and how one shared pool
+compares with physically split pools of the same total size.
 
 Run with:  python3 demos/01_buffer_pool.py
 """
@@ -14,9 +14,8 @@ from multimodel import BufferObject, BufferPool
 spilled = []
 
 
-def obj(oid, size, owner="demo", pinned=lambda: False):
-    return BufferObject(oid, size, owner=owner,
-                        is_evictable=lambda: not pinned(),
+def obj(oid, size, pinned=lambda: False):
+    return BufferObject(oid, size, is_evictable=lambda: not pinned(),
                         do_eviction=lambda: spilled.append(oid))
 
 
@@ -45,14 +44,17 @@ print(f"stats: hits={s.hits} misses={s.misses} evictions={s.evictions}")
 
 # -- unified vs split ---------------------------------------------------------
 # The same mixed workload, run once against a shared pool and once against
-# per-owner quotas. The split pool evicts even though total demand fits.
+# one private pool per owner, each half the size. The split pools evict even
+# though total demand fits.
 
 workload = [("rel", f"r{i}", 120) for i in range(6)] + \
            [("arr", f"a{i}", 120) for i in range(2)]
 
-for label, quotas in [("unified", None), ("split", {"rel": 500, "arr": 500})]:
-    p = BufferPool(1000, quotas=quotas)
+shared = BufferPool(1000)
+for label, pools in [("unified", {"rel": shared, "arr": shared}),
+                     ("split", {"rel": BufferPool(500), "arr": BufferPool(500)})]:
     for owner, oid, size in workload:
-        p.add(BufferObject(oid, size, owner=owner))
-    print(f"{label:>7}: evictions={p.stats().evictions} "
-          f"resident={p.stats().resident_bytes}B of 1000B")
+        pools[owner].add(BufferObject(oid, size))
+    stats = [p.stats() for p in set(pools.values())]
+    print(f"{label:>7}: evictions={sum(s.evictions for s in stats)} "
+          f"resident={sum(s.resident_bytes for s in stats)}B of 1000B")

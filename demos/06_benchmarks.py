@@ -29,7 +29,7 @@ agree = all(len({r["checksum"] for r in rows if r["n"] == n}) == 1
             for n in {r["n"] for r in rows})
 print("checksums agree across strategies per n:", agree)
 
-print("\nunified pool vs split quotas, same workload:")
+print("\nunified pool vs two half-sized pools, same workload:")
 pool_rows, _events = bench_bufferpool(100_000, mode="both", seed=1)
 for r in pool_rows:
     print(f"  {r['scenario']:>5} {r['strategy']:>8}: "

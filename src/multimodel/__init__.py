@@ -33,7 +33,6 @@ from .models import (
     collection_to_jsonl,
     relation_from_csv,
     relation_to_csv,
-    validate_relation,
 )
 from .buffer_pool import BufferObject, BufferPool, PoolStats
 from .array_store import (
@@ -60,10 +59,7 @@ from .planner import (
     dag_to_trees,
     partition,
     partition_dag_to_dict,
-    plan_from_dict,
-    plan_from_json,
     plan_to_dict,
-    plan_to_json,
     topo_order,
 )
 from .predicates import parse_predicate, parse_sort_spec

@@ -360,8 +360,8 @@ class StoredArray:
                 self._spill(tile, slot)
 
         self.pool.add(BufferObject(
-            id=self._key(tc), size=tile.nbytes, owner="array",
-            payload=tile, is_evictable=evictable, do_eviction=on_evict,
+            id=self._key(tc), size=tile.nbytes, payload=tile,
+            is_evictable=evictable, do_eviction=on_evict,
         ))
 
     def _read_slot(self, tc, slot: _Slot) -> Tile:

@@ -218,7 +218,7 @@ def pool_workload(capacity: int, seed: int = 0) -> list[tuple]:
     """Two phased access traces as ``(scenario, owner, id, size)`` events.
 
     ``tight``: the two owners' working sets total ~90% of capacity but the
-    relational one alone (~65%) overflows a half-capacity quota.  ``roomy``:
+    relational one alone (~65%) overflows a half-capacity pool.  ``roomy``:
     each set fits in half the capacity.
     """
     rng = random.Random(seed)
@@ -236,41 +236,49 @@ def pool_workload(capacity: int, seed: int = 0) -> list[tuple]:
     return events
 
 
-def replay_events(events, pool: BufferPool, scenario: str,
+def replay_events(events, pools: dict[str, BufferPool], scenario: str,
                   evicted: list | None = None) -> None:
-    """Replay one scenario's events; ids the pool evicts are appended to
-    `evicted`, in eviction order, through each object's do_eviction."""
+    """Replay one scenario's events, each in its owner's pool; ids a pool
+    evicts are appended to `evicted`, in eviction order, through each
+    object's do_eviction."""
     evicted = [] if evicted is None else evicted
     for scen, owner, oid, size in events:
         if scen != scenario:
             continue
+        pool = pools[owner]
         if pool.contains(oid):
             pool.get(oid)
         else:
-            pool.add(BufferObject(id=oid, size=size, owner=owner,
+            pool.add(BufferObject(id=oid, size=size,
                                   do_eviction=partial(evicted.append, oid)))
 
 
 def bench_bufferpool(capacity: int, mode: str = "both", *,
                      seed: int = 0) -> tuple[list[dict], list[tuple]]:
-    """Unified pool vs. fixed per-owner quotas on the same traces.
-    Returns (report rows, the event trace) so callers can replay it."""
+    """One pool for both owners vs. physically split pools of half the
+    capacity each, on the same traces.  Returns (report rows, the event
+    trace) so callers can replay it."""
     modes = ["unified", "split"] if mode == "both" else [mode]
     if any(m not in ("unified", "split") for m in modes):
         raise ConfigError(f"unknown pool mode {mode!r}")
+    least = 2 if "split" in modes else 1  # split mode makes two pools
+    if capacity < least:
+        raise ConfigError(f"pool capacity must be at least {least}, "
+                          f"got {capacity}")
     events = pool_workload(capacity, seed)
     rows = []
     for scen in ("tight", "roomy"):
         n_events = sum(1 for e in events if e[0] == scen)
         for m in modes:
-            quotas = ({"rel": capacity // 2, "array": capacity - capacity // 2}
-                      if m == "split" else None)
-            pool = BufferPool(capacity, quotas=quotas)
+            pools = ([BufferPool(capacity // 2),
+                      BufferPool(capacity - capacity // 2)]
+                     if m == "split" else [BufferPool(capacity)])
             evicted: list = []
             t0 = time.perf_counter()
-            replay_events(events, pool, scen, evicted)
+            replay_events(events, {"rel": pools[0], "array": pools[-1]},
+                          scen, evicted)
             dt = (time.perf_counter() - t0) * 1000.0
-            ps = pool.stats()
+            ps = [p.stats() for p in pools]
             rows.append({
                 "scenario": f"pool-{scen}",
                 "strategy": m,
@@ -284,9 +292,9 @@ def bench_bufferpool(capacity: int, mode: str = "both", *,
                 "tile_pins": 0,
                 "tile_reads": 0,
                 "block_scans": 0,
-                "pool_hits": ps.hits,
-                "pool_misses": ps.misses,
-                "pool_evictions": ps.evictions,
+                "pool_hits": sum(s.hits for s in ps),
+                "pool_misses": sum(s.misses for s in ps),
+                "pool_evictions": sum(s.evictions for s in ps),
                 "seed": seed,
                 "checksum": hashlib.sha1(
                     repr(evicted).encode()).hexdigest()[:12],

@@ -18,7 +18,7 @@ class CapacityError(EngineError):
 
 
 class TooLargeError(EngineError):
-    """Object larger than the whole pool (or its owner quota)."""
+    """Object larger than the whole pool."""
 
 
 class NotFoundError(EngineError):

@@ -40,8 +40,6 @@ __all__ = [
     "Collection",
     "CellSchema",
     "ArrayMeta",
-    "ValidationIssue",
-    "validate_relation",
     "compile_path",
     "compile_set",
     "relation_to_csv",
@@ -98,31 +96,6 @@ class ValueType:
         if text.startswith("list<") and text.endswith(">"):
             return ValueType("list", ValueType.parse(text[5:-1]))
         return ValueType(text)
-
-    def accepts(self, v) -> bool:
-        """Whether value v (None always allowed) conforms to this type."""
-        if v is None:
-            return True
-        k = self.kind
-        if k == "int":
-            return isinstance(v, int) and not isinstance(v, bool)
-        if k == "uint":
-            return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-        if k == "float":
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
-        if k == "string":
-            return isinstance(v, str)
-        if k == "bool":
-            return isinstance(v, bool)
-        if k == "list":
-            if not isinstance(v, list):
-                return False
-            if self.elem is None:
-                return True
-            return all(self.elem.accepts(e) for e in v)
-        if k == "doc":
-            return isinstance(v, dict)
-        return False
 
 
 INT = ValueType("int")
@@ -343,30 +316,6 @@ def tile_extent(size, default_tile: int) -> tuple[int, ...]:
     if default_tile <= 0:
         return tuple(size)
     return tuple(min(default_tile, s) for s in size)
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    row: int
-    attr: int
-    reason: str
-
-
-def validate_relation(rel: Relation) -> list[ValidationIssue]:
-    """Report every value violating its attribute's type.
-
-    Never raises; an empty report means the relation is valid. Null is
-    permitted in any attribute.  (Rows of the wrong arity cannot be built:
-    the Relation constructor rejects them.)
-    """
-    issues: list[ValidationIssue] = []
-    for r, row in enumerate(rel.rows):
-        for a, ((name, vt), v) in enumerate(zip(rel.schema, row)):
-            if not vt.accepts(v):
-                issues.append(
-                    ValidationIssue(r, a, f"attr {name!r}: {v!r} is not {vt}")
-                )
-    return issues
 
 
 def _split_path(path: str) -> list[str]:

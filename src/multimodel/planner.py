@@ -11,7 +11,6 @@ consumed more than once.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -256,6 +255,17 @@ def alias_key(node_id: int) -> str:
     return f"n{node_id}"
 
 
+def _qualifier(plan: LogicalPlan, nid: int) -> str | None:
+    """The qualifier node nid's rows carry in their own tree: their scan's,
+    through any filter, sort or limit; none for any other producer."""
+    n = plan.node(nid)
+    while n.op in ("filter", "sort", "limit"):
+        n = plan.node(n.inputs[0])
+    if n.op != "scan":
+        return None
+    return n.params.get("qualifier") or n.params["name"]
+
+
 def dag_to_trees(plan: LogicalPlan, part: Partition,
                  exports: Iterable[int] = ()
                  ) -> tuple[TreeNode, list[tuple[str, TreeNode]]]:
@@ -266,6 +276,7 @@ def dag_to_trees(plan: LogicalPlan, part: Partition,
     consumed more than once inside the partition is detached and its
     consumers replaced with ``alias_ref`` leaves.  Inputs arriving from
     other partitions become ``alias_ref`` leaves keyed by producer node id.
+    Each leaf keeps the qualifier its rows had where they were produced.
 
     A partition's output node is merely the node no one consumes *inside*;
     other nodes may still feed other partitions.  Callers that must expose
@@ -289,7 +300,8 @@ def dag_to_trees(plan: LogicalPlan, part: Partition,
 
     def ref(i: int) -> TreeNode:
         if i not in inside or i in detached:
-            return TreeNode("alias_ref", {"key": alias_key(i)})
+            return TreeNode("alias_ref", {"key": alias_key(i),
+                                          "qualifier": _qualifier(plan, i)})
         return built[i]
 
     for nid in sorted(inside):  # inputs precede consumers, so this is bottom-up
@@ -309,34 +321,6 @@ def plan_to_dict(plan: LogicalPlan) -> dict:
     return {"nodes": [{"id": n.id, "op": n.op, "model": n.model,
                        "params": dict(n.params), "inputs": list(n.inputs)}
                       for n in plan.nodes]}
-
-
-def plan_from_dict(doc: Mapping) -> LogicalPlan:
-    try:
-        raw = doc["nodes"]
-    except (KeyError, TypeError):
-        raise PlanError("plan document lacks a 'nodes' list") from None
-    nodes = []
-    for entry in raw:
-        try:
-            nodes.append(PlanNode(int(entry["id"]), entry["op"], entry["model"],
-                                  dict(entry.get("params", {})),
-                                  tuple(int(i) for i in entry.get("inputs", ()))))
-        except (KeyError, TypeError, ValueError) as e:
-            raise PlanError(f"malformed plan node: {e}") from None
-    return LogicalPlan(nodes)
-
-
-def plan_to_json(plan: LogicalPlan, indent: int | None = 2) -> str:
-    return json.dumps(plan_to_dict(plan), indent=indent)
-
-
-def plan_from_json(text: str) -> LogicalPlan:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise PlanError(f"plan document is not valid JSON: {e}") from None
-    return plan_from_dict(doc)
 
 
 def partition_dag_to_dict(pd: PartitionDag) -> dict:

@@ -226,11 +226,6 @@ def _as_frame(obj, qualifier):
         return relation_frame(obj, qualifier)
     if isinstance(obj, Collection):
         return collection_frame(obj, qualifier)
-    if isinstance(obj, RelFrame):
-        return RelFrame(list(obj.cols), list(obj.types), list(obj.columns),
-                        obj.n)
-    if isinstance(obj, DocFrame):
-        return DocFrame(obj.quals, list(obj.docs))
     raise PlanError(f"cannot scan object of type {type(obj).__name__}")
 
 

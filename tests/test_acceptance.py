@@ -334,10 +334,9 @@ def test_criterion_8_pool_matches_simulator_and_policy_comparison():
                 oid = rng.choice(resident) if rng.random() < 0.8 \
                     else f"o{rng.randrange(next_id)}"
                 assert (pool.get(oid) is not None) == sim.get(oid)
-            elif roll < 0.80:
+            elif roll < 0.80:  # a hit on a resident object
                 oid = rng.choice(resident)
-                pool.touch(oid)
-                sim.touch(oid)
+                assert pool.get(oid) is not None and sim.get(oid)
             elif roll < 0.92:
                 oid = rng.choice(resident)
                 if oid in pinned:

@@ -88,6 +88,31 @@ def test_unified_wins_on_skewed_working_set():
     assert len(events) == sum(r["n"] for r in rows) // 2  # both modes replay it
 
 
+# (hits, misses, evictions, checksum) per (scenario, mode): the figures of one
+# pool with a half-capacity quota per owner, which split mode's two pools
+# must reproduce exactly
+_POOL_PIN = {
+    3: {("pool-tight", "unified"): (126, 0, 0, "97d170e1550e"),
+        ("pool-tight", "split"): (77, 0, 52, "405369284b62"),
+        ("pool-roomy", "unified"): (56, 0, 0, "97d170e1550e"),
+        ("pool-roomy", "split"): (56, 0, 0, "97d170e1550e")},
+    8: {("pool-tight", "unified"): (126, 0, 0, "97d170e1550e"),
+        ("pool-tight", "split"): (77, 0, 52, "845358bb2149"),
+        ("pool-roomy", "unified"): (56, 0, 0, "97d170e1550e"),
+        ("pool-roomy", "split"): (56, 0, 0, "97d170e1550e")},
+}
+
+
+@pytest.mark.parametrize("capacity", [100_000, 12_345])
+@pytest.mark.parametrize("seed", sorted(_POOL_PIN))
+def test_pool_bench_rows_pinned(capacity, seed):
+    rows, _ = bench_bufferpool(capacity, "both", seed=seed)
+    got = {(r["scenario"], r["strategy"]):
+           (r["pool_hits"], r["pool_misses"], r["pool_evictions"],
+            r["checksum"]) for r in rows}
+    assert got == _POOL_PIN[seed]
+
+
 def test_pool_bench_matches_reference_simulator():
     from test_buffer_pool import SimPool
 
@@ -97,11 +122,19 @@ def test_pool_bench_matches_reference_simulator():
         pool = BufferPool(capacity)
         sim = SimPool(capacity)
         evicted: list = []
-        replay_events(events, pool, scen, evicted)
+        replay_events(events, dict.fromkeys(("rel", "array"), pool), scen,
+                      evicted)
         for s, owner, oid, size in events:
             if s == scen and not sim.get(oid):
                 assert sim.add(oid, size) == "ok"
         assert evicted == sim.log
+
+
+def test_split_pools_need_two_bytes():
+    with pytest.raises(ConfigError):
+        bench_bufferpool(1, "split")
+    rows, _ = bench_bufferpool(1, "unified")
+    assert all(r["pool_evictions"] > 0 for r in rows)
 
 
 def test_pool_workload_deterministic():

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from multimodel.buffer_pool import BufferObject, BufferPool
-from multimodel.errors import CapacityError, InternalError, NotFoundError, TooLargeError
+from multimodel.errors import CapacityError, InternalError, TooLargeError
 
 
 class SimPool:
@@ -27,39 +27,33 @@ class SimPool:
         self.log: list = []
         self.hits = 0
         self.misses = 0
+        self.freed = 0  # bytes the last add evicted
 
     def free(self) -> int:
         return self.capacity - sum(self.sizes[i] for i in self.order)
 
-    def _evict(self, need: int):
-        freed = 0
+    def _evict(self, need: int) -> str:
+        self.freed = 0
         if self.free() >= need:
-            return "ok", 0
+            return "ok"
         for i in list(self.order):
             if i in self.pinned:
                 continue
             self.order.remove(i)
-            freed += self.sizes.pop(i)
+            self.freed += self.sizes.pop(i)
             self.log.append(i)
             if self.free() >= need:
-                return "ok", freed
-        return "capacity-error", freed
+                return "ok"
+        return "capacity-error"
 
     def add(self, i, size: int) -> str:
         if size > self.capacity:
             return "too-large"
-        status, _ = self._evict(size)
+        status = self._evict(size)
         if status != "ok":
             return status
         self.order.append(i)
         self.sizes[i] = size
-        return "ok"
-
-    def touch(self, i) -> str:
-        if i not in self.sizes:
-            return "not-found"
-        self.order.remove(i)
-        self.order.append(i)
         return "ok"
 
     def get(self, i) -> bool:
@@ -71,21 +65,18 @@ class SimPool:
         self.misses += 1
         return False
 
-    def evict(self, need: int):
-        return self._evict(need)
-
     def drop(self, i) -> None:
         if i in self.sizes:
             self.order.remove(i)
             del self.sizes[i]
 
 
-def _add(pool: BufferPool, i, size, pinned: set | None = None, owner="anon",
+def _add(pool: BufferPool, i, size, pinned: set | None = None,
          log: list | None = None):
     """Register i; its eviction appends i to `log`."""
     evictable = (lambda: i not in pinned) if pinned is not None else (lambda: True)
     evict = (lambda: log.append(i)) if log is not None else (lambda: None)
-    pool.add(BufferObject(id=i, size=size, owner=owner, is_evictable=evictable,
+    pool.add(BufferObject(id=i, size=size, is_evictable=evictable,
                           do_eviction=evict))
 
 
@@ -125,9 +116,9 @@ def test_evict_strict_lru_order():
     pool, log = BufferPool(100), []
     for i in range(4):
         _add(pool, i, 25, log=log)
-    pool.evict(50)
+    _add(pool, "new", 50, log=log)
     assert log == [0, 1]
-    assert pool.resident_ids() == [2, 3]
+    assert pool.resident_ids() == [2, 3, "new"]
 
 
 def test_evict_skips_unevictable_head():
@@ -135,9 +126,9 @@ def test_evict_skips_unevictable_head():
     pinned = {"old"}
     _add(pool, "old", 40, pinned, log=log)
     _add(pool, "new", 40, pinned, log=log)
-    pool.evict(30)
+    _add(pool, "next", 30, pinned, log=log)
     assert log == ["new"]
-    assert pool.resident_ids() == ["old"]
+    assert pool.resident_ids() == ["old", "next"]
 
 
 def test_evict_reports_freed_on_failure():
@@ -146,39 +137,45 @@ def test_evict_reports_freed_on_failure():
     _add(pool, "a", 30, pinned, log=log)
     _add(pool, "b", 30, pinned, log=log)
     with pytest.raises(CapacityError) as info:
-        pool.evict(80)
+        _add(pool, "c", 80, pinned, log=log)
     assert info.value.freed == 30
     assert log == ["a"]
+    assert pool.resident_ids() == ["b"]
 
 
 def test_evict_noop_when_already_free():
-    pool = BufferPool(100)
-    _add(pool, "a", 10)
-    assert pool.evict(50) == 0
-    assert pool.resident_ids() == ["a"]
+    pool, log = BufferPool(100), []
+    _add(pool, "a", 10, log=log)
+    _add(pool, "b", 50, log=log)
+    assert log == [] and pool.stats().evictions == 0
+    assert pool.resident_ids() == ["a", "b"]
 
+
+# a hit is how an engine touches an object: it refreshes recency
 
 def test_touch_changes_victim():
     pool, log = BufferPool(100), []
     _add(pool, "a", 50, log=log)
     _add(pool, "b", 50, log=log)
-    pool.touch("a")
-    pool.evict(1)
+    assert pool.get("a") is not None
+    _add(pool, "c", 1, log=log)
     assert log == ["b"]
 
 
 def test_touch_unknown_id():
     pool = BufferPool(100)
-    with pytest.raises(NotFoundError):
-        pool.touch("ghost")
+    _add(pool, "a", 10)
+    assert pool.get("ghost") is None
+    assert pool.resident_ids() == ["a"]
+    assert pool.stats().misses == 1
 
 
 def test_touch_after_eviction_is_not_found():
     pool = BufferPool(100)
     _add(pool, "a", 60)
     _add(pool, "b", 60)
-    with pytest.raises(NotFoundError):
-        pool.touch("a")
+    assert pool.get("a") is None
+    assert not pool.contains("a")
 
 
 def test_get_counts_hits_and_misses():
@@ -215,48 +212,62 @@ def test_do_eviction_never_called_when_unevictable():
                           do_eviction=lambda: calls.append("a")))
     _add(pool, "b", 40)
     with pytest.raises(CapacityError):
-        pool.evict(70)
+        _add(pool, "c", 70)
     assert calls == []
+    assert pool.resident_ids() == ["a"]
 
 
-# ------------------------------------------------------------------ quotas
+# ---------------------------------------------- one pool vs. split pools
+# a split pool is one BufferPool per owner, its quota as its capacity
 
 def test_quota_confines_eviction_to_owner():
-    pool, log = BufferPool(100, quotas={"arr": 60, "rd": 40}), []
-    _add(pool, "a1", 30, owner="arr", log=log)
-    _add(pool, "a2", 30, owner="arr", log=log)
-    _add(pool, "r1", 40, owner="rd", log=log)
-    _add(pool, "a3", 30, owner="arr", log=log)  # must evict a1, never r1
-    assert log == ["a1"]
-    assert set(pool.resident_ids()) == {"a2", "r1", "a3"}
+    def run(pools):
+        log = []
+        for owner, oid, size in [("rd", "r1", 40), ("arr", "a1", 30),
+                                 ("arr", "a2", 30), ("arr", "a3", 30)]:
+            _add(pools[owner], oid, size, log=log)
+        return log
+
+    unified = BufferPool(100)
+    assert run({"arr": unified, "rd": unified}) == ["r1"]  # the LRU object
+    arr, rd = BufferPool(60), BufferPool(40)
+    assert run({"arr": arr, "rd": rd}) == ["a1"]  # never the other owner's
+    assert (arr.resident_ids(), rd.resident_ids()) == (["a2", "a3"], ["r1"])
 
 
 def test_quota_too_large_against_owner_cap():
-    pool = BufferPool(100, quotas={"arr": 60, "rd": 40})
+    _add(BufferPool(100), "r", 50)
     with pytest.raises(TooLargeError):
-        _add(pool, "r", 50, owner="rd")
-
-
-def test_quota_sum_must_fit():
-    with pytest.raises(ValueError):
-        BufferPool(100, quotas={"a": 70, "b": 40})
+        _add(BufferPool(40), "r", 50)
 
 
 def test_split_fails_where_unified_succeeds():
     # same workload, same total capacity: split pools hit a capacity error
     def run(pool):
         pinned = {"a1", "a2"}
-        _add(pool, "a1", 40, pinned, owner="arr")
-        _add(pool, "a2", 40, pinned, owner="arr")
+        _add(pool, "a1", 40, pinned)
+        _add(pool, "a2", 40, pinned)
 
-    unified = BufferPool(100)
-    run(unified)  # fits: 80 <= 100
-    split = BufferPool(100, quotas={"arr": 50, "rd": 50})
-    with pytest.raises((CapacityError, TooLargeError)):
-        run(split)
+    run(BufferPool(100))  # fits: 80 <= 100
+    with pytest.raises(CapacityError):
+        run(BufferPool(50))  # the array owner's half
 
 
 # -------------------------------------------------- simulator equivalence
+
+def _add_as_sim(pool: BufferPool, sim: SimPool, i, size, pinned, log):
+    """Add i to both pools; the outcome and the bytes evicted must agree."""
+    expect = sim.add(i, size)
+    try:
+        _add(pool, i, size, pinned, log=log)
+        got = "ok"
+    except TooLargeError:
+        got = "too-large"
+    except CapacityError as e:
+        got = "capacity-error"
+        assert e.freed == sim.freed
+    assert got == expect
+
 
 def _mixed_workload(seed: int, events: int = 1000, capacity: int = 100):
     rng = random.Random(seed)
@@ -269,33 +280,17 @@ def _mixed_workload(seed: int, events: int = 1000, capacity: int = 100):
 
     for _ in range(events):
         op = rng.choices(
-            ["add", "get", "touch", "pin", "unpin", "evict", "drop"],
-            weights=[40, 20, 10, 10, 10, 5, 5],
+            ["add", "get", "pin", "unpin", "big-add", "drop"],
+            weights=[40, 30, 10, 10, 5, 5],
         )[0]
-        if op == "add":
+        if op in ("add", "big-add"):
             i, next_id = next_id, next_id + 1
-            size = rng.randint(1, 40)
-            expect = sim.add(i, size)
-            try:
-                _add(pool, i, size, pinned, log=log)
-                got = "ok"
-            except TooLargeError:
-                got = "too-large"
-            except CapacityError:
-                got = "capacity-error"
-            assert got == expect
-        elif op in ("get", "touch"):
+            # a big add may exceed the pool or need most of it freed
+            size = rng.randint(1, 40 if op == "add" else capacity + 10)
+            _add_as_sim(pool, sim, i, size, pinned, log)
+        elif op == "get":
             i = rng.randrange(next_id) if next_id else 0
-            if op == "get":
-                assert (pool.get(i) is not None) == sim.get(i)
-            else:
-                expect = sim.touch(i)
-                try:
-                    pool.touch(i)
-                    got = "ok"
-                except NotFoundError:
-                    got = "not-found"
-                assert got == expect
+            assert (pool.get(i) is not None) == sim.get(i)
         elif op == "pin":
             ids = pool.resident_ids()
             if ids:
@@ -303,15 +298,6 @@ def _mixed_workload(seed: int, events: int = 1000, capacity: int = 100):
         elif op == "unpin":
             if pinned:
                 pinned.discard(rng.choice(sorted(pinned)))
-        elif op == "evict":
-            need = rng.randint(1, capacity)
-            expect_status, expect_freed = sim.evict(need)
-            try:
-                freed = pool.evict(need)
-                got = ("ok", freed)
-            except CapacityError as e:
-                got = ("capacity-error", e.freed)
-            assert got == (expect_status, expect_freed)
         else:
             i = rng.randrange(next_id) if next_id else 0
             sim.drop(i)
@@ -345,7 +331,7 @@ class _Counted(BufferObject):
 
 
 def _visits_per_call(resident: int, calls: int = 200) -> tuple[int, int]:
-    """Attribute reads of `calls` evicting adds and of `calls` touches on a
+    """Attribute reads of `calls` evicting adds and of `calls` hits on a
     full pool of `resident` objects."""
     pool = BufferPool(resident * 10)
     for i in range(resident):
@@ -356,7 +342,7 @@ def _visits_per_call(resident: int, calls: int = 200) -> tuple[int, int]:
     adds = _Counted.reads
     _Counted.reads = 0
     for i in range(resident, resident + calls):
-        pool.touch(i)
+        pool.get(i)
     return adds, _Counted.reads
 
 
@@ -376,7 +362,7 @@ def test_raising_do_eviction_leaves_accounting_whole():
     pool.add(BufferObject(id="b", size=30, do_eviction=boom))
     _add(pool, "c", 30, log=log)
     with pytest.raises(RuntimeError):
-        pool.evict(80)
+        _add(pool, "d", 80, log=log)
     assert log == ["a"]  # evicted before the failure, and gone
     assert pool.resident_ids() == ["b", "c"]
     assert pool.stats().evictions == 1
@@ -386,24 +372,23 @@ def test_raising_do_eviction_leaves_accounting_whole():
 @pytest.mark.parametrize("seed", [4, 5])
 def test_split_pool_counters_match_full_recount(seed):
     rng = random.Random(seed)
-    quotas = {"arr": 60, "rd": 40}
-    pool = BufferPool(100, quotas=quotas)
+    pools = {"arr": BufferPool(60), "rd": BufferPool(40)}
     pinned: set = set()
     for i in range(1500):
-        op = rng.choice(["add", "add", "touch", "pin", "evict", "drop"])
-        owner = rng.choice(sorted(quotas))
+        op = rng.choice(["add", "add", "get", "pin", "big-add", "drop"])
+        pool = pools[rng.choice(sorted(pools))]
         ids = pool.resident_ids()
         try:
-            if op == "add":
-                _add(pool, i, rng.randint(1, 30), pinned, owner=owner)
-            elif op == "touch" and ids:
-                pool.touch(rng.choice(ids))
+            if op in ("add", "big-add"):
+                size = rng.randint(1, 30 if op == "add" else pool.capacity)
+                _add(pool, i, size, pinned)
+            elif op == "get" and ids:
+                pool.get(rng.choice(ids))
             elif op == "pin" and ids:
                 pinned.symmetric_difference_update({rng.choice(ids)})
-            elif op == "evict":
-                pool.evict(rng.randint(1, quotas[owner]), owner)
             elif op == "drop" and ids:
                 pool.drop(rng.choice(ids))
         except CapacityError:
             pass
-        pool._audit()
+        for p in pools.values():
+            p._audit()

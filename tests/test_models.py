@@ -28,53 +28,16 @@ from multimodel.models import (
     compile_set,
     relation_from_csv,
     relation_to_csv,
-    validate_relation,
 )
 
 
-# ---------------------------------------------------------------- validation
-
-def test_validate_conforming_rows_empty_report():
-    rel = Relation([("id", INT)], [(1,), (2,)])
-    assert validate_relation(rel) == []
-
-
-def test_validate_type_mismatch_cites_row_and_attr():
-    rel = Relation([("id", INT)], [(1,), ("x",)])
-    report = validate_relation(rel)
-    assert len(report) == 1
-    assert report[0].row == 1
-    assert report[0].attr == 0  # attribute position, None for arity issues
-
+# ---------------------------------------------------------------- relations
 
 def test_relation_rejects_ragged_rows():
     # a relation is stored a column at a time, so a row of the wrong arity
-    # cannot be held, and validate_relation has no arity issue to report
+    # cannot be held
     with pytest.raises(ValueError, match="1 values for 2 attributes"):
         Relation([("a", INT), ("b", STRING)], [(1, "x"), (1,)])
-
-
-def test_validate_null_is_always_allowed():
-    rel = Relation([("a", INT)], [(None,)])
-    assert validate_relation(rel) == []
-
-
-def test_validate_report_equals_mutation_set():
-    # corrupt k rows at known positions; the report must match exactly
-    rng = random.Random(7)
-    schema = [("a", INT), ("b", STRING)]
-    rows = [(i, f"s{i}") for i in range(50)]
-    mutated = set()
-    for _ in range(10):
-        r = rng.randrange(50)
-        while r in mutated:
-            r = rng.randrange(50)
-        mutated.add(r)
-        a, b = rows[r]
-        rows[r] = ("bad", b) if rng.random() < 0.5 else (a, 123)
-    report = validate_relation(Relation(schema, rows))
-    assert {i.row for i in report} == mutated
-    assert len(report) == len(mutated)
 
 
 def test_relation_rejects_duplicate_attr_names():
@@ -84,7 +47,7 @@ def test_relation_rejects_duplicate_attr_names():
 
 def test_bool_is_not_an_int():
     rel = Relation([("a", INT)], [(True,)])
-    assert len(validate_relation(rel)) == 1
+    assert rel.rows == [(True,)] and type(rel.rows[0][0]) is bool
 
 
 # ---------------------------------------------------------------- dot paths

@@ -6,7 +6,7 @@ import pytest
 from multimodel.errors import InternalError, PlanError
 from multimodel.planner import (LogicalPlan, Partition, PartitionDag, PlanNode,
                                 dag_to_trees, partition, partition_dag_to_dict,
-                                plan_from_json, plan_to_json, topo_order)
+                                topo_order)
 from plan_oracles import (check_partitioning, check_topo, random_plan,
                           run_decomposed, symbolic_dag)
 
@@ -275,23 +275,6 @@ def test_decomposition_matches_reference_dag_interpreter(seed):
 
 
 # ------------------------------------------------------------ serialization
-
-def test_plan_json_round_trip():
-    plan = LogicalPlan()
-    s = plan.add("scan", "relational", name="t")
-    plan.add("filter", "relational", inputs=[s], pred="x > 1")
-    back = plan_from_json(plan_to_json(plan))
-    assert back.nodes == plan.nodes
-
-
-def test_plan_json_malformed():
-    with pytest.raises(PlanError):
-        plan_from_json("{not json")
-    with pytest.raises(PlanError):
-        plan_from_json('{"wrong": []}')
-    with pytest.raises(PlanError):
-        plan_from_json('{"nodes": [{"id": 0}]}')
-
 
 def test_partition_dag_document_shape():
     plan = LogicalPlan()

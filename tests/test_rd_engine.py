@@ -447,6 +447,33 @@ def test_relation_null_survives_a_join_with_a_collection(tmp_path):
     assert [list(d) for d in out.docs] == [["k", "x"], ["k", "x"]]
 
 
+def test_qualified_refs_reach_a_relation_from_another_partition(tmp_path):
+    # the table's scan runs in its own relational partition; its rows reach
+    # the document join still qualified by the table's name
+    from multimodel import Engine, EngineConfig
+    (tmp_path / "r.csv").write_text("k,x\n1,\n2,y\n")
+    (tmp_path / "d.jsonl").write_text('{"k": 1, "x": "doc"}\n{"k": 2}\n')
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    for r in ("openTable('r')", "openTable('r').filter('k >= 1')"):
+        out = eng.run(f"execute({r}.join(openCollection('d'), 'r.k = d.k'))")
+        assert out.docs == [{"k": 1, "x": None}, {"k": 2, "x": "y"}]
+    out = eng.run("execute(openCollection('d').join(openTable('r'), "
+                  "'d.k = r.k'))")
+    assert out.docs == [{"k": 1, "x": "doc"}, {"k": 2, "x": "y"}]
+
+
+def test_a_shared_scan_keeps_its_qualifier_when_materialized(tmp_path):
+    # a scan consumed twice is materialized once and read back by alias; it
+    # names its columns as two separate scans of the table do
+    from multimodel import Engine, EngineConfig
+    (tmp_path / "r.csv").write_text("k,x\n1,a\n2,b\n")
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    shared = eng.run("t = openTable('r')\nexecute(t.join(t, 'r.k = r.k'))")
+    apart = eng.run("execute(openTable('r').join(openTable('r'), 'k = k'))")
+    assert [c for c, _ in shared.schema] == ["r.k", "r.x", "r.k#1", "r.x#1"]
+    assert (shared.schema, shared.rows) == (apart.schema, apart.rows)
+
+
 def test_min_max_over_unorderable_values_is_type_error():
     for a, b in (({"a": 1}, {"a": 2}), ([1], ["x"])):
         col = Collection("c", [{"v": a}, {"v": b}])

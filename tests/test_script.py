@@ -15,8 +15,7 @@ from multimodel import (
     Relation,
     ScriptError,
     partition,
-    plan_from_json,
-    plan_to_json,
+    plan_to_dict,
 )
 from multimodel.script import parse_script
 
@@ -354,11 +353,10 @@ def test_recommend_same_result_any_strategy():
 
 
 def test_explain_round_trips_through_plan_json():
-    doc = recommend_engine().explain(RECOMMEND)
-    plan = plan_from_json(json.dumps(doc))
-    again = recommend_engine().plan_script(RECOMMEND)[0]
-    assert plan_to_json(plan) == plan_to_json(again)
-    # and the re-parsed plan partitions identically
+    doc = json.loads(json.dumps(recommend_engine().explain(RECOMMEND)))
+    plan = recommend_engine().plan_script(RECOMMEND)[0]
+    assert doc["nodes"] == plan_to_dict(plan)["nodes"]
+    # and the plan partitions as the document says
     pd = partition(plan)
     assert [sorted(p.node_ids) for p in pd.partitions] == \
         [p["nodes"] for p in doc["partitions"]]
