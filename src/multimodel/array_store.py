@@ -9,8 +9,11 @@ column lines up with it. Sparse tiles have two byte encodings, which is all
 that tells them apart: COO (cell coordinates) and CSR (2-D only: row pointers
 + column indices). Tiles are the unit of I/O: readers pin a tile
 through the shared buffer pool, which makes it non-evictable until unpinned;
-dirty tiles spill to disk on eviction. ``release()`` frees a whole array: its
-tiles leave the pool without being spilled and its spill file is deleted.
+dirty tiles spill to disk on eviction. The record-array join reads through
+``StoredArray.lookup_runs`` instead: pool-sized stages of tiles read with
+coalesced preads and looked up a stage at once, never entering the pool.
+``release()`` frees a whole array: its tiles leave the pool without being
+spilled and its spill file is deleted.
 Operators build tiles from blocks (``block_tile``) and read them as blocks
 (``Tile.to_scratch``: a dense tile's own, as read-only views).
 
@@ -22,6 +25,7 @@ magic "M2AR" | u32 version=1 | u32 d | u64 size[d] | u64 tile_size[d]
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import json
@@ -71,9 +75,10 @@ def dtype_for(vt: ValueType) -> np.dtype:
 
 def _linearize(cc: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
     """Row-major linear key of each coordinate row within the given box."""
-    key = np.zeros(len(cc), dtype=np.uint64)
-    for i, extent in enumerate(box):
-        key = key * np.uint64(extent) + cc[:, i].astype(np.uint64)
+    key = cc[:, 0].astype(np.uint64)
+    for i in range(1, len(box)):
+        key *= np.uint64(box[i])
+        key += cc[:, i].astype(np.uint64)
     return key
 
 
@@ -185,6 +190,32 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.setflags(write=False)
     return view
+
+
+def _stage_bounds(inv: np.ndarray, size: np.ndarray, free: int):
+    """Cut runs into stages, greedily: a stage takes runs while the summed
+    `size` of the distinct tiles it reads (`inv`: each run's tile) fits in
+    `free`, and at least one run.  Returns the stage bounds as run indices
+    and, per run, the index of the previous run on its tile (-1 if
+    none)."""
+    n = len(inv)
+    by_tile = np.argsort(inv, kind="stable")
+    again = inv[by_tile[1:]] == inv[by_tile[:-1]]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[by_tile[1:][again]] = by_tile[:-1][again]
+    run_size = size[inv]
+    bounds, width = [0], 64
+    while bounds[-1] < n:
+        s = bounds[-1]
+        while True:  # widen the window until the stage ends inside it
+            hi = min(s + width, n)
+            cum = np.cumsum(np.where(prev[s:hi] < s, run_size[s:hi], 0))
+            e = int(np.searchsorted(cum, free, "right"))
+            if e < hi - s or hi == n:
+                break
+            width *= 2
+        bounds.append(s + max(e, 1))
+    return bounds, prev
 
 
 def _delinearize(keys: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
@@ -390,6 +421,183 @@ class StoredArray:
         slot.length = len(buf)
         slot.source = "spill"
         slot.dirty = False
+
+    # -- staged lookups ----------------------------------------------------
+
+    def lookup_runs(self, run_tiles: np.ndarray, run_lengths: np.ndarray,
+                    cells: np.ndarray, stats):
+        """Look up cells given as runs of records on one tile, a stage at a
+        time.  ``run_tiles`` holds each run's row-major linear tile id,
+        ``run_lengths`` its record count and ``cells`` each record's
+        row-major cell within its tile.  Returns (found, value columns),
+        one entry per record.
+
+        Each run counts as a pin of its tile.  Runs are cut into stages
+        whose distinct non-resident tiles fit the pool's free space, at
+        least one run per stage.  Resident tiles are used in place, pinned
+        for the whole call.  A stage's other tiles are read into one
+        buffer (``_read_stage``) and never registered in the pool, so the
+        scan evicts nothing; its dense tiles are looked up as one dense
+        tile over the box (tiles, cells), its sparse ones as one sparse
+        tile over the same box.  ``stats`` (a ``JoinStats``) gains the
+        stages, preads and bytes read.
+        """
+        n = int(run_lengths.sum())
+        found = np.zeros(n, dtype=bool)
+        values = [np.zeros(n, dt) for dt in self.attr_dtypes]
+        if n == 0:
+            return found, values
+        uniq, inv, runs_per_tile = np.unique(run_tiles, return_inverse=True,
+                                             return_counts=True)
+        tcs = [tuple(t) for t in
+               np.transpose(np.unravel_index(uniq, self._grid)).tolist()]
+        slots = [self._slots.get(tc) for tc in tcs]
+        for tc, k in zip(tcs, runs_per_tile.tolist()):
+            self.pin_counts[tc] = self.pin_counts.get(tc, 0) + k
+        resident: dict[int, Tile] = {}
+        size = np.zeros(len(uniq), dtype=np.int64)  # decoded bytes, at most
+        for u, (tc, slot) in enumerate(zip(tcs, slots)):
+            if slot is None:
+                continue  # absent: a tile with zero cells, nothing to read
+            obj = self.pool.get(self._key(tc))
+            if obj is not None:
+                resident[u] = obj.payload
+            elif slot.source == "mem":
+                raise InternalError(f"in-memory tile {tc} lost without a spill")
+            else:
+                size[u] = 64 + slot.length
+        bounds, prev = _stage_bounds(inv, size, self.pool.capacity
+                                     - self.pool.stats().resident_bytes)
+        starts = np.concatenate(([0], np.cumsum(run_lengths)))
+        pos = np.empty(len(uniq), dtype=np.int64)  # stage position per tile
+        fds: dict[str, int] = {}
+        for u in resident:
+            self.active_pins[tcs[u]] = self.active_pins.get(tcs[u], 0) + 1
+        try:
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                lo, hi = starts[s], starts[e]
+                stage = inv[s:e][prev[s:e] < s]  # first runs on each tile
+                pos[stage] = np.arange(len(stage))
+                self._lookup_stage(
+                    [(tcs[u], slots[u], resident.get(u)) for u in stage.tolist()],
+                    pos[inv[s:e]], run_lengths[s:e], cells[lo:hi],
+                    found[lo:hi], [v[lo:hi] for v in values], fds, stats)
+            stats.stages += len(bounds) - 1
+        finally:
+            for fd in fds.values():
+                os.close(fd)
+            for u in resident:
+                self.active_pins[tcs[u]] -= 1
+        return found, values
+
+    def _lookup_stage(self, tiles, run_pos, run_lengths, cells, found,
+                      values, fds, stats) -> None:
+        """One stage of ``lookup_runs``: `tiles` holds (tc, slot or None,
+        resident tile or None) per stage position, `run_pos` each run's
+        stage position and `run_lengths` its records.  Writes into `found`
+        and `values`."""
+        reads = [p for p, (_, slot, tile) in enumerate(tiles)
+                 if slot is not None and tile is None]
+        reads.sort(key=lambda p: (tiles[p][1].layout != "dense",
+                                  tiles[p][1].path, tiles[p][1].offset))
+        if reads:
+            buf, at = self._read_stage([tiles[p][:2] for p in reads], fds,
+                                       stats)
+            rank = np.full(len(tiles), -1, dtype=np.int64)
+            rank[reads] = np.arange(len(reads))
+            rec_rank = np.repeat(rank[run_pos], run_lengths)
+            for block, first in self._stage_blocks([tiles[p] for p in reads],
+                                                   buf, at):
+                last = first + block.ts[0]
+                m = (slice(None) if last - first == len(tiles)
+                     else (rec_rank >= first) & (rec_rank < last))
+                found[m], vals = block.lookup(
+                    np.column_stack((rec_rank[m] - first, cells[m])))
+                for out, v in zip(values, vals):
+                    out[m] = v
+        if len(reads) < len(tiles):  # resident or absent tiles
+            held = np.array([tile is not None for _, _, tile in tiles])
+            starts = np.concatenate(([0], np.cumsum(run_lengths)))
+            for r in np.flatnonzero(held[run_pos]).tolist():
+                lo, hi = starts[r], starts[r + 1]
+                cc = np.column_stack(np.unravel_index(cells[lo:hi],
+                                                      self.meta.tile_size))
+                found[lo:hi], vals = tiles[run_pos[r]][2].lookup(cc)
+                for out, v in zip(values, vals):
+                    out[lo:hi] = v
+
+    def _stage_blocks(self, reads, buf, at):
+        """The tiles read into `buf` (dense ones first) as at most two
+        tiles over the box (tiles, cells of a tile), each with the rank of
+        its first tile: the dense ones as one dense tile viewing the buffer,
+        the sparse ones decoded into one sparse tile whose keys are offset
+        by each tile's rank among them."""
+        ts, dtypes = self.meta.tile_size, self.attr_dtypes
+        ncell = math.prod(ts)
+        n_dense = sum(slot.layout == "dense" for _, slot, _ in reads)
+        blocks = []
+        if n_dense:
+            width = ncell * (1 + sum(dt.itemsize for dt in dtypes))
+            for tc, slot, _ in reads[:n_dense]:
+                if slot.length != width:
+                    raise InternalError(
+                        f"dense tile {tc} has a {slot.length}-byte slot, "
+                        f"expected {width}")
+            block = buf[:n_dense * width].reshape(n_dense, width)
+            cols, off = [], ncell
+            for dt in dtypes:
+                cols.append(block[:, off:off + ncell * dt.itemsize].view(dt))
+                off += ncell * dt.itemsize
+            blocks.append((Tile((), "dense", (n_dense, ncell), dtypes,
+                                block[:, :ncell].view(bool), cols), 0))
+        if n_dense < len(reads):
+            view = memoryview(buf)
+            sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], tc, slot.layout,
+                                      ts, dtypes)
+                      for k, (tc, slot, _) in enumerate(reads) if k >= n_dense]
+            keys = np.concatenate([t.index + np.uint64(j * ncell)
+                                   for j, t in enumerate(sparse)])
+            cols = [np.concatenate(c) for c in zip(*(t.values for t in sparse))]
+            blocks.append((Tile((), "coo", (len(sparse), ncell), dtypes,
+                                keys, cols), n_dense))
+        return blocks
+
+    def _read_stage(self, reads, fds, stats):
+        """Read the slots of `reads` [(tc, slot)] into one buffer, in the
+        given order: each run of slots adjacent in one file takes one pread
+        (more only if the kernel returns short), over one fd per file kept
+        in `fds`.  Returns the buffer and each slot's start in it (plus the
+        end)."""
+        at = list(itertools.accumulate((slot.length for _, slot in reads),
+                                       initial=0))
+        buf = np.empty(at[-1], dtype=np.uint8)
+        view = memoryview(buf)
+        i = 0
+        while i < len(reads):
+            path, offset = reads[i][1].path, reads[i][1].offset
+            j = i + 1
+            while (j < len(reads) and reads[j][1].path == path and
+                   reads[j][1].offset == offset + at[j] - at[i]):
+                j += 1
+            if path not in fds:
+                fds[path] = os.open(path, os.O_RDONLY)
+            lo, hi = at[i], at[j]
+            while lo < hi:
+                got = os.preadv(fds[path], [view[lo:hi]], offset)
+                stats.preads += 1
+                if got == 0:
+                    k = bisect.bisect_right(at, lo) - 1
+                    tc, slot = reads[k]
+                    raise InternalError(
+                        f"short read of tile {tc} from {path}: "
+                        f"{lo - at[k]} of {slot.length} bytes")
+                lo += got
+                offset += got
+            i = j
+        for tc, _ in reads:
+            self.disk_reads[tc] = self.disk_reads.get(tc, 0) + 1
+        stats.bytes_read += at[-1]
+        return buf, at
 
     # -- writing -------------------------------------------------------------
 

@@ -30,7 +30,8 @@ from .models import (FLOAT, INT, ArrayMeta, CellSchema, Collection, Column,
 REPORT_COLUMNS = [
     "scenario", "strategy", "n", "d", "layout", "wall_ms", "extract_ms",
     "build_ms", "convert_ms", "tile_pins", "tile_reads", "block_scans",
-    "pool_hits", "pool_misses", "pool_evictions", "seed", "checksum",
+    "stages", "preads", "pool_hits", "pool_misses", "pool_evictions", "seed",
+    "checksum",
 ]
 
 # array shape per dimensionality: (extent, tile extent)
@@ -195,6 +196,8 @@ def bench_mshj(dims: int = 2, layout: str = "dense",
                     "tile_pins": stats.tile_pins,
                     "tile_reads": sum(arr.disk_reads.values()),
                     "block_scans": stats.block_scans,
+                    "stages": stats.stages,
+                    "preads": stats.preads,
                     "pool_hits": ps.hits,
                     "pool_misses": ps.misses,
                     "pool_evictions": ps.evictions,
@@ -238,17 +241,15 @@ def pool_workload(capacity: int, seed: int = 0) -> list[tuple]:
 
 def replay_events(events, pools: dict[str, BufferPool], scenario: str,
                   evicted: list | None = None) -> None:
-    """Replay one scenario's events, each in its owner's pool; ids a pool
-    evicts are appended to `evicted`, in eviction order, through each
-    object's do_eviction."""
+    """Replay one scenario's events, each in its owner's pool: a lookup,
+    and on a miss an add.  Ids a pool evicts are appended to `evicted`, in
+    eviction order, through each object's do_eviction."""
     evicted = [] if evicted is None else evicted
     for scen, owner, oid, size in events:
         if scen != scenario:
             continue
         pool = pools[owner]
-        if pool.contains(oid):
-            pool.get(oid)
-        else:
+        if pool.get(oid) is None:
             pool.add(BufferObject(id=oid, size=size,
                                   do_eviction=partial(evicted.append, oid)))
 
@@ -292,6 +293,8 @@ def bench_bufferpool(capacity: int, mode: str = "both", *,
                 "tile_pins": 0,
                 "tile_reads": 0,
                 "block_scans": 0,
+                "stages": 0,
+                "preads": 0,
                 "pool_hits": sum(s.hits for s in ps),
                 "pool_misses": sum(s.misses for s in ps),
                 "pool_evictions": sum(s.evictions for s in ps),

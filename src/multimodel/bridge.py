@@ -10,6 +10,17 @@ relational join.  All three hand their result to one emit step, which
 returns relational, document or array output; array output is always built
 by ``to_array``.  Document records join to document output only.
 
+Each record's tile coordinates, linear tile id and cell within the tile
+are computed once, before ordering.  The probe (``StoredArray.lookup_runs``)
+cuts the ordered runs of records on one tile into stages whose tiles'
+decoded bytes fit the pool's free space, at least one run per stage.
+Resident tiles are used in place.  A stage's other tiles are read in file
+order into one buffer, one ``pread`` per run of adjacent slots over one fd
+per file held for the probe; its dense tiles are looked up as one
+(tiles, cells) block by one fancy index and its sparse tiles through one
+``searchsorted`` over their concatenated keys.  Stage tiles never enter
+the pool, so the join evicts nothing.
+
 ``to_array`` is the one way records become an array.  A single walk over
 the records (``_extract_dims``) yields the bound coordinates, the kept
 records and the value columns; when no metadata is given, the extent,
@@ -67,9 +78,13 @@ class JoinStats:
     tile_pins: int = 0
     output_rows: int = 0
     extract_seconds: float = 0.0  # dimension extraction and extent check
-    build_seconds: float = 0.0
+    build_seconds: float = 0.0  # tile ids and cells, probe order
     probe_seconds: float = 0.0
+    emit_seconds: float = 0.0  # matched records to the output model
     convert_seconds: float = 0.0
+    stages: int = 0  # probe stages (mshj and probe-only)
+    preads: int = 0
+    bytes_read: int = 0  # slot bytes the stages read
 
 
 @dataclass
@@ -249,38 +264,43 @@ def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str):
 # ---------------------------------------------------------------------------
 # the join strategies
 
-def _probe(arr: StoredArray, dims: np.ndarray, kept: np.ndarray,
-           order: np.ndarray, stats: JoinStats, trace: JoinTrace | None):
-    """Scan records in `order`, pinning each tile once per contiguous run.
+def _tile_cells(dims: np.ndarray, meta: ArrayMeta):
+    """Each row's tile coordinate per dimension, its row-major linear tile
+    id and its row-major cell within the tile, from one divmod per
+    dimension."""
+    tq = []
+    tile_ids = np.zeros(len(dims), dtype=np.int64)
+    cells = np.zeros(len(dims), dtype=np.int64)
+    for j, (t, g) in enumerate(zip(meta.tile_size, meta.grid)):
+        q, r = np.divmod(dims[:, j], t)
+        tq.append(q)
+        tile_ids = tile_ids * g + q
+        cells = cells * t + r
+    return tq, tile_ids, cells
 
-    Returns the matched record indices, their cell coordinates and the
-    cells' value columns, in probe order.
-    """
-    ts = np.asarray(arr.meta.tile_size, dtype=np.int64)
-    dims = dims[order]
-    tcs = dims // ts
-    ccs = (dims % ts).astype(np.uint64)
-    rec = kept[order]
-    if trace is not None:
-        trace.probe_order.extend(int(i) for i in rec)
-        trace.tcs.extend(tuple(int(x) for x in t) for t in tcs)
-        trace.ccs.extend(tuple(int(x) for x in c) for c in ccs)
+
+def _probe(arr: StoredArray, tile_ids: np.ndarray, cells: np.ndarray,
+           stats: JoinStats, trace: JoinTrace | None):
+    """Probe the records, given by tile id and cell in probe order; each run
+    of records on one tile is one pin.  The array reads the runs in stages
+    (``StoredArray.lookup_runs``).  Returns found and the value columns,
+    in probe order."""
     stats.block_scans += 1
-    found = np.zeros(len(rec), dtype=bool)
-    vals = [np.zeros(len(rec), dt) for dt in arr.attr_dtypes]
-    change = np.flatnonzero((tcs[1:] != tcs[:-1]).any(axis=1)) + 1
-    bounds = np.concatenate(([0], change, [len(rec)])) if len(rec) else []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        tc = tuple(int(x) for x in tcs[lo])
-        with arr.pinned(tc) as tile:
-            stats.tile_pins += 1
-            if trace is not None:
-                trace.pins.append(tc)
-            f, v = tile.lookup(ccs[lo:hi])
-        found[lo:hi] = f
-        for col, part in zip(vals, v):
-            col[lo:hi] = part
-    return rec[found], dims[found], [v[found] for v in vals]
+    n = len(tile_ids)
+    starts = np.flatnonzero(tile_ids[1:] != tile_ids[:-1]) + 1
+    starts = np.concatenate(([0], starts)) if n else starts
+    run_tiles = tile_ids[starts]
+    stats.tile_pins += len(run_tiles)
+    if trace is not None:
+        grid, ts = arr.meta.grid, arr.meta.tile_size
+        trace.tcs.extend(map(tuple, np.transpose(
+            np.unravel_index(tile_ids, grid)).tolist()))
+        trace.ccs.extend(map(tuple, np.transpose(
+            np.unravel_index(cells, ts)).tolist()))
+        trace.pins.extend(map(tuple, np.transpose(
+            np.unravel_index(run_tiles, grid)).tolist()))
+    return arr.lookup_runs(run_tiles, np.diff(np.append(starts, n)), cells,
+                           stats)
 
 
 def _drop_out_of_range(dims, kept, size):
@@ -307,37 +327,45 @@ def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
     stats.extract_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    order = probe_order(arr, dims, kept, stats, trace)
+    tq, tile_ids, cells = _tile_cells(dims, arr.meta)
+    order = probe_order(arr, tq, kept, stats, trace)
     stats.build_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    idx, coords, vals = _probe(arr, dims, kept, order, stats, trace)
-    joined = _joined_records(records, arr, idx, coords, vals)
+    if trace is not None:
+        trace.probe_order.extend(kept[order].tolist())
+    found, vals = _probe(arr, tile_ids[order], cells[order], stats, trace)
     stats.probe_seconds += time.perf_counter() - t0
-    stats.output_rows = len(idx)
-    return _emit(joined, arr, binding, model)
+
+    t0 = time.perf_counter()
+    hit = order[found]
+    joined = _joined_records(records, arr, kept[hit], dims[hit],
+                             [v[found] for v in vals])
+    stats.output_rows = len(hit)
+    res = _emit(joined, arr, binding, model)
+    stats.emit_seconds += time.perf_counter() - t0
+    return res
 
 
-def _bucket_order(arr: StoredArray, dims, kept, stats: JoinStats,
+def _bucket_order(arr: StoredArray, tq, kept, stats: JoinStats,
                   trace: JoinTrace | None) -> np.ndarray:
-    """D stable bucketing stages, one per dimension, by ``floor(v_d / TS_d)``."""
-    ts = np.asarray(arr.meta.tile_size, dtype=np.int64)
-    order = np.arange(len(dims), dtype=np.int64)
-    for d in range(arr.meta.d):
-        keys = dims[order, d] // ts[d]
-        order = order[np.argsort(keys, kind="stable")]
+    """D stable bucketing stages, one per dimension, by ``floor(v_d / TS_d)``
+    (the tile coordinates `tq`)."""
+    order = np.arange(len(kept), dtype=np.int64)
+    for d, keys in enumerate(tq):
+        order = order[np.argsort(keys[order], kind="stable")]
         stats.block_scans += 1
         if trace is not None:
             buckets = [[] for _ in range(arr.meta.grid[d])]
-            for i in order:
-                buckets[int(dims[i, d] // ts[d])].append(int(kept[i]))
+            for i in order.tolist():
+                buckets[int(keys[i])].append(int(kept[i]))
             trace.stage_buckets.append(buckets)
     return order
 
 
-def _input_order(arr: StoredArray, dims, kept, stats: JoinStats,
+def _input_order(arr: StoredArray, tq, kept, stats: JoinStats,
                  trace: JoinTrace | None) -> np.ndarray:
-    return np.arange(len(dims), dtype=np.int64)
+    return np.arange(len(kept), dtype=np.int64)
 
 
 def mshj(records, arr: StoredArray, binding: DimBinding,
@@ -407,7 +435,10 @@ def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
     joined = execute_tree(tree, {"__rec": records, "__arr": arel})
     stats.probe_seconds += time.perf_counter() - t0
     stats.output_rows = len(joined)
-    return _emit(joined, arr, binding, model)
+    t0 = time.perf_counter()
+    res = _emit(joined, arr, binding, model)
+    stats.emit_seconds += time.perf_counter() - t0
+    return res
 
 
 def _check_binding(arr: StoredArray, binding: DimBinding) -> None:

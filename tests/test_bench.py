@@ -90,16 +90,16 @@ def test_unified_wins_on_skewed_working_set():
 
 # (hits, misses, evictions, checksum) per (scenario, mode): the figures of one
 # pool with a half-capacity quota per owner, which split mode's two pools
-# must reproduce exactly
+# must reproduce exactly; every event is one lookup, so hits + misses = n
 _POOL_PIN = {
-    3: {("pool-tight", "unified"): (126, 0, 0, "97d170e1550e"),
-        ("pool-tight", "split"): (77, 0, 52, "405369284b62"),
-        ("pool-roomy", "unified"): (56, 0, 0, "97d170e1550e"),
-        ("pool-roomy", "split"): (56, 0, 0, "97d170e1550e")},
-    8: {("pool-tight", "unified"): (126, 0, 0, "97d170e1550e"),
-        ("pool-tight", "split"): (77, 0, 52, "845358bb2149"),
-        ("pool-roomy", "unified"): (56, 0, 0, "97d170e1550e"),
-        ("pool-roomy", "split"): (56, 0, 0, "97d170e1550e")},
+    3: {("pool-tight", "unified"): (126, 18, 0, "97d170e1550e"),
+        ("pool-tight", "split"): (77, 67, 52, "405369284b62"),
+        ("pool-roomy", "unified"): (56, 8, 0, "97d170e1550e"),
+        ("pool-roomy", "split"): (56, 8, 0, "97d170e1550e")},
+    8: {("pool-tight", "unified"): (126, 18, 0, "97d170e1550e"),
+        ("pool-tight", "split"): (77, 67, 52, "845358bb2149"),
+        ("pool-roomy", "unified"): (56, 8, 0, "97d170e1550e"),
+        ("pool-roomy", "split"): (56, 8, 0, "97d170e1550e")},
 }
 
 
@@ -111,6 +111,7 @@ def test_pool_bench_rows_pinned(capacity, seed):
            (r["pool_hits"], r["pool_misses"], r["pool_evictions"],
             r["checksum"]) for r in rows}
     assert got == _POOL_PIN[seed]
+    assert all(r["pool_hits"] + r["pool_misses"] == r["n"] for r in rows)
 
 
 def test_pool_bench_matches_reference_simulator():

@@ -89,7 +89,7 @@ def test_pipeline_frees_every_array_it_made(tmp_path, node_outputs):
 # the operator each injected failure below must hit, and the join strategy
 # that routes the run through it
 FAILS_INSIDE = {
-    ("lookup", 3): ("_probe", "auto"),         # the mshj probe
+    ("lookup", 1): ("_probe", "auto"),         # the mshj probe (one stage)
     ("to_scratch", 5): ("transpose", "auto"),  # one tile pinned
     ("to_scratch", 17): ("matmul", "auto"),    # two tiles pinned
     ("cells", 4): ("to_relation", "convert"),  # the conversion join's scan

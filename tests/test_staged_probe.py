@@ -1,0 +1,208 @@
+"""The staged probe of mshj and probe-only: results do not depend on the pool
+capacity, stage reads stay within the pool's free space and out of the pool,
+the I/O counters add up, and a failed read leaks no fd and no pin."""
+
+from __future__ import annotations
+
+import os
+import random
+import re
+
+import numpy as np
+import pytest
+
+from multimodel.array_store import ArrayBuilder, StoredArray, make_tile
+from multimodel.bridge import DimBinding, JoinStats, join_probe_only, mshj
+from multimodel.buffer_pool import BufferPool
+from multimodel.errors import InternalError
+from multimodel.models import FLOAT, INT, ArrayMeta, CellSchema, Relation
+
+UNBOUNDED = 1 << 30
+SHAPES = {2: ((30, 20), (6, 5)), 3: ((12, 10, 8), (4, 5, 4))}
+CASES = [(2, "dense"), (2, "coo"), (2, "csr"), (3, "coo")]
+
+
+def _meta(d, layout):
+    size, tile = SHAPES[d]
+    return ArrayMeta(CellSchema(tuple(f"x{i}" for i in range(d)),
+                                ("v", "w"), (FLOAT, INT)), size, tile, layout)
+
+
+def _cells(d, seed=0):
+    rng = np.random.default_rng(seed)
+    size = SHAPES[d][0]
+    present = rng.random(size) < 0.4
+    present[tuple(slice(0, t) for t in SHAPES[d][1])] = False  # absent tile
+    coords = np.argwhere(present)
+    return coords, [rng.random(len(coords)), np.arange(len(coords))]
+
+
+def _build(d, layout, pool, spool_dir=None):
+    b = ArrayBuilder(_meta(d, layout), pool, name="a", spool_dir=spool_dir)
+    b.add_cells(*_cells(d))
+    return b.finish()
+
+
+def _records(d, n=400, seed=1):
+    """Coordinates in random order, some repeated, some outside the array."""
+    rng = random.Random(seed)
+    size = SHAPES[d][0]
+    rows = [tuple(rng.randrange(s + 2) for s in size) + (i,) for i in range(n)]
+    return Relation([(f"x{i}", INT) for i in range(d)] + [("tag", INT)], rows)
+
+
+def _tile_bytes(d, layout):
+    arr = _build(d, layout, BufferPool(UNBOUNDED))
+    sizes = []
+    for tc in arr.tile_coords():
+        with arr.pinned(tc) as t:
+            sizes.append(t.nbytes)
+    return max(sizes)
+
+
+def _source(kind, d, layout, capacity, tmp_path):
+    """The array under a pool of `capacity` bytes: loaded from an .m2ar
+    file, or built in the pool (spilling whatever does not fit)."""
+    pool = BufferPool(capacity)
+    if kind == "file":
+        path = str(tmp_path / f"a{d}{layout}.m2ar")
+        if not os.path.exists(path):
+            _build(d, layout, BufferPool(UNBOUNDED)).save(path)
+        return StoredArray.load(path, pool)
+    return _build(d, layout, pool, spool_dir=str(tmp_path / "spool"))
+
+
+@pytest.mark.parametrize("kind", ["file", "built"])
+@pytest.mark.parametrize("d, layout", CASES)
+def test_rows_do_not_depend_on_pool_capacity(tmp_path, monkeypatch, kind, d,
+                                             layout):
+    one = _tile_bytes(d, layout)
+    rel = _records(d)
+    binding = DimBinding(tuple(f"x{i}" for i in range(d)))
+    stage_bytes = []
+    read_stage = StoredArray._read_stage
+
+    def spy(self, reads, fds, stats):
+        stage_bytes.append((len(reads), self.pool.stats().resident_bytes
+                            + sum(64 + slot.length for _, slot in reads)))
+        return read_stage(self, reads, fds, stats)
+
+    monkeypatch.setattr(StoredArray, "_read_stage", spy)
+    for join in (mshj, join_probe_only):
+        want = None
+        for capacity in (UNBOUNDED, one, 2 * one, 7 * one):
+            arr = _source(kind, d, layout, capacity, tmp_path)
+            before = arr.pool.stats()
+            resident = arr.pool.resident_ids()
+            stats = JoinStats()
+            stage_bytes.clear()
+            rows = join(rel, arr, binding, stats=stats).rows
+            if want is None:
+                want = rows
+                assert len(rows) > 0
+            assert rows == want, (join.__name__, capacity)
+            assert max(arr.disk_reads.values(), default=0) <= stats.stages
+            # stage tiles stay out of the pool: nothing added or evicted
+            assert arr.pool.resident_ids() == resident
+            assert arr.pool.stats().evictions == before.evictions
+            # resident plus stage bytes within capacity, unless the stage
+            # is the one tile every stage holds at least
+            assert all(n == 1 or used <= capacity for n, used in stage_bytes)
+            assert all(n == 0 for n in arr.active_pins.values())
+            arr.release()
+
+
+def test_in_memory_array_reads_nothing():
+    arr = _build(2, "dense", BufferPool(UNBOUNDED))
+    rel = _records(2)
+    stats = JoinStats()
+    got = mshj(rel, arr, DimBinding(("x0", "x1")), stats=stats)
+    assert len(got) > 0
+    assert (stats.preads, stats.bytes_read, arr.total_reads) == (0, 0, 0)
+    assert stats.stages == 1
+    assert arr.pool.stats().hits == stats.tile_pins - 1  # one tile absent
+
+
+def _saved(tmp_path, d=2, layout="dense"):
+    path = str(tmp_path / "a.m2ar")
+    _build(d, layout, BufferPool(UNBOUNDED)).save(path)
+    return path
+
+
+def _slot_bytes(path, tcs):
+    ref = StoredArray.load(path, BufferPool(UNBOUNDED))
+    total = 0
+    for tc, n in tcs.items():
+        with ref.pinned(tc) as t:
+            total += n * len(t.to_bytes())
+    return total
+
+
+@pytest.mark.parametrize("layout", ["dense", "coo"])
+def test_join_stats_identities(tmp_path, layout):
+    path = _saved(tmp_path, layout=layout)
+    rel = _records(2, n=600)
+    binding = DimBinding(("x0", "x1"))
+    for join, capacity in ((mshj, _tile_bytes(2, layout)),
+                           (mshj, UNBOUNDED), (join_probe_only, 3000)):
+        arr = StoredArray.load(path, BufferPool(capacity))
+        stats = JoinStats()
+        join(rel, arr, binding, stats=stats)
+        read = arr.total_reads
+        assert 0 < stats.preads <= read
+        assert stats.bytes_read == _slot_bytes(path, arr.disk_reads)
+        if layout == "dense" and join is mshj and capacity < UNBOUNDED:
+            # a one-tile pool: one stage per distinct tile read (the absent
+            # tile costs no bytes and rides along with the next one)
+            assert stats.stages == len(arr.disk_reads) == read
+            assert stats.tile_pins == len(arr.pin_counts) == read + 1
+        if capacity == UNBOUNDED:
+            # one stage; the tiles are adjacent in the file: one pread
+            assert (stats.stages, stats.preads) == (1, 1)
+            assert read == len(arr.tile_coords())
+
+
+def test_mixed_layout_file_joins_like_its_cells(tmp_path):
+    """A file whose tiles mix dense and sparse encodings: the stage reads
+    both into one buffer and looks each kind up as one block."""
+    meta = _meta(2, "dense")
+    arr = _build(2, "dense", BufferPool(UNBOUNDED))
+    for i, tc in enumerate(arr.tile_coords()):
+        if i % 3 == 1:
+            with arr.pinned(tc) as t:
+                cc, vals = t.cells()
+            arr.write_tile(tc, make_tile(tc, meta.tile_size,
+                                         arr.valid_extent(tc), arr.attr_dtypes,
+                                         "coo", cc, vals))
+    path = str(tmp_path / "mixed.m2ar")
+    arr.save(path)
+    rel = _records(2)
+    binding = DimBinding(("x0", "x1"))
+    want = mshj(rel, arr, binding).rows
+    for join in (mshj, join_probe_only):
+        loaded = StoredArray.load(path, BufferPool(UNBOUNDED))
+        stats = JoinStats()
+        got = join(rel, loaded, binding, stats=stats).rows
+        assert sorted(got) == sorted(want)
+        assert stats.stages == 1
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("join", [mshj, join_probe_only])
+def test_truncated_file_names_the_tile_and_leaks_nothing(tmp_path, join):
+    path = _saved(tmp_path)
+    arr = StoredArray.load(path, BufferPool(UNBOUNDED))
+    last = arr.tile_coords()[-1]
+    with open(path, "r+b") as f:
+        f.truncate(os.path.getsize(path) - 100)
+    for tc in arr.tile_coords()[:3]:  # resident: pinned by the probe
+        with arr.pinned(tc):
+            pass
+    fds = _open_fds()
+    with pytest.raises(InternalError, match=re.escape(f"tile {last} ")):
+        join(_records(2, n=2000), arr, DimBinding(("x0", "x1")))
+    assert _open_fds() == fds
+    assert arr.active_pins and all(n == 0 for n in arr.active_pins.values())
