@@ -11,10 +11,13 @@ document and then by each key in turn; a document join hashes its keys into
 a dict and merges each pair left first.  ``run`` executes the same plan
 trees; ``test_columnar.py`` compares the two.
 
-Reference resolution (``_col_index``, ``_doc_value``, ``_split_equi``) and a
-relation's conversion into documents for a join with a collection
-(``_rel_to_doc``) are shared with the engine: they are not what the
-comparison tests.
+A document path is read from each dict by ``compile_path`` (``_doc_value``),
+a relation joins a collection as one dict per row (``_rel_to_doc``),
+``_unwind`` copies a document once per list element, and
+``records_to_cells`` is the walk over documents that ``to_array`` feeds to
+the array builder.  Column reference resolution (``_col_index``,
+``_split_equi``) and the dimension checks are shared with the engine: they
+are not what the comparison tests.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from multimodel.errors import PlanError, TypeMismatchError
-from multimodel.models import (FLOAT, INT, Collection, Relation,
-                               infer_column_type)
+import numpy as np
+
+from multimodel.bridge import _dim_error, _is_dim
+from multimodel.errors import BindingError, PlanError, TypeMismatchError
+from multimodel.models import (ABSENT, FLOAT, INT, Collection,
+                               compile_path, compile_set, infer_column_type)
 from multimodel.predicates import (And, Cmp, Lit, Not, Or, Ref,
                                    compare_values, universal_key)
-from multimodel.rd_engine import (RelFrame, _col_index, _doc_value,
-                                  _public_names, _rel_to_doc, _split_equi)
+from multimodel.rd_engine import _col_index, _public_names, _split_equi
 
 
 @dataclass
@@ -80,6 +85,8 @@ def _exec(n, reg):
         return _union(kids[0], kids[1])
     if n.op == "join":
         return _join(kids[0], kids[1], p["pred"])
+    if n.op == "unwind":
+        return _unwind(kids[0], p["path"])
     raise PlanError(f"unknown operator {n.op!r}")
 
 
@@ -92,6 +99,16 @@ def _like(f, records: list):
     if isinstance(f, DocRows):
         return DocRows(f.quals, records)
     return RowFrame(f.cols, f.types, records)
+
+
+def _doc_value(quals: tuple, path: str, absent=None):
+    """``doc -> value`` (``absent`` when missing).  A path whose head is one
+    of the frame's qualifiers falls back to the rest of it."""
+    head, _, rest = path.partition(".")
+    if not (rest and head in quals):
+        return compile_path(path, absent)
+    get, get_rest = compile_path(path), compile_path(rest, absent)
+    return lambda doc: get_rest(doc) if (v := get(doc)) is ABSENT else v
 
 
 def _getter(f, path: str):
@@ -156,6 +173,12 @@ def _filter(f, pred):
 
 def _project(f, cols, names):
     out_names = names or [c.rpartition(".")[2] for c in cols]
+    if isinstance(f, DocRows):  # a path a document lacks is left out
+        gets = [(n, _doc_value(f.quals, c, ABSENT))
+                for c, n in zip(cols, out_names)]
+        return DocRows(f.quals, [
+            {n: v for n, get in gets if (v := get(d)) is not ABSENT}
+            for d in f.docs])
     idx = [_col_index(f, c) for c in cols]
     return RowFrame([(None, n) for n in out_names], [f.types[i] for i in idx],
                     [tuple(r[i] for i in idx) for r in f.rows])
@@ -202,6 +225,23 @@ def _union(a, b):
         return [tuple(float(v) if c[side] and v is not None else v
                       for v, c in zip(r, convert)) for r in rows]
     return RowFrame(a.cols, types, typed(a.rows, 0) + typed(b.rows, 1))
+
+
+def _unwind(f, path: str):
+    """One copy of each document per element of the list at ``path``, the
+    element in the list's place; a document lacking the path gives none."""
+    if not isinstance(f, DocRows):
+        raise TypeMismatchError("unwind applies to collections")
+    get, set_value = compile_path(path), compile_set(path)
+    docs = []
+    for d in f.docs:
+        v = get(d)
+        if v is ABSENT:
+            continue
+        if not isinstance(v, list):
+            raise TypeMismatchError(f"unwind path {path!r} is not a list")
+        docs.extend(set_value(d, elem) for elem in v)
+    return DocRows(f.quals, docs)
 
 
 _STAR = object()  # count(*) marker: counts rows, nulls included
@@ -334,12 +374,14 @@ def _join_rows(left, right, pred):
 
 
 def _as_docs(f) -> DocRows:
+    """A relation as one document per row, keyed by bare column names: the
+    first position and the last value of a repeated name; a null stays a
+    None value."""
     if isinstance(f, DocRows):
         return f
-    rel = Relation(list(zip(_public_names(f.cols), f.types)), f.rows)
-    docs = _rel_to_doc(RelFrame(f.cols, f.types, list(rel.columns),
-                                len(f.rows)))
-    return DocRows(docs.quals, docs.docs)
+    quals = tuple(dict.fromkeys(q for q, _ in f.cols if q))
+    names = [n for _, n in f.cols]
+    return DocRows(quals, [dict(zip(names, r)) for r in f.rows])
 
 
 def _join_docs(left: DocRows, right: DocRows, pred):
@@ -375,3 +417,42 @@ def _join_docs(left: DocRows, right: DocRows, pred):
         [_doc_value(left.quals, strip(a, left)) for a, _ in keyed],
         [_doc_value(right.quals, strip(b, right)) for _, b in keyed],
         merged, keep))
+
+
+# ------------------------------------------------------ records to cells
+
+def records_to_cells(docs, dim_paths, value_paths):
+    """What ``to_array`` hands the array builder for a list of documents,
+    one document at a time: the coordinates of the documents that have
+    every dimension path, their values at ``value_paths``, each value
+    column's inferred type and the tight extent.  Scanning a document's
+    dimension paths in order, a missing one drops it and a value that is
+    no coordinate before that is a BindingError; a kept document lacking a
+    value path is one too."""
+    coords, kept = [], []
+    dim_gets = [(p, compile_path(p)) for p in dim_paths]
+    for r, doc in enumerate(docs):
+        row = []
+        for path, get in dim_gets:
+            v = get(doc)
+            if v is ABSENT:
+                break
+            if not _is_dim(v):
+                raise _dim_error(f"document {r}: path {path!r}", v)
+            row.append(v)
+        else:
+            coords.append(row)
+            kept.append(r)
+    values = []
+    for path in value_paths:
+        get = compile_path(path)
+        values.append([get(docs[r]) for r in kept])
+    for r, vs in zip(kept, zip(*values)):
+        if ABSENT in vs:
+            raise BindingError(f"document {r} has no value attribute "
+                               f"{value_paths[vs.index(ABSENT)]!r}")
+    size = tuple(max(c) + 1 for c in zip(*coords)) if coords else \
+        (1,) * len(dim_paths)
+    return (np.asarray(coords, dtype=np.int64).reshape(len(coords),
+                                                        len(dim_paths)),
+            values, [infer_column_type(v) for v in values], size)

@@ -3,24 +3,36 @@
 give equal schemas and rows, or equal documents with the same key order, or
 raise the same error type.
 
+Values compare by exact type as well (``1``, ``1.0`` and ``True`` differ,
+and so do ``0.0`` and ``-0.0``), and documents key by key in order, nested
+documents and lists included.
+
 Tables mix nulls, ints around +-2**53 and beyond int64, floats, bools and
 strings, and now and then a value of another type than its column's, which
-makes the column an object array.  Documents draw their keys in random order,
-leave some out, and hold the same scalars, nulls, lists and nested documents.
-Floats leave out NaN: a NaN is never equal to itself, so no result holding
-one compares equal.
+makes the column an object array.  Collections do the same per key: each key
+has one dominant type (a scalar, a list or a nested document), a document
+leaves some keys out and draws the rest in random order, and a value of
+another type now and then makes the key's column an object array.  Floats
+leave out NaN: a NaN is never equal to itself, so no result holding one
+compares equal.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rowwise
+from multimodel.array_store import ArrayBuilder
+from multimodel.bridge import to_array, to_relation
+from multimodel.buffer_pool import BufferPool
 from multimodel.errors import TypeMismatchError
-from multimodel.models import (BOOL, FLOAT, INT, STRING, UINT, Collection,
-                               Relation)
+from multimodel.models import (BOOL, FLOAT, INT, STRING, UINT, ArrayMeta,
+                               CellSchema, Collection, Relation)
 from multimodel.predicates import And, Cmp, Lit, Not, Or, Ref, parse_predicate
 from multimodel.rd_engine import execute_tree, node
 
@@ -62,6 +74,20 @@ def predicates(refs):
         max_leaves=6)
 
 
+def identical(a, b) -> bool:
+    """Equal values of the same exact types: dicts key by key in the same
+    order, lists and tuples item by item, and a float zero with its sign."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(identical(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(identical, a, b))
+    if isinstance(a, float):
+        return a == b and math.copysign(1, a) == math.copysign(1, b)
+    return a == b
+
+
 def same(tree, reg):
     """Column operators and row-wise reference agree on ``tree``."""
     try:
@@ -73,11 +99,21 @@ def same(tree, reg):
         return
     out = execute_tree(tree, reg)
     if isinstance(out, Collection):
-        assert out.docs == want
-        assert [list(d) for d in out.docs] == [list(d) for d in want]
+        assert identical(out.docs, want), (out.docs, want)
+        assert len(out) == len(want)
         return
-    assert (out.schema, out.rows) == want
+    assert out.schema == want[0]
+    assert identical(out.rows, want[1]), (out.rows, want[1])
     assert len(out) == len(want[1])
+
+
+def test_identical_tells_types_key_order_and_zero_signs_apart():
+    assert identical([{"a": 1, "b": [1.0, {"c": None}]}],
+                     [{"a": 1, "b": [1.0, {"c": None}]}])
+    for a, b in [({"a": 1}, {"a": True}), ({"a": 1}, {"a": 1.0}),
+                 ({"a": 1, "b": 2}, {"b": 2, "a": 1}), ([0.0], [-0.0]),
+                 ({"a": {"c": 1}}, {"a": {"c": True}}), ((1, [2]), (1, [2.0]))]:
+        assert not identical(a, b)
 
 
 def scan(name, qualifier=None):
@@ -151,25 +187,42 @@ def test_union_matches_reference(a, b):
 
 # ------------------------------------------------------------ documents
 
-DOC_VALUES = st.one_of(
-    st.integers(0, 2), ANY, st.none(),
-    st.lists(st.one_of(ANY, st.none()), max_size=2),
-    st.dictionaries(st.sampled_from("cd"), st.one_of(ANY, st.none()),
-                    max_size=2))
-# join and group keys: mostly a few small ints, so that keys meet
-KEY_VALUES = st.one_of(*[st.integers(0, 2)] * 3, DOC_VALUES)
+LISTS = st.lists(st.one_of(ANY, st.none()), max_size=2)
+NESTED = st.dictionaries(st.sampled_from("cd"), st.one_of(ANY, st.none()),
+                         max_size=2)
+DOC_VALUES = st.one_of(st.integers(0, 2), ANY, st.none(), LISTS, NESTED)
+# the dominant type of a key: any value kind, or for join and group keys a
+# few small numbers or nested documents of them, so that keys meet; "dim"
+# is a coordinate
+KINDS = dict(VALUES, list=LISTS, doc=NESTED, key=st.integers(0, 2),
+             fkey=st.sampled_from([0.0, 1.0, 2.0, 0.5]),
+             kdoc=st.dictionaries(st.sampled_from("cd"), st.integers(0, 2),
+                                  max_size=2),
+             dim=st.integers(0, 9))
+DOC_KINDS = ["int", "float", "bool", "string", "list", "doc"]
+KEY_KINDS = ["key", "fkey", "bool", "kdoc"]
 
 
 @st.composite
-def collections(draw, keys, max_docs=8):
-    """Documents over some of ``keys`` in random order, each value a scalar,
-    null, list or nested document; ``k`` and ``g`` hold mostly small ints."""
+def collections(draw, keys, max_docs=8, kinds=None, always=()):
+    """Documents over ``keys``: each key present 3 times in 4 (always for
+    the keys in ``always``), in random order per document.  A key's values
+    are of one kind drawn from ``kinds[key]`` (key kinds for ``k`` and
+    ``g``, value kinds for the rest): only that kind, that kind and now and
+    then null, or also now and then any other value."""
+    kinds = kinds or {}
+    value = {}
+    for k in keys:
+        kind = KINDS[draw(st.sampled_from(kinds.get(
+            k, KEY_KINDS if k in ("k", "g") else DOC_KINDS)))]
+        value[k] = draw(st.sampled_from([
+            kind, st.one_of(*[kind] * 6, st.none()),
+            st.one_of(*[kind] * 6, st.none(), DOC_VALUES)]))
     docs = []
     for _ in range(draw(st.integers(0, max_docs))):
         names = [k for k in draw(st.permutations(keys))
-                 if draw(st.integers(0, 3))]  # each present 3 times in 4
-        docs.append({k: draw(KEY_VALUES if k in ("k", "g") else DOC_VALUES)
-                     for k in names})
+                 if k in always or draw(st.integers(0, 3))]
+        docs.append({k: draw(value[k]) for k in names})
     return Collection("c", docs)
 
 
@@ -216,6 +269,58 @@ def test_relation_collection_join_matches_reference(rel, col, text, flip):
     sides = [scan("l", "l"), scan("r", "r")]
     same(node("join", *(sides[::-1] if flip else sides),
               pred=parse_predicate(text)), {"l": rel, "r": col})
+
+
+PROJECT_REFS = ["a", "b", "b.c", "k", "t.a", "t.b", "t.b.d", "z"]
+
+
+@SETTINGS
+@given(collections(["a", "b", "k"]),
+       st.lists(st.sampled_from(PROJECT_REFS), min_size=1, max_size=4),
+       st.one_of(st.none(), st.lists(st.sampled_from("pqa"), min_size=4,
+                                     max_size=4)))
+def test_document_project_matches_reference(col, cols, names):
+    """Paths a document lacks are left out; a repeated output name takes
+    its first present position and its last present value."""
+    same(node("project", scan("t"), cols=cols,
+              names=names and names[:len(cols)]), {"t": col})
+
+
+@SETTINGS
+@given(collections(["a", "b", "k"], kinds={"a": ["list"], "b": ["doc"]}),
+       st.sampled_from(["a", "b", "b.c", "k"]))
+def test_document_unwind_matches_reference(col, path):
+    same(node("unwind", scan("t"), path=path), {"t": col})
+
+
+@SETTINGS
+@given(collections(["x", "y", "v"], kinds={"x": ["dim"], "y": ["dim"],
+                                           "v": ["int", "float", "bool"]},
+                   always=("v",)),
+       st.sampled_from([["x", "y"], ["y"], ["x", "v"]]),
+       st.sampled_from([["v"], [], ["v", "x"]]))
+def test_document_to_array_matches_reference(col, dims, values):
+    """``to_array`` over a collection, without metadata, builds the array
+    that the row-wise records-to-cells walk gives the array builder."""
+    values = [v for v in values if v not in dims]
+    pool = BufferPool(1 << 20)
+    try:
+        coords, cols, types, size = rowwise.records_to_cells(
+            col.docs, dims, values)
+        meta = ArrayMeta(CellSchema(tuple(dims), tuple(values), tuple(types)),
+                         size, size)
+        builder = ArrayBuilder(meta, pool)
+        builder.add_cells(coords, [np.asarray(c) for c in cols])
+        want = builder.finish()
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(Exception) as got:
+            to_array(col, dims, values, None, pool)
+        assert type(got.value) is type(e), (got.value, e)
+        return
+    got = to_array(col, dims, values, None, pool)
+    assert got.meta == want.meta
+    a, b = to_relation(got), to_relation(want)
+    assert a.schema == b.schema and repr(a.rows) == repr(b.rows)
 
 
 DOC_AGGS = [("count", None, "n"), ("count", "x", "nx"), ("sum", "x", "sx"),
