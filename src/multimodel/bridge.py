@@ -21,12 +21,13 @@ per file held for the probe; its dense tiles are looked up as one
 ``searchsorted`` over their concatenated keys.  Stage tiles never enter
 the pool, so the join evicts nothing.
 
-``to_array`` is the one way records become an array.  A single walk over
-the records (``_extract_dims``) yields the bound coordinates, the kept
+``to_array`` is the one way records become an array.  One pass over the
+records' columns (``_extract_dims``) yields the bound coordinates, the kept
 records and the value columns; when no metadata is given, the extent,
-value types and tiling are derived from that same walk.  For a relation
-that walk is a dtype and minimum check of its int64 columns, and a join
-emits relational output as columns gathered at the matched rows.
+value types and tiling are derived from that same pass.  Relations and
+collections both hold typed columns, so for either the pass is a dtype and
+minimum check of the bound int64 columns, and a join emits relational or
+document output as columns gathered at the matched rows.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ import numpy as np
 
 from .array_store import ArrayBuilder, StoredArray
 from .errors import BindingError, OutputSpecError
-from .models import (ABSENT, UINT, ArrayMeta, CellSchema, Collection,
-                     Relation, column_from_array, compile_path,
+from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
+                     Collection, Column, Relation, column_from_array,
                      infer_column_type, tile_extent)
 from .predicates import equi_conjuncts
-from .rd_engine import execute_tree, node
+from .rd_engine import _overlay, execute_tree, node
 
 
 @dataclass(frozen=True)
@@ -129,63 +130,96 @@ def _attr_index(rel: Relation, attr: str) -> int:
         raise BindingError(f"relation has no attribute {attr!r}") from None
 
 
+def _record_path(records, path: str):
+    """``(Column, mask of the records that have it or None for all)`` of a
+    relation attribute or a document path."""
+    if isinstance(records, Relation):
+        return records.columns[_attr_index(records, path)], None
+    return records.path(path)
+
+
+def _dims_ok(col: Column) -> np.ndarray | None:
+    """Mask of the coordinates in a column (None when all are): an int64
+    column without nulls is checked by its minimum, any other int64 column
+    by its signs and nulls, and an object column value by value."""
+    v = col.values
+    if v.dtype == np.int64:
+        if col.null is None and (not len(v) or v.min() >= 0):
+            return None
+        return (v >= 0) & ~col.null_mask()
+    if v.dtype == object:
+        return np.fromiter(map(_is_dim, v.tolist()), bool, len(v))
+    return np.zeros(len(v), dtype=bool)  # floats and bools are no coordinates
+
+
+def _first_bad(bads: list) -> tuple[int, int] | None:
+    """(row, index into ``bads``) of the first row any mask sets, taking the
+    lowest index within that row; None when no mask sets any."""
+    firsts = [(int(np.argmax(b)), j) for j, b in enumerate(bads) if b.any()]
+    return min(firsts) if firsts else None
+
+
 def _extract_dims(records, binding: DimBinding, value_paths=()):
-    """One walk over the records: bound dimension values as an (N, d) int64
-    matrix, plus the values at ``value_paths`` of the same records.
+    """Bound dimension values as an (N, d) int64 matrix, the records they
+    come from, and the records' value columns, from one pass over columns.
 
     Returns (dims, kept, values) where kept maps matrix rows back to record
-    indices and values holds one list (or, for a relation's null-free typed
-    column, its array) per value path, aligned with the rows.  Documents
-    missing a bound path are dropped (inner join); anything non-integer,
-    negative or beyond int64, and a missing value attribute, is a binding
-    error.  A relation's int64 column without nulls is checked by its
-    minimum; any other column is checked value by value.
+    indices and values holds one Column per value path, gathered at kept.
+    A document lacking a bound path is dropped (inner join).  Taking a
+    record's bound paths in order, a value before any missing path that is
+    not a non-negative integer within int64 is a binding error, and so is a
+    kept record lacking a value path; the first such record is named.
     """
-    if isinstance(records, Relation):
-        n = len(records)
-        dims = np.empty((n, len(binding.attrs)), dtype=np.int64)
-        for j, attr in enumerate(binding.attrs):
-            col = records.columns[_attr_index(records, attr)]
-            if (col.values.dtype != np.int64 or col.null is not None
-                    or (n and col.values.min() < 0)):
-                for r, v in enumerate(col.tolist()):  # the first bad value
-                    if not _is_dim(v):
-                        raise _dim_error(f"row {r}: dimension attribute "
-                                         f"{attr!r}", v)
-            dims[:, j] = col.values
-        values = []
-        for attr in value_paths:
-            col = records.columns[_attr_index(records, attr)]
-            plain = col.null is None and col.values.dtype != object
-            values.append(col.values if plain else col.tolist())
-        return dims, np.arange(n, dtype=np.int64), values
+    n = len(records)
+    label = "row {}: dimension attribute {!r}" \
+        if isinstance(records, Relation) else "document {}: path {!r}"
+    reach = np.ones(n, dtype=bool)  # records with every earlier bound path
+    cols, bads = [], []
+    for attr in binding.attrs:
+        col, present = _record_path(records, attr)
+        if present is not None:
+            reach = reach & present
+        ok = _dims_ok(col)
+        bads.append(np.zeros(n, bool) if ok is None else reach & ~ok)
+        cols.append(col)
+    if (bad := _first_bad(bads)) is not None:
+        r, j = bad
+        raise _dim_error(label.format(r, binding.attrs[j]),
+                         cols[j].tolist()[r])
+    kept = np.flatnonzero(reach)
+    dims = np.empty((len(kept), len(binding.attrs)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        dims[:, j] = col.values[kept]
+    values, missing = [], []
+    for path in value_paths:
+        col, present = _record_path(records, path)
+        values.append(col.take(kept))
+        missing.append(np.zeros(len(kept), bool) if present is None
+                       else ~present[kept])
+    if (bad := _first_bad(missing)) is not None:
+        r, j = bad
+        raise BindingError(f"document {kept[r]} has no value attribute "
+                           f"{value_paths[j]!r}")
+    return dims, kept, values
 
-    kept, coords = [], []
-    values = [[] for _ in value_paths]
-    dim_gets = [(p, compile_path(p)) for p in binding.attrs]
-    value_gets = [(p, compile_path(p), col)
-                  for p, col in zip(value_paths, values)]
-    for r, doc in enumerate(records.docs):
-        row = []
-        for path, get in dim_gets:
-            v = get(doc)
-            if v is ABSENT:
-                break
-            if not _is_dim(v):
-                raise _dim_error(f"document {r}: path {path!r}", v)
-            row.append(v)
-        else:
-            for path, get, col in value_gets:
-                v = get(doc)
-                if v is ABSENT:
-                    raise BindingError(
-                        f"document {r} has no value attribute {path!r}")
-                col.append(v)
-            kept.append(r)
-            coords.append(row)
-    dims = np.asarray(coords, dtype=np.int64).reshape(len(kept),
-                                                      len(binding.attrs))
-    return dims, np.asarray(kept, dtype=np.int64), values
+
+def _cells(values: list[Column]) -> list[np.ndarray]:
+    """Value columns as the arrays the array builder takes: a typed column
+    without nulls as it is, any other through its Python values."""
+    return [c.values if c.null is None and c.values.dtype != object
+            else np.asarray(c.tolist()) for c in values]
+
+
+_TYPE_OF = {"i": INT, "f": FLOAT, "b": BOOL}
+
+
+def _value_type(col: Column):
+    """The type of the values a column holds: its dtype's, or for an object
+    column, or one with no non-null value, ``infer_column_type``'s."""
+    if col.values.dtype == object or col.null is not None and \
+            col.null.all() or not len(col):
+        return infer_column_type(col.tolist())
+    return _TYPE_OF[col.values.dtype.kind]
 
 
 # ---------------------------------------------------------------------------
@@ -216,29 +250,27 @@ def _output_model(records, out: JoinOutputSpec | None) -> str:
 
 def _joined_records(records, arr: StoredArray, idx: np.ndarray,
                     coords: np.ndarray, vals: list[np.ndarray]):
-    """Each matched record extended with its cell.  A relation's columns
-    are gathered at the matched rows and the cell value arrays appended as
-    columns (renamed with ``_r`` on a collision); documents gain the cell's
-    dimensions and values under keys they do not already have."""
+    """Each matched record extended with its cell: the records' columns
+    gathered at the matched rows, and the cell's dimensions and values as
+    columns.  A relation appends them (renamed with ``_r`` on a
+    collision); a document gains each cell key that its shape lacks, after
+    its own keys, and keeps its own value of a key it has."""
     schema = arr.meta.schema
+    cells = [column_from_array(v, t) for v, t in zip(vals, schema.attr_types)]
     if isinstance(records, Relation):
         names = _dedupe(list(schema.attr_names), set(records.attr_names))
         return Relation.from_columns(
             list(records.schema) + list(zip(names, schema.attr_types)),
-            [c.take(idx) for c in records.columns] +
-            [column_from_array(v, t) for v, t in zip(vals, schema.attr_types)],
-            len(idx))
-    cols = [v.tolist() for v in vals]
-    coords = coords.tolist()
-    docs = []
-    for k, i in enumerate(idx.tolist()):
-        merged = dict(records.docs[i])
-        for dn, c in zip(schema.dim_names, coords[k]):
-            merged.setdefault(dn, c)
-        for an, c in zip(schema.attr_names, cols):
-            merged.setdefault(an, c[k])
-        docs.append(merged)
-    return Collection("joined", docs)
+            [c.take(idx) for c in records.columns] + cells, len(idx))
+    docs = records.take(idx)
+    cells = dict(zip(schema.dim_names + schema.attr_names,
+                     [Column(coords[:, j]) for j in range(schema.d)] + cells))
+    columns = dict(docs.columns)
+    for k, c in cells.items():
+        columns[k] = _overlay(columns[k], docs.has(k), c) \
+            if k in columns else c
+    shapes = [s + tuple(k for k in cells if k not in s) for s in docs.shapes]
+    return Collection.from_columns("joined", shapes, docs.shape_ids, columns)
 
 
 def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str):
@@ -248,9 +280,11 @@ def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str):
     other column becomes a value attribute."""
     if isinstance(joined, Collection) or model == "relational":
         return joined
-    if model == "document":
-        return Collection("joined", [dict(zip(joined.attr_names, r))
-                                     for r in joined.rows])
+    if model == "document":  # one shape: every row has every attribute
+        return Collection.from_columns(
+            "joined", [tuple(joined.attr_names)],
+            np.zeros(len(joined), np.int64),
+            dict(zip(joined.attr_names, joined.columns)))
     if binding is None:
         raise OutputSpecError("array output needs a dimension binding")
     values = [n for n in joined.attr_names if n not in binding.attrs]
@@ -522,7 +556,7 @@ def to_array(src, dim_names: list[str], value_names: list[str],
 
     With ``meta=None`` the array is dense, its extent is the tight bounding
     box of the kept records (1 per dimension when none is kept), its value
-    types come from the relation schema or from the document values that
+    types come from the relation schema or from the document columns that
     become cells, and its tiles are capped at ``default_tile``
     (``tile_extent``)."""
     if meta is not None and (len(dim_names) != meta.d or
@@ -534,14 +568,14 @@ def to_array(src, dim_names: list[str], value_names: list[str],
         if isinstance(src, Relation):
             types = [src.schema[_attr_index(src, vn)][1] for vn in value_names]
         else:
-            types = [infer_column_type(c) for c in cols]
+            types = [_value_type(c) for c in cols]
         size = (tuple(int(x) + 1 for x in dims.max(axis=0)) if len(dims)
                 else (1,) * len(dim_names))
         meta = ArrayMeta(CellSchema(binding.attrs, tuple(value_names),
                                     tuple(types)),
                          size, tile_extent(size, default_tile))
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
-    builder.add_cells(dims, [np.asarray(c) for c in cols])
+    builder.add_cells(dims, _cells(cols))
     return builder.finish()
 
 

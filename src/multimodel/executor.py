@@ -93,7 +93,7 @@ class Catalog:
         if model == "relational":
             return len(self.load_table(name))
         if model == "document":
-            return len(self.load_collection(name).docs)
+            return len(self.load_collection(name))
         raise ConfigError(f"cannot count a {model} dataset at bind time")
 
     # -- ingestion --------------------------------------------------------

@@ -5,10 +5,15 @@ plus one column per attribute: int, uint, float and bool attributes are int64,
 float64 or bool numpy arrays with a null mask, and every other attribute, or
 one whose values do not all fit that array, is an object array of plain
 Python values.  Row tuples are built only on request (``Relation.rows``).
-Documents are order-preserving dicts whose order never affects equality;
-arrays carry only metadata here (storage is in array_store). Values are
-restricted to: int, unsigned int, 64-bit float, str, bool, None, list, nested
-dict.
+A collection is shredded the same way, one column per top-level key: a key's
+column is int64, float64 or bool when every value the documents store under
+it is exactly that Python type (and an int fits int64), else an object array.
+Each document has a shape, the tuple of its keys in document order, so the
+shape table gives both which keys a document lacks and their order, and
+nested documents and lists stay Python values in an object column.  Dicts
+are built only on request (``Collection.docs``).  Arrays carry only metadata
+here (storage is in array_store). Values are restricted to: int, unsigned
+int, 64-bit float, str, bool, None, list, nested dict.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import io
 import itertools
 import json
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,7 @@ __all__ = [
     "column_from_array",
     "Relation",
     "Collection",
+    "value_column",
     "CellSchema",
     "ArrayMeta",
     "compile_path",
@@ -157,15 +164,21 @@ def column_of(values: list, vt: "ValueType") -> Column:
         dtype, pytype = typed
         types = set(map(type, values))
         if types <= {pytype, type(None)}:
-            try:
-                if type(None) not in types:
-                    return Column(np.array(values, dtype=dtype))
-                col = object_column(values)
-                col.values[col.null] = pytype()
-                return Column(col.values.astype(dtype), col.null)
-            except OverflowError:
-                pass
+            return _typed_column(values, dtype, type(None) in types)
     return object_column(values)
+
+
+def _typed_column(values: list, dtype, nulls: bool) -> Column:
+    """The values, all of dtype's Python type or None, in a typed array; an
+    object array when an int does not fit int64."""
+    try:
+        if not nulls:
+            return Column(np.array(values, dtype=dtype))
+        col = object_column(values)
+        col.values[col.null] = 0
+        return Column(col.values.astype(dtype), col.null)
+    except OverflowError:
+        return object_column(values)
 
 
 def column_from_array(arr: np.ndarray, vt: "ValueType") -> Column:
@@ -244,15 +257,151 @@ class Relation:
         return f"Relation(schema={self.schema!r}, rows={self.rows!r})"
 
 
-@dataclass
-class Collection:
-    """A named sequence of documents (plain dicts, insertion-ordered)."""
+# the Python type of a document value -> the dtype of a column of such values
+_DTYPE_OF = {pytype: dtype for dtype, pytype in _TYPED.values()}
 
-    name: str
-    docs: list[dict]
+
+def value_column(values: list) -> Column:
+    """The column of a document key's values: typed when every non-null
+    value has one Python type that a typed column holds exactly (an int
+    within int64), else an object array; so 1, 1.0 and True stay apart."""
+    types = set(map(type, values))
+    kinds = types - {type(None)}
+    dtype = _DTYPE_OF.get(kinds.pop()) if len(kinds) == 1 else None
+    if dtype is None:
+        return object_column(values)
+    return _typed_column(values, dtype, len(types) > 1)
+
+
+class Collection:
+    """A named sequence of documents, held as one Column per top-level key;
+    treat instances as immutable.
+
+    ``shapes`` lists the distinct key tuples, each in document order, and
+    ``shape_ids`` (int64) gives each document's.  A document has a key
+    exactly when its shape does, so a column's ``null`` marks stored nulls
+    only; under a document that lacks the key a column holds a filler.
+    ``Collection(name, docs)`` shreds dicts and ``docs`` builds them again;
+    ``from_columns``, ``take``, ``has`` and ``path`` skip the dicts, and
+    ``len()`` counts documents without building them."""
+
+    __slots__ = ("name", "shapes", "shape_ids", "columns", "__weakref__")
+    __hash__ = None
+
+    def __init__(self, name: str, docs=()):
+        docs = docs if isinstance(docs, list) else list(docs)
+        keys = list(map(tuple, docs))
+        self.name = name
+        if not keys or keys.count(keys[0]) == len(keys):
+            self.shapes = keys[:1]
+            self.shape_ids = np.zeros(len(keys), np.int64)
+        else:  # shapes in order of their first documents
+            first: dict = {}
+            at = np.fromiter(map(first.setdefault, keys, itertools.count()),
+                             np.int64, len(keys))
+            self.shapes = list(first)
+            self.shape_ids = np.unique(at, return_inverse=True)[1].astype(
+                np.int64)
+        self.columns = _shred(docs, self.shapes, self.shape_ids)
+
+    @classmethod
+    def from_columns(cls, name: str, shapes: list, shape_ids: np.ndarray,
+                     columns: dict) -> "Collection":
+        """A collection over existing columns (shared, not copied)."""
+        col = cls.__new__(cls)
+        col.name, col.shapes, col.shape_ids, col.columns = \
+            name, shapes, shape_ids, columns
+        return col
 
     def __len__(self):
-        return len(self.docs)
+        return len(self.shape_ids)
+
+    def take(self, idx) -> "Collection":
+        return Collection.from_columns(
+            self.name, self.shapes, self.shape_ids[idx],
+            {k: c.take(idx) for k, c in self.columns.items()})
+
+    def has(self, key: str) -> np.ndarray:
+        """Mask of the documents that have the top-level key."""
+        return np.array([key in s for s in self.shapes],
+                        dtype=bool)[self.shape_ids]
+
+    def path(self, path: str) -> tuple[Column, np.ndarray]:
+        """The values at a dotted path and the mask of the documents that
+        have it.  Below the top-level key the path is read per value, and
+        only an object column can hold a nested document."""
+        head, *rest = _split_path(path)
+        n = len(self)
+        col = self.columns.get(head)
+        if col is None:
+            return Column(np.full(n, None, dtype=object)), np.zeros(n, bool)
+        present = self.has(head)
+        if not rest:
+            return col, present
+        if col.values.dtype != object:
+            return Column(np.full(n, None, dtype=object)), np.zeros(n, bool)
+        get = compile_path(".".join(rest))
+        values = list(map(get, col.values.tolist()))
+        present &= np.fromiter((v is not ABSENT for v in values), bool, n)
+        values = np.fromiter((None if v is ABSENT else v for v in values),
+                             dtype=object, count=n)
+        return Column(values, np.equal(values, None) & present), present
+
+    @property
+    def docs(self) -> list[dict]:
+        n = len(self)
+        values = {k: c.tolist() for k, c in self.columns.items()}
+        out: list = [None] * n
+        for sid, shape in enumerate(self.shapes):
+            rows = range(n) if len(self.shapes) == 1 else \
+                np.flatnonzero(self.shape_ids == sid).tolist()
+            cols = [list(map(values[k].__getitem__, rows)) for k in shape]
+            for i, vs in zip(rows, zip(*cols) if cols else
+                             itertools.repeat(())):
+                out[i] = dict(zip(shape, vs))
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, Collection):
+            return NotImplemented
+        return self.name == other.name and self.docs == other.docs
+
+    def __repr__(self):
+        return f"Collection(name={self.name!r}, docs={self.docs!r})"
+
+
+def _shred(docs: list[dict], shapes: list, shape_ids: np.ndarray) -> dict:
+    """One column per key: each shape's documents give their values of each
+    of its keys through one ``itemgetter``, and a key that not every
+    document has is scattered to its documents' rows."""
+    n = len(docs)
+    if len(shapes) == 1:
+        groups = [(None, docs)]
+    else:
+        order = np.argsort(shape_ids, kind="stable")
+        cuts = np.cumsum(np.bincount(shape_ids, minlength=len(shapes)))[:-1]
+        groups = [(rows, [docs[i] for i in rows.tolist()])
+                  for rows in np.split(order, cuts)]
+    parts: dict = {}  # key -> [(rows or None for all, values)]
+    for (rows, group), shape in zip(groups, shapes):
+        for key in shape:
+            parts.setdefault(key, []).append(
+                (rows, list(map(operator.itemgetter(key), group))))
+    columns = {}
+    for key, got in parts.items():
+        if got[0][0] is None:  # one shape: every document has the key
+            columns[key] = value_column(got[0][1])
+            continue
+        col = value_column([v for _, vs in got for v in vs])
+        rows = np.concatenate([r for r, _ in got])
+        values = np.zeros(n, dtype=col.values.dtype)
+        values[rows] = col.values
+        null = None
+        if col.null is not None:
+            null = np.zeros(n, dtype=bool)
+            null[rows] = col.null
+        columns[key] = Column(values, null)
+    return columns
 
 
 @dataclass(frozen=True)

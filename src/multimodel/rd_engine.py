@@ -6,14 +6,18 @@ of materialized results. One executor serves both record models; documents
 use dotted paths wherever relations use column references.
 
 Both models run a column at a time.  A RelFrame holds one Column per
-attribute (see models); a DocFrame holds its documents, and a path read from
-them is an object column, absent as null.  Filter, sort, limit, aggregate
-and the join's pairing have one body for both models: filter evaluates the
+attribute (see models); a DocFrame holds its collection's columns, one per
+top-level key, and each document's shape, the tuple of its keys.  A path
+read from a DocFrame is its key's column, absent read as null, and below
+the top-level key it is read per value.  Filter, sort, limit, aggregate and
+the join's pairing have one body for both models: filter evaluates the
 compiled predicate over whole columns with Kleene logic on masks; the
 equi-join and grouping key on column codes; sort and limit order and cut
 through index vectors.  Per-value work is left only where the values are
-objects.  Project, union and unwind change a frame's shape and stay
-model-specific.
+objects.  Project, union and the join's output change a frame's shape and
+stay model-specific: over documents they select, gather and overlay
+columns, and map each input shape (or pair of shapes) to an output shape.
+Dicts are built only to unwind and for a document sort's tie-break.
 
 Column references carry optional qualifiers ("review.oid"): a bare name must
 resolve to exactly one column, a qualified name matches its source relation.
@@ -79,15 +83,14 @@ class RelFrame:
 @dataclass
 class DocFrame:
     quals: tuple
-    docs: list
+    coll: Collection  # columns, shape ids and shapes
 
     @property
     def n(self) -> int:
-        return len(self.docs)
+        return len(self.coll)
 
     def take(self, idx: np.ndarray) -> "DocFrame":
-        return DocFrame(self.quals,
-                        list(map(self.docs.__getitem__, idx.tolist())))
+        return DocFrame(self.quals, self.coll.take(idx))
 
 
 def relation_frame(rel: Relation, qualifier: str | None = None) -> RelFrame:
@@ -96,12 +99,14 @@ def relation_frame(rel: Relation, qualifier: str | None = None) -> RelFrame:
 
 
 def collection_frame(col: Collection, qualifier: str | None = None) -> DocFrame:
-    return DocFrame((qualifier or col.name,), list(col.docs))
+    return DocFrame((qualifier or col.name,), col)
 
 
 def frame_to_public(f):
     if isinstance(f, DocFrame):
-        return Collection("result", f.docs)
+        c = f.coll
+        return Collection.from_columns("result", c.shapes, c.shape_ids,
+                                       c.columns)
     names = _public_names(f.cols)
     return Relation.from_columns(list(zip(names, f.types)), f.columns, f.n)
 
@@ -139,14 +144,29 @@ def _col_index(frame: RelFrame, path: str) -> int:
     raise PlanError(f"ambiguous column reference {path!r}")
 
 
-def _doc_value(quals: tuple, path: str, absent=None):
-    """Compiled ``doc -> value`` (``absent`` when missing).  A path whose
-    head is one of the frame's qualifiers falls back to the rest of it."""
+def _path(f: DocFrame, path: str) -> tuple[Column, np.ndarray]:
+    """A document path's column and the mask of the rows that have it.  A
+    path whose head is one of the frame's qualifiers falls back to the rest
+    of it in the rows that lack the full path."""
+    col, present = f.coll.path(path)
     head, _, rest = path.partition(".")
-    if not (rest and head in quals):
-        return compile_path(path, absent)
-    get, get_rest = compile_path(path), compile_path(rest, absent)
-    return lambda doc: get_rest(doc) if (v := get(doc)) is ABSENT else v
+    if rest and head in f.quals and not present.all():
+        other, has_other = f.coll.path(rest)
+        col, present = _overlay(col, present, other), present | has_other
+    return col, present
+
+
+def _overlay(a: Column, mask: np.ndarray, b: Column) -> Column:
+    """a's value in the rows of ``mask``, b's in the others."""
+    if mask.all():
+        return a
+    if not mask.any():
+        return b
+    va, vb = a.values, b.values
+    if va.dtype != vb.dtype:
+        va, vb = (np.fromiter(c.tolist(), object, len(c)) for c in (a, b))
+    return Column(np.where(mask, va, vb),
+                  np.where(mask, a.null_mask(), b.null_mask()))
 
 
 def _getter(col: Column):
@@ -158,18 +178,26 @@ def _getter(col: Column):
 
 def _column(f, path: str):
     """``(Column, declared type)`` of a path on either frame.  A document
-    path is an object column, absent read as null, with no declared type."""
+    path has no declared type, and reads null where it is absent (an object
+    column then holds None there)."""
     if isinstance(f, RelFrame):
         i = _col_index(f, path)
         return f.columns[i], f.types[i]
-    get = _doc_value(f.quals, path)
-    return object_column([get(d) for d in f.docs]), None
+    col, present = _path(f, path)
+    if present.all():
+        return col, None
+    values = col.values
+    if values.dtype == object:
+        values = np.where(present, values, None)
+    return Column(values, col.null_mask() | ~present), None
 
 
 def _row_columns(f) -> list:
     """The columns whose ranks, in turn, order whole rows: a relation's
-    attributes, or a collection's documents as one object column."""
-    return f.columns if isinstance(f, RelFrame) else [object_column(f.docs)]
+    attributes, or a collection's documents, built as dicts, as one object
+    column."""
+    return f.columns if isinstance(f, RelFrame) else \
+        [object_column(f.coll.docs)]
 
 
 def _resolver(f):
@@ -242,11 +270,24 @@ def _project(f, cols, names):
         return RelFrame([(None, n) for n in out_names],
                         [f.types[i] for i in idx],
                         [f.columns[i] for i in idx], f.n)
-    gets = [(n, _doc_value(f.quals, c, ABSENT))
-            for c, n in zip(cols, out_names)]
-    docs = [{n: v for n, get in gets if (v := get(d)) is not ABSENT}
-            for d in f.docs]
-    return DocFrame(f.quals, docs)
+    # a document keeps the names of the paths it has, a repeated name at its
+    # first such position and with its last such value; rows of one input
+    # shape that have the same paths share an output shape
+    paths = [_path(f, c) for c in cols]
+    group, first = _group([Column(f.coll.shape_ids)] +
+                          [Column(present) for _, present in paths])
+    has = np.stack([present[first] for _, present in paths], axis=1)
+    shapes: dict = {}
+    shape_of = [shapes.setdefault(tuple(dict.fromkeys(
+        n for n, h in zip(out_names, row) if h)), len(shapes))
+        for row in has.tolist()]
+    columns: dict = {}
+    for n, (col, present) in zip(out_names, paths):
+        columns[n] = _overlay(col, present, columns[n]) if n in columns \
+            else col
+    shape_ids = np.asarray(shape_of, dtype=np.int64)[group]
+    return DocFrame(f.quals, Collection.from_columns(
+        f.coll.name, list(shapes), shape_ids, columns))
 
 
 def _sort(f, keys):
@@ -293,7 +334,8 @@ def _union(a, b):
                                                 b.types, types)]
         return RelFrame(a.cols, types, columns, a.n + b.n)
     if isinstance(a, DocFrame) and isinstance(b, DocFrame):
-        return DocFrame(tuple(dict.fromkeys(a.quals + b.quals)), a.docs + b.docs)
+        return DocFrame(tuple(dict.fromkeys(a.quals + b.quals)),
+                        _concat_docs(a.coll, b.coll))
     raise TypeMismatchError("cannot union a relation with a collection")
 
 
@@ -328,7 +370,24 @@ def _concat(a: Column, b: Column, vt) -> Column:
     if a.values.dtype == b.values.dtype != object:
         return Column(np.concatenate([a.values, b.values]),
                       np.concatenate([a.null_mask(), b.null_mask()]))
-    return column_of(a.tolist() + b.tolist(), vt)
+    values = a.tolist() + b.tolist()
+    return column_of(values, vt) if vt is not None else object_column(values)
+
+
+def _concat_docs(a: Collection, b: Collection) -> Collection:
+    """b's documents after a's: one shape table, and each key's column over
+    both, a filler where one side has no such key."""
+    shapes = {s: i for i, s in enumerate(dict.fromkeys(a.shapes + b.shapes))}
+    shape_ids = np.concatenate([
+        np.asarray([shapes[s] for s in c.shapes], np.int64)[c.shape_ids]
+        if len(c) else c.shape_ids for c in (a, b)])
+    columns = {}
+    for k in dict.fromkeys([*a.columns, *b.columns]):
+        dtype = (a.columns[k] if k in a.columns else b.columns[k]).values.dtype
+        ca, cb = (c.columns[k] if k in c.columns else
+                  Column(np.zeros(len(c), dtype)) for c in (a, b))
+        columns[k] = _concat(ca, cb, None)
+    return Collection.from_columns(a.name, list(shapes), shape_ids, columns)
 
 
 def _unwind(f, path: str):
@@ -336,7 +395,7 @@ def _unwind(f, path: str):
         raise TypeMismatchError("unwind applies to collections")
     get, set_value = compile_path(path), compile_set(path)
     docs = []
-    for d in f.docs:
+    for d in f.coll.docs:
         v = get(d)
         if v is ABSENT:
             continue  # documents lacking the path contribute nothing
@@ -344,7 +403,7 @@ def _unwind(f, path: str):
             raise TypeMismatchError(f"unwind path {path!r} is not a list")
         for elem in v:
             docs.append(set_value(d, elem))
-    return DocFrame(f.quals, docs)
+    return DocFrame(f.quals, Collection(f.coll.name, docs))
 
 
 # ---------------------------------------------------------------- aggregate
@@ -373,8 +432,10 @@ def _aggregate(f, keys, aggs):
     for (func, _, _), (col, vt) in zip(aggs, vals):
         res = _agg(func, col, codes, ngroups)
         vt = INT if func == "count" else FLOAT if func == "avg" else vt
+        if vt is None:
+            vt = infer_column_type(res.tolist() if isinstance(res, Column)
+                                   else res)
         if not isinstance(res, Column):
-            vt = vt or infer_column_type(res)
             res = column_of(res, vt)
         types.append(vt)
         out.append(res)
@@ -407,7 +468,11 @@ def _codes(col: Column) -> np.ndarray:
         return np.fromiter((ids.setdefault(k, len(ids))
                             for k in map(universal_key, v.tolist())),
                            np.int64, len(v))
-    code = np.unique(v, return_inverse=True)[1] + 1
+    if v.dtype != np.float64 and len(v) and \
+            int(v.max()) - int(v.min()) < len(v):  # bools, dense ints
+        code = v.astype(np.int64) - int(v.min()) + 1
+    else:
+        code = np.unique(v, return_inverse=True)[1] + 1
     if col.null is not None:
         code[col.null] = 0
     if v.dtype.kind == "f":
@@ -537,13 +602,15 @@ def _join(left, right, pred):
 
 
 def _rel_to_doc(f: RelFrame) -> DocFrame:
-    """Each row as a document keyed by bare column names; a null stays a
-    None value."""
+    """The relation's columns as documents of one shape, keyed by bare
+    column names (a repeated name at its first position, with the last
+    such column); a null stays a stored null."""
     quals = tuple(dict.fromkeys(q for q, _ in f.cols if q))
-    names = [n for _, n in f.cols]
-    rows = zip(*(c.tolist() for c in f.columns)) if f.columns else \
-        [()] * f.n
-    return DocFrame(quals, [dict(zip(names, r)) for r in rows])
+    columns = {}
+    for (_, n), col in zip(f.cols, f.columns):
+        columns[n] = col
+    return DocFrame(quals, Collection.from_columns(
+        "", [tuple(columns)], np.zeros(f.n, np.int64), columns))
 
 
 def _resolvable_rel(f: RelFrame, path: str) -> bool:
@@ -636,9 +703,12 @@ def _equi_pairs(keys: list[tuple[Column, Column]]):
     lk, rk = code[:len(keys[0][0])], code[len(keys[0][0]):]
     order = np.flatnonzero(rk >= 0)
     order = order[np.argsort(rk[order], kind="stable")]
-    sk = rk[order]
-    lo = np.searchsorted(sk, lk, "left")
-    count = np.where(lk >= 0, np.searchsorted(sk, lk, "right") - lo, 0)
+    # codes are dense: right rows per code, and where each code's run starts
+    size = np.bincount(rk[order], minlength=int(code.max(initial=-1)) + 1)
+    hit = lk >= 0
+    at = np.where(hit, lk, 0)
+    lo = (np.cumsum(size) - size)[at] if len(size) else at
+    count = np.where(hit, size[at] if len(size) else 0, 0)
     li = np.repeat(np.arange(len(lk)), count)
     offset = np.arange(len(li)) - np.repeat(np.cumsum(count) - count, count)
     return li, order[np.repeat(lo, count) + offset]
@@ -675,8 +745,8 @@ def _join_codes(a: Column, b: Column) -> np.ndarray:
 
 def _join_doc(left: DocFrame, right: DocFrame, pred):
     """Candidate pairs as ``_join_rel`` takes them, from key columns of the
-    document paths; each pair merged into one document, and the rest of the
-    condition evaluated over each batch of merged documents."""
+    document paths, kept where the rest of the condition is true over the
+    merged pairs of each batch; the output is the kept pairs merged."""
     quals = tuple(dict.fromkeys(left.quals + right.quals))
 
     def strip(path: str, side: DocFrame) -> str:
@@ -684,32 +754,52 @@ def _join_doc(left: DocFrame, right: DocFrame, pred):
         return rest if rest and head in side.quals else path
 
     def has(side: DocFrame, other: DocFrame):
-        def side_has(p):
+        def side_has(p):  # a qualifier names the side, else a non-null value
             head = p.partition(".")[0]
             if head in side.quals or head in other.quals:
                 return head in side.quals
-            get = _doc_value(side.quals, p)
-            return any(get(d) is not None for d in side.docs)
+            col, present = _path(side, p)
+            return bool((present & ~col.null_mask()).any())
         return side_has
 
     keyed, residual = _split_equi(pred, has(left, right), has(right, left))
     keys = [(_column(left, strip(a, left))[0],
              _column(right, strip(b, right))[0]) for a, b in keyed]
     cond = residual if keyed else pred
-    docs = []
+    lidx, ridx = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for li, ri in ([_equi_pairs(keys)] if keys else
                    _cross_pairs(left.n, right.n)):
-        pairs = DocFrame(quals, list(map(
-            _merged, map(left.docs.__getitem__, li.tolist()),
-            map(right.docs.__getitem__, ri.tolist()))))
-        docs += (pairs if cond is None else _filter(pairs, cond)).docs
-    return DocFrame(quals, docs)
+        if cond is not None:
+            pairs = _merged(left, right, li, ri, quals)
+            t, _ = compile_columns(cond, _resolver(pairs))(np.arange(len(li)))
+            li, ri = li[t], ri[t]
+        lidx.append(li)
+        ridx.append(ri)
+    return _merged(left, right, np.concatenate(lidx), np.concatenate(ridx),
+                   quals)
 
 
-def _merged(ld: dict, rd: dict) -> dict:
-    """The left document's keys, then the right's keys the left lacks."""
-    out = dict(ld)
-    for k, v in rd.items():
-        if k not in out:
-            out[k] = v
-    return out
+def _merged(left: DocFrame, right: DocFrame, li: np.ndarray, ri: np.ndarray,
+            quals: tuple) -> DocFrame:
+    """Row pairs (li, ri) as one document each: the left's keys, then the
+    right's keys the left lacks.  Both sides' columns are gathered at the
+    pairs, a key on both sides takes the left value where the left row has
+    the key, and each (left shape, right shape) pair maps to one merged
+    shape."""
+    lc, rc = left.coll, right.coll
+    pair = lc.shape_ids[li] * len(rc.shapes) + rc.shape_ids[ri]
+    pairs, inverse = np.unique(pair, return_inverse=True)
+    shapes: dict = {}
+    shape_of = []
+    for p in pairs.tolist():
+        ls, rs = lc.shapes[p // len(rc.shapes)], rc.shapes[p % len(rc.shapes)]
+        shape_of.append(shapes.setdefault(
+            ls + tuple(k for k in rs if k not in ls), len(shapes)))
+    columns = {k: c.take(li) for k, c in lc.columns.items()}
+    for k, c in rc.columns.items():
+        c = c.take(ri)
+        columns[k] = _overlay(columns[k], lc.has(k)[li], c) \
+            if k in columns else c
+    shape_ids = np.asarray(shape_of, dtype=np.int64)[inverse]
+    return DocFrame(quals, Collection.from_columns(
+        lc.name, list(shapes), shape_ids, columns))

@@ -1,7 +1,7 @@
 """Row-at-a-time reference for the relational and document operators.
 
 The engine runs both record models a column at a time (``rd_engine``): a
-collection's paths become object columns.  This module keeps the row-wise
+collection is one column per top-level key.  This module keeps the row-wise
 forms those operators replaced: a relation frame holds a list of row tuples,
 a document frame a list of dicts, and every operator runs one record at a
 time through getters.  ``compile_predicate`` evaluates filter and join

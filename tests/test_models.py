@@ -365,19 +365,73 @@ json_values = st.recursive(
     max_leaves=8)
 
 
+# scalars of one JSON type each, as a shredded key's column would hold them
+json_scalars = {"int": st.integers(), "float": st.floats(),
+                "bool": st.booleans(), "any": json_values}
+
+
+@st.composite
+def jsonl_docs(draw):
+    """Documents over a few shared keys (a dotted and an empty one among
+    them), in random order, each key's values mostly of one kind, so that
+    typed columns, mixed ones, absent keys and many shapes all arise."""
+    keys = draw(st.lists(st.sampled_from(["a", "b", "a.b", "", "\u2028"]),
+                         unique=True, min_size=1, max_size=4))
+    keys += draw(st.lists(st.text(max_size=3), max_size=1))
+    value = {k: st.one_of(*[json_scalars[draw(st.sampled_from(
+        sorted(json_scalars)))]] * 4, json_values) for k in keys}
+    return [{k: draw(value[k]) for k in draw(st.lists(
+        st.sampled_from(keys), max_size=len(keys) + 1))}
+        for _ in range(draw(st.integers(0, 8)))]
+
+
+def _same_json(a, b) -> bool:
+    """Equal values, exact types and key order (NaN equal to NaN)."""
+    return repr(a) == repr(b)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(
-    st.dictionaries(st.text(max_size=4), json_values, max_size=4),
+@given(jsonl_docs(), st.lists(st.tuples(
     st.sampled_from(["", " ", "\t", "\r", " \r"]),
-    st.booleans(), st.booleans()), max_size=8))
-def test_jsonl_loader_matches_json_loads_per_line(lines):
+    st.booleans(), st.booleans()), min_size=8, max_size=8))
+def test_jsonl_loader_matches_json_loads_per_line(docs, layout):
     """Padding, CRLF endings, blank lines and non-ASCII text, written as
-    collection_to_jsonl would and as ASCII escapes."""
+    collection_to_jsonl would and as ASCII escapes; the loaded documents
+    equal ``json.loads`` of each line in values, exact types and key order,
+    and ``collection_to_jsonl`` writes them back to the same documents."""
     parts = []
-    for doc, pad, ascii_only, blank_after in lines:
+    for doc, (pad, ascii_only, blank_after) in zip(docs, layout):
         parts.append(pad + json.dumps(doc, ensure_ascii=ascii_only) + pad)
         if blank_after:
             parts.append(pad)
     text = "\n".join(parts)
     expect = [json.loads(p) for p in parts if p.strip(" \t\r")]
-    assert repr(collection_from_jsonl(text).docs) == repr(expect)
+    col = collection_from_jsonl(text)
+    assert _same_json(col.docs, expect) and len(col) == len(expect)
+    back = collection_from_jsonl(collection_to_jsonl(col))
+    assert _same_json(back.docs, expect)
+
+
+@pytest.mark.parametrize("lines", [
+    ['{"a": 1, "b": 2, "a": 3}', '{"b": 4}'],  # a repeated key: last value
+    ['{"x": 1}', '{"x": 1.0}', '{"x": true}', '{"x": null}', '{"y": 1}'],
+    ['{"x": 1}', '{"x": 2}', '{"x": 1.0}'],
+    ['{"x": true}', '{"x": false}', '{"x": 0}'],
+    ['{"z": -0.0}', '{"z": 0.0}', '{"z": -0.0, "w": 1e300}'],
+    ['{"n": 9223372036854775807}', '{"n": 9223372036854775808}'],
+    ['{"n": -9223372036854775808}', '{"n": -9223372036854775809}'],
+    ['{"d": {"e": [1, {"f": null}]}, "l": []}', '{"l": [1.0, true]}',
+     '{"d": 3}'],
+    ['{"s": "a\u2028b"}', '{"s": "\u2029\u0085"}', '{"\u2028": 1}'],
+    ['', '{"k": 1}', '   ', '\t', '{"k": 2}', '', '{}', '{"k": null}'],
+])
+def test_jsonl_loader_keeps_values_types_and_key_order(lines):
+    """Each kind of value a shredded column could blur: 1, 1.0 and true
+    under one key, -0.0, ints at and beyond the int64 limits, nested
+    documents and lists, line separators inside strings, blank lines."""
+    text = "\n".join(lines)
+    expect = [json.loads(p) for p in text.split("\n") if p.strip()]
+    col = collection_from_jsonl(text)
+    assert _same_json(col.docs, expect)
+    assert _same_json(collection_from_jsonl(collection_to_jsonl(col)).docs,
+                      expect)

@@ -352,6 +352,46 @@ def test_recommend_same_result_any_strategy():
     assert base.rows == forced.rows
 
 
+def write_recommend_catalog(path, customers=8, products=6):
+    """The recommender's five datasets at a small scale: one order per
+    customer, reviews on some (customer, product) pairs, the last pair
+    always among them so the ratings matrix has the full extent."""
+    (path / "customer.csv").write_text("cid,name\n" + "".join(
+        f"{c},c{c}\n" for c in range(customers)))
+    (path / "product.csv").write_text("pid,label\n" + "".join(
+        f"{p},p{p}\n" for p in range(products)))
+    (path / "order.jsonl").write_text("".join(
+        json.dumps({"oid": 100 + c, "cid": c}) + "\n"
+        for c in range(customers)))
+    pairs = [(c, p) for c in range(customers) for p in range(products)
+             if (c * 7 + p * 3) % 4 == 0 or (c, p) == (customers - 1,
+                                                       products - 1)]
+    (path / "review.jsonl").write_text("".join(
+        json.dumps({"oid": 100 + c, "pid": p, "rating": 1.0 + (c + p) % 5})
+        + "\n" for c, p in pairs))
+    (path / "interest.csv").write_text("cid,pid\n" + "".join(
+        f"{c},{p}\n" for c in range(customers) for p in (0, products - 1)))
+
+
+def test_recommend_builds_no_document_dicts(tmp_path, monkeypatch):
+    """Collections stay columns from the loader to toArray: the pipeline
+    runs with ``Collection.docs`` unusable, and so does a bind-time count
+    of a collection."""
+    write_recommend_catalog(tmp_path)
+    want = engine(tmp_path, seed=11).run(RECOMMEND)
+
+    def no_docs(self):
+        raise AssertionError("a collection was turned back into dicts")
+
+    monkeypatch.setattr(Collection, "docs", property(no_docs))
+    eng = engine(tmp_path, seed=11)
+    res = eng.run(RECOMMEND)
+    assert res.schema == want.schema and res.rows == want.rows
+    assert [c for c, _ in res.schema] == ["cid", "pid", "rating"]
+    assert 0 < len(res) <= 10 and eng.join_stats[0].strategy == "mshj"
+    assert eng.catalog.count("review", "document") == 12
+
+
 def test_explain_round_trips_through_plan_json():
     doc = json.loads(json.dumps(recommend_engine().explain(RECOMMEND)))
     plan = recommend_engine().plan_script(RECOMMEND)[0]
