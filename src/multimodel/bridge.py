@@ -131,10 +131,11 @@ def _attr_index(rel: Relation, attr: str) -> int:
 
 
 def _record_path(records, path: str):
-    """``(Column, mask of the records that have it or None for all)`` of a
-    relation attribute or a document path."""
+    """``(Column, mask of the records that have it)`` of a relation
+    attribute or a document path."""
     if isinstance(records, Relation):
-        return records.columns[_attr_index(records, path)], None
+        return (records.columns[_attr_index(records, path)],
+                np.ones(len(records), dtype=bool))
     return records.path(path)
 
 
@@ -177,8 +178,7 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     cols, bads = [], []
     for attr in binding.attrs:
         col, present = _record_path(records, attr)
-        if present is not None:
-            reach = reach & present
+        reach = reach & present
         ok = _dims_ok(col)
         bads.append(np.zeros(n, bool) if ok is None else reach & ~ok)
         cols.append(col)
@@ -194,8 +194,7 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     for path in value_paths:
         col, present = _record_path(records, path)
         values.append(col.take(kept))
-        missing.append(np.zeros(len(kept), bool) if present is None
-                       else ~present[kept])
+        missing.append(~present[kept])
     if (bad := _first_bad(missing)) is not None:
         r, j = bad
         raise BindingError(f"document {kept[r]} has no value attribute "

@@ -44,7 +44,6 @@ __all__ = [
     "column_from_array",
     "Relation",
     "Collection",
-    "value_column",
     "CellSchema",
     "ArrayMeta",
     "compile_path",
@@ -261,7 +260,7 @@ class Relation:
 _DTYPE_OF = {pytype: dtype for dtype, pytype in _TYPED.values()}
 
 
-def value_column(values: list) -> Column:
+def _value_column(values: list) -> Column:
     """The column of a document key's values: typed when every non-null
     value has one Python type that a typed column holds exactly (an int
     within int64), else an object array; so 1, 1.0 and True stay apart."""
@@ -333,13 +332,11 @@ class Collection:
         head, *rest = _split_path(path)
         n = len(self)
         col = self.columns.get(head)
-        if col is None:
+        if col is None or rest and col.values.dtype != object:
             return Column(np.full(n, None, dtype=object)), np.zeros(n, bool)
         present = self.has(head)
         if not rest:
             return col, present
-        if col.values.dtype != object:
-            return Column(np.full(n, None, dtype=object)), np.zeros(n, bool)
         get = compile_path(".".join(rest))
         values = list(map(get, col.values.tolist()))
         present &= np.fromiter((v is not ABSENT for v in values), bool, n)
@@ -390,9 +387,9 @@ def _shred(docs: list[dict], shapes: list, shape_ids: np.ndarray) -> dict:
     columns = {}
     for key, got in parts.items():
         if got[0][0] is None:  # one shape: every document has the key
-            columns[key] = value_column(got[0][1])
+            columns[key] = _value_column(got[0][1])
             continue
-        col = value_column([v for _, vs in got for v in vs])
+        col = _value_column([v for _, vs in got for v in vs])
         rows = np.concatenate([r for r, _ in got])
         values = np.zeros(n, dtype=col.values.dtype)
         values[rows] = col.values
