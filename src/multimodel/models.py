@@ -349,9 +349,9 @@ class Collection:
         n = len(self)
         values = {k: c.tolist() for k, c in self.columns.items()}
         out: list = [None] * n
-        for sid, shape in enumerate(self.shapes):
-            rows = range(n) if len(self.shapes) == 1 else \
-                np.flatnonzero(self.shape_ids == sid).tolist()
+        groups = [range(n)] if len(self.shapes) == 1 else \
+            [r.tolist() for r in _shape_rows(self.shape_ids, len(self.shapes))]
+        for rows, shape in zip(groups, self.shapes):
             cols = [list(map(values[k].__getitem__, rows)) for k in shape]
             for i, vs in zip(rows, zip(*cols) if cols else
                              itertools.repeat(())):
@@ -367,6 +367,13 @@ class Collection:
         return f"Collection(name={self.name!r}, docs={self.docs!r})"
 
 
+def _shape_rows(shape_ids: np.ndarray, nshapes: int) -> list[np.ndarray]:
+    """The rows of each shape, in row order."""
+    order = np.argsort(shape_ids, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(shape_ids,
+                                                 minlength=nshapes))[:-1])
+
+
 def _shred(docs: list[dict], shapes: list, shape_ids: np.ndarray) -> dict:
     """One column per key: each shape's documents give their values of each
     of its keys through one ``itemgetter``, and a key that not every
@@ -375,10 +382,8 @@ def _shred(docs: list[dict], shapes: list, shape_ids: np.ndarray) -> dict:
     if len(shapes) == 1:
         groups = [(None, docs)]
     else:
-        order = np.argsort(shape_ids, kind="stable")
-        cuts = np.cumsum(np.bincount(shape_ids, minlength=len(shapes)))[:-1]
         groups = [(rows, [docs[i] for i in rows.tolist()])
-                  for rows in np.split(order, cuts)]
+                  for rows in _shape_rows(shape_ids, len(shapes))]
     parts: dict = {}  # key -> [(rows or None for all, values)]
     for (rows, group), shape in zip(groups, shapes):
         for key in shape:

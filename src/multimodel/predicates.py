@@ -11,8 +11,9 @@ NOT unknown is unknown.  A filter or join keeps only the rows where the
 predicate is true, so ``NOT x = 3`` and ``x != 3`` both drop a null ``x``.
 A predicate is compiled once per operator by ``compile_columns``, the one
 evaluator for both record models, and runs a column at a time over masks:
-typed comparisons over int64, float64 and bool columns, and one comparison
-per value over object columns, which is what a document path reads as.
+typed comparisons over int64, float64 and bool columns, whether a
+relation's or a collection's, and one comparison per value over object
+columns.
 """
 
 from __future__ import annotations

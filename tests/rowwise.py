@@ -203,6 +203,11 @@ def _sort(f, keys):
 
 
 def _union(a, b):
+    if isinstance(a, DocRows) and isinstance(b, DocRows):
+        return DocRows(tuple(dict.fromkeys(a.quals + b.quals)),
+                       a.docs + b.docs)
+    if isinstance(a, DocRows) or isinstance(b, DocRows):
+        raise TypeMismatchError("cannot union a relation with a collection")
     if len(a.cols) != len(b.cols):
         raise TypeMismatchError(
             f"union arity mismatch: {len(a.cols)} vs {len(b.cols)}")

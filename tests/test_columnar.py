@@ -271,6 +271,17 @@ def test_relation_collection_join_matches_reference(rel, col, text, flip):
               pred=parse_predicate(text)), {"l": rel, "r": col})
 
 
+@SETTINGS
+@given(collections(["k", "a", "x"]), collections(["x", "b", "k"]),
+       st.sampled_from(["x", "k", "a", "b", "b.c"]), st.booleans())
+def test_document_union_sort_filter_match_reference(a, b, key, desc):
+    """Two collections' shapes and columns, typed or not, in one."""
+    tree = node("union", scan("a"), scan("b"))
+    same(tree, {"a": a, "b": b})
+    same(node("sort", node("filter", tree, pred=parse_predicate(f"{key} >= 1")),
+              keys=[(key, desc)]), {"a": a, "b": b})
+
+
 PROJECT_REFS = ["a", "b", "b.c", "k", "t.a", "t.b", "t.b.d", "z"]
 
 
