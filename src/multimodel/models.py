@@ -289,18 +289,13 @@ class Collection:
 
     def __init__(self, name: str, docs=()):
         docs = docs if isinstance(docs, list) else list(docs)
-        keys = list(map(tuple, docs))
-        self.name = name
-        if not keys or keys.count(keys[0]) == len(keys):
-            self.shapes = keys[:1]
-            self.shape_ids = np.zeros(len(keys), np.int64)
-        else:  # shapes in order of their first documents
-            first: dict = {}
-            at = np.fromiter(map(first.setdefault, keys, itertools.count()),
-                             np.int64, len(keys))
-            self.shapes = list(first)
-            self.shape_ids = np.unique(at, return_inverse=True)[1].astype(
-                np.int64)
+        # each document's shape as the row where it first appears, then
+        # shapes numbered in that order
+        first: dict = {}
+        at = np.fromiter(map(first.setdefault, map(tuple, docs),
+                             itertools.count()), np.int64, len(docs))
+        self.name, self.shapes = name, list(first)
+        self.shape_ids = np.unique(at, return_inverse=True)[1].astype(np.int64)
         self.columns = _shred(docs, self.shapes, self.shape_ids)
 
     @classmethod
