@@ -112,7 +112,8 @@ def test_identical_tells_types_key_order_and_zero_signs_apart():
                      [{"a": 1, "b": [1.0, {"c": None}]}])
     for a, b in [({"a": 1}, {"a": True}), ({"a": 1}, {"a": 1.0}),
                  ({"a": 1, "b": 2}, {"b": 2, "a": 1}), ([0.0], [-0.0]),
-                 ({"a": {"c": 1}}, {"a": {"c": True}}), ((1, [2]), (1, [2.0]))]:
+                 ({"a": {"c": 1}}, {"a": {"c": True}}),
+                 ((1, [2]), (1, [2.0]))]:
         assert not identical(a, b)
 
 
@@ -278,8 +279,8 @@ def test_document_union_sort_filter_match_reference(a, b, key, desc):
     """Two collections' shapes and columns, typed or not, in one."""
     tree = node("union", scan("a"), scan("b"))
     same(tree, {"a": a, "b": b})
-    same(node("sort", node("filter", tree, pred=parse_predicate(f"{key} >= 1")),
-              keys=[(key, desc)]), {"a": a, "b": b})
+    tree = node("filter", tree, pred=parse_predicate(f"{key} >= 1"))
+    same(node("sort", tree, keys=[(key, desc)]), {"a": a, "b": b})
 
 
 PROJECT_REFS = ["a", "b", "b.c", "k", "t.a", "t.b", "t.b.d", "z"]
