@@ -644,6 +644,41 @@ def _csv_row_line(text: str, index: int) -> int:
     raise IndexError(index)
 
 
+# every byte an all-integer CSV body may hold
+_INT_BODY_BYTES = b"0123456789-,\n"
+
+
+def _int_relation(text: str) -> Relation | None:
+    """The relation of a CSV text whose cells are all integers, read by
+    numpy's C reader, or None for any other text.
+
+    Only a body of digits, minus signs, commas and newlines under a header
+    line without quotes or carriage returns is tried: no cell can then be
+    one that ``int()`` and the C reader read apart (spaces, ``_``, ``+``,
+    non-ASCII digits), and blank lines are the only lines either skips.
+    Any cell the C reader refuses (an empty one, a misplaced minus sign, a
+    value beyond int64) and any ragged row give None as well, so the Python
+    path reads the text and names the line of a malformed row."""
+    head, _, body = text.partition("\n")
+    body = body.lstrip("\n")
+    if not head or '"' in head or "\r" in head or not body \
+            or not body.isascii() \
+            or body.encode("ascii").translate(None, _INT_BODY_BYTES):
+        return None
+    header = head.split(",")
+    if len(set(header)) != len(header):
+        return None
+    try:
+        block = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",",
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape[1] != len(header):
+        return None
+    return Relation.from_columns([(h, INT) for h in header],
+                                 [Column(c.copy()) for c in block.T])
+
+
 def relation_from_csv(text: str,
                       schema: list[tuple[str, ValueType]] | None = None,
                       name: str = "") -> Relation:
@@ -654,7 +689,13 @@ def relation_from_csv(text: str,
     column's type is inferred (bool, then int, then float, else string).
     Malformed text raises DataFormatError with ``name`` and the 1-based
     line of the offending row.
+
+    Without a declared schema, a text whose cells are all integers is read
+    by numpy's C reader (``_int_relation``) into the same int64 columns;
+    every other text, and every malformed one, takes the Python path.
     """
+    if schema is None and (rel := _int_relation(text)) is not None:
+        return rel
     reader = csv.reader(io.StringIO(text))
     try:
         rows = filter(None, reader)  # csv yields [] for a blank line

@@ -5,12 +5,15 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from multimodel import models
 from multimodel.cli import main
 from multimodel.errors import DataFormatError, EngineError, PathError
+from multimodel.executor import Catalog
 from multimodel.models import (
     _CSV_CHUNK,
     ABSENT,
@@ -222,12 +225,13 @@ INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 # cell texts chosen to sit on the borders of the inference order, and of
 # what Python's int() and a C integer parser each accept ("\u0663" is an
-# Arabic-Indic 3, which int() reads as 3)
+# Arabic-Indic 3, which int() reads as 3; numpy reads "\x1c2" as 2)
 CELLS = ["", "0", "-0", "7", " 3 ", "1_000", "-12", "1.5", "1e3", "nan",
          "-inf", "inf", "true", "FALSE", " True", "tRuE ", "x", "a,b",
          "line\nbreak", 'say "hi"', "[1, 2]", "{}", "\u00e9",
          "+3", "007", str(INT64_MAX), str(INT64_MAX + 1), str(INT64_MIN),
-         str(INT64_MIN - 1), "\u0663", "-", "1-", "--1", "#", "3 #x"]
+         str(INT64_MIN - 1), "\u0663", "-", "1-", "--1", "#", "3 #x",
+         "\x1c2"]
 # whole files of these cells are all-integer CSV
 DIGIT_CELLS = st.integers(INT64_MIN, INT64_MAX).map(str) | st.sampled_from(
     [str(INT64_MIN), str(INT64_MAX)])
@@ -295,6 +299,70 @@ def test_csv_loader_matches_row_wise_reference(text, data):
             relation_from_csv(text, declared)
     else:
         _same(relation_from_csv(text, declared), expect)
+
+
+def test_all_integer_csv_skips_the_python_reader(tmp_path, monkeypatch):
+    # a probe table as the tile_join workload writes it: r, c, w
+    rng = np.random.default_rng(0)
+    cells = np.column_stack([rng.integers(0, 500, size=(25_000, 2)),
+                             rng.integers(0, 100, size=25_000)])
+    text = "r,c,w\n" + "".join(f"{r},{c},{w}\n" for r, c, w in cells.tolist())
+    (tmp_path / "probe.csv").write_text(text)
+    want = reference_relation_from_csv(text)
+
+    def no_csv_reader(*args, **kwargs):
+        raise AssertionError("an all-integer table went through csv.reader")
+
+    monkeypatch.setattr(models.csv, "reader", no_csv_reader)
+    got = Catalog(str(tmp_path)).load_table("probe")
+    assert got.schema == [("r", INT), ("c", INT), ("w", INT)]
+    for col, expect in zip(got.columns, cells.T):
+        assert col.null is None and col.values.dtype == np.int64
+        assert col.values.flags.c_contiguous
+        assert np.array_equal(col.values, expect)
+    monkeypatch.undo()
+    _same(got, want)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a,b\n", None),                 # header only
+    ("a,b\n\n\n", None),             # header and blank lines only
+    ("a,b\n1,2\n3,-4", None),        # no trailing newline
+    ("a\n1\n-2\n", None),            # one column
+    ("a,b\n\n1,2\n\n3,4\n\n", None),  # blank lines among the rows
+    ("\n1\n2\n", None),              # a blank line before the header
+    ("a,b\r\n1,2\r\n", None),        # CRLF line ends
+    ("a,b\r\n1,2\n", None),          # a CR in the header line only
+    ("a,b\n1,2\r\n3,4\n", None),     # a CR in the body only
+    ("a\n 3\n+4\n", None),           # a space and a plus sign
+    ("a\n1\n\x1c2\n", None),         # numpy strips U+001C, int() does not
+    ('"a",b\n1,2\n', None),          # a quoted header name
+    ("a,b\n1,\n", None),             # an empty cell is null
+    ("a\n1\n \n", None),             # a whitespace-only line is a cell
+    ("a\n1\n-\n", None),             # a lone minus sign is a string
+    ("a\n1\n007\n-0\n", None),       # leading zeros and a negative zero
+    ("a\n9223372036854775807\n", None),  # int64 max: an int64 column
+    ("a\n9223372036854775808\n", None),  # beyond int64: an object column
+    ("a\n-9223372036854775809\n", None),
+    ("a,b\n1,2\n3\n", 3),            # a ragged digit-only row
+    ("a,b\n1,2\n3,4,5\n", 3),
+    ("a\n1\r2\n", 2),               # a bare CR inside a row
+    ("a\n1,2\n", 2),                 # every row wider than the header
+    ("a,b\n1,2\n \n", 3),            # a whitespace-only line in two columns
+    ("a,a\n1,2\n", 1),               # duplicate names
+])
+def test_all_integer_csv_near_misses_match_the_python_path(text, line):
+    """Texts on the border of the numpy reader's fast path give the
+    reference relation, with the same column dtypes, or the error the
+    Python path gives, at the same line."""
+    if line is not None:
+        with pytest.raises(DataFormatError, match=f"line {line}:"):
+            relation_from_csv(text)
+        return
+    got, want = relation_from_csv(text), reference_relation_from_csv(text)
+    _same(got, want)
+    assert [c.values.dtype for c in got.columns] == \
+        [c.values.dtype for c in want.columns]
 
 
 @pytest.mark.parametrize("text, line", [
