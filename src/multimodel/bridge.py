@@ -102,6 +102,7 @@ class JoinTrace:
 # ---------------------------------------------------------------------------
 # dimension extraction
 
+_MIN_INT = int(np.iinfo(np.int64).min)
 _MAX_DIM = int(np.iinfo(np.int64).max)
 
 
@@ -121,6 +122,10 @@ def _dim_error(where: str, v) -> BindingError:
         return BindingError(f"{where} must fit in a signed 64-bit integer, "
                             f"got {v!r}")
     return BindingError(f"{where} must be a non-negative integer, got {v!r}")
+
+
+def _noun(records) -> str:
+    return "row" if isinstance(records, Relation) else "document"
 
 
 def _attr_index(rel: Relation, attr: str) -> int:
@@ -169,7 +174,8 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     A document lacking a bound path is dropped (inner join).  Taking a
     record's bound paths in order, a value before any missing path that is
     not a non-negative integer within int64 is a binding error, and so is a
-    kept record lacking a value path; the first such record is named.
+    kept record lacking a value path or holding null there; the first such
+    record is named.
     """
     n = len(records)
     label = "row {}: dimension attribute {!r}" \
@@ -190,33 +196,49 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     dims = np.empty((len(kept), len(binding.attrs)), dtype=np.int64)
     for j, col in enumerate(cols):
         dims[:, j] = col.values[kept]
-    values, missing = [], []
+    values, absent, bads = [], [], []
     for path in value_paths:
         col, present = _record_path(records, path)
         values.append(col.take(kept))
-        missing.append(~present[kept])
-    if (bad := _first_bad(missing)) is not None:
+        absent.append(~present[kept])
+        bads.append(absent[-1] | values[-1].null_mask())
+    if (bad := _first_bad(bads)) is not None:
         r, j = bad
-        raise BindingError(f"document {kept[r]} has no value attribute "
-                           f"{value_paths[j]!r}")
+        what = "no" if absent[j][r] else "a null"
+        raise BindingError(f"{_noun(records)} {kept[r]} has {what} value "
+                           f"attribute {value_paths[j]!r}")
     return dims, kept, values
 
 
-def _cells(values: list[Column]) -> list[np.ndarray]:
-    """Value columns as the arrays the array builder takes: a typed column
-    without nulls as it is, any other through its Python values."""
-    return [c.values if c.null is None and c.values.dtype != object
-            else np.asarray(c.tolist()) for c in values]
+def _cells(records, kept, names, types, values: list[Column]):
+    """Null-free value columns as the arrays the array builder takes: a
+    typed column as it is, an object column through its Python values.  An
+    int beyond int64 under an INT attribute is a binding error naming the
+    first such record."""
+    out = []
+    for name, vt, col in zip(names, types, values):
+        if col.values.dtype != object:
+            out.append(col.values)
+            continue
+        vs = col.tolist()
+        if vt.kind == "int":
+            bad = next((i for i, v in enumerate(vs) if _is_int(v)
+                        and not _MIN_INT <= v <= _MAX_DIM), None)
+            if bad is not None:
+                raise BindingError(
+                    f"{_noun(records)} {kept[bad]}: value attribute {name!r} "
+                    f"must fit in a signed 64-bit integer, got {vs[bad]!r}")
+        out.append(np.asarray(vs))
+    return out
 
 
 _TYPE_OF = {"i": INT, "f": FLOAT, "b": BOOL}
 
 
 def _value_type(col: Column):
-    """The type of the values a column holds: its dtype's, or for an object
-    column, or one with no non-null value, ``infer_column_type``'s."""
-    if col.values.dtype == object or col.null is not None and \
-            col.null.all() or not len(col):
+    """The type of the values a null-free column holds: its dtype's, or
+    for an object or empty column ``infer_column_type``'s."""
+    if col.values.dtype == object or not len(col):
         return infer_column_type(col.tolist())
     return _TYPE_OF[col.values.dtype.kind]
 
@@ -562,7 +584,7 @@ def to_array(src, dim_names: list[str], value_names: list[str],
                              len(value_names) != len(meta.schema.attr_names)):
         raise OutputSpecError("dim/value name count does not match the array schema")
     binding = DimBinding(tuple(dim_names))
-    dims, _, cols = _extract_dims(src, binding, value_names)
+    dims, kept, cols = _extract_dims(src, binding, value_names)
     if meta is None:
         if isinstance(src, Relation):
             types = [src.schema[_attr_index(src, vn)][1] for vn in value_names]
@@ -573,8 +595,9 @@ def to_array(src, dim_names: list[str], value_names: list[str],
         meta = ArrayMeta(CellSchema(binding.attrs, tuple(value_names),
                                     tuple(types)),
                          size, tile_extent(size, default_tile))
+    cells = _cells(src, kept, value_names, meta.schema.attr_types, cols)
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
-    builder.add_cells(dims, _cells(cols))
+    builder.add_cells(dims, cells)
     return builder.finish()
 
 

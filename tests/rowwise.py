@@ -433,7 +433,8 @@ def records_to_cells(docs, dim_paths, value_paths):
     column's inferred type and the tight extent.  Scanning a document's
     dimension paths in order, a missing one drops it and a value that is
     no coordinate before that is a BindingError; a kept document lacking a
-    value path is one too."""
+    value path or holding null there is one too, and so is an int beyond
+    int64 in a value column inferred INT."""
     coords, kept = [], []
     dim_gets = [(p, compile_path(p)) for p in dim_paths]
     for r, doc in enumerate(docs):
@@ -453,11 +454,20 @@ def records_to_cells(docs, dim_paths, value_paths):
         get = compile_path(path)
         values.append([get(docs[r]) for r in kept])
     for r, vs in zip(kept, zip(*values)):
-        if ABSENT in vs:
-            raise BindingError(f"document {r} has no value attribute "
-                               f"{value_paths[vs.index(ABSENT)]!r}")
+        for path, v in zip(value_paths, vs):
+            if v is ABSENT or v is None:
+                what = "no" if v is ABSENT else "a null"
+                raise BindingError(f"document {r} has {what} value attribute "
+                                   f"{path!r}")
+    types = [infer_column_type(v) for v in values]
+    for path, vt, vs in zip(value_paths, types, values):
+        for r, v in zip(kept, vs):
+            if vt == INT and not -2 ** 63 <= v < 2 ** 63:
+                raise BindingError(f"document {r}: value attribute {path!r} "
+                                   f"must fit in a signed 64-bit integer, "
+                                   f"got {v!r}")
     size = tuple(max(c) + 1 for c in zip(*coords)) if coords else \
         (1,) * len(dim_paths)
     return (np.asarray(coords, dtype=np.int64).reshape(len(coords),
                                                         len(dim_paths)),
-            values, [infer_column_type(v) for v in values], size)
+            values, types, size)

@@ -477,6 +477,43 @@ def test_to_array_errors(pool):
                  ["x"], ["v"], meta, pool)
 
 
+def test_to_array_refuses_values_it_cannot_store(pool):
+    """A null value or an int beyond int64 under an INT attribute is a
+    binding error naming the first such kept record, for a relation and a
+    collection alike; a null in a dropped record is no error."""
+    big = 2 ** 63
+    cases = [
+        (Relation([("x", INT), ("v", INT)], [(0, 0), (1, big)]),
+         f"row 1: value attribute 'v' must fit in a signed 64-bit integer, "
+         f"got {big!r}"),
+        (Collection("c", [{"x": 0, "v": 0}, {"x": 1, "v": big}]),
+         f"document 1: value attribute 'v' must fit in a signed 64-bit "
+         f"integer, got {big!r}"),
+        (Collection("c", [{"x": 0, "v": 0}, {"x": 1, "v": -big - 1}]),
+         f"document 1: value attribute 'v' must fit in a signed 64-bit "
+         f"integer, got {-big - 1!r}"),
+        (Relation([("x", INT), ("v", FLOAT)], [(0, 1.5), (1, None)]),
+         "row 1 has a null value attribute 'v'"),
+        (Relation([("x", INT), ("v", BOOL)], [(0, True), (1, None)]),
+         "row 1 has a null value attribute 'v'"),
+        (Collection("c", [{"x": 0, "v": True}, {"x": 1, "v": None}]),
+         "document 1 has a null value attribute 'v'"),
+        (Collection("c", [{"x": 0, "v": 1.5}, {"x": 1}, {"x": 2, "v": None}]),
+         "document 1 has no value attribute 'v'"),
+    ]
+    for src, message in cases:
+        with pytest.raises(BindingError) as err:
+            to_array(src, ["x"], ["v"], None, pool)
+        assert str(err.value) == message
+    # a float column holds an int beyond int64 as a float
+    arr = to_array(Collection("c", [{"x": 0, "v": 0.5}, {"x": 1, "v": big}]),
+                   ["x"], ["v"], None, pool)
+    assert cells_of(arr) == {(0,): (0.5,), (1,): (float(big),)}
+    arr = to_array(Collection("c", [{"v": None}, {"x": 0, "v": 1}]),
+                   ["x"], ["v"], None, pool)
+    assert cells_of(arr) == {(0,): (1,)}
+
+
 def test_to_array_membership_oracle(pool):
     rng = random.Random(3)
     coords = rng.sample([(i, j) for i in range(10) for j in range(8)], 30)
