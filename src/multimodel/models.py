@@ -654,8 +654,9 @@ def _int_relation(text: str) -> Relation | None:
 
     Only a body of digits, minus signs, commas and newlines under a header
     line without quotes or carriage returns is tried: no cell can then be
-    one that ``int()`` and the C reader read apart (spaces, ``_``, ``+``,
-    non-ASCII digits), and blank lines are the only lines either skips.
+    one that ``int()`` and the C reader might read apart (``_``, non-ASCII
+    digits, a U+001C that numpy strips and ``int()`` refuses), and blank
+    lines are the only lines either skips.
     Any cell the C reader refuses (an empty one, a misplaced minus sign, a
     value beyond int64) and any ragged row give None as well, so the Python
     path reads the text and names the line of a malformed row."""
