@@ -210,26 +210,26 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     return dims, kept, values
 
 
-def _cells(records, kept, names, types, values: list[Column]):
-    """Null-free value columns as the arrays the array builder takes: a
-    typed column as it is, an object column through its Python values.  An
-    int beyond int64 under an INT attribute is a binding error naming the
-    first such record."""
-    out = []
+def _check_ints(records, kept, names, types, values: list[Column]) -> None:
+    """Raise a binding error naming the first record whose value is an int
+    beyond int64 under an INT attribute; only an object column holds one."""
     for name, vt, col in zip(names, types, values):
-        if col.values.dtype != object:
-            out.append(col.values)
+        if vt.kind != "int" or col.values.dtype != object:
             continue
         vs = col.tolist()
-        if vt.kind == "int":
-            bad = next((i for i, v in enumerate(vs) if _is_int(v)
-                        and not _MIN_INT <= v <= _MAX_DIM), None)
-            if bad is not None:
-                raise BindingError(
-                    f"{_noun(records)} {kept[bad]}: value attribute {name!r} "
-                    f"must fit in a signed 64-bit integer, got {vs[bad]!r}")
-        out.append(np.asarray(vs))
-    return out
+        bad = next((i for i, v in enumerate(vs)
+                    if _is_int(v) and not _MIN_INT <= v <= _MAX_DIM), None)
+        if bad is not None:
+            raise BindingError(
+                f"{_noun(records)} {kept[bad]}: value attribute {name!r} "
+                f"must fit in a signed 64-bit integer, got {vs[bad]!r}")
+
+
+def _cells(values: list[Column]) -> list[np.ndarray]:
+    """Null-free value columns as the arrays the array builder takes: a
+    typed column as it is, an object column through its Python values."""
+    return [c.values if c.values.dtype != object else np.asarray(c.tolist())
+            for c in values]
 
 
 _TYPE_OF = {"i": INT, "f": FLOAT, "b": BOOL}
@@ -595,9 +595,9 @@ def to_array(src, dim_names: list[str], value_names: list[str],
         meta = ArrayMeta(CellSchema(binding.attrs, tuple(value_names),
                                     tuple(types)),
                          size, tile_extent(size, default_tile))
-    cells = _cells(src, kept, value_names, meta.schema.attr_types, cols)
+    _check_ints(src, kept, value_names, meta.schema.attr_types, cols)
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
-    builder.add_cells(dims, cells)
+    builder.add_cells(dims, _cells(cols))
     return builder.finish()
 
 
