@@ -18,8 +18,8 @@ from multimodel import (
     BufferPool,
     CellSchema,
     StoredArray,
-    array_to_coo_csv,
     matmul,
+    to_relation,
     transpose,
 )
 from multimodel.models import FLOAT
@@ -48,9 +48,9 @@ for layout, a in arrays.items():
           f"tile bytes={sizes}")
 
 # identical content regardless of layout
-assert (array_to_coo_csv(arrays["dense"]) == array_to_coo_csv(arrays["coo"])
-        == array_to_coo_csv(arrays["csr"]))
-print("all three layouts serialize to the same cell set")
+assert (to_relation(arrays["dense"]) == to_relation(arrays["coo"])
+        == to_relation(arrays["csr"]))
+print("all three layouts hold the same cells")
 
 # point lookups pin exactly one tile
 a = arrays["csr"]
@@ -69,7 +69,7 @@ with tempfile.TemporaryDirectory() as d:
     path = f"{d}/m.m2ar"
     arrays["coo"].save(path)
     back = StoredArray.load(path, pool)
-    assert array_to_coo_csv(back) == array_to_coo_csv(arrays["coo"])
+    assert to_relation(back) == to_relation(arrays["coo"])
     print("save/load round-trips; descriptor:", back.descriptor())
 
 # -- operators ----------------------------------------------------------------

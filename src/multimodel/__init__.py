@@ -39,8 +39,6 @@ from .array_store import (
     ArrayBuilder,
     StoredArray,
     Tile,
-    array_from_coo_csv,
-    array_to_coo_csv,
     make_tile,
 )
 from .array_engine import (

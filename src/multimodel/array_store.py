@@ -46,8 +46,6 @@ __all__ = [
     "ArrayBuilder",
     "make_tile",
     "block_tile",
-    "array_to_coo_csv",
-    "array_from_coo_csv",
     "MAGIC",
     "FORMAT_VERSION",
 ]
@@ -86,8 +84,7 @@ class Tile:
     """One tile of an array: its layout and two payload attributes, ``index``
     and ``values``; see the module docstring."""
 
-    def __init__(self, tc, layout, ts, attr_dtypes, index, values):
-        self.tc = tuple(int(x) for x in tc)
+    def __init__(self, layout, ts, attr_dtypes, index, values):
         self.layout = layout
         self.ts = tuple(ts)
         self.attr_dtypes = list(attr_dtypes)
@@ -158,7 +155,7 @@ class Tile:
             for a in [*arrays, *self.values])
 
     @staticmethod
-    def from_bytes(buf: bytes, tc, layout, ts, attr_dtypes) -> "Tile":
+    def from_bytes(buf: bytes, layout, ts, attr_dtypes) -> "Tile":
         if layout == "dense":
             shape = ts
             index = np.frombuffer(buf, "|b1", math.prod(ts)).reshape(ts).copy()
@@ -183,7 +180,7 @@ class Tile:
             values.append(np.frombuffer(buf, dt, math.prod(shape), off)
                           .reshape(shape).copy())
             off += values[-1].nbytes
-        return Tile(tc, layout, ts, attr_dtypes, index, values)
+        return Tile(layout, ts, attr_dtypes, index, values)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -256,8 +253,8 @@ def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values) -> Tile:
         first = cc[order[1:][dup][0]]
         raise DuplicateCellError(f"duplicate cell {tuple(int(x) for x in first)} in tile {tuple(tc)}")
     if layout == "dense":
-        return Tile(tc, layout, ts, attr_dtypes, *_scatter(ts, attr_dtypes, keys, cols))
-    return Tile(tc, layout, ts, attr_dtypes, keys, cols)
+        return Tile(layout, ts, attr_dtypes, *_scatter(ts, attr_dtypes, keys, cols))
+    return Tile(layout, ts, attr_dtypes, keys, cols)
 
 
 def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
@@ -276,7 +273,7 @@ def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
     blocks = [np.zeros(ts, dt) for dt in attr_dtypes]
     for out, v in zip(blocks, values):
         np.copyto(out[box], v, where=mask)
-    return Tile(tc, layout, ts, attr_dtypes, index, blocks)
+    return Tile(layout, ts, attr_dtypes, index, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +297,11 @@ _uid_counter = itertools.count(1)
 class StoredArray:
     """A tiled array whose tiles are cached in the shared buffer pool.
 
-    pin()/unpin() (or the ``pinned`` context) are the only read path; per-tile
-    pin and disk-read counters are kept for tests and for the benchmark
-    harness.
+    Tiles are read one at a time through pin()/unpin() (or the ``pinned``
+    context), which cache them in the pool, or a stage at a time through
+    ``lookup_runs``, which reads the tiles that are not resident without
+    entering them in the pool.  Per-tile pin and disk-read counters are
+    kept for tests and for the benchmark harness.
     """
 
     def __init__(self, meta: ArrayMeta, pool: BufferPool, *, name: str = "",
@@ -405,7 +404,7 @@ class StoredArray:
         if len(buf) != slot.length:
             raise InternalError(f"short read of tile {tc} from {slot.path}: "
                                 f"{len(buf)} of {slot.length} bytes")
-        return Tile.from_bytes(buf, tc, slot.layout, self.meta.tile_size,
+        return Tile.from_bytes(buf, slot.layout, self.meta.tile_size,
                                self.attr_dtypes)
 
     def _spill(self, tile: Tile, slot: _Slot) -> None:
@@ -548,17 +547,17 @@ class StoredArray:
             for dt in dtypes:
                 cols.append(block[:, off:off + ncell * dt.itemsize].view(dt))
                 off += ncell * dt.itemsize
-            blocks.append((Tile((), "dense", (n_dense, ncell), dtypes,
+            blocks.append((Tile("dense", (n_dense, ncell), dtypes,
                                 block[:, :ncell].view(bool), cols), 0))
         if n_dense < len(reads):
             view = memoryview(buf)
-            sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], tc, slot.layout,
-                                      ts, dtypes)
-                      for k, (tc, slot, _) in enumerate(reads) if k >= n_dense]
+            sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], slot.layout, ts,
+                                      dtypes)
+                      for k, (_, slot, _) in enumerate(reads) if k >= n_dense]
             keys = np.concatenate([t.index + np.uint64(j * ncell)
                                    for j, t in enumerate(sparse)])
             cols = [np.concatenate(c) for c in zip(*(t.values for t in sparse))]
-            blocks.append((Tile((), "coo", (len(sparse), ncell), dtypes,
+            blocks.append((Tile("coo", (len(sparse), ncell), dtypes,
                                 keys, cols), n_dense))
         return blocks
 
@@ -770,7 +769,7 @@ class ArrayBuilder:
         size = np.array(self.arr.meta.size, dtype=np.int64)
         if coords.min() < 0 or (coords >= size).any():
             bad = coords[(coords < 0).any(1) | (coords >= size).any(1)][0]
-            raise BoundsError(f"coordinate {tuple(int(x) for x in bad)} outside array size {tuple(size)}")
+            raise BoundsError(f"coordinate {tuple(int(x) for x in bad)} outside array size {self.arr.meta.size}")
         self._coords.append(coords)
         self._values.append([np.asarray(v, dt) for v, dt in
                              zip(values, self.arr.attr_dtypes)])
@@ -799,46 +798,3 @@ class ArrayBuilder:
         self._coords = []
         self._values = []
         return self.arr
-
-
-# -- COO CSV text format ------------------------------------------------------
-
-def array_to_coo_csv(arr: StoredArray) -> str:
-    import csv as _csv
-    import io as _io
-
-    sch = arr.meta.schema
-    buf = _io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(list(sch.dim_names) + list(sch.attr_names))
-    for coords, vals in arr.iter_cells():
-        for i in range(len(coords)):
-            row = [int(c) for c in coords[i]]
-            row += [v[i].item() for v in vals]
-            w.writerow(row)
-    return buf.getvalue()
-
-
-def array_from_coo_csv(text: str, meta: ArrayMeta, pool: BufferPool, *,
-                       name: str = "", spool_dir: str | None = None) -> StoredArray:
-    import csv as _csv
-    import io as _io
-
-    rows = list(_csv.reader(_io.StringIO(text)))
-    if not rows:
-        raise ValueError("COO CSV needs a header row")
-    header, body = rows[0], rows[1:]
-    sch = meta.schema
-    expect = list(sch.dim_names) + list(sch.attr_names)
-    if header != expect:
-        raise ValueError(f"COO CSV header {header} does not match schema {expect}")
-    d = sch.d
-    builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
-    if body:
-        coords = np.array([[int(x) for x in r[:d]] for r in body], dtype=np.int64)
-        cols = []
-        for j, vt in enumerate(sch.attr_types):
-            py = [float(r[d + j]) if vt.kind == "float" else int(r[d + j]) for r in body]
-            cols.append(np.asarray(py, dtype=dtype_for(vt)))
-        builder.add_cells(coords, cols)
-    return builder.finish()

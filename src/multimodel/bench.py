@@ -21,7 +21,7 @@ import numpy as np
 
 from .array_store import ArrayBuilder, StoredArray
 from .bridge import (DimBinding, JoinStats, join_probe_only,
-                     join_via_conversion, mshj)
+                     join_via_conversion, mshj, to_relation)
 from .buffer_pool import BufferObject, BufferPool
 from .errors import ConfigError
 from .models import (FLOAT, INT, ArrayMeta, CellSchema, Collection, Column,
@@ -64,28 +64,18 @@ def checksum(result) -> str:
     """Order-insensitive digest of a join result, for cross-strategy
     comparison."""
     h = hashlib.sha1()
+    if isinstance(result, StoredArray):
+        result = to_relation(result)
     if isinstance(result, Relation):
         items = sorted(repr(r) for r in result.rows)
     elif isinstance(result, Collection):
         items = sorted(repr(sorted(d.items())) for d in result.docs)
-    elif isinstance(result, StoredArray):
-        items = sorted(f"{tuple(c)}={tuple(v)}"
-                       for c, v in _cells(result).items())
     else:
         items = [repr(result)]
     for it in items:
         h.update(it.encode())
         h.update(b"\n")
     return h.hexdigest()[:12]
-
-
-def _cells(arr: StoredArray) -> dict:
-    out = {}
-    for coords, vals in arr.iter_cells():
-        for k in range(len(coords)):
-            out[tuple(int(x) for x in coords[k])] = \
-                tuple(v[k].item() for v in vals)
-    return out
 
 
 # ---------------------------------------------------------------------------

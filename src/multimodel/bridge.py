@@ -225,13 +225,6 @@ def _check_ints(records, kept, names, types, values: list[Column]) -> None:
                 f"must fit in a signed 64-bit integer, got {vs[bad]!r}")
 
 
-def _cells(values: list[Column]) -> list[np.ndarray]:
-    """Null-free value columns as the arrays the array builder takes: a
-    typed column as it is, an object column through its Python values."""
-    return [c.values if c.values.dtype != object else np.asarray(c.tolist())
-            for c in values]
-
-
 _TYPE_OF = {"i": INT, "f": FLOAT, "b": BOOL}
 
 
@@ -597,7 +590,9 @@ def to_array(src, dim_names: list[str], value_names: list[str],
                          size, tile_extent(size, default_tile))
     _check_ints(src, kept, value_names, meta.schema.attr_types, cols)
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
-    builder.add_cells(dims, _cells(cols))
+    # a typed column as it is, an object column through its Python values
+    builder.add_cells(dims, [c.values if c.values.dtype != object
+                             else np.asarray(c.tolist()) for c in cols])
     return builder.finish()
 
 

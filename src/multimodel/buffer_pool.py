@@ -23,7 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .errors import CapacityError, InternalError, TooLargeError
+from .errors import CapacityError, ConfigError, InternalError, TooLargeError
 
 __all__ = ["BufferObject", "BufferPool", "PoolStats"]
 
@@ -67,7 +67,7 @@ class PoolStats:
 class BufferPool:
     def __init__(self, capacity: int):
         if capacity <= 0:
-            raise ValueError("pool capacity must be positive")
+            raise ConfigError(f"pool capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
         self._objects: OrderedDict[Any, BufferObject] = OrderedDict()  # LRU first

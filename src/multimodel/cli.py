@@ -72,10 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _ints(text: str) -> tuple[int, ...] | None:
-    if not text:
-        return None
-    return tuple(int(x) for x in text.split(","))
+def _fields(text: str) -> list[str] | None:
+    return text.split(",") if text else None
 
 
 def _print_rows(rows) -> None:
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
         elif args.cmd == "ingest":
             dst = Catalog(args.data).ingest(
                 args.format, args.path, args.name,
-                size=_ints(args.size), tile=_ints(getattr(args, "tile_size")),
+                size=_fields(args.size), tile=_fields(args.tile_size),
                 layout=args.layout)
             print(f"ingested {args.name!r} -> {dst}")
     except EngineError as e:

@@ -22,18 +22,21 @@ the inputs it still needs, and never data an earlier run loaded.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from collections import Counter
 from dataclasses import dataclass
 
 from . import array_engine
-from .array_store import StoredArray, array_from_coo_csv, array_to_coo_csv
-from .bridge import JoinOutputSpec, JoinStats, dispatch_join, to_array
+from .array_store import StoredArray
+from .bridge import (JoinOutputSpec, JoinStats, dispatch_join, to_array,
+                     to_relation)
 from .buffer_pool import BufferPool
 from .errors import ConfigError, EngineError, NotFoundError, PlanError
-from .models import (ArrayMeta, CellSchema, Collection, Relation,
-                     collection_from_jsonl, collection_to_jsonl,
+from .models import (FLOAT, UINT, ArrayMeta, CellSchema, Collection,
+                     Relation, collection_from_jsonl, collection_to_jsonl,
                      relation_from_csv, relation_to_csv, tile_extent)
 from .planner import (LogicalPlan, Partition, PartitionDag, TreeNode,
                       alias_key, dag_to_trees, partition,
@@ -101,7 +104,12 @@ class Catalog:
     def ingest(self, fmt: str, src_path: str, name: str, *,
                size=None, tile=None, layout: str = "dense") -> str:
         """Validate an external file and store it under the catalog name.
-        Returns the stored path."""
+        Returns the stored path.
+
+        A ``coo`` file is the CSV that ``format_result`` prints for an
+        array: read by the CSV loader with its first ``len(size)`` columns
+        typed ``uint`` and the rest ``float``, then made an array by
+        ``to_array`` with the given extent, tiling and layout."""
         if not os.path.isfile(src_path):
             raise NotFoundError(f"no such file: {src_path}")
         with open(src_path, "r", encoding="utf-8") as f:
@@ -119,20 +127,24 @@ class Catalog:
             if not size:
                 raise ConfigError("coo ingestion needs --size to fix the "
                                   "array extent")
-            size = tuple(int(s) for s in size)
-            tile = tuple(int(t) for t in tile) if tile else size
-            header = text.splitlines()[0].split(",") if text.strip() else []
+            size = _extent("--size", size)
+            tile = _extent("--tile-size", tile) if tile else size
+            header = next(filter(None, csv.reader(io.StringIO(text))), [])
             d = len(size)
             if len(header) <= d:
                 raise ConfigError("coo header needs dimension columns plus "
                                   "at least one value column")
-            from .models import FLOAT
-            schema = CellSchema(tuple(h.strip() for h in header[:d]),
-                                tuple(h.strip() for h in header[d:]),
-                                (FLOAT,) * (len(header) - d))
-            meta = ArrayMeta(schema, size, tile, layout)
-            pool = BufferPool(1 << 30)
-            arr = array_from_coo_csv(text, meta, pool, name=name)
+            dims, values = header[:d], header[d:]
+            try:
+                meta = ArrayMeta(CellSchema(tuple(dims), tuple(values),
+                                            (FLOAT,) * len(values)),
+                                 size, tile, layout)
+            except ValueError as e:
+                raise ConfigError(f"coo array: {e}") from None
+            rel = relation_from_csv(text, [(n, UINT) for n in dims] +
+                                    [(n, FLOAT) for n in values], name)
+            arr = to_array(rel, dims, values, meta, BufferPool(1 << 30),
+                           name=name)
             dst = self.path(name, "array")
             arr.save(dst)
             return dst
@@ -141,6 +153,14 @@ class Catalog:
         with open(dst, "w", encoding="utf-8") as f:
             f.write(payload)
         return dst
+
+
+def _extent(option: str, values) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in values)
+    except ValueError:
+        raise ConfigError(f"{option} takes comma-separated integers, got "
+                          f"{','.join(map(str, values))!r}") from None
 
 
 class Engine:
@@ -340,5 +360,5 @@ def format_result(value) -> str:
     if isinstance(value, Collection):
         return collection_to_jsonl(value)
     if isinstance(value, StoredArray):
-        return array_to_coo_csv(value)
+        return relation_to_csv(to_relation(value))
     return json.dumps(value, default=str)

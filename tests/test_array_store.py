@@ -14,14 +14,13 @@ from multimodel.array_store import (
     ArrayBuilder,
     StoredArray,
     Tile,
-    array_from_coo_csv,
-    array_to_coo_csv,
     block_tile,
     make_tile,
 )
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import (BoundsError, CapacityError, DuplicateCellError,
                                InternalError)
+from multimodel.executor import Catalog, format_result
 from multimodel.models import ABSENT
 
 from conftest import array_meta
@@ -118,7 +117,7 @@ def test_nbytes_counts_every_array_a_tile_holds(layout):
                 t.to_scratch, t.to_bytes):
         use()
         assert t.nbytes == _held_bytes(t)
-    back = Tile.from_bytes(t.to_bytes(), (0, 0), layout, (4, 5), [I8, F8])
+    back = Tile.from_bytes(t.to_bytes(), layout, (4, 5), [I8, F8])
     assert back.nbytes == _held_bytes(back) == t.nbytes
 
 
@@ -157,7 +156,7 @@ def test_tile_serialization_round_trip_is_byte_identical(data):
         min_size=k, max_size=k))
     t = make_tile((0,) * d, ts, ts, [F8], layout, cc, [vals])
     buf = t.to_bytes()
-    t2 = Tile.from_bytes(buf, (0,) * d, layout, ts, [F8])
+    t2 = Tile.from_bytes(buf, layout, ts, [F8])
     assert t2.to_bytes() == buf
     c1, v1 = t.cells()
     c2, v2 = t2.cells()
@@ -443,10 +442,15 @@ def test_builder_rejects_out_of_range_coordinate(pool):
         b.add_cells(np.array([[10, 0]]), [np.array([1.0])])
 
 
-def test_coo_csv_round_trip(pool):
+def test_coo_csv_round_trip(tmp_path, pool):
     arr = _filled_array(pool)
-    text = array_to_coo_csv(arr)
+    text = format_result(arr)
     header = text.splitlines()[0]
     assert header == "dim0,dim1,value"
-    back = array_from_coo_csv(text, arr.meta, pool, name="back")
+    src = tmp_path / "cells.csv"
+    src.write_text(text)
+    catalog = Catalog(str(tmp_path))
+    catalog.ingest("coo", str(src), "back", size=arr.meta.size,
+                   tile=arr.meta.tile_size)
+    back = catalog.load_array("back", pool)
     assert _cells_dict(back) == _cells_dict(arr)

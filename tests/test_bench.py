@@ -198,6 +198,70 @@ def test_cli_ingest_coo_and_open_array(tmp_path, capsys):
     assert set(out[1:]) == {"0,0,1.5", "3,2,2.5"}
 
 
+def test_cli_prints_bool_cells_as_tables_do(tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("r,c,b\n0,0,true\n1,1,false\n")
+    script = tmp_path / "q.m2s"
+    script.write_text("execute(openTable('t').toArray({'r', 'c'}, {'b'}))\n")
+    assert main(["run", str(script), "--data", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["r,c,b", "0,0,true",
+                                                    "1,1,false"]
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("r,c,v\n0,0,1.5\n\n2,3,-0.25\n", "r,c,v\n0,0,1.5\n2,3,-0.25\n"),
+    ("\n r, c,v\n3,1,2.0\n", " r, c,v\n3,1,2.0\n"),
+])
+def test_cli_coo_text_follows_the_csv_loader_rules(tmp_path, capsys, text,
+                                                   printed):
+    src = tmp_path / "cells.csv"
+    src.write_text(text)
+    assert main(["ingest", "coo", str(src), "--as", "grid",
+                 "--data", str(tmp_path), "--size", "4,4",
+                 "--tile-size", "2,2"]) == 0
+    script = tmp_path / "q.m2s"
+    script.write_text("execute(openArray('grid'))\n")
+    capsys.readouterr()
+    assert main(["run", str(script), "--data", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("text, line", [
+    ("r,c,v\n0,0,1.5\n1,1,abc\n", 3),  # non-numeric value
+    ("r,c,v\n\n0,-1,1.0\n", 3),  # negative coordinate
+    ("r,c,v\n0,0,\n", None),  # empty value cell
+])
+def test_cli_bad_coo_cell_is_one_line(tmp_path, capsys, text, line):
+    src = tmp_path / "cells.csv"
+    src.write_text(text)
+    assert main(["ingest", "coo", str(src), "--as", "grid",
+                 "--data", str(tmp_path / "cat"), "--size", "4,4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    if line is not None:
+        assert f"dataset 'grid', line {line}:" in err[0]
+    assert not (tmp_path / "cat" / "grid.m2ar").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "q.m2s", "--buffer-bytes", "0"],
+    ["run", "q.m2s", "--buffer-bytes", "-5"],
+    ["ingest", "coo", "cells.csv", "--as", "g", "--size", "4,x"],
+    ["ingest", "coo", "cells.csv", "--as", "g", "--size", "4,4,4",
+     "--tile-size", "0,2,2"],
+    ["ingest", "coo", "cells.csv", "--as", "g", "--size", "4,4",
+     "--tile-size", "2"],
+    ["ingest", "coo", "cells.csv", "--as", "g", "--size", "4,4,4",
+     "--layout", "csr"],
+])
+def test_cli_bad_option_is_one_line(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "cells.csv").write_text("x,y,z,v\n0,0,0,1.0\n")
+    (tmp_path / "q.m2s").write_text("execute(rand({2, 2}))\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_cli_bench_pool_writes_report(tmp_path, capsys):
     out = tmp_path / "pool.csv"
     assert main(["bench", "pool", "--capacity", "100000",
