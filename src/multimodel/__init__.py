@@ -5,6 +5,7 @@ order-preserving multi-stage hash join between arrays and record models.
 """
 
 from .errors import (
+    ArrayFileError,
     BindingError,
     BoundsError,
     CapacityError,

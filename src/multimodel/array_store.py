@@ -17,6 +17,14 @@ spilled and its spill file is deleted.
 Operators build tiles from blocks (``block_tile``) and read them as blocks
 (``Tile.to_scratch``: a dense tile's own, as read-only views).
 
+A ``StoredArray`` keeps per-tile state in columns indexed by row-major
+linear tile id, O(grid) like the file's directory: the slot table (layout
+tag; source: absent with no cells, the file loaded from, the spill file, or
+mem, dirty in the pool only; offset; length), pin, read and active-pin
+counts, and a ``registered`` mask, set once ``pool.add`` succeeds and cleared
+by eviction and ``pool.drop``. Loading reads no tile; staged lookups and
+``release()`` ask the pool only about registered tiles.
+
 On-disk format (one file per array, little-endian):
 magic "M2AR" | u32 version=1 | u32 d | u64 size[d] | u64 tile_size[d]
 | u32 desc_len | desc JSON | u8 layout_tag per tile (row-major)
@@ -32,12 +40,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from collections.abc import Mapping
 
 import numpy as np
 
 from .buffer_pool import BufferObject, BufferPool
-from .errors import BoundsError, DuplicateCellError, InternalError, TypeMismatchError
+from .errors import (ArrayFileError, BoundsError, DuplicateCellError, EngineError,
+                     InternalError, TypeMismatchError)
 from .models import ArrayMeta, CellSchema, ValueType
 
 __all__ = [
@@ -52,9 +61,6 @@ __all__ = [
 
 MAGIC = b"M2AR"
 FORMAT_VERSION = 1
-
-_LAYOUT_TAGS = {"absent": 0, "dense": 1, "coo": 2, "csr": 3}
-_TAG_LAYOUTS = {v: k for k, v in _LAYOUT_TAGS.items()}
 
 _DTYPES = {
     "int": np.dtype("<i8"),
@@ -278,20 +284,37 @@ def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
 
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class _Slot:
-    """Where the newest bytes of one tile live."""
-
-    layout: str
-    source: str  # file | spill | mem
-    path: str | None = None
-    offset: int = 0
-    length: int = 0
-    dirty: bool = False
-
+_LAYOUTS = ("absent", "dense", "coo", "csr")  # index: the on-disk layout tag
+_DENSE = 1
+_ABSENT, _FILE, _SPILL, _MEM = range(4)  # a tile's newest bytes: see below
+_SLOT = np.dtype([("tag", "u1"), ("src", "u1"), ("offset", "<i8"), ("length", "<i8")])
+_READ = np.dtype((np.record, [("tile", "<i8"), ("slot", _SLOT)]))  # a stage's reads
 
 _uid_counter = itertools.count(1)
+
+
+class _TileCounts(Mapping):
+    """Read-only {tile coords: count} view of a per-tile counter column or
+    list of a StoredArray, listing the tiles whose entry is not `unlisted`."""
+
+    def __init__(self, arr: "StoredArray", col, unlisted=0):
+        self._arr, self._col, self._unlisted = arr, col, unlisted
+
+    def __getitem__(self, tc) -> int:
+        try:
+            n = self._col[self._arr._tile_id(tc)]
+        except BoundsError:
+            raise KeyError(tc) from None
+        if n == self._unlisted:
+            raise KeyError(tc)
+        return int(n)
+
+    def __iter__(self):
+        listed = np.array(self._col, object) != self._unlisted
+        return iter(self._arr._coords(np.flatnonzero(listed)))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class StoredArray:
@@ -300,8 +323,9 @@ class StoredArray:
     Tiles are read one at a time through pin()/unpin() (or the ``pinned``
     context), which cache them in the pool, or a stage at a time through
     ``lookup_runs``, which reads the tiles that are not resident without
-    entering them in the pool.  Per-tile pin and disk-read counters are
-    kept for tests and for the benchmark harness.
+    entering them in the pool.  ``pin_counts``, ``disk_reads`` and
+    ``active_pins`` view per-tile columns as read-only mappings keyed by
+    tile coordinates, for tests and for the benchmark harness.
     """
 
     def __init__(self, meta: ArrayMeta, pool: BufferPool, *, name: str = "",
@@ -313,64 +337,79 @@ class StoredArray:
         self.spool_dir = spool_dir
         self.attr_dtypes = [dtype_for(t) for t in meta.schema.attr_types]
         self._grid = meta.grid
-        self._slots: dict[tuple, _Slot] = {}
-        self.pin_counts: dict[tuple, int] = {}
-        self.disk_reads: dict[tuple, int] = {}
-        self.active_pins: dict[tuple, int] = {}
+        n = math.prod(self._grid)
+        self._slots = np.zeros(n, _SLOT)  # tag 0 and source _ABSENT: no cells
+        self._tag, self._src, self._offset, self._length = (
+            self._slots[f] for f in _SLOT.names)  # the slot columns, as views
+        self._registered = np.zeros(n, bool)   # resident in the pool
+        self._pins = np.zeros(n, np.int64)     # since reset_io_stats
+        self._reads = np.zeros(n, np.int64)
+        self._active: list[int | None] = [None] * n  # None: never pinned
+        self.pin_counts = _TileCounts(self, self._pins)
+        self.disk_reads = _TileCounts(self, self._reads)
+        self.active_pins = _TileCounts(self, self._active, None)
+        self._path: str | None = None          # the file loaded from
         self._spill_path: str | None = None
 
     # -- geometry ---------------------------------------------------------
 
-    def _check_tc(self, tc):
-        grid = self._grid
-        if len(tc) != len(grid) or any(c < 0 or c >= g for c, g in zip(tc, grid)):
-            raise BoundsError(f"tile coord {tuple(tc)} outside grid {grid}")
+    def _tile_id(self, tc) -> int:
+        """Row-major linear id of tile coordinate `tc`."""
+        i = 0
+        if len(tc) == len(self._grid):
+            for c, g in zip(tc, self._grid):
+                if not 0 <= c < g:
+                    break
+                i = i * g + int(c)
+            else:
+                return i
+        raise BoundsError(f"tile coord {tuple(int(x) for x in tc)} outside "
+                          f"grid {self._grid}")
+
+    def _coords(self, ids) -> list[tuple]:
+        """Tile coordinates of linear ids (an array or a non-empty list)."""
+        return list(zip(*(c.tolist() for c in np.unravel_index(ids, self._grid))))
 
     def valid_extent(self, tc) -> tuple[int, ...]:
-        return tuple(
-            min(t, s - c * t)
-            for c, s, t in zip(tc, self.meta.size, self.meta.tile_size)
-        )
+        return tuple(min(t, s - c * t) for c, s, t in
+                     zip(tc, self.meta.size, self.meta.tile_size))
 
     def tile_coords(self) -> list[tuple]:
         """Coordinates of stored (non-empty) tiles in row-major order."""
-        return sorted(self._slots.keys())
+        return self._coords(np.flatnonzero(self._src))
 
-    def _key(self, tc):
-        return ("tile", self.uid, tc)
+    def _key(self, i: int):
+        return ("tile", self.uid, i)
 
     # -- pin / unpin --------------------------------------------------------
 
     def pin(self, tc) -> Tile:
-        tc = tuple(int(x) for x in tc)
-        self._check_tc(tc)
-        self.pin_counts[tc] = self.pin_counts.get(tc, 0) + 1
-        slot = self._slots.get(tc)
-        if slot is None:
+        i = self._tile_id(tc)
+        self._pins[i] += 1
+        src = self._src[i]
+        if src == _ABSENT:
             # absent tile == tile with zero cells; nothing read, nothing cached
             tile = make_tile(tc, self.meta.tile_size, self.valid_extent(tc),
                              self.attr_dtypes, self.meta.layout, [],
                              [[] for _ in self.attr_dtypes])
-            self.active_pins[tc] = self.active_pins.get(tc, 0) + 1
-            return tile
-        obj = self.pool.get(self._key(tc))
-        if obj is not None:
+        elif (obj := self.pool.get(self._key(i))) is not None:
             tile = obj.payload
         else:
-            if slot.source == "mem":
-                raise InternalError(f"in-memory tile {tc} lost without a spill")
-            tile = self._read_slot(tc, slot)
-            self.disk_reads[tc] = self.disk_reads.get(tc, 0) + 1
-            self._register(tc, tile, slot)
-        self.active_pins[tc] = self.active_pins.get(tc, 0) + 1
+            if src == _MEM:
+                raise InternalError(f"in-memory tile {self._coords([i])[0]} "
+                                    "lost without a spill")
+            tile = self._read_tile(i)
+            self._reads[i] += 1
+            self._register(i, tile)
+        self._active[i] = (self._active[i] or 0) + 1
         return tile
 
     def unpin(self, tc) -> None:
-        tc = tuple(int(x) for x in tc)
-        n = self.active_pins.get(tc, 0)
-        if n <= 0:
-            raise InternalError(f"unpin without pin for tile {tc}")
-        self.active_pins[tc] = n - 1
+        i = self._tile_id(tc)
+        n = self._active[i]
+        if not n:
+            raise InternalError(f"unpin without pin for tile {self._coords([i])[0]}")
+        self._active[i] = n - 1
 
     @contextlib.contextmanager
     def pinned(self, tc):
@@ -381,45 +420,42 @@ class StoredArray:
         finally:
             self.unpin(tc)
 
-    def _register(self, tc, tile: Tile, slot: _Slot) -> None:
-        def evictable() -> bool:
-            return self.active_pins.get(tc, 0) == 0
-
+    def _register(self, i: int, tile: Tile) -> None:
         def on_evict() -> None:
-            if slot.dirty:
-                self._spill(tile, slot)
+            if self._src[i] == _MEM:  # dirty: no copy on disk
+                self._spill(tile, i)
+            self._registered[i] = False
 
         self.pool.add(BufferObject(
-            id=self._key(tc), size=tile.nbytes, payload=tile,
-            is_evictable=evictable, do_eviction=on_evict,
-        ))
+            id=self._key(i), size=tile.nbytes, payload=tile,
+            is_evictable=lambda: not self._active[i], do_eviction=on_evict))
+        self._registered[i] = True
 
-    def _read_slot(self, tc, slot: _Slot) -> Tile:
+    def _read_tile(self, i: int) -> Tile:
         # one exact-length read: a buffered file would read a whole block
-        fd = os.open(slot.path, os.O_RDONLY)
+        path = self._path if self._src[i] == _FILE else self._spill_path
+        offset, length = int(self._offset[i]), int(self._length[i])
+        fd = os.open(path, os.O_RDONLY)
         try:
-            buf = os.pread(fd, slot.length, slot.offset)
+            buf = os.pread(fd, length, offset)
         finally:
             os.close(fd)
-        if len(buf) != slot.length:
-            raise InternalError(f"short read of tile {tc} from {slot.path}: "
-                                f"{len(buf)} of {slot.length} bytes")
-        return Tile.from_bytes(buf, slot.layout, self.meta.tile_size,
-                               self.attr_dtypes)
+        if len(buf) != length:
+            raise InternalError(f"short read of tile {self._coords([i])[0]} "
+                                f"from {path}: {len(buf)} of {length} bytes")
+        return Tile.from_bytes(buf, _LAYOUTS[self._tag[i]],
+                               self.meta.tile_size, self.attr_dtypes)
 
-    def _spill(self, tile: Tile, slot: _Slot) -> None:
+    def _spill(self, tile: Tile, i: int) -> None:
         if self._spill_path is None:
             base = self.spool_dir or "."
             os.makedirs(base, exist_ok=True)
             self._spill_path = os.path.join(base, f"{self.name}-{self.uid}.spill")
         buf = tile.to_bytes()
         with open(self._spill_path, "ab") as f:
-            slot.offset = f.tell()
+            self._offset[i] = f.tell()
             f.write(buf)
-        slot.path = self._spill_path
-        slot.length = len(buf)
-        slot.source = "spill"
-        slot.dirty = False
+        self._length[i], self._src[i] = len(buf), _SPILL
 
     # -- staged lookups ----------------------------------------------------
 
@@ -433,185 +469,154 @@ class StoredArray:
 
         Each run counts as a pin of its tile.  Runs are cut into stages
         whose distinct non-resident tiles fit the pool's free space, at
-        least one run per stage.  Resident tiles are used in place, pinned
-        for the whole call.  A stage's other tiles are read into one
-        buffer (``_read_stage``) and never registered in the pool, so the
-        scan evicts nothing; its dense tiles are looked up as one dense
-        tile over the box (tiles, cells), its sparse ones as one sparse
-        tile over the same box.  ``stats`` (a ``JoinStats``) gains the
-        stages, preads and bytes read.
+        least one run per stage.  Resident tiles (the registered ones) are
+        used in place, pinned for the whole call.  A stage's other tiles
+        are read and looked up by ``_lookup_stage``, never registered in
+        the pool, so the scan evicts nothing.  ``stats`` (a ``JoinStats``)
+        gains the stages, preads and bytes read.
         """
         n = int(run_lengths.sum())
         found = np.zeros(n, dtype=bool)
         values = [np.zeros(n, dt) for dt in self.attr_dtypes]
-        if n == 0:
-            return found, values
         uniq, inv, runs_per_tile = np.unique(run_tiles, return_inverse=True,
                                              return_counts=True)
-        tcs = [tuple(t) for t in
-               np.transpose(np.unravel_index(uniq, self._grid)).tolist()]
-        slots = [self._slots.get(tc) for tc in tcs]
-        for tc, k in zip(tcs, runs_per_tile.tolist()):
-            self.pin_counts[tc] = self.pin_counts.get(tc, 0) + k
-        resident: dict[int, Tile] = {}
-        size = np.zeros(len(uniq), dtype=np.int64)  # decoded bytes, at most
-        for u, (tc, slot) in enumerate(zip(tcs, slots)):
-            if slot is None:
-                continue  # absent: a tile with zero cells, nothing to read
-            obj = self.pool.get(self._key(tc))
-            if obj is not None:
-                resident[u] = obj.payload
-            elif slot.source == "mem":
-                raise InternalError(f"in-memory tile {tc} lost without a spill")
-            else:
-                size[u] = 64 + slot.length
+        self._pins[uniq] += runs_per_tile
+        src, held = self._src[uniq], self._registered[uniq]
+        if (lost := uniq[(src == _MEM) & ~held]).size:
+            raise InternalError(f"in-memory tile {self._coords(lost)[0]} "
+                                "lost without a spill")
+        read = (src != _ABSENT) & ~held
+        size = np.where(read, 64 + self._length[uniq], 0)  # decoded, at most
         bounds, prev = _stage_bounds(inv, size, self.pool.capacity
                                      - self.pool.stats().resident_bytes)
         starts = np.concatenate(([0], np.cumsum(run_lengths)))
-        pos = np.empty(len(uniq), dtype=np.int64)  # stage position per tile
+        rank = np.empty(len(uniq), dtype=np.int64)  # stage read order
         fds: dict[str, int] = {}
-        for u in resident:
-            self.active_pins[tcs[u]] = self.active_pins.get(tcs[u], 0) + 1
+        held_ids = uniq[held].tolist()
+        resident = dict(zip(np.flatnonzero(held).tolist(), (
+            self.pool.get(self._key(t)).payload for t in held_ids)))
+        for t in held_ids:
+            self._active[t] = (self._active[t] or 0) + 1
         try:
+            for r in np.flatnonzero(held[inv]).tolist():
+                lo, hi = starts[r], starts[r + 1]
+                cc = np.column_stack(np.unravel_index(cells[lo:hi],
+                                                      self.meta.tile_size))
+                found[lo:hi], vals = resident[inv[r]].lookup(cc)
+                for out, v in zip(values, vals):
+                    out[lo:hi] = v
             for s, e in zip(bounds[:-1], bounds[1:]):
+                runs = inv[s:e]
+                stage = runs[(prev[s:e] < s) & read[runs]]  # first runs only
+                if not len(stage):
+                    continue
+                ids = uniq[stage]
+                order = np.lexsort((self._offset[ids], self._src[ids],
+                                    self._tag[ids] != _DENSE))
+                rank[stage[order]] = np.arange(len(stage))
                 lo, hi = starts[s], starts[e]
-                stage = inv[s:e][prev[s:e] < s]  # first runs on each tile
-                pos[stage] = np.arange(len(stage))
-                self._lookup_stage(
-                    [(tcs[u], slots[u], resident.get(u)) for u in stage.tolist()],
-                    pos[inv[s:e]], run_lengths[s:e], cells[lo:hi],
-                    found[lo:hi], [v[lo:hi] for v in values], fds, stats)
+                self._lookup_stage(ids[order], np.where(read[runs], rank[runs], -1),
+                                   run_lengths[s:e], cells[lo:hi], found[lo:hi],
+                                   [v[lo:hi] for v in values], fds, stats)
             stats.stages += len(bounds) - 1
         finally:
             for fd in fds.values():
                 os.close(fd)
-            for u in resident:
-                self.active_pins[tcs[u]] -= 1
+            for t in held_ids:
+                self._active[t] -= 1
         return found, values
 
-    def _lookup_stage(self, tiles, run_pos, run_lengths, cells, found,
-                      values, fds, stats) -> None:
-        """One stage of ``lookup_runs``: `tiles` holds (tc, slot or None,
-        resident tile or None) per stage position, `run_pos` each run's
-        stage position and `run_lengths` its records.  Writes into `found`
-        and `values`."""
-        reads = [p for p, (_, slot, tile) in enumerate(tiles)
-                 if slot is not None and tile is None]
-        reads.sort(key=lambda p: (tiles[p][1].layout != "dense",
-                                  tiles[p][1].path, tiles[p][1].offset))
-        if reads:
-            buf, at = self._read_stage([tiles[p][:2] for p in reads], fds,
-                                       stats)
-            rank = np.full(len(tiles), -1, dtype=np.int64)
-            rank[reads] = np.arange(len(reads))
-            rec_rank = np.repeat(rank[run_pos], run_lengths)
-            for block, first in self._stage_blocks([tiles[p] for p in reads],
-                                                   buf, at):
-                last = first + block.ts[0]
-                m = (slice(None) if last - first == len(tiles)
-                     else (rec_rank >= first) & (rec_rank < last))
-                found[m], vals = block.lookup(
-                    np.column_stack((rec_rank[m] - first, cells[m])))
-                for out, v in zip(values, vals):
-                    out[m] = v
-        if len(reads) < len(tiles):  # resident or absent tiles
-            held = np.array([tile is not None for _, _, tile in tiles])
-            starts = np.concatenate(([0], np.cumsum(run_lengths)))
-            for r in np.flatnonzero(held[run_pos]).tolist():
-                lo, hi = starts[r], starts[r + 1]
-                cc = np.column_stack(np.unravel_index(cells[lo:hi],
-                                                      self.meta.tile_size))
-                found[lo:hi], vals = tiles[run_pos[r]][2].lookup(cc)
-                for out, v in zip(values, vals):
-                    out[lo:hi] = v
+    def _lookup_stage(self, ids, run_rank, run_lengths, cells, found, values,
+                      fds, stats) -> None:
+        """One stage of ``lookup_runs``: read tiles `ids` into one buffer in
+        that order (dense ones first), then look up the records of the runs
+        whose `run_rank`, the rank of their tile in `ids`, is not -1.  The
+        dense tiles are looked up as one dense tile viewing the buffer, over
+        the box (tiles, cells of a tile), and the sparse ones decoded into
+        one sparse tile over the same box.  Writes into `found` and
+        `values`."""
+        reads = np.empty(len(ids), _READ)
+        reads["tile"], reads["slot"] = ids, self._slots[ids]
+        buf, at = self._read_stage(reads, fds, stats)
+        rec_rank = np.repeat(run_rank, run_lengths)
 
-    def _stage_blocks(self, reads, buf, at):
-        """The tiles read into `buf` (dense ones first) as at most two
-        tiles over the box (tiles, cells of a tile), each with the rank of
-        its first tile: the dense ones as one dense tile viewing the buffer,
-        the sparse ones decoded into one sparse tile whose keys are offset
-        by each tile's rank among them."""
+        def look(block: Tile, first: int) -> None:  # every record on a block tile?
+            m = (slice(None) if block.ts[0] == len(ids) and run_rank.min() >= 0
+                 else (rec_rank >= first) & (rec_rank < first + block.ts[0]))
+            found[m], vals = block.lookup(
+                np.column_stack((rec_rank[m] - first, cells[m])))
+            for out, v in zip(values, vals):
+                out[m] = v
+
         ts, dtypes = self.meta.tile_size, self.attr_dtypes
         ncell = math.prod(ts)
-        n_dense = sum(slot.layout == "dense" for _, slot, _ in reads)
-        blocks = []
-        if n_dense:
+        tags = reads["slot"]["tag"]
+        n_dense = int(np.count_nonzero(tags == _DENSE))
+        if n_dense:  # each dense tile's bytes: its mask, then each value block
             width = ncell * (1 + sum(dt.itemsize for dt in dtypes))
-            for tc, slot, _ in reads[:n_dense]:
-                if slot.length != width:
-                    raise InternalError(
-                        f"dense tile {tc} has a {slot.length}-byte slot, "
-                        f"expected {width}")
             block = buf[:n_dense * width].reshape(n_dense, width)
             cols, off = [], ncell
             for dt in dtypes:
                 cols.append(block[:, off:off + ncell * dt.itemsize].view(dt))
                 off += ncell * dt.itemsize
-            blocks.append((Tile("dense", (n_dense, ncell), dtypes,
-                                block[:, :ncell].view(bool), cols), 0))
+            look(Tile("dense", (n_dense, ncell), dtypes,
+                      block[:, :ncell].view(bool), cols), 0)
         if n_dense < len(reads):
             view = memoryview(buf)
-            sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], slot.layout, ts,
-                                      dtypes)
-                      for k, (_, slot, _) in enumerate(reads) if k >= n_dense]
+            sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], _LAYOUTS[tag],
+                                      ts, dtypes)
+                      for k, tag in enumerate(tags.tolist()) if k >= n_dense]
             keys = np.concatenate([t.index + np.uint64(j * ncell)
                                    for j, t in enumerate(sparse)])
             cols = [np.concatenate(c) for c in zip(*(t.values for t in sparse))]
-            blocks.append((Tile("coo", (len(sparse), ncell), dtypes,
-                                keys, cols), n_dense))
-        return blocks
+            look(Tile("coo", (len(sparse), ncell), dtypes, keys, cols), n_dense)
 
     def _read_stage(self, reads, fds, stats):
-        """Read the slots of `reads` [(tc, slot)] into one buffer, in the
-        given order: each run of slots adjacent in one file takes one pread
-        (more only if the kernel returns short), over one fd per file kept
-        in `fds`.  Returns the buffer and each slot's start in it (plus the
-        end)."""
-        at = list(itertools.accumulate((slot.length for _, slot in reads),
-                                       initial=0))
+        """Read the slots of `reads` (``_READ`` records: tile id, slot) into
+        one buffer, in the given order: each run of slots adjacent in one
+        file takes one pread (more only if the kernel returns short), over
+        one fd per file kept in `fds`.  Returns the buffer and each slot's
+        start in it (plus the end)."""
+        src = reads["slot"]["src"]
+        offset, length = reads["slot"]["offset"], reads["slot"]["length"]
+        at = np.concatenate(([0], np.cumsum(length))).tolist()
         buf = np.empty(at[-1], dtype=np.uint8)
         view = memoryview(buf)
-        i = 0
-        while i < len(reads):
-            path, offset = reads[i][1].path, reads[i][1].offset
-            j = i + 1
-            while (j < len(reads) and reads[j][1].path == path and
-                   reads[j][1].offset == offset + at[j] - at[i]):
-                j += 1
+        cut = np.flatnonzero((src[1:] != src[:-1]) |
+                             (offset[1:] != offset[:-1] + length[:-1])) + 1
+        edges = [0, *cut.tolist(), len(reads)]
+        for i, j in zip(edges[:-1], edges[1:]):
+            path = self._path if src[i] == _FILE else self._spill_path
             if path not in fds:
                 fds[path] = os.open(path, os.O_RDONLY)
-            lo, hi = at[i], at[j]
+            lo, hi, pos = at[i], at[j], int(offset[i])
             while lo < hi:
-                got = os.preadv(fds[path], [view[lo:hi]], offset)
+                got = os.preadv(fds[path], [view[lo:hi]], pos)
                 stats.preads += 1
                 if got == 0:
                     k = bisect.bisect_right(at, lo) - 1
-                    tc, slot = reads[k]
-                    raise InternalError(
-                        f"short read of tile {tc} from {path}: "
-                        f"{lo - at[k]} of {slot.length} bytes")
+                    tc = self._coords(reads["tile"][k:k + 1])[0]
+                    raise InternalError(f"short read of tile {tc} from {path}: "
+                                        f"{lo - at[k]} of {length[k]} bytes")
                 lo += got
-                offset += got
-            i = j
-        for tc, _ in reads:
-            self.disk_reads[tc] = self.disk_reads.get(tc, 0) + 1
+                pos += got
+        self._reads[reads["tile"]] += 1
         stats.bytes_read += at[-1]
         return buf, at
 
     # -- writing -------------------------------------------------------------
 
     def write_tile(self, tc, tile: Tile) -> None:
-        """Install a freshly built tile (replaces any previous content)."""
-        tc = tuple(int(x) for x in tc)
-        self._check_tc(tc)
-        if tile.cell_count() == 0:
-            self._slots.pop(tc, None)
-            self.pool.drop(self._key(tc))
-            return
-        self.pool.drop(self._key(tc))
-        slot = _Slot(layout=tile.layout, source="mem", dirty=True)
-        self._slots[tc] = slot
-        self._register(tc, tile, slot)
+        """Install a freshly built tile (replaces any previous content); a
+        tile the pool refuses is not stored, and the tile reads as empty."""
+        i = self._tile_id(tc)
+        if self._registered[i]:
+            self.pool.drop(self._key(i))
+            self._registered[i] = False
+        self._slots[i] = 0  # absent: a tile with zero cells
+        if tile.cell_count():
+            self._register(i, tile)
+            self._slots[i] = (_LAYOUTS.index(tile.layout), _MEM, 0, 0)
 
     # -- whole-array iteration -------------------------------------------
 
@@ -625,11 +630,7 @@ class StoredArray:
             yield np.asarray(tc, dtype=np.uint64) * ts + cc, vals
 
     def cell_count(self) -> int:
-        total = 0
-        for tc in self.tile_coords():
-            with self.pinned(tc) as tile:
-                total += tile.cell_count()
-        return total
+        return sum(len(cc) for cc, _ in self.iter_cells())
 
     # -- persistence -----------------------------------------------------
 
@@ -643,75 +644,79 @@ class StoredArray:
         }
 
     def save(self, path: str) -> None:
-        meta = self.meta
-        grid = meta.grid
-        all_tcs = list(itertools.product(*[range(g) for g in grid]))
+        meta, n = self.meta, len(self._tag)
         desc = json.dumps(self.descriptor(), separators=(",", ":")).encode()
-        blocks: list[bytes] = []
-        tags = bytearray(len(all_tcs))
-        directory = []
-        header_len = (
-            4 + 4 + 4 + 8 * meta.d * 2 + 4 + len(desc) + len(all_tcs) + 16 * len(all_tcs)
-        )
-        pos = header_len
-        for i, tc in enumerate(all_tcs):
-            if tc not in self._slots:
-                directory.append((0, 0))
-                continue
+        head = struct.pack(f"<4sII{2 * meta.d}QI", MAGIC, FORMAT_VERSION,
+                           meta.d, *meta.size, *meta.tile_size, len(desc))
+        blocks = []
+        for tc in self.tile_coords():
             with self.pinned(tc) as tile:
-                buf = tile.to_bytes()
-            tags[i] = _LAYOUT_TAGS[tile.layout]
-            directory.append((pos, len(buf)))
-            blocks.append(buf)
-            pos += len(buf)
+                blocks.append(tile.to_bytes())
+        directory = np.zeros((n, 2), dtype="<u8")  # (offset, length) per tile
+        length = directory[:, 1]
+        length[self._src != _ABSENT] = [len(b) for b in blocks]
+        directory[:, 0] = np.where(length, len(head) + len(desc) + 17 * n
+                                   + np.cumsum(length) - length, 0)
         with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<II", FORMAT_VERSION, meta.d))
-            f.write(struct.pack(f"<{meta.d}Q", *meta.size))
-            f.write(struct.pack(f"<{meta.d}Q", *meta.tile_size))
-            f.write(struct.pack("<I", len(desc)))
-            f.write(desc)
-            f.write(bytes(tags))
-            for off, ln in directory:
-                f.write(struct.pack("<QQ", off, ln))
+            f.write(head + desc + self._tag.tobytes() + directory.tobytes())
             for buf in blocks:
                 f.write(buf)
 
     @classmethod
     def load(cls, path: str, pool: BufferPool, *, name: str = "",
              spool_dir: str | None = None) -> "StoredArray":
-        with open(path, "rb") as f:
-            head = f.read(12)
-            if head[:4] != MAGIC:
-                raise ValueError(f"{path}: not an array file (bad magic)")
-            version, d = struct.unpack("<II", head[4:])
+        """Open an array file: read its header, layout tags and directory
+        (never a tile) and check them; ``ArrayFileError`` names the file
+        and what is wrong with it."""
+        def read(n: int, at: int) -> bytes:
+            buf = os.pread(fd, n, at) if at + n <= size else b""
+            if len(buf) != n:
+                raise ArrayFileError(f"{path}: truncated: {size} bytes, "
+                                     f"the header and directory need {at + n}")
+            return buf
+
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            if os.pread(fd, 4, 0) != MAGIC:
+                raise ArrayFileError(f"{path}: not an array file (bad magic)")
+            version, d = struct.unpack("<II", read(8, 4))
             if version != FORMAT_VERSION:
-                raise ValueError(f"{path}: unsupported version {version}")
-            size = struct.unpack(f"<{d}Q", f.read(8 * d))
-            ts = struct.unpack(f"<{d}Q", f.read(8 * d))
-            (desc_len,) = struct.unpack("<I", f.read(4))
-            desc = json.loads(f.read(desc_len))
-            grid = tuple(-(-s // t) for s, t in zip(size, ts))
-            ntiles = int(np.prod(grid)) if grid else 0
-            tags = f.read(ntiles)
-            directory = [struct.unpack("<QQ", f.read(16)) for _ in range(ntiles)]
-        schema = CellSchema(
-            dim_names=tuple(desc["dims"]),
-            attr_names=tuple(n for n, _ in desc["attrs"]),
-            attr_types=tuple(ValueType.parse(t) for _, t in desc["attrs"]),
-        )
-        meta = ArrayMeta(schema, tuple(int(s) for s in size),
-                         tuple(int(t) for t in ts),
-                         layout=desc.get("layout", "dense"),
-                         seed=desc.get("seed"))
+                raise ArrayFileError(f"{path}: unsupported version {version}")
+            *shape, desc_len = struct.unpack(f"<{2 * d}QI", read(16 * d + 4, 12))
+            # a zero tile extent is refused by ArrayMeta below
+            ntiles = math.prod(-(-s // max(t, 1)) for s, t in zip(shape[:d], shape[d:]))
+            rest = read(desc_len + 17 * ntiles, 16 + 16 * d)
+        finally:
+            os.close(fd)
+        try:
+            desc = json.loads(rest[:desc_len])
+            meta = ArrayMeta(CellSchema(
+                dim_names=tuple(desc["dims"]),
+                attr_names=tuple(n for n, _ in desc["attrs"]),
+                attr_types=tuple(ValueType.parse(t) for _, t in desc["attrs"]),
+            ), tuple(shape[:d]), tuple(shape[d:]),
+                layout=desc.get("layout", "dense"), seed=desc.get("seed"))
+        except (ValueError, KeyError, TypeError, EngineError) as e:
+            raise ArrayFileError(f"{path}: bad header or descriptor: {e}") from None
         arr = cls(meta, pool, name=name or os.path.basename(path), spool_dir=spool_dir)
-        all_tcs = itertools.product(*[range(g) for g in grid])
-        for i, tc in enumerate(all_tcs):
-            off, ln = directory[i]
-            if ln == 0:
-                continue
-            arr._slots[tc] = _Slot(layout=_TAG_LAYOUTS[tags[i]], source="file",
-                                   path=path, offset=off, length=ln)
+        tags = np.frombuffer(rest, np.uint8, ntiles, desc_len)
+        offset, length = np.frombuffer(rest, "<u8", 2 * ntiles,
+                                       desc_len + ntiles).reshape(-1, 2).T
+        unknown = tags >= len(_LAYOUTS)
+        width = math.prod(shape[d:]) * (1 + sum(t.itemsize for t in arr.attr_dtypes))
+        skewed = ((tags == 0) != (length == 0)) | (tags == _DENSE) & (length != width)
+        if (bad := np.flatnonzero(unknown | skewed | (length > size) |
+                                  (offset > size - length))).size:
+            k = int(bad[0])
+            raise ArrayFileError(f"{path}: tile {arr._coords([k])[0]}: " + (
+                f"unknown layout tag {tags[k]}" if unknown[k] else
+                f"layout tag {tags[k]} with a {length[k]}-byte slot" if skewed[k]
+                else f"slot of {length[k]} bytes at {offset[k]} ends beyond "
+                     f"the file's {size} bytes"))
+        arr._tag[:], arr._offset[:], arr._length[:] = tags, offset, length
+        arr._src[tags != 0] = _FILE
+        arr._path = path
         return arr
 
     # -- bookkeeping -------------------------------------------------------
@@ -730,25 +735,24 @@ class StoredArray:
         """Free the array: drop its tiles from the pool without spilling
         them, delete its spill file, and forget every tile (it reads as
         empty afterwards).  Files the array was loaded from stay."""
-        for tc in self._slots:
-            self.pool.drop(self._key(tc))
-        self._slots.clear()
+        for i in np.flatnonzero(self._registered).tolist():
+            self.pool.drop(self._key(i))
+        self._registered[:] = self._slots[:] = 0
         if self._spill_path is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(self._spill_path)
             self._spill_path = None
 
     def reset_io_stats(self) -> None:
-        self.pin_counts.clear()
-        self.disk_reads.clear()
+        self._pins[:] = self._reads[:] = 0
 
     @property
     def total_pins(self) -> int:
-        return sum(self.pin_counts.values())
+        return int(self._pins.sum())
 
     @property
     def total_reads(self) -> int:
-        return sum(self.disk_reads.values())
+        return int(self._reads.sum())
 
 
 class ArrayBuilder:
@@ -775,26 +779,21 @@ class ArrayBuilder:
                              zip(values, self.arr.attr_dtypes)])
 
     def finish(self) -> StoredArray:
+        arr = self.arr
         if self._coords:
             coords = np.concatenate(self._coords)
-            cols = [np.concatenate(parts) for parts in zip(*self._values)]
-            ts = np.array(self.arr.meta.tile_size, dtype=np.int64)
-            tcs = coords // ts
-            order = np.lexsort(tcs.T[::-1])
-            coords, tcs = coords[order], tcs[order]
-            cols = [c[order] for c in cols]
-            with self.arr.release_on_error():  # non-empty: add_cells skips empty batches
-                change = np.flatnonzero((tcs[1:] != tcs[:-1]).any(axis=1)) + 1
-                bounds = np.concatenate(([0], change, [len(coords)]))
-                for i in range(len(bounds) - 1):
-                    lo, hi = int(bounds[i]), int(bounds[i + 1])
-                    tc = tuple(int(x) for x in tcs[lo])
-                    cc = coords[lo:hi] - tcs[lo] * ts
-                    tile = make_tile(tc, self.arr.meta.tile_size,
-                                     self.arr.valid_extent(tc), self.arr.attr_dtypes,
-                                     self.arr.meta.layout, cc,
-                                     [c[lo:hi] for c in cols])
-                    self.arr.write_tile(tc, tile)
+            ts = np.array(arr.meta.tile_size, dtype=np.int64)
+            tid = np.ravel_multi_index((coords // ts).T, arr._grid)
+            order = np.argsort(tid, kind="stable")  # tiles in row-major order
+            coords, tid = coords[order], tid[order]
+            cols = [np.concatenate(parts)[order] for parts in zip(*self._values)]
+            bounds = np.flatnonzero(np.diff(tid, prepend=-1, append=-1)).tolist()
+            with arr.release_on_error():  # non-empty: add_cells skips empty batches
+                for tc, lo, hi in zip(arr._coords(tid[bounds[:-1]]), bounds, bounds[1:]):
+                    arr.write_tile(tc, make_tile(
+                        tc, arr.meta.tile_size, arr.valid_extent(tc), arr.attr_dtypes,
+                        arr.meta.layout, coords[lo:hi] - ts * tc,
+                        [c[lo:hi] for c in cols]))
         self._coords = []
         self._values = []
-        return self.arr
+        return arr

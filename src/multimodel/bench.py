@@ -184,7 +184,7 @@ def bench_mshj(dims: int = 2, layout: str = "dense",
                     "build_ms": round(stats.build_seconds * 1000.0, 3),
                     "convert_ms": round(stats.convert_seconds * 1000.0, 3),
                     "tile_pins": stats.tile_pins,
-                    "tile_reads": sum(arr.disk_reads.values()),
+                    "tile_reads": arr.total_reads,
                     "block_scans": stats.block_scans,
                     "stages": stats.stages,
                     "preads": stats.preads,

@@ -71,6 +71,13 @@ class DataFormatError(EngineError, ValueError):
         self.line = line
 
 
+class ArrayFileError(EngineError, ValueError):
+    """An array file that cannot be opened: bad magic or version, a header
+    or directory cut short, an unknown layout tag, or a tile slot that is
+    empty or ends beyond the file.  Names the file; also a ValueError, as
+    ``StoredArray.load`` raised before it existed."""
+
+
 class InternalError(EngineError):
     """Invariant breach; indicates a bug, not a user error."""
 

@@ -29,15 +29,19 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import array_engine
 from .array_store import StoredArray
 from .bridge import (JoinOutputSpec, JoinStats, dispatch_join, to_array,
                      to_relation)
 from .buffer_pool import BufferPool
-from .errors import ConfigError, EngineError, NotFoundError, PlanError
-from .models import (FLOAT, UINT, ArrayMeta, CellSchema, Collection,
-                     Relation, collection_from_jsonl, collection_to_jsonl,
-                     relation_from_csv, relation_to_csv, tile_extent)
+from .errors import (ConfigError, DataFormatError, EngineError, NotFoundError,
+                     PlanError)
+from .models import (FLOAT, STRING, UINT, ArrayMeta, CellSchema, Collection,
+                     Relation, _csv_row_line, collection_from_jsonl,
+                     collection_to_jsonl, relation_from_csv, relation_to_csv,
+                     tile_extent)
 from .planner import (LogicalPlan, Partition, PartitionDag, TreeNode,
                       alias_key, dag_to_trees, partition,
                       partition_dag_to_dict, plan_to_dict, topo_order)
@@ -108,8 +112,10 @@ class Catalog:
 
         A ``coo`` file is the CSV that ``format_result`` prints for an
         array: read by the CSV loader with its first ``len(size)`` columns
-        typed ``uint`` and the rest ``float``, then made an array by
-        ``to_array`` with the given extent, tiling and layout."""
+        typed ``uint`` and the rest's types inferred (a value column no
+        bool, int or float reads, or one without cells, is read as float),
+        then made an array by ``to_array`` with the given extent, tiling
+        and layout.  An empty cell is refused with its line."""
         if not os.path.isfile(src_path):
             raise NotFoundError(f"no such file: {src_path}")
         with open(src_path, "r", encoding="utf-8") as f:
@@ -135,14 +141,23 @@ class Catalog:
                 raise ConfigError("coo header needs dimension columns plus "
                                   "at least one value column")
             dims, values = header[:d], header[d:]
+            rel = relation_from_csv(text, [(n, UINT) for n in dims] +
+                                    [(n, None) for n in values], name)
+            nulls = [c.null_mask() for c in rel.columns]
+            if (bad := np.logical_or.reduce(nulls)).any():
+                r = int(np.argmax(bad))
+                col = next(n for n, null in zip(header, nulls) if null[r])
+                raise DataFormatError(f"column {col!r}: empty cell", name,
+                                      _csv_row_line(text, r + 1))
+            if STRING in (vt for _, vt in rel.schema):
+                # as float, whose parse names the first cell it cannot read
+                rel = relation_from_csv(text, [(n, FLOAT if vt == STRING else vt)
+                                               for n, vt in rel.schema], name)
             try:
-                meta = ArrayMeta(CellSchema(tuple(dims), tuple(values),
-                                            (FLOAT,) * len(values)),
-                                 size, tile, layout)
+                meta = ArrayMeta(CellSchema(tuple(dims), tuple(values), tuple(
+                    vt for _, vt in rel.schema[d:])), size, tile, layout)
             except ValueError as e:
                 raise ConfigError(f"coo array: {e}") from None
-            rel = relation_from_csv(text, [(n, UINT) for n in dims] +
-                                    [(n, FLOAT) for n in values], name)
             arr = to_array(rel, dims, values, meta, BufferPool(1 << 30),
                            name=name)
             dst = self.path(name, "array")

@@ -687,7 +687,8 @@ def relation_from_csv(text: str,
 
     Blank lines are skipped; every other row must have as many fields as
     the header.  An empty cell is null.  Without a declared schema each
-    column's type is inferred (bool, then int, then float, else string).
+    column's type is inferred (bool, then int, then float, else string),
+    and so is each column a declared schema types ``None``.
     Malformed text raises DataFormatError with ``name`` and the 1-based
     line of the offending row.
 
@@ -723,23 +724,21 @@ def relation_from_csv(text: str,
             n += len(chunk)
     except csv.Error as e:
         raise DataFormatError(str(e), name, reader.line_num) from None
-    if schema is None:
-        schema = []
-        for j, hname in enumerate(header):
-            vt, cols[j] = _infer_column(cols[j])
-            schema.append((hname, vt))
-    else:
-        for j, (hname, vt) in enumerate(schema):
-            conv = _FROM_TEXT.get(vt.kind)
-            try:
-                cols[j] = _convert(cols[j], conv, vt)
-            except ValueError:
-                bad = next(i for i, t in enumerate(cols[j])
-                           if not _converts(conv, t))
-                raise DataFormatError(f"column {hname!r}: {cols[j][bad]!r} is "
-                                      f"not {vt}", name,
-                                      _csv_row_line(text, bad + 1)) from None
-    return Relation.from_columns(schema, cols, n)
+    types = [None] * ncols if schema is None else [vt for _, vt in schema]
+    for j, (hname, vt) in enumerate(zip(header, types)):
+        if vt is None:
+            types[j], cols[j] = _infer_column(cols[j])
+            continue
+        conv = _FROM_TEXT.get(vt.kind)
+        try:
+            cols[j] = _convert(cols[j], conv, vt)
+        except ValueError:
+            bad = next(i for i, t in enumerate(cols[j])
+                       if not _converts(conv, t))
+            raise DataFormatError(f"column {hname!r}: {cols[j][bad]!r} is "
+                                  f"not {vt}", name,
+                                  _csv_row_line(text, bad + 1)) from None
+    return Relation.from_columns(list(zip(header, types)), cols, n)
 
 
 def _converts(conv, text: str) -> bool:

@@ -414,16 +414,16 @@ def test_tile_read_is_one_exact_length_pread(tmp_path, pool, monkeypatch):
     monkeypatch.setattr(os, "pread", spy)
     arr.pin((1, 1))
     arr.unpin((1, 1))
-    slot = arr._slots[(1, 1)]
-    assert reads == [(slot.length, slot.offset)]
+    i = arr._tile_id((1, 1))
+    assert reads == [(arr._length[i], arr._offset[i])]
 
 
 def test_short_tile_read_is_internal_error(tmp_path, pool):
     path = str(tmp_path / "a.m2ar")
     _filled_array(pool).save(path)
     arr = StoredArray.load(path, pool)
-    last = max(arr.tile_coords(), key=lambda tc: arr._slots[tc].offset)
-    os.truncate(path, arr._slots[last].offset + 1)
+    last = max(arr.tile_coords(), key=lambda tc: arr._offset[arr._tile_id(tc)])
+    os.truncate(path, arr._offset[arr._tile_id(last)] + 1)
     with pytest.raises(InternalError, match="short read"):
         arr.pin(last)
     assert arr.active_pins.get(last, 0) == 0

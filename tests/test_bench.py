@@ -8,6 +8,7 @@ from multimodel.bench import (REPORT_COLUMNS, bench_bufferpool, bench_mshj,
                               parse_sweep, pool_workload, replay_events,
                               write_report)
 from multimodel.cli import main
+from multimodel.executor import Engine, EngineConfig
 
 SMALL = dict(size=(60, 40), tile=(20, 10), repeat=1)
 
@@ -228,7 +229,9 @@ def test_cli_coo_text_follows_the_csv_loader_rules(tmp_path, capsys, text,
 @pytest.mark.parametrize("text, line", [
     ("r,c,v\n0,0,1.5\n1,1,abc\n", 3),  # non-numeric value
     ("r,c,v\n\n0,-1,1.0\n", 3),  # negative coordinate
-    ("r,c,v\n0,0,\n", None),  # empty value cell
+    ("r,c,v\n0,0,\n", 2),  # empty value cell
+    ("r,c,v\n0,0,1\n\n1,1,\n", 4),  # empty value cell after a blank line
+    ("r,c,v\n0,0,true\n,1,false\n", 3),  # empty coordinate cell
 ])
 def test_cli_bad_coo_cell_is_one_line(tmp_path, capsys, text, line):
     src = tmp_path / "cells.csv"
@@ -237,9 +240,39 @@ def test_cli_bad_coo_cell_is_one_line(tmp_path, capsys, text, line):
                  "--data", str(tmp_path / "cat"), "--size", "4,4"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    if line is not None:
-        assert f"dataset 'grid', line {line}:" in err[0]
+    assert f"dataset 'grid', line {line}:" in err[0]
     assert not (tmp_path / "cat" / "grid.m2ar").exists()
+
+
+@pytest.mark.parametrize("cells, kind", [
+    (["7", "-2", "40"], "int"),
+    (["1.5", "-0.25", "2.0"], "float"),
+    (["true", "false", "true"], "bool"),
+])
+def test_printed_array_reads_back_with_its_type(tmp_path, capsys, cells,
+                                                kind):
+    """``run`` prints an array; ``ingest coo`` of that text, printed again,
+    gives the same text and the same value type."""
+    rows = "".join(f"{r},{c},{v}\n" for (r, c), v in
+                   zip([(0, 0), (1, 1), (2, 0)], cells))
+    (tmp_path / "t.csv").write_text("r,c,v\n" + rows)
+    script = tmp_path / "q.m2s"
+    script.write_text("execute(openTable('t').toArray({'r', 'c'}, {'v'}))\n")
+    capsys.readouterr()
+    assert main(["run", str(script), "--data", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    original = Engine(EngineConfig(data_dir=str(tmp_path))).run(
+        script.read_text())
+    (tmp_path / "cells.csv").write_text(printed)
+    assert main(["ingest", "coo", str(tmp_path / "cells.csv"), "--as",
+                 "grid", "--data", str(tmp_path), "--size", "3,2"]) == 0
+    script.write_text("execute(openArray('grid'))\n")
+    capsys.readouterr()
+    assert main(["run", str(script), "--data", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == printed
+    back = Engine(EngineConfig(data_dir=str(tmp_path))).run(script.read_text())
+    assert [str(t) for t in back.meta.schema.attr_types] == [kind]
+    assert back.meta.schema.attr_types == original.meta.schema.attr_types
 
 
 @pytest.mark.parametrize("argv", [

@@ -110,7 +110,7 @@ def test_probe_only_in_input_order_revisits_tiles(pool, small_array):
     mshj(FIVE, small_array, DimBinding(("v0", "v1")), stats=stats)
     base = stats.tile_pins
 
-    small_array.pin_counts.clear()
+    small_array.reset_io_stats()
     stats2 = JoinStats()
     # input order revisits tiles: (2,1),(0,0),(1,0),(0,0),(1,0)
     join_probe_only(FIVE, small_array, DimBinding(("v0", "v1")),
@@ -305,7 +305,7 @@ def test_probe_order_is_radix_sorted(pool):
 def test_referenced_tiles_pinned_once_others_never(pool):
     rng = random.Random(12)
     rel, arr = _random_instance(pool, rng, 2, "coo", n_rows=150)
-    arr.pin_counts.clear()
+    arr.reset_io_stats()
     trace = JoinTrace()
     mshj(rel, arr, DimBinding(("a0", "a1")), trace=trace)
     referenced = set(trace.tcs)
