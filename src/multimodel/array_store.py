@@ -286,7 +286,7 @@ def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
 
 _LAYOUTS = ("absent", "dense", "coo", "csr")  # index: the on-disk layout tag
 _DENSE = 1
-_ABSENT, _FILE, _SPILL, _MEM = range(4)  # a tile's newest bytes: see below
+_ABSENT, _FILE, _SPILL, _MEM = range(4)  # slot sources: see the docstring
 _SLOT = np.dtype([("tag", "u1"), ("src", "u1"), ("offset", "<i8"), ("length", "<i8")])
 _READ = np.dtype((np.record, [("tile", "<i8"), ("slot", _SLOT)]))  # a stage's reads
 
@@ -310,8 +310,8 @@ class _TileCounts(Mapping):
         return int(n)
 
     def __iter__(self):
-        listed = np.array(self._col, object) != self._unlisted
-        return iter(self._arr._coords(np.flatnonzero(listed)))
+        listed = np.flatnonzero(np.not_equal(self._col, self._unlisted))
+        return iter(self._arr._coords(listed))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
