@@ -490,7 +490,16 @@ class StoredArray:
         bounds, prev = _stage_bounds(inv, size, self.pool.capacity
                                      - self.pool.stats().resident_bytes)
         starts = np.concatenate(([0], np.cumsum(run_lengths)))
-        rank = np.empty(len(uniq), dtype=np.int64)  # stage read order
+        # the runs that read their tile: by stage, dense first, by file, offset
+        stage_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        fresh = np.flatnonzero(read[inv] & (prev < np.take(bounds, stage_of)))
+        t = uniq[inv[fresh]]
+        fresh = fresh[np.lexsort((self._offset[t], self._src[t],
+                                  self._tag[t] != _DENSE, stage_of[fresh]))]
+        seg = np.searchsorted(stage_of[fresh], np.arange(len(bounds))).tolist()
+        rank = np.full(len(uniq), -1)  # read order in the tile's last stage
+        table = np.empty(len(uniq), _READ)  # (tile, slot) of each tile
+        table["tile"], table["slot"] = uniq, self._slots[uniq]
         fds: dict[str, int] = {}
         held_ids = uniq[held].tolist()
         resident = dict(zip(np.flatnonzero(held).tolist(), (
@@ -505,18 +514,14 @@ class StoredArray:
                 found[lo:hi], vals = resident[inv[r]].lookup(cc)
                 for out, v in zip(values, vals):
                     out[lo:hi] = v
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                runs = inv[s:e]
-                stage = runs[(prev[s:e] < s) & read[runs]]  # first runs only
-                if not len(stage):
-                    continue
-                ids = uniq[stage]
-                order = np.lexsort((self._offset[ids], self._src[ids],
-                                    self._tag[ids] != _DENSE))
-                rank[stage[order]] = np.arange(len(stage))
+            for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if seg[k] == seg[k + 1]:
+                    continue  # nothing to read
+                stage = inv[fresh[seg[k]:seg[k + 1]]]
+                rank[stage] = np.arange(len(stage))
                 lo, hi = starts[s], starts[e]
-                self._lookup_stage(ids[order], np.where(read[runs], rank[runs], -1),
-                                   run_lengths[s:e], cells[lo:hi], found[lo:hi],
+                self._lookup_stage(table.take(stage), rank[inv[s:e]], run_lengths[s:e],
+                                   cells[lo:hi], found[lo:hi],
                                    [v[lo:hi] for v in values], fds, stats)
             stats.stages += len(bounds) - 1
         finally:
@@ -526,32 +531,28 @@ class StoredArray:
                 self._active[t] -= 1
         return found, values
 
-    def _lookup_stage(self, ids, run_rank, run_lengths, cells, found, values,
+    def _lookup_stage(self, reads, run_rank, run_lengths, cells, found, values,
                       fds, stats) -> None:
-        """One stage of ``lookup_runs``: read tiles `ids` into one buffer in
-        that order (dense ones first), then look up the records of the runs
-        whose `run_rank`, the rank of their tile in `ids`, is not -1.  The
-        dense tiles are looked up as one dense tile viewing the buffer, over
-        the box (tiles, cells of a tile), and the sparse ones decoded into
-        one sparse tile over the same box.  Writes into `found` and
-        `values`."""
-        reads = np.empty(len(ids), _READ)
-        reads["tile"], reads["slot"] = ids, self._slots[ids]
+        """One stage of ``lookup_runs``: read the tiles of `reads` (``_READ``
+        records) into one buffer in that order (dense ones first), then look
+        up the records of the runs whose `run_rank`, the rank of their tile
+        in `reads`, is not -1.  The dense tiles are looked up as one dense
+        tile viewing the buffer, over the box (tiles, cells of a tile), the
+        sparse ones decoded into one sparse tile over the same box.  Writes
+        into `found` and `values`."""
         buf, at = self._read_stage(reads, fds, stats)
         rec_rank = np.repeat(run_rank, run_lengths)
-
         def look(block: Tile, first: int) -> None:  # every record on a block tile?
-            m = (slice(None) if block.ts[0] == len(ids) and run_rank.min() >= 0
+            m = (slice(None) if block.ts[0] == len(reads) and run_rank.min() >= 0
                  else (rec_rank >= first) & (rec_rank < first + block.ts[0]))
             found[m], vals = block.lookup(
                 np.column_stack((rec_rank[m] - first, cells[m])))
             for out, v in zip(values, vals):
                 out[m] = v
-
         ts, dtypes = self.meta.tile_size, self.attr_dtypes
         ncell = math.prod(ts)
-        tags = reads["slot"]["tag"]
-        n_dense = int(np.count_nonzero(tags == _DENSE))
+        tags = reads["slot"]["tag"].tolist()
+        n_dense = tags.count(_DENSE)
         if n_dense:  # each dense tile's bytes: its mask, then each value block
             width = ncell * (1 + sum(dt.itemsize for dt in dtypes))
             block = buf[:n_dense * width].reshape(n_dense, width)
@@ -565,7 +566,7 @@ class StoredArray:
             view = memoryview(buf)
             sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], _LAYOUTS[tag],
                                       ts, dtypes)
-                      for k, tag in enumerate(tags.tolist()) if k >= n_dense]
+                      for k, tag in enumerate(tags) if k >= n_dense]
             keys = np.concatenate([t.index + np.uint64(j * ncell)
                                    for j, t in enumerate(sparse)])
             cols = [np.concatenate(c) for c in zip(*(t.values for t in sparse))]
@@ -577,14 +578,14 @@ class StoredArray:
         file takes one pread (more only if the kernel returns short), over
         one fd per file kept in `fds`.  Returns the buffer and each slot's
         start in it (plus the end)."""
-        src = reads["slot"]["src"]
-        offset, length = reads["slot"]["offset"], reads["slot"]["length"]
-        at = np.concatenate(([0], np.cumsum(length))).tolist()
+        src, offset, length = (reads["slot"][f] for f in ("src", "offset", "length"))
+        at = list(itertools.accumulate(length.tolist(), initial=0))
         buf = np.empty(at[-1], dtype=np.uint8)
         view = memoryview(buf)
-        cut = np.flatnonzero((src[1:] != src[:-1]) |
-                             (offset[1:] != offset[:-1] + length[:-1])) + 1
-        edges = [0, *cut.tolist(), len(reads)]
+        cut = (np.flatnonzero((src[1:] != src[:-1]) | (offset[1:] != offset[:-1]
+                                                       + length[:-1])) + 1
+               ).tolist() if len(reads) > 1 else []  # one slot: one run
+        edges = [0, *cut, len(reads)]
         for i, j in zip(edges[:-1], edges[1:]):
             path = self._path if src[i] == _FILE else self._spill_path
             if path not in fds:
@@ -794,6 +795,5 @@ class ArrayBuilder:
                         tc, arr.meta.tile_size, arr.valid_extent(tc), arr.attr_dtypes,
                         arr.meta.layout, coords[lo:hi] - ts * tc,
                         [c[lo:hi] for c in cols]))
-        self._coords = []
-        self._values = []
+        self._coords, self._values = [], []
         return arr
