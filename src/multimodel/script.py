@@ -1,11 +1,20 @@
-"""The query-script language: a tiny method-chain notation over datasets.
+"""The query-script language: Python syntax over datasets.
 
 A script is a sequence of assignments over opened datasets, closed by a
-single ``execute(target)``.  Scripts bind to a :class:`LogicalPlan`; dataset
-expressions become plan nodes while plain integers stay bind-time values, so
-loops (``for i in range(n):``) unroll and ``rand({rows, rank})`` receives
-concrete shapes.  ``count()`` directly on an opened dataset is evaluated at
-bind time for the same reason.
+single ``execute(target)``.  Python's own :mod:`ast` parser reads it, and
+:class:`Binder` walks the statements, accepting only these constructs:
+
+- statements: ``name = expr``, ``a, b = x, y``, ``for i in range(n):``
+  without ``else``, and ``execute(expr)``;
+- expressions: int, float and string literals, names, ``{...}`` lists,
+  calls of the open functions and ``rand``, method calls, ``.T`` and
+  ``+ - * / @``.
+
+Any other node is refused with a :class:`ScriptError` at its line and
+column.  Scripts bind to a :class:`LogicalPlan`; dataset expressions become
+plan nodes while plain integers stay bind-time values, so loops unroll and
+``rand({rows, rank})`` receives concrete shapes.  ``count()`` directly on an
+opened dataset is evaluated at bind time for the same reason.
 
 Example::
 
@@ -16,339 +25,58 @@ Example::
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import NotFoundError, ScriptError
-from .planner import LogicalPlan, PlanNode
+from .planner import LogicalPlan
 from .predicates import parse_predicate, parse_sort_spec
 
 _REL, _DOC, _ARR = "relational", "document", "array"
 
 
-# ---------------------------------------------------------------------------
-# tokens
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # num | str | ident | op
-    value: Any
-    line: int
-    col: int
-
-
-_TOKEN = re.compile(r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#.*)
-  | (?P<num>\d+(?:\.\d+)?)
-  | (?P<str>'(?:[^'\\]|\\.)*')
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>,|\(|\)|\{|\}|\.|@|\*|/|\+|-|:|=)
-""", re.VERBOSE)
+def parse_script(text: str) -> list[ast.stmt]:
+    """Parse a script with Python's parser; returns its statements."""
+    try:
+        with warnings.catch_warnings():
+            # an unknown escape such as '\d' keeps both characters, with no
+            # warning to turn into an error under -W error
+            warnings.simplefilter("ignore")
+            return ast.parse(text).body
+    except SyntaxError as e:
+        raise ScriptError(e.msg, e.lineno or 0, e.offset or 0) from None
 
 
-def _tokenize(text: str, line: int) -> list[_Tok]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ScriptError(f"unexpected character {text[pos]!r}",
-                              line, pos + 1)
-        kind = m.lastgroup
-        if kind == "num":
-            raw = m.group()
-            out.append(_Tok("num", float(raw) if "." in raw else int(raw),
-                            line, pos + 1))
-        elif kind == "str":
-            body = m.group()[1:-1]
-            out.append(_Tok("str", body.replace("\\'", "'").replace("\\\\", "\\"),
-                            line, pos + 1))
-        elif kind == "ident":
-            out.append(_Tok("ident", m.group(), line, pos + 1))
-        elif kind == "op":
-            out.append(_Tok("op", m.group(), line, pos + 1))
-        pos = m.end()
-    return out
+def _err(msg: str, node: ast.AST) -> ScriptError:
+    """A ScriptError at ``node``; for ``x.name`` and ``x.name(...)``, at
+    ``name``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return ScriptError(msg, node.end_lineno,
+                           node.end_col_offset - len(node.attr) + 1)
+    return ScriptError(msg, node.lineno, node.col_offset + 1)
+
+
+def _brace(e: ast.expr) -> list | None:
+    """The items of a ``{...}`` list (``{}`` parses as an empty dict), or
+    None when ``e`` is not one."""
+    if isinstance(e, ast.Set):
+        return e.elts
+    if isinstance(e, ast.Dict) and not e.keys:
+        return []
+    return None
+
+
+def _is_str(e: ast.expr) -> bool:
+    return isinstance(e, ast.Constant) and isinstance(e.value, str)
 
 
 # ---------------------------------------------------------------------------
-# statement / expression AST
-
-@dataclass(frozen=True)
-class Num:
-    value: Any
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Str:
-    value: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Name:
-    id: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Brace:
-    items: tuple
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Method:
-    recv: Any
-    name: str
-    args: tuple
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class AttrT:
-    recv: Any
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: Any
-    right: Any
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Assign:
-    targets: tuple[str, ...]
-    exprs: tuple
-    line: int
-
-
-@dataclass(frozen=True)
-class ForLoop:
-    var: str
-    count: Any
-    body: tuple
-    line: int
-
-
-@dataclass(frozen=True)
-class Execute:
-    expr: Any
-    line: int
-
-
-class _ExprParser:
-    def __init__(self, toks: list[_Tok], line: int):
-        self.toks = toks
-        self.line = line
-        self.pos = 0
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ScriptError("unexpected end of line", self.line)
-        self.pos += 1
-        return t
-
-    def expect_op(self, op: str) -> _Tok:
-        t = self.next()
-        if t.kind != "op" or t.value != op:
-            raise ScriptError(f"expected {op!r}, got {t.value!r}", t.line, t.col)
-        return t
-
-    def at_op(self, *ops) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "op" and t.value in ops
-
-    # precedence: (+ -) < (* / @) < postfix < primary, all left-associative
-    def expr(self):
-        left = self.term()
-        while self.at_op("+", "-"):
-            op = self.next()
-            left = BinOp(op.value, left, self.term(), op.line, op.col)
-        return left
-
-    def term(self):
-        left = self.postfix()
-        while self.at_op("*", "/", "@"):
-            op = self.next()
-            left = BinOp(op.value, left, self.postfix(), op.line, op.col)
-        return left
-
-    def postfix(self):
-        e = self.primary()
-        while self.at_op("."):
-            dot = self.next()
-            t = self.next()
-            if t.kind != "ident":
-                raise ScriptError("expected a method or .T after '.'",
-                                  t.line, t.col)
-            if self.at_op("("):
-                self.next()
-                args = self.arg_list()
-                self.expect_op(")")
-                e = Method(e, t.value, tuple(args), t.line, t.col)
-            elif t.value == "T":
-                e = AttrT(e, t.line, t.col)
-            else:
-                raise ScriptError(
-                    f"{t.value!r} is not callable without parentheses "
-                    f"(only .T is an attribute)", t.line, t.col)
-        return e
-
-    def primary(self):
-        t = self.next()
-        if t.kind == "num":
-            return Num(t.value, t.line, t.col)
-        if t.kind == "str":
-            return Str(t.value, t.line, t.col)
-        if t.kind == "ident":
-            if self.at_op("("):
-                self.next()
-                args = self.arg_list()
-                self.expect_op(")")
-                return Call(t.value, tuple(args), t.line, t.col)
-            return Name(t.value, t.line, t.col)
-        if t.kind == "op" and t.value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        if t.kind == "op" and t.value == "{":
-            items = self.arg_list(closer="}")
-            self.expect_op("}")
-            return Brace(tuple(items), t.line, t.col)
-        raise ScriptError(f"unexpected token {t.value!r}", t.line, t.col)
-
-    def arg_list(self, closer: str = ")") -> list:
-        args = []
-        if self.at_op(closer):
-            return args
-        args.append(self.expr())
-        while self.at_op(","):
-            self.next()
-            args.append(self.expr())
-        return args
-
-    def done(self) -> None:
-        t = self.peek()
-        if t is not None:
-            raise ScriptError(f"trailing input {t.value!r}", t.line, t.col)
-
-
-def parse_script(text: str) -> list:
-    lines = []
-    for i, raw in enumerate(text.splitlines(), 1):
-        toks = _tokenize(raw, i)
-        if not toks:
-            continue
-        indent = len(raw) - len(raw.lstrip(" \t"))
-        lines.append((indent, toks))
-    stmts, nxt = _parse_block(lines, 0, lines[0][0] if lines else 0)
-    if nxt != len(lines):
-        indent, toks = lines[nxt]
-        raise ScriptError("unexpected indent", toks[0].line, toks[0].col)
-    return stmts
-
-
-def _parse_block(lines, i, indent0):
-    out = []
-    while i < len(lines) and lines[i][0] == indent0:
-        stmt, i = _parse_stmt(lines, i)
-        out.append(stmt)
-    return out, i
-
-
-def _parse_stmt(lines, i):
-    indent, toks = lines[i]
-    first = toks[0]
-    if first.kind == "ident" and first.value == "for":
-        return _parse_for(lines, i)
-    if first.kind == "ident" and first.value == "execute":
-        p = _ExprParser(toks[1:], first.line)
-        p.expect_op("(")
-        e = p.expr()
-        p.expect_op(")")
-        p.done()
-        return Execute(e, first.line), i + 1
-    # assignment: targets = expr, expr, ...
-    eq = next((k for k, t in enumerate(toks)
-               if t.kind == "op" and t.value == "="), None)
-    if eq is None:
-        raise ScriptError("expected an assignment, for-loop or execute()",
-                          first.line, first.col)
-    targets = []
-    expect_name = True
-    for t in toks[:eq]:
-        if expect_name:
-            if t.kind != "ident":
-                raise ScriptError("assignment target must be a name",
-                                  t.line, t.col)
-            targets.append(t.value)
-        elif not (t.kind == "op" and t.value == ","):
-            raise ScriptError("expected ',' between assignment targets",
-                              t.line, t.col)
-        expect_name = not expect_name
-    if expect_name:
-        raise ScriptError("missing assignment target", first.line, first.col)
-    p = _ExprParser(toks[eq + 1:], first.line)
-    exprs = [p.expr()]
-    while p.at_op(","):
-        p.next()
-        exprs.append(p.expr())
-    p.done()
-    return Assign(tuple(targets), tuple(exprs), first.line), i + 1
-
-
-def _parse_for(lines, i):
-    indent, toks = lines[i]
-    p = _ExprParser(toks, toks[0].line)
-    p.next()  # 'for'
-    var = p.next()
-    if var.kind != "ident":
-        raise ScriptError("expected a loop variable", var.line, var.col)
-    t = p.next()
-    if not (t.kind == "ident" and t.value == "in"):
-        raise ScriptError("expected 'in'", t.line, t.col)
-    t = p.next()
-    if not (t.kind == "ident" and t.value == "range"):
-        raise ScriptError("only 'range(n)' loops are supported", t.line, t.col)
-    p.expect_op("(")
-    count = p.expr()
-    p.expect_op(")")
-    p.expect_op(":")
-    p.done()
-    if i + 1 >= len(lines) or lines[i + 1][0] <= indent:
-        raise ScriptError("empty loop body", toks[0].line)
-    body, nxt = _parse_block(lines, i + 1, lines[i + 1][0])
-    return ForLoop(var.value, count, tuple(body), toks[0].line), nxt
-
-
-# ---------------------------------------------------------------------------
-# binding: AST -> LogicalPlan
+# binding: Python statements -> LogicalPlan
 
 @dataclass(frozen=True)
 class NodeRef:
@@ -361,7 +89,33 @@ class NodeRef:
 
 _OPEN_KINDS = {"openTable": _REL, "openCollection": _DOC, "openArray": _ARR}
 _OUT_MODELS = {"RELATIONAL": _REL, "DOCUMENT": _DOC, "ARRAY": _ARR}
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+           ast.MatMult: "@"}
 _AGG_ITEM = re.compile(r"^\s*(\w+)\s*\(\s*(\*|[\w.]+)\s*\)\s+as\s+([\w.]+)\s*$")
+
+# (fewest, most) positional arguments of every function and method
+_ARITY = {
+    "openTable": (1, 1), "openCollection": (1, 1), "openArray": (1, 1),
+    "rand": (1, 1), "range": (1, 1), "execute": (1, 1),
+    "filter": (1, 1), "project": (1, 1), "sort": (1, 1), "limit": (1, 1),
+    "unwind": (1, 1), "union": (1, 1), "aggregate": (2, 2), "count": (0, 0),
+    "toArray": (2, 2), "matmul": (1, 1), "transpose": (0, 0), "join": (1, 3),
+}
+
+
+def _args(call: ast.Call, name: str) -> list[ast.expr]:
+    """The positional arguments of ``call``, refused when they are keyword
+    or starred, or too few or too many for ``name``."""
+    lo, hi = _ARITY[name]
+    if call.keywords:
+        raise _err(f"{name}() takes no keyword arguments", call)
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        raise _err(f"{name}() takes no *arguments", call)
+    if not lo <= len(call.args) <= hi:
+        want = lo if lo == hi else f"{lo} to {hi}"
+        raise _err(f"{name}() takes {want} argument{'' if hi == 1 else 's'}, "
+                   f"got {len(call.args)}", call)
+    return call.args
 
 
 class Binder:
@@ -397,202 +151,218 @@ class Binder:
 
     # -- statements ---------------------------------------------------------
 
-    def _stmt(self, s) -> None:
-        if isinstance(s, Assign):
-            vals = [self._expr(e) for e in s.exprs]
-            if len(s.targets) != len(vals):
-                raise ScriptError(
-                    f"{len(s.targets)} targets but {len(vals)} values", s.line)
-            for name, v in zip(s.targets, vals):
-                self.env[name] = v
-        elif isinstance(s, ForLoop):
-            n = self._expr(s.count)
+    def _stmt(self, s: ast.stmt) -> None:
+        if isinstance(s, ast.Assign):
+            if len(s.targets) != 1:
+                raise _err("one '=' per assignment", s)
+            target = s.targets[0]
+            names = target.elts if isinstance(target, ast.Tuple) else [target]
+            for t in names:
+                if not isinstance(t, ast.Name):
+                    raise _err("assignment target must be a name", t)
+            exprs = s.value.elts if isinstance(s.value, ast.Tuple) \
+                else [s.value]
+            vals = [self._expr(e) for e in exprs]
+            if len(names) != len(vals):
+                raise _err(f"{len(names)} targets but {len(vals)} values", s)
+            for t, v in zip(names, vals):
+                self.env[t.id] = v
+        elif isinstance(s, ast.For):
+            it = s.iter
+            if not isinstance(s.target, ast.Name):
+                raise _err("expected a loop variable", s.target)
+            if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                    and it.func.id == "range"):
+                raise _err("only 'range(n)' loops are supported", it)
+            if s.orelse:
+                raise _err("a for-loop takes no else", s)
+            n = self._expr(_args(it, "range")[0])
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise ScriptError("range() needs a non-negative integer known "
-                                  "at bind time", s.line)
+                raise _err("range() needs a non-negative integer known "
+                           "at bind time", it)
             for k in range(n):
-                self.env[s.var] = k
+                self.env[s.target.id] = k
                 for b in s.body:
                     self._stmt(b)
-        elif isinstance(s, Execute):
+        elif isinstance(s, ast.Expr) and isinstance(s.value, ast.Call) \
+                and isinstance(s.value.func, ast.Name) \
+                and s.value.func.id == "execute":
+            arg = _args(s.value, "execute")[0]
             if self.target is not None:
-                raise ScriptError("execute() must appear exactly once", s.line)
-            v = self._expr(s.expr)
+                raise _err("execute() must appear exactly once", s)
+            v = self._expr(arg)
             if not isinstance(v, NodeRef):
-                raise ScriptError("execute() needs a dataset expression", s.line)
+                raise _err("execute() needs a dataset expression", s)
             self.target = v.id
-        else:  # pragma: no cover - parser emits only the three kinds
-            raise ScriptError(f"unknown statement {s!r}")
+        else:
+            raise _err("expected an assignment, for-loop or execute()", s)
 
     # -- expressions ----------------------------------------------------------
 
-    def _expr(self, e):
-        if isinstance(e, Num):
-            return e.value
-        if isinstance(e, Str):
-            raise ScriptError("string literal outside an argument position",
-                              e.line, e.col)
-        if isinstance(e, Brace):
-            raise ScriptError("brace list outside an argument position",
-                              e.line, e.col)
-        if isinstance(e, Name):
+    def _expr(self, e: ast.expr):
+        if isinstance(e, ast.Constant):
+            if type(e.value) in (int, float):
+                return e.value
+            if isinstance(e.value, str):
+                raise _err("string literal outside an argument position", e)
+            raise _err(f"unsupported literal {e.value!r}", e)
+        if isinstance(e, ast.Name):
             try:
                 return self.env[e.id]
             except KeyError:
-                raise ScriptError(f"undefined name {e.id!r}", e.line, e.col) \
-                    from None
-        if isinstance(e, Call):
+                raise _err(f"undefined name {e.id!r}", e) from None
+        if isinstance(e, ast.Call) and isinstance(e.func, ast.Name):
             return self._call(e)
-        if isinstance(e, Method):
+        if isinstance(e, ast.Call) and isinstance(e.func, ast.Attribute):
             return self._method(e)
-        if isinstance(e, AttrT):
-            recv = self._expr(e.recv)
-            self._need_model(recv, _ARR, "T", e.line, e.col)
-            n = self.plan.add("transpose", _ARR, inputs=[recv.id])
-            return NodeRef(n.id, _ARR)
-        if isinstance(e, BinOp):
-            return self._binop(e)
-        raise ScriptError(f"cannot evaluate {e!r}")
+        if isinstance(e, ast.Attribute):
+            if e.attr != "T":
+                raise _err(f"{e.attr!r} is not callable without parentheses "
+                           f"(only .T is an attribute)", e)
+            return self._m_transpose(e, self._expr(e.value))
+        if isinstance(e, ast.BinOp) and type(e.op) in _BINOPS:
+            return self._binop(e, _BINOPS[type(e.op)])
+        if _brace(e) is not None:
+            raise _err("brace list outside an argument position", e)
+        raise _err(f"unsupported expression ({type(e).__name__})", e)
 
-    def _call(self, e: Call):
-        if e.func in _OPEN_KINDS:
+    def _call(self, e: ast.Call):
+        func = e.func.id
+        if func in _OPEN_KINDS:
+            _args(e, func)
             name = self._arg_str(e, 0)
-            model = _OPEN_KINDS[e.func]
+            model = _OPEN_KINDS[func]
             if not self.catalog.exists(name, model):
                 raise NotFoundError(f"dataset {name!r} not found "
-                                    f"(line {e.line})")
+                                    f"(line {e.lineno})")
             op = "scan_array" if model == _ARR else "scan"
             n = self.plan.add(op, model, name=name, qualifier=name)
             return NodeRef(n.id, model)
-        if e.func == "rand":
-            if len(e.args) != 1 or not isinstance(e.args[0], Brace):
-                raise ScriptError("rand takes a {dim, ...} size list",
-                                  e.line, e.col)
-            size = [self._expr(x) for x in e.args[0].items]
+        if func == "rand":
+            items = _brace(_args(e, func)[0])
+            if items is None:
+                raise _err("rand takes a {dim, ...} size list", e)
+            size = [self._expr(x) for x in items]
             for s in size:
                 if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-                    raise ScriptError("rand sizes must be positive integers "
-                                      "known at bind time", e.line, e.col)
+                    raise _err("rand sizes must be positive integers "
+                               "known at bind time", e)
             seed = self.config.seed + self.rand_count
             self.rand_count += 1
             n = self.plan.add("rand", _ARR, size=size, seed=seed)
             return NodeRef(n.id, _ARR)
-        raise ScriptError(f"unknown function {e.func!r}", e.line, e.col)
+        raise _err(f"unknown function {func!r}", e)
 
-    def _binop(self, e: BinOp):
+    def _binop(self, e: ast.BinOp, op: str):
         l, r = self._expr(e.left), self._expr(e.right)
         if isinstance(l, (int, float)) and isinstance(r, (int, float)):
-            if e.op == "@":
-                raise ScriptError("'@' applies to arrays", e.line, e.col)
-            if e.op == "/" and r == 0:
-                raise ScriptError("division by zero", e.line, e.col)
-            return {"+": l + r, "-": l - r, "*": l * r, "/": l / r}[e.op]
+            if op == "@":
+                raise _err("'@' applies to arrays", e)
+            if op == "/" and r == 0:
+                raise _err("division by zero", e)
+            return {"+": l + r, "-": l - r, "*": l * r, "/": l / r}[op]
         if isinstance(l, NodeRef) and isinstance(r, NodeRef) \
                 and l.model == _ARR and r.model == _ARR:
-            if e.op == "@":
+            if op == "@":
                 n = self.plan.add("matmul", _ARR, inputs=[l.id, r.id])
             else:
-                n = self.plan.add("ewise", _ARR, inputs=[l.id, r.id], fn=e.op)
+                n = self.plan.add("ewise", _ARR, inputs=[l.id, r.id], fn=op)
             return NodeRef(n.id, _ARR)
-        raise ScriptError(f"cannot apply {e.op!r} to these operands",
-                          e.line, e.col)
+        raise _err(f"cannot apply {op!r} to these operands", e)
 
     # -- methods --------------------------------------------------------------
 
-    def _method(self, m: Method):
-        recv = self._expr(m.recv)
-        handler = getattr(self, f"_m_{m.name}", None)
+    def _method(self, m: ast.Call):
+        name = m.func.attr
+        recv = self._expr(m.func.value)
+        handler = getattr(self, f"_m_{name}", None)
         if handler is None or not isinstance(recv, NodeRef):
-            raise ScriptError(f"unknown method .{m.name}()", m.line, m.col)
+            raise _err(f"unknown method .{name}()", m)
+        _args(m, name)
         return handler(m, recv)
 
-    def _need_model(self, v, model, what, line, col) -> None:
+    def _need_model(self, v, model, what, node) -> None:
         if not isinstance(v, NodeRef):
-            raise ScriptError(f".{what} needs a dataset", line, col)
+            raise _err(f".{what} needs a dataset", node)
         models = (model,) if isinstance(model, str) else model
         if v.model not in models:
-            raise ScriptError(f".{what} does not apply to {v.model} data",
-                              line, col)
+            raise _err(f".{what} does not apply to {v.model} data", node)
 
     def _arg_str(self, m, i) -> str:
-        if i >= len(m.args) or not isinstance(m.args[i], Str):
-            raise ScriptError(f"argument {i + 1} must be a quoted string",
-                              m.line, m.col)
+        if not _is_str(m.args[i]):
+            raise _err(f"argument {i + 1} must be a quoted string", m)
         return m.args[i].value
 
-    def _checked_pred(self, text: str, line: int) -> str:
+    def _checked_pred(self, text: str, m) -> str:
         try:
             parse_predicate(text)
         except ScriptError as e:
-            raise ScriptError(f"bad predicate: {e.args[0]}", line) from None
+            raise _err(f"bad predicate: {e.args[0]}", m) from None
         return text
 
-    def _syntactic_name(self, ast, ref: NodeRef, fallback: str) -> str:
-        if isinstance(ast, Name):
-            return ast.id
+    def _syntactic_name(self, expr, ref: NodeRef, fallback: str) -> str:
+        if isinstance(expr, ast.Name):
+            return expr.id
         node = self.plan.node(ref.id)
         return node.params.get("name", fallback)
 
     def _m_filter(self, m, recv):
-        self._need_model(recv, (_REL, _DOC), "filter", m.line, m.col)
-        pred = self._checked_pred(self._arg_str(m, 0), m.line)
+        self._need_model(recv, (_REL, _DOC), "filter", m)
+        pred = self._checked_pred(self._arg_str(m, 0), m)
         n = self.plan.add("filter", recv.model, inputs=[recv.id], pred=pred)
         return NodeRef(n.id, recv.model)
 
     def _m_project(self, m, recv):
-        self._need_model(recv, (_REL, _DOC), "project", m.line, m.col)
-        cols = [c.strip() for c in self._arg_str(m, 0).split(",") if c.strip()]
+        self._need_model(recv, (_REL, _DOC), "project", m)
+        cols = [c.strip() for c in self._arg_str(m, 0).split(",")
+                if c.strip()]
         if not cols:
-            raise ScriptError("project needs at least one column", m.line)
+            raise _err("project needs at least one column", m)
         n = self.plan.add("project", recv.model, inputs=[recv.id], cols=cols)
         return NodeRef(n.id, recv.model)
 
     def _m_sort(self, m, recv):
-        self._need_model(recv, (_REL, _DOC), "sort", m.line, m.col)
+        self._need_model(recv, (_REL, _DOC), "sort", m)
         spec = self._arg_str(m, 0)
         try:
             parse_sort_spec(spec)
         except ScriptError as e:
-            raise ScriptError(f"bad sort spec: {e.args[0]}", m.line) from None
+            raise _err(f"bad sort spec: {e.args[0]}", m) from None
         n = self.plan.add("sort", recv.model, inputs=[recv.id], keys=spec)
         return NodeRef(n.id, recv.model)
 
     def _m_limit(self, m, recv):
-        self._need_model(recv, (_REL, _DOC), "limit", m.line, m.col)
-        if len(m.args) != 1:
-            raise ScriptError("limit takes one count", m.line, m.col)
+        self._need_model(recv, (_REL, _DOC), "limit", m)
         k = self._expr(m.args[0])
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ScriptError("limit needs a non-negative integer", m.line)
+            raise _err("limit needs a non-negative integer", m)
         n = self.plan.add("limit", recv.model, inputs=[recv.id], n=k)
         return NodeRef(n.id, recv.model)
 
     def _m_unwind(self, m, recv):
-        self._need_model(recv, _DOC, "unwind", m.line, m.col)
+        self._need_model(recv, _DOC, "unwind", m)
         n = self.plan.add("unwind", _DOC, inputs=[recv.id],
                           path=self._arg_str(m, 0))
         return NodeRef(n.id, _DOC)
 
     def _m_union(self, m, recv):
-        self._need_model(recv, (_REL, _DOC), "union", m.line, m.col)
-        other = self._expr(m.args[0]) if m.args else None
+        self._need_model(recv, (_REL, _DOC), "union", m)
+        other = self._expr(m.args[0])
         if not isinstance(other, NodeRef) or other.model != recv.model:
-            raise ScriptError("union needs a dataset of the same model", m.line)
+            raise _err("union needs a dataset of the same model", m)
         n = self.plan.add("union", recv.model, inputs=[recv.id, other.id])
         return NodeRef(n.id, recv.model)
 
     def _m_aggregate(self, m, recv):
-        self._need_model(recv, (_REL, _DOC), "aggregate", m.line, m.col)
-        if len(m.args) != 2:
-            raise ScriptError("aggregate takes ('keys', 'agg(x) as name, ...')",
-                              m.line, m.col)
-        keys = [k.strip() for k in self._arg_str(m, 0).split(",") if k.strip()]
+        self._need_model(recv, (_REL, _DOC), "aggregate", m)
+        keys = [k.strip() for k in self._arg_str(m, 0).split(",")
+                if k.strip()]
         aggs = []
         for part in self._arg_str(m, 1).split(","):
             g = _AGG_ITEM.match(part)
             if g is None:
-                raise ScriptError(f"bad aggregate {part.strip()!r}; expected "
-                                  f"func(attr) as name", m.line)
+                raise _err(f"bad aggregate {part.strip()!r}; expected "
+                           f"func(attr) as name", m)
             func, ref, out = g.groups()
             aggs.append([func, None if ref == "*" else ref, out])
         n = self.plan.add("aggregate", recv.model, inputs=[recv.id],
@@ -601,8 +371,7 @@ class Binder:
 
     def _m_count(self, m, recv):
         if recv.model == _ARR:
-            raise ScriptError("count() applies to tables and collections",
-                              m.line, m.col)
+            raise _err("count() applies to tables and collections", m)
         node = self.plan.node(recv.id)
         if node.op == "scan":
             # sizing value, needed at bind time (e.g. rand shapes)
@@ -612,82 +381,74 @@ class Binder:
         return NodeRef(n.id, _REL)
 
     def _m_toArray(self, m, recv):
-        self._need_model(recv, (_REL, _DOC), "toArray", m.line, m.col)
-        if len(m.args) != 2 or not all(isinstance(a, Brace) for a in m.args):
-            raise ScriptError("toArray takes {'dim', ...}, {'value', ...}",
-                              m.line, m.col)
+        self._need_model(recv, (_REL, _DOC), "toArray", m)
 
-        def strings(brace):
-            out = []
-            for item in brace.items:
-                if not isinstance(item, Str):
-                    raise ScriptError("toArray names must be quoted strings",
-                                      item.line if hasattr(item, "line")
-                                      else m.line)
-                out.append(item.value)
-            return out
+        def strings(arg):
+            items = _brace(arg)
+            if items is None:
+                raise _err("toArray takes {'dim', ...}, {'value', ...}", m)
+            for item in items:
+                if not _is_str(item):
+                    raise _err("toArray names must be quoted strings", item)
+            return [item.value for item in items]
 
         n = self.plan.add("to_array", "inter-model", inputs=[recv.id],
                           dims=strings(m.args[0]), values=strings(m.args[1]))
         return NodeRef(n.id, _ARR)
 
     def _m_matmul(self, m, recv):
-        self._need_model(recv, _ARR, "matmul", m.line, m.col)
-        other = self._expr(m.args[0]) if m.args else None
+        self._need_model(recv, _ARR, "matmul", m)
+        other = self._expr(m.args[0])
         if not isinstance(other, NodeRef) or other.model != _ARR:
-            raise ScriptError("matmul needs an array argument", m.line, m.col)
+            raise _err("matmul needs an array argument", m)
         n = self.plan.add("matmul", _ARR, inputs=[recv.id, other.id])
         return NodeRef(n.id, _ARR)
 
     def _m_transpose(self, m, recv):
-        self._need_model(recv, _ARR, "transpose", m.line, m.col)
+        self._need_model(recv, _ARR, "transpose", m)
         n = self.plan.add("transpose", _ARR, inputs=[recv.id])
         return NodeRef(n.id, _ARR)
 
     def _m_join(self, m, recv):
-        if len(m.args) not in (1, 2, 3):
-            raise ScriptError("join takes (other[, 'predicate'[, MODEL]])",
-                              m.line, m.col)
         other = self._expr(m.args[0])
         if not isinstance(other, NodeRef):
-            raise ScriptError("join needs a dataset argument", m.line, m.col)
+            raise _err("join needs a dataset argument", m)
         out_model = None
         if len(m.args) == 3:
             tok = m.args[2]
-            if not isinstance(tok, Name) or tok.id not in _OUT_MODELS:
-                raise ScriptError("join output model must be RELATIONAL, "
-                                  "DOCUMENT or ARRAY", m.line, m.col)
+            if not isinstance(tok, ast.Name) or tok.id not in _OUT_MODELS:
+                raise _err("join output model must be RELATIONAL, "
+                           "DOCUMENT or ARRAY", m)
             out_model = _OUT_MODELS[tok.id]
 
         l, r = recv, other
         if l.model == _ARR and r.model == _ARR:
             if len(m.args) != 1:
-                raise ScriptError("array-array joins match on coordinates; "
-                                  "no predicate applies", m.line, m.col)
+                raise _err("array-array joins match on coordinates; "
+                           "no predicate applies", m)
             n = self.plan.add("spatial_join", _ARR, inputs=[l.id, r.id])
             return NodeRef(n.id, _ARR)
         if len(m.args) < 2:
-            raise ScriptError("join needs a predicate string", m.line, m.col)
-        pred = self._checked_pred(self._arg_str(m, 1), m.line)
+            raise _err("join needs a predicate string", m)
+        pred = self._checked_pred(self._arg_str(m, 1), m)
         if _ARR in (l.model, r.model):
             if l.model == _ARR:
                 arr, rec = l, r
-                arr_ast, rec_ast = m.recv, m.args[0]
+                arr_expr, rec_expr = m.func.value, m.args[0]
             else:
                 arr, rec = r, l
-                arr_ast, rec_ast = m.args[0], m.recv
+                arr_expr, rec_expr = m.args[0], m.func.value
             model = out_model or rec.model
             n = self.plan.add(
                 "join_rel_array", "inter-model", inputs=[rec.id, arr.id],
                 pred=pred,
-                rec_name=self._syntactic_name(rec_ast, rec, "rec"),
-                arr_name=self._syntactic_name(arr_ast, arr, "arr"),
+                rec_name=self._syntactic_name(rec_expr, rec, "rec"),
+                arr_name=self._syntactic_name(arr_expr, arr, "arr"),
                 out_model=model)
             return NodeRef(n.id, model)
         model = _DOC if _DOC in (l.model, r.model) else _REL
         if out_model is not None and out_model != model:
-            raise ScriptError(f"a {model} join cannot emit {out_model} output",
-                              m.line, m.col)
+            raise _err(f"a {model} join cannot emit {out_model} output", m)
         n = self.plan.add("join", model, inputs=[l.id, r.id], pred=pred)
         return NodeRef(n.id, model)
 

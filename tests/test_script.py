@@ -1,11 +1,15 @@
+import ast
+import hashlib
 import json
 import os
+import warnings
 from collections import Counter
 
 import pytest
 
 from multimodel import (
     BindingError,
+    Catalog,
     Collection,
     Engine,
     EngineConfig,
@@ -22,6 +26,8 @@ from multimodel.script import parse_script
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
 with open(os.path.join(DATA, "recommend.m2s"), encoding="utf-8") as _f:
     RECOMMEND = _f.read()
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
 
 
 def engine(tmp_path, seed=0, **kw):
@@ -51,8 +57,8 @@ def test_parse_basic_shapes():
         "for i in range(2):\n"
         "  a = a.filter('x = 1')\n"
         "execute(a)\n")
-    assert len(stmts) == 3
-    assert stmts[0].targets == ("a", "b")
+    assert [type(s) for s in stmts] == [ast.Assign, ast.For, ast.Expr]
+    assert [t.id for t in stmts[0].targets[0].elts] == ["a", "b"]
     assert len(stmts[1].body) == 1
 
 
@@ -69,8 +75,9 @@ def test_parse_rejects_stray_indent():
 
 
 def test_parse_empty_loop_body():
-    with pytest.raises(ScriptError, match="empty loop"):
+    with pytest.raises(ScriptError) as e:
         parse_script("for i in range(2):\nexecute(a)")
+    assert e.value.line == 2
 
 
 def test_parse_comments_and_blank_lines_ignored():
@@ -430,3 +437,96 @@ def test_document_records_join_to_document_output_only(tmp_path, strategy,
             "a = openTable('cells').toArray({'r', 'c'}, {'v'})\n"
             "d = openCollection('visits')\n"
             f"execute(a.join(d, 'd.r = a.r AND d.c = a.c', {model}))\n")
+
+
+# ------------------------------------------------- the language's boundary
+
+@pytest.mark.parametrize("line, call", [
+    ("x = t.filter('x > 1', 'y < 5')", "filter"),
+    ("x = t.project('x', 'y')", "project"),
+    ("x = t.sort('x', 'y DESC')", "sort"),
+    ("x = t.union(t, t)", "union"),
+    ("x = t.filter()", "filter"),
+    ("x = t.limit(n=2)", "limit"),
+    ("x = t.count(1)", "count"),
+    ("x = t.join(t, 'x = y', RELATIONAL, 1)", "join"),
+    ("x = openTable('points', 'other')", "openTable"),
+    ("x = rand({2, 2}, 3)", "rand"),
+    ("x = rand({2, 2}).transpose(t)", "transpose"),
+    ("x = rand({2, 2}).matmul(**t)", "matmul"),
+    ("for i in range(1, 2):\n  x = t", "range"),
+    ("execute(t, t)", "execute"),
+])
+def test_call_arguments_are_counted(tmp_path, line, call):
+    write_points(tmp_path)
+    with pytest.raises(ScriptError, match=rf"{call}\(\)") as e:
+        engine(tmp_path).plan_script(
+            f"t = openTable('points')\n{line}\nexecute(t)\n")
+    assert (e.value.line, e.value.col) == (2, line.index(call) + 1)
+
+
+@pytest.mark.parametrize("line", [
+    "import os",
+    "def f(): pass",
+    "if 1:\n  x = t",
+    "while 1:\n  x = t",
+    "for i in t:\n  x = t",
+    "for i in range(2):\n  x = t\nelse:\n  x = t",
+    "x = y = t",
+    "n += 1",
+    "x = -3",
+    "x = True",
+    "x = None",
+    "x = 1j",
+    "x = f'{n}'",
+    "x = b'a'",
+    "x = rand({'a': 1})",
+    "x = t[0]",
+    "x = t.X",
+    "x = t < t",
+    "x = lambda: 0",
+    "x = openTable(*n)",
+    "x = openTable(name='points')",
+])
+def test_python_outside_the_language_is_refused(tmp_path, line):
+    write_points(tmp_path)
+    with pytest.raises(ScriptError) as e:
+        engine(tmp_path).plan_script(
+            f"t, n = openTable('points'), 2\n{line}\nexecute(t)\n")
+    assert 2 <= e.value.line <= 2 + line.count("\n")  # within the construct
+
+
+def test_string_literals_follow_python(tmp_path):
+    write_points(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under -W error
+        plan, target = engine(tmp_path).plan_script(
+            "t = openTable('points')\n"
+            "execute(t.project('a\\d, b\\\\, c\\'d'))\n")
+    # an unknown escape keeps its backslash; \\ and \' are one character
+    assert plan.node(target).params["cols"] == ["a\\d", "b\\", "c'd"]
+
+
+def write_tile_join_catalog(path):
+    (path / "probe.csv").write_text("r,c,w\n0,1,7\n2,3,50\n3,3,95\n")
+    (path / "grp.csv").write_text("k,g\n7,1\n50,2\n")
+    (path / "cells.csv").write_text("r,c,v\n0,1,4\n2,3,9\n")
+    Catalog(str(path)).ingest("coo", str(path / "cells.csv"), "cells",
+                              size=(4, 4), tile=(2, 2))
+
+
+@pytest.mark.parametrize("script, digest", [
+    ("recommend", "d6432ee4392bd566bf53dab441d2445b6610fbb410d818884ed49355eb28a6f9"),
+    ("tile_join", "41d69e31cd9eee10b76b1064a179210d3c98cc233530ab2d4b67319f7bbc5469"),
+])
+def test_shipped_scripts_bind_to_pinned_plans(tmp_path, script, digest):
+    if script == "recommend":
+        eng, text = recommend_engine(seed=3), RECOMMEND
+    else:
+        write_tile_join_catalog(tmp_path)
+        eng = engine(tmp_path, seed=3)
+        with open(os.path.join(PERFBENCH, "tile_join.m2s"),
+                  encoding="utf-8") as f:
+            text = f.read()
+    doc = json.dumps(eng.explain(text), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
