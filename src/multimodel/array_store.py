@@ -256,8 +256,9 @@ def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values) -> Tile:
     cols = [np.asarray(v, dtype=dt)[order] for v, dt in zip(values, attr_dtypes)]
     dup = keys[1:] == keys[:-1]
     if dup.any():
-        first = cc[order[1:][dup][0]]
-        raise DuplicateCellError(f"duplicate cell {tuple(int(x) for x in first)} in tile {tuple(tc)}")
+        i = int(order[1:][dup][0])
+        cell = tuple(int(t * s + x) for t, s, x in zip(tc, ts, cc[i]))
+        raise DuplicateCellError(f"duplicate cell {cell} in tile {tuple(tc)}", index=i)
     if layout == "dense":
         return Tile(layout, ts, attr_dtypes, *_scatter(ts, attr_dtypes, keys, cols))
     return Tile(layout, ts, attr_dtypes, keys, cols)
@@ -773,8 +774,9 @@ class ArrayBuilder:
             return
         size = np.array(self.arr.meta.size, dtype=np.int64)
         if coords.min() < 0 or (coords >= size).any():
-            bad = coords[(coords < 0).any(1) | (coords >= size).any(1)][0]
-            raise BoundsError(f"coordinate {tuple(int(x) for x in bad)} outside array size {self.arr.meta.size}")
+            i = int(np.argmax((coords < 0).any(1) | (coords >= size).any(1)))
+            raise BoundsError(f"coordinate {tuple(int(x) for x in coords[i])} outside array size {self.arr.meta.size}",
+                              index=sum(map(len, self._coords)) + i)
         self._coords.append(coords)
         self._values.append([np.asarray(v, dt) for v, dt in
                              zip(values, self.arr.attr_dtypes)])
@@ -791,9 +793,14 @@ class ArrayBuilder:
             bounds = np.flatnonzero(np.diff(tid, prepend=-1, append=-1)).tolist()
             with arr.release_on_error():  # non-empty: add_cells skips empty batches
                 for tc, lo, hi in zip(arr._coords(tid[bounds[:-1]]), bounds, bounds[1:]):
-                    arr.write_tile(tc, make_tile(
-                        tc, arr.meta.tile_size, arr.valid_extent(tc), arr.attr_dtypes,
-                        arr.meta.layout, coords[lo:hi] - ts * tc,
-                        [c[lo:hi] for c in cols]))
+                    try:
+                        tile = make_tile(
+                            tc, arr.meta.tile_size, arr.valid_extent(tc), arr.attr_dtypes,
+                            arr.meta.layout, coords[lo:hi] - ts * tc,
+                            [c[lo:hi] for c in cols])
+                    except DuplicateCellError as e:
+                        e.index = int(order[lo + e.index])  # as added
+                        raise
+                    arr.write_tile(tc, tile)
         self._coords, self._values = [], []
         return arr

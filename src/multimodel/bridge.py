@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_store import ArrayBuilder, StoredArray
-from .errors import BindingError, OutputSpecError
+from .errors import BindingError, EngineError, OutputSpecError
 from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
                      infer_column_type, tile_extent)
@@ -222,7 +222,8 @@ def _check_ints(records, kept, names, types, values: list[Column]) -> None:
         if bad is not None:
             raise BindingError(
                 f"{_noun(records)} {kept[bad]}: value attribute {name!r} "
-                f"must fit in a signed 64-bit integer, got {vs[bad]!r}")
+                f"must fit in a signed 64-bit integer, got {vs[bad]!r}",
+                index=int(kept[bad]))
 
 
 _TYPE_OF = {"i": INT, "f": FLOAT, "b": BOOL}
@@ -590,10 +591,15 @@ def to_array(src, dim_names: list[str], value_names: list[str],
                          size, tile_extent(size, default_tile))
     _check_ints(src, kept, value_names, meta.schema.attr_types, cols)
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
-    # a typed column as it is, an object column through its Python values
-    builder.add_cells(dims, [c.values if c.values.dtype != object
-                             else np.asarray(c.tolist()) for c in cols])
-    return builder.finish()
+    try:
+        # a typed column as it is, an object column through its Python values
+        builder.add_cells(dims, [c.values if c.values.dtype != object
+                                 else np.asarray(c.tolist()) for c in cols])
+        return builder.finish()
+    except EngineError as e:
+        if e.index is not None:  # a cell's position; name its record
+            e.index = int(kept[e.index])
+        raise
 
 
 def to_relation(arr: StoredArray) -> Relation:

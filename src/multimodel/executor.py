@@ -158,8 +158,14 @@ class Catalog:
                     vt for _, vt in rel.schema[d:])), size, tile, layout)
             except ValueError as e:
                 raise ConfigError(f"coo array: {e}") from None
-            arr = to_array(rel, dims, values, meta, BufferPool(1 << 30),
-                           name=name)
+            try:
+                arr = to_array(rel, dims, values, meta, BufferPool(1 << 30),
+                               name=name)
+            except EngineError as e:
+                if e.index is None:
+                    raise
+                raise DataFormatError(str(e), name,
+                                      _csv_row_line(text, e.index + 1)) from None
             dst = self.path(name, "array")
             arr.save(dst)
             return dst

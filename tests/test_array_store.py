@@ -442,6 +442,19 @@ def test_builder_rejects_out_of_range_coordinate(pool):
         b.add_cells(np.array([[10, 0]]), [np.array([1.0])])
 
 
+def test_builder_errors_give_the_cell_as_added(pool):
+    b = ArrayBuilder(array_meta((10, 10), (5, 5)), pool)
+    b.add_cells(np.array([[7, 8], [1, 1]]), [np.array([1.0, 2.0])])
+    with pytest.raises(BoundsError) as e:
+        b.add_cells(np.array([[0, 10]]), [np.array([3.0])])
+    assert e.value.index == 2
+    b.add_cells(np.array([[3, 3], [7, 8]]), [np.array([5.0, 6.0])])
+    with pytest.raises(DuplicateCellError,
+                       match=r"cell \(7, 8\) in tile \(1, 1\)") as e:
+        b.finish()
+    assert e.value.index == 3
+
+
 def test_coo_csv_round_trip(tmp_path, pool):
     arr = _filled_array(pool)
     text = format_result(arr)

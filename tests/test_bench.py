@@ -232,6 +232,9 @@ def test_cli_coo_text_follows_the_csv_loader_rules(tmp_path, capsys, text,
     ("r,c,v\n0,0,\n", 2),  # empty value cell
     ("r,c,v\n0,0,1\n\n1,1,\n", 4),  # empty value cell after a blank line
     ("r,c,v\n0,0,true\n,1,false\n", 3),  # empty coordinate cell
+    ("r,c,v\n0,0,1\n1,1,1180591620717411303424\n", 3),  # int beyond int64
+    ("r,c,v\n0,0,1\n1,1,2\n0,0,3\n", 4),  # repeated cell
+    ("r,c,v\n0,0,1\n9,0,2\n", 3),  # coordinate outside --size
 ])
 def test_cli_bad_coo_cell_is_one_line(tmp_path, capsys, text, line):
     src = tmp_path / "cells.csv"
