@@ -1,9 +1,10 @@
 """Query scripts over tables and collections.
 
-Pipelines are written in a small scripting language: open a dataset, chain
-method calls, and mark exactly one expression with execute(). Binding turns
-the script into a logical operator DAG; everything not feeding the executed
-expression is dropped before anything runs.
+Pipelines are written in a small subset of Python, read by Python's own
+parser: open a dataset, chain method calls, and mark exactly one expression
+with execute(). Binding turns the script into a logical operator DAG;
+everything not feeding the executed expression is dropped before anything
+runs, and any Python outside the subset is refused with its line.
 
 Run with:  python3 demos/03_scripts_and_queries.py
 """

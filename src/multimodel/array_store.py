@@ -791,16 +791,15 @@ class ArrayBuilder:
             coords, tid = coords[order], tid[order]
             cols = [np.concatenate(parts)[order] for parts in zip(*self._values)]
             bounds = np.flatnonzero(np.diff(tid, prepend=-1, append=-1)).tolist()
-            with arr.release_on_error():  # non-empty: add_cells skips empty batches
-                for tc, lo, hi in zip(arr._coords(tid[bounds[:-1]]), bounds, bounds[1:]):
-                    try:
-                        tile = make_tile(
+            try:
+                with arr.release_on_error():  # non-empty: add_cells skips empty batches
+                    for tc, lo, hi in zip(arr._coords(tid[bounds[:-1]]), bounds, bounds[1:]):
+                        arr.write_tile(tc, make_tile(
                             tc, arr.meta.tile_size, arr.valid_extent(tc), arr.attr_dtypes,
                             arr.meta.layout, coords[lo:hi] - ts * tc,
-                            [c[lo:hi] for c in cols])
-                    except DuplicateCellError as e:
-                        e.index = int(order[lo + e.index])  # as added
-                        raise
-                    arr.write_tile(tc, tile)
+                            [c[lo:hi] for c in cols]))
+            except DuplicateCellError as e:  # in the tile starting at lo
+                e.index = int(order[lo + e.index])  # the cell as added
+                raise
         self._coords, self._values = [], []
         return arr

@@ -2,12 +2,9 @@
 
 
 class EngineError(Exception):
-    """Base class for all errors raised by this package.
-
-    ``index``, when set, is the position of the cell or record at fault in
-    the input of the call that raised: a cell given to
-    ``ArrayBuilder.add_cells``, a record given to ``to_array``.
-    ``Catalog.ingest`` turns it into a line of the ingested file."""
+    """Base class for all errors raised by this package.  ``index``, when
+    set, is the position of the cell or record at fault in the input of the
+    call that raised; ``Catalog.ingest`` turns a record into its line."""
 
     def __init__(self, *args, index: int | None = None):
         super().__init__(*args)

@@ -115,7 +115,8 @@ class Catalog:
         typed ``uint`` and the rest's types inferred (a value column no
         bool, int or float reads, or one without cells, is read as float),
         then made an array by ``to_array`` with the given extent, tiling
-        and layout.  An empty cell is refused with its line."""
+        and layout.  An empty, repeated or out-of-range cell, or an int
+        beyond int64, is refused with its line."""
         if not os.path.isfile(src_path):
             raise NotFoundError(f"no such file: {src_path}")
         with open(src_path, "r", encoding="utf-8") as f:

@@ -50,17 +50,6 @@ def parse_script(text: str) -> list[ast.stmt]:
         raise ScriptError(e.msg, e.lineno or 0, e.offset or 0) from None
 
 
-def _err(msg: str, node: ast.AST) -> ScriptError:
-    """A ScriptError at ``node``; for ``x.name`` and ``x.name(...)``, at
-    ``name``."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return ScriptError(msg, node.end_lineno,
-                           node.end_col_offset - len(node.attr) + 1)
-    return ScriptError(msg, node.lineno, node.col_offset + 1)
-
-
 def _brace(e: ast.expr) -> list | None:
     """The items of a ``{...}`` list (``{}`` parses as an empty dict), or
     None when ``e`` is not one."""
@@ -103,21 +92,6 @@ _ARITY = {
 }
 
 
-def _args(call: ast.Call, name: str) -> list[ast.expr]:
-    """The positional arguments of ``call``, refused when they are keyword
-    or starred, or too few or too many for ``name``."""
-    lo, hi = _ARITY[name]
-    if call.keywords:
-        raise _err(f"{name}() takes no keyword arguments", call)
-    if any(isinstance(a, ast.Starred) for a in call.args):
-        raise _err(f"{name}() takes no *arguments", call)
-    if not lo <= len(call.args) <= hi:
-        want = lo if lo == hi else f"{lo} to {hi}"
-        raise _err(f"{name}() takes {want} argument{'' if hi == 1 else 's'}, "
-                   f"got {len(call.args)}", call)
-    return call.args
-
-
 class Binder:
     """Walks parsed statements, folding scalars and growing the plan."""
 
@@ -128,9 +102,11 @@ class Binder:
         self.env: dict[str, Any] = {}
         self.rand_count = 0
         self.target: int | None = None
+        self.lines: list[str] = []
 
-    def bind(self, stmts) -> tuple[LogicalPlan, int]:
-        for s in stmts:
+    def bind(self, text: str) -> tuple[LogicalPlan, int]:
+        self.lines = re.split(r"\r\n?|\n", text)  # as Python counts lines
+        for s in parse_script(text):
             self._stmt(s)
         if self.target is None:
             raise ScriptError("script never calls execute()")
@@ -149,37 +125,67 @@ class Binder:
             stack.extend(self.plan.node(nid).inputs)
         return LogicalPlan([n for n in self.plan.nodes if n.id in keep])
 
+    def _err(self, msg: str, node: ast.AST) -> ScriptError:
+        """A ScriptError at ``node``; for ``x.name`` and ``x.name(...)``, at
+        ``name``."""
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Attribute):
+            line, end = node.end_lineno, node.end_col_offset
+            back = len(node.attr)
+        else:
+            line, end, back = node.lineno, node.col_offset, 0
+        # ast counts UTF-8 bytes into the line; a ScriptError, characters
+        col = len(self.lines[line - 1].encode()[:end].decode()) - back
+        return ScriptError(msg, line, col + 1)
+
+    def _args(self, call: ast.Call, name: str) -> list[ast.expr]:
+        """The positional arguments of ``call``, refused when they are keyword
+        or starred, or too few or too many for ``name``."""
+        lo, hi = _ARITY[name]
+        if call.keywords:
+            raise self._err(f"{name}() takes no keyword arguments", call)
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            raise self._err(f"{name}() takes no *arguments", call)
+        if not lo <= len(call.args) <= hi:
+            want = lo if lo == hi else f"{lo} to {hi}"
+            s = "" if hi == 1 else "s"
+            raise self._err(f"{name}() takes {want} argument{s}, "
+                            f"got {len(call.args)}", call)
+        return call.args
+
     # -- statements ---------------------------------------------------------
 
     def _stmt(self, s: ast.stmt) -> None:
         if isinstance(s, ast.Assign):
             if len(s.targets) != 1:
-                raise _err("one '=' per assignment", s)
+                raise self._err("one '=' per assignment", s)
             target = s.targets[0]
             names = target.elts if isinstance(target, ast.Tuple) else [target]
             for t in names:
                 if not isinstance(t, ast.Name):
-                    raise _err("assignment target must be a name", t)
+                    raise self._err("assignment target must be a name", t)
             exprs = s.value.elts if isinstance(s.value, ast.Tuple) \
                 else [s.value]
             vals = [self._expr(e) for e in exprs]
             if len(names) != len(vals):
-                raise _err(f"{len(names)} targets but {len(vals)} values", s)
+                raise self._err(
+                    f"{len(names)} targets but {len(vals)} values", s)
             for t, v in zip(names, vals):
                 self.env[t.id] = v
         elif isinstance(s, ast.For):
             it = s.iter
             if not isinstance(s.target, ast.Name):
-                raise _err("expected a loop variable", s.target)
+                raise self._err("expected a loop variable", s.target)
             if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
                     and it.func.id == "range"):
-                raise _err("only 'range(n)' loops are supported", it)
+                raise self._err("only 'range(n)' loops are supported", it)
             if s.orelse:
-                raise _err("a for-loop takes no else", s)
-            n = self._expr(_args(it, "range")[0])
+                raise self._err("a for-loop takes no else", s)
+            n = self._expr(self._args(it, "range")[0])
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise _err("range() needs a non-negative integer known "
-                           "at bind time", it)
+                raise self._err("range() needs a non-negative integer known "
+                                "at bind time", it)
             for k in range(n):
                 self.env[s.target.id] = k
                 for b in s.body:
@@ -187,15 +193,15 @@ class Binder:
         elif isinstance(s, ast.Expr) and isinstance(s.value, ast.Call) \
                 and isinstance(s.value.func, ast.Name) \
                 and s.value.func.id == "execute":
-            arg = _args(s.value, "execute")[0]
+            arg = self._args(s.value, "execute")[0]
             if self.target is not None:
-                raise _err("execute() must appear exactly once", s)
+                raise self._err("execute() must appear exactly once", s)
             v = self._expr(arg)
             if not isinstance(v, NodeRef):
-                raise _err("execute() needs a dataset expression", s)
+                raise self._err("execute() needs a dataset expression", s)
             self.target = v.id
         else:
-            raise _err("expected an assignment, for-loop or execute()", s)
+            raise self._err("expected an assignment, for-loop or execute()", s)
 
     # -- expressions ----------------------------------------------------------
 
@@ -204,32 +210,33 @@ class Binder:
             if type(e.value) in (int, float):
                 return e.value
             if isinstance(e.value, str):
-                raise _err("string literal outside an argument position", e)
-            raise _err(f"unsupported literal {e.value!r}", e)
+                raise self._err("string literal outside an argument "
+                                "position", e)
+            raise self._err(f"unsupported literal {e.value!r}", e)
         if isinstance(e, ast.Name):
             try:
                 return self.env[e.id]
             except KeyError:
-                raise _err(f"undefined name {e.id!r}", e) from None
+                raise self._err(f"undefined name {e.id!r}", e) from None
         if isinstance(e, ast.Call) and isinstance(e.func, ast.Name):
             return self._call(e)
         if isinstance(e, ast.Call) and isinstance(e.func, ast.Attribute):
             return self._method(e)
         if isinstance(e, ast.Attribute):
             if e.attr != "T":
-                raise _err(f"{e.attr!r} is not callable without parentheses "
-                           f"(only .T is an attribute)", e)
+                raise self._err(f"{e.attr!r} is not callable without "
+                                f"parentheses (only .T is an attribute)", e)
             return self._m_transpose(e, self._expr(e.value))
         if isinstance(e, ast.BinOp) and type(e.op) in _BINOPS:
             return self._binop(e, _BINOPS[type(e.op)])
         if _brace(e) is not None:
-            raise _err("brace list outside an argument position", e)
-        raise _err(f"unsupported expression ({type(e).__name__})", e)
+            raise self._err("brace list outside an argument position", e)
+        raise self._err(f"unsupported expression ({type(e).__name__})", e)
 
     def _call(self, e: ast.Call):
         func = e.func.id
         if func in _OPEN_KINDS:
-            _args(e, func)
+            self._args(e, func)
             name = self._arg_str(e, 0)
             model = _OPEN_KINDS[func]
             if not self.catalog.exists(name, model):
@@ -239,27 +246,27 @@ class Binder:
             n = self.plan.add(op, model, name=name, qualifier=name)
             return NodeRef(n.id, model)
         if func == "rand":
-            items = _brace(_args(e, func)[0])
-            if items is None:
-                raise _err("rand takes a {dim, ...} size list", e)
+            items = _brace(self._args(e, func)[0])
+            if not items:
+                raise self._err("rand takes a {dim, ...} size list", e)
             size = [self._expr(x) for x in items]
             for s in size:
                 if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-                    raise _err("rand sizes must be positive integers "
-                               "known at bind time", e)
+                    raise self._err("rand sizes must be positive integers "
+                                    "known at bind time", e)
             seed = self.config.seed + self.rand_count
             self.rand_count += 1
             n = self.plan.add("rand", _ARR, size=size, seed=seed)
             return NodeRef(n.id, _ARR)
-        raise _err(f"unknown function {func!r}", e)
+        raise self._err(f"unknown function {func!r}", e)
 
     def _binop(self, e: ast.BinOp, op: str):
         l, r = self._expr(e.left), self._expr(e.right)
         if isinstance(l, (int, float)) and isinstance(r, (int, float)):
             if op == "@":
-                raise _err("'@' applies to arrays", e)
+                raise self._err("'@' applies to arrays", e)
             if op == "/" and r == 0:
-                raise _err("division by zero", e)
+                raise self._err("division by zero", e)
             return {"+": l + r, "-": l - r, "*": l * r, "/": l / r}[op]
         if isinstance(l, NodeRef) and isinstance(r, NodeRef) \
                 and l.model == _ARR and r.model == _ARR:
@@ -268,7 +275,7 @@ class Binder:
             else:
                 n = self.plan.add("ewise", _ARR, inputs=[l.id, r.id], fn=op)
             return NodeRef(n.id, _ARR)
-        raise _err(f"cannot apply {op!r} to these operands", e)
+        raise self._err(f"cannot apply {op!r} to these operands", e)
 
     # -- methods --------------------------------------------------------------
 
@@ -277,27 +284,27 @@ class Binder:
         recv = self._expr(m.func.value)
         handler = getattr(self, f"_m_{name}", None)
         if handler is None or not isinstance(recv, NodeRef):
-            raise _err(f"unknown method .{name}()", m)
-        _args(m, name)
+            raise self._err(f"unknown method .{name}()", m)
+        self._args(m, name)
         return handler(m, recv)
 
     def _need_model(self, v, model, what, node) -> None:
         if not isinstance(v, NodeRef):
-            raise _err(f".{what} needs a dataset", node)
+            raise self._err(f".{what} needs a dataset", node)
         models = (model,) if isinstance(model, str) else model
         if v.model not in models:
-            raise _err(f".{what} does not apply to {v.model} data", node)
+            raise self._err(f".{what} does not apply to {v.model} data", node)
 
     def _arg_str(self, m, i) -> str:
         if not _is_str(m.args[i]):
-            raise _err(f"argument {i + 1} must be a quoted string", m)
+            raise self._err(f"argument {i + 1} must be a quoted string", m)
         return m.args[i].value
 
-    def _checked_pred(self, text: str, m) -> str:
+    def _checked(self, parse, what: str, text: str, m) -> str:
         try:
-            parse_predicate(text)
+            parse(text)
         except ScriptError as e:
-            raise _err(f"bad predicate: {e.args[0]}", m) from None
+            raise self._err(f"bad {what}: {e.args[0]}", m) from None
         return text
 
     def _syntactic_name(self, expr, ref: NodeRef, fallback: str) -> str:
@@ -308,7 +315,8 @@ class Binder:
 
     def _m_filter(self, m, recv):
         self._need_model(recv, (_REL, _DOC), "filter", m)
-        pred = self._checked_pred(self._arg_str(m, 0), m)
+        pred = self._checked(parse_predicate, "predicate",
+                             self._arg_str(m, 0), m)
         n = self.plan.add("filter", recv.model, inputs=[recv.id], pred=pred)
         return NodeRef(n.id, recv.model)
 
@@ -317,17 +325,14 @@ class Binder:
         cols = [c.strip() for c in self._arg_str(m, 0).split(",")
                 if c.strip()]
         if not cols:
-            raise _err("project needs at least one column", m)
+            raise self._err("project needs at least one column", m)
         n = self.plan.add("project", recv.model, inputs=[recv.id], cols=cols)
         return NodeRef(n.id, recv.model)
 
     def _m_sort(self, m, recv):
         self._need_model(recv, (_REL, _DOC), "sort", m)
-        spec = self._arg_str(m, 0)
-        try:
-            parse_sort_spec(spec)
-        except ScriptError as e:
-            raise _err(f"bad sort spec: {e.args[0]}", m) from None
+        spec = self._checked(parse_sort_spec, "sort spec",
+                             self._arg_str(m, 0), m)
         n = self.plan.add("sort", recv.model, inputs=[recv.id], keys=spec)
         return NodeRef(n.id, recv.model)
 
@@ -335,7 +340,7 @@ class Binder:
         self._need_model(recv, (_REL, _DOC), "limit", m)
         k = self._expr(m.args[0])
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise _err("limit needs a non-negative integer", m)
+            raise self._err("limit needs a non-negative integer", m)
         n = self.plan.add("limit", recv.model, inputs=[recv.id], n=k)
         return NodeRef(n.id, recv.model)
 
@@ -349,7 +354,7 @@ class Binder:
         self._need_model(recv, (_REL, _DOC), "union", m)
         other = self._expr(m.args[0])
         if not isinstance(other, NodeRef) or other.model != recv.model:
-            raise _err("union needs a dataset of the same model", m)
+            raise self._err("union needs a dataset of the same model", m)
         n = self.plan.add("union", recv.model, inputs=[recv.id, other.id])
         return NodeRef(n.id, recv.model)
 
@@ -361,8 +366,8 @@ class Binder:
         for part in self._arg_str(m, 1).split(","):
             g = _AGG_ITEM.match(part)
             if g is None:
-                raise _err(f"bad aggregate {part.strip()!r}; expected "
-                           f"func(attr) as name", m)
+                raise self._err(f"bad aggregate {part.strip()!r}; expected "
+                                f"func(attr) as name", m)
             func, ref, out = g.groups()
             aggs.append([func, None if ref == "*" else ref, out])
         n = self.plan.add("aggregate", recv.model, inputs=[recv.id],
@@ -370,8 +375,7 @@ class Binder:
         return NodeRef(n.id, _REL)
 
     def _m_count(self, m, recv):
-        if recv.model == _ARR:
-            raise _err("count() applies to tables and collections", m)
+        self._need_model(recv, (_REL, _DOC), "count", m)
         node = self.plan.node(recv.id)
         if node.op == "scan":
             # sizing value, needed at bind time (e.g. rand shapes)
@@ -386,21 +390,26 @@ class Binder:
         def strings(arg):
             items = _brace(arg)
             if items is None:
-                raise _err("toArray takes {'dim', ...}, {'value', ...}", m)
+                raise self._err("toArray takes {'dim', ...}, "
+                                "{'value', ...}", m)
             for item in items:
                 if not _is_str(item):
-                    raise _err("toArray names must be quoted strings", item)
+                    raise self._err("toArray names must be quoted "
+                                    "strings", item)
             return [item.value for item in items]
 
+        dims = strings(m.args[0])
+        if not dims:
+            raise self._err("toArray needs at least one dimension", m)
         n = self.plan.add("to_array", "inter-model", inputs=[recv.id],
-                          dims=strings(m.args[0]), values=strings(m.args[1]))
+                          dims=dims, values=strings(m.args[1]))
         return NodeRef(n.id, _ARR)
 
     def _m_matmul(self, m, recv):
         self._need_model(recv, _ARR, "matmul", m)
         other = self._expr(m.args[0])
         if not isinstance(other, NodeRef) or other.model != _ARR:
-            raise _err("matmul needs an array argument", m)
+            raise self._err("matmul needs an array argument", m)
         n = self.plan.add("matmul", _ARR, inputs=[recv.id, other.id])
         return NodeRef(n.id, _ARR)
 
@@ -412,25 +421,26 @@ class Binder:
     def _m_join(self, m, recv):
         other = self._expr(m.args[0])
         if not isinstance(other, NodeRef):
-            raise _err("join needs a dataset argument", m)
+            raise self._err("join needs a dataset argument", m)
         out_model = None
         if len(m.args) == 3:
             tok = m.args[2]
             if not isinstance(tok, ast.Name) or tok.id not in _OUT_MODELS:
-                raise _err("join output model must be RELATIONAL, "
-                           "DOCUMENT or ARRAY", m)
+                raise self._err("join output model must be RELATIONAL, "
+                                "DOCUMENT or ARRAY", m)
             out_model = _OUT_MODELS[tok.id]
 
         l, r = recv, other
         if l.model == _ARR and r.model == _ARR:
             if len(m.args) != 1:
-                raise _err("array-array joins match on coordinates; "
-                           "no predicate applies", m)
+                raise self._err("array-array joins match on coordinates; "
+                                "no predicate applies", m)
             n = self.plan.add("spatial_join", _ARR, inputs=[l.id, r.id])
             return NodeRef(n.id, _ARR)
         if len(m.args) < 2:
-            raise _err("join needs a predicate string", m)
-        pred = self._checked_pred(self._arg_str(m, 1), m)
+            raise self._err("join needs a predicate string", m)
+        pred = self._checked(parse_predicate, "predicate",
+                             self._arg_str(m, 1), m)
         if _ARR in (l.model, r.model):
             if l.model == _ARR:
                 arr, rec = l, r
@@ -448,11 +458,12 @@ class Binder:
             return NodeRef(n.id, model)
         model = _DOC if _DOC in (l.model, r.model) else _REL
         if out_model is not None and out_model != model:
-            raise _err(f"a {model} join cannot emit {out_model} output", m)
+            raise self._err(f"a {model} join cannot emit {out_model} "
+                            f"output", m)
         n = self.plan.add("join", model, inputs=[l.id, r.id], pred=pred)
         return NodeRef(n.id, model)
 
 
 def bind_script(text: str, catalog, config) -> tuple[LogicalPlan, int]:
     """Parse and bind a script; returns (plan, execute-target node id)."""
-    return Binder(catalog, config).bind(parse_script(text))
+    return Binder(catalog, config).bind(text)

@@ -496,6 +496,15 @@ def test_python_outside_the_language_is_refused(tmp_path, line):
     assert 2 <= e.value.line <= 2 + line.count("\n")  # within the construct
 
 
+@pytest.mark.parametrize("expr", [
+    "rand({})", "openTable('points').toArray({}, {'x'})"])
+def test_an_array_needs_a_dimension(tmp_path, expr):
+    write_points(tmp_path)
+    with pytest.raises(ScriptError, match="dim") as e:
+        engine(tmp_path).plan_script(f"execute({expr})\n")
+    assert e.value.line == 1
+
+
 def test_string_literals_follow_python(tmp_path):
     write_points(tmp_path)
     with warnings.catch_warnings():
@@ -530,3 +539,12 @@ def test_shipped_scripts_bind_to_pinned_plans(tmp_path, script, digest):
             text = f.read()
     doc = json.dumps(eng.explain(text), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_positions_count_characters(tmp_path):
+    write_points(tmp_path)
+    line = "x = t.project('é, ü').sort('x', 'y')"
+    with pytest.raises(ScriptError) as e:
+        engine(tmp_path).plan_script(
+            f"t = openTable('points')\r\n{line}\r\nexecute(t)\n")
+    assert (e.value.line, e.value.col) == (2, line.index("sort") + 1)
