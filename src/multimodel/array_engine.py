@@ -26,8 +26,8 @@ from .errors import ShapeError
 from .models import ArrayMeta, CellSchema, ValueType
 
 __all__ = [
-    "ewise", "matmul", "transpose", "rand", "spatial_join_array", "to_grid",
-    "from_grid",
+    "ewise", "matmul", "matmul_meta", "transpose", "transposed_meta", "rand",
+    "rand_meta", "spatial_join_array", "to_grid", "from_grid",
 ]
 
 _AUTO_NAME = re.compile(r"^(dim\d+|value\d*)$")
@@ -50,11 +50,6 @@ def _merge_schema(a: CellSchema, b: CellSchema) -> CellSchema:
     if len(set(dims) | set(attrs)) != len(dims) + len(attrs):
         return a  # merged names collide; fall back to the left schema
     return CellSchema(dims, attrs, a.attr_types)
-
-
-def _auto_schema(d: int) -> CellSchema:
-    return CellSchema(tuple(f"dim{i}" for i in range(d)), ("value",),
-                      (ValueType("float"),))
 
 
 # ------------------------------------------------------- grid materialization
@@ -148,36 +143,56 @@ def ewise(op: str, a: StoredArray, b: StoredArray, *, name: str = "") -> StoredA
 
 # -------------------------------------------------------------------- matmul
 
-def matmul(a: StoredArray, b: StoredArray, *, name: str = "") -> StoredArray:
-    if a.meta.d != 2 or b.meta.d != 2:
+def matmul_meta(a: ArrayMeta, b: ArrayMeta) -> ArrayMeta:
+    """The metadata of ``a @ b``: dims are a's rows and b's columns, the
+    attribute the merged name, float if either operand is; clashing names
+    fall back to auto names.  Raises ShapeError for operands matmul
+    refuses."""
+    if a.d != 2 or b.d != 2:
         raise ShapeError("matmul requires 2-D arrays")
-    if a.meta.size[1] != b.meta.size[0]:
-        raise ShapeError(
-            f"inner dimensions disagree: {a.meta.size} @ {b.meta.size}")
-    if len(a.attr_dtypes) != 1 or len(b.attr_dtypes) != 1:
+    if a.size[1] != b.size[0]:
+        raise ShapeError(f"inner dimensions disagree: {a.size} @ {b.size}")
+    if len(a.schema.attr_names) != 1 or len(b.schema.attr_names) != 1:
         raise ShapeError("matmul needs single-attribute arrays")
-    kind = "float" if "float" in (a.meta.schema.attr_types[0].kind,
-                                  b.meta.schema.attr_types[0].kind) else "int"
-    dt = dtype_for(ValueType(kind))
-    dims = (a.meta.schema.dim_names[0], b.meta.schema.dim_names[1])
-    attr = _merge_name(a.meta.schema.attr_names[0], b.meta.schema.attr_names[0])
+    kind = "float" if "float" in (a.schema.attr_types[0].kind,
+                                  b.schema.attr_types[0].kind) else "int"
+    dims = (a.schema.dim_names[0], b.schema.dim_names[1])
+    attr = _merge_name(a.schema.attr_names[0], b.schema.attr_names[0])
     if dims[0] == dims[1] or attr in dims:
         dims, attr = ("dim0", "dim1"), "value"
-    sch = CellSchema(dims, (attr,), (ValueType(kind),))
-    size = (a.meta.size[0], b.meta.size[1])
-    ts = (a.meta.tile_size[0], b.meta.tile_size[1])
-    meta = ArrayMeta(sch, size, ts, layout="dense")
+    return ArrayMeta(CellSchema(dims, (attr,), (ValueType(kind),)),
+                     (a.size[0], b.size[1]), (a.tile_size[0], b.tile_size[1]),
+                     layout="dense")
 
-    if a.meta.tile_size[1] != b.meta.tile_size[0]:
+
+def _block(v: np.ndarray, arr: StoredArray, tc, flip: bool, dt) -> np.ndarray:
+    """Tile `tc`'s values block `v` cut to its valid extent, as `dt`; a
+    transposed view when `flip`."""
+    r, c = arr.valid_extent(tc)
+    v = v[:r, :c]
+    return (v.T if flip else v).astype(dt, copy=False)
+
+
+def matmul(a: StoredArray, b: StoredArray, *, transpose_a: bool = False,
+           transpose_b: bool = False, name: str = "") -> StoredArray:
+    """``a @ b``; ``transpose_a`` / ``transpose_b`` multiply by that
+    operand's transpose, reading its tile (k, i) as tile (i, k), so the
+    result is ``transpose(a) @ b`` without building ``transpose(a)``."""
+    ma = transposed_meta(a.meta) if transpose_a else a.meta
+    mb = transposed_meta(b.meta) if transpose_b else b.meta
+    meta = matmul_meta(ma, mb)
+    dt = dtype_for(meta.schema.attr_types[0])
+    if ma.tile_size[1] != mb.tile_size[0]:
         # mixed tile sizes: no shared inner tiling, go through full grids
         _, (ga,) = to_grid(a)
         _, (gb,) = to_grid(b)
+        ga, gb = (ga.T if transpose_a else ga), (gb.T if transpose_b else gb)
         prod = ga.astype(dt, copy=False) @ gb.astype(dt, copy=False)
-        return from_grid(meta, np.broadcast_to(True, size), [prod], a.pool,
-                         name=name, spool_dir=a.spool_dir)
+        return from_grid(meta, np.broadcast_to(True, meta.size), [prod],
+                         a.pool, name=name, spool_dir=a.spool_dir)
     # conforming inner tiling: one dense block per output tile
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
-    kt = a.meta.grid[1]
+    kt = ma.grid[1]
     with out.release_on_error():
         for i in range(meta.grid[0]):
             ri = out.valid_extent((i, 0))[0]
@@ -185,30 +200,35 @@ def matmul(a: StoredArray, b: StoredArray, *, name: str = "") -> StoredArray:
                 cj = out.valid_extent((0, j))[1]
                 acc = np.zeros((ri, cj), dtype=dt)
                 for k in range(kt):
-                    with a.pinned((i, k)) as ta, b.pinned((k, j)) as tb:
+                    ka = (k, i) if transpose_a else (i, k)
+                    kb = (j, k) if transpose_b else (k, j)
+                    with a.pinned(ka) as ta, b.pinned(kb) as tb:
                         _, (va,) = ta.to_scratch()
                         _, (vb,) = tb.to_scratch()
-                    va = va[: a.valid_extent((i, k))[0], : a.valid_extent((i, k))[1]]
-                    vb = vb[: b.valid_extent((k, j))[0], : b.valid_extent((k, j))[1]]
-                    acc += va.astype(dt, copy=False) @ vb.astype(dt, copy=False)
+                    acc += _block(va, a, ka, transpose_a, dt) @ \
+                        _block(vb, b, kb, transpose_b, dt)
                 _write_block(out, (i, j), np.broadcast_to(True, acc.shape), [acc])
     return out
 
 
 # ----------------------------------------------------------------- transpose
 
-def transpose(a: StoredArray, *, name: str = "") -> StoredArray:
-    if a.meta.d != 2:
+def transposed_meta(meta: ArrayMeta) -> ArrayMeta:
+    """The metadata of a 2-D array's transpose: dims and extents swapped,
+    all-auto dim names renumbered ``dim0, dim1``."""
+    if meta.d != 2:
         raise ShapeError("transpose requires a 2-D array")
-    sch = a.meta.schema
+    sch = meta.schema
     dims = (sch.dim_names[1], sch.dim_names[0])
     if all(_is_auto(n) for n in dims):
         dims = ("dim0", "dim1")
-    meta = ArrayMeta(CellSchema(dims, sch.attr_names, sch.attr_types),
-                     (a.meta.size[1], a.meta.size[0]),
-                     (a.meta.tile_size[1], a.meta.tile_size[0]),
-                     layout=a.meta.layout)
-    out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
+    return ArrayMeta(CellSchema(dims, sch.attr_names, sch.attr_types),
+                     meta.size[::-1], meta.tile_size[::-1], layout=meta.layout)
+
+
+def transpose(a: StoredArray, *, name: str = "") -> StoredArray:
+    out = StoredArray(transposed_meta(a.meta), a.pool, name=name,
+                      spool_dir=a.spool_dir)
     with out.release_on_error():
         for tc in a.tile_coords():
             with a.pinned(tc) as tile:
@@ -219,17 +239,24 @@ def transpose(a: StoredArray, *, name: str = "") -> StoredArray:
 
 # ---------------------------------------------------------------------- rand
 
+def rand_meta(size, tile_size, seed: int | None = None) -> ArrayMeta:
+    """The metadata of a ``rand`` array: auto names, one float value."""
+    size = tuple(int(s) for s in size)
+    sch = CellSchema(tuple(f"dim{i}" for i in range(len(size))), ("value",),
+                     (ValueType("float"),))
+    return ArrayMeta(sch, size,
+                     tuple(int(t) for t in tile_size), layout="dense",
+                     seed=None if seed is None else int(seed))
+
+
 def rand(size, tile_size, seed: int, pool: BufferPool, *, name: str = "",
          spool_dir: str | None = None) -> StoredArray:
     """Dense uniform [0,1) array from a counter-based deterministic generator;
     the seed is recorded in the array metadata."""
-    size = tuple(int(s) for s in size)
-    sch = _auto_schema(len(size))
-    meta = ArrayMeta(sch, size, tuple(int(t) for t in tile_size),
-                     layout="dense", seed=int(seed))
+    meta = rand_meta(size, tile_size, seed)
     gen = np.random.Generator(np.random.Philox(seed))
-    grid = gen.random(size)
-    return from_grid(meta, np.broadcast_to(True, size), [grid], pool,
+    grid = gen.random(meta.size)
+    return from_grid(meta, np.broadcast_to(True, meta.size), [grid], pool,
                      name=name, spool_dir=spool_dir)
 
 

@@ -117,15 +117,21 @@ def _is_dim(v) -> bool:
     return _is_int(v) and 0 <= v <= _MAX_DIM
 
 
-def _dim_error(where: str, v) -> BindingError:
+def _dim_problem(v) -> str:
     if _is_int(v) and v > _MAX_DIM:
-        return BindingError(f"{where} must fit in a signed 64-bit integer, "
-                            f"got {v!r}")
-    return BindingError(f"{where} must be a non-negative integer, got {v!r}")
+        return f"must fit in a signed 64-bit integer, got {v!r}"
+    return f"must be a non-negative integer, got {v!r}"
 
 
 def _noun(records) -> str:
     return "row" if isinstance(records, Relation) else "document"
+
+
+def _record_error(records, i: int, detail: str) -> BindingError:
+    """A binding error about record ``i``, named in the message; ``index``
+    and ``detail`` let ``Catalog.ingest`` name its line instead."""
+    return BindingError(f"{_noun(records)} {i}: {detail}", index=i,
+                        detail=detail)
 
 
 def _attr_index(rel: Relation, attr: str) -> int:
@@ -178,8 +184,8 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     record is named.
     """
     n = len(records)
-    label = "row {}: dimension attribute {!r}" \
-        if isinstance(records, Relation) else "document {}: path {!r}"
+    label = "dimension attribute {!r}" if isinstance(records, Relation) \
+        else "path {!r}"
     reach = np.ones(n, dtype=bool)  # records with every earlier bound path
     cols, bads = [], []
     for attr in binding.attrs:
@@ -190,8 +196,8 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
         cols.append(col)
     if (bad := _first_bad(bads)) is not None:
         r, j = bad
-        raise _dim_error(label.format(r, binding.attrs[j]),
-                         cols[j].tolist()[r])
+        raise _record_error(records, r, f"{label.format(binding.attrs[j])} "
+                                        f"{_dim_problem(cols[j].tolist()[r])}")
     kept = np.flatnonzero(reach)
     dims = np.empty((len(kept), len(binding.attrs)), dtype=np.int64)
     for j, col in enumerate(cols):
@@ -220,10 +226,9 @@ def _check_ints(records, kept, names, types, values: list[Column]) -> None:
         bad = next((i for i, v in enumerate(vs)
                     if _is_int(v) and not _MIN_INT <= v <= _MAX_DIM), None)
         if bad is not None:
-            raise BindingError(
-                f"{_noun(records)} {kept[bad]}: value attribute {name!r} "
-                f"must fit in a signed 64-bit integer, got {vs[bad]!r}",
-                index=int(kept[bad]))
+            raise _record_error(
+                records, int(kept[bad]), f"value attribute {name!r} must "
+                f"fit in a signed 64-bit integer, got {vs[bad]!r}")
 
 
 _TYPE_OF = {"i": INT, "f": FLOAT, "b": BOOL}

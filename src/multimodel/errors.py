@@ -4,11 +4,14 @@
 class EngineError(Exception):
     """Base class for all errors raised by this package.  ``index``, when
     set, is the position of the cell or record at fault in the input of the
-    call that raised; ``Catalog.ingest`` turns a record into its line."""
+    call that raised, and ``detail`` the message without the name of that
+    record; ``Catalog.ingest`` names the record's line instead."""
 
-    def __init__(self, *args, index: int | None = None):
+    def __init__(self, *args, index: int | None = None,
+                 detail: str | None = None):
         super().__init__(*args)
         self.index = index
+        self.detail = str(self) if detail is None else detail
 
 
 class BoundsError(EngineError):

@@ -44,7 +44,8 @@ from .models import (FLOAT, STRING, UINT, ArrayMeta, CellSchema, Collection,
                      tile_extent)
 from .planner import (LogicalPlan, Partition, PartitionDag, TreeNode,
                       alias_key, dag_to_trees, partition,
-                      partition_dag_to_dict, plan_to_dict, topo_order)
+                      partition_dag_to_dict, plan_to_dict, rewrite,
+                      topo_order)
 from .predicates import parse_predicate, parse_sort_spec
 from .rd_engine import execute_tree, node
 from .script import bind_script
@@ -165,7 +166,7 @@ class Catalog:
             except EngineError as e:
                 if e.index is None:
                     raise
-                raise DataFormatError(str(e), name,
+                raise DataFormatError(e.detail, name,
                                       _csv_row_line(text, e.index + 1)) from None
             dst = self.path(name, "array")
             arr.save(dst)
@@ -195,13 +196,15 @@ class Engine:
     # -- entry points ------------------------------------------------------
 
     def plan_script(self, text: str) -> tuple[LogicalPlan, int]:
-        return bind_script(text, self.catalog, self.config)
+        """The plan that runs: the script as bound, then rewritten."""
+        return rewrite(*bind_script(text, self.catalog, self.config))
 
     def explain(self, text: str) -> dict:
-        plan, target = self.plan_script(text)
-        doc = plan_to_dict(plan)
-        doc.update(partition_dag_to_dict(partition(plan)))
-        doc["target"] = target
+        """The plan that runs, partitioned, with the plan as bound (before
+        ``rewrite``) under ``bound`` in the same form."""
+        bound = bind_script(text, self.catalog, self.config)
+        doc = _plan_document(*rewrite(*bound))
+        doc["bound"] = _plan_document(*bound)
         return doc
 
     def run(self, text: str):
@@ -277,7 +280,9 @@ class Engine:
             return self.catalog.load_array(p["name"], self.pool,
                                            spool_dir=self.config.spool_dir)
         if n.op == "matmul":
-            return array_engine.matmul(ins[0], ins[1])
+            return array_engine.matmul(
+                ins[0], ins[1], transpose_a=p.get("transpose_a", False),
+                transpose_b=p.get("transpose_b", False))
         if n.op == "transpose":
             return array_engine.transpose(ins[0])
         if n.op == "ewise":
@@ -305,6 +310,13 @@ class Engine:
             self.join_stats.append(stats)
             return res
         raise PlanError(f"unsupported inter-model operator {n.op!r}")
+
+
+def _plan_document(plan: LogicalPlan, target: int) -> dict:
+    doc = plan_to_dict(plan)
+    doc.update(partition_dag_to_dict(partition(plan)))
+    doc["target"] = target
+    return doc
 
 
 def _scans(plan: LogicalPlan, part: Partition) -> set[tuple[str, str]]:

@@ -5,16 +5,21 @@ nodes, each tagged with the data model it runs under.  ``partition`` groups
 nodes into single-model partitions via bottom-up merging, ``topo_order``
 schedules the partitions, and ``dag_to_trees`` rewrites a relational or
 document partition into executable trees, materializing any subtree that is
-consumed more than once.
+consumed more than once.  Before any of that, ``rewrite`` turns the plan as
+bound into the plan that runs: matmul chains in their cheapest order, and
+transposes read by the matmuls that consume them.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from .errors import InternalError, PlanError
+from . import array_engine
+from .errors import InternalError, PlanError, ShapeError
+from .models import ArrayMeta
 
 MODELS = ("relational", "document", "array", "inter-model")
 
@@ -239,6 +244,175 @@ def topo_order(pd: PartitionDag) -> list[Partition]:
         raise InternalError("partition graph contains a cycle")
     by_index = {p.index: p for p in pd.partitions}
     return [by_index[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# array rewrites
+
+Tree = Any  # an operand position, or a (left, right) pair of trees
+
+
+def chain_order(extents) -> tuple[int, Tree]:
+    """The cheapest order of a matrix chain (Hu & Shing; the CLRS dynamic
+    program): ``extents`` are the operands' (rows, columns), the cost is
+    the count of scalar multiplies.  Returns (cost, tree).  Among equal
+    costs the split furthest right wins, so ties evaluate left to right."""
+    n = len(extents)
+    p = [extents[0][0]] + [c for _, c in extents]
+    cost = [[0] * n for _ in range(n)]
+    split = [[0] * n for _ in range(n)]
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            cost[i][j] = None
+            for k in range(i, j):
+                c = cost[i][k] + cost[k + 1][j] + p[i] * p[k + 1] * p[j + 1]
+                if cost[i][j] is None or c <= cost[i][j]:
+                    cost[i][j], split[i][j] = c, k
+
+    def tree(i: int, j: int) -> Tree:
+        if i == j:
+            return i
+        k = split[i][j]
+        return (tree(i, k), tree(k + 1, j))
+
+    return cost[0][n - 1], tree(0, n - 1)
+
+
+def tree_cost(tree: Tree, extents) -> tuple[int, tuple[int, int]]:
+    """(scalar multiplies, result extent) of evaluating ``tree``."""
+    if isinstance(tree, int):
+        return 0, tuple(extents[tree])
+    (ca, (r, k)), (cb, (_, c)) = (tree_cost(t, extents) for t in tree)
+    return ca + cb + r * k * c, (r, c)
+
+
+def tree_meta(tree: Tree, metas: list[ArrayMeta]) -> ArrayMeta:
+    """The result metadata of evaluating ``tree``, by matmul's own rule."""
+    if isinstance(tree, int):
+        return metas[tree]
+    return array_engine.matmul_meta(*(tree_meta(t, metas) for t in tree))
+
+
+def _known_meta(n: PlanNode, metas: dict) -> ArrayMeta | None:
+    """Node n's array metadata when bind time fixes it: a ``rand``, and a
+    ``transpose`` or ``matmul`` of such arrays.  Tile sizes are set at run
+    time; a chain's result tiling does not depend on its order, so each
+    array here counts as one tile."""
+    ins = [metas[i] for i in n.inputs]
+    if None in ins:
+        return None
+    try:
+        if n.op == "rand":
+            return array_engine.rand_meta(n.params["size"], n.params["size"])
+        if n.op == "transpose":
+            return array_engine.transposed_meta(ins[0])
+        if n.op == "matmul":
+            return array_engine.matmul_meta(*ins)
+    except ShapeError:
+        pass  # the run raises it, as written
+    return None
+
+
+def _written(plan: LogicalPlan, nid: int, inner: Callable[[int], bool],
+             leaves: list[int]) -> Tree:
+    """The chain rooted at matmul nid as written: its tree over positions
+    into ``leaves``, which collects the operand node ids in order."""
+    sides = []
+    for i in plan.node(nid).inputs:
+        if inner(i):
+            sides.append(_written(plan, i, inner, leaves))
+        else:
+            leaves.append(i)
+            sides.append(len(leaves) - 1)
+    return tuple(sides)
+
+
+def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
+    """The plan to run for a bound plan, as a fresh plan whose node ids
+    follow the bound order with inputs before consumers.
+
+    Chain order: a maximal tree of matmuls whose extents bind time fixes
+    (see ``_known_meta``), each inner one read by its parent alone and not
+    the target, is rebuilt in the order ``chain_order`` finds cheapest.  It
+    keeps its written order unless that order costs strictly more and the
+    reordered result has the same metadata (names, kind, extent).
+    Folded transposes: a transpose read only by matmuls is dropped, and each
+    of those matmuls reads its input with ``transpose_a``/``transpose_b``.
+    """
+    cons = plan.consumers()
+    metas: dict[int, ArrayMeta | None] = {}
+    for n in plan.nodes:
+        metas[n.id] = _known_meta(n, metas)
+
+    def in_chain(nid: int) -> bool:
+        return plan.node(nid).op == "matmul" and metas[nid] is not None
+
+    def inner(nid: int) -> bool:
+        return (in_chain(nid) and nid != target and len(cons[nid]) == 1
+                and in_chain(cons[nid][0]))
+
+    # node key -> [op, model, params, input keys]; new nodes get keys < 0
+    specs = {n.id: [n.op, n.model, dict(n.params), list(n.inputs)]
+             for n in plan.nodes}
+    fresh = itertools.count(-1, -1)
+    for n in plan.nodes:
+        if not in_chain(n.id) or inner(n.id):
+            continue
+        leaves: list[int] = []
+        written = _written(plan, n.id, inner, leaves)
+        if len(leaves) < 3:
+            continue
+        extents = [metas[i].size for i in leaves]
+        cost, best = chain_order(extents)
+        lmetas = [metas[i] for i in leaves]
+        if (cost >= tree_cost(written, extents)[0]
+                or tree_meta(best, lmetas) != tree_meta(written, lmetas)):
+            continue
+        stack = list(n.inputs)
+        while stack:  # the written chain's inner matmuls go
+            i = stack.pop()
+            if inner(i):
+                stack.extend(specs.pop(i)[3])
+
+        def build(tree: Tree, key: int) -> int:
+            if isinstance(tree, int):
+                return leaves[tree]
+            specs[key] = ["matmul", "array", {},
+                          [build(t, next(fresh)) for t in tree]]
+            return key
+
+        build(best, n.id)
+
+    folded = {n.id for n in plan.nodes
+              if n.op == "transpose" and n.id != target and cons[n.id]
+              and all(plan.node(c).op == "matmul" for c in cons[n.id])}
+    for op, _, params, ins in specs.values():
+        for j, key in enumerate(ins):
+            if op == "matmul" and key in folded:
+                ins[j] = specs[key][3][0]
+                params["transpose_" + "ab"[j]] = True
+    for key in folded:
+        del specs[key]
+
+    order: list[int] = []  # bound order; a new node just before its reader
+    placed: set[int] = set()
+    for key in sorted(k for k in specs if k >= 0):
+        stack = [key]
+        while stack:
+            k = stack[-1]
+            todo = [i for i in specs[k][3] if i not in placed]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if k not in placed:
+                placed.add(k)
+                order.append(k)
+    ids = {k: i for i, k in enumerate(order)}
+    return LogicalPlan(
+        PlanNode(ids[k], op, model, params, tuple(ids[i] for i in ins))
+        for k in order for op, model, params, ins in [specs[k]]), ids[target]
 
 
 # ---------------------------------------------------------------------------

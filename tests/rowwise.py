@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from multimodel.bridge import _dim_error, _is_dim
+from multimodel.bridge import _dim_problem, _is_dim
 from multimodel.errors import BindingError, PlanError, TypeMismatchError
 from multimodel.models import (ABSENT, FLOAT, INT, Collection,
                                compile_path, compile_set, infer_column_type)
@@ -444,7 +444,8 @@ def records_to_cells(docs, dim_paths, value_paths):
             if v is ABSENT:
                 break
             if not _is_dim(v):
-                raise _dim_error(f"document {r}: path {path!r}", v)
+                raise BindingError(f"document {r}: path {path!r} "
+                                   f"{_dim_problem(v)}")
             row.append(v)
         else:
             coords.append(row)

@@ -27,6 +27,7 @@ from multimodel.models import (BOOL, FLOAT, INT, ArrayMeta, CellSchema,
                                Relation)
 from multimodel.planner import MODELS, alias_key, dag_to_trees, partition, \
     topo_order
+from multimodel.script import bind_script
 from plan_oracles import (check_partitioning, check_topo, random_plan,
                           symbolic_dag, symbolic_tree)
 from test_bridge import FIVE, build_array
@@ -274,8 +275,10 @@ def test_criterion_6_random_dags_partition_and_reexecute():
           f"max {max(sizes)} nodes)")
 
 
-def _flat_reference(seed: int):
-    """The recommendation pipeline with plain numpy and dicts."""
+def _flat_reference(seed: int, chain_order: bool):
+    """The recommendation pipeline with plain numpy and dicts: its matmul
+    chains left to right as written, or in the order the planner rewrites
+    them to."""
     with open(os.path.join(DATA, "order.jsonl")) as f:
         cid_of = {d["oid"]: d["cid"]
                   for d in (json.loads(l) for l in f) if True}
@@ -287,7 +290,7 @@ def _flat_reference(seed: int):
         X[cid, pid] = rating
     W = np.random.Generator(np.random.Philox(seed)).random((20, 10))
     H = np.random.Generator(np.random.Philox(seed + 1)).random((10, 15))
-    W = W * ((X @ H.T) / (W @ H @ H.T))
+    W = W * ((X @ H.T) / (W @ (H @ H.T) if chain_order else W @ H @ H.T))
     H = H * ((W.T @ X) / (W.T @ W @ H))
     filled = W @ H
     with open(os.path.join(DATA, "interest.csv")) as f:
@@ -301,12 +304,16 @@ def _flat_reference(seed: int):
 def test_criterion_7_pipeline_script_matches_flat_reference():
     eng = Engine(EngineConfig(data_dir=DATA, seed=11))
     with open(os.path.join(DATA, "recommend.m2s")) as f:
-        res = eng.run(f.read())
-    expected = _flat_reference(11)
+        text = f.read()
+    res = eng.run(text)
+    expected = _flat_reference(11, chain_order=True)
     assert [c for c, _ in res.schema] == ["cid", "pid", "rating"]
     assert len(res.rows) == 10
     assert res.rows == expected  # row for row, exact values
     assert eng.join_stats and eng.join_stats[0].strategy == "mshj"
+    # the plan as bound evaluates left to right, as the script reads
+    bound = eng.run_plan(*bind_script(text, eng.catalog, eng.config))
+    assert bound.rows == _flat_reference(11, chain_order=False)
     print("criterion 7: PASS")
 
 

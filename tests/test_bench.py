@@ -247,6 +247,26 @@ def test_cli_bad_coo_cell_is_one_line(tmp_path, capsys, text, line):
     assert not (tmp_path / "cat" / "grid.m2ar").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("r,c,v\n0,0,1\n1,1,1180591620717411303424\n",
+     "line 3: value attribute 'v' must fit in a signed 64-bit integer, "
+     "got 1180591620717411303424"),
+    ("r,c,v\n0,0,1\n18446744073709551615,1,2\n",
+     "line 3: dimension attribute 'r' must fit in a signed 64-bit integer, "
+     "got 18446744073709551615"),
+    ("r,c,v\n0,0,1\n9,0,2\n",
+     "line 3: coordinate (9, 0) outside array size (4, 4)"),
+])
+def test_cli_bad_coo_cell_is_named_by_its_line_only(tmp_path, capsys, text,
+                                                    message):
+    src = tmp_path / "big.csv"
+    src.write_text(text)
+    assert main(["ingest", "coo", str(src), "--as", "big",
+                 "--data", str(tmp_path), "--size", "4,4",
+                 "--tile-size", "2,2"]) == 2
+    assert capsys.readouterr().err == f"error: dataset 'big', {message}\n"
+
+
 @pytest.mark.parametrize("cells, kind", [
     (["7", "-2", "40"], "int"),
     (["1.5", "-0.25", "2.0"], "float"),

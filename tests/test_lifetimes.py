@@ -20,6 +20,10 @@ with open(os.path.join(DATA, "recommend.m2s"), encoding="utf-8") as _f:
 # 4x4 tiles through a 4 KiB pool: hundreds of evictions, dirty intermediates spill
 TIGHT = dict(buffer_bytes=4 << 10, default_tile=4)
 
+# the recommender's transposes all fold into matmuls; this one has no
+# matmul to fold into, so it runs: 30 tiles of rand, then 30 of transpose
+TRANSPOSE = "execute(rand({24, 20}).T)\n"
+
 
 def engine(spool, **kw) -> Engine:
     return Engine(EngineConfig(data_dir=DATA, seed=11, spool_dir=str(spool),
@@ -89,10 +93,10 @@ def test_pipeline_frees_every_array_it_made(tmp_path, node_outputs):
 # the operator each injected failure below must hit, and the join strategy
 # that routes the run through it
 FAILS_INSIDE = {
-    ("lookup", 1): ("_probe", "auto"),         # the mshj probe (one stage)
-    ("to_scratch", 5): ("transpose", "auto"),  # one tile pinned
-    ("to_scratch", 17): ("matmul", "auto"),    # two tiles pinned
-    ("cells", 4): ("to_relation", "convert"),  # the conversion join's scan
+    ("lookup", 1): ("_probe", "auto", RECOMMEND),  # the mshj probe (one stage)
+    ("to_scratch", 5): ("transpose", "auto", TRANSPOSE),  # one tile pinned
+    ("to_scratch", 17): ("matmul", "auto", RECOMMEND),    # two tiles pinned
+    ("cells", 4): ("to_relation", "convert", RECOMMEND),  # the conversion scan
 }
 
 
@@ -115,11 +119,11 @@ def test_pins_are_released_when_a_run_fails(tmp_path, monkeypatch,
             raise RuntimeError(f"injected failure in Tile.{method}")
         return orig(self, *args, **kwargs)
 
-    inside, strategy = FAILS_INSIDE[method, nth]
+    inside, strategy, script = FAILS_INSIDE[method, nth]
     monkeypatch.setattr(StoredArray, "__init__", track)
     monkeypatch.setattr(Tile, method, fail_on_nth)
     with pytest.raises(RuntimeError, match="injected") as failure:
-        engine(tmp_path, strategy=strategy, **TIGHT).run(RECOMMEND)
+        engine(tmp_path, strategy=strategy, **TIGHT).run(script)
     assert inside in [e.name for e in failure.traceback]
     assert arrays
     for arr in arrays:
@@ -140,14 +144,16 @@ def test_failed_run_deletes_the_spill_files_of_its_arrays(tmp_path,
 @pytest.mark.parametrize("nth, inside", [
     (20, "finish"),      # toArray's ArrayBuilder
     (47, "from_grid"),   # rand
-    (59, "transpose"),
-    (94, "matmul"),
+    (59, "transpose"),   # in TRANSPOSE, not the recommender
+    (86, "matmul"),
     (150, "ewise"),
 ])
 def test_operator_failing_mid_build_deletes_its_partial_spill(
         tmp_path, monkeypatch, nth, inside):
     """The array an operator is still building is not registered with the
-    run yet, so the operator itself frees it."""
+    run yet, so the operator itself frees it.  ``nth`` counts write_tile
+    calls in the run; each is the last or next to last one its operator
+    makes there."""
     calls = Counter()
     write_tile = StoredArray.write_tile
 
@@ -160,7 +166,7 @@ def test_operator_failing_mid_build_deletes_its_partial_spill(
     monkeypatch.setattr(StoredArray, "write_tile", fail_on_nth)
     eng = engine(tmp_path, **TIGHT)
     with pytest.raises(RuntimeError, match="injected") as failure:
-        eng.run(RECOMMEND)
+        eng.run(TRANSPOSE if inside == "transpose" else RECOMMEND)
     assert inside in [e.name for e in failure.traceback]
     assert os.listdir(tmp_path) == []
     assert eng.pool.stats().resident_bytes == 0  # unspilled tiles freed too
