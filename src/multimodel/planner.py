@@ -251,12 +251,17 @@ def topo_order(pd: PartitionDag) -> list[Partition]:
 
 Tree = Any  # an operand position, or a (left, right) pair of trees
 
+# operands a reordered chain may have: the dynamic program is cubic in
+# them, and a longer chain keeps its written order
+MAX_CHAIN = 32
+
 
 def chain_order(extents) -> tuple[int, Tree]:
-    """The cheapest order of a matrix chain (Hu & Shing; the CLRS dynamic
-    program): ``extents`` are the operands' (rows, columns), the cost is
-    the count of scalar multiplies.  Returns (cost, tree).  Among equal
-    costs the split furthest right wins, so ties evaluate left to right."""
+    """The cheapest order of a matrix chain by the classic dynamic program
+    (CLRS 15.2; Hu & Shing find the same order faster): ``extents`` are the
+    operands' (rows, columns), the cost is the count of scalar multiplies.
+    Returns (cost, tree).  Among equal costs the split furthest right wins,
+    so ties evaluate left to right."""
     n = len(extents)
     p = [extents[0][0]] + [c for _, c in extents]
     cost = [[0] * n for _ in range(n)]
@@ -264,11 +269,10 @@ def chain_order(extents) -> tuple[int, Tree]:
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            cost[i][j] = None
-            for k in range(i, j):
-                c = cost[i][k] + cost[k + 1][j] + p[i] * p[k + 1] * p[j + 1]
-                if cost[i][j] is None or c <= cost[i][j]:
-                    cost[i][j], split[i][j] = c, k
+            cost[i][j], split[i][j] = min(
+                (cost[i][k] + cost[k + 1][j] + p[i] * p[k + 1] * p[j + 1], -k)
+                for k in range(i, j))
+            split[i][j] *= -1
 
     def tree(i: int, j: int) -> Tree:
         if i == j:
@@ -335,8 +339,9 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     Chain order: a maximal tree of matmuls whose extents bind time fixes
     (see ``_known_meta``), each inner one read by its parent alone and not
     the target, is rebuilt in the order ``chain_order`` finds cheapest.  It
-    keeps its written order unless that order costs strictly more and the
-    reordered result has the same metadata (names, kind, extent).
+    keeps its written order unless that order costs strictly more, the
+    reordered result has the same metadata (names, kind, extent) and the
+    chain has at most ``MAX_CHAIN`` operands.
     Folded transposes: a transpose read only by matmuls is dropped, and each
     of those matmuls reads its input with ``transpose_a``/``transpose_b``.
     """
@@ -359,21 +364,22 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     for n in plan.nodes:
         if not in_chain(n.id) or inner(n.id):
             continue
+        members, stack = [], [n.id]  # the chain's matmuls
+        while stack:
+            members.append(stack.pop())
+            stack.extend(i for i in plan.node(members[-1]).inputs if inner(i))
+        if not 2 <= len(members) < MAX_CHAIN:
+            continue
         leaves: list[int] = []
         written = _written(plan, n.id, inner, leaves)
-        if len(leaves) < 3:
-            continue
         extents = [metas[i].size for i in leaves]
         cost, best = chain_order(extents)
         lmetas = [metas[i] for i in leaves]
         if (cost >= tree_cost(written, extents)[0]
                 or tree_meta(best, lmetas) != tree_meta(written, lmetas)):
             continue
-        stack = list(n.inputs)
-        while stack:  # the written chain's inner matmuls go
-            i = stack.pop()
-            if inner(i):
-                stack.extend(specs.pop(i)[3])
+        for i in members[1:]:
+            del specs[i]
 
         def build(tree: Tree, key: int) -> int:
             if isinstance(tree, int):

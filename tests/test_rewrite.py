@@ -18,7 +18,8 @@ from multimodel import Engine, EngineConfig, array_engine
 from multimodel.array_store import ArrayBuilder
 from multimodel.buffer_pool import BufferPool
 from multimodel.models import FLOAT, INT, ArrayMeta, CellSchema
-from multimodel.planner import chain_order, rewrite, tree_cost, tree_meta
+from multimodel.planner import (MAX_CHAIN, chain_order, rewrite, tree_cost,
+                                tree_meta)
 from multimodel.script import bind_script
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
@@ -76,6 +77,19 @@ def test_chain_is_reordered_and_ties_keep_the_written_order(tmp_path):
                  "execute(a @ (b @ c))\n"):
         _, bound = _plan(tmp_path, text)
         assert rewrite(*bound)[0].nodes == bound[0].nodes
+
+
+@pytest.mark.parametrize("matmuls, reordered", [(3, True),
+                                                 (MAX_CHAIN - 1, True),
+                                                 (MAX_CHAIN, False)])
+def test_a_chain_past_the_cap_keeps_its_order(tmp_path, matmuls, reordered):
+    """Square products, then a vector: right to left is cheapest."""
+    text = (f"c = rand({{9, 9}})\nfor i in range({matmuls - 1}):\n"
+            "  c = c @ rand({9, 9})\nexecute(c @ rand({9, 1}))\n")
+    _, bound = _plan(tmp_path, text)
+    plan, target = rewrite(*bound)
+    assert (plan.nodes != bound[0].nodes) == reordered
+    assert len(_matmuls(plan)) == matmuls
 
 
 def test_unknown_extent_splits_the_chain(tmp_path):
