@@ -1,13 +1,15 @@
 """Script execution: catalog lookup, partitioning, per-model dispatch.
 
-A bound plan is partitioned, partitions run in topological order, and every
-partition's result lands in a registry under its output node's alias key
-(``n<id>``), where downstream partitions pick it up.  Relational and document
-partitions run as operator trees; array partitions run node by node on tiled
-arrays; inter-model partitions are the conversion / join bridge calls.  A
-conversion passes its records to ``bridge.to_array`` with only the default
-tile extent and spool directory; the bridge derives the array's extent,
-value types and tiling from its one walk over the records.
+A bound plan is rewritten (``planner.rewrite``: matmul chains reordered,
+transposes folded into matmul) and partitioned; partitions run in
+topological order, and every partition's result lands in a registry under
+its output node's alias key (``n<id>``), where downstream partitions pick it
+up.  Relational and document partitions run as operator trees; array
+partitions run node by node on tiled arrays; inter-model partitions are the
+conversion / join bridge calls.  A conversion passes its records to
+``bridge.to_array`` with only the default tile extent and spool directory;
+the bridge derives the array's extent, value types and tiling from its one
+walk over the records.
 
 Intermediates live until their last consumer has run: each node's consumers
 are counted from the plan, and when the count reaches zero the node's

@@ -401,20 +401,16 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     for key in folded:
         del specs[key]
 
-    order: list[int] = []  # bound order; a new node just before its reader
-    placed: set[int] = set()
+    order: list[int] = []  # bound order; new nodes just before their reader
+
+    def place(key: int) -> None:
+        for i in specs[key][3]:
+            if i < 0:  # a new node: read by this one alone
+                place(i)
+        order.append(key)
+
     for key in sorted(k for k in specs if k >= 0):
-        stack = [key]
-        while stack:
-            k = stack[-1]
-            todo = [i for i in specs[k][3] if i not in placed]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            if k not in placed:
-                placed.add(k)
-                order.append(k)
+        place(key)
     ids = {k: i for i, k in enumerate(order)}
     return LogicalPlan(
         PlanNode(ids[k], op, model, params, tuple(ids[i] for i in ins))

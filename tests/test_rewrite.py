@@ -295,8 +295,9 @@ def test_rewritten_plan_agrees_with_the_plan_as_bound(case):
     write, tile = case
     with tempfile.TemporaryDirectory() as data_dir:
         text = write(data_dir)
-        eng = Engine(EngineConfig(data_dir=data_dir, seed=5,
-                                  default_tile=tile))
+        config = dict(data_dir=data_dir, seed=5, default_tile=tile,
+                      spool_dir=os.path.join(data_dir, "spool"))
+        eng = Engine(EngineConfig(**config))
         want = eng.run_plan(*bind_script(text, eng.catalog, eng.config))
         got = eng.run(text)
         assert got.meta == want.meta, text
@@ -310,8 +311,7 @@ def test_rewritten_plan_agrees_with_the_plan_as_bound(case):
         # binary operators pin two tiles at once: from two tiles' room up
         one = _tile_bytes(6)  # the largest tile any operand can have
         for capacity in (2 * one, 3 * one, 5 * one, 16 * one):
-            small = Engine(EngineConfig(data_dir=data_dir, seed=5,
-                                        default_tile=tile,
+            small = Engine(EngineConfig(**config,
                                         buffer_bytes=capacity)).run(text)
             sm, sv = _grid(small)
             assert small.meta == got.meta
