@@ -17,7 +17,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute a query script")
     runp.add_argument("script", help="script file to run")
     runp.add_argument("--explain", action="store_true",
-                      help="print the partitioned plan as JSON instead of "
+                      help="print the partitioned plan that would run, "
+                           "and the plan as bound, as JSON instead of "
                            "executing")
     runp.add_argument("--buffer-bytes", type=int, default=64 << 20,
                       help="buffer pool capacity (default 64 MiB)")
