@@ -2,15 +2,21 @@
 
 The operators a script can reach: element-wise arithmetic, matrix
 multiplication, transposition, deterministic random initialization, and
-array-array spatial join. Operators pin tiles through the buffer pool with
-``StoredArray.pinned``, which unpins however the body ends, and read each tile
-as blocks through ``Tile.to_scratch``; results are new StoredArrays, whose
+array-array spatial join. Operators read each tile as blocks through
+``_read``, which pins it through the buffer pool only while
+``Tile.to_scratch`` takes them, so an operator holds one pin at a time and
+a pool with room for one tile runs it; results are new StoredArrays, whose
 tiles are installed as blocks by ``_write_block``. An operator that fails
 releases its partial result before the error propagates.
 
 Sparse semantics: an absent cell counts as 0 for + - *; division keeps the
 divisor's support (absent divisor -> absent output) so missing cells never
 manufacture NaNs. Division by a present zero propagates IEEE inf/nan.
+
+A result's layout follows the supports that bound it (``_output_layout``):
+``*`` and the spatial join are sparse when either operand is, ``/`` takes
+the divisor's layout, ``+`` and ``-`` are sparse only when both operands
+are, ``transpose`` keeps its operand's and ``matmul`` is dense.
 """
 
 from __future__ import annotations
@@ -52,6 +58,13 @@ def _merge_schema(a: CellSchema, b: CellSchema) -> CellSchema:
     return CellSchema(dims, attrs, a.attr_types)
 
 
+def _read(arr: StoredArray, tc):
+    """Tile `tc` of `arr` as (mask, value blocks) through ``to_scratch``,
+    pinned only while it is read."""
+    with arr.pinned(tc) as tile:
+        return tile.to_scratch()
+
+
 # ------------------------------------------------------- grid materialization
 
 def to_grid(arr: StoredArray):
@@ -61,8 +74,7 @@ def to_grid(arr: StoredArray):
     values = [np.zeros(size, dt) for dt in arr.attr_dtypes]
     ts = arr.meta.tile_size
     for tc in arr.tile_coords():
-        with arr.pinned(tc) as tile:
-            m, vs = tile.to_scratch()
+        m, vs = _read(arr, tc)
         sl = tuple(slice(c * t, c * t + v)
                    for c, t, v in zip(tc, ts, arr.valid_extent(tc)))
         box = tuple(slice(0, v) for v in arr.valid_extent(tc))
@@ -95,6 +107,18 @@ def _write_block(out: StoredArray, tc, mask: np.ndarray, values) -> None:
 
 # --------------------------------------------------------------- element-wise
 
+def _output_layout(op: str, a: StoredArray, b: StoredArray) -> str:
+    """The layout of ``a op b`` (``op`` "join" for the spatial join): the
+    sparse operand's where the result's support lies within it, else
+    dense."""
+    la, lb = a.meta.layout, b.meta.layout
+    if op == "/":
+        return lb
+    if op in ("+", "-"):
+        return "dense" if "dense" in (la, lb) else la
+    return la if la != "dense" else lb
+
+
 def ewise(op: str, a: StoredArray, b: StoredArray, *, name: str = "") -> StoredArray:
     if op not in ("+", "-", "*", "/"):
         raise ValueError(f"unknown element-wise operator {op!r}")
@@ -109,7 +133,7 @@ def ewise(op: str, a: StoredArray, b: StoredArray, *, name: str = "") -> StoredA
     sch = _merge_schema(a.meta.schema, b.meta.schema)
     sch = CellSchema(sch.dim_names, sch.attr_names, (ValueType(kind),))
     meta = ArrayMeta(sch, a.meta.size, a.meta.tile_size,
-                     layout=a.meta.layout)
+                     layout=_output_layout(op, a, b))
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
 
     if op == "*":
@@ -121,9 +145,8 @@ def ewise(op: str, a: StoredArray, b: StoredArray, *, name: str = "") -> StoredA
     dt = dtype_for(ValueType(kind))
     with out.release_on_error():
         for tc in tcs:
-            with a.pinned(tc) as ta, b.pinned(tc) as tb:
-                ma, (va,) = ta.to_scratch()
-                mb, (vb,) = tb.to_scratch()
+            ma, (va,) = _read(a, tc)
+            mb, (vb,) = _read(b, tc)
             va = va.astype(dt, copy=False)
             vb = vb.astype(dt, copy=False)
             if op == "+":
@@ -202,9 +225,8 @@ def matmul(a: StoredArray, b: StoredArray, *, transpose_a: bool = False,
                 for k in range(kt):
                     ka = (k, i) if transpose_a else (i, k)
                     kb = (j, k) if transpose_b else (k, j)
-                    with a.pinned(ka) as ta, b.pinned(kb) as tb:
-                        _, (va,) = ta.to_scratch()
-                        _, (vb,) = tb.to_scratch()
+                    _, (va,) = _read(a, ka)
+                    _, (vb,) = _read(b, kb)
                     acc += _block(va, a, ka, transpose_a, dt) @ \
                         _block(vb, b, kb, transpose_b, dt)
                 _write_block(out, (i, j), np.broadcast_to(True, acc.shape), [acc])
@@ -231,8 +253,7 @@ def transpose(a: StoredArray, *, name: str = "") -> StoredArray:
                       spool_dir=a.spool_dir)
     with out.release_on_error():
         for tc in a.tile_coords():
-            with a.pinned(tc) as tile:
-                m, vals = tile.to_scratch()
+            m, vals = _read(a, tc)
             _write_block(out, (tc[1], tc[0]), m.T, [v.T for v in vals])
     return out
 
@@ -277,12 +298,11 @@ def spatial_join_array(a: StoredArray, b: StoredArray, *, name: str = "") -> Sto
     sch = CellSchema(sa.dim_names, tuple(names),
                      tuple(sa.attr_types) + tuple(sb.attr_types))
     meta = ArrayMeta(sch, a.meta.size, a.meta.tile_size,
-                     layout=a.meta.layout)
+                     layout=_output_layout("join", a, b))
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
     with out.release_on_error():
         for tc in sorted(set(a.tile_coords()) & set(b.tile_coords())):
-            with a.pinned(tc) as ta, b.pinned(tc) as tb:
-                ma, va = ta.to_scratch()
-                mb, vb = tb.to_scratch()
+            ma, va = _read(a, tc)
+            mb, vb = _read(b, tc)
             _write_block(out, tc, ma & mb, [*va, *vb])
     return out

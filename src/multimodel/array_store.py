@@ -46,7 +46,7 @@ import numpy as np
 
 from .buffer_pool import BufferObject, BufferPool
 from .errors import (ArrayFileError, BoundsError, DuplicateCellError, EngineError,
-                     InternalError, TypeMismatchError)
+                     InternalError, ShapeError, TypeMismatchError)
 from .models import ArrayMeta, CellSchema, ValueType
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "ArrayBuilder",
     "make_tile",
     "block_tile",
+    "smaller_layout",
     "MAGIC",
     "FORMAT_VERSION",
 ]
@@ -75,6 +76,9 @@ def dtype_for(vt: ValueType) -> np.dtype:
         return _DTYPES[vt.kind]
     except KeyError:
         raise TypeMismatchError(f"arrays cannot store {vt} attributes") from None
+
+
+_MAX_CELLS = np.iinfo(np.intp).max  # cells of a tile box, keyed 0 .. n-1
 
 
 def _linearize(cc: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
@@ -239,7 +243,11 @@ def _scatter(ts, attr_dtypes, keys, cols):
 
 def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values) -> Tile:
     """Build a tile from cell coordinates (relative to the tile) and value
-    columns. Rejects out-of-extent coordinates and duplicate cells."""
+    columns. Rejects out-of-extent coordinates and duplicate cells, and a
+    tile box with more cells than a 64-bit key can number."""
+    if math.prod(ts) > _MAX_CELLS:
+        raise ShapeError(f"tile extent {tuple(ts)} holds more than "
+                         f"{_MAX_CELLS} cells")
     cc = np.asarray(cc, dtype=np.int64).reshape(len(cc), len(ts))
     if len(cc):
         if cc.min() < 0 or (cc >= np.array(valid, dtype=np.int64)).any():
@@ -281,6 +289,19 @@ def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
     for out, v in zip(blocks, values):
         np.copyto(out[box], v, where=mask)
     return Tile(layout, ts, attr_dtypes, index, blocks)
+
+
+def smaller_layout(tiles: int, cells: int, ts, attr_dtypes) -> str:
+    """The layout whose ``Tile.to_bytes`` encodings of `cells` cells held
+    in `tiles` non-empty tiles of extent `ts` take fewer bytes in all: csr
+    (2-D) or coo when strictly smaller than dense, else dense."""
+    width = sum(dt.itemsize for dt in attr_dtypes)
+    dense = tiles * math.prod(ts) * (1 + width)
+    if len(ts) == 2:  # per tile the count and row pointers, per cell a column
+        layout, sparse = "csr", tiles * 8 * (ts[0] + 2) + cells * (8 + width)
+    else:  # per tile the count, per cell its coordinates
+        layout, sparse = "coo", tiles * 8 + cells * (8 * len(ts) + width)
+    return layout if sparse < dense else "dense"
 
 
 # ---------------------------------------------------------------------------

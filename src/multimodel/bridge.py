@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .array_store import ArrayBuilder, StoredArray
+from .array_store import ArrayBuilder, StoredArray, dtype_for, smaller_layout
 from .errors import BindingError, EngineError, OutputSpecError
 from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
@@ -574,17 +574,20 @@ def to_array(src, dim_names: list[str], value_names: list[str],
     path are dropped.  Coordinates must be unique unsigned integers inside
     the extent.
 
-    With ``meta=None`` the array is dense, its extent is the tight bounding
-    box of the kept records (1 per dimension when none is kept), its value
-    types come from the relation schema or from the document columns that
-    become cells, and its tiles are capped at ``default_tile``
-    (``tile_extent``)."""
+    With ``meta=None`` the extent is the tight bounding box of the kept
+    records (1 per dimension when none is kept), the value types come from
+    the relation schema or from the document columns that become cells,
+    and the tiles are capped at ``default_tile`` (``tile_extent``).  The
+    layout is the one whose tiles encode smaller (``smaller_layout``): csr
+    for a 2-D array or coo otherwise when that is strictly smaller than
+    dense, else dense.  An explicit ``meta`` keeps its layout."""
     if meta is not None and (len(dim_names) != meta.d or
                              len(value_names) != len(meta.schema.attr_names)):
         raise OutputSpecError("dim/value name count does not match the array schema")
     binding = DimBinding(tuple(dim_names))
     dims, kept, cols = _extract_dims(src, binding, value_names)
-    if meta is None:
+    inferred = meta is None
+    if inferred:
         if isinstance(src, Relation):
             types = [src.schema[_attr_index(src, vn)][1] for vn in value_names]
         else:
@@ -595,6 +598,11 @@ def to_array(src, dim_names: list[str], value_names: list[str],
                                     tuple(types)),
                          size, tile_extent(size, default_tile))
     _check_ints(src, kept, value_names, meta.schema.attr_types, cols)
+    if inferred:
+        tiles = len(np.unique(_tile_cells(dims, meta)[1]))
+        meta = replace(meta, layout=smaller_layout(
+            tiles, len(dims), meta.tile_size,
+            [dtype_for(t) for t in meta.schema.attr_types]))
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
     try:
         # a typed column as it is, an object column through its Python values

@@ -39,7 +39,8 @@ class DuplicateCellError(EngineError):
 
 
 class ShapeError(EngineError):
-    """Array operands with incompatible sizes or tile grids."""
+    """Array operands with incompatible sizes or tile grids, or a tile
+    extent with more cells than a tile can number."""
 
 
 class TypeMismatchError(EngineError):

@@ -48,6 +48,7 @@ class LogicalPlan:
             for i in n.inputs:
                 if i not in self._nodes:
                     raise PlanError(f"node {n.id} reads undefined node {i}")
+        self._next_id = max(self._nodes, default=-1) + 1
 
     def add(self, op: str, model: str,
             inputs: Iterable["PlanNode | int"] = (), **params) -> PlanNode:
@@ -59,9 +60,9 @@ class LogicalPlan:
         for i in ids:
             if i not in self._nodes:
                 raise PlanError(f"input node {i} not in plan")
-        nid = max(self._nodes, default=-1) + 1
-        node = PlanNode(nid, op, model, dict(params), ids)
-        self._nodes[nid] = node
+        node = PlanNode(self._next_id, op, model, dict(params), ids)
+        self._nodes[node.id] = node
+        self._next_id += 1
         return node
 
     def node(self, nid: int) -> PlanNode:

@@ -530,14 +530,17 @@ def test_to_array_inferred_meta(pool):
     rel = Relation([("x", UINT), ("y", UINT), ("v", INT), ("ok", BOOL)],
                    [(0, 6, 1, True), (2, 1, 2, False)])
     arr = to_array(rel, ["x", "y"], ["v", "ok"], None, pool, default_tile=4)
+    # each cell alone in a 3x4 tile: 2 x 12 x (1 + 8 + 1) = 240 bytes dense,
+    # 2 x (8 + 4 x 8) + 2 x (8 + 8 + 1) = 114 as csr
     assert arr.meta == ArrayMeta(CellSchema(("x", "y"), ("v", "ok"),
-                                            (INT, BOOL)), (3, 7), (3, 4))
+                                            (INT, BOOL)), (3, 7), (3, 4), "csr")
     assert cells_of(arr) == {(0, 6): (1, True), (2, 1): (2, False)}
     # no record becomes a cell: a 1-cell extent, typed FLOAT, left empty
     docs = Collection("c", [{"x": 1, "v": 2}, {"y": 2, "v": "a"}])
     empty = to_array(docs, ["x", "y"], ["v"], None, pool)
     assert (empty.meta.size, empty.meta.schema.attr_types) == ((1, 1),
                                                                (FLOAT,))
+    assert empty.meta.layout == "dense"  # 0 bytes either way: a tie
     assert empty.cell_count() == 0
 
 

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rowwise
-from multimodel.array_store import ArrayBuilder
+from multimodel.array_store import ArrayBuilder, dtype_for, smaller_layout
 from multimodel.bridge import to_array, to_relation
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import TypeMismatchError
@@ -319,8 +319,11 @@ def test_document_to_array_matches_reference(col, dims, values):
     try:
         coords, cols, types, size = rowwise.records_to_cells(
             col.docs, dims, values)
+        # one tile holds every cell: its layout is the one encoding smaller
+        layout = smaller_layout(min(len(coords), 1), len(coords), size,
+                                [dtype_for(t) for t in types])
         meta = ArrayMeta(CellSchema(tuple(dims), tuple(values), tuple(types)),
-                         size, size)
+                         size, size, layout)
         builder = ArrayBuilder(meta, pool)
         builder.add_cells(coords, [np.asarray(c) for c in cols])
         want = builder.finish()

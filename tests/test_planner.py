@@ -70,6 +70,20 @@ def test_add_validates_inputs_and_model():
         plan.add("filter", "relational", inputs=[7])
 
 
+def test_added_ids_run_on_from_the_largest_given_id():
+    plan = LogicalPlan([PlanNode(9, "scan", "array", {}),
+                        PlanNode(2, "scan", "relational", {}),
+                        PlanNode(5, "filter", "relational", {}, (2,))])
+    first = plan.add("transpose", "array", inputs=[9])
+    with pytest.raises(PlanError):  # a refused node takes no id
+        plan.add("filter", "relational", inputs=[7])
+    ids = [first.id] + [plan.add("limit", "relational", inputs=[5]).id
+                        for _ in range(3)]
+    assert ids == [10, 11, 12, 13]
+    assert [n.id for n in plan.nodes] == [2, 5, 9, 10, 11, 12, 13]
+    assert LogicalPlan().add("scan", "array").id == 0
+
+
 def test_duplicate_node_id_rejected():
     nodes = [PlanNode(0, "a", "relational"), PlanNode(0, "b", "relational")]
     with pytest.raises(PlanError):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multimodel import Engine, EngineConfig, array_engine
-from multimodel.array_store import ArrayBuilder
+from multimodel.array_store import ArrayBuilder, make_tile
 from multimodel.buffer_pool import BufferPool
 from multimodel.models import FLOAT, INT, ArrayMeta, CellSchema
 from multimodel.planner import (MAX_CHAIN, chain_order, rewrite, tree_cost,
@@ -278,9 +278,13 @@ def chain_scripts(draw):
 
 
 def _tile_bytes(t: int) -> int:
-    arr = array_engine.rand((t, t), (t, t), 0, BufferPool(UNBOUNDED))
-    with arr.pinned((0, 0)) as tile:
-        return tile.nbytes
+    """The most memory a t x t tile of one 8-byte value takes: dense, or
+    sparse with every cell set (toArray may store a full tile sparsely
+    when its other tiles are nearly empty)."""
+    cc = np.argwhere(np.ones((t, t), bool))
+    return max(make_tile((0, 0), (t, t), (t, t), [np.dtype("<f8")], layout,
+                         cc, [np.zeros(len(cc))]).nbytes
+               for layout in ("dense", "csr"))
 
 
 def _grid(arr):
@@ -308,9 +312,9 @@ def test_rewritten_plan_agrees_with_the_plan_as_bound(case):
         else:
             np.testing.assert_allclose(gv, wv, rtol=1e-9, atol=0,
                                        err_msg=text)
-        # binary operators pin two tiles at once: from two tiles' room up
+        # operators pin one tile at a time: from one tile's room up
         one = _tile_bytes(6)  # the largest tile any operand can have
-        for capacity in (2 * one, 3 * one, 5 * one, 16 * one):
+        for capacity in (one, 2 * one, 3 * one, 5 * one, 16 * one):
             small = Engine(EngineConfig(**config,
                                         buffer_bytes=capacity)).run(text)
             sm, sv = _grid(small)

@@ -221,7 +221,9 @@ def test_to_array_infers_meta_from_kept_records(tmp_path):
     res = engine(tmp_path, default_tile=2).run(
         "execute(openCollection('visits').toArray({'r', 'c'}, {'v'}))\n")
     from multimodel.models import FLOAT, ArrayMeta, CellSchema
-    # extent: bounding box of the kept documents; tiles capped at 2
+    # extent: bounding box of the kept documents; tiles capped at 2; dense,
+    # as its 3 cells in two 2x2 tiles take 2 x 4 x 9 = 72 bytes dense and
+    # 2 x (8 + 3 x 8) + 3 x 16 = 112 as csr
     assert res.meta == ArrayMeta(CellSchema(("r", "c"), ("v",), (FLOAT,)),
                                  (5, 3), (2, 2), "dense")
     from multimodel.bridge import to_relation
