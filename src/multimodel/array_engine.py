@@ -4,10 +4,11 @@ The operators a script can reach: element-wise arithmetic, matrix
 multiplication, transposition, deterministic random initialization, and
 array-array spatial join. Operators read each tile as blocks through
 ``_read``, which pins it through the buffer pool only while
-``Tile.to_scratch`` takes them, so an operator holds one pin at a time and
-a pool with room for one tile runs it; results are new StoredArrays, whose
-tiles are installed as blocks by ``_write_block``. An operator that fails
-releases its partial result before the error propagates.
+``Tile.to_scratch`` takes them, so an operator holds one pin at a time
+and a pool with room for its largest tile runs it. Results are new
+StoredArrays, whose tiles are installed as blocks by ``_write_block``. An
+operator that fails releases its partial result before the error
+propagates.
 
 Sparse semantics: an absent cell counts as 0 for + - *; division keeps the
 divisor's support (absent divisor -> absent output) so missing cells never
