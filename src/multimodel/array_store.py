@@ -291,17 +291,23 @@ def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
     return Tile(layout, ts, attr_dtypes, index, blocks)
 
 
-def smaller_layout(tiles: int, cells: int, ts, attr_dtypes) -> str:
-    """The layout whose ``Tile.to_bytes`` encodings of `cells` cells held
-    in `tiles` non-empty tiles of extent `ts` take fewer bytes in all: csr
-    (2-D) or coo when strictly smaller than dense, else dense."""
+def smaller_layout(tile_cells, ts, attr_dtypes) -> str:
+    """csr (2-D) or coo when the ``Tile.to_bytes`` encodings of the
+    non-empty tiles holding `tile_cells` cells each, of extent `ts`, take
+    strictly fewer bytes in all sparse than dense, and the fullest tile
+    takes no more of the pool (``Tile.nbytes``) sparse than a dense tile
+    does; else dense.  So a pool with room for a dense tile holds any tile
+    of the array."""
+    tiles, cells = len(tile_cells), int(np.sum(tile_cells))
     width = sum(dt.itemsize for dt in attr_dtypes)
-    dense = tiles * math.prod(ts) * (1 + width)
+    dense_tile = math.prod(ts) * (1 + width)
     if len(ts) == 2:  # per tile the count and row pointers, per cell a column
         layout, sparse = "csr", tiles * 8 * (ts[0] + 2) + cells * (8 + width)
     else:  # per tile the count, per cell its coordinates
         layout, sparse = "coo", tiles * 8 + cells * (8 * len(ts) + width)
-    return layout if sparse < dense else "dense"
+    # in the pool a sparse cell is its 8-byte key and its values
+    fits = int(np.max(tile_cells, initial=0)) * (8 + width) <= dense_tile
+    return layout if sparse < tiles * dense_tile and fits else "dense"
 
 
 # ---------------------------------------------------------------------------

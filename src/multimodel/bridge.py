@@ -580,7 +580,8 @@ def to_array(src, dim_names: list[str], value_names: list[str],
     and the tiles are capped at ``default_tile`` (``tile_extent``).  The
     layout is the one whose tiles encode smaller (``smaller_layout``): csr
     for a 2-D array or coo otherwise when that is strictly smaller than
-    dense, else dense.  An explicit ``meta`` keeps its layout."""
+    dense and no tile takes more of the pool than a dense one, else dense.
+    An explicit ``meta`` keeps its layout."""
     if meta is not None and (len(dim_names) != meta.d or
                              len(value_names) != len(meta.schema.attr_names)):
         raise OutputSpecError("dim/value name count does not match the array schema")
@@ -599,9 +600,10 @@ def to_array(src, dim_names: list[str], value_names: list[str],
                          size, tile_extent(size, default_tile))
     _check_ints(src, kept, value_names, meta.schema.attr_types, cols)
     if inferred:
-        tiles = len(np.unique(_tile_cells(dims, meta)[1]))
+        tile_cells = np.unique(_tile_cells(dims, meta)[1],
+                               return_counts=True)[1]
         meta = replace(meta, layout=smaller_layout(
-            tiles, len(dims), meta.tile_size,
+            tile_cells, meta.tile_size,
             [dtype_for(t) for t in meta.schema.attr_types]))
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
     try:

@@ -42,8 +42,8 @@ from .errors import (ConfigError, DataFormatError, EngineError, NotFoundError,
                      PlanError)
 from .models import (FLOAT, STRING, UINT, ArrayMeta, CellSchema, Collection,
                      Relation, _csv_row_line, collection_from_jsonl,
-                     collection_to_jsonl, relation_from_csv, relation_to_csv,
-                     tile_extent)
+                     collection_to_jsonl, csv_row_count, relation_from_csv,
+                     relation_to_csv, tile_extent)
 from .planner import (LogicalPlan, Partition, PartitionDag, TreeNode,
                       alias_key, dag_to_trees, partition,
                       partition_dag_to_dict, plan_to_dict, rewrite,
@@ -101,7 +101,7 @@ class Catalog:
 
     def count(self, name: str, model: str) -> int:
         if model == "relational":
-            return len(self.load_table(name))
+            return csv_row_count(self._read(name, "relational"), name)
         if model == "document":
             return len(self.load_collection(name))
         raise ConfigError(f"cannot count a {model} dataset at bind time")

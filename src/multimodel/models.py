@@ -24,6 +24,7 @@ import itertools
 import json
 import numbers
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "compile_set",
     "relation_to_csv",
     "relation_from_csv",
+    "csv_row_count",
     "collection_to_jsonl",
     "collection_from_jsonl",
     "infer_column_type",
@@ -741,6 +743,24 @@ def relation_from_csv(text: str,
     return Relation.from_columns(list(zip(header, types)), cols, n)
 
 
+def csv_row_count(text: str, name: str = "") -> int:
+    """``len(relation_from_csv(text, name=name))``.  A plain text is
+    counted by its lines without being parsed: one without a quote, carriage
+    return or NUL, whose header names are unique, whose every non-blank line
+    has the header's comma count, and none longer than the csv module's
+    field limit.  Every other text is parsed, so a malformed one raises as
+    the loader does."""
+    lines = [line for line in text.split("\n") if line]
+    if lines and not any(c in text for c in '"\r\0'):
+        header = lines[0].split(",")
+        commas = len(header) - 1
+        if len(set(header)) == len(header) and \
+                max(map(len, lines)) <= csv.field_size_limit() and \
+                all(line.count(",") == commas for line in lines):
+            return len(lines) - 1
+    return len(relation_from_csv(text, name=name))
+
+
 def _converts(conv, text: str) -> bool:
     try:
         conv(text)
@@ -753,6 +773,83 @@ def collection_to_jsonl(col: Collection) -> str:
     return "".join(json.dumps(d, ensure_ascii=False) + "\n" for d in col.docs)
 
 
+# A member of a flat object of numbers, after "{" or ",": the key, then its
+# number (group 2) with the fraction (group 3) a float has, then "," or "}".
+# A key holds no escape and none of "{}," so no literal piece of a line
+# template can turn up in a line anywhere but in its own place.
+_MEMBER = re.compile(r'[ \t]*"([^"\\\x00-\x1f{},]*)"[ \t]*:[ \t]*'
+                     r'(-?(?:0|[1-9][0-9]*)(\.[0-9]+)?)[ \t]*([,}])')
+# an int of at most 15 digits, which float64 holds exactly, and a float
+# without an exponent, both in the JSON number grammar
+_INT_LITERAL = "-?(?:0|[1-9][0-9]{0,14})"
+_FLOAT_LITERAL = r"-?(?:0|[1-9][0-9]*)\.[0-9]+"
+# characters of whole lines one fullmatch checks: sre keeps state for each
+# repetition of a group until the match ends
+_TEMPLATE_CHUNK = 1 << 15
+
+
+def _line_template(line: str) -> tuple[list, list, list] | None:
+    """(keys, whether each value is a float, literal pieces) of a line that
+    is a flat JSON object of distinct plain keys and numbers without an
+    exponent, else None.  ``pieces[i]`` is the text before the i-th value,
+    and ``pieces[-1]`` the text after the last.  The template's regex then
+    holds every line, the first included, to its literals."""
+    if not line.startswith("{"):
+        return None
+    keys, floats, pieces = [], [], []
+    start, pos, end = 0, 1, ","  # start: where the current piece begins
+    while end == ",":
+        m = _MEMBER.match(line, pos)
+        if m is None or m[1] in keys:
+            return None
+        keys.append(m[1])
+        floats.append(m[3] is not None)
+        pieces.append(line[start:m.start(2)])
+        start, pos, end = m.end(2), m.end(), m[4]
+    if pos != len(line):
+        return None
+    pieces.append(line[start:])
+    return keys, floats, pieces
+
+
+def _template_collection(text: str, name: str) -> Collection | None:
+    """The collection of a JSONL text whose every line has the shape of its
+    first, read into typed columns without a dict, or None for any other
+    text.
+
+    The first line, taken as it is written, gives the template
+    (``_line_template``): its key spellings, its separators and an int or
+    float literal per value.  One regex of the template checks every line,
+    a chunk of lines at a time.  The template's pieces are then cut out
+    with ``str.replace`` (each turns up only in its own place, see
+    ``_MEMBER``), numpy reads every number as float64 at once, and an int
+    column is cast back to int64: exact up to 15 digits, and -0 is 0 as
+    ``json`` reads it.  The columns are those the per-line path gives."""
+    first = text.find("\n")
+    template = _line_template(text if first < 0 else text[:first])
+    if template is None:
+        return None
+    keys, floats, pieces = template
+    line = "".join(re.escape(p) + (_FLOAT_LITERAL if f else _INT_LITERAL)
+                   for p, f in zip(pieces, floats)) + re.escape(pieces[-1])
+    lines = re.compile(f"(?:{line}\n)*(?:{line})?")
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _TEMPLATE_CHUNK) + 1 or len(text)
+        if lines.fullmatch(text, pos, end) is None:
+            return None
+        pos = end
+    last = len(pieces) - 1
+    for i, piece in enumerate(pieces):
+        text = text.replace(piece, "," if 0 < i < last else "")
+    block = np.loadtxt(io.StringIO(text), dtype=np.float64, delimiter=",",
+                       comments=None, ndmin=2)
+    return Collection.from_columns(
+        name, [tuple(keys)], np.zeros(len(block), np.int64),
+        {k: Column(block[:, j].astype(np.float64 if f else np.int64))
+         for j, (k, f) in enumerate(zip(keys, floats))})
+
+
 def collection_from_jsonl(text: str, name: str = "") -> Collection:
     """One JSON object per line.
 
@@ -760,7 +857,19 @@ def collection_from_jsonl(text: str, name: str = "") -> Collection:
     ``str.splitlines`` knows stay inside a string.  Blank lines are skipped
     and " \\t\\r" around a line is ignored.  A line that is not exactly one
     JSON object raises DataFormatError with ``name`` and its 1-based line.
+
+    A text whose lines all have the shape of its first, a flat object of
+    ints and floats, is read through that line as a template
+    (``_template_collection``) into the same columns, and no dict is built;
+    every other text, and every malformed one, is decoded line by line.
     """
+    col = _template_collection(text, name)
+    return col if col is not None else _decode_lines(text, name)
+
+
+def _decode_lines(text: str, name: str) -> Collection:
+    """``collection_from_jsonl`` a line at a time: each line's dict from
+    ``json``'s scanner, then the dicts shredded into columns."""
     scan = json.JSONDecoder().scan_once  # json.loads' C scanner
     docs = []
     for lineno, raw in enumerate(text.split("\n"), 1):

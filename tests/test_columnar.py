@@ -320,7 +320,7 @@ def test_document_to_array_matches_reference(col, dims, values):
         coords, cols, types, size = rowwise.records_to_cells(
             col.docs, dims, values)
         # one tile holds every cell: its layout is the one encoding smaller
-        layout = smaller_layout(min(len(coords), 1), len(coords), size,
+        layout = smaller_layout([len(coords)] if len(coords) else [], size,
                                 [dtype_for(t) for t in types])
         meta = ArrayMeta(CellSchema(tuple(dims), tuple(values), tuple(types)),
                          size, size, layout)

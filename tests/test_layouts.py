@@ -36,17 +36,22 @@ SETTINGS = settings(max_examples=60, deadline=None,
 def _encoded(arr) -> str:
     """The layout whose encoding of `arr`'s cells is smaller, found by
     encoding every stored tile both ways with ``Tile.to_bytes``: the sparse
-    layout (csr for 2-D, coo otherwise) when strictly smaller, else dense."""
+    layout (csr for 2-D, coo otherwise) when strictly smaller and no sparse
+    tile takes more of the pool (``Tile.nbytes``) than a dense tile, else
+    dense."""
     sparse = "csr" if arr.meta.d == 2 else "coo"
     total = dict.fromkeys(("dense", sparse), 0)
+    largest = dict.fromkeys(("dense", sparse), 0)
     for tc in arr.tile_coords():
         with arr.pinned(tc) as tile:
             cc, values = tile.cells()
         for layout in total:
-            total[layout] += len(make_tile(
-                tc, arr.meta.tile_size, arr.valid_extent(tc), arr.attr_dtypes,
-                layout, cc, values).to_bytes())
-    return sparse if total[sparse] < total["dense"] else "dense"
+            made = make_tile(tc, arr.meta.tile_size, arr.valid_extent(tc),
+                             arr.attr_dtypes, layout, cc, values)
+            total[layout] += len(made.to_bytes())
+            largest[layout] = max(largest[layout], made.nbytes)
+    return sparse if total[sparse] < total["dense"] and \
+        largest[sparse] <= largest["dense"] else "dense"
 
 
 @st.composite
@@ -141,6 +146,42 @@ def test_layout_at_the_crossover(size, tile, cells, layout, pool):
                    [c + (1.5,) for c in coords])
     arr = to_array(rel, dims, ["v"], None, pool, default_tile=tile)
     assert arr.meta.tile_size == size and arr.meta.layout == layout
+
+
+@SETTINGS
+@given(cell_sets())
+def test_a_pool_with_room_for_a_dense_tile_runs_every_inferred_layout(
+        tmp_path, case):
+    """Whatever layout the rule takes, a pool with room for one dense tile
+    builds the array and reads every tile back."""
+    rel, dims, names, tile = case
+    dense = _pair(case, BufferPool(UNBOUNDED), str(tmp_path))[1]
+    pool = BufferPool(_largest_tile([dense]))
+    arr = to_array(rel, dims, names, None, pool, default_tile=tile,
+                   spool_dir=str(tmp_path))
+    assert _cells(arr) == _cells(dense)
+
+
+def test_a_crowded_tile_keeps_an_array_dense(tmp_path):
+    """A 6x6 table in 5x5 tiles, its 5x5 corner full and one cell in each
+    other tile, encodes smaller as csr (672 bytes against 900), but its
+    corner tile would take 464 bytes of the pool against a dense tile's
+    289: it stays dense, and a pool of one dense tile runs a matmul on it."""
+    coords = [(r, c) for r in range(5) for c in range(5)] + \
+        [(0, 5), (5, 0), (5, 5)]
+    rel = Relation([("r", UINT), ("c", UINT), ("v", FLOAT)],
+                   [(r, c, 1.0 + r - c) for r, c in coords])
+    spool = str(tmp_path)
+    want = None
+    for capacity in (UNBOUNDED, 289):
+        pool = BufferPool(capacity)
+        x = to_array(rel, ["r", "c"], ["v"], None, pool, default_tile=5,
+                     spool_dir=spool)
+        assert x.meta.layout == "dense"
+        got = _grid(array_engine.matmul(
+            x, array_engine.rand((6, 2), (5, 2), 7, pool, spool_dir=spool)))
+        want = want or got
+        assert got == want
 
 
 def test_explicit_layout_is_kept(pool):

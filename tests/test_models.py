@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from multimodel.models import (
     collection_to_jsonl,
     compile_path,
     compile_set,
+    csv_row_count,
     relation_from_csv,
     relation_to_csv,
 )
@@ -519,3 +522,320 @@ def test_jsonl_loader_keeps_values_types_and_key_order(lines):
     assert _same_json(col.docs, expect)
     assert _same_json(collection_from_jsonl(collection_to_jsonl(col)).docs,
                       expect)
+
+
+# ---------------------------------------------------- JSONL line templates
+
+def _same_columns(got, want):
+    """The collections hold the same shape table and columns: dtypes, null
+    masks and values bit for bit (an object column by repr, which tells 1,
+    1.0 and True apart)."""
+    assert got.name == want.name and got.shapes == want.shapes
+    assert got.shape_ids.dtype == want.shape_ids.dtype
+    assert np.array_equal(got.shape_ids, want.shape_ids)
+    assert list(got.columns) == list(want.columns)
+    for key, g in got.columns.items():
+        w = want.columns[key]
+        assert g.values.dtype == w.values.dtype, key
+        assert (g.null is None) == (w.null is None), key
+        assert g.null is None or np.array_equal(g.null, w.null), key
+        if g.values.dtype == object:
+            assert repr(g.values.tolist()) == repr(w.values.tolist()), key
+        else:
+            assert g.values.tobytes() == w.values.tobytes(), key
+
+
+# keys a template takes, and ones it refuses ("a,b", "{") and falls back on
+TEMPLATE_KEYS = ["oid", "pid", "rating", "a b", "a:b", "x.y", "k1", "",
+                 "é", "a,b", "{"]
+INT_LITERALS = st.integers(-(10 ** 15 - 1), 10 ** 15 - 1).map(str) \
+    | st.sampled_from(["0", "-0", "999999999999999", "-999999999999999"])
+FLOAT_LITERALS = st.from_regex(r"-?(0|[1-9][0-9]{0,5})\.[0-9]{1,20}",
+                               fullmatch=True) \
+    | st.from_regex(r"-?[1-9]\.[0-9]{16}", fullmatch=True) \
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr).filter(
+        lambda t: "e" not in t) \
+    | st.sampled_from(["0.0", "-0.0", "1" + "0" * 400 + ".5"])
+# values on the borders of the template: other number spellings, ints a
+# float64 may not hold exactly, other JSON values, and text JSON refuses
+NEAR_VALUES = (
+    st.integers(10 ** 15, 2 ** 70).map(str)
+    | st.integers(2 ** 53, 2 ** 63).filter(lambda i: float(i) != i).map(str)
+    | st.integers(-2 ** 70, -10 ** 15).map(str)
+    | st.floats(allow_nan=False).map(lambda x: f"{x:e}")
+    | st.floats().map(repr).filter(lambda t: "e" in t)
+    | st.sampled_from([
+        "1", "1.0", "1E+5", "-0", "-0.0", "007", "00.5", "1.", ".5", "+1",
+        "9007199254740993", "9223372036854775808", "-9223372036854775809",
+        "NaN", "Infinity", "-Infinity", "true", "false", "null", '"s"',
+        '"1"', "[1]", '{"a": 1}', "[]", "{}"]))
+NEAR_MISSES = ["value", "value", "value", "order", "drop", "extra", "dup",
+               "escape", "trailing", "cr", "pad", "blank", "space", "seps"]
+
+
+def _render(pairs, seps) -> str:
+    item, colon, opening, closing = seps
+    return "{" + opening + item.join(
+        json.dumps(k, ensure_ascii=False) + colon + v
+        for k, v in pairs) + closing + "}"
+
+
+@st.composite
+def near_misses(draw, nkeys):
+    """(kind, key index, the text it adds) of one near miss of a line."""
+    kind = draw(st.sampled_from(NEAR_MISSES))
+    extra = {"dup": st.sampled_from(["1", "2.5"]),
+             "trailing": st.sampled_from([" x", ",", ' {"a": 1}', "}"]),
+             "pad": st.sampled_from([" ", "\t", " "]),
+             "blank": st.sampled_from(["", " ", "\t", "\r"])}.get(kind)
+    return kind, draw(st.integers(0, nkeys - 1)), \
+        draw(extra) if extra is not None else None
+
+
+def _with_miss(draw, pairs, seps, miss) -> str:
+    """The line of `pairs` written with the near miss `miss`."""
+    kind, at, extra = miss
+    pairs, key = list(pairs), pairs[at][0]
+    if kind == "value":
+        pairs[at] = (pairs[at][0], draw(NEAR_VALUES))
+    elif kind == "order":
+        pairs = pairs[::-1]
+    elif kind == "drop":
+        del pairs[at]
+    elif kind == "extra":
+        pairs.insert(at, ("zz", "1"))
+    elif kind == "dup":
+        pairs.append((pairs[at][0], extra))
+    elif kind == "seps":
+        seps = (", ", ": ", "", "") if seps != (", ", ": ", "", "") \
+            else (",", ":", "", "")
+    line = _render(pairs, seps)
+    if kind == "escape" and key:
+        plain = json.dumps(key, ensure_ascii=False)
+        return line.replace(plain, '"\\u%04x%s' % (ord(key[0]), plain[2:]), 1)
+    return {"trailing": line + (extra or ""), "cr": line + "\r",
+            "pad": (extra or "") + line, "blank": line + "\n" + (extra or ""),
+            "space": line + " "}.get(kind, line)
+
+
+@st.composite
+def template_texts(draw):
+    """(JSONL text, whether it fits its first line's template): lines of
+    one flat object of ints and floats written with drawn separators; no
+    line, some lines or every line (the first included) with a near miss
+    of that shape; the last line may lack its newline."""
+    keys = draw(st.lists(st.sampled_from(TEMPLATE_KEYS), min_size=1,
+                         max_size=4, unique=True))
+    floats = [draw(st.booleans()) for _ in keys]
+    seps = (draw(st.sampled_from([", ", ",", " , ", ",\t"])),
+            draw(st.sampled_from([": ", ":", " :\t"])),
+            draw(st.sampled_from(["", " "])), draw(st.sampled_from(["", " "])))
+    n = draw(st.integers(1, 10))
+    rows = [[(k, draw(FLOAT_LITERALS if f else INT_LITERALS))
+             for k, f in zip(keys, floats)] for _ in range(n)]
+    lines = [_render(r, seps) for r in rows]
+    spread = draw(st.sampled_from(["none", "some", "every"]))
+    if spread == "every":  # one miss, on every line
+        miss = draw(near_misses(len(keys)))
+        lines = [_with_miss(draw, r, seps, miss) for r in rows]
+    elif spread == "some":
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=2)):
+            lines[i] = _with_miss(draw, rows[i], seps,
+                                  draw(near_misses(len(keys))))
+    end = draw(st.sampled_from(["\n", ""]))
+    plain = not any(set(k) & set("{},") for k in keys)
+    return "\n".join(lines) + end, plain and spread == "none"
+
+
+def _agree(text):
+    """``collection_from_jsonl`` gives the per-line path's collection, or
+    raises its error; returns the template path's collection or None."""
+    fast = models._template_collection(text, "c")
+    try:
+        want = models._decode_lines(text, "c")
+    except DataFormatError as e:
+        with pytest.raises(DataFormatError) as got:
+            collection_from_jsonl(text, "c")
+        assert str(got.value) == str(e) and got.value.line == e.line
+        return fast
+    _same_columns(collection_from_jsonl(text, "c"), want)
+    return fast
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(template_texts())
+def test_template_path_matches_the_per_line_path(case):
+    """The template path gives the per-line path's collection exactly, and
+    a text it does not take decodes, or fails, as the per-line path does."""
+    text, fits = case
+    assert _agree(text) is not None or not fits
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": 1, "a": 2}\n{"a": 3, "a": 4}\n',        # a duplicate key
+    '{"\\u006fid": 1}\n{"\\u006fid": 2}\n',          # an escaped key
+    '{"a,b": 1, "c": 2}\n{"a,b": 3, "c": 4}\n',    # keys a template refuses
+    '{"{": 1}\n{"{": 2}\n',
+    '{"a": 1}\n{"a": 9007199254740993}\n',         # 16 digits
+    '{"a": 9007199254740993}\n{"a": 1}\n',
+    '{"a": 1234567890123456}\n',
+    '{"a": 1}\n{"a": 1.0}\n',                      # an int, then a float
+    '{"a": 1.5}\n{"a": 2}\n',
+    '{"a": 1e5}\n{"a": 2e5}\n',                    # exponents
+    '{"a": 1.5e3}\n{"a": 2.5E-3}\n',
+    '{"a": 1.0}\n{"a": 2.5E-3}\n',
+    '{"a": NaN}\n', '{"a": 1.0}\n{"a": Infinity}\n',
+    '{"a": 007}\n{"a": 7}\n', '{"a": 1}\n{"a": 007}\n',
+    '{"a": true}\n', '{"a": 1}\n{"a": null}\n', '{"a": "1"}\n',
+    '{"a": {"b": 1}}\n', '{"a": [1]}\n', '{}\n{}\n',
+    '{"a": 1} x\n{"a": 2} x\n', '{"a": 1}\n{"a": 2}{"a": 3}\n',
+    '{"a": 1}\r\n{"a": 2}\r\n', ' {"a": 1}\n {"a": 2}\n',
+    '{"a": 1}\n\n{"a": 2}\n', '{"a": 1}\n  \n', '{"a": 1}\n\t',
+    '{"a": 1, "b": 2}\n{"b": 2, "a": 1}\n',       # key order
+    '{"a": 1, "b": 2}\n{"a": 1}\n', '{"a": 1}\n{"a": 1, "b": 2}\n',
+    '{"a": 1, "b": 2}\n{"a": 1,"b": 2}\n',        # other separators
+    '["a": 1}\n["a": 2}\n',                        # not an object
+])
+def test_template_refuses_each_near_miss(text):
+    assert _agree(text) is None
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": -0, "b": -0.0}\n{"a": 0, "b": 0.0}\n',  # -0 is 0, -0.0 stays
+    '{"a": 1}\n{"a": 2}',                           # no final newline
+    '{"a": 999999999999999}\n{"a": -999999999999999}\n',
+    '{"x": 0.30000000000000004}\n{"x": 1.7976931348623157}\n',
+    '{"x": 0.1}\n{"x": 1' + "0" * 400 + '.5}\n',     # beyond float64: inf
+    '{"a":1,"b":2.5}\n{"a":3,"b":-4.0}\n',
+    '{ "a:b" :\t1 , "é x": 2.5 }\n{ "a:b" :\t3 , "é x": 0.0 }\n',
+])
+def test_template_takes_each_fitting_text(text):
+    assert _agree(text) is not None
+
+
+def _review_text(n: int, seed: int = 0) -> str:
+    """Reviews written as the recommender's data generator writes them."""
+    rng = np.random.default_rng(seed)
+    return "".join(
+        f'{{"oid": {o}, "pid": {p}, "rating": {h / 2:.1f}}}\n' for o, p, h in
+        zip(rng.integers(100_000, 101_000, n).tolist(),
+            rng.integers(0, 500, n).tolist(), rng.integers(2, 11, n).tolist()))
+
+
+def test_template_check_covers_every_chunk():
+    """A near miss in any line, chunk borders included, sends the text to
+    the per-line path."""
+    text = _review_text(3000)
+    starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"][:-1]
+    assert len(text) > 3 * models._TEMPLATE_CHUNK
+    want = models._decode_lines(text, "r")
+    _same_columns(models._template_collection(text, "r"), want)
+    border = text.find("\n", models._TEMPLATE_CHUNK) + 1
+    for at in (1, starts.index(border) - 1, starts.index(border), 2999):
+        start = starts[at]
+        bad = text[:start] + text[start:].replace(', "rating"',
+                                                  '.5, "rating"', 1)
+        assert models._template_collection(bad, "r") is None, at
+        col = collection_from_jsonl(bad, "r")
+        assert col.columns["pid"].values.dtype == object
+
+
+def test_malformed_line_after_template_lines_names_its_line():
+    """Lines 1-2 fit the template, line 3 is malformed: the per-line path
+    raises as before the template path existed."""
+    head = '{"oid": 1, "rating": 1.5}\n{"oid": 2, "rating": 2.5}\n'
+    for tail, what in [
+            ('{"oid": 3, "rating": }\n', "Expecting value (column 22)"),
+            ('{"oid": 3, "rating": 2.5,}\n',
+             "Expecting property name enclosed in double quotes "
+             "(column 26)")]:
+        with pytest.raises(DataFormatError) as e:
+            collection_from_jsonl(head + tail, "review")
+        assert str(e.value) == f"dataset 'review', line 3: {what}"
+        assert e.value.line == 3
+
+
+def test_template_decode_peaks_below_the_per_line_path():
+    """The template check runs a chunk of lines at a time: one regex
+    repeated over the whole text keeps state for every line and peaks
+    above the per-line decode of a review-shaped text."""
+    text = _review_text(12_500)
+
+    def peak(decode):
+        tracemalloc.start()
+        try:
+            col = decode(text, "review")
+            return tracemalloc.get_traced_memory()[1], col
+        finally:
+            tracemalloc.stop()
+
+    fast, col = peak(models._template_collection)
+    slow, want = peak(models._decode_lines)
+    assert col is not None and fast < slow
+    _same_columns(col, want)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-len(".jsonl")] for f in os.listdir(DATA) if f.endswith(".jsonl")))
+def test_shipped_and_written_jsonl_take_the_template_path(name):
+    """The recommender's collections, and the text ``collection_to_jsonl``
+    writes for them, are read through their first line's template: a
+    drift in either format would otherwise fall back without a sign."""
+    with open(os.path.join(DATA, name + ".jsonl"), encoding="utf-8") as f:
+        text = f.read()
+    col = models._template_collection(text, name)
+    assert col is not None
+    _same_columns(col, models._decode_lines(text, name))
+    written = collection_to_jsonl(col)
+    _same_columns(models._template_collection(written, name), col)
+
+
+# ------------------------------------------------------- CSV row counts
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "a,b\n", "a,b", "a,b\n\n\n", "\n a\n1\n", "a,b\n1,2\n3,4",
+    "a,b\n\n1,2\n\n3,4\n\n", "a\n \n\n", "a,b\n \n", "a,b\n1\n",
+    "a,b\n1,2,3\n", "a,b\n1,2\n,\n", "a,a\n1,2\n", "a,b,a\n",
+    'a,b\n"x\ny",2\n',
+    '"a,b"\n1\n', "a,b\r\n1,2\r\n", "a\n1\r2\n", "a\n1\x002\n",
+    "a\n" + "x" * csv.field_size_limit() + "\n",
+    "a\n" + "x" * (csv.field_size_limit() + 1) + "\n",
+])
+def test_csv_row_count_matches_the_loader(text):
+    try:
+        want = len(relation_from_csv(text, name="t"))
+    except DataFormatError as e:
+        with pytest.raises(DataFormatError) as got:
+            csv_row_count(text, "t")
+        assert str(got.value) == str(e)
+        return
+    assert csv_row_count(text, "t") == want
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(csv_texts())
+def test_csv_row_count_matches_the_loader_on_generated_texts(text):
+    try:
+        want = len(relation_from_csv(text))
+    except DataFormatError:
+        with pytest.raises(DataFormatError):
+            csv_row_count(text)
+        return
+    assert csv_row_count(text) == want
+
+
+def test_counting_a_plain_table_does_not_parse_it(tmp_path, monkeypatch):
+    (tmp_path / "customer.csv").write_text(
+        "cid,name\n" + "".join(f"{c},customer-{c}\n" for c in range(1000)))
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a plain table was parsed to be counted")
+
+    monkeypatch.setattr(models, "relation_from_csv", no_parse)
+    assert Catalog(str(tmp_path)).count("customer", "relational") == 1000
