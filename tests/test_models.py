@@ -663,7 +663,7 @@ def _agree(text):
     return fast
 
 
-@settings(max_examples=400, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(template_texts())
 def test_template_path_matches_the_per_line_path(case):
