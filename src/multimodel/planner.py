@@ -6,8 +6,9 @@ nodes into single-model partitions via bottom-up merging, ``topo_order``
 schedules the partitions, and ``dag_to_trees`` rewrites a relational or
 document partition into executable trees, materializing any subtree that is
 consumed more than once.  Before any of that, ``rewrite`` turns the plan as
-bound into the plan that runs: matmul chains in their cheapest order, and
-transposes read by the matmuls that consume them.
+bound into the plan that runs: matmul chains in their cheapest order,
+transposes read by the matmuls that consume them, and filters on the
+attributes a record–array join binds moved below the join, onto its records.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from typing import Any, Callable, Iterable, Mapping
 from . import array_engine
 from .errors import InternalError, PlanError, ShapeError
 from .models import ArrayMeta
+from .predicates import (And, Lit, Not, Or, equi_conjuncts, format_predicate,
+                         parse_predicate)
 
 MODELS = ("relational", "document", "array", "inter-model")
 
@@ -224,23 +227,33 @@ def partition(plan: LogicalPlan) -> PartitionDag:
     return PartitionDag(tuple(plist), frozenset(edges))
 
 
+RECORD_MODELS = ("relational", "document")
+
+
 def topo_order(pd: PartitionDag) -> list[Partition]:
-    """Producers before consumers; ties broken by creation index."""
-    indeg = {p.index: 0 for p in pd.partitions}
+    """Producers before consumers.  Of the partitions ready to run,
+    relational and document ones go first, then array and inter-model ones;
+    ties are broken by creation index.  What a record partition loads is
+    freed when it ends, while an array result stays in the pool until its
+    last consumer runs, so a small record result is made before arrays
+    fill the pool rather than while they hold it."""
+    key = {p.index: (p.model not in RECORD_MODELS, p.index)
+           for p in pd.partitions}
     succ: dict[int, list[int]] = {p.index: [] for p in pd.partitions}
+    indeg = dict.fromkeys(succ, 0)
     for a, b in sorted(pd.edges):
         succ[a].append(b)
         indeg[b] += 1
-    ready = [i for i, d in indeg.items() if d == 0]
+    ready = [key[i] for i, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        i = heapq.heappop(ready)
+        _, i = heapq.heappop(ready)
         order.append(i)
         for c in succ[i]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                heapq.heappush(ready, c)
+                heapq.heappush(ready, key[c])
     if len(order) != len(pd.partitions):
         raise InternalError("partition graph contains a cycle")
     by_index = {p.index: p for p in pd.partitions}
@@ -248,7 +261,7 @@ def topo_order(pd: PartitionDag) -> list[Partition]:
 
 
 # ---------------------------------------------------------------------------
-# array rewrites
+# plan rewrites
 
 Tree = Any  # an operand position, or a (left, right) pair of trees
 
@@ -333,6 +346,66 @@ def _written(plan: LogicalPlan, nid: int, inner: Callable[[int], bool],
     return tuple(sides)
 
 
+def _record_model(n: PlanNode) -> str:
+    """The model of the records node n produces: an aggregate gives a
+    relation and a record–array join its output model, whatever model
+    their partition runs under."""
+    if n.op == "aggregate":
+        return "relational"
+    return n.params["out_model"] if n.op == "join_rel_array" else n.model
+
+
+def _bound_attrs(params: Mapping[str, Any]) -> set[str]:
+    """The record attributes x that a record–array join's predicate
+    equates at its top level, written ``<rec_name>.x``, with a reference
+    into the array, written ``<arr_name>.y``.  Every strategy reads that x
+    as the record's own attribute or top-level key, so a record the join
+    keeps has x, not null, and the join's output carries it unchanged
+    under the bare name x."""
+    rec, arr = params["rec_name"], params["arr_name"]
+    attrs: set[str] = set()
+    if rec == arr:
+        return attrs
+    for pair in equi_conjuncts(parse_predicate(params["pred"]))[0]:
+        for r, a in (pair, pair[::-1]):
+            head, _, x = r.partition(".")
+            if head == rec and x and "." not in x and a.startswith(arr + "."):
+                attrs.add(x)
+    return attrs
+
+
+def _pushable(pred, attrs: set[str]) -> bool:
+    """Whether ``pred`` only compares, by ``=`` and ``!=`` under any AND, OR
+    and NOT, literals and bare references to ``attrs``.  (A qualified
+    reference above the join would name another column, and an order
+    comparison can raise on a record the join drops.)"""
+    if isinstance(pred, (And, Or)):
+        return all(_pushable(p, attrs) for p in pred.items)
+    if isinstance(pred, Not):
+        return _pushable(pred.item, attrs)
+    return pred.op in ("=", "!=") and all(
+        isinstance(o, Lit) or o.path in attrs for o in (pred.left, pred.right))
+
+
+def _plain_names(plan: LogicalPlan, nid: int, model: str) -> bool:
+    """Whether a bare name reads the rows of node nid, inside the tree of a
+    ``model`` filter on them, as it reads the records the node produces.
+    Always for documents.  For a relation, when filters, sorts and limits
+    lead from nid to a scan, or to another partition's node, whose result
+    the tree reads: a relational join or project may hold two columns of
+    one bare name, which its result renders apart."""
+    if model == "document":
+        return True
+    n = plan.node(nid)
+    while n.model == model and n.op in ("filter", "sort", "limit"):
+        n = plan.node(n.inputs[0])
+    return n.model != model or n.op == "scan"
+
+
+def _conjoin(items: list):
+    return items[0] if len(items) == 1 else And(tuple(items))
+
+
 def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     """The plan to run for a bound plan, as a fresh plan whose node ids
     follow the bound order with inputs before consumers.
@@ -345,6 +418,18 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     chain has at most ``MAX_CHAIN`` operands.
     Folded transposes: a transpose read only by matmuls is dropped, and each
     of those matmuls reads its input with ``transpose_a``/``transpose_b``.
+    Filter pushdown: when a filter is the only reader of a record–array join
+    with relational or document output that is not the target, each
+    conjunct of its top-level AND that ``_pushable`` accepts moves into a new
+    filter on the join's records (see ``_bound_attrs``, ``_plain_names``);
+    the rest stay above the join, and a filter left with none is dropped,
+    after which a filter that was its only reader is tried in turn.  The
+    target is not dropped but keeps its whole predicate, which every row
+    reaching it passes: a result keeps the name its last operator gives it
+    (a collection from a filter is ``result``, from a join ``joined``).  Such a
+    conjunct reads a record's value as the join emits it and never raises,
+    so the plan that runs raises only where the plan as bound raises, and
+    where that one succeeds both give the same rows, order and schema.
     """
     cons = plan.consumers()
     metas: dict[int, ArrayMeta | None] = {}
@@ -401,6 +486,37 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
                 params["transpose_" + "ab"[j]] = True
     for key in folded:
         del specs[key]
+
+    forward: dict[int, int] = {}  # a dropped filter -> the join it read
+    for j in plan.nodes:
+        if j.op != "join_rel_array" or j.id == target \
+                or j.params["out_model"] not in RECORD_MODELS:
+            continue
+        rec = j.inputs[0]
+        model = _record_model(plan.node(rec))
+        attrs = _bound_attrs(j.params)
+        if not attrs or not _plain_names(plan, rec, model):
+            continue
+        moved, top = [], j.id
+        while len(cons[top]) == 1 and plan.node(cons[top][0]).op == "filter":
+            f = cons[top][0]
+            pred = parse_predicate(specs[f][2]["pred"])
+            items = list(pred.items) if isinstance(pred, And) else [pred]
+            kept = [c for c in items if not _pushable(c, attrs)]
+            moved += [c for c in items if _pushable(c, attrs)]
+            if kept or f == target:
+                if kept and len(kept) < len(items):
+                    specs[f][2]["pred"] = format_predicate(_conjoin(kept))
+                break
+            del specs[f]
+            forward[f], top = j.id, f
+        if moved:
+            key = next(fresh)
+            specs[key] = ["filter", model,
+                          {"pred": format_predicate(_conjoin(moved))}, [rec]]
+            specs[j.id][3][0] = key
+    for spec in specs.values():
+        spec[3] = [forward.get(i, i) for i in spec[3]]
 
     order: list[int] = []  # bound order; new nodes just before their reader
 

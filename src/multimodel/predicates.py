@@ -18,6 +18,7 @@ columns.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .errors import ScriptError, TypeMismatchError
 
 __all__ = [
     "Lit", "Ref", "Cmp", "And", "Or", "Not",
-    "parse_predicate", "parse_sort_spec", "compile_columns",
+    "parse_predicate", "format_predicate", "parse_sort_spec", "compile_columns",
     "equi_conjuncts", "universal_key", "compare_values",
 ]
 
@@ -180,6 +181,37 @@ class _Parser:
 
 def parse_predicate(text: str):
     return _Parser(text).parse()
+
+
+def format_predicate(node) -> str:
+    """Predicate text that ``parse_predicate`` reads back as ``node``; each
+    item of an AND or OR, and the item of a NOT, is parenthesized unless it
+    is a comparison."""
+    if isinstance(node, Cmp):
+        return f"{_operand_text(node.left)} {node.op} " \
+               f"{_operand_text(node.right)}"
+    if isinstance(node, Not):
+        return f"NOT {_item_text(node.item)}"
+    word = " AND " if isinstance(node, And) else " OR "
+    return word.join(map(_item_text, node.items))
+
+
+def _item_text(node) -> str:
+    text = format_predicate(node)
+    return text if isinstance(node, Cmp) else f"({text})"
+
+
+def _operand_text(node) -> str:
+    if isinstance(node, Ref):
+        return node.path
+    v = node.value
+    if v is None or isinstance(v, bool):
+        return {None: "null", True: "true", False: "false"}[v]
+    if isinstance(v, str):
+        return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    if isinstance(v, float) and math.isinf(v):  # a literal past float range
+        return "-1e999" if v < 0 else "1e999"
+    return repr(v)
 
 
 def parse_sort_spec(text: str) -> list[tuple[str, bool]]:

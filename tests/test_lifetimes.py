@@ -11,6 +11,7 @@ import pytest
 
 from multimodel import Engine, EngineConfig
 from multimodel.array_store import StoredArray, Tile
+from multimodel.buffer_pool import BufferPool
 from multimodel.executor import Catalog
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
@@ -39,6 +40,29 @@ def test_tight_pool_leaves_no_spill_file_and_matches_roomy_pool(tmp_path):
     assert os.listdir(tmp_path / "tight") == []
     assert tight.schema == roomy.schema and tight.rows == roomy.rows
     assert eng.pool.stats().resident_bytes == 0  # the result is a relation
+
+
+def test_recommend_is_bit_identical_under_every_pool_capacity(
+        tmp_path, monkeypatch):
+    """From a pool with room for the largest tile up: partition order and
+    pool capacity change where results live, never what they are."""
+    sizes = []
+    add = BufferPool.add
+
+    def sized_add(self, obj):
+        sizes.append(obj.size)
+        add(self, obj)
+
+    monkeypatch.setattr(BufferPool, "add", sized_add)
+    engine(tmp_path / "sizing", default_tile=4).run(RECOMMEND)
+    one = max(sizes)
+    results = []
+    for capacity in (one, 2 * one, 5 * one, 4 << 10, 64 << 10, 1 << 30):
+        res = engine(tmp_path / str(capacity), default_tile=4,
+                     buffer_bytes=capacity).run(RECOMMEND)
+        results.append((res.schema, repr(res.rows)))
+    assert len(results[0][1]) > 2
+    assert results == [results[-1]] * len(results)
 
 
 @pytest.fixture

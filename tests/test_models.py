@@ -797,6 +797,10 @@ def test_shipped_and_written_jsonl_take_the_template_path(name):
 
 # ------------------------------------------------------- CSV row counts
 
+# interest.csv's shape: 20,000 rows of two ints
+BIG_INT_TABLE = "cid,pid\n" + "".join(
+    f"{i // 20},{i * 7919 % 500}\n" for i in range(20_000))
+
 @pytest.mark.parametrize("text", [
     "", "\n\n", "a,b\n", "a,b", "a,b\n\n\n", "\n a\n1\n", "a,b\n1,2\n3,4",
     "a,b\n\n1,2\n\n3,4\n\n", "a\n \n\n", "a,b\n \n", "a,b\n1\n",
@@ -805,6 +809,10 @@ def test_shipped_and_written_jsonl_take_the_template_path(name):
     '"a,b"\n1\n', "a,b\r\n1,2\r\n", "a\n1\r2\n", "a\n1\x002\n",
     "a\n" + "x" * csv.field_size_limit() + "\n",
     "a\n" + "x" * (csv.field_size_limit() + 1) + "\n",
+    # within the limit in characters, past it in UTF-8 bytes
+    "a\n" + "é" * csv.field_size_limit() + "\n",
+    "a\n" + "é" * (csv.field_size_limit() + 1) + "\n",
+    BIG_INT_TABLE,
 ])
 def test_csv_row_count_matches_the_loader(text):
     try:
@@ -828,6 +836,41 @@ def test_csv_row_count_matches_the_loader_on_generated_texts(text):
             csv_row_count(text)
         return
     assert csv_row_count(text) == want
+
+
+@pytest.mark.parametrize("text, parsed", [
+    (BIG_INT_TABLE, False),
+    ("a,b\n\n1,2\n\n", False),
+    ("a,é\nü,\n", False),
+    ('a,b\n"1",2\n', True),                # a quote
+    ("a,b\r\n1,2\r\n", True),              # a carriage return
+    ("a,b\n1,\x002\n", True),               # a NUL
+    ("a,a\n1,2\n", True),                   # a repeated header name
+    ("a,b\n1,2\n3\n", True),                # a ragged line
+    ("a,b\n1,2,3\n", True),
+    ("a\n" + "x" * (csv.field_size_limit() + 1) + "\n", True),  # over-long
+    ("a\n" + "é" * csv.field_size_limit() + "\n", False),
+])
+def test_only_texts_the_line_count_cannot_vouch_for_are_parsed(
+        text, parsed, monkeypatch):
+    calls = []
+    loader = models.relation_from_csv
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loader(*args, **kwargs)
+
+    monkeypatch.setattr(models, "relation_from_csv", spy)
+    try:
+        n = csv_row_count(text)
+    except DataFormatError:
+        n = None
+    assert bool(calls) == parsed
+    monkeypatch.undo()
+    try:
+        assert n == len(relation_from_csv(text))
+    except DataFormatError:
+        assert n is None
 
 
 def test_counting_a_plain_table_does_not_parse_it(tmp_path, monkeypatch):

@@ -1,0 +1,52 @@
+"""The benchmark's workloads at their small scale, run through ``Engine.run``
+as ``perfbench/run.py`` runs them: a change that breaks a benchmark result
+fails here, and not only when the benchmark runs."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import sys
+
+import pytest
+
+from multimodel import Engine
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+SEED = 5
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``'s workloads at small scale, imported
+    without writing bytecode there."""
+    sys.path.insert(0, PERFBENCH)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("workloads").workloads(small=True)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(PERFBENCH)
+
+
+@pytest.mark.parametrize("name", ["recommend", "recommend_tight",
+                                  "tile_join"])
+def test_workload_passes_its_oracle(workloads, name, tmp_path):
+    wl = workloads[name]
+    data_dir, spool = str(tmp_path / "data"), str(tmp_path / "spool")
+    os.makedirs(spool)
+    data = wl.generate(SEED, data_dir, wl.sizes)
+    # the oracle, and for recommend_tight the match with the roomy pool
+    check = wl.make_check(data, SEED, data_dir, spool)
+    assert (wl.reference_pool is not None) == (name == "recommend_tight")
+    eng = Engine(wl.config(data_dir, spool, SEED))
+    assert check(eng.run(wl.script_text())) is None
+    assert os.listdir(spool) == []
+    if name == "recommend":
+        # the join reads only the interests of the customer it keeps
+        n = int((data.interest[:, 0] == wl.sizes.top_cid).sum())
+        assert n > 0
+        assert [(s.n_records, s.output_rows) for s in eng.join_stats] == \
+            [(n, n)]

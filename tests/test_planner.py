@@ -152,6 +152,21 @@ def test_topo_singleton_and_diamond():
     check_topo(pd, topo_order(pd))
 
 
+def test_ready_record_partitions_run_before_ready_array_partitions():
+    models = ["array", "inter-model", "relational", "document", "relational"]
+    parts = tuple(Partition(i, m, frozenset([i]), i)
+                  for i, m in enumerate(models))
+    # 2 and 3 are ready beside 0 and run first; 4 waits for 1 and 3
+    pd = PartitionDag(parts, frozenset([(0, 1), (2, 1), (1, 4), (3, 4)]))
+    assert [p.index for p in topo_order(pd)] == [2, 3, 0, 1, 4]
+    check_topo(pd, topo_order(pd))
+    # a record partition that becomes ready passes a lower ready array one
+    parts = tuple(Partition(i, m, frozenset([i]), i) for i, m in
+                  enumerate(["array", "inter-model", "array", "relational"]))
+    pd = PartitionDag(parts, frozenset([(0, 1), (1, 3)]))
+    assert [p.index for p in topo_order(pd)] == [0, 1, 3, 2]
+
+
 def test_topo_detects_invariant_breach():
     parts = (Partition(0, "array", frozenset([0]), 0),
              Partition(1, "array", frozenset([1]), 1))

@@ -23,6 +23,7 @@ from multimodel.predicates import (
     compare_values,
     compile_columns,
     equi_conjuncts,
+    format_predicate,
     parse_predicate,
     parse_sort_spec,
     universal_key,
@@ -166,6 +167,37 @@ def test_literal_equality_is_not_a_pair():
     pairs, rest = equi_conjuncts(parse_predicate("a.x = 3"))
     assert pairs == []
     assert rest == Cmp("=", Ref("a.x"), Lit(3))
+
+
+_LEAVES = st.one_of(
+    st.builds(Ref, st.from_regex(r"[a-z_][a-z0-9_]{0,3}(\.[a-z_]{1,3})?",
+                                 fullmatch=True).filter(
+        lambda p: p.split(".")[0].lower() not in
+        ("and", "or", "not", "true", "false", "null"))),
+    st.builds(Lit, st.one_of(st.none(), st.booleans(), st.integers(),
+                             st.floats(allow_nan=False), st.text(max_size=6))))
+_PREDICATES = st.recursive(
+    st.builds(Cmp, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+              _LEAVES, _LEAVES),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(And, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(inner, min_size=2, max_size=3).map(tuple))),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PREDICATES)
+def test_formatted_predicates_parse_back_to_themselves(pred):
+    text = format_predicate(pred)
+    assert parse_predicate(text) == pred, text
+
+
+def test_formatting_parenthesizes_only_compound_items():
+    pred = parse_predicate(
+        "a = 1 and (b != \"it's\" or not c < -2.5e-7) and d = null")
+    assert format_predicate(pred) == \
+        "a = 1 AND (b != 'it\\'s' OR (NOT c < -2.5e-07)) AND d = null"
 
 
 # ------------------------------------------------- three-valued evaluation
