@@ -63,7 +63,7 @@ with tempfile.TemporaryDirectory() as data:
     doc = eng.explain(SCRIPT)
     op_of = {n["id"]: n["op"] for n in doc["nodes"]}
     print(f"{len(doc['nodes'])} operator nodes ({len(doc['bound']['nodes'])} "
-          f"as bound, before the array rewrites) in "
+          f"as bound, before the plan rewrites) in "
           f"{len(doc['partitions'])} partitions:")
     for p in doc["partitions"]:
         ops = [op_of[n] for n in p["nodes"]]

@@ -422,14 +422,17 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     with relational or document output that is not the target, each
     conjunct of its top-level AND that ``_pushable`` accepts moves into a new
     filter on the join's records (see ``_bound_attrs``, ``_plain_names``);
-    the rest stay above the join, and a filter left with none is dropped,
-    after which a filter that was its only reader is tried in turn.  The
-    target is not dropped but keeps its whole predicate, which every row
-    reaching it passes: a result keeps the name its last operator gives it
-    (a collection from a filter is ``result``, from a join ``joined``).  Such a
-    conjunct reads a record's value as the join emits it and never raises,
-    so the plan that runs raises only where the plan as bound raises, and
-    where that one succeeds both give the same rows, order and schema.
+    the rest stay above the join, and a filter left with none is dropped.
+    The target is not dropped but keeps its whole predicate, which every
+    row reaching it passes: a result keeps the name its last operator gives
+    it (a collection from a filter is ``result``, from a join ``joined``).
+    A moved conjunct reads a record's value as the join emits it and never
+    raises, so the plan that runs raises only where the plan as bound
+    raises, and where that one succeeds both give the same rows, order and
+    schema.  (Except under the ``convert`` strategy for a relation that
+    lacks x but has a column literally named ``<rec_name>.x``: the join
+    reads that column, and the output's x is an array attribute of that
+    name.)
     """
     cons = plan.consumers()
     metas: dict[int, ArrayMeta | None] = {}
@@ -490,31 +493,30 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     forward: dict[int, int] = {}  # a dropped filter -> the join it read
     for j in plan.nodes:
         if j.op != "join_rel_array" or j.id == target \
-                or j.params["out_model"] not in RECORD_MODELS:
+                or j.params["out_model"] not in RECORD_MODELS \
+                or len(cons[j.id]) != 1:
             continue
-        rec = j.inputs[0]
+        f, rec = cons[j.id][0], j.inputs[0]
         model = _record_model(plan.node(rec))
         attrs = _bound_attrs(j.params)
-        if not attrs or not _plain_names(plan, rec, model):
+        if plan.node(f).op != "filter" or not attrs \
+                or not _plain_names(plan, rec, model):
             continue
-        moved, top = [], j.id
-        while len(cons[top]) == 1 and plan.node(cons[top][0]).op == "filter":
-            f = cons[top][0]
-            pred = parse_predicate(specs[f][2]["pred"])
-            items = list(pred.items) if isinstance(pred, And) else [pred]
-            kept = [c for c in items if not _pushable(c, attrs)]
-            moved += [c for c in items if _pushable(c, attrs)]
-            if kept or f == target:
-                if kept and len(kept) < len(items):
-                    specs[f][2]["pred"] = format_predicate(_conjoin(kept))
-                break
+        pred = parse_predicate(plan.node(f).params["pred"])
+        items = list(pred.items) if isinstance(pred, And) else [pred]
+        moved = [c for c in items if _pushable(c, attrs)]
+        kept = [c for c in items if not _pushable(c, attrs)]
+        if not moved:
+            continue
+        key = next(fresh)
+        specs[key] = ["filter", model,
+                      {"pred": format_predicate(_conjoin(moved))}, [rec]]
+        specs[j.id][3][0] = key
+        if kept:
+            specs[f][2]["pred"] = format_predicate(_conjoin(kept))
+        elif f != target:
             del specs[f]
-            forward[f], top = j.id, f
-        if moved:
-            key = next(fresh)
-            specs[key] = ["filter", model,
-                          {"pred": format_predicate(_conjoin(moved))}, [rec]]
-            specs[j.id][3][0] = key
+            forward[f] = j.id
     for spec in specs.values():
         spec[3] = [forward.get(i, i) for i in spec[3]]
 

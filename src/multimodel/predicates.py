@@ -30,8 +30,8 @@ from .errors import ScriptError, TypeMismatchError
 
 __all__ = [
     "Lit", "Ref", "Cmp", "And", "Or", "Not",
-    "parse_predicate", "format_predicate", "parse_sort_spec", "compile_columns",
-    "equi_conjuncts", "universal_key", "compare_values",
+    "parse_predicate", "format_predicate", "parse_sort_spec",
+    "compile_columns", "equi_conjuncts", "universal_key", "compare_values",
 ]
 
 

@@ -812,7 +812,7 @@ BIG_INT_TABLE = "cid,pid\n" + "".join(
     # within the limit in characters, past it in UTF-8 bytes
     "a\n" + "é" * csv.field_size_limit() + "\n",
     "a\n" + "é" * (csv.field_size_limit() + 1) + "\n",
-    BIG_INT_TABLE,
+    pytest.param(BIG_INT_TABLE, id="20000-int-rows"),
 ])
 def test_csv_row_count_matches_the_loader(text):
     try:
@@ -842,15 +842,17 @@ def test_csv_row_count_matches_the_loader_on_generated_texts(text):
     (BIG_INT_TABLE, False),
     ("a,b\n\n1,2\n\n", False),
     ("a,é\nü,\n", False),
-    ('a,b\n"1",2\n', True),                # a quote
-    ("a,b\r\n1,2\r\n", True),              # a carriage return
-    ("a,b\n1,\x002\n", True),               # a NUL
-    ("a,a\n1,2\n", True),                   # a repeated header name
-    ("a,b\n1,2\n3\n", True),                # a ragged line
+    ('a,b\n"1",2\n', True),
+    ("a,b\r\n1,2\r\n", True),
+    ("a,b\n1,\x002\n", True),
+    ("a,a\n1,2\n", True),
+    ("a,b\n1,2\n3\n", True),
     ("a,b\n1,2,3\n", True),
-    ("a\n" + "x" * (csv.field_size_limit() + 1) + "\n", True),  # over-long
+    ("a\n" + "x" * (csv.field_size_limit() + 1) + "\n", True),
     ("a\n" + "é" * csv.field_size_limit() + "\n", False),
-])
+], ids=["int-table", "blank-lines", "non-ascii", "quote", "carriage-return",
+        "nul", "repeated-header", "short-line", "long-line", "over-long-field",
+        "long-in-bytes-only"])
 def test_only_texts_the_line_count_cannot_vouch_for_are_parsed(
         text, parsed, monkeypatch):
     calls = []

@@ -82,7 +82,8 @@ def test_other_conjuncts_stay_above_the_join(pred):
 ])
 def test_only_attributes_the_join_binds_by_name_move(kw):
     bound = _join_plan(["cid = 3 AND pid = 1"], **kw)
-    moved = [p for p, op in _filters(rewrite(*bound)[0]) if op != "join_rel_array"]
+    moved = [p for p, op in _filters(rewrite(*bound)[0])
+             if op != "join_rel_array"]
     assert moved == (["pid = 1"] if "pred" in kw else [])
 
 
@@ -94,12 +95,14 @@ def test_a_join_with_other_readers_or_that_is_the_target_keeps_its_filter():
     assert rewrite(plan, f)[0].nodes == plan.nodes
 
 
-def test_a_chain_of_filters_moves_until_one_keeps_a_conjunct():
-    plan, target = rewrite(*_join_plan(
-        ["cid = 3", "pid != 1 AND rating > 0", "pid = 2"]))
-    assert _filters(plan) == [("cid = 3 AND pid != 1", "scan"),
+def test_only_the_filter_directly_above_the_join_moves():
+    plan, target = rewrite(*_join_plan(["cid = 3 AND rating > 0", "pid = 2"]))
+    assert _filters(plan) == [("cid = 3", "scan"),
                               ("rating > 0", "join_rel_array"),
                               ("pid = 2", "filter")]
+    plan, target = rewrite(*_join_plan(["cid = 3", "pid = 2"]))
+    assert _filters(plan) == [("cid = 3", "scan"),
+                              ("pid = 2", "join_rel_array")]
     assert plan.node(target).params["pred"] == "pid = 2"
 
 
@@ -229,8 +232,8 @@ def join_cases(draw):
             st.builds(lambda x, y: f"({x}) AND ({y})", inner, inner)),
         max_leaves=3)
     where = " AND ".join(draw(st.lists(conjunct, min_size=1, max_size=3)))
-    text = (f"{rec} = {'openTable' if model == 'relational' else 'openCollection'}"
-            f"('r')\narr = openArray('arr')\n"
+    opener = "openTable" if model == "relational" else "openCollection"
+    text = (f"{rec} = {opener}('r')\narr = openArray('arr')\n"
             f"execute({join}.filter('{where}'))\n")
 
     def write(path) -> str:
