@@ -3,7 +3,9 @@
 A conjunct that compares, by ``=`` or ``!=``, attributes the join binds
 moves onto the join's records.  The plan that runs must then raise only
 where the plan as bound raises, and where that one succeeds give the same
-rows, order and schema."""
+rows, order and schema.  Where both raise, they raise the same error,
+unless the moved filter drops the records the join failed on and an
+operator reading the join fails instead."""
 
 from __future__ import annotations
 
