@@ -198,10 +198,13 @@ def _block(v: np.ndarray, arr: StoredArray, tc, flip: bool, dt) -> np.ndarray:
 
 
 def matmul(a: StoredArray, b: StoredArray, *, transpose_a: bool = False,
-           transpose_b: bool = False, name: str = "") -> StoredArray:
+           transpose_b: bool = False, tiles=None,
+           name: str = "") -> StoredArray:
     """``a @ b``; ``transpose_a`` / ``transpose_b`` multiply by that
     operand's transpose, reading its tile (k, i) as tile (i, k), so the
-    result is ``transpose(a) @ b`` without building ``transpose(a)``."""
+    result is ``transpose(a) @ b`` without building ``transpose(a)``.
+    Given ``tiles`` (linear ids), only those output tiles are computed, each
+    as without it; operands of mixed tiling compute every tile."""
     ma = transposed_meta(a.meta) if transpose_a else a.meta
     mb = transposed_meta(b.meta) if transpose_b else b.meta
     meta = matmul_meta(ma, mb)
@@ -217,10 +220,13 @@ def matmul(a: StoredArray, b: StoredArray, *, transpose_a: bool = False,
     # conforming inner tiling: one dense block per output tile
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
     kt = ma.grid[1]
+    wanted = None if tiles is None else set(np.asarray(tiles).tolist())
     with out.release_on_error():
         for i in range(meta.grid[0]):
             ri = out.valid_extent((i, 0))[0]
             for j in range(meta.grid[1]):
+                if wanted is not None and i * meta.grid[1] + j not in wanted:
+                    continue
                 cj = out.valid_extent((0, j))[1]
                 acc = np.zeros((ri, cj), dtype=dt)
                 for k in range(kt):

@@ -43,7 +43,7 @@ from .errors import BindingError, EngineError, OutputSpecError
 from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
                      infer_column_type, tile_extent)
-from .predicates import equi_conjuncts
+from .predicates import bound_names, equi_conjuncts
 from .rd_engine import _overlay, execute_tree, node
 
 
@@ -364,6 +364,21 @@ def _drop_out_of_range(dims, kept, size):
     return (dims, kept) if ok.all() else (dims[ok], kept[ok])
 
 
+def _locate(records, binding: DimBinding, meta: ArrayMeta,
+            stats: JoinStats):
+    """Where the probe reads each record inside an array with ``meta``: its
+    dimensions, index, tile coordinates, linear tile id and cell."""
+    t0 = time.perf_counter()
+    dims, kept, _ = _extract_dims(records, binding)
+    stats.n_records = len(dims)
+    dims, kept = _drop_out_of_range(dims, kept, meta.size)
+    t1 = time.perf_counter()
+    stats.extract_seconds += t1 - t0
+    tq, tile_ids, cells = _tile_cells(dims, meta)
+    stats.build_seconds += time.perf_counter() - t1
+    return dims, kept, tq, tile_ids, cells
+
+
 def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
                 binding: DimBinding, out: JoinOutputSpec | None,
                 stats: JoinStats | None, trace: JoinTrace | None):
@@ -374,14 +389,9 @@ def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
     stats = stats if stats is not None else JoinStats()
     stats.strategy = strategy
     _check_binding(arr, binding)
+    dims, kept, tq, tile_ids, cells = _locate(records, binding, arr.meta,
+                                              stats)
     t0 = time.perf_counter()
-    dims, kept, _ = _extract_dims(records, binding)
-    stats.n_records = len(dims)
-    dims, kept = _drop_out_of_range(dims, kept, arr.meta.size)
-    stats.extract_seconds += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    tq, tile_ids, cells = _tile_cells(dims, arr.meta)
     order = probe_order(arr, tq, kept, stats, trace)
     stats.build_seconds += time.perf_counter() - t0
 
@@ -467,6 +477,11 @@ def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
         parts = [f"{rec_name}.{a} = {arr_name}.{d}"
                  for a, d in zip(binding.attrs, arr.meta.schema.dim_names)]
         pred = parse_predicate(" and ".join(parts))
+    if isinstance(records, Relation):
+        # `<rec_name>.x = <arr_name>.y` reads the record's own x, as mshj
+        # does, and never a column literally named `<rec_name>.x`
+        for x in bound_names(pred, rec_name, arr_name):
+            _attr_index(records, x)
     stats.n_records = len(records)
 
     t0 = time.perf_counter()
@@ -505,14 +520,13 @@ def _check_binding(arr: StoredArray, binding: DimBinding) -> None:
 # ---------------------------------------------------------------------------
 # dispatcher
 
-def match_all_dims_binding(pred, arr: StoredArray, rec_name: str,
+def match_all_dims_binding(pred, dim_names, rec_name: str,
                            arr_name: str) -> DimBinding | None:
-    """If `pred` is a pure equi-join binding every array dimension exactly
-    once, return the record-side binding (in dimension order); else None."""
+    """If `pred` is a pure equi-join binding each array dimension in
+    `dim_names` once, return the record-side binding (in their order)."""
     pairs, residual = equi_conjuncts(pred)
     if residual is not None or not pairs:
         return None
-    dim_names = arr.meta.schema.dim_names
     bound: dict[str, str] = {}
 
     def split(ref: str):
@@ -538,6 +552,21 @@ def match_all_dims_binding(pred, arr: StoredArray, rec_name: str,
     return DimBinding(tuple(bound[d] for d in dim_names))
 
 
+def join_tiles(records, meta: ArrayMeta, pred, *, rec_name: str,
+               arr_name: str, strategy: str) -> np.ndarray | None:
+    """The sorted linear ids of the tiles that ``dispatch_join`` of
+    `records` to an array with `meta` probes, or None when it reads every
+    tile (convert) or raises before it probes."""
+    binding = match_all_dims_binding(pred, meta.schema.dim_names, rec_name,
+                                     arr_name)
+    if binding is None or strategy not in ("auto", "mshj", "probe-only"):
+        return None
+    try:
+        return np.unique(_locate(records, binding, meta, JoinStats())[3])
+    except EngineError:
+        return None
+
+
 def dispatch_join(records, arr: StoredArray, pred,
                   out: JoinOutputSpec | None = None, *,
                   rec_name: str = "rec", arr_name: str = "arr",
@@ -545,7 +574,8 @@ def dispatch_join(records, arr: StoredArray, pred,
                   trace: JoinTrace | None = None):
     """Route an inter-model join: all-dimension equi-joins go to mshj, any
     other predicate falls back to the conversion strategy."""
-    binding = match_all_dims_binding(pred, arr, rec_name, arr_name)
+    binding = match_all_dims_binding(pred, arr.meta.schema.dim_names,
+                                     rec_name, arr_name)
     if strategy == "auto":
         strategy = "mshj" if binding is not None else "convert"
     if strategy in ("mshj", "probe-only") and binding is None:

@@ -10,7 +10,9 @@ as operator trees; array partitions run node by node on tiled arrays;
 inter-model partitions are the conversion / join bridge calls.  A
 conversion passes its records to ``bridge.to_array`` with only the default
 tile extent and spool directory; the bridge derives the array's extent,
-value types and tiling from its one walk over the records.
+value types and tiling from its one walk over the records.  A matmul read
+only by a record–array join whose records have run computes only the tiles
+that join probes (``_tile_demand``).
 
 Intermediates live until their last consumer has run: each node's consumers
 are counted from the plan, and when the count reaches zero the node's
@@ -36,8 +38,8 @@ import numpy as np
 
 from . import array_engine
 from .array_store import StoredArray
-from .bridge import (JoinOutputSpec, JoinStats, dispatch_join, to_array,
-                     to_relation)
+from .bridge import (JoinOutputSpec, JoinStats, dispatch_join, join_tiles,
+                     to_array, to_relation)
 from .buffer_pool import BufferPool
 from .errors import (ConfigError, DataFormatError, EngineError, NotFoundError,
                      PlanError)
@@ -245,7 +247,9 @@ class Engine:
             live.scanned(part)
         elif part.model == "array":
             for nid in sorted(part.node_ids):  # inputs have lower ids
-                reg[alias_key(nid)] = self._array_node(plan.node(nid), reg)
+                n = plan.node(nid)
+                reg[alias_key(nid)] = self._array_node(
+                    n, reg, tiles=self._tile_demand(plan, n, live.target, reg))
                 live.ran((nid,))
         else:
             nid = part.output_node
@@ -270,7 +274,28 @@ class Engine:
             scope[key] = reg[key] = value
         reg[alias_key(part.output_node)] = execute_tree(_rd_tree(main), scope)
 
-    def _array_node(self, n, reg) -> StoredArray:
+    def _tile_demand(self, plan, n, target, reg):
+        """The tiles of matmul n's result that its one reader, a
+        record–array join whose records have run, probes (``join_tiles``);
+        None, for every tile, anywhere else."""
+        cons = plan.consumers()[n.id]
+        if n.op != "matmul" or n.id == target or len(cons) != 1:
+            return None
+        join = plan.node(cons[0])
+        records = reg.get(alias_key(join.inputs[0]))
+        if join.op != "join_rel_array" or join.inputs[1] != n.id or \
+                records is None:
+            return None
+        meta = array_engine.matmul_meta(*(
+            array_engine.transposed_meta(reg[alias_key(i)].meta)
+            if n.params.get(flag) else reg[alias_key(i)].meta
+            for i, flag in zip(n.inputs, ("transpose_a", "transpose_b"))))
+        p = join.params
+        return join_tiles(records, meta, parse_predicate(p["pred"]),
+                          rec_name=p["rec_name"], arr_name=p["arr_name"],
+                          strategy=self.config.strategy)
+
+    def _array_node(self, n, reg, tiles=None) -> StoredArray:
         ins = [reg[alias_key(i)] for i in n.inputs]
         p = n.params
         if n.op == "rand":
@@ -285,7 +310,7 @@ class Engine:
         if n.op == "matmul":
             return array_engine.matmul(
                 ins[0], ins[1], transpose_a=p.get("transpose_a", False),
-                transpose_b=p.get("transpose_b", False))
+                transpose_b=p.get("transpose_b", False), tiles=tiles)
         if n.op == "transpose":
             return array_engine.transpose(ins[0])
         if n.op == "ewise":

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Mapping
 from . import array_engine
 from .errors import InternalError, PlanError, ShapeError
 from .models import ArrayMeta
-from .predicates import (And, Lit, Not, Or, equi_conjuncts, format_predicate,
+from .predicates import (And, Lit, Not, Or, bound_names, format_predicate,
                          parse_predicate)
 
 MODELS = ("relational", "document", "array", "inter-model")
@@ -362,16 +362,9 @@ def _bound_attrs(params: Mapping[str, Any]) -> set[str]:
     as the record's own attribute or top-level key, so a record the join
     keeps has x, not null, and the join's output carries it unchanged
     under the bare name x."""
-    rec, arr = params["rec_name"], params["arr_name"]
-    attrs: set[str] = set()
-    if rec == arr:
-        return attrs
-    for pair in equi_conjuncts(parse_predicate(params["pred"]))[0]:
-        for r, a in (pair, pair[::-1]):
-            head, _, x = r.partition(".")
-            if head == rec and x and "." not in x and a.startswith(arr + "."):
-                attrs.add(x)
-    return attrs
+    return {x for x in bound_names(parse_predicate(params["pred"]),
+                                   params["rec_name"], params["arr_name"])
+            if "." not in x}
 
 
 def _pushable(pred, attrs: set[str]) -> bool:

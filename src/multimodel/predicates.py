@@ -31,7 +31,8 @@ from .errors import ScriptError, TypeMismatchError
 __all__ = [
     "Lit", "Ref", "Cmp", "And", "Or", "Not",
     "parse_predicate", "format_predicate", "parse_sort_spec",
-    "compile_columns", "equi_conjuncts", "universal_key", "compare_values",
+    "compile_columns", "equi_conjuncts", "bound_names", "universal_key",
+    "compare_values",
 ]
 
 
@@ -434,3 +435,17 @@ def equi_conjuncts(node):
         residual = rest[0] if len(rest) == 1 else And(tuple(rest))
     return pairs, residual
 
+
+def bound_names(pred, rec: str, arr: str) -> list[str]:
+    """The names x that ``pred`` equates at its top level, written
+    ``<rec>.x``, with a reference into the other input, written
+    ``<arr>.y``; none when the two inputs share a name."""
+    if rec == arr:
+        return []
+    names = []
+    for pair in equi_conjuncts(pred)[0]:
+        for r, a in (pair, pair[::-1]):
+            head, _, x = r.partition(".")
+            if head == rec and x and a.startswith(arr + "."):
+                names.append(x)
+    return names

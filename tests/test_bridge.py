@@ -437,10 +437,11 @@ def test_dispatch_forced_mshj_needs_full_binding(pool, small_array):
 
 def test_match_binding_orders_by_dimension(pool, small_array):
     pred = parse_predicate("a.d1 = r.v1 and r.v0 = a.d0")  # swapped, reversed
-    b = match_all_dims_binding(pred, small_array, "r", "a")
+    dims = small_array.meta.schema.dim_names
+    b = match_all_dims_binding(pred, dims, "r", "a")
     assert b == DimBinding(("v0", "v1"))
     assert match_all_dims_binding(
-        parse_predicate("a.d0 = a.d1"), small_array, "r", "a") is None
+        parse_predicate("a.d0 = a.d1"), dims, "r", "a") is None
 
 
 # -------------------------------------------------------------- conversions

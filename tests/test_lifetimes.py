@@ -74,8 +74,8 @@ def node_outputs(monkeypatch):
     for name in ("_array_node", "_bridge_node"):
         orig = getattr(Engine, name)
 
-        def spy(self, n, reg, _orig=orig):
-            out = _orig(self, n, reg)
+        def spy(self, n, reg, _orig=orig, **kw):
+            out = _orig(self, n, reg, **kw)
             outputs.append(out)
             return out
 

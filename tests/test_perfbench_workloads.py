@@ -8,9 +8,10 @@ import importlib
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from multimodel import Engine
+from multimodel import Engine, array_engine
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -50,3 +51,34 @@ def test_workload_passes_its_oracle(workloads, name, tmp_path):
         assert n > 0
         assert [(s.n_records, s.output_rows) for s in eng.join_stats] == \
             [(n, n)]
+
+
+def test_recommend_computes_only_the_tiles_its_join_probes(
+        workloads, tmp_path, monkeypatch):
+    """``filled = W @ H`` computes the tiles customer 3's interests fall in,
+    and no other; every other matmul computes all of its tiles."""
+    wl = workloads["recommend"]
+    data_dir, spool = str(tmp_path / "data"), str(tmp_path / "spool")
+    os.makedirs(spool)
+    data = wl.generate(SEED, data_dir, wl.sizes)
+    check = wl.make_check(data, SEED, data_dir, spool)
+    computed = []  # (tile demand, tiles computed, tiles in the grid)
+    matmul = array_engine.matmul
+
+    def counting_matmul(*args, **kw):
+        out = matmul(*args, **kw)
+        computed.append((kw.get("tiles"), len(out.tile_coords()),
+                         int(np.prod(out.meta.grid))))
+        return out
+
+    monkeypatch.setattr(array_engine, "matmul", counting_matmul)
+    eng = Engine(wl.config(data_dir, spool, SEED))
+    assert check(eng.run(wl.script_text())) is None
+    s = wl.sizes
+    pids = data.interest[data.interest[:, 0] == s.top_cid, 1]
+    want = np.unique((s.top_cid // s.tile) * -(-s.products // s.tile)
+                     + pids // s.tile)
+    (tiles, n, grid), = [c for c in computed if c[0] is not None]
+    assert list(tiles) == list(want)
+    assert (n, grid) == (4, 32)
+    assert all(n == grid for tiles, n, grid in computed if tiles is None)

@@ -164,14 +164,60 @@ def test_a_relation_lacking_a_bound_attribute_fails_at_the_moved_filter(
         eng.run(text)
 
 
+QUALIFIED = ("t = openTable('r')\narr = openArray('arr')\n"
+             "execute(arr.join(t, 't.a = arr.i AND t.b = arr.j', RELATIONAL)"
+             "{})\n")
+
+
+def test_a_column_named_like_a_qualified_bound_reference_is_not_read(
+        tmp_path):
+    """``t.a`` in the join predicate is t's own ``a`` under every strategy:
+    a relation with a column literally named ``t.a`` and no ``a`` fails the
+    join as bound, under convert too, where the relational join would read
+    that column; the rewritten plan fails at the moved filter."""
+    (tmp_path / "r.csv").write_text("t.a,t.b\n1,1\n")
+    _write_array(tmp_path, (2, 2), [(1, 1)], [5], (1, 1), attr="a")
+    text = QUALIFIED.format(".filter('a = 5')")
+    for strategy in ("auto", "mshj", "probe-only", "convert"):
+        eng = Engine(EngineConfig(data_dir=str(tmp_path), strategy=strategy))
+        with pytest.raises(BindingError,
+                           match="relation has no attribute 'a'"):
+            eng.run_plan(*bind_script(text, eng.catalog, eng.config))
+        with pytest.raises(PlanError):
+            eng.run(text)
+
+
+@pytest.mark.parametrize("csv, rows", [
+    ("t.a,t.b\n1,1\n", None), ("t.a,b,a\n0,1,1\n", [(0, 1, 1, 5)])])
+def test_every_strategy_reads_the_qualified_bound_reference_alike(
+        tmp_path, csv, rows):
+    """The record's own ``a``, never the column ``t.a``: each strategy
+    fails alike without one, and joins on it alike with one."""
+    (tmp_path / "r.csv").write_text(csv)
+    _write_array(tmp_path, (2, 2), [(1, 1)], [5], (1, 1), attr="v")
+    got = []
+    for strategy in ("auto", "mshj", "probe-only", "convert"):
+        eng = Engine(EngineConfig(data_dir=str(tmp_path), strategy=strategy))
+        try:
+            res = eng.run(QUALIFIED.format(""))
+            got.append((res.schema, res.rows))
+        except EngineError as e:
+            got.append((type(e), str(e)))
+    assert got == [got[0]] * 4
+    if rows is None:
+        assert got[0] == (BindingError, "relation has no attribute 'a'")
+    else:
+        assert got[0][1] == rows
+
+
 # ------------------------------------------ agreement over generated joins
 
 VALUES = [0, 1, 2, 3, -1, None, 1.5, "x", True]
 LITERALS = ["0", "1", "2", "0", "1", "-1", "null", "1.5", '"x"', "true"]
 
 
-def _write_array(path, size, coords, values, tile) -> None:
-    meta = ArrayMeta(CellSchema(("i", "j"), ("v",), (INT,)), size, tile)
+def _write_array(path, size, coords, values, tile, attr="v") -> None:
+    meta = ArrayMeta(CellSchema(("i", "j"), (attr,), (INT,)), size, tile)
     b = ArrayBuilder(meta, BufferPool(1 << 30))
     b.add_cells(np.array(coords, dtype=np.int64).reshape(-1, 2),
                 [np.array(values, dtype=np.int64)])
