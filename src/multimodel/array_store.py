@@ -813,7 +813,9 @@ class ArrayBuilder:
         if self._coords:
             coords = np.concatenate(self._coords)
             ts = np.array(arr.meta.tile_size, dtype=np.int64)
-            tid = np.ravel_multi_index((coords // ts).T, arr._grid)
+            # narrow ids: numpy sorts 16-bit keys by radix
+            tid = np.ravel_multi_index((coords // ts).T, arr._grid).astype(
+                np.min_scalar_type(math.prod(arr._grid) - 1))
             order = np.argsort(tid, kind="stable")  # tiles in row-major order
             coords, tid = coords[order], tid[order]
             cols = [np.concatenate(parts)[order] for parts in zip(*self._values)]

@@ -3,7 +3,8 @@
 Every row in a report is re-runnable from its recorded seed.  Join runs are
 cold: each repetition reloads the array into a fresh pool so tile-read and
 pool counters are deterministic.  The first repetition is a warm-up and is
-discarded; the reported wall time is the median of the rest.
+discarded; the reported wall time and each phase time are medians over
+the rest.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .models import (FLOAT, INT, ArrayMeta, CellSchema, Collection, Column,
 
 REPORT_COLUMNS = [
     "scenario", "strategy", "n", "d", "layout", "wall_ms", "extract_ms",
-    "build_ms", "convert_ms", "tile_pins", "tile_reads", "block_scans",
-    "stages", "preads", "pool_hits", "pool_misses", "pool_evictions", "seed",
-    "checksum",
+    "build_ms", "probe_ms", "emit_ms", "convert_ms", "tile_pins", "tile_reads",
+    "block_scans", "stages", "preads", "pool_hits", "pool_misses",
+    "pool_evictions", "seed", "checksum",
 ]
 
 # array shape per dimensionality: (extent, tile extent)
@@ -132,6 +133,11 @@ def _run_strategy(strategy: str, rel: Relation, arr: StoredArray,
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
+def _median_ms(timed: list[JoinStats], phase: str) -> float:
+    return round(statistics.median(
+        getattr(s, f"{phase}_seconds") for s in timed) * 1000.0, 3)
+
+
 def bench_mshj(dims: int = 2, layout: str = "dense",
                n_sweep: str = "1000:100000:5", strategy: str = "all", *,
                seed: int = 0, capacity_tiles: int = 0, repeat: int = 3,
@@ -159,8 +165,7 @@ def bench_mshj(dims: int = 2, layout: str = "dense",
         for n in ns:
             rel = _gen_records(n, dims, asize, seed + n)
             for strat in strategies:
-                walls = []
-                last = None
+                walls, timed = [], []
                 for rep in range(repeat + 1):
                     pool = BufferPool(capacity)
                     arr = StoredArray.load(path, pool)
@@ -170,8 +175,7 @@ def bench_mshj(dims: int = 2, layout: str = "dense",
                     dt = (time.perf_counter() - t0) * 1000.0
                     if rep > 0:
                         walls.append(dt)
-                    last = (res, stats, arr, pool)
-                res, stats, arr, pool = last
+                        timed.append(stats)
                 ps = pool.stats()
                 rows.append({
                     "scenario": scenario,
@@ -180,9 +184,11 @@ def bench_mshj(dims: int = 2, layout: str = "dense",
                     "d": dims,
                     "layout": layout,
                     "wall_ms": round(statistics.median(walls), 3),
-                    "extract_ms": round(stats.extract_seconds * 1000.0, 3),
-                    "build_ms": round(stats.build_seconds * 1000.0, 3),
-                    "convert_ms": round(stats.convert_seconds * 1000.0, 3),
+                    "extract_ms": _median_ms(timed, "extract"),
+                    "build_ms": _median_ms(timed, "build"),
+                    "probe_ms": _median_ms(timed, "probe"),
+                    "emit_ms": _median_ms(timed, "emit"),
+                    "convert_ms": _median_ms(timed, "convert"),
                     "tile_pins": stats.tile_pins,
                     "tile_reads": arr.total_reads,
                     "block_scans": stats.block_scans,
@@ -279,6 +285,8 @@ def bench_bufferpool(capacity: int, mode: str = "both", *,
                 "wall_ms": round(dt, 3),
                 "extract_ms": 0.0,
                 "build_ms": 0.0,
+                "probe_ms": 0.0,
+                "emit_ms": 0.0,
                 "convert_ms": 0.0,
                 "tile_pins": 0,
                 "tile_reads": 0,

@@ -10,8 +10,12 @@ relational join.  All three hand their result to one emit step, which
 returns relational, document or array output; array output is always built
 by ``to_array``.  Document records join to document output only.
 
-Each record's tile coordinates, linear tile id and cell within the tile
-are computed once, before ordering.  The probe (``StoredArray.lookup_runs``)
+Each record's tile coordinates (the stage keys), linear tile id and cell
+within the tile are computed once, before ordering, each in the narrowest
+unsigned dtype that holds it (numpy sorts 16-bit keys by radix); the ids
+and cells are then kept in probe order only.  No coordinate matrix is
+built: bound columns are read in place, and document output reads the
+matched records' coordinates.  The probe (``StoredArray.lookup_runs``)
 cuts the ordered runs of records on one tile into stages whose tiles'
 decoded bytes fit the pool's free space, at least one run per stage.
 Resident tiles are used in place.  A stage's other tiles are read in file
@@ -32,6 +36,7 @@ document output as columns gathered at the matched rows.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -171,12 +176,18 @@ def _first_bad(bads: list) -> tuple[int, int] | None:
     return min(firsts) if firsts else None
 
 
-def _extract_dims(records, binding: DimBinding, value_paths=()):
-    """Bound dimension values as an (N, d) int64 matrix, the records they
-    come from, and the records' value columns, from one pass over columns.
+def _at(kept, i):
+    """The record index of kept row(s) ``i``; None keeps every record."""
+    return i if kept is None else kept[i]
 
-    Returns (dims, kept, values) where kept maps matrix rows back to record
-    indices and values holds one Column per value path, gathered at kept.
+
+def _extract_dims(records, binding: DimBinding, value_paths=()):
+    """Bound dimension values (one int64 array per dimension), the records
+    they come from and the records' value columns, from one pass over them.
+
+    Returns (dims, kept, values) where kept maps rows back to record indices
+    (None when every record is kept; an int64 column is then used in place)
+    and values holds one Column per value path, gathered at kept.
     A document lacking a bound path is dropped (inner join).  Taking a
     record's bound paths in order, a value before any missing path that is
     not a non-negative integer within int64 is a binding error, and so is a
@@ -198,20 +209,21 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
         r, j = bad
         raise _record_error(records, r, f"{label.format(binding.attrs[j])} "
                                         f"{_dim_problem(cols[j].tolist()[r])}")
-    kept = np.flatnonzero(reach)
-    dims = np.empty((len(kept), len(binding.attrs)), dtype=np.int64)
-    for j, col in enumerate(cols):
-        dims[:, j] = col.values[kept]
+    kept = None if reach.all() else np.flatnonzero(reach)
+    dims = [np.asarray(c.values if kept is None else c.values[kept], np.int64)
+            for c in cols]
     values, absent, bads = [], [], []
     for path in value_paths:
         col, present = _record_path(records, path)
-        values.append(col.take(kept))
-        absent.append(~present[kept])
-        bads.append(absent[-1] | values[-1].null_mask())
+        if kept is not None:
+            col, present = col.take(kept), present[kept]
+        values.append(col)
+        absent.append(~present)
+        bads.append(absent[-1] | col.null_mask())
     if (bad := _first_bad(bads)) is not None:
         r, j = bad
         what = "no" if absent[j][r] else "a null"
-        raise BindingError(f"{_noun(records)} {kept[r]} has {what} value "
+        raise BindingError(f"{_noun(records)} {_at(kept, r)} has {what} value "
                            f"attribute {value_paths[j]!r}")
     return dims, kept, values
 
@@ -227,7 +239,7 @@ def _check_ints(records, kept, names, types, values: list[Column]) -> None:
                     if _is_int(v) and not _MIN_INT <= v <= _MAX_DIM), None)
         if bad is not None:
             raise _record_error(
-                records, int(kept[bad]), f"value attribute {name!r} must "
+                records, int(_at(kept, bad)), f"value attribute {name!r} must "
                 f"fit in a signed 64-bit integer, got {vs[bad]!r}")
 
 
@@ -269,12 +281,12 @@ def _output_model(records, out: JoinOutputSpec | None) -> str:
 
 
 def _joined_records(records, arr: StoredArray, idx: np.ndarray,
-                    coords: np.ndarray, vals: list[np.ndarray]):
+                    binding: DimBinding, vals: list[np.ndarray]):
     """Each matched record extended with its cell: the records' columns
-    gathered at the matched rows, and the cell's dimensions and values as
-    columns.  A relation appends them (renamed with ``_r`` on a
-    collision); a document gains each cell key that its shape lacks, after
-    its own keys, and keeps its own value of a key it has."""
+    gathered at the matched rows, and the cell's values as columns.  A
+    relation appends them (renamed ``_r`` on a collision); a document also
+    gets the cell's dimensions from its bound paths, gains each cell key its
+    shape lacks, after its own keys, and keeps its own value of a key."""
     schema = arr.meta.schema
     cells = [column_from_array(v, t) for v, t in zip(vals, schema.attr_types)]
     if isinstance(records, Relation):
@@ -283,8 +295,9 @@ def _joined_records(records, arr: StoredArray, idx: np.ndarray,
             list(records.schema) + list(zip(names, schema.attr_types)),
             [c.take(idx) for c in records.columns] + cells, len(idx))
     docs = records.take(idx)
-    cells = dict(zip(schema.dim_names + schema.attr_names,
-                     [Column(coords[:, j]) for j in range(schema.d)] + cells))
+    coords = [Column(np.asarray(_record_path(records, a)[0].values[idx],
+                                np.int64)) for a in binding.attrs]
+    cells = dict(zip(schema.dim_names + schema.attr_names, coords + cells))
     columns = dict(docs.columns)
     for k, c in cells.items():
         columns[k] = _overlay(columns[k], docs.has(k), c) \
@@ -318,19 +331,32 @@ def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str):
 # ---------------------------------------------------------------------------
 # the join strategies
 
-def _tile_cells(dims: np.ndarray, meta: ArrayMeta):
+def _tile_cells(dims, meta: ArrayMeta):
     """Each row's tile coordinate per dimension, its row-major linear tile
     id and its row-major cell within the tile, from one divmod per
-    dimension."""
-    tq = []
-    tile_ids = np.zeros(len(dims), dtype=np.int64)
-    cells = np.zeros(len(dims), dtype=np.int64)
-    for j, (t, g) in enumerate(zip(meta.tile_size, meta.grid)):
-        q, r = np.divmod(dims[:, j], t)
-        tq.append(q)
-        tile_ids = tile_ids * g + q
-        cells = cells * t + r
-    return tq, tile_ids, cells
+    dimension of ``dims`` (one int64 array per dimension), each narrow."""
+    tq, rq = [], []
+    for col, t, g in zip(dims, meta.tile_size, meta.grid):
+        q, r = np.divmod(col, t)
+        tq.append(q.astype(_narrow(g - 1)))
+        rq.append(r.astype(_narrow(t - 1)))
+    return tq, _ravel(tq, meta.grid), _ravel(rq, meta.tile_size)
+
+
+def _narrow(top: int) -> np.dtype:
+    """The narrowest unsigned dtype holding 0..top; int64 past 32 bits, as
+    numpy promotes uint64 with int64 to float64."""
+    return np.min_scalar_type(top) if top >> 32 == 0 else np.dtype(np.int64)
+
+
+def _ravel(parts, box) -> np.ndarray:
+    """Row-major linear index of per-dimension `parts` inside `box`, in the
+    ``_narrow`` dtype that holds it."""
+    dt, out = _narrow(math.prod(box) - 1), None
+    for p, b in zip(parts, box):
+        if b > 1:  # extent 1 adds nothing; skipping it keeps b inside dt
+            out = p.astype(dt, copy=False) if out is None else out * b + p
+    return np.zeros(len(parts[0]), dt) if out is None else out
 
 
 def _probe(arr: StoredArray, tile_ids: np.ndarray, cells: np.ndarray,
@@ -358,25 +384,27 @@ def _probe(arr: StoredArray, tile_ids: np.ndarray, cells: np.ndarray,
 
 
 def _drop_out_of_range(dims, kept, size):
-    ok = np.ones(len(dims), dtype=bool)
-    for j, extent in enumerate(size):  # a column at a time: no (N, d) mask
-        ok &= dims[:, j] < extent
-    return (dims, kept) if ok.all() else (dims[ok], kept[ok])
+    ok = np.ones(len(dims[0]), dtype=bool)
+    for col, extent in zip(dims, size):
+        ok &= col < extent
+    return (dims, kept) if ok.all() else \
+        ([c[ok] for c in dims], _at(kept, np.flatnonzero(ok)))
 
 
 def _locate(records, binding: DimBinding, meta: ArrayMeta,
             stats: JoinStats):
     """Where the probe reads each record inside an array with ``meta``: its
-    dimensions, index, tile coordinates, linear tile id and cell."""
+    index (None when every record is read), tile coordinates, linear tile
+    id and cell."""
     t0 = time.perf_counter()
     dims, kept, _ = _extract_dims(records, binding)
-    stats.n_records = len(dims)
+    stats.n_records = len(dims[0])
     dims, kept = _drop_out_of_range(dims, kept, meta.size)
     t1 = time.perf_counter()
     stats.extract_seconds += t1 - t0
     tq, tile_ids, cells = _tile_cells(dims, meta)
     stats.build_seconds += time.perf_counter() - t1
-    return dims, kept, tq, tile_ids, cells
+    return kept, tq, tile_ids, cells
 
 
 def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
@@ -389,21 +417,21 @@ def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
     stats = stats if stats is not None else JoinStats()
     stats.strategy = strategy
     _check_binding(arr, binding)
-    dims, kept, tq, tile_ids, cells = _locate(records, binding, arr.meta,
-                                              stats)
+    kept, tq, tile_ids, cells = _locate(records, binding, arr.meta, stats)
     t0 = time.perf_counter()
     order = probe_order(arr, tq, kept, stats, trace)
     stats.build_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if trace is not None:
-        trace.probe_order.extend(kept[order].tolist())
-    found, vals = _probe(arr, tile_ids[order], cells[order], stats, trace)
+        trace.probe_order.extend(_at(kept, order).tolist())
+    tile_ids, cells = tile_ids[order], cells[order]  # the only copies left
+    found, vals = _probe(arr, tile_ids, cells, stats, trace)
     stats.probe_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     hit = order[found]
-    joined = _joined_records(records, arr, kept[hit], dims[hit],
+    joined = _joined_records(records, arr, _at(kept, hit), binding,
                              [v[found] for v in vals])
     stats.output_rows = len(hit)
     res = _emit(joined, arr, binding, model)
@@ -414,22 +442,22 @@ def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
 def _bucket_order(arr: StoredArray, tq, kept, stats: JoinStats,
                   trace: JoinTrace | None) -> np.ndarray:
     """D stable bucketing stages, one per dimension, by ``floor(v_d / TS_d)``
-    (the tile coordinates `tq`)."""
-    order = np.arange(len(kept), dtype=np.int64)
+    (the tile coordinates `tq`; numpy sorts keys of 16 bits by radix)."""
+    order = np.arange(len(tq[0]), dtype=np.int64)
     for d, keys in enumerate(tq):
         order = order[np.argsort(keys[order], kind="stable")]
         stats.block_scans += 1
         if trace is not None:
             buckets = [[] for _ in range(arr.meta.grid[d])]
             for i in order.tolist():
-                buckets[int(keys[i])].append(int(kept[i]))
+                buckets[int(keys[i])].append(int(_at(kept, i)))
             trace.stage_buckets.append(buckets)
     return order
 
 
 def _input_order(arr: StoredArray, tq, kept, stats: JoinStats,
                  trace: JoinTrace | None) -> np.ndarray:
-    return np.arange(len(kept), dtype=np.int64)
+    return np.arange(len(tq[0]), dtype=np.int64)
 
 
 def mshj(records, arr: StoredArray, binding: DimBinding,
@@ -562,7 +590,7 @@ def join_tiles(records, meta: ArrayMeta, pred, *, rec_name: str,
     if binding is None or strategy not in ("auto", "mshj", "probe-only"):
         return None
     try:
-        return np.unique(_locate(records, binding, meta, JoinStats())[3])
+        return np.unique(_locate(records, binding, meta, JoinStats())[2])
     except EngineError:
         return None
 
@@ -623,7 +651,7 @@ def to_array(src, dim_names: list[str], value_names: list[str],
             types = [src.schema[_attr_index(src, vn)][1] for vn in value_names]
         else:
             types = [_value_type(c) for c in cols]
-        size = (tuple(int(x) + 1 for x in dims.max(axis=0)) if len(dims)
+        size = (tuple(int(c.max()) + 1 for c in dims) if len(dims[0])
                 else (1,) * len(dim_names))
         meta = ArrayMeta(CellSchema(binding.attrs, tuple(value_names),
                                     tuple(types)),
@@ -638,12 +666,13 @@ def to_array(src, dim_names: list[str], value_names: list[str],
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
     try:
         # a typed column as it is, an object column through its Python values
-        builder.add_cells(dims, [c.values if c.values.dtype != object
-                                 else np.asarray(c.tolist()) for c in cols])
+        builder.add_cells(np.column_stack(dims), [
+            c.values if c.values.dtype != object else np.asarray(c.tolist())
+            for c in cols])
         return builder.finish()
     except EngineError as e:
         if e.index is not None:  # a cell's position; name its record
-            e.index = int(kept[e.index])
+            e.index = int(_at(kept, e.index))
         raise
 
 

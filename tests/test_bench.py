@@ -74,7 +74,33 @@ def test_extraction_is_reported_beside_build():
     assert by["mshj"]["extract_ms"] > 0 and by["probe-only"]["extract_ms"] > 0
     assert by["convert"]["extract_ms"] == 0
     cols = REPORT_COLUMNS
-    assert cols.index("extract_ms") + 1 == cols.index("build_ms")
+    phases = ["extract_ms", "build_ms", "probe_ms", "emit_ms", "convert_ms"]
+    assert cols[cols.index("wall_ms") + 1:][:len(phases)] == phases
+    for r in rows:  # one timed repeat: the phases are parts of its wall time
+        assert sum(r[p] for p in phases) <= r["wall_ms"] + 0.001 * len(phases)
+    assert by["mshj"]["probe_ms"] > 0 and by["mshj"]["emit_ms"] > 0
+
+
+def test_phases_are_medians_over_the_timed_repeats(monkeypatch):
+    import multimodel.bench as bench
+
+    run = bench._run_strategy
+    # per repeat (the first is the warm-up): seconds of each phase
+    seconds = iter([9.0, 0.001, 0.005, 0.003, 0.002])
+
+    def fixed(strategy, rel, arr, stats):
+        res = run(strategy, rel, arr, stats)
+        s = next(seconds)
+        stats.extract_seconds, stats.build_seconds = s, 2 * s
+        stats.probe_seconds, stats.emit_seconds = 3 * s, 4 * s
+        return res
+
+    monkeypatch.setattr(bench, "_run_strategy", fixed)
+    [row] = bench_mshj(2, "dense", "200:200:1", "mshj", seed=3,
+                       size=(60, 40), tile=(20, 10), repeat=4)
+    # median of 1, 5, 3, 2 ms (the warm-up's 9 s is dropped; the last is 2)
+    assert [row[p] for p in ("extract_ms", "build_ms", "probe_ms",
+                             "emit_ms")] == [2.5, 5.0, 7.5, 10.0]
 
 
 # ---------------------------------------------------------------- pool bench
