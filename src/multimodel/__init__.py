@@ -40,7 +40,6 @@ from .array_store import (
     ArrayBuilder,
     StoredArray,
     Tile,
-    make_tile,
 )
 from .array_engine import (
     ewise,

@@ -5,10 +5,11 @@ multiplication, transposition, deterministic random initialization, and
 array-array spatial join. Operators read each tile as blocks through
 ``_read``, which pins it through the buffer pool only while
 ``Tile.to_scratch`` takes them, so an operator holds one pin at a time
-and a pool with room for its largest tile runs it. Results are new
-StoredArrays, whose tiles are installed as blocks by ``_write_block``. An
-operator that fails releases its partial result before the error
-propagates.
+and a pool with room for its largest tile runs it; ``matmul`` cuts the
+inner extent at both operands' tile edges, so mixed tilings take the same
+loop. Results are new StoredArrays, whose tiles are installed as blocks by
+``_write_block``. An operator that fails releases its partial result before
+the error propagates.
 
 Sparse semantics: an absent cell counts as 0 for + - *; division keeps the
 divisor's support (absent divisor -> absent output) so missing cells never
@@ -203,23 +204,17 @@ def matmul(a: StoredArray, b: StoredArray, *, transpose_a: bool = False,
     """``a @ b``; ``transpose_a`` / ``transpose_b`` multiply by that
     operand's transpose, reading its tile (k, i) as tile (i, k), so the
     result is ``transpose(a) @ b`` without building ``transpose(a)``.
+    Each output tile sums one product per piece of the inner extent, cut at
+    both operands' tile edges: with one inner tiling, one per tile pair.
     Given ``tiles`` (linear ids), only those output tiles are computed, each
-    as without it; operands of mixed tiling compute every tile."""
+    as without it."""
     ma = transposed_meta(a.meta) if transpose_a else a.meta
     mb = transposed_meta(b.meta) if transpose_b else b.meta
     meta = matmul_meta(ma, mb)
     dt = dtype_for(meta.schema.attr_types[0])
-    if ma.tile_size[1] != mb.tile_size[0]:
-        # mixed tile sizes: no shared inner tiling, go through full grids
-        _, (ga,) = to_grid(a)
-        _, (gb,) = to_grid(b)
-        ga, gb = (ga.T if transpose_a else ga), (gb.T if transpose_b else gb)
-        prod = ga.astype(dt, copy=False) @ gb.astype(dt, copy=False)
-        return from_grid(meta, np.broadcast_to(True, meta.size), [prod],
-                         a.pool, name=name, spool_dir=a.spool_dir)
-    # conforming inner tiling: one dense block per output tile
+    ta, tb, n = ma.tile_size[1], mb.tile_size[0], ma.size[1]
+    cuts = sorted({*range(0, n, ta), *range(0, n, tb), n})
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
-    kt = ma.grid[1]
     wanted = None if tiles is None else set(np.asarray(tiles).tolist())
     with out.release_on_error():
         for i in range(meta.grid[0]):
@@ -229,13 +224,15 @@ def matmul(a: StoredArray, b: StoredArray, *, transpose_a: bool = False,
                     continue
                 cj = out.valid_extent((0, j))[1]
                 acc = np.zeros((ri, cj), dtype=dt)
-                for k in range(kt):
-                    ka = (k, i) if transpose_a else (i, k)
-                    kb = (j, k) if transpose_b else (k, j)
+                for lo, hi in zip(cuts, cuts[1:]):
+                    ka = (lo // ta, i) if transpose_a else (i, lo // ta)
+                    kb = (j, lo // tb) if transpose_b else (lo // tb, j)
+                    pa = slice(lo % ta, lo % ta + hi - lo)  # the piece in each tile
+                    pb = slice(lo % tb, lo % tb + hi - lo)
                     _, (va,) = _read(a, ka)
                     _, (vb,) = _read(b, kb)
-                    acc += _block(va, a, ka, transpose_a, dt) @ \
-                        _block(vb, b, kb, transpose_b, dt)
+                    acc += _block(va, a, ka, transpose_a, dt)[:, pa] @ \
+                        _block(vb, b, kb, transpose_b, dt)[pb]
                 _write_block(out, (i, j), np.broadcast_to(True, acc.shape), [acc])
     return out
 

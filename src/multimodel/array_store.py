@@ -14,13 +14,17 @@ dirty tiles spill to disk on eviction. The record-array join reads through
 coalesced preads and looked up a stage at once, never entering the pool.
 ``release()`` frees a whole array: its tiles leave the pool without being
 spilled and its spill file is deleted.
-Operators build tiles from blocks (``block_tile``) and read them as blocks
+A cell's place is decided in one place, ``_tile_cells``: its tile's row-major
+id and its row-major key in the tile, each narrow; the record-array join
+probes by them.  ``ArrayBuilder`` orders cells by (tile, key) and installs
+each tile from its keys, as ``block_tile`` does a sparse tile from a block.
+Operators build tiles from blocks and read them as blocks
 (``Tile.to_scratch``: a dense tile's own, as read-only views).
 
 A ``StoredArray`` keeps per-tile state in columns indexed by row-major
 linear tile id, O(grid) like the file's directory: the slot table (layout
 tag; source: absent with no cells, the file loaded from, the spill file, or
-mem, dirty in the pool only; offset; length), pin, read and active-pin
+mem, dirty in the pool only; offset; length), pin, read and current-pin
 counts, and a ``registered`` mask, set once ``pool.add`` succeeds and cleared
 by eviction and ``pool.drop``. Loading reads no tile; staged lookups and
 ``release()`` ask the pool only about registered tiles.
@@ -53,7 +57,6 @@ __all__ = [
     "Tile",
     "StoredArray",
     "ArrayBuilder",
-    "make_tile",
     "block_tile",
     "smaller_layout",
     "MAGIC",
@@ -78,7 +81,7 @@ def dtype_for(vt: ValueType) -> np.dtype:
         raise TypeMismatchError(f"arrays cannot store {vt} attributes") from None
 
 
-_MAX_CELLS = np.iinfo(np.intp).max  # cells of a tile box, keyed 0 .. n-1
+_MAX_CELLS = np.iinfo(np.intp).max  # cells of a box, keyed 0 .. n-1
 
 
 def _linearize(cc: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
@@ -88,6 +91,37 @@ def _linearize(cc: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
         key *= np.uint64(box[i])
         key += cc[:, i].astype(np.uint64)
     return key
+
+
+def _narrow(top: int) -> np.dtype:
+    """The narrowest unsigned dtype holding 0..top; int64 past 32 bits, as
+    numpy promotes uint64 with int64 to float64."""
+    return np.min_scalar_type(top) if top >> 32 == 0 else np.dtype(np.int64)
+
+
+def _ravel(parts, box) -> np.ndarray:
+    """Row-major linear index of per-dimension `parts` inside `box`, in the
+    ``_narrow`` dtype that holds it.  A box with more cells than an int64
+    can number is refused, not wrapped."""
+    if (n := math.prod(box)) > _MAX_CELLS:
+        raise ShapeError(f"extent {tuple(box)} holds more than {_MAX_CELLS} cells")
+    dt, out = _narrow(n - 1), None
+    for p, b in zip(parts, box):
+        if b > 1:  # extent 1 adds nothing; skipping it keeps b inside dt
+            out = p.astype(dt, copy=False) if out is None else out * b + p
+    return np.zeros(len(parts[0]), dt) if out is None else out
+
+
+def _tile_cells(dims, meta: ArrayMeta):
+    """Each row's tile coordinate per dimension, its row-major linear tile
+    id and its row-major cell within the tile, from one divmod per
+    dimension of ``dims`` (one int64 array per dimension), each narrow."""
+    tq, rq = [], []
+    for col, t, g in zip(dims, meta.tile_size, meta.grid):
+        q, r = np.divmod(col, t)
+        tq.append(q.astype(_narrow(g - 1)))
+        rq.append(r.astype(_narrow(t - 1)))
+    return tq, _ravel(tq, meta.grid), _ravel(rq, meta.tile_size)
 
 
 class Tile:
@@ -241,47 +275,27 @@ def _scatter(ts, attr_dtypes, keys, cols):
     return mask, values
 
 
-def make_tile(tc, ts, valid, attr_dtypes, layout, cc, values) -> Tile:
-    """Build a tile from cell coordinates (relative to the tile) and value
-    columns. Rejects out-of-extent coordinates and duplicate cells, and a
-    tile box with more cells than a 64-bit key can number."""
-    if math.prod(ts) > _MAX_CELLS:
-        raise ShapeError(f"tile extent {tuple(ts)} holds more than "
-                         f"{_MAX_CELLS} cells")
-    cc = np.asarray(cc, dtype=np.int64).reshape(len(cc), len(ts))
-    if len(cc):
-        if cc.min() < 0 or (cc >= np.array(valid, dtype=np.int64)).any():
-            raise BoundsError(
-                f"cell coords outside valid extent {valid} of tile {tuple(tc)}"
-            )
-    if layout not in ("dense", "coo", "csr"):
-        raise InternalError(f"unknown layout {layout!r}")
-    if layout == "csr" and len(ts) != 2:
-        raise InternalError("csr tiles are 2-D only")
-    keys = _linearize(cc, ts)
-    order = np.argsort(keys, kind="stable")  # row-major order == lexicographic
-    keys = keys[order]
-    cols = [np.asarray(v, dtype=dt)[order] for v, dt in zip(values, attr_dtypes)]
-    dup = keys[1:] == keys[:-1]
-    if dup.any():
-        i = int(order[1:][dup][0])
-        cell = tuple(int(t * s + x) for t, s, x in zip(tc, ts, cc[i]))
-        raise DuplicateCellError(f"duplicate cell {cell} in tile {tuple(tc)}", index=i)
+def _keyed_tile(ts, attr_dtypes, layout, keys, cols) -> Tile:
+    """A tile of extent `ts` holding the cells at strictly increasing
+    row-major `keys` with value columns `cols`: a dense scatter, or the keys
+    as uint64 for a sparse tile."""
     if layout == "dense":
         return Tile(layout, ts, attr_dtypes, *_scatter(ts, attr_dtypes, keys, cols))
-    return Tile(layout, ts, attr_dtypes, keys, cols)
+    # copies: a sparse tile holds no view of its builder's columns
+    return Tile(layout, ts, attr_dtypes, keys.astype(np.uint64),
+                [np.array(c, dt) for c, dt in zip(cols, attr_dtypes)])
 
 
 def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
     """Build a tile from a mask and value blocks of shape at most ts, anchored
     at the tile origin. Dense tiles copy them into fresh ts-shaped blocks,
     zero where the mask is false; coo/csr tiles take the set cells."""
-    if layout != "dense":
-        cc = np.argwhere(mask)
-        return make_tile(tc, ts, valid, attr_dtypes, layout, cc,
-                         [v[tuple(cc.T)] for v in values])
     if np.count_nonzero(mask[tuple(slice(0, v) for v in valid)]) != np.count_nonzero(mask):
         raise BoundsError(f"cells outside valid extent {valid} of tile {tuple(tc)}")
+    if layout != "dense":
+        cc = np.nonzero(mask)  # row-major in the block, so in the tile box
+        keys = _ravel([c.astype(_narrow(t - 1)) for c, t in zip(cc, ts)], ts)
+        return _keyed_tile(ts, attr_dtypes, layout, keys, [v[cc] for v in values])
     box = tuple(slice(0, n) for n in mask.shape)
     index = np.zeros(ts, dtype=bool)
     index[box] = mask
@@ -322,24 +336,23 @@ _uid_counter = itertools.count(1)
 
 
 class _TileCounts(Mapping):
-    """Read-only {tile coords: count} view of a per-tile counter column or
-    list of a StoredArray, listing the tiles whose entry is not `unlisted`."""
+    """Read-only {tile coords: count} view of a per-tile counter column of
+    a StoredArray, listing the tiles whose count is not 0."""
 
-    def __init__(self, arr: "StoredArray", col, unlisted=0):
-        self._arr, self._col, self._unlisted = arr, col, unlisted
+    def __init__(self, arr: "StoredArray", col):
+        self._arr, self._col = arr, col
 
     def __getitem__(self, tc) -> int:
         try:
             n = self._col[self._arr._tile_id(tc)]
         except BoundsError:
             raise KeyError(tc) from None
-        if n == self._unlisted:
+        if not n:
             raise KeyError(tc)
         return int(n)
 
     def __iter__(self):
-        listed = np.flatnonzero(np.not_equal(self._col, self._unlisted))
-        return iter(self._arr._coords(listed))
+        return iter(self._arr._coords(np.flatnonzero(self._col)))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -372,10 +385,10 @@ class StoredArray:
         self._registered = np.zeros(n, bool)   # resident in the pool
         self._pins = np.zeros(n, np.int64)     # since reset_io_stats
         self._reads = np.zeros(n, np.int64)
-        self._active: list[int | None] = [None] * n  # None: never pinned
+        self._active = np.zeros(n, np.int64)   # pinned now
         self.pin_counts = _TileCounts(self, self._pins)
         self.disk_reads = _TileCounts(self, self._reads)
-        self.active_pins = _TileCounts(self, self._active, None)
+        self.active_pins = _TileCounts(self, self._active)
         self._path: str | None = None          # the file loaded from
         self._spill_path: str | None = None
 
@@ -417,9 +430,9 @@ class StoredArray:
         src = self._src[i]
         if src == _ABSENT:
             # absent tile == tile with zero cells; nothing read, nothing cached
-            tile = make_tile(tc, self.meta.tile_size, self.valid_extent(tc),
-                             self.attr_dtypes, self.meta.layout, [],
-                             [[] for _ in self.attr_dtypes])
+            tile = _keyed_tile(self.meta.tile_size, self.attr_dtypes,
+                               self.meta.layout, np.zeros(0, np.uint64),
+                               [np.zeros(0, dt) for dt in self.attr_dtypes])
         elif (obj := self.pool.get(self._key(i))) is not None:
             tile = obj.payload
         else:
@@ -429,15 +442,14 @@ class StoredArray:
             tile = self._read_tile(i)
             self._reads[i] += 1
             self._register(i, tile)
-        self._active[i] = (self._active[i] or 0) + 1
+        self._active[i] += 1
         return tile
 
     def unpin(self, tc) -> None:
         i = self._tile_id(tc)
-        n = self._active[i]
-        if not n:
+        if not self._active[i]:
             raise InternalError(f"unpin without pin for tile {self._coords([i])[0]}")
-        self._active[i] = n - 1
+        self._active[i] -= 1
 
     @contextlib.contextmanager
     def pinned(self, tc):
@@ -529,11 +541,10 @@ class StoredArray:
         table = np.empty(len(uniq), _READ)  # (tile, slot) of each tile
         table["tile"], table["slot"] = uniq, self._slots[uniq]
         fds: dict[str, int] = {}
-        held_ids = uniq[held].tolist()
+        held_ids = uniq[held]
         resident = dict(zip(np.flatnonzero(held).tolist(), (
-            self.pool.get(self._key(t)).payload for t in held_ids)))
-        for t in held_ids:
-            self._active[t] = (self._active[t] or 0) + 1
+            self.pool.get(self._key(t)).payload for t in held_ids.tolist())))
+        self._active[held_ids] += 1
         try:
             for r in np.flatnonzero(held[inv]).tolist():
                 lo, hi = starts[r], starts[r + 1]
@@ -555,8 +566,7 @@ class StoredArray:
         finally:
             for fd in fds.values():
                 os.close(fd)
-            for t in held_ids:
-                self._active[t] -= 1
+            self._active[held_ids] -= 1
         return found, values
 
     def _lookup_stage(self, reads, run_rank, run_lengths, cells, found, values,
@@ -785,8 +795,9 @@ class StoredArray:
 
 
 class ArrayBuilder:
-    """Builds a StoredArray from cells in arbitrary order: groups cells by
-    tile, then writes tile-at-a-time in row-major order."""
+    """Builds a StoredArray from cells in arbitrary order: orders them by
+    (tile, cell), both row-major, then writes tile-at-a-time.  A cell added
+    twice is refused, naming the later one."""
 
     def __init__(self, meta: ArrayMeta, pool: BufferPool, *, name: str = "",
                  spool_dir: str | None = None):
@@ -809,26 +820,26 @@ class ArrayBuilder:
                              zip(values, self.arr.attr_dtypes)])
 
     def finish(self) -> StoredArray:
-        arr = self.arr
+        arr, meta = self.arr, self.arr.meta
         if self._coords:
             coords = np.concatenate(self._coords)
-            ts = np.array(arr.meta.tile_size, dtype=np.int64)
-            # narrow ids: numpy sorts 16-bit keys by radix
-            tid = np.ravel_multi_index((coords // ts).T, arr._grid).astype(
-                np.min_scalar_type(math.prod(arr._grid) - 1))
-            order = np.argsort(tid, kind="stable")  # tiles in row-major order
-            coords, tid = coords[order], tid[order]
+            tq, tid, cell = _tile_cells(list(coords.T), meta)
+            # by (tile, cell), ties as added: two stable sorts of narrow keys
+            order = np.argsort(cell, kind="stable")
+            order = order[np.argsort(tid[order], kind="stable")]
+            tid, cell = tid[order], cell[order]
+            same = tid[1:] == tid[:-1]
+            if (dup := np.flatnonzero(same & (cell[1:] == cell[:-1]))).size:
+                i = int(order[dup[0] + 1])
+                raise DuplicateCellError(
+                    f"duplicate cell {tuple(coords[i].tolist())} in tile "
+                    f"{tuple(int(q[i]) for q in tq)}", index=i)
             cols = [np.concatenate(parts)[order] for parts in zip(*self._values)]
-            bounds = np.flatnonzero(np.diff(tid, prepend=-1, append=-1)).tolist()
-            try:
-                with arr.release_on_error():  # non-empty: add_cells skips empty batches
-                    for tc, lo, hi in zip(arr._coords(tid[bounds[:-1]]), bounds, bounds[1:]):
-                        arr.write_tile(tc, make_tile(
-                            tc, arr.meta.tile_size, arr.valid_extent(tc), arr.attr_dtypes,
-                            arr.meta.layout, coords[lo:hi] - ts * tc,
-                            [c[lo:hi] for c in cols]))
-            except DuplicateCellError as e:  # in the tile starting at lo
-                e.index = int(order[lo + e.index])  # the cell as added
-                raise
+            bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(tid)]
+            with arr.release_on_error():  # non-empty: add_cells skips empty batches
+                for tc, lo, hi in zip(arr._coords(tid[bounds[:-1]]), bounds, bounds[1:]):
+                    arr.write_tile(tc, _keyed_tile(meta.tile_size, arr.attr_dtypes,
+                                                   meta.layout, cell[lo:hi],
+                                                   [c[lo:hi] for c in cols]))
         self._coords, self._values = [], []
         return arr

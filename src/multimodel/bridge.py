@@ -11,9 +11,10 @@ returns relational, document or array output; array output is always built
 by ``to_array``.  Document records join to document output only.
 
 Each record's tile coordinates (the stage keys), linear tile id and cell
-within the tile are computed once, before ordering, each in the narrowest
-unsigned dtype that holds it (numpy sorts 16-bit keys by radix); the ids
-and cells are then kept in probe order only.  No coordinate matrix is
+within the tile are computed once, before ordering, by the locator that
+places ``ArrayBuilder``'s cells too (``array_store._tile_cells``), each in
+the narrowest unsigned dtype that holds it (numpy sorts 16-bit keys by
+radix); ids and cells are kept in probe order only.  No coordinate matrix is
 built: bound columns are read in place, and document output reads the
 matched records' coordinates.  The probe (``StoredArray.lookup_runs``)
 cuts the ordered runs of records on one tile into stages whose tiles'
@@ -36,14 +37,14 @@ document output as columns gathered at the matched rows.
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .array_store import ArrayBuilder, StoredArray, dtype_for, smaller_layout
+from .array_store import (ArrayBuilder, StoredArray, _tile_cells, dtype_for,
+                          smaller_layout)
 from .errors import BindingError, EngineError, OutputSpecError
 from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
@@ -330,34 +331,6 @@ def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str):
 
 # ---------------------------------------------------------------------------
 # the join strategies
-
-def _tile_cells(dims, meta: ArrayMeta):
-    """Each row's tile coordinate per dimension, its row-major linear tile
-    id and its row-major cell within the tile, from one divmod per
-    dimension of ``dims`` (one int64 array per dimension), each narrow."""
-    tq, rq = [], []
-    for col, t, g in zip(dims, meta.tile_size, meta.grid):
-        q, r = np.divmod(col, t)
-        tq.append(q.astype(_narrow(g - 1)))
-        rq.append(r.astype(_narrow(t - 1)))
-    return tq, _ravel(tq, meta.grid), _ravel(rq, meta.tile_size)
-
-
-def _narrow(top: int) -> np.dtype:
-    """The narrowest unsigned dtype holding 0..top; int64 past 32 bits, as
-    numpy promotes uint64 with int64 to float64."""
-    return np.min_scalar_type(top) if top >> 32 == 0 else np.dtype(np.int64)
-
-
-def _ravel(parts, box) -> np.ndarray:
-    """Row-major linear index of per-dimension `parts` inside `box`, in the
-    ``_narrow`` dtype that holds it."""
-    dt, out = _narrow(math.prod(box) - 1), None
-    for p, b in zip(parts, box):
-        if b > 1:  # extent 1 adds nothing; skipping it keeps b inside dt
-            out = p.astype(dt, copy=False) if out is None else out * b + p
-    return np.zeros(len(parts[0]), dt) if out is None else out
-
 
 def _probe(arr: StoredArray, tile_ids: np.ndarray, cells: np.ndarray,
            stats: JoinStats, trace: JoinTrace | None):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from multimodel.array_store import ArrayBuilder
 from multimodel.buffer_pool import BufferPool
 from multimodel.models import ArrayMeta, CellSchema, ValueType
 
@@ -23,3 +25,21 @@ def cell_schema(d: int = 2, attrs=(("value", "float"),)) -> CellSchema:
 def array_meta(size, tile_size, layout="dense", attrs=(("value", "float"),), seed=None):
     return ArrayMeta(cell_schema(len(size), attrs), tuple(size), tuple(tile_size),
                      layout=layout, seed=seed)
+
+
+_KINDS = {"i": "int", "u": "uint", "f": "float", "b": "bool"}
+
+
+def built_tile(tc, ts, valid, attr_dtypes, layout, cc, values):
+    """Tile `tc` of extent `ts` and valid extent `valid`, holding value
+    columns `values` at the tile-relative coordinates `cc`, as
+    ``ArrayBuilder`` builds it: the last tile of an array with no other
+    cells."""
+    size = tuple(c * t + v for c, t, v in zip(tc, ts, valid))
+    attrs = tuple((f"value{k}", _KINDS[np.dtype(dt).kind])
+                  for k, dt in enumerate(attr_dtypes))
+    builder = ArrayBuilder(array_meta(size, ts, layout, attrs), BufferPool(1 << 40))
+    cc = np.asarray(cc, dtype=np.int64).reshape(-1, len(ts))
+    builder.add_cells(cc + np.multiply(tc, ts), values)
+    with builder.finish().pinned(tc) as tile:
+        return tile

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -128,6 +129,47 @@ def test_matmul_matches_triple_loop(pool, tsa, tsb):
     expect = _triple_loop(ga, gb)
     got = grid_of(out)
     assert np.allclose(got, expect, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("ta,tb", [((7, 6), (4, 3)), ((4, 4), (4, 2)),
+                                   ((5, 3), (2, 5))])
+def test_matmul_any_inner_tiling_under_any_pool(tmp_path, ta, tb):
+    """Operands tiled differently along the inner extent, either one read
+    transposed, a subset of the output tiles, and pools from one tile to
+    unbounded: every output tile is numpy's product to rounding, the same
+    bits under every pool, and a subset computes only its tiles, as in the
+    whole product."""
+    rng = np.random.default_rng(4)
+    ga, gb = rng.random((13, 11)), rng.random((11, 9))
+    out_tile = 64 + ta[0] * tb[1] * 9  # a dense float tile: mask and values
+    for flip_a, flip_b in itertools.product((False, True), repeat=2):
+        paths = []
+        for g, ts, flip, name in ((ga, ta, flip_a, "a"), (gb, tb, flip_b, "b")):
+            arr = from_dense(BufferPool(1 << 30), g.T if flip else g,
+                             ts[::-1] if flip else ts)
+            paths.append(str(tmp_path / f"{name}.m2ar"))
+            arr.save(paths[-1])
+        one = max(out_tile, *(_largest_tile(p) for p in paths))
+        grids = []
+        for capacity in (one, 2 * one, 1 << 30):
+            pool = BufferPool(capacity)
+            a, b = (StoredArray.load(p, pool, spool_dir=str(tmp_path))
+                    for p in paths)
+            out = ae.matmul(a, b, transpose_a=flip_a, transpose_b=flip_b)
+            assert out.meta.tile_size == (ta[0], tb[1])
+            grids.append(grid_of(out))
+            some = ae.matmul(a, b, transpose_a=flip_a, transpose_b=flip_b,
+                             tiles=[0, 5])
+            assert some.tile_coords() == [(0, 0), divmod(5, out.meta.grid[1])]
+            mask, (v,) = ae.to_grid(some)
+            assert np.array_equal(v[mask], grids[-1][mask])
+        assert all(np.array_equal(g, grids[0]) for g in grids)
+        assert np.allclose(grids[0], ga @ gb, rtol=1e-12, atol=0)
+
+
+def _largest_tile(path: str) -> int:
+    arr = StoredArray.load(path, BufferPool(1 << 30))
+    return max(arr.pin(tc).nbytes for tc in arr.tile_coords())
 
 
 def test_matmul_shape_error(pool):

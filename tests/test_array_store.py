@@ -15,7 +15,6 @@ from multimodel.array_store import (
     StoredArray,
     Tile,
     block_tile,
-    make_tile,
 )
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import (BoundsError, CapacityError, DuplicateCellError,
@@ -23,7 +22,7 @@ from multimodel.errors import (BoundsError, CapacityError, DuplicateCellError,
 from multimodel.executor import Catalog, format_result
 from multimodel.models import ABSENT
 
-from conftest import array_meta
+from conftest import array_meta, built_tile
 
 I8 = np.dtype("<i8")
 F8 = np.dtype("<f8")
@@ -32,7 +31,7 @@ F8 = np.dtype("<f8")
 def _dense_linear_tile(ts=(10, 5)):
     cc = [(r, c) for r in range(ts[0]) for c in range(ts[1])]
     vals = [r * ts[1] + c for r, c in cc]
-    return make_tile((0, 0), ts, ts, [I8], "dense", cc, [vals])
+    return built_tile((0, 0), ts, ts, [I8], "dense", cc, [vals])
 
 
 def cell(tile, cc):
@@ -55,8 +54,8 @@ def test_coo_membership_matches_construction_set():
     ts = (8, 7)
     cells = {(r, c) for r in range(8) for c in range(7) if rng.random() < 0.4}
     cc = sorted(cells)
-    t = make_tile((0, 0), ts, ts, [F8], "coo",
-                  cc, [[float(r * 10 + c) for r, c in cc]])
+    t = built_tile((0, 0), ts, ts, [F8], "coo",
+                   cc, [[float(r * 10 + c) for r, c in cc]])
     for r in range(8):
         for c in range(7):
             got = cell(t, (r, c))
@@ -72,7 +71,7 @@ def test_layout_equivalence():
     ts = (6, 9)
     cc = sorted({(rng.randrange(6), rng.randrange(9)) for _ in range(20)})
     vals = [float(i) for i in range(len(cc))]
-    tiles = [make_tile((0, 0), ts, ts, [F8], lay, cc, [vals])
+    tiles = [built_tile((0, 0), ts, ts, [F8], lay, cc, [vals])
              for lay in ("dense", "coo", "csr")]
     for r in range(6):
         for c in range(9):
@@ -82,7 +81,7 @@ def test_layout_equivalence():
 
 def test_coo_sorted_even_with_shuffled_input():
     cc = [(2, 1), (0, 3), (1, 0), (0, 1)]
-    t = make_tile((0, 0), (4, 4), (4, 4), [I8], "coo", cc, [[1, 2, 3, 4]])
+    t = built_tile((0, 0), (4, 4), (4, 4), [I8], "coo", cc, [[1, 2, 3, 4]])
     coords, vals = t.cells()
     assert [tuple(x) for x in coords] == [(0, 1), (0, 3), (1, 0), (2, 1)]
     assert list(vals[0]) == [4, 2, 3, 1]
@@ -91,7 +90,7 @@ def test_coo_sorted_even_with_shuffled_input():
 
 def test_csr_row_pointer_invariant():
     cc = [(0, 2), (0, 4), (2, 1)]
-    t = make_tile((0, 0), (4, 5), (4, 5), [I8], "csr", cc, [[1, 2, 3]])
+    t = built_tile((0, 0), (4, 5), (4, 5), [I8], "csr", cc, [[1, 2, 3]])
     buf = t.to_bytes()  # cell count, then TS_0 + 1 row pointers
     indptr = np.frombuffer(buf, "<u8", 5, 8)
     assert len(buf) == 8 + 5 * 8 + 3 * 8 + 3 * 8
@@ -110,8 +109,8 @@ def _held_bytes(tile) -> int:
 @pytest.mark.parametrize("layout", ["dense", "coo", "csr"])
 def test_nbytes_counts_every_array_a_tile_holds(layout):
     cc = [(0, 2), (0, 4), (2, 1), (3, 3)]
-    t = make_tile((0, 0), (4, 5), (4, 5), [I8, F8], layout, cc,
-                  [[1, 2, 3, 4], [0.5, 1.5, 2.5, 3.5]])
+    t = built_tile((0, 0), (4, 5), (4, 5), [I8, F8], layout, cc,
+                   [[1, 2, 3, 4], [0.5, 1.5, 2.5, 3.5]])
     assert t.nbytes == _held_bytes(t)
     for use in (lambda: t.lookup(np.asarray(cc, dtype=np.uint64)), t.cells,
                 t.to_scratch, t.to_bytes):
@@ -123,14 +122,16 @@ def test_nbytes_counts_every_array_a_tile_holds(layout):
 
 def test_duplicate_cell_rejected():
     with pytest.raises(DuplicateCellError):
-        make_tile((0, 0), (4, 4), (4, 4), [I8], "coo",
-                  [(1, 1), (1, 1)], [[1, 2]])
+        built_tile((0, 0), (4, 4), (4, 4), [I8], "coo",
+                   [(1, 1), (1, 1)], [[1, 2]])
 
 
-def test_make_tile_rejects_out_of_extent():
-    # valid extent shorter than the tile box (edge tile)
-    with pytest.raises(BoundsError):
-        make_tile((1, 0), (4, 4), (2, 4), [I8], "dense", [(3, 0)], [[1]])
+def test_builder_rejects_a_cell_past_an_edge_tiles_extent(pool):
+    # tile (1, 0)'s box holds row 7, its valid extent ends at row 5
+    b = ArrayBuilder(array_meta((6, 4), (4, 4)), pool)
+    with pytest.raises(BoundsError, match=r"\(7, 0\) outside") as e:
+        b.add_cells(np.array([[5, 3], [7, 0]]), [np.array([1.0, 2.0])])
+    assert e.value.index == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,7 +155,7 @@ def test_tile_serialization_round_trip_is_byte_identical(data):
     vals = data.draw(st.lists(
         st.floats(allow_nan=False, allow_infinity=False, width=32),
         min_size=k, max_size=k))
-    t = make_tile((0,) * d, ts, ts, [F8], layout, cc, [vals])
+    t = built_tile((0,) * d, ts, ts, [F8], layout, cc, [vals])
     buf = t.to_bytes()
     t2 = Tile.from_bytes(buf, layout, ts, [F8])
     assert t2.to_bytes() == buf
@@ -171,14 +172,14 @@ def test_tile_serialization_round_trip_is_byte_identical(data):
     sub = tuple(slice(0, data.draw(st.integers(int(n), s), label=f"block{i}"))
                 for i, (n, s) in enumerate(zip(lo, ts)))
     for lay in layouts:
-        want = make_tile((0,) * d, ts, ts, [F8], lay, cc, [vals])
+        want = built_tile((0,) * d, ts, ts, [F8], lay, cc, [vals])
         for m, v in ((mask, block), (mask[sub], block[sub])):
             got = block_tile((0,) * d, ts, ts, [F8], lay, m, [v])
             assert got.to_bytes() == want.to_bytes(), lay
         m, (v,) = want.to_scratch()
         assert np.array_equal(m, mask)
         assert np.array_equal(v, np.where(mask, block, 0))
-    m, (v,) = make_tile((0,) * d, ts, ts, [F8], "dense", cc, [vals]).to_scratch()
+    m, (v,) = built_tile((0,) * d, ts, ts, [F8], "dense", cc, [vals]).to_scratch()
     for view in (m, v):
         with pytest.raises(ValueError):
             view[(0,) * d] = 1

@@ -18,13 +18,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multimodel import Engine, EngineConfig, array_engine
-from multimodel.array_store import ArrayBuilder, StoredArray, make_tile
+from multimodel.array_store import ArrayBuilder, StoredArray
 from multimodel.bridge import (DimBinding, join_probe_only, join_via_conversion,
                                mshj, to_array, to_relation)
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import ShapeError
 from multimodel.models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                                Relation)
+
+from conftest import built_tile
 
 UNBOUNDED = 1 << 30
 TYPES = {"int": INT, "float": FLOAT, "bool": BOOL}
@@ -46,8 +48,8 @@ def _encoded(arr) -> str:
         with arr.pinned(tc) as tile:
             cc, values = tile.cells()
         for layout in total:
-            made = make_tile(tc, arr.meta.tile_size, arr.valid_extent(tc),
-                             arr.attr_dtypes, layout, cc, values)
+            made = built_tile(tc, arr.meta.tile_size, arr.valid_extent(tc),
+                              arr.attr_dtypes, layout, cc, values)
             total[layout] += len(made.to_bytes())
             largest[layout] = max(largest[layout], made.nbytes)
     return sparse if total[sparse] < total["dense"] and \

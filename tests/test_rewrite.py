@@ -15,12 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multimodel import Engine, EngineConfig, array_engine
-from multimodel.array_store import ArrayBuilder, make_tile
+from multimodel.array_store import ArrayBuilder
 from multimodel.buffer_pool import BufferPool
 from multimodel.models import FLOAT, INT, ArrayMeta, CellSchema
 from multimodel.planner import (MAX_CHAIN, chain_order, rewrite, tree_cost,
                                 tree_meta)
 from multimodel.script import bind_script
+
+from conftest import built_tile
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
 with open(os.path.join(DATA, "recommend.m2s"), encoding="utf-8") as _f:
@@ -282,8 +284,8 @@ def _tile_bytes(t: int) -> int:
     sparse with every cell set (toArray may store a full tile sparsely
     when its other tiles are nearly empty)."""
     cc = np.argwhere(np.ones((t, t), bool))
-    return max(make_tile((0, 0), (t, t), (t, t), [np.dtype("<f8")], layout,
-                         cc, [np.zeros(len(cc))]).nbytes
+    return max(built_tile((0, 0), (t, t), (t, t), [np.dtype("<f8")], layout,
+                          cc, [np.zeros(len(cc))]).nbytes
                for layout in ("dense", "csr"))
 
 

@@ -11,11 +11,13 @@ import re
 import numpy as np
 import pytest
 
-from multimodel.array_store import ArrayBuilder, StoredArray, make_tile
+from multimodel.array_store import ArrayBuilder, StoredArray
 from multimodel.bridge import DimBinding, JoinStats, join_probe_only, mshj
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import InternalError
 from multimodel.models import FLOAT, INT, ArrayMeta, CellSchema, Relation
+
+from conftest import built_tile
 
 UNBOUNDED = 1 << 30
 SHAPES = {2: ((30, 20), (6, 5)), 3: ((12, 10, 8), (4, 5, 4))}
@@ -171,9 +173,9 @@ def test_mixed_layout_file_joins_like_its_cells(tmp_path):
         if i % 3 == 1:
             with arr.pinned(tc) as t:
                 cc, vals = t.cells()
-            arr.write_tile(tc, make_tile(tc, meta.tile_size,
-                                         arr.valid_extent(tc), arr.attr_dtypes,
-                                         "coo", cc, vals))
+            arr.write_tile(tc, built_tile(tc, meta.tile_size,
+                                          arr.valid_extent(tc), arr.attr_dtypes,
+                                          "coo", cc, vals))
     path = str(tmp_path / "mixed.m2ar")
     arr.save(path)
     rel = _records(2)
@@ -205,4 +207,4 @@ def test_truncated_file_names_the_tile_and_leaks_nothing(tmp_path, join):
     with pytest.raises(InternalError, match=re.escape(f"tile {last} ")):
         join(_records(2, n=2000), arr, DimBinding(("x0", "x1")))
     assert _open_fds() == fds
-    assert arr.active_pins and all(n == 0 for n in arr.active_pins.values())
+    assert arr.pin_counts and not arr.active_pins

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multimodel.array_store import ArrayBuilder, StoredArray, make_tile
+from multimodel.array_store import ArrayBuilder, StoredArray
 from multimodel.bridge import JoinStats
 from multimodel.buffer_pool import BufferPool
 from multimodel.cli import main
 from multimodel.errors import ArrayFileError, CapacityError, EngineError
 
-from conftest import array_meta
+from conftest import array_meta, built_tile
 
 SIZE, TS = (12, 10), (4, 5)  # a 3 x 2 grid
 NTILES = 6
@@ -48,8 +48,8 @@ def _fresh_tile(arr, tc, seed):
     valid = arr.valid_extent(tc)
     cc = {tuple(int(rng.integers(v)) for v in valid)
           for _ in range(int(rng.integers(4)))}
-    return make_tile(tc, TS, valid, arr.attr_dtypes, "dense", sorted(cc),
-                     [list(range(len(cc)))])
+    return built_tile(tc, TS, valid, arr.attr_dtypes, "dense", sorted(cc),
+                      [list(range(len(cc)))])
 
 
 def _check_registered(*arrays):
