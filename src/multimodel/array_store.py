@@ -45,6 +45,7 @@ import math
 import os
 import struct
 from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 
@@ -819,7 +820,9 @@ class ArrayBuilder:
         self._values.append([np.asarray(v, dt) for v, dt in
                              zip(values, self.arr.attr_dtypes)])
 
-    def finish(self) -> StoredArray:
+    def finish(self, *, choose_layout: bool = False) -> StoredArray:
+        """The array of the added cells; with ``choose_layout`` in the
+        layout whose tiles encode smaller (``smaller_layout``) for them."""
         arr, meta = self.arr, self.arr.meta
         if self._coords:
             coords = np.concatenate(self._coords)
@@ -836,6 +839,9 @@ class ArrayBuilder:
                     f"{tuple(int(q[i]) for q in tq)}", index=i)
             cols = [np.concatenate(parts)[order] for parts in zip(*self._values)]
             bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(tid)]
+            if choose_layout:
+                arr.meta = meta = replace(meta, layout=smaller_layout(
+                    np.diff(bounds), meta.tile_size, arr.attr_dtypes))
             with arr.release_on_error():  # non-empty: add_cells skips empty batches
                 for tc, lo, hi in zip(arr._coords(tid[bounds[:-1]]), bounds, bounds[1:]):
                     arr.write_tile(tc, _keyed_tile(meta.tile_size, arr.attr_dtypes,

@@ -29,7 +29,8 @@ the pool, so the join evicts nothing.
 ``to_array`` is the one way records become an array.  One pass over the
 records' columns (``_extract_dims``) yields the bound coordinates, the kept
 records and the value columns; when no metadata is given, the extent,
-value types and tiling are derived from that same pass.  Relations and
+value types and tiling are derived from that same pass, and the builder
+chooses the layout from its per-tile cell counts.  Relations and
 collections both hold typed columns, so for either the pass is a dtype and
 minimum check of the bound int64 columns, and a join emits relational or
 document output as columns gathered at the matched rows.
@@ -39,12 +40,11 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_store import (ArrayBuilder, StoredArray, _tile_cells, dtype_for,
-                          smaller_layout)
+from .array_store import ArrayBuilder, StoredArray, _tile_cells
 from .errors import BindingError, EngineError, OutputSpecError
 from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
@@ -630,19 +630,13 @@ def to_array(src, dim_names: list[str], value_names: list[str],
                                     tuple(types)),
                          size, tile_extent(size, default_tile))
     _check_ints(src, kept, value_names, meta.schema.attr_types, cols)
-    if inferred:
-        tile_cells = np.unique(_tile_cells(dims, meta)[1],
-                               return_counts=True)[1]
-        meta = replace(meta, layout=smaller_layout(
-            tile_cells, meta.tile_size,
-            [dtype_for(t) for t in meta.schema.attr_types]))
     builder = ArrayBuilder(meta, pool, name=name, spool_dir=spool_dir)
     try:
         # a typed column as it is, an object column through its Python values
         builder.add_cells(np.column_stack(dims), [
             c.values if c.values.dtype != object else np.asarray(c.tolist())
             for c in cols])
-        return builder.finish()
+        return builder.finish(choose_layout=inferred)
     except EngineError as e:
         if e.index is not None:  # a cell's position; name its record
             e.index = int(_at(kept, e.index))

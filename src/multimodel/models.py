@@ -25,6 +25,7 @@ import json
 import numbers
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -646,40 +647,53 @@ def _csv_row_line(text: str, index: int) -> int:
     raise IndexError(index)
 
 
-# every byte an all-integer CSV body may hold
-_INT_BODY_BYTES = b"0123456789-,\n"
+# the bytes of an all-integer CSV cell, taken out of the body to leave its
+# commas and newlines, and a minus sign the C reader would read as 0
+_INT_CELL_BYTES = b"0123456789-"
+_BARE_MINUS = re.compile(rb"-(?![0-9])")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _int_relation(text: str) -> Relation | None:
-    """The relation of a CSV text whose cells are all integers, read by
-    numpy's C reader, or None for any other text.
+    """The relation of a CSV text whose cells are all integers, read by one
+    ``np.fromstring`` over the body with its newlines turned into commas,
+    or None for any other text, which then takes the Python path (and that
+    names the line of a malformed row).
 
-    Only a body of digits, minus signs, commas and newlines under a header
-    line without quotes or carriage returns is tried: no cell can then be
-    one that ``int()`` and the C reader might read apart (``_``, non-ASCII
-    digits, a U+001C that numpy strips and ``int()`` refuses), and blank
-    lines are the only lines either skips.
-    Any cell the C reader refuses (an empty one, a misplaced minus sign, a
-    value beyond int64) and any ragged row give None as well, so the Python
-    path reads the text and names the line of a malformed row."""
+    The header line holds no quote or carriage return.  Guards hold the
+    reader to what ``int()`` reads: (a) the body, outer blank lines dropped,
+    less its digits and minus signs is ``k - 1`` commas and a newline per
+    row for ``k`` header names, so it holds no other byte, ragged row or
+    blank line; (b) every minus sign is followed by a digit, as the reader
+    takes a lone one for 0; (c) the reader gives ``k`` values a row, as
+    numpy < 2 warns and stops short at an empty cell where numpy 2 raises;
+    (d) no value is int64's maximum, which the reader gives for every int
+    beyond int64."""
     head, _, body = text.partition("\n")
-    body = body.lstrip("\n")
+    body = body.strip("\n")
     if not head or '"' in head or "\r" in head or not body \
-            or not body.isascii() \
-            or body.encode("ascii").translate(None, _INT_BODY_BYTES):
+            or not body.isascii():
         return None
     header = head.split(",")
-    if len(set(header)) != len(header):
+    data = body.encode("ascii") + b"\n"
+    row = b"," * (len(header) - 1) + b"\n"
+    nrows = data.count(b"\n")
+    if len(set(header)) != len(header) \
+            or data.translate(None, _INT_CELL_BYTES) != row * nrows \
+            or b"-" in data and _BARE_MINUS.search(data):
         return None
     try:
-        block = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",",
-                           comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            values = np.fromstring(data.replace(b"\n", b","), np.int64,
+                                   sep=",")
     except ValueError:
         return None
-    if block.shape[1] != len(header):
+    if len(values) != nrows * len(header) or (values == _INT64_MAX).any():
         return None
-    return Relation.from_columns([(h, INT) for h in header],
-                                 [Column(c.copy()) for c in block.T])
+    return Relation.from_columns(
+        [(h, INT) for h in header],
+        [Column(c.copy()) for c in values.reshape(nrows, -1).T])
 
 
 def relation_from_csv(text: str,
@@ -695,8 +709,9 @@ def relation_from_csv(text: str,
     line of the offending row.
 
     Without a declared schema, a text whose cells are all integers is read
-    by numpy's C reader (``_int_relation``) into the same int64 columns;
-    every other text, and every malformed one, takes the Python path.
+    by one ``np.fromstring`` (``_int_relation``, under guards that hold it
+    to ``int()``) into the same int64 columns; every other text, and every
+    malformed one, takes the Python path.
     """
     if schema is None and (rel := _int_relation(text)) is not None:
         return rel
@@ -794,6 +809,9 @@ _MEMBER = re.compile(r'[ \t]*"([^"\\\x00-\x1f{},]*)"[ \t]*:[ \t]*'
 # without an exponent, both in the JSON number grammar
 _INT_LITERAL = "-?(?:0|[1-9][0-9]{0,14})"
 _FLOAT_LITERAL = r"-?(?:0|[1-9][0-9]*)\.[0-9]+"
+# the bytes a number or a separator of the numbers is made of, and all others
+_NUMBER_CHARS = re.compile("[-.0-9]")
+_NOT_NUMBER = bytes(sorted(set(range(256)) - set(b"0123456789.-,\n")))
 # characters of whole lines one fullmatch checks: sre keeps state for each
 # repetition of a group until the match ends
 _TEMPLATE_CHUNK = 1 << 15
@@ -831,11 +849,14 @@ def _template_collection(text: str, name: str) -> Collection | None:
     The first line, taken as it is written, gives the template
     (``_line_template``): its key spellings, its separators and an int or
     float literal per value.  One regex of the template checks every line,
-    a chunk of lines at a time.  The template's pieces are then cut out
-    with ``str.replace`` (each turns up only in its own place, see
-    ``_MEMBER``), numpy reads every number as float64 at once, and an int
-    column is cast back to int64: exact up to 15 digits, and -0 is 0 as
-    ``json`` reads it.  The columns are those the per-line path gives."""
+    a chunk of lines at a time.  The template's pieces are then cut out in
+    one ``bytes.translate`` of the UTF-8 text that keeps only digits, ``.``,
+    ``-``, commas and newlines; a piece whose key holds one of the first
+    three is first replaced by its separator with ``str.replace`` (each
+    piece turns up only in its own place, see ``_MEMBER``).  numpy reads
+    every number as float64 at once, and an int column is cast back to
+    int64: exact up to 15 digits, and -0 is 0 as ``json`` reads it.  The
+    columns are those the per-line path gives."""
     first = text.find("\n")
     template = _line_template(text if first < 0 else text[:first])
     if template is None:
@@ -852,9 +873,11 @@ def _template_collection(text: str, name: str) -> Collection | None:
         pos = end
     last = len(pieces) - 1
     for i, piece in enumerate(pieces):
-        text = text.replace(piece, "," if 0 < i < last else "")
-    block = np.loadtxt(io.StringIO(text), dtype=np.float64, delimiter=",",
-                       comments=None, ndmin=2)
+        if _NUMBER_CHARS.search(piece):  # its key would survive the translate
+            text = text.replace(piece, "," if 0 < i < last else "")
+    numbers = text.encode("utf-8", "surrogatepass").translate(None, _NOT_NUMBER)
+    block = np.loadtxt(io.StringIO(numbers.decode("ascii")), dtype=np.float64,
+                       delimiter=",", comments=None, ndmin=2)
     return Collection.from_columns(
         name, [tuple(keys)], np.zeros(len(block), np.int64),
         {k: Column(block[:, j].astype(np.float64 if f else np.int64))

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -342,10 +344,26 @@ def test_all_integer_csv_skips_the_python_reader(tmp_path, monkeypatch):
     ("a\n1\n-\n", None),             # a lone minus sign is a string
     ("a\n1\n007\n-0\n", None),       # leading zeros and a negative zero
     ("a\n9223372036854775807\n", None),  # int64 max: an int64 column
+    ("a\n9223372036854775807", None),    # ... as the only cell
     ("a\n9223372036854775808\n", None),  # beyond int64: an object column
     ("a\n-9223372036854775809\n", None),
+    ("a\n-9223372036854775808\n", None),  # int64 min: an int64 column
+    ("a,b\n123456789012345678,-123456789012345678\n", None),  # 18 digits
+    ("a,b\n1234567890123456789,-1234567890123456789\n", None),  # 19
+    ("a,b\n1,2\n12345678901234567890,3\n", None),  # 20 digits
+    ("a,b\n1,2\n3,-12345678901234567890\n", None),
+    ("a\n1\n18446744073709551616\n", None),  # 2**64
+    ("a\n-18446744073709551616\n1\n", None),
+    ("a\n" + "9" * 30 + "\n", None),   # 30 digits, each sign
+    ("a\n-" + "9" * 30 + "\n", None),
+    ("a,b\n1,2\n3,", None),           # an empty last cell, no newline
+    ("a\n1\n-", None),                # a lone minus sign, the last byte
+    ("a,b\n-,1\n", None),             # a lone minus sign before a comma
+    ("a\n1-2\n", None),               # a minus sign inside a cell
     ("a,b\n1,2\n3\n", 3),            # a ragged digit-only row
     ("a,b\n1,2\n3,4,5\n", 3),
+    ("a,b\n1,2,\n", 2),               # a trailing comma
+    ("a,b\n1,2,3\n4\n", 2),           # the right count, ragged rows
     ("a\n1\r2\n", 2),               # a bare CR inside a row
     ("a\n1,2\n", 2),                 # every row wider than the header
     ("a,b\n1,2\n \n", 3),            # a whitespace-only line in two columns
@@ -363,6 +381,27 @@ def test_all_integer_csv_near_misses_match_the_python_path(text, line):
     _same(got, want)
     assert [c.values.dtype for c in got.columns] == \
         [c.values.dtype for c in want.columns]
+
+
+def test_int_reader_stopping_short_leaves_the_text_to_the_python_path(
+        monkeypatch):
+    """numpy < 2's ``fromstring`` warns at a cell it cannot read and returns
+    the values before it: a short read takes the Python path, and the
+    warning does not escape."""
+    def fromstring(data, dtype, sep):
+        cells = data.decode().split(sep)[:-1]  # the last is after the end
+        read = list(itertools.takewhile(str.isdigit, cells))
+        if len(read) < len(cells):
+            warnings.warn("string or file could not be read to its end",
+                          DeprecationWarning)
+        return np.array(read, dtype)
+
+    monkeypatch.setattr(models.np, "fromstring", fromstring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(relation_from_csv("a,b\n1,2\n3,4\n")) == 2
+        for text in ("a,b\n1,2\n3,\n", "a\n1\n\n2\n"):
+            _same(relation_from_csv(text), reference_relation_from_csv(text))
 
 
 @pytest.mark.parametrize("text, line", [
@@ -547,7 +586,7 @@ def _same_columns(got, want):
 
 # keys a template takes, and ones it refuses ("a,b", "{") and falls back on
 TEMPLATE_KEYS = ["oid", "pid", "rating", "a b", "a:b", "x.y", "k1", "",
-                 "é", "a,b", "{"]
+                 "é", "a-b", "7", "-", "a,b", "{"]
 INT_LITERALS = st.integers(-(10 ** 15 - 1), 10 ** 15 - 1).map(str) \
     | st.sampled_from(["0", "-0", "999999999999999", "-999999999999999"])
 FLOAT_LITERALS = st.from_regex(r"-?(0|[1-9][0-9]{0,5})\.[0-9]{1,20}",
@@ -710,6 +749,11 @@ def test_template_refuses_each_near_miss(text):
     '{"x": 0.1}\n{"x": 1' + "0" * 400 + '.5}\n',     # beyond float64: inf
     '{"a":1,"b":2.5}\n{"a":3,"b":-4.0}\n',
     '{ "a:b" :\t1 , "é x": 2.5 }\n{ "a:b" :\t3 , "é x": 0.0 }\n',
+    # keys that hold number bytes, first, inside and last
+    '{"7": 1, "a-b": 2.5, "-": -3, "x.y": 4}\n{"7": 5, "a-b": -0.5, "-": 6,'
+    ' "x.y": 7}\n',
+    # a lone surrogate, and a key of four UTF-8 bytes
+    '{"\ud800": 1, "\U0001f600": 2.5}\n',
 ])
 def test_template_takes_each_fitting_text(text):
     assert _agree(text) is not None

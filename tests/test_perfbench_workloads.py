@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from multimodel import Engine, array_engine
+from multimodel import Engine, array_engine, models
+from multimodel.executor import Catalog
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -82,3 +83,41 @@ def test_recommend_computes_only_the_tiles_its_join_probes(
     assert list(tiles) == list(want)
     assert (n, grid) == (4, 32)
     assert all(n == grid for tiles, n, grid in computed if tiles is None)
+
+
+@pytest.mark.parametrize("name, tables, collections", [
+    ("recommend", ["interest"], ["order", "review"]),
+    ("recommend_tight", ["interest"], ["order", "review"]),
+    ("tile_join", ["grp", "probe"], []),
+])
+def test_workload_inputs_take_the_fast_readers(workloads, name, tables,
+                                               collections, tmp_path,
+                                               monkeypatch):
+    """Every table a workload loads is read by the all-integer reader, with
+    neither ``csv.reader`` nor ``np.loadtxt``, and every collection through
+    its line template; the other tables are only counted.  A change to the
+    generated data or to the readers' guards that drops a fast path fails
+    here."""
+    wl = workloads[name]
+    data_dir, spool = str(tmp_path / "data"), str(tmp_path / "spool")
+    os.makedirs(spool)
+    wl.generate(SEED, data_dir, wl.sizes)
+    loaded = {"load_table": [], "load_collection": []}
+    for method, names in loaded.items():
+        def record(cat, name, _load=getattr(Catalog, method), _names=names):
+            _names.append(name)
+            return _load(cat, name)
+        monkeypatch.setattr(Catalog, method, record)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a workload input left its fast reader")
+
+    with monkeypatch.context() as m:
+        m.setattr(models.csv, "reader", refuse)
+        m.setattr(models, "_decode_lines", refuse)
+        Engine(wl.config(data_dir, spool, SEED)).run(wl.script_text())
+    assert sorted(loaded["load_table"]) == tables
+    assert sorted(loaded["load_collection"]) == collections
+    monkeypatch.setattr(models.np, "loadtxt", refuse)
+    for table in tables:
+        assert len(Catalog(data_dir).load_table(table)) > 0
