@@ -28,7 +28,7 @@ import re
 
 import numpy as np
 
-from .array_store import StoredArray, block_tile, dtype_for
+from .array_store import StoredArray, Tile, block_tile, dtype_for
 from .buffer_pool import BufferPool
 from .errors import ShapeError
 from .models import ArrayMeta, CellSchema, ValueType
@@ -101,10 +101,21 @@ def from_grid(meta: ArrayMeta, mask: np.ndarray, values, pool: BufferPool, *,
 
 def _write_block(out: StoredArray, tc, mask: np.ndarray, values) -> None:
     """Install a mask and value blocks anchored at tile `tc`'s origin as that
-    tile of `out`; an all-false mask writes nothing."""
-    if mask.any():
-        out.write_tile(tc, block_tile(tc, out.meta.tile_size, out.valid_extent(tc),
-                                      out.attr_dtypes, out.meta.layout, mask, values))
+    tile of `out`; an all-false mask writes nothing.  A broadcast all-true
+    mask of a full dense tile over blocks that own their memory, C-ordered
+    and of the tile's dtypes (``matmul``'s fresh accumulators), installs
+    those blocks as they are under an all-true index; every other block is
+    copied by ``block_tile``."""
+    ts, dtypes = out.meta.tile_size, out.attr_dtypes
+    if out.meta.layout == "dense" and mask.shape == ts \
+            and not any(mask.strides) \
+            and all(v.base is None and v.flags.c_contiguous and v.dtype == dt
+                    for v, dt in zip(values, dtypes)) and mask.all():
+        out.write_tile(tc, Tile("dense", ts, dtypes, np.ones(ts, bool),
+                                list(values)))
+    elif mask.any():
+        out.write_tile(tc, block_tile(tc, ts, out.valid_extent(tc), dtypes,
+                                      out.meta.layout, mask, values))
 
 
 # --------------------------------------------------------------- element-wise

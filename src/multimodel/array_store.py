@@ -575,41 +575,55 @@ class StoredArray:
         """One stage of ``lookup_runs``: read the tiles of `reads` (``_READ``
         records) into one buffer in that order (dense ones first), then look
         up the records of the runs whose `run_rank`, the rank of their tile
-        in `reads`, is not -1.  The dense tiles are looked up as one dense
-        tile viewing the buffer, over the box (tiles, cells of a tile), the
-        sparse ones decoded into one sparse tile over the same box.  Writes
-        into `found` and `values`."""
+        in `reads`, is not -1.  A record's key is ``rank * ncell + cell`` in
+        the ``_narrow`` dtype, over the box (tiles, cells of a tile), with
+        rank ``len(reads)`` for the records left out.  The dense tiles are
+        looked up as the rows of one block viewing the buffer, the sparse
+        ones by ``searchsorted`` in their cells' keys, decoded into one
+        sorted column.  Writes into `found` and `values`."""
         buf, at = self._read_stage(reads, fds, stats)
-        rec_rank = np.repeat(run_rank, run_lengths)
-        def look(block: Tile, first: int) -> None:  # every record on a block tile?
-            m = (slice(None) if block.ts[0] == len(reads) and run_rank.min() >= 0
-                 else (rec_rank >= first) & (rec_rank < first + block.ts[0]))
-            found[m], vals = block.lookup(
-                np.column_stack((rec_rank[m] - first, cells[m])))
-            for out, v in zip(values, vals):
-                out[m] = v
         ts, dtypes = self.meta.tile_size, self.attr_dtypes
-        ncell = math.prod(ts)
+        ncell, n = math.prod(ts), len(reads)
+        dt = _narrow((n + 1) * ncell - 1)
+        every = run_rank.min() >= 0  # every run is on a tile of the stage
+        rank = run_rank if every else np.where(run_rank < 0, n, run_rank)
+        key = np.repeat((rank * ncell).astype(dt), run_lengths)
+        np.add(key, cells, out=key, casting="unsafe")  # cells fit in dt
+
+        def on(lo: int, hi: int):  # the records on tiles ranked lo .. hi - 1
+            if lo == 0 and hi == n and every:
+                return slice(None)
+            return (key < hi * ncell) if lo == 0 else \
+                (key >= lo * ncell) & (key < hi * ncell)
         tags = reads["slot"]["tag"].tolist()
         n_dense = tags.count(_DENSE)
         if n_dense:  # each dense tile's bytes: its mask, then each value block
-            width = ncell * (1 + sum(dt.itemsize for dt in dtypes))
+            width = ncell * (1 + sum(t.itemsize for t in dtypes))
             block = buf[:n_dense * width].reshape(n_dense, width)
-            cols, off = [], ncell
-            for dt in dtypes:
-                cols.append(block[:, off:off + ncell * dt.itemsize].view(dt))
-                off += ncell * dt.itemsize
-            look(Tile("dense", (n_dense, ncell), dtypes,
-                      block[:, :ncell].view(bool), cols), 0)
-        if n_dense < len(reads):
+            m = on(0, n_dense)
+            cell = key[m]  # key itself when every record is here
+            tile = (cell // ncell).astype(_narrow(n_dense - 1))
+            cell -= tile * dt.type(ncell)
+            found[m] = block[:, :ncell].view(bool)[tile, cell]
+            off = ncell
+            for out, t in zip(values, dtypes):
+                out[m] = block[:, off:off + ncell * t.itemsize].view(t)[tile, cell]
+                off += ncell * t.itemsize
+        if n_dense < n:
             view = memoryview(buf)
             sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], _LAYOUTS[tag],
                                       ts, dtypes)
                       for k, tag in enumerate(tags) if k >= n_dense]
-            keys = np.concatenate([t.index + np.uint64(j * ncell)
-                                   for j, t in enumerate(sparse)])
-            cols = [np.concatenate(c) for c in zip(*(t.values for t in sparse))]
-            look(Tile("coo", (len(sparse), ncell), dtypes, keys, cols), n_dense)
+            keys = np.concatenate([t.index.astype(dt) + r * ncell
+                                   for r, t in enumerate(sparse, n_dense)])
+            if len(keys):  # else no record is found: found and values stay 0
+                m = on(n_dense, n)
+                want = key[m]
+                pos = np.searchsorted(keys, want)
+                np.minimum(pos, len(keys) - 1, out=pos)
+                found[m] = keys[pos] == want
+                for out, col in zip(values, zip(*(t.values for t in sparse))):
+                    out[m] = np.concatenate(col)[pos]
 
     def _read_stage(self, reads, fds, stats):
         """Read the slots of `reads` (``_READ`` records: tile id, slot) into

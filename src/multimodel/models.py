@@ -654,6 +654,21 @@ _BARE_MINUS = re.compile(rb"-(?![0-9])")
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _read_ints(data: bytes, count: int) -> np.ndarray | None:
+    """The ``count`` comma-separated ints of ``data`` read by one
+    ``np.fromstring`` into int64, or None if it reads another number of
+    them: numpy < 2 warns and stops short at an empty cell where numpy 2
+    raises.  The reader gives int64's maximum for every int beyond int64,
+    of either sign."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            values = np.fromstring(data, np.int64, sep=",")
+    except ValueError:
+        return None
+    return values if len(values) == count else None
+
+
 def _int_relation(text: str) -> Relation | None:
     """The relation of a CSV text whose cells are all integers, read by one
     ``np.fromstring`` over the body with its newlines turned into commas,
@@ -682,14 +697,8 @@ def _int_relation(text: str) -> Relation | None:
             or data.translate(None, _INT_CELL_BYTES) != row * nrows \
             or b"-" in data and _BARE_MINUS.search(data):
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            values = np.fromstring(data.replace(b"\n", b","), np.int64,
-                                   sep=",")
-    except ValueError:
-        return None
-    if len(values) != nrows * len(header) or (values == _INT64_MAX).any():
+    values = _read_ints(data.replace(b"\n", b","), nrows * len(header))
+    if values is None or (values == _INT64_MAX).any():
         return None
     return Relation.from_columns(
         [(h, INT) for h in header],
@@ -805,16 +814,21 @@ def collection_to_jsonl(col: Collection) -> str:
 # template can turn up in a line anywhere but in its own place.
 _MEMBER = re.compile(r'[ \t]*"([^"\\\x00-\x1f{},]*)"[ \t]*:[ \t]*'
                      r'(-?(?:0|[1-9][0-9]*)(\.[0-9]+)?)[ \t]*([,}])')
-# an int of at most 15 digits, which float64 holds exactly, and a float
-# without an exponent, both in the JSON number grammar
-_INT_LITERAL = "-?(?:0|[1-9][0-9]{0,14})"
-_FLOAT_LITERAL = r"-?(?:0|[1-9][0-9]*)\.[0-9]+"
-# the bytes a number or a separator of the numbers is made of, and all others
+# an int of at most 15 digits and a float without an exponent, both in the
+# JSON number grammar; possessive, as the text after a number is never a
+# digit or ".", so no match gives any of them back
+_INT_LITERAL = "-?+(?:0|[1-9][0-9]{0,14}+)"
+_FLOAT_LITERAL = r"-?+(?:0|[1-9][0-9]*+)\.[0-9]++"
+# the bytes a number or a separator of the numbers is made of, and all others;
+# the translate that keeps the first turns each newline into a comma
 _NUMBER_CHARS = re.compile("[-.0-9]")
 _NOT_NUMBER = bytes(sorted(set(range(256)) - set(b"0123456789.-,\n")))
-# characters of whole lines one fullmatch checks: sre keeps state for each
-# repetition of a group until the match ends
-_TEMPLATE_CHUNK = 1 << 15
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+# 10.0 ** w for the fraction widths w whose power float64 holds exactly
+_POW10 = np.array([float(10 ** w) for w in range(23)])
+# characters of whole lines read at a time: a chunk's copies of its text and
+# its number arrays are the loader's transient memory beside the columns
+_TEMPLATE_CHUNK = 1 << 17
 
 
 def _line_template(line: str) -> tuple[list, list, list] | None:
@@ -848,15 +862,14 @@ def _template_collection(text: str, name: str) -> Collection | None:
 
     The first line, taken as it is written, gives the template
     (``_line_template``): its key spellings, its separators and an int or
-    float literal per value.  One regex of the template checks every line,
-    a chunk of lines at a time.  The template's pieces are then cut out in
-    one ``bytes.translate`` of the UTF-8 text that keeps only digits, ``.``,
-    ``-``, commas and newlines; a piece whose key holds one of the first
-    three is first replaced by its separator with ``str.replace`` (each
-    piece turns up only in its own place, see ``_MEMBER``).  numpy reads
-    every number as float64 at once, and an int column is cast back to
-    int64: exact up to 15 digits, and -0 is 0 as ``json`` reads it.  The
-    columns are those the per-line path gives."""
+    float literal per value.  The text is read a chunk of whole lines at a
+    time.  One regex of the template checks the chunk's lines.  The
+    template's pieces are then cut out by one ``bytes.translate`` of its
+    UTF-8 text that keeps only digits, ``.``, ``-`` and commas, newlines
+    turned into commas; a piece whose key holds one of the first three is
+    first replaced by its separator with ``str.replace`` (each piece turns
+    up only in its own place, see ``_MEMBER``).  ``_number_columns`` reads
+    the numbers.  The columns are those the per-line path gives."""
     first = text.find("\n")
     template = _line_template(text if first < 0 else text[:first])
     if template is None:
@@ -864,24 +877,78 @@ def _template_collection(text: str, name: str) -> Collection | None:
     keys, floats, pieces = template
     line = "".join(re.escape(p) + (_FLOAT_LITERAL if f else _INT_LITERAL)
                    for p, f in zip(pieces, floats)) + re.escape(pieces[-1])
-    lines = re.compile(f"(?:{line}\n)*(?:{line})?")
+    lines = re.compile(f"(?:{line}\n)*+(?:{line})?+")
+    last = len(pieces) - 1
+    # pieces whose key would survive the translate, and their separators
+    cut = [(p, "," if 0 < i < last else "") for i, p in enumerate(pieces)
+           if _NUMBER_CHARS.search(p)]
+    parts = []  # each chunk's columns
     pos = 0
     while pos < len(text):
         end = text.find("\n", pos + _TEMPLATE_CHUNK) + 1 or len(text)
         if lines.fullmatch(text, pos, end) is None:
             return None
+        chunk = text[pos:end]
+        for piece, sep in cut:
+            chunk = chunk.replace(piece, sep)
+        numbers = chunk.encode("utf-8", "surrogatepass").translate(
+            _NEWLINE_TO_COMMA, _NOT_NUMBER)
+        if (read := _number_columns(numbers, floats)) is None:
+            return None
+        parts.append(read)
         pos = end
-    last = len(pieces) - 1
-    for i, piece in enumerate(pieces):
-        if _NUMBER_CHARS.search(piece):  # its key would survive the translate
-            text = text.replace(piece, "," if 0 < i < last else "")
-    numbers = text.encode("utf-8", "surrogatepass").translate(None, _NOT_NUMBER)
-    block = np.loadtxt(io.StringIO(numbers.decode("ascii")), dtype=np.float64,
-                       delimiter=",", comments=None, ndmin=2)
+    columns = [np.concatenate(c) for c in zip(*parts)]
     return Collection.from_columns(
-        name, [tuple(keys)], np.zeros(len(block), np.int64),
-        {k: Column(block[:, j].astype(np.float64 if f else np.int64))
-         for j, (k, f) in enumerate(zip(keys, floats))})
+        name, [tuple(keys)], np.zeros(len(columns[0]), np.int64),
+        {k: Column(c) for k, c in zip(keys, columns)})
+
+
+def _number_columns(numbers: bytes, floats: list[bool]) \
+        -> list[np.ndarray] | None:
+    """The columns of ``numbers``: JSON ints and exponent-free floats, each
+    but perhaps the last ended by a comma, ``len(floats)`` to a row, the
+    float ones where ``floats`` says.  None if the int reader gives another
+    number of values.
+
+    Every number is read, its ``.`` deleted, by one int64 ``_read_ints``.
+    An int column is those values.  A float value is its mantissa ``m``
+    over ``10.0 ** w`` for its ``w`` fraction digits, found from the k-th
+    ``.``, which is the k-th float value's: that one division is the
+    correctly rounded value when ``|m| <= 2 ** 53`` and ``w <= 22``, as
+    both operands are then exact (Clinger's fast path).  Any other float,
+    a saturated read (int64's maximum) among them, is read by ``float()``
+    from its own bytes, and a zero mantissa written with ``-`` is -0.0."""
+    b = np.frombuffer(numbers, np.uint8)
+    ends = np.flatnonzero(b == ord(","))
+    if not numbers.endswith(b","):
+        ends = np.append(ends, len(b))
+    values = _read_ints(numbers.translate(None, b"."), len(ends))
+    if values is None:
+        return None
+    k = len(floats)
+    values, at = values.reshape(-1, k), ends.reshape(-1, k)
+    dots = iter(np.flatnonzero(b == ord(".")).reshape(len(values), -1).T)
+    columns = []
+    for j, f in enumerate(floats):
+        m = values[:, j]
+        if not f:
+            columns.append(m)
+            continue
+        w = at[:, j] - next(dots) - 1
+        x = m / _POW10[np.minimum(w, len(_POW10) - 1)]
+        odd = np.flatnonzero((w >= len(_POW10)) | (np.abs(m) > 2 ** 53))
+        for r, lo, hi in zip(odd.tolist(), _starts(ends, odd * k + j).tolist(),
+                             at[odd, j].tolist()):
+            x[r] = float(numbers[lo:hi])
+        zero = np.flatnonzero(m == 0)
+        x[zero[b[_starts(ends, zero * k + j)] == ord("-")]] = -0.0
+        columns.append(x)
+    return columns
+
+
+def _starts(ends: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Where the values numbered ``v`` begin, given where each one ends."""
+    return np.where(v > 0, ends[v - 1] + 1, 0)
 
 
 def collection_from_jsonl(text: str, name: str = "") -> Collection:

@@ -167,6 +167,40 @@ def test_matmul_any_inner_tiling_under_any_pool(tmp_path, ta, tb):
         assert np.allclose(grids[0], ga @ gb, rtol=1e-12, atol=0)
 
 
+def test_matmul_adopts_full_tile_accumulators(pool, monkeypatch):
+    """A full output tile installs matmul's accumulator as its block, and
+    only an edge tile is copied by ``block_tile``; either way a tile holds
+    the bytes, and takes the pool bytes, that ``block_tile`` gives for the
+    same cells."""
+    rng = np.random.default_rng(6)
+    a = from_dense(pool, rng.random((13, 11)), (5, 4))
+    b = from_dense(pool, rng.random((11, 9)), (4, 4))
+    copied, block_tile = [], ae.block_tile
+
+    def spy(tc, *args):
+        copied.append(tuple(tc))
+        return block_tile(tc, *args)
+
+    monkeypatch.setattr(ae, "block_tile", spy)
+    before = pool.stats().resident_bytes
+    out = ae.matmul(a, b)
+    ts = out.meta.tile_size
+    assert sorted(copied) == [tc for tc in out.tile_coords()
+                              if out.valid_extent(tc) != ts]
+    assert len(copied) < len(out.tile_coords())
+    total = 0
+    for tc in out.tile_coords():
+        r, c = out.valid_extent(tc)
+        with out.pinned(tc) as tile:
+            _, (v,) = tile.to_scratch()
+            want = block_tile(tc, ts, (r, c), out.attr_dtypes, "dense",
+                              np.ones((r, c), bool), [v[:r, :c].copy()])
+            assert tile.to_bytes() == want.to_bytes(), tc
+            assert tile.nbytes == want.nbytes, tc
+        total += want.nbytes
+    assert pool.stats().resident_bytes - before == total
+
+
 def _largest_tile(path: str) -> int:
     arr = StoredArray.load(path, BufferPool(1 << 30))
     return max(arr.pin(tc).nbytes for tc in arr.tile_coords())

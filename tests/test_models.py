@@ -759,6 +759,25 @@ def test_template_takes_each_fitting_text(text):
     assert _agree(text) is not None
 
 
+@pytest.mark.parametrize("values", [
+    # mantissas above 2**53: only the first rounds differently when scaled
+    ["9007199254740993.0", "-9007199254740993.5"],
+    # fraction widths 22 (10.0 ** 22 is exact) and 23 (it is not)
+    ["0.0000001234567890123456", "0.00000001062116443042877"],
+    ["9" * 19 + ".5", "-" + "9" * 19 + ".5"],  # mantissas int64 saturates
+    ["-0.0", "-0.000", "-0.05", "0.000"],       # -0.0 keeps its sign
+    ["1.5", "2.25", "-0.125", "10.0", "3.14159", "0.1"],  # widths differ
+])
+def test_scaled_reader_edges_match_the_per_line_path(values):
+    """Floats read as int mantissas scaled by their fraction width are bit
+    for bit those of the per-line path, beside an int column, where the
+    scaling is inexact, and where the reader saturates."""
+    text = "".join(f'{{"i": {i}, "x": {v}}}\n' for i, v in enumerate(values))
+    col = models._template_collection(text, "c")
+    assert col is not None
+    _same_columns(col, models._decode_lines(text, "c"))
+
+
 def _review_text(n: int, seed: int = 0) -> str:
     """Reviews written as the recommender's data generator writes them."""
     rng = np.random.default_rng(seed)
@@ -771,13 +790,15 @@ def _review_text(n: int, seed: int = 0) -> str:
 def test_template_check_covers_every_chunk():
     """A near miss in any line, chunk borders included, sends the text to
     the per-line path."""
-    text = _review_text(3000)
+    # a review line holds at least 41 characters: these span four chunks
+    text = _review_text(4 * models._TEMPLATE_CHUNK // 41)
     starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"][:-1]
     assert len(text) > 3 * models._TEMPLATE_CHUNK
     want = models._decode_lines(text, "r")
     _same_columns(models._template_collection(text, "r"), want)
     border = text.find("\n", models._TEMPLATE_CHUNK) + 1
-    for at in (1, starts.index(border) - 1, starts.index(border), 2999):
+    for at in (1, starts.index(border) - 1, starts.index(border),
+               len(starts) - 1):
         start = starts[at]
         bad = text[:start] + text[start:].replace(', "rating"',
                                                   '.5, "rating"', 1)
@@ -802,9 +823,9 @@ def test_malformed_line_after_template_lines_names_its_line():
 
 
 def test_template_decode_peaks_below_the_per_line_path():
-    """The template check runs a chunk of lines at a time: one regex
-    repeated over the whole text keeps state for every line and peaks
-    above the per-line decode of a review-shaped text."""
+    """The template path reads a chunk of lines at a time, so its copies
+    of the text and its number arrays peak below the per-line decode of a
+    review-shaped text."""
     text = _review_text(12_500)
 
     def peak(decode):

@@ -93,11 +93,11 @@ def test_recommend_computes_only_the_tiles_its_join_probes(
 def test_workload_inputs_take_the_fast_readers(workloads, name, tables,
                                                collections, tmp_path,
                                                monkeypatch):
-    """Every table a workload loads is read by the all-integer reader, with
-    neither ``csv.reader`` nor ``np.loadtxt``, and every collection through
-    its line template; the other tables are only counted.  A change to the
-    generated data or to the readers' guards that drops a fast path fails
-    here."""
+    """Every table a workload loads is read by the all-integer reader, and
+    every collection through its line template, with neither
+    ``csv.reader`` nor ``np.loadtxt``; the other tables are only counted.
+    A change to the generated data or to the readers' guards that drops a
+    fast path fails here."""
     wl = workloads[name]
     data_dir, spool = str(tmp_path / "data"), str(tmp_path / "spool")
     os.makedirs(spool)
@@ -112,12 +112,12 @@ def test_workload_inputs_take_the_fast_readers(workloads, name, tables,
     def refuse(*args, **kwargs):
         raise AssertionError("a workload input left its fast reader")
 
+    monkeypatch.setattr(models.np, "loadtxt", refuse)
     with monkeypatch.context() as m:
         m.setattr(models.csv, "reader", refuse)
         m.setattr(models, "_decode_lines", refuse)
         Engine(wl.config(data_dir, spool, SEED)).run(wl.script_text())
     assert sorted(loaded["load_table"]) == tables
     assert sorted(loaded["load_collection"]) == collections
-    monkeypatch.setattr(models.np, "loadtxt", refuse)
     for table in tables:
         assert len(Catalog(data_dir).load_table(table)) > 0

@@ -189,6 +189,29 @@ def test_mixed_layout_file_joins_like_its_cells(tmp_path):
         assert stats.stages == 1
 
 
+def test_stage_keys_past_32_bits_leave_resident_runs_alone(tmp_path):
+    """Sparse tiles of 2**32 cells key a stage's records in int64; the run
+    on a resident tile, which the stage leaves out, keeps what the resident
+    lookup found."""
+    t = 1 << 16
+    meta = ArrayMeta(CellSchema(("x0", "x1"), ("v",), (FLOAT,)),
+                     (t, 3 * t), (t, t), "coo")
+    b = ArrayBuilder(meta, BufferPool(UNBOUNDED), name="a")
+    b.add_cells(np.array([[5, 7], [5, t + 7], [9, 2 * t + 3]]),
+                [np.array([1.5, 2.5, 3.5])])
+    path = str(tmp_path / "huge.m2ar")
+    b.finish().save(path)
+    arr = StoredArray.load(path, BufferPool(UNBOUNDED))
+    stats = JoinStats()
+    with arr.pinned((0, 0)):  # resident: looked up in place
+        found, (v,) = arr.lookup_runs(
+            np.array([0, 1, 2]), np.ones(3, np.int64),
+            np.array([5 * t + 7, 5 * t + 7, 9 * t + 3]), stats)
+    assert found.tolist() == [True, True, True]
+    assert v.tolist() == [1.5, 2.5, 3.5]
+    assert (stats.stages, arr.total_reads) == (1, 3)  # the pin's, 2 staged
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
