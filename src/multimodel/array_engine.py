@@ -8,8 +8,9 @@ array-array spatial join. Operators read each tile as blocks through
 and a pool with room for its largest tile runs it; ``matmul`` cuts the
 inner extent at both operands' tile edges, so mixed tilings take the same
 loop. Results are new StoredArrays, whose tiles are installed as blocks by
-``_write_block``. An operator that fails releases its partial result before
-the error propagates.
+``_write_block``; ``matmul`` installs a full tile's fresh accumulator as it
+is. An operator that fails releases its partial result before the error
+propagates.
 
 Sparse semantics: an absent cell counts as 0 for + - *; division keeps the
 divisor's support (absent divisor -> absent output) so missing cells never
@@ -101,21 +102,10 @@ def from_grid(meta: ArrayMeta, mask: np.ndarray, values, pool: BufferPool, *,
 
 def _write_block(out: StoredArray, tc, mask: np.ndarray, values) -> None:
     """Install a mask and value blocks anchored at tile `tc`'s origin as that
-    tile of `out`; an all-false mask writes nothing.  A broadcast all-true
-    mask of a full dense tile over blocks that own their memory, C-ordered
-    and of the tile's dtypes (``matmul``'s fresh accumulators), installs
-    those blocks as they are under an all-true index; every other block is
-    copied by ``block_tile``."""
-    ts, dtypes = out.meta.tile_size, out.attr_dtypes
-    if out.meta.layout == "dense" and mask.shape == ts \
-            and not any(mask.strides) \
-            and all(v.base is None and v.flags.c_contiguous and v.dtype == dt
-                    for v, dt in zip(values, dtypes)) and mask.all():
-        out.write_tile(tc, Tile("dense", ts, dtypes, np.ones(ts, bool),
-                                list(values)))
-    elif mask.any():
-        out.write_tile(tc, block_tile(tc, ts, out.valid_extent(tc), dtypes,
-                                      out.meta.layout, mask, values))
+    tile of `out`; an all-false mask writes nothing."""
+    if mask.any():
+        out.write_tile(tc, block_tile(tc, out.meta.tile_size, out.valid_extent(tc),
+                                      out.attr_dtypes, out.meta.layout, mask, values))
 
 
 # --------------------------------------------------------------- element-wise
@@ -226,6 +216,7 @@ def matmul(a: StoredArray, b: StoredArray, *, transpose_a: bool = False,
     ta, tb, n = ma.tile_size[1], mb.tile_size[0], ma.size[1]
     cuts = sorted({*range(0, n, ta), *range(0, n, tb), n})
     out = StoredArray(meta, a.pool, name=name, spool_dir=a.spool_dir)
+    ts = meta.tile_size
     wanted = None if tiles is None else set(np.asarray(tiles).tolist())
     with out.release_on_error():
         for i in range(meta.grid[0]):
@@ -244,7 +235,12 @@ def matmul(a: StoredArray, b: StoredArray, *, transpose_a: bool = False,
                     _, (vb,) = _read(b, kb)
                     acc += _block(va, a, ka, transpose_a, dt)[:, pa] @ \
                         _block(vb, b, kb, transpose_b, dt)[pb]
-                _write_block(out, (i, j), np.broadcast_to(True, acc.shape), [acc])
+                if acc.shape == ts:  # a full tile takes its fresh acc as it is
+                    out.write_tile((i, j), Tile("dense", ts, out.attr_dtypes,
+                                                np.ones(ts, bool), [acc]))
+                else:
+                    _write_block(out, (i, j), np.broadcast_to(True, acc.shape),
+                                 [acc])
     return out
 
 

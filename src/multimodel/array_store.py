@@ -575,35 +575,30 @@ class StoredArray:
         """One stage of ``lookup_runs``: read the tiles of `reads` (``_READ``
         records) into one buffer in that order (dense ones first), then look
         up the records of the runs whose `run_rank`, the rank of their tile
-        in `reads`, is not -1.  A record's key is ``rank * ncell + cell`` in
-        the ``_narrow`` dtype, over the box (tiles, cells of a tile), with
-        rank ``len(reads)`` for the records left out.  The dense tiles are
-        looked up as the rows of one block viewing the buffer, the sparse
-        ones by ``searchsorted`` in their cells' keys, decoded into one
+        in `reads`, is not -1.  Each record takes its run's rank in the
+        ``_narrow`` dtype, ``len(reads)`` for the records left out.  The
+        dense tiles are looked up by (rank, cell) as the rows of one block
+        viewing the buffer; the sparse ones by ``searchsorted`` of the key
+        ``rank * ncell + cell`` in their cells' keys, decoded into one
         sorted column.  Writes into `found` and `values`."""
         buf, at = self._read_stage(reads, fds, stats)
         ts, dtypes = self.meta.tile_size, self.attr_dtypes
         ncell, n = math.prod(ts), len(reads)
-        dt = _narrow((n + 1) * ncell - 1)
         every = run_rank.min() >= 0  # every run is on a tile of the stage
-        rank = run_rank if every else np.where(run_rank < 0, n, run_rank)
-        key = np.repeat((rank * ncell).astype(dt), run_lengths)
-        np.add(key, cells, out=key, casting="unsafe")  # cells fit in dt
+        rank = np.repeat((run_rank if every else np.where(run_rank < 0, n, run_rank)
+                          ).astype(_narrow(n)), run_lengths)
 
         def on(lo: int, hi: int):  # the records on tiles ranked lo .. hi - 1
             if lo == 0 and hi == n and every:
                 return slice(None)
-            return (key < hi * ncell) if lo == 0 else \
-                (key >= lo * ncell) & (key < hi * ncell)
+            return (rank < hi) if lo == 0 else (rank >= lo) & (rank < hi)
         tags = reads["slot"]["tag"].tolist()
         n_dense = tags.count(_DENSE)
         if n_dense:  # each dense tile's bytes: its mask, then each value block
             width = ncell * (1 + sum(t.itemsize for t in dtypes))
             block = buf[:n_dense * width].reshape(n_dense, width)
             m = on(0, n_dense)
-            cell = key[m]  # key itself when every record is here
-            tile = (cell // ncell).astype(_narrow(n_dense - 1))
-            cell -= tile * dt.type(ncell)
+            tile, cell = rank[m], cells[m]
             found[m] = block[:, :ncell].view(bool)[tile, cell]
             off = ncell
             for out, t in zip(values, dtypes):
@@ -614,11 +609,13 @@ class StoredArray:
             sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], _LAYOUTS[tag],
                                       ts, dtypes)
                       for k, tag in enumerate(tags) if k >= n_dense]
+            dt = _narrow(n * ncell - 1)
             keys = np.concatenate([t.index.astype(dt) + r * ncell
                                    for r, t in enumerate(sparse, n_dense)])
             if len(keys):  # else no record is found: found and values stay 0
                 m = on(n_dense, n)
-                want = key[m]
+                want = np.multiply(rank[m], ncell, dtype=dt)
+                np.add(want, cells[m], out=want, casting="unsafe")  # cells fit
                 pos = np.searchsorted(keys, want)
                 np.minimum(pos, len(keys) - 1, out=pos)
                 found[m] = keys[pos] == want

@@ -877,6 +877,8 @@ def _template_collection(text: str, name: str) -> Collection | None:
     keys, floats, pieces = template
     line = "".join(re.escape(p) + (_FLOAT_LITERAL if f else _INT_LITERAL)
                    for p, f in zip(pieces, floats)) + re.escape(pieces[-1])
+    # possessive (Python 3.11): a greedy * keeps sre state for each line
+    # until the match ends, some 14 bytes a character
     lines = re.compile(f"(?:{line}\n)*+(?:{line})?+")
     last = len(pieces) - 1
     # pieces whose key would survive the translate, and their separators

@@ -212,6 +212,35 @@ def test_stage_keys_past_32_bits_leave_resident_runs_alone(tmp_path):
     assert (stats.stages, arr.total_reads) == (1, 3)  # the pin's, 2 staged
 
 
+def test_one_stage_of_many_dense_tiles_finds_every_cell(tmp_path):
+    """Ten dense tiles of 10 x 10 cells read in one stage: a record's tile
+    rank (up to 9) and cell (up to 99) address ranks * cells past a byte,
+    and every cell is found with its value, also beside a run on a resident
+    tile that the stage leaves out."""
+    meta = ArrayMeta(CellSchema(("x0", "x1"), ("v",), (FLOAT,)),
+                     (10, 100), (10, 10), "dense")
+    grid = np.arange(1000.0).reshape(10, 100) + 0.5
+    b = ArrayBuilder(meta, BufferPool(UNBOUNDED), name="a")
+    b.add_cells(np.argwhere(np.ones(grid.shape, bool)), [grid.ravel()])
+    path = str(tmp_path / "dense.m2ar")
+    b.finish().save(path)
+    arr = StoredArray.load(path, BufferPool(UNBOUNDED))
+    tiles = np.arange(10)
+    cells = np.tile(np.arange(100), 10)
+    want = grid.reshape(10, 10, 10).transpose(1, 0, 2).ravel()
+    for resident in (None, (0, 3)):
+        stats = JoinStats()
+        if resident is None:
+            found, (v,) = arr.lookup_runs(tiles, np.full(10, 100), cells, stats)
+        else:
+            with arr.pinned(resident):
+                found, (v,) = arr.lookup_runs(tiles, np.full(10, 100), cells,
+                                              stats)
+        assert found.all()
+        assert v.tobytes() == want.tobytes()
+        assert stats.stages == 1
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
