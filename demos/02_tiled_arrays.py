@@ -57,7 +57,7 @@ a = arrays["csr"]
 a.reset_io_stats()
 tc = tuple(int(c) // 16 for c in coords[0])
 tile = a.pin(tc)
-found, (value,) = tile.lookup((coords[0] % 16).astype(np.uint64)[None, :])
+found, (value,) = tile.lookup(tuple(coords[:1].T % 16))  # one array per dim
 print("cell", tuple(map(int, coords[0])), "->",
       value[0] if found[0] else "absent")
 a.unpin(tc)

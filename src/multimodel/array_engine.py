@@ -36,7 +36,7 @@ from .models import ArrayMeta, CellSchema, ValueType
 
 __all__ = [
     "ewise", "matmul", "matmul_meta", "transpose", "transposed_meta", "rand",
-    "rand_meta", "spatial_join_array", "to_grid", "from_grid",
+    "rand_meta", "spatial_join_array", "to_grid",
 ]
 
 _AUTO_NAME = re.compile(r"^(dim\d+|value\d*)$")
@@ -85,19 +85,6 @@ def to_grid(arr: StoredArray):
         for grid, v in zip(values, vs):
             grid[sl] = v[box]
     return mask, values
-
-
-def from_grid(meta: ArrayMeta, mask: np.ndarray, values, pool: BufferPool, *,
-              name: str = "", spool_dir: str | None = None) -> StoredArray:
-    """Tile a full-size grid into a new StoredArray (tile-at-a-time)."""
-    arr = StoredArray(meta, pool, name=name, spool_dir=spool_dir)
-    ts = meta.tile_size
-    with arr.release_on_error():
-        for tc in itertools.product(*[range(g) for g in meta.grid]):
-            sl = tuple(slice(c * t, c * t + v)
-                       for c, t, v in zip(tc, ts, arr.valid_extent(tc)))
-            _write_block(arr, tc, mask[sl], [v[sl] for v in values])
-    return arr
 
 
 def _write_block(out: StoredArray, tc, mask: np.ndarray, values) -> None:
@@ -286,10 +273,14 @@ def rand(size, tile_size, seed: int, pool: BufferPool, *, name: str = "",
     """Dense uniform [0,1) array from a counter-based deterministic generator;
     the seed is recorded in the array metadata."""
     meta = rand_meta(size, tile_size, seed)
-    gen = np.random.Generator(np.random.Philox(seed))
-    grid = gen.random(meta.size)
-    return from_grid(meta, np.broadcast_to(True, meta.size), [grid], pool,
-                     name=name, spool_dir=spool_dir)
+    grid = np.random.Generator(np.random.Philox(seed)).random(meta.size)
+    arr = StoredArray(meta, pool, name=name, spool_dir=spool_dir)
+    with arr.release_on_error():
+        for tc in itertools.product(*map(range, meta.grid)):
+            block = grid[tuple(slice(c * t, c * t + v) for c, t, v in
+                               zip(tc, meta.tile_size, arr.valid_extent(tc)))]
+            _write_block(arr, tc, np.broadcast_to(True, block.shape), [block])
+    return arr
 
 
 # ---------------------------------------------------------------- array join

@@ -7,17 +7,21 @@ where the mask is false. A sparse tile's index is the strictly increasing
 row-major keys of its cells within the box, binary searched, and each value
 column lines up with it. Sparse tiles have two byte encodings, which is all
 that tells them apart: COO (cell coordinates) and CSR (2-D only: row pointers
-+ column indices). Tiles are the unit of I/O: readers pin a tile
-through the shared buffer pool, which makes it non-evictable until unpinned;
-dirty tiles spill to disk on eviction. The record-array join reads through
-``StoredArray.lookup_runs`` instead: pool-sized stages of tiles read with
-coalesced preads and looked up a stage at once, never entering the pool.
-``release()`` frees a whole array: its tiles leave the pool without being
-spilled and its spill file is deleted.
++ column indices), each checked when it is decoded. Tiles are the unit of
+I/O, and ``StoredArray._read_stage`` reads every slot: a pin's miss reads one
+and caches its tile in the shared buffer pool, which makes it non-evictable
+until unpinned; dirty tiles spill to disk on eviction. The record-array join
+reads through ``StoredArray.lookup_runs`` instead: pool-sized stages of tiles
+read with coalesced preads and looked up a stage at once, never entering the
+pool. ``release()`` frees a whole array: its tiles leave the pool without
+being spilled and its spill file is deleted.
 A cell's place is decided in one place, ``_tile_cells``: its tile's row-major
 id and its row-major key in the tile, each narrow; the record-array join
-probes by them.  ``ArrayBuilder`` orders cells by (tile, key) and installs
-each tile from its keys, as ``block_tile`` does a sparse tile from a block.
+probes by them.  ``_ravel`` keys a cell in its tile, and ``Tile.lookup``
+finds cells: in a resident tile, or in the one dense and one coo tile whose
+rows are a stage's tiles.  ``ArrayBuilder`` orders cells by (tile, key) and
+installs each tile from its keys, as ``block_tile`` does a sparse tile from a
+block.
 Operators build tiles from blocks and read them as blocks
 (``Tile.to_scratch``: a dense tile's own, as read-only views).
 
@@ -85,31 +89,25 @@ def dtype_for(vt: ValueType) -> np.dtype:
 _MAX_CELLS = np.iinfo(np.intp).max  # cells of a box, keyed 0 .. n-1
 
 
-def _linearize(cc: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
-    """Row-major linear key of each coordinate row within the given box."""
-    key = cc[:, 0].astype(np.uint64)
-    for i in range(1, len(box)):
-        key *= np.uint64(box[i])
-        key += cc[:, i].astype(np.uint64)
-    return key
-
-
 def _narrow(top: int) -> np.dtype:
     """The narrowest unsigned dtype holding 0..top; int64 past 32 bits, as
     numpy promotes uint64 with int64 to float64."""
     return np.min_scalar_type(top) if top >> 32 == 0 else np.dtype(np.int64)
 
 
-def _ravel(parts, box) -> np.ndarray:
-    """Row-major linear index of per-dimension `parts` inside `box`, in the
-    ``_narrow`` dtype that holds it.  A box with more cells than an int64
-    can number is refused, not wrapped."""
+def _ravel(parts, box, dt=None) -> np.ndarray:
+    """Row-major linear index of per-dimension `parts` inside `box`, in `dt`
+    or the ``_narrow`` dtype holding it, built in a copy of the first part.
+    A box with more cells than an int64 can number is refused, not wrapped."""
     if (n := math.prod(box)) > _MAX_CELLS:
         raise ShapeError(f"extent {tuple(box)} holds more than {_MAX_CELLS} cells")
-    dt, out = _narrow(n - 1), None
-    for p, b in zip(parts, box):
-        if b > 1:  # extent 1 adds nothing; skipping it keeps b inside dt
-            out = p.astype(dt, copy=False) if out is None else out * b + p
+    dt, out = _narrow(n - 1) if dt is None else dt, None
+    for p, b in zip(parts, box):  # extent 1 adds nothing; skipping it keeps b inside dt
+        if b > 1 and out is None:
+            out = p.astype(dt)  # a copy: callers reuse their parts
+        elif b > 1:
+            out *= b
+            np.add(out, p, out=out, dtype=dt, casting="unsafe")  # p fits dt
     return np.zeros(len(parts[0]), dt) if out is None else out
 
 
@@ -149,18 +147,20 @@ class Tile:
 
     # -- batch access -----------------------------------------------------
 
-    def lookup(self, cc: np.ndarray):
-        """Batch probe: cc is (k, d). Returns (found bool array, value arrays);
-        value entries where found is False are meaningless."""
-        k = len(cc)
-        if self.layout == "dense" and k:
-            idx = tuple(cc.T)
-            return self.index[idx], [v[idx] for v in self.values]
-        if k == 0 or len(self.index) == 0:
-            return (np.zeros(k, dtype=bool),
-                    [np.zeros(k, dt) for dt in self.attr_dtypes])
-        keys = _linearize(cc, self.ts)
-        pos = np.minimum(np.searchsorted(self.index, keys), len(self.index) - 1)
+    def lookup(self, parts):
+        """Batch probe of the cells at `parts`, one coordinate array per
+        dimension (as ``np.nonzero`` and ``np.unravel_index`` give them).
+        Returns (found bool array, value arrays); value entries where found
+        is False are meaningless."""
+        if self.layout == "dense":
+            return self.index[parts], [v[parts] for v in self.values]
+        if len(self.index) == 0:
+            k = len(parts[0])
+            return np.zeros(k, dtype=bool), [np.zeros(k, dt) for dt in self.attr_dtypes]
+        # in the index's dtype: int64 against uint64 would search as float64
+        keys = _ravel(parts, self.ts).astype(self.index.dtype, copy=False)
+        pos = np.searchsorted(self.index, keys)
+        np.minimum(pos, len(self.index) - 1, out=pos)
         return self.index[pos] == keys, [v[pos] for v in self.values]
 
     def cells(self):
@@ -200,25 +200,42 @@ class Tile:
             for a in [*arrays, *self.values])
 
     @staticmethod
-    def from_bytes(buf: bytes, layout, ts, attr_dtypes) -> "Tile":
+    def from_bytes(buf, layout, ts, attr_dtypes) -> "Tile":
+        """The tile that ``to_bytes`` encoded in `buf`.  A sparse slot is
+        checked first: ``ArrayFileError`` says what is wrong with it."""
         if layout == "dense":
             shape = ts
             index = np.frombuffer(buf, "|b1", math.prod(ts)).reshape(ts).copy()
             off = index.nbytes
         else:
-            (m,) = struct.unpack_from("<Q", buf)
-            off = 8
+            (m,) = struct.unpack_from("<Q", buf) if len(buf) >= 8 else (None,)
+            off = 8 + (8 * (ts[0] + 1) if layout == "csr" else 0)
+            per_cell = 8 * (len(ts) if layout == "coo" else 1) + sum(
+                dt.itemsize for dt in attr_dtypes)
+            if m is None or len(buf) != off + m * per_cell:
+                raise ArrayFileError(f"a {len(buf)}-byte {layout} slot does "
+                                     f"not hold the {m} cells it counts")
             if layout == "coo":
                 coords = np.frombuffer(buf, "<u8", m * len(ts), off).reshape(m, len(ts))
+                if m and coords.max() >= min(ts) and any(  # else every one fits
+                        c.max() >= t for c, t in zip(coords.T, ts)):
+                    raise ArrayFileError(f"a coordinate outside the tile {ts}")
                 off += coords.nbytes
-                index = _linearize(coords, ts)
+                index = _ravel(coords.T, ts, np.dtype(np.uint64))
             else:
-                indptr = np.frombuffer(buf, "<u8", ts[0] + 1, off)
-                cols = np.frombuffer(buf, "<u8", m, off + indptr.nbytes)
-                off += indptr.nbytes + cols.nbytes
-                rows = np.repeat(np.arange(ts[0], dtype=np.uint64),
-                                 np.diff(indptr).astype(np.int64))
-                index = rows * np.uint64(ts[1]) + cols
+                indptr = np.frombuffer(buf, "<u8", ts[0] + 1, 8)
+                cols = np.frombuffer(buf, "<u8", m, off)
+                if indptr[0] != 0 or indptr[-1] != m or (indptr[1:] < indptr[:-1]).any():
+                    raise ArrayFileError(f"row pointers not rising from 0 to {m}")
+                if m and cols.max() >= ts[1]:
+                    raise ArrayFileError(f"a column index outside the tile {ts}")
+                off += cols.nbytes
+                # each cell's key: its row's first key, repeated over the row, + column
+                index = np.repeat(np.arange(0, ts[0] * ts[1], ts[1], dtype=np.uint64),
+                                  np.diff(indptr).astype(np.int64))
+                index += cols
+            if (index[1:] <= index[:-1]).any():
+                raise ArrayFileError("cell keys not strictly increasing")
             shape = (m,)
         values = []
         for dt in attr_dtypes:
@@ -295,8 +312,7 @@ def block_tile(tc, ts, valid, attr_dtypes, layout, mask, values) -> Tile:
         raise BoundsError(f"cells outside valid extent {valid} of tile {tuple(tc)}")
     if layout != "dense":
         cc = np.nonzero(mask)  # row-major in the block, so in the tile box
-        keys = _ravel([c.astype(_narrow(t - 1)) for c, t in zip(cc, ts)], ts)
-        return _keyed_tile(ts, attr_dtypes, layout, keys, [v[cc] for v in values])
+        return _keyed_tile(ts, attr_dtypes, layout, _ravel(cc, ts), [v[cc] for v in values])
     box = tuple(slice(0, n) for n in mask.shape)
     index = np.zeros(ts, dtype=bool)
     index[box] = mask
@@ -440,9 +456,13 @@ class StoredArray:
             if src == _MEM:
                 raise InternalError(f"in-memory tile {self._coords([i])[0]} "
                                     "lost without a spill")
-            tile = self._read_tile(i)
-            self._reads[i] += 1
-            self._register(i, tile)
+            reads, fds = np.array([(i, self._slots[i])], _READ), {}
+            try:
+                buf, _, _ = self._read_stage(reads, fds)
+            finally:
+                for fd in fds.values():
+                    os.close(fd)
+            self._register(i, tile := self._decode(buf, _LAYOUTS[self._tag[i]], reads, 0))
         self._active[i] += 1
         return tile
 
@@ -471,21 +491,6 @@ class StoredArray:
             id=self._key(i), size=tile.nbytes, payload=tile,
             is_evictable=lambda: not self._active[i], do_eviction=on_evict))
         self._registered[i] = True
-
-    def _read_tile(self, i: int) -> Tile:
-        # one exact-length read: a buffered file would read a whole block
-        path = self._path if self._src[i] == _FILE else self._spill_path
-        offset, length = int(self._offset[i]), int(self._length[i])
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            buf = os.pread(fd, length, offset)
-        finally:
-            os.close(fd)
-        if len(buf) != length:
-            raise InternalError(f"short read of tile {self._coords([i])[0]} "
-                                f"from {path}: {len(buf)} of {length} bytes")
-        return Tile.from_bytes(buf, _LAYOUTS[self._tag[i]],
-                               self.meta.tile_size, self.attr_dtypes)
 
     def _spill(self, tile: Tile, i: int) -> None:
         if self._spill_path is None:
@@ -549,9 +554,8 @@ class StoredArray:
         try:
             for r in np.flatnonzero(held[inv]).tolist():
                 lo, hi = starts[r], starts[r + 1]
-                cc = np.column_stack(np.unravel_index(cells[lo:hi],
-                                                      self.meta.tile_size))
-                found[lo:hi], vals = resident[inv[r]].lookup(cc)
+                found[lo:hi], vals = resident[inv[r]].lookup(
+                    np.unravel_index(cells[lo:hi], self.meta.tile_size))
                 for out, v in zip(values, vals):
                     out[lo:hi] = v
             for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -577,57 +581,48 @@ class StoredArray:
         up the records of the runs whose `run_rank`, the rank of their tile
         in `reads`, is not -1.  Each record takes its run's rank in the
         ``_narrow`` dtype, ``len(reads)`` for the records left out.  The
-        dense tiles are looked up by (rank, cell) as the rows of one block
-        viewing the buffer; the sparse ones by ``searchsorted`` of the key
-        ``rank * ncell + cell`` in their cells' keys, decoded into one
-        sorted column.  Writes into `found` and `values`."""
-        buf, at = self._read_stage(reads, fds, stats)
+        dense tiles are probed as the rows of one dense ``Tile`` viewing the
+        buffer; the sparse ones, decoded, as the rows of one coo ``Tile``
+        over their concatenated keys.  Writes into `found` and `values`."""
+        buf, at, preads = self._read_stage(reads, fds)
+        stats.preads += preads
+        stats.bytes_read += at[-1]
         ts, dtypes = self.meta.tile_size, self.attr_dtypes
         ncell, n = math.prod(ts), len(reads)
         every = run_rank.min() >= 0  # every run is on a tile of the stage
         rank = np.repeat((run_rank if every else np.where(run_rank < 0, n, run_rank)
                           ).astype(_narrow(n)), run_lengths)
 
-        def on(lo: int, hi: int):  # the records on tiles ranked lo .. hi - 1
-            if lo == 0 and hi == n and every:
-                return slice(None)
-            return (rank < hi) if lo == 0 else (rank >= lo) & (rank < hi)
+        def look(block: Tile, first: int) -> None:  # row r: the tile ranked first + r
+            hi = first + block.ts[0]  # m: the records on tiles ranked first .. hi - 1
+            m = (slice(None) if first == 0 and hi == n and every else
+                 (rank < hi) if first == 0 else (rank >= first) & (rank < hi))
+            found[m], vals = block.lookup((rank[m] - first if first else rank[m], cells[m]))
+            for out, v in zip(values, vals):
+                out[m] = v
         tags = reads["slot"]["tag"].tolist()
         n_dense = tags.count(_DENSE)
         if n_dense:  # each dense tile's bytes: its mask, then each value block
-            width = ncell * (1 + sum(t.itemsize for t in dtypes))
-            block = buf[:n_dense * width].reshape(n_dense, width)
-            m = on(0, n_dense)
-            tile, cell = rank[m], cells[m]
-            found[m] = block[:, :ncell].view(bool)[tile, cell]
-            off = ncell
-            for out, t in zip(values, dtypes):
-                out[m] = block[:, off:off + ncell * t.itemsize].view(t)[tile, cell]
-                off += ncell * t.itemsize
+            rows = buf[:at[n_dense]].reshape(n_dense, -1)
+            cut = list(itertools.accumulate([ncell] + [ncell * t.itemsize for t in dtypes]))
+            look(Tile("dense", (n_dense, ncell), dtypes, rows[:, :ncell].view(bool),
+                      [rows[:, lo:hi].view(t) for lo, hi, t in zip(cut, cut[1:], dtypes)]), 0)
         if n_dense < n:
-            view = memoryview(buf)
-            sparse = [Tile.from_bytes(view[at[k]:at[k + 1]], _LAYOUTS[tag],
-                                      ts, dtypes)
-                      for k, tag in enumerate(tags) if k >= n_dense]
-            dt = _narrow(n * ncell - 1)
-            keys = np.concatenate([t.index.astype(dt) + r * ncell
-                                   for r, t in enumerate(sparse, n_dense)])
-            if len(keys):  # else no record is found: found and values stay 0
-                m = on(n_dense, n)
-                want = np.multiply(rank[m], ncell, dtype=dt)
-                np.add(want, cells[m], out=want, casting="unsafe")  # cells fit
-                pos = np.searchsorted(keys, want)
-                np.minimum(pos, len(keys) - 1, out=pos)
-                found[m] = keys[pos] == want
-                for out, col in zip(values, zip(*(t.values for t in sparse))):
-                    out[m] = np.concatenate(col)[pos]
+            sparse = [self._decode(buf[at[k]:at[k + 1]], _LAYOUTS[tags[k]], reads, k)
+                      for k in range(n_dense, n)]
+            dt = _narrow((n - n_dense) * ncell - 1)
+            block = Tile("coo", (n - n_dense, ncell), dtypes, np.concatenate(
+                [t.index.astype(dt) + r * ncell for r, t in enumerate(sparse)]),
+                [np.concatenate(col) for col in zip(*(t.values for t in sparse))])
+            del sparse  # the block holds their cells
+            look(block, n_dense)
 
-    def _read_stage(self, reads, fds, stats):
+    def _read_stage(self, reads, fds):
         """Read the slots of `reads` (``_READ`` records: tile id, slot) into
         one buffer, in the given order: each run of slots adjacent in one
         file takes one pread (more only if the kernel returns short), over
-        one fd per file kept in `fds`.  Returns the buffer and each slot's
-        start in it (plus the end)."""
+        one fd per file kept in `fds`; counts a disk read of each tile.
+        Returns the buffer, each slot's start in it (plus the end), preads."""
         src, offset, length = (reads["slot"][f] for f in ("src", "offset", "length"))
         at = list(itertools.accumulate(length.tolist(), initial=0))
         buf = np.empty(at[-1], dtype=np.uint8)
@@ -635,15 +630,15 @@ class StoredArray:
         cut = (np.flatnonzero((src[1:] != src[:-1]) | (offset[1:] != offset[:-1]
                                                        + length[:-1])) + 1
                ).tolist() if len(reads) > 1 else []  # one slot: one run
-        edges = [0, *cut, len(reads)]
+        edges, preads = [0, *cut, len(reads)], 0
         for i, j in zip(edges[:-1], edges[1:]):
-            path = self._path if src[i] == _FILE else self._spill_path
+            path = self._file(src[i])
             if path not in fds:
                 fds[path] = os.open(path, os.O_RDONLY)
             lo, hi, pos = at[i], at[j], int(offset[i])
             while lo < hi:
                 got = os.preadv(fds[path], [view[lo:hi]], pos)
-                stats.preads += 1
+                preads += 1
                 if got == 0:
                     k = bisect.bisect_right(at, lo) - 1
                     tc = self._coords(reads["tile"][k:k + 1])[0]
@@ -652,8 +647,21 @@ class StoredArray:
                 lo += got
                 pos += got
         self._reads[reads["tile"]] += 1
-        stats.bytes_read += at[-1]
-        return buf, at
+        return buf, at, preads
+
+    def _file(self, src) -> str | None:
+        """The file a slot of source `src` (``_FILE`` or ``_SPILL``) is in."""
+        return self._path if src == _FILE else self._spill_path
+
+    def _decode(self, buf, layout: str, reads, k: int) -> Tile:
+        """The `layout` tile in `buf`, slot `k` of `reads` (``_READ`` records);
+        a bad slot raises ``ArrayFileError`` naming its file and tile."""
+        try:
+            return Tile.from_bytes(buf, layout, self.meta.tile_size, self.attr_dtypes)
+        except ArrayFileError as e:
+            tile, slot = reads[k]
+            raise ArrayFileError(f"{self._file(slot['src'])}: tile "
+                                 f"{self._coords([tile])[0]}: {e}") from None
 
     # -- writing -------------------------------------------------------------
 

@@ -21,12 +21,12 @@ from functools import partial
 import numpy as np
 
 from .array_store import ArrayBuilder, StoredArray
-from .bridge import (DimBinding, JoinStats, join_probe_only,
-                     join_via_conversion, mshj, to_relation)
+from .bridge import STRATEGIES, JoinStats, dispatch_join, to_relation
 from .buffer_pool import BufferObject, BufferPool
 from .errors import ConfigError
 from .models import (FLOAT, INT, ArrayMeta, CellSchema, Collection, Column,
                      Relation)
+from .predicates import parse_predicate
 
 REPORT_COLUMNS = [
     "scenario", "strategy", "n", "d", "layout", "wall_ms", "extract_ms",
@@ -121,18 +121,6 @@ def _max_tile_bytes(path: str) -> int:
     return worst
 
 
-def _run_strategy(strategy: str, rel: Relation, arr: StoredArray,
-                  stats: JoinStats):
-    binding = DimBinding(tuple(f"a{i}" for i in range(arr.meta.d)))
-    if strategy == "mshj":
-        return mshj(rel, arr, binding, stats=stats)
-    if strategy == "probe-only":
-        return join_probe_only(rel, arr, binding, stats=stats)
-    if strategy == "convert":
-        return join_via_conversion(rel, arr, binding, stats=stats)
-    raise ConfigError(f"unknown strategy {strategy!r}")
-
-
 def _median_ms(timed: list[JoinStats], phase: str) -> float:
     return round(statistics.median(
         getattr(s, f"{phase}_seconds") for s in timed) * 1000.0, 3)
@@ -149,8 +137,10 @@ def bench_mshj(dims: int = 2, layout: str = "dense",
         raise ConfigError("csr layout is 2-D only")
     if layout not in ("dense", "coo", "csr"):
         raise ConfigError(f"unknown layout {layout!r}")
-    strategies = (["mshj", "convert", "probe-only"] if strategy == "all"
-                  else [strategy])
+    if strategy != "all" and strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    strategies = STRATEGIES if strategy == "all" else (strategy,)
+    pred = parse_predicate(" and ".join(f"rec.a{i} = arr.a{i}" for i in range(dims)))
     ns = parse_sweep(n_sweep)
     own_dir = workdir is None
     workdir = workdir or tempfile.mkdtemp(prefix="m2bench-")
@@ -171,7 +161,8 @@ def bench_mshj(dims: int = 2, layout: str = "dense",
                     arr = StoredArray.load(path, pool)
                     stats = JoinStats()
                     t0 = time.perf_counter()
-                    res = _run_strategy(strat, rel, arr, stats)
+                    res = dispatch_join(rel, arr, pred, strategy=strat,
+                                        stats=stats)
                     dt = (time.perf_counter() - t0) * 1000.0
                     if rep > 0:
                         walls.append(dt)

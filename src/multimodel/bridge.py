@@ -19,12 +19,11 @@ built: bound columns are read in place, and document output reads the
 matched records' coordinates.  The probe (``StoredArray.lookup_runs``)
 cuts the ordered runs of records on one tile into stages whose tiles'
 decoded bytes fit the pool's free space, at least one run per stage.
-Resident tiles are used in place.  A stage's other tiles are read in file
-order into one buffer, one ``pread`` per run of adjacent slots over one fd
-per file held for the probe; its dense tiles are looked up as one
-(tiles, cells) block by one fancy index and its sparse tiles through one
-``searchsorted`` over their concatenated keys.  Stage tiles never enter
-the pool, so the join evicts nothing.
+A stage's tiles that are not resident are read in file order into one
+buffer, one ``pread`` per run of adjacent slots over one fd per file held
+for the probe.  ``Tile.lookup`` finds every cell: in a resident tile as it
+is, or in the one dense and one coo tile whose rows are the stage's tiles.
+Stage tiles never enter the pool, so the join evicts nothing.
 
 ``to_array`` is the one way records become an array.  One pass over the
 records' columns (``_extract_dims``) yields the bound coordinates, the kept
@@ -51,6 +50,9 @@ from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      infer_column_type, tile_extent)
 from .predicates import bound_names, equi_conjuncts
 from .rd_engine import _overlay, execute_tree, node
+
+
+STRATEGIES = ("mshj", "convert", "probe-only")  # "auto" picks one of them
 
 
 @dataclass(frozen=True)
@@ -553,16 +555,29 @@ def match_all_dims_binding(pred, dim_names, rec_name: str,
     return DimBinding(tuple(bound[d] for d in dim_names))
 
 
+def _route(pred, dim_names, rec_name: str, arr_name: str, strategy: str):
+    """(strategy run, binding of `pred` or None): ``auto`` probes an
+    equi-join binding every array dimension and converts otherwise."""
+    binding = match_all_dims_binding(pred, dim_names, rec_name, arr_name)
+    if strategy == "auto":
+        strategy = "mshj" if binding is not None else "convert"
+    if strategy in ("mshj", "probe-only") and binding is None:
+        raise BindingError("mshj requires an equi-join over every array dimension")
+    if strategy not in STRATEGIES:
+        raise OutputSpecError(f"unknown join strategy {strategy!r}")
+    return strategy, binding
+
+
 def join_tiles(records, meta: ArrayMeta, pred, *, rec_name: str,
                arr_name: str, strategy: str) -> np.ndarray | None:
     """The sorted linear ids of the tiles that ``dispatch_join`` of
     `records` to an array with `meta` probes, or None when it reads every
     tile (convert) or raises before it probes."""
-    binding = match_all_dims_binding(pred, meta.schema.dim_names, rec_name,
-                                     arr_name)
-    if binding is None or strategy not in ("auto", "mshj", "probe-only"):
-        return None
     try:
+        strategy, binding = _route(pred, meta.schema.dim_names, rec_name,
+                                   arr_name, strategy)
+        if strategy == "convert":
+            return None
         return np.unique(_locate(records, binding, meta, JoinStats())[2])
     except EngineError:
         return None
@@ -573,25 +588,18 @@ def dispatch_join(records, arr: StoredArray, pred,
                   rec_name: str = "rec", arr_name: str = "arr",
                   strategy: str = "auto", stats: JoinStats | None = None,
                   trace: JoinTrace | None = None):
-    """Route an inter-model join: all-dimension equi-joins go to mshj, any
-    other predicate falls back to the conversion strategy."""
-    binding = match_all_dims_binding(pred, arr.meta.schema.dim_names,
-                                     rec_name, arr_name)
-    if strategy == "auto":
-        strategy = "mshj" if binding is not None else "convert"
-    if strategy in ("mshj", "probe-only") and binding is None:
-        raise BindingError(
-            "mshj requires an equi-join over every array dimension")
+    """Route an inter-model join (``_route``): all-dimension equi-joins go
+    to mshj, any other predicate falls back to the conversion strategy."""
+    strategy, binding = _route(pred, arr.meta.schema.dim_names, rec_name,
+                               arr_name, strategy)
     if strategy == "mshj":
         return mshj(records, arr, binding, out, stats=stats, trace=trace)
     if strategy == "probe-only":
         return join_probe_only(records, arr, binding, out, stats=stats,
                                trace=trace)
-    if strategy == "convert":
-        return join_via_conversion(records, arr, binding, out, pred=pred,
-                                   rec_name=rec_name, arr_name=arr_name,
-                                   stats=stats)
-    raise OutputSpecError(f"unknown join strategy {strategy!r}")
+    return join_via_conversion(records, arr, binding, out, pred=pred,
+                               rec_name=rec_name, arr_name=arr_name,
+                               stats=stats)
 
 
 # ---------------------------------------------------------------------------

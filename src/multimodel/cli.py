@@ -3,6 +3,7 @@ import json
 import sys
 
 from .bench import bench_bufferpool, bench_mshj, write_report
+from .bridge import STRATEGIES
 from .errors import EngineError
 from .executor import Catalog, EngineConfig, format_result, run_script
 
@@ -27,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seed", type=int, default=0,
                       help="base seed for rand() arrays")
     runp.add_argument("--strategy", default="auto",
-                      choices=["auto", "mshj", "convert", "probe-only"],
+                      choices=["auto", *STRATEGIES],
                       help="inter-model join strategy")
     runp.add_argument("--tile", type=int, default=0,
                       help="tile extent per dimension for materialized "
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     mshjp.add_argument("--n-sweep", default="1000:100000:5",
                        help="record counts as lo:hi:steps")
     mshjp.add_argument("--strategy", default="all",
-                       choices=["mshj", "convert", "probe-only", "all"])
+                       choices=[*STRATEGIES, "all"])
     mshjp.add_argument("--capacity-tiles", type=int, default=0,
                        help="pool capacity in tiles (0 = effectively "
                             "unbounded)")

@@ -82,10 +82,10 @@ class DataFormatError(EngineError, ValueError):
 
 
 class ArrayFileError(EngineError, ValueError):
-    """An array file that cannot be opened: bad magic or version, a header
-    or directory cut short, an unknown layout tag, or a tile slot that is
-    empty or ends beyond the file.  Names the file; also a ValueError, as
-    ``StoredArray.load`` raised before it existed."""
+    """An array file that cannot be read: bad magic or version, a header or
+    directory cut short, an unknown layout tag, a tile slot that is empty,
+    ends beyond the file or, sparse, does not decode.  Names the file; also
+    a ValueError, as ``StoredArray.load`` raised before it existed."""
 
 
 class InternalError(EngineError):

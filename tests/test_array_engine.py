@@ -381,6 +381,6 @@ def test_results_independent_of_tile_size(pool, ts):
 def test_grid_round_trip(pool):
     cells = {(0, 0): (1.5,), (3, 2): (2.5,), (7, 7): (-3.0,)}
     a = from_cells(pool, (8, 8), (3, 3), cells, layout="coo")
-    mask, values = ae.to_grid(a)
-    back = ae.from_grid(a.meta, mask, values, pool)
-    assert cells_dict(back) == cells
+    mask, (grid,) = ae.to_grid(a)
+    assert {tuple(c): (grid[tuple(c)],) for c in np.argwhere(mask).tolist()} == cells
+    assert not grid[~mask].any()  # zero where no cell is stored

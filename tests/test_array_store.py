@@ -36,7 +36,7 @@ def _dense_linear_tile(ts=(10, 5)):
 
 def cell(tile, cc):
     """Values of one cell through the batch lookup, or ABSENT."""
-    found, vals = tile.lookup(np.asarray([cc], dtype=np.uint64))
+    found, vals = tile.lookup(tuple(np.array([c]) for c in cc))
     return tuple(v[0].item() for v in vals) if found[0] else ABSENT
 
 
@@ -112,7 +112,7 @@ def test_nbytes_counts_every_array_a_tile_holds(layout):
     t = built_tile((0, 0), (4, 5), (4, 5), [I8, F8], layout, cc,
                    [[1, 2, 3, 4], [0.5, 1.5, 2.5, 3.5]])
     assert t.nbytes == _held_bytes(t)
-    for use in (lambda: t.lookup(np.asarray(cc, dtype=np.uint64)), t.cells,
+    for use in (lambda: t.lookup(tuple(np.array(cc).T)), t.cells,
                 t.to_scratch, t.to_bytes):
         use()
         assert t.nbytes == _held_bytes(t)
@@ -406,13 +406,13 @@ def test_tile_read_is_one_exact_length_pread(tmp_path, pool, monkeypatch):
     _filled_array(pool).save(path)
     arr = StoredArray.load(path, pool)
     reads = []
-    pread = os.pread
+    preadv = os.preadv
 
-    def spy(fd, n, offset):
-        reads.append((n, offset))
-        return pread(fd, n, offset)
+    def spy(fd, buffers, offset):
+        reads.append((sum(len(b) for b in buffers), offset))
+        return preadv(fd, buffers, offset)
 
-    monkeypatch.setattr(os, "pread", spy)
+    monkeypatch.setattr(os, "preadv", spy)
     arr.pin((1, 1))
     arr.unpin((1, 1))
     i = arr._tile_id((1, 1))

@@ -84,18 +84,18 @@ def test_extraction_is_reported_beside_build():
 def test_phases_are_medians_over_the_timed_repeats(monkeypatch):
     import multimodel.bench as bench
 
-    run = bench._run_strategy
+    run = bench.dispatch_join
     # per repeat (the first is the warm-up): seconds of each phase
     seconds = iter([9.0, 0.001, 0.005, 0.003, 0.002])
 
-    def fixed(strategy, rel, arr, stats):
-        res = run(strategy, rel, arr, stats)
+    def fixed(rel, arr, pred, *, stats, **kwargs):
+        res = run(rel, arr, pred, stats=stats, **kwargs)
         s = next(seconds)
         stats.extract_seconds, stats.build_seconds = s, 2 * s
         stats.probe_seconds, stats.emit_seconds = 3 * s, 4 * s
         return res
 
-    monkeypatch.setattr(bench, "_run_strategy", fixed)
+    monkeypatch.setattr(bench, "dispatch_join", fixed)
     [row] = bench_mshj(2, "dense", "200:200:1", "mshj", seed=3,
                        size=(60, 40), tile=(20, 10), repeat=4)
     # median of 1, 5, 3, 2 ms (the warm-up's 9 s is dropped; the last is 2)

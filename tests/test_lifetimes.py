@@ -167,7 +167,7 @@ def test_failed_run_deletes_the_spill_files_of_its_arrays(tmp_path,
 
 @pytest.mark.parametrize("nth, inside", [
     (20, "finish"),      # toArray's ArrayBuilder
-    (47, "from_grid"),   # rand
+    (47, "rand"),
     (59, "transpose"),   # in TRANSPOSE, not the recommender
     (86, "matmul"),
     (150, "ewise"),

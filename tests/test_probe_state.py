@@ -122,22 +122,37 @@ def test_the_dtypes_switch_at_the_limits():
     assert ids.dtype == np.int64 and ids.tolist() == [0, 65_538]
 
 
-def test_cells_past_float64_precision_probe_exactly(tmp_path):
-    """One coo tile of 2**54 cells, read by a stage (not resident): cells
-    2**54 - 1 and 2**54 - 2 differ, which they would not as float64."""
-    side = 1 << 27
+def _searchsorted_as_numpy_1(a, v, *args, **kwargs):
+    """``np.searchsorted`` as numpy < 2 runs it: both sides in their common
+    dtype, which is float64 for uint64 against int64."""
+    common = np.result_type(a, v)
+    return SEARCHSORTED(np.asarray(a, common), np.asarray(v, common),
+                        *args, **kwargs)
+
+
+SEARCHSORTED = np.searchsorted
+
+
+def test_cells_past_float64_precision_probe_exactly(tmp_path, monkeypatch):
+    """One coo tile of 2**56 cells, read by a stage or resident in the pool:
+    cells 2**56 - 1 and 2**56 - 2 differ, which they would not as float64,
+    also where a search of int64 keys in uint64 ones goes through float64."""
+    side = 1 << 28
     meta = _meta((side, side), (side, side))
     cells = [(side - 1, side - 1), (side - 1, side - 2), (0, 3)]
     builder = ArrayBuilder(meta, BufferPool(1 << 30))
     builder.add_cells(np.array(cells), [np.array([1, 2, 3])])
     path = str(tmp_path / "a.m2ar")
-    builder.finish().save(path)
-    arr = StoredArray.load(path, BufferPool(1 << 20))
+    built = builder.finish()  # its tile is resident
+    built.save(path)
     rel = Relation([("x0", INT), ("x1", INT)], cells + [(side - 1, side - 3)])
     binding = DimBinding(("x0", "x1"))
     want = [(0, 3, 3), (side - 1, side - 2, 2), (side - 1, side - 1, 1)]
-    assert sorted(mshj(rel, arr, binding).rows) == want
-    assert sorted(join_probe_only(rel, arr, binding).rows) == want
+    for search in (SEARCHSORTED, _searchsorted_as_numpy_1):
+        monkeypatch.setattr(np, "searchsorted", search)
+        for arr in (StoredArray.load(path, BufferPool(1 << 20)), built):
+            assert sorted(mshj(rel, arr, binding).rows) == want
+            assert sorted(join_probe_only(rel, arr, binding).rows) == want
 
 
 # --------------------------------------------------- strategies agree

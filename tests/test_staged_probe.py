@@ -84,10 +84,10 @@ def test_rows_do_not_depend_on_pool_capacity(tmp_path, monkeypatch, kind, d,
     stage_bytes = []
     read_stage = StoredArray._read_stage
 
-    def spy(self, reads, fds, stats):
+    def spy(self, reads, fds):
         stage_bytes.append((len(reads), self.pool.stats().resident_bytes
                             + sum(64 + slot.length for _, slot in reads)))
-        return read_stage(self, reads, fds, stats)
+        return read_stage(self, reads, fds)
 
     monkeypatch.setattr(StoredArray, "_read_stage", spy)
     for join in (mshj, join_probe_only):
@@ -239,6 +239,32 @@ def test_one_stage_of_many_dense_tiles_finds_every_cell(tmp_path):
         assert found.all()
         assert v.tobytes() == want.tobytes()
         assert stats.stages == 1
+
+
+@pytest.mark.parametrize("layout", ["coo", "csr"])
+def test_a_stage_of_one_sparse_tile_keys_its_cells_alone(tmp_path, layout):
+    """A stage whose one tile is sparse and of 16 x 16 cells: the stage's
+    keys are the cells 0 .. 255, a byte's range exactly, and every cell is
+    found, beside a run on a resident tile that the stage leaves out."""
+    meta = ArrayMeta(CellSchema(("x0", "x1"), ("v",), (FLOAT,)),
+                     (32, 16), (16, 16), layout)
+    coords = np.array([[0, 0], [0, 15], [15, 0], [15, 15], [16, 0], [31, 15]])
+    b = ArrayBuilder(meta, BufferPool(UNBOUNDED), name="a")
+    b.add_cells(coords, [np.arange(6) + 0.5])
+    path = str(tmp_path / f"{layout}.m2ar")
+    b.finish().save(path)
+    arr = StoredArray.load(path, BufferPool(UNBOUNDED))
+    stats = JoinStats()
+    found, (v,) = arr.lookup_runs(np.array([0]), np.array([5]),
+                                  np.array([0, 15, 240, 255, 17]), stats)
+    assert found.tolist() == [True, True, True, True, False]
+    assert v[:4].tolist() == [0.5, 1.5, 2.5, 3.5]
+    assert (stats.stages, stats.preads) == (1, 1)
+    with arr.pinned((1, 0)):  # resident; the stage reads tile (0, 0) alone
+        found, (v,) = arr.lookup_runs(np.array([0, 1]), np.array([2, 2]),
+                                      np.array([255, 17, 0, 255]), JoinStats())
+    assert found.tolist() == [True, False, True, True]
+    assert v[found].tolist() == [3.5, 4.5, 5.5]
 
 
 def _open_fds() -> int:

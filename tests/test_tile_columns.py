@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multimodel.array_store import ArrayBuilder, StoredArray
-from multimodel.bridge import JoinStats
+from multimodel.bridge import DimBinding, JoinStats, mshj, to_relation
 from multimodel.buffer_pool import BufferPool
 from multimodel.cli import main
 from multimodel.errors import ArrayFileError, CapacityError, EngineError
+from multimodel.models import INT, Relation
 
 from conftest import array_meta, built_tile
 
@@ -196,3 +197,49 @@ def test_corrupt_array_file_through_the_cli_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "a.m2ar" in err[0] and "unknown layout tag 9" in err[0]
+
+
+def _sparse_slot(tmp_path, layout):
+    """A saved one-tile 2 x 2 array of `layout` holding cells (0, 0) and
+    (1, 1), its bytes and its slot's offset."""
+    b = ArrayBuilder(array_meta((2, 2), (2, 2), layout), BufferPool(1 << 30))
+    b.add_cells([(0, 0), (1, 1)], [np.array([1.5, 2.5])])
+    path = tmp_path / f"{layout}.m2ar"
+    b.finish().save(str(path))
+    return path, bytearray(path.read_bytes()), StoredArray.load(
+        str(path), BufferPool(1 << 30))._offset[0]
+
+
+# a sparse slot's bytes after its cell count: COO, the coordinates; CSR, the
+# 3 row pointers, then the column indices (u64 each)
+@pytest.mark.parametrize("layout, at, words, what", [
+    ("coo", 0, [3], "not hold the 3 cells"),
+    ("coo", 8, [0, 9], "coordinate outside the tile"),
+    ("coo", 8, [1, 1, 0, 0], "not strictly increasing"),
+    ("coo", 8, [1, 1, 1, 1], "not strictly increasing"),
+    ("csr", 0, [1], "not hold the 1 cells"),
+    ("csr", 32, [9], "column index outside the tile"),
+    ("csr", 8, [1, 1, 2], "row pointers"),
+    ("csr", 8, [0, 2, 1], "row pointers"),
+    ("csr", 8, [0, 1, 3], "row pointers"),
+    ("csr", 8, [0, 2, 2, 1, 0], "not strictly increasing"),
+])
+def test_corrupt_sparse_slot_is_refused_where_it_is_read(tmp_path, layout, at,
+                                                         words, what):
+    """Each way a tile is read decodes the slot and refuses it, naming the
+    file and the tile, rather than reading wrong or no cells."""
+    path, raw, off = _sparse_slot(tmp_path, layout)
+    struct.pack_into(f"<{len(words)}Q", raw, off + at, *words)
+    path.write_bytes(bytes(raw))
+    rel = Relation([("x", INT), ("y", INT)], [(0, 0), (1, 1)])
+    reads = {
+        "pin": lambda arr: arr.pin((0, 0)),
+        "staged probe": lambda arr: mshj(rel, arr, DimBinding(("x", "y"))),
+        "to_relation": to_relation,
+    }
+    for how, read in reads.items():
+        arr = StoredArray.load(str(path), BufferPool(1 << 30))
+        with pytest.raises(ArrayFileError, match=what) as e:
+            read(arr)
+        assert f"{path}: tile (0, 0): " in str(e.value), how
+        assert not arr.active_pins and not arr.pool.resident_ids(), how
