@@ -53,7 +53,6 @@ from .planner import (
     PartitionDag,
     PlanNode,
     TreeNode,
-    alias_key,
     dag_to_trees,
     partition,
     partition_dag_to_dict,

@@ -49,7 +49,7 @@ from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
                      infer_column_type, tile_extent)
 from .predicates import bound_names, equi_conjuncts
-from .rd_engine import _overlay, execute_tree, node
+from .rd_engine import _overlay, execute_tree, frame_to_public, node
 
 
 STRATEGIES = ("mshj", "convert", "probe-only")  # "auto" picks one of them
@@ -504,7 +504,8 @@ def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
                [f"{arr_name}.{a}" for a in schema.attr_names]
         tree = node("project", tree, cols=cols,
                     names=records.attr_names + attr_out)
-    joined = execute_tree(tree, {"__rec": records, "__arr": arel})
+    joined = frame_to_public(execute_tree(tree, {"__rec": records,
+                                                 "__arr": arel}))
     stats.probe_seconds += time.perf_counter() - t0
     stats.output_rows = len(joined)
     t0 = time.perf_counter()

@@ -4,13 +4,17 @@ A bound plan is rewritten (``planner.rewrite``: matmul chains reordered,
 transposes folded into matmul, filters pushed below record–array joins)
 and partitioned; partitions run in topological order, record partitions
 first among those ready (``topo_order``), and every partition's result
-lands in a registry under its output node's alias key (``n<id>``), where
-downstream partitions pick it up.  Relational and document partitions run
-as operator trees; array partitions run node by node on tiled arrays;
-inter-model partitions are the conversion / join bridge calls.  A
-conversion passes its records to ``bridge.to_array`` with only the default
-tile extent and spool directory; the bridge derives the array's extent,
-value types and tiling from its one walk over the records.  A matmul read
+lands in a registry keyed by its output node's id, where downstream
+partitions pick it up.  Relational and document partitions run as operator
+trees, and a record node's value is the frame its tree made
+(``rd_engine``): every reader of the node, in any partition, sees the same
+columns and qualifiers.  A frame becomes a public Relation or Collection
+only where one is needed: as an input of the bridge, and as the run's
+result.  Array partitions run node by node on tiled arrays; inter-model
+partitions are the conversion / join bridge calls.  A conversion passes its
+records to ``bridge.to_array`` with only the default tile extent and spool
+directory; the bridge derives the array's extent, value types and tiling
+from its one walk over the records.  A matmul read
 only by a record–array join whose records have run computes only the tiles
 that join probes (``_tile_demand``).
 
@@ -47,12 +51,10 @@ from .models import (FLOAT, STRING, UINT, ArrayMeta, CellSchema, Collection,
                      Relation, _csv_row_line, collection_from_jsonl,
                      collection_to_jsonl, csv_row_count, relation_from_csv,
                      relation_to_csv, tile_extent)
-from .planner import (LogicalPlan, Partition, PartitionDag, TreeNode,
-                      alias_key, dag_to_trees, partition,
-                      partition_dag_to_dict, plan_to_dict, rewrite,
+from .planner import (LogicalPlan, Partition, PartitionDag, dag_to_trees,
+                      partition, partition_dag_to_dict, plan_to_dict, rewrite,
                       topo_order)
-from .predicates import parse_predicate, parse_sort_spec
-from .rd_engine import execute_tree, node
+from .rd_engine import DocFrame, RelFrame, execute_tree, frame_to_public
 from .script import bind_script
 
 _EXT = {"relational": ".csv", "document": ".jsonl", "array": ".m2ar"}
@@ -219,7 +221,7 @@ class Engine:
     def run_plan(self, plan: LogicalPlan, target: int):
         self.join_stats = []  # the joins of this run only
         pd = partition(plan)
-        reg: dict[str, object] = {}
+        reg: dict[int, object] = {}  # node id -> value
         live = _Liveness(plan, target, reg, pd)
         try:
             for part in topo_order(pd):
@@ -228,7 +230,7 @@ class Engine:
                 except EngineError as e:
                     e.partition = part.index  # which stage failed, for reporting
                     raise
-            return reg[alias_key(target)]
+            return _public(reg[target])
         except BaseException:
             for value in reg.values():
                 if isinstance(value, StoredArray):
@@ -248,31 +250,26 @@ class Engine:
         elif part.model == "array":
             for nid in sorted(part.node_ids):  # inputs have lower ids
                 n = plan.node(nid)
-                reg[alias_key(nid)] = self._array_node(
+                reg[nid] = self._array_node(
                     n, reg, tiles=self._tile_demand(plan, n, live.target, reg))
                 live.ran((nid,))
         else:
             nid = part.output_node
-            reg[alias_key(nid)] = self._bridge_node(plan.node(nid), reg)
+            reg[nid] = self._bridge_node(plan.node(nid), reg)
             live.ran((nid,))
 
     def _run_rd_partition(self, plan, part, reg, live):
-        scope = dict(reg)
+        scope = dict(reg)  # and each scanned dataset under its name
         for model, name in _scans(plan, part):
             if (model, name) not in live.datasets:
                 load = (self.catalog.load_table if model == "relational"
                         else self.catalog.load_collection)
                 live.datasets[model, name] = load(name)
             scope[name] = live.datasets[model, name]
-        # nodes other partitions read must materialize under their alias keys
-        cons = plan.consumers()
-        exports = [nid for nid in part.node_ids
-                   if any(c not in part.node_ids for c in cons[nid])]
-        main, trees = dag_to_trees(plan, part, exports=exports)
-        for key, tree in trees:
-            value = execute_tree(_rd_tree(tree), scope)
-            scope[key] = reg[key] = value
-        reg[alias_key(part.output_node)] = execute_tree(_rd_tree(main), scope)
+        main, trees = dag_to_trees(plan, part)
+        for nid, tree in trees:
+            scope[nid] = reg[nid] = execute_tree(tree, scope)
+        reg[part.output_node] = execute_tree(main, scope)
 
     def _tile_demand(self, plan, n, target, reg):
         """The tiles of matmul n's result that its one reader, a
@@ -282,21 +279,21 @@ class Engine:
         if n.op != "matmul" or n.id == target or len(cons) != 1:
             return None
         join = plan.node(cons[0])
-        records = reg.get(alias_key(join.inputs[0]))
+        records = reg.get(join.inputs[0])
         if join.op != "join_rel_array" or join.inputs[1] != n.id or \
                 records is None:
             return None
         meta = array_engine.matmul_meta(*(
-            array_engine.transposed_meta(reg[alias_key(i)].meta)
-            if n.params.get(flag) else reg[alias_key(i)].meta
+            array_engine.transposed_meta(reg[i].meta)
+            if n.params.get(flag) else reg[i].meta
             for i, flag in zip(n.inputs, ("transpose_a", "transpose_b"))))
         p = join.params
-        return join_tiles(records, meta, parse_predicate(p["pred"]),
+        return join_tiles(_public(records), meta, p["pred"],
                           rec_name=p["rec_name"], arr_name=p["arr_name"],
                           strategy=self.config.strategy)
 
     def _array_node(self, n, reg, tiles=None) -> StoredArray:
-        ins = [reg[alias_key(i)] for i in n.inputs]
+        ins = [reg[i] for i in n.inputs]
         p = n.params
         if n.op == "rand":
             size = tuple(p["size"])
@@ -322,15 +319,14 @@ class Engine:
     def _bridge_node(self, n, reg):
         p = n.params
         if n.op == "to_array":
-            return to_array(reg[alias_key(n.inputs[0])], p["dims"],
+            return to_array(_public(reg[n.inputs[0]]), p["dims"],
                             p["values"], None, self.pool,
                             default_tile=self.config.default_tile,
                             spool_dir=self.config.spool_dir)
         if n.op == "join_rel_array":
-            records = reg[alias_key(n.inputs[0])]
-            arr = reg[alias_key(n.inputs[1])]
+            records, arr = _public(reg[n.inputs[0]]), reg[n.inputs[1]]
             stats = JoinStats()
-            res = dispatch_join(records, arr, parse_predicate(p["pred"]),
+            res = dispatch_join(records, arr, p["pred"],
                                 JoinOutputSpec(p["out_model"]),
                                 rec_name=p["rec_name"],
                                 arr_name=p["arr_name"],
@@ -385,23 +381,17 @@ class _Liveness:
                 done.add(i)
         for nid in done:
             if self.remaining[nid] == 0 and nid != self.target:
-                value = self.reg.pop(alias_key(nid), None)
+                value = self.reg.pop(nid, None)
                 if isinstance(value, StoredArray):
                     value.release()
 
 
-def _rd_tree(t: TreeNode):
-    """Planner tree -> executable tree: parse the textual predicate and sort
-    arguments the script carried through JSON-safe plan params."""
-    kids = [_rd_tree(c) for c in t.children]
-    p = dict(t.params)
-    if t.op in ("filter", "join") and isinstance(p.get("pred"), str):
-        p["pred"] = parse_predicate(p["pred"])
-    if t.op == "sort" and isinstance(p.get("keys"), str):
-        p["keys"] = parse_sort_spec(p["keys"])
-    if t.op == "aggregate":
-        p["aggs"] = [tuple(a) for a in p.get("aggs", [])]
-    return node(t.op, *kids, **p)
+def _public(value):
+    """A record node's frame as a public Relation or Collection; any other
+    value as it is."""
+    if isinstance(value, (RelFrame, DocFrame)):
+        return frame_to_public(value)
+    return value
 
 
 def run_script(path: str, config: EngineConfig | None = None, *,

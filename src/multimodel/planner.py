@@ -5,10 +5,12 @@ nodes, each tagged with the data model it runs under.  ``partition`` groups
 nodes into single-model partitions via bottom-up merging, ``topo_order``
 schedules the partitions, and ``dag_to_trees`` rewrites a relational or
 document partition into executable trees, materializing any subtree that is
-consumed more than once.  Before any of that, ``rewrite`` turns the plan as
-bound into the plan that runs: matmul chains in their cheapest order,
-transposes read by the matmuls that consume them, and filters on the
-attributes a record–array join binds moved below the join, onto its records.
+consumed more than once or by another partition.  Before any of that,
+``rewrite`` turns the plan as bound into the plan that runs: matmul chains
+in their cheapest order, transposes read by the matmuls that consume them,
+and filters on the attributes a record–array join binds moved below the
+join, onto its records.  Plans hold parsed values (a predicate's tree, sort
+keys as ``(path, descending)``); ``plan_to_dict`` writes them as text.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from typing import Any, Callable, Iterable, Mapping
 from . import array_engine
 from .errors import InternalError, PlanError, ShapeError
 from .models import ArrayMeta
-from .predicates import (And, Lit, Not, Or, bound_names, format_predicate,
-                         parse_predicate)
+from .predicates import And, Lit, Not, Or, bound_names, format_predicate
 
 MODELS = ("relational", "document", "array", "inter-model")
 
@@ -362,8 +363,8 @@ def _bound_attrs(params: Mapping[str, Any]) -> set[str]:
     as the record's own attribute or top-level key, so a record the join
     keeps has x, not null, and the join's output carries it unchanged
     under the bare name x."""
-    return {x for x in bound_names(parse_predicate(params["pred"]),
-                                   params["rec_name"], params["arr_name"])
+    return {x for x in bound_names(params["pred"], params["rec_name"],
+                                   params["arr_name"])
             if "." not in x}
 
 
@@ -384,9 +385,10 @@ def _plain_names(plan: LogicalPlan, nid: int, model: str) -> bool:
     """Whether a bare name reads the rows of node nid, inside the tree of a
     ``model`` filter on them, as it reads the records the node produces.
     Always for documents.  For a relation, when filters, sorts and limits
-    lead from nid to a scan, or to another partition's node, whose result
-    the tree reads: a relational join or project may hold two columns of
-    one bare name, which its result renders apart."""
+    lead from nid to a scan, or to a node of another model: a relational
+    join may hold two columns of one bare name, which its result renders
+    apart, while a scan's columns, a public value's and an aggregate's
+    (see ``rd_engine``) are named apart already."""
     if model == "document":
         return True
     n = plan.node(nid)
@@ -495,18 +497,17 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
         if plan.node(f).op != "filter" or not attrs \
                 or not _plain_names(plan, rec, model):
             continue
-        pred = parse_predicate(plan.node(f).params["pred"])
+        pred = plan.node(f).params["pred"]
         items = list(pred.items) if isinstance(pred, And) else [pred]
         moved = [c for c in items if _pushable(c, attrs)]
         kept = [c for c in items if not _pushable(c, attrs)]
         if not moved:
             continue
         key = next(fresh)
-        specs[key] = ["filter", model,
-                      {"pred": format_predicate(_conjoin(moved))}, [rec]]
+        specs[key] = ["filter", model, {"pred": _conjoin(moved)}, [rec]]
         specs[j.id][3][0] = key
         if kept:
-            specs[f][2]["pred"] = format_predicate(_conjoin(kept))
+            specs[f][2]["pred"] = _conjoin(kept)
         elif f != target:
             del specs[f]
             forward[f] = j.id
@@ -539,66 +540,37 @@ class TreeNode:
     children: tuple["TreeNode", ...] = ()
 
 
-def alias_key(node_id: int) -> str:
-    return f"n{node_id}"
-
-
-def _qualifier(plan: LogicalPlan, nid: int) -> str | None:
-    """The qualifier node nid's rows carry in their own tree: their scan's,
-    through any filter, sort or limit; none for any other producer."""
-    n = plan.node(nid)
-    while n.op in ("filter", "sort", "limit"):
-        n = plan.node(n.inputs[0])
-    if n.op != "scan":
-        return None
-    return n.params.get("qualifier") or n.params["name"]
-
-
-def dag_to_trees(plan: LogicalPlan, part: Partition,
-                 exports: Iterable[int] = ()
-                 ) -> tuple[TreeNode, list[tuple[str, TreeNode]]]:
+def dag_to_trees(plan: LogicalPlan, part: Partition
+                 ) -> tuple[TreeNode, list[tuple[int, TreeNode]]]:
     """Rewrite a relational/document partition into executable trees.
 
     Returns the main tree (rooted at the partition's output node) plus an
-    ordered list of ``(key, tree)`` entries to materialize first: every node
-    consumed more than once inside the partition is detached and its
-    consumers replaced with ``alias_ref`` leaves.  Inputs arriving from
-    other partitions become ``alias_ref`` leaves keyed by producer node id.
-    Each leaf keeps the qualifier its rows had where they were produced.
-
-    A partition's output node is merely the node no one consumes *inside*;
-    other nodes may still feed other partitions.  Callers that must expose
-    those values list them in ``exports`` and they are detached as well, so
-    materializing the tree list leaves each one under its alias key.
+    ordered list of ``(node id, tree)`` entries to materialize first: every
+    node other than the output that is read more than once inside the
+    partition, or read by another partition, is detached, and its readers
+    inside get ``alias_ref`` leaves.  Inputs from other partitions become
+    ``alias_ref`` leaves too.  A leaf holds only its node's id: it reads
+    the value that node's own tree made, with the columns and qualifiers
+    that tree gave it.
     """
-    if part.model not in ("relational", "document"):
+    if part.model not in RECORD_MODELS:
         raise PlanError(
             f"cannot decompose a {part.model} partition into operator trees")
     inside = part.node_ids
-    exports = set(exports) & inside
-    fanout = {nid: 0 for nid in inside}
-    for nid in inside:
-        for i in plan.node(nid).inputs:
-            if i in inside:
-                fanout[i] += 1  # duplicated input (self-join) counts twice
-
+    cons = plan.consumers()  # a self-join reads its input twice
     built: dict[int, TreeNode] = {}
-    detached: set[int] = set()
-    tree_list: list[tuple[str, TreeNode]] = []
-
-    def ref(i: int) -> TreeNode:
-        if i not in inside or i in detached:
-            return TreeNode("alias_ref", {"key": alias_key(i),
-                                          "qualifier": _qualifier(plan, i)})
-        return built[i]
-
+    tree_list: list[tuple[int, TreeNode]] = []
     for nid in sorted(inside):  # inputs precede consumers, so this is bottom-up
         n = plan.node(nid)
-        t = TreeNode(n.op, n.params, tuple(ref(i) for i in n.inputs))
-        if (fanout[nid] > 1 or nid in exports) and nid != part.output_node:
-            tree_list.append((alias_key(nid), t))
-            detached.add(nid)
-        built[nid] = t
+        t = TreeNode(n.op, n.params, tuple(
+            built[i] if i in built else TreeNode("alias_ref", {"id": i})
+            for i in n.inputs))
+        shared = sum(c in inside for c in cons[nid]) > 1 or \
+            any(c not in inside for c in cons[nid])
+        if shared and nid != part.output_node:
+            tree_list.append((nid, t))
+        else:
+            built[nid] = t
     return built[part.output_node], tree_list
 
 
@@ -606,8 +578,21 @@ def dag_to_trees(plan: LogicalPlan, part: Partition,
 # serialization (the --explain document)
 
 def plan_to_dict(plan: LogicalPlan) -> dict:
+    """The plan as JSON values: a predicate as ``format_predicate`` writes
+    it, sort keys as ``"path ASC|DESC, ..."`` and aggregates as lists."""
+    def params(n: PlanNode) -> dict:
+        p = dict(n.params)
+        if "pred" in p:
+            p["pred"] = format_predicate(p["pred"])
+        if n.op == "sort":
+            p["keys"] = ", ".join(f"{path} {'DESC' if desc else 'ASC'}"
+                                  for path, desc in p["keys"])
+        if "aggs" in p:
+            p["aggs"] = [list(a) for a in p["aggs"]]
+        return p
+
     return {"nodes": [{"id": n.id, "op": n.op, "model": n.model,
-                       "params": dict(n.params), "inputs": list(n.inputs)}
+                       "params": params(n), "inputs": list(n.inputs)}
                       for n in plan.nodes]}
 
 

@@ -1,9 +1,10 @@
 """Relational and document executor.
 
-Operator-at-a-time evaluation of tree-shaped plans: scan, filter, project,
-sort, limit, aggregate, union, join, unwind, plus alias-refs into a registry
-of materialized results. One executor serves both record models; documents
-use dotted paths wherever relations use column references.
+Operator-at-a-time evaluation of the planner's trees (``TreeNode``): scan,
+filter, project, sort, limit, aggregate, union, join, unwind, plus
+alias-refs into a registry of materialized results keyed by node id. One
+executor serves both record models; documents use dotted paths wherever
+relations use column references.
 
 Both models run a column at a time.  A RelFrame holds one Column per
 attribute (see models); a DocFrame holds its collection's columns, one per
@@ -21,8 +22,14 @@ Dicts are built only to unwind and for a document sort's tie-break.
 
 Column references carry optional qualifiers ("review.oid"): a bare name must
 resolve to exactly one column, a qualified name matches its source relation.
-Joins preserve qualifiers so collisions stay addressable; converting back to a
-public Relation renders colliding names as "qualifier.name".
+Joins preserve qualifiers so collisions stay addressable.  A node's value is
+its frame, and every reader of the node, in its own tree or in another
+partition, sees the same columns and qualifiers.  Project and aggregate
+name their columns without a qualifier and number a repeated name the way
+a public Relation renders it ("x", "x#1"), so a frame never holds two
+unqualified columns of one name.  Converting to a public Relation
+(``frame_to_public``) renders colliding qualified names as
+"qualifier.name".
 
 Each operator resolves its references once, when it starts, into column
 getters and compiled predicates; an unknown or ambiguous column raises
@@ -42,7 +49,7 @@ equals a number, and a float NaN matches nothing and groups alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +57,16 @@ from .errors import NotFoundError, PlanError, TypeMismatchError
 from .models import (ABSENT, FLOAT, INT, Collection, Column, Relation,
                      object_column, column_of, compile_path, compile_set,
                      infer_column_type)
+from .planner import TreeNode
 from .predicates import (And, Cmp, Ref, compile_columns, equi_conjuncts,
                          universal_key)
 
-__all__ = ["RdNode", "RelFrame", "DocFrame", "execute_tree", "node",
+__all__ = ["RelFrame", "DocFrame", "execute_tree", "node",
            "frame_to_public", "relation_frame", "collection_frame"]
 
 
-@dataclass
-class RdNode:
-    op: str
-    params: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)
-
-
-def node(op: str, *children: RdNode, **params) -> RdNode:
-    return RdNode(op, params, list(children))
+def node(op: str, *children: TreeNode, **params) -> TreeNode:
+    return TreeNode(op, params, children)
 
 
 @dataclass
@@ -74,6 +75,9 @@ class RelFrame:
     types: list
     columns: list  # [Column], one per entry of cols
     n: int  # rows
+
+    def __len__(self) -> int:
+        return self.n
 
     def take(self, idx: np.ndarray) -> "RelFrame":
         return RelFrame(self.cols, self.types,
@@ -88,6 +92,9 @@ class DocFrame:
     @property
     def n(self) -> int:
         return len(self.coll)
+
+    def __len__(self) -> int:
+        return self.n
 
     def take(self, idx: np.ndarray) -> "DocFrame":
         return DocFrame(self.quals, self.coll.take(idx))
@@ -113,16 +120,20 @@ def frame_to_public(f):
 
 def _public_names(cols) -> list[str]:
     bare = [n for _, n in cols]
-    names = []
-    for q, n in cols:
-        names.append(n if bare.count(n) == 1 or q is None else f"{q}.{n}")
-    # belt and braces: force uniqueness even if qualifiers collide
-    seen: dict[str, int] = {}
-    out = []
+    return _numbered([n if bare.count(n) == 1 or q is None else f"{q}.{n}"
+                      for q, n in cols])
+
+
+def _numbered(names) -> list[str]:
+    """The names with each repeat renamed ``name#k``, k the first count
+    that makes it unique: ``x, x`` gives ``x, x#1``."""
+    out: list[str] = []
     for n in names:
-        k = seen.get(n, 0)
-        seen[n] = k + 1
-        out.append(n if k == 0 else f"{n}#{k}")
+        name, k = n, 0
+        while name in out:
+            k += 1
+            name = f"{n}#{k}"
+        out.append(name)
     return out
 
 
@@ -207,20 +218,27 @@ def _resolver(f):
 
 # ----------------------------------------------------------------- execution
 
-def execute_tree(tree: RdNode, registry: dict | None = None):
-    """Run a plan tree; returns a Relation or Collection."""
-    return frame_to_public(_exec(tree, registry or {}))
+def execute_tree(tree: TreeNode, registry: dict | None = None):
+    """Run a plan tree; returns its root's RelFrame or DocFrame.
+
+    A scan reads the Relation or Collection the registry holds under its
+    dataset name.  An alias_ref reads the value it holds under the leaf's
+    node id: a frame as it is, with the columns and qualifiers its own tree
+    gave it, and a public value framed with no qualifier."""
+    return _exec(tree, registry or {})
 
 
-def _exec(n: RdNode, reg: dict):
+def _exec(n: TreeNode, reg: dict):
     op = n.op
     if op == "scan":
         return _scan(n.params, reg)
     if op == "alias_ref":
-        key = n.params["key"]
-        if key not in reg:
-            raise PlanError(f"unresolved alias {key!r}")
-        return _as_frame(reg[key], n.params.get("qualifier"))
+        nid = n.params["id"]
+        if nid not in reg:
+            raise PlanError(f"no value for node {nid}")
+        value = reg[nid]
+        return value if isinstance(value, (RelFrame, DocFrame)) \
+            else _as_frame(value, None)
 
     kids = [_exec(c, reg) for c in n.children]
     if op == "filter":
@@ -267,7 +285,7 @@ def _project(f, cols, names):
     out_names = names or [c.rpartition(".")[2] for c in cols]
     if isinstance(f, RelFrame):
         idx = [_col_index(f, c) for c in cols]
-        return RelFrame([(None, n) for n in out_names],
+        return RelFrame([(None, n) for n in _numbered(out_names)],
                         [f.types[i] for i in idx],
                         [f.columns[i] for i in idx], f.n)
     # a document keeps the names of the paths it has, a repeated name at its
@@ -439,9 +457,9 @@ def _aggregate(f, keys, aggs):
             res = column_of(res, vt)
         types.append(vt)
         out.append(res)
-    cols = [(None, k.rpartition(".")[2]) for k in keys] + \
-           [(None, name) for _, _, name in aggs]
-    return RelFrame(cols, types, out, ngroups)
+    names = [k.rpartition(".")[2] for k in keys] + \
+        [name for _, _, name in aggs]
+    return RelFrame([(None, n) for n in _numbered(names)], types, out, ngroups)
 
 
 def _group(cols: list[Column]) -> tuple[np.ndarray, np.ndarray]:
@@ -602,13 +620,11 @@ def _join(left, right, pred):
 
 
 def _rel_to_doc(f: RelFrame) -> DocFrame:
-    """The relation's columns as documents of one shape, keyed by bare
-    column names (a repeated name at its first position, with the last
-    such column); a null stays a stored null."""
+    """The relation's columns as documents of one shape, keyed by the names
+    its public Relation gives them (``a.k`` and ``b.k`` for two columns k),
+    under the relation's qualifiers; a null stays a stored null."""
     quals = tuple(dict.fromkeys(q for q, _ in f.cols if q))
-    columns = {}
-    for (_, n), col in zip(f.cols, f.columns):
-        columns[n] = col
+    columns = dict(zip(_public_names(f.cols), f.columns))
     return DocFrame(quals, Collection.from_columns(
         "", [tuple(columns)], np.zeros(f.n, np.int64), columns))
 

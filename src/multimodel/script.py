@@ -13,7 +13,10 @@ single ``execute(target)``.  Python's own :mod:`ast` parser reads it, and
 Any other node is refused with a :class:`ScriptError` at its line and
 column.  Scripts bind to a :class:`LogicalPlan`; dataset expressions become
 plan nodes while plain integers stay bind-time values, so loops unroll and
-``rand({rows, rank})`` receives concrete shapes.  ``count()`` directly on an
+``rand({rows, rank})`` receives concrete shapes.  Predicates, sort specs
+and aggregate lists are parsed here, once: a plan holds the predicate's
+tree, ``(path, descending)`` sort keys and ``(func, attr, name)``
+aggregates.  ``count()`` directly on an
 opened dataset is evaluated at bind time for the same reason.
 
 Example::
@@ -300,12 +303,12 @@ class Binder:
             raise self._err(f"argument {i + 1} must be a quoted string", m)
         return m.args[i].value
 
-    def _checked(self, parse, what: str, text: str, m) -> str:
+    def _checked(self, parse, what: str, text: str, m):
+        """``parse(text)``, its ScriptError raised at the call ``m``."""
         try:
-            parse(text)
+            return parse(text)
         except ScriptError as e:
             raise self._err(f"bad {what}: {e.args[0]}", m) from None
-        return text
 
     def _syntactic_name(self, expr, ref: NodeRef, fallback: str) -> str:
         if isinstance(expr, ast.Name):
@@ -331,9 +334,9 @@ class Binder:
 
     def _m_sort(self, m, recv):
         self._need_model(recv, (_REL, _DOC), "sort", m)
-        spec = self._checked(parse_sort_spec, "sort spec",
+        keys = self._checked(parse_sort_spec, "sort spec",
                              self._arg_str(m, 0), m)
-        n = self.plan.add("sort", recv.model, inputs=[recv.id], keys=spec)
+        n = self.plan.add("sort", recv.model, inputs=[recv.id], keys=keys)
         return NodeRef(n.id, recv.model)
 
     def _m_limit(self, m, recv):
@@ -369,7 +372,7 @@ class Binder:
                 raise self._err(f"bad aggregate {part.strip()!r}; expected "
                                 f"func(attr) as name", m)
             func, ref, out = g.groups()
-            aggs.append([func, None if ref == "*" else ref, out])
+            aggs.append((func, None if ref == "*" else ref, out))
         n = self.plan.add("aggregate", recv.model, inputs=[recv.id],
                           keys=keys, aggs=aggs)
         return NodeRef(n.id, _REL)
@@ -381,7 +384,7 @@ class Binder:
             # sizing value, needed at bind time (e.g. rand shapes)
             return self.catalog.count(node.params["name"], recv.model)
         n = self.plan.add("aggregate", recv.model, inputs=[recv.id],
-                          keys=[], aggs=[["count", None, "count"]])
+                          keys=[], aggs=[("count", None, "count")])
         return NodeRef(n.id, _REL)
 
     def _m_toArray(self, m, recv):

@@ -118,7 +118,7 @@ def symbolic_dag(plan: LogicalPlan, nid: int):
 
 def symbolic_tree(tree, env: dict):
     if tree.op == "alias_ref":
-        return env[tree.params["key"]]
+        return env[tree.params["id"]]
     return (tree.op, tuple(symbolic_tree(c, env) for c in tree.children))
 
 
@@ -126,6 +126,6 @@ def run_decomposed(main, tree_list, env: dict | None = None) -> object:
     """Evaluate tree-list entries in order, then the main tree.  env may
     carry alias values produced by other partitions."""
     env = dict(env) if env else {}
-    for key, tree in tree_list:
-        env[key] = symbolic_tree(tree, env)
+    for nid, tree in tree_list:
+        env[nid] = symbolic_tree(tree, env)
     return symbolic_tree(main, env)

@@ -379,13 +379,12 @@ def _join_rows(left, right, pred):
 
 
 def _as_docs(f) -> DocRows:
-    """A relation as one document per row, keyed by bare column names: the
-    first position and the last value of a repeated name; a null stays a
-    None value."""
+    """A relation as one document per row, keyed by the names its public
+    Relation gives its columns; a null stays a None value."""
     if isinstance(f, DocRows):
         return f
     quals = tuple(dict.fromkeys(q for q, _ in f.cols if q))
-    names = [n for _, n in f.cols]
+    names = _public_names(f.cols)
     return DocRows(quals, [dict(zip(names, r)) for r in f.rows])
 
 

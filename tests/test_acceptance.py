@@ -25,8 +25,7 @@ from multimodel.bridge import (DimBinding, JoinStats, JoinTrace,
 from multimodel.buffer_pool import BufferObject, BufferPool
 from multimodel.models import (BOOL, FLOAT, INT, ArrayMeta, CellSchema,
                                Relation)
-from multimodel.planner import MODELS, alias_key, dag_to_trees, partition, \
-    topo_order
+from multimodel.planner import MODELS, dag_to_trees, partition, topo_order
 from multimodel.script import bind_script
 from plan_oracles import (check_partitioning, check_topo, random_plan,
                           symbolic_dag, symbolic_tree)
@@ -230,27 +229,24 @@ def test_criterion_5_mshj_beats_conversion_at_small_n():
 
 
 def _replay_partitions(plan, pd):
-    """Symbolic executor over the decomposed plan: relational/document
-    partitions run through dag_to_trees (externally consumed nodes
-    exported), everything else node by node."""
+    """Symbolic executor over the decomposed plan, keyed by node id:
+    relational/document partitions run through dag_to_trees (which detaches
+    the nodes other partitions read), everything else node by node."""
     env = {}
-    cons = plan.consumers()
     for part in topo_order(pd):
         if part.model in ("relational", "document"):
-            exports = [nid for nid in part.node_ids
-                       if any(c not in part.node_ids for c in cons[nid])]
-            main, trees = dag_to_trees(plan, part, exports=exports)
-            for key, tree in trees:
-                env[key] = symbolic_tree(tree, env)
-            env[alias_key(part.output_node)] = symbolic_tree(main, env)
+            main, trees = dag_to_trees(plan, part)
+            for nid, tree in trees:
+                env[nid] = symbolic_tree(tree, env)
+            env[part.output_node] = symbolic_tree(main, env)
         else:
             local = {}
             for nid in sorted(part.node_ids):
                 n = plan.node(nid)
                 local[nid] = (n.op, tuple(
-                    local[i] if i in part.node_ids else env[alias_key(i)]
+                    local[i] if i in part.node_ids else env[i]
                     for i in n.inputs))
-                env[alias_key(nid)] = local[nid]
+                env[nid] = local[nid]
     return env
 
 
@@ -265,11 +261,10 @@ def test_criterion_6_random_dags_partition_and_reexecute():
         check_topo(pd, topo_order(pd))
         env = _replay_partitions(plan, pd)
         for p in pd.partitions:
-            assert env[alias_key(p.output_node)] == \
-                symbolic_dag(plan, p.output_node)
+            assert env[p.output_node] == symbolic_dag(plan, p.output_node)
         # every value the decomposition materialized is the DAG's value
-        for key, got in env.items():
-            assert got == symbolic_dag(plan, int(key[1:]))
+        for nid, got in env.items():
+            assert got == symbolic_dag(plan, nid)
     assert max(sizes) <= 30
     print(f"criterion 6: PASS ({N_RANDOM_DAGS} DAGs, "
           f"max {max(sizes)} nodes)")

@@ -20,6 +20,8 @@ compares equal.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -30,11 +32,14 @@ import rowwise
 from multimodel.array_store import ArrayBuilder, dtype_for, smaller_layout
 from multimodel.bridge import to_array, to_relation
 from multimodel.buffer_pool import BufferPool
-from multimodel.errors import TypeMismatchError
+from multimodel import Engine, EngineConfig
+from multimodel.errors import EngineError, TypeMismatchError
 from multimodel.models import (BOOL, FLOAT, INT, STRING, UINT, ArrayMeta,
-                               CellSchema, Collection, Relation)
-from multimodel.predicates import And, Cmp, Lit, Not, Or, Ref, parse_predicate
-from multimodel.rd_engine import execute_tree, node
+                               CellSchema, Collection, Relation,
+                               collection_to_jsonl, relation_to_csv)
+from multimodel.predicates import (And, Cmp, Lit, Not, Or, Ref,
+                                   format_predicate, parse_predicate)
+from multimodel.rd_engine import execute_tree, frame_to_public, node
 
 BIG = 2 ** 53
 INTS = st.one_of(st.integers(-3, 3), st.sampled_from(
@@ -44,19 +49,25 @@ FLOATS = st.one_of(st.sampled_from(
     st.floats(-4, 4, allow_nan=False))
 VALUES = {"int": INTS, "float": FLOATS, "bool": st.booleans(),
           "string": st.sampled_from(["", "a", "b"])}
-TYPES = {"int": INT, "float": FLOAT, "bool": BOOL, "string": STRING}
+TYPES = {"int": INT, "float": FLOAT, "bool": BOOL, "string": STRING,
+         "key": INT}
 ANY = st.one_of(*VALUES.values())
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
-def tables(draw, names, max_rows=8):
+def tables(draw, names, max_rows=8, kinds=None):
     """A relation over ``names``: each column of one random type, its values
-    mostly of that type, some null and a few of any type."""
-    kinds = [draw(st.sampled_from(sorted(VALUES))) for _ in names]
+    mostly of that type, some null and a few of any type.  ``kinds`` maps a
+    name to the types its column is drawn from, ``"key"`` among them: an
+    int column of 0 to 2 and nulls only, where joins and comparisons
+    meet."""
+    kinds = [draw(st.sampled_from((kinds or {}).get(n, sorted(VALUES))))
+             for n in names]
     value = {k: st.one_of(VALUES[k], VALUES[k], VALUES[k], st.none(), ANY)
-             for k in kinds}
+             for k in kinds if k != "key"}
+    value["key"] = st.one_of(st.integers(0, 2), st.none())
     rows = draw(st.lists(st.tuples(*(value[k] for k in kinds)),
                          max_size=max_rows))
     return Relation([(n, TYPES[k]) for n, k in zip(names, kinds)], rows)
@@ -94,10 +105,10 @@ def same(tree, reg):
         want = rowwise.run(tree, reg)
     except Exception as e:  # noqa: BLE001 - the type is what is compared
         with pytest.raises(Exception) as got:
-            execute_tree(tree, reg)
+            run_tree(tree, reg)
         assert type(got.value) is type(e), (got.value, e)
         return
-    out = execute_tree(tree, reg)
+    out = run_tree(tree, reg)
     if isinstance(out, Collection):
         assert identical(out.docs, want), (out.docs, want)
         assert len(out) == len(want)
@@ -119,6 +130,11 @@ def test_identical_tells_types_key_order_and_zero_signs_apart():
 
 def scan(name, qualifier=None):
     return node("scan", name=name, qualifier=qualifier)
+
+
+def run_tree(tree, registry):
+    """The tree's frame as the public Relation or Collection it renders."""
+    return frame_to_public(execute_tree(tree, registry))
 
 
 @SETTINGS
@@ -283,6 +299,67 @@ def test_document_union_sort_filter_match_reference(a, b, key, desc):
     same(node("sort", tree, keys=[(key, desc)]), {"a": a, "b": b})
 
 
+SECOND_READER_REFS = ["a.k", "a.x", "b.k", "b.y", "x", "y"]
+# predicates that often hold: a comparison with a key value, or a
+# reference equal to itself (true where it is not null)
+OFTEN_TRUE = st.one_of(
+    st.builds(Cmp, st.sampled_from(["=", "!=", "<=", ">="]),
+              st.sampled_from(SECOND_READER_REFS).map(Ref),
+              st.integers(0, 2).map(Lit)),
+    st.sampled_from(SECOND_READER_REFS).map(
+        lambda r: Cmp("=", Ref(r), Ref(r))))
+
+
+@SETTINGS
+@given(st.data(), st.booleans(),
+       st.sampled_from(["a.k = b.k", "a.k <= b.k",
+                        "a.k = b.k AND a.x != b.y"]),
+       OFTEN_TRUE, st.one_of(OFTEN_TRUE, predicates(SECOND_READER_REFS)))
+def test_a_second_reader_of_a_join_changes_nothing(data, docs, on, p, q):
+    """``execute(j.filter(p).union(j.filter(q)))`` gives exactly the rows
+    of ``execute(j.filter(p))`` and then those of ``execute(j.filter(q))``.
+    With two readers the join is materialized once and read back by both,
+    and each reads its qualified references as one reader does.  Where the
+    first filter alone raises, so does the union; where only the union
+    raises, the second filter raises on its own."""
+    sides = (("a", "x"), ("b", "y"))
+    if docs:
+        files = {f"{n}.jsonl": collection_to_jsonl(data.draw(collections(
+            ["k", v], kinds={"k": ["key"], v: ["key", "float", "string"]})))
+            for n, v in sides}
+    else:
+        files = {f"{n}.csv": relation_to_csv(data.draw(tables(
+            ["k", v], kinds={"k": ["key"], v: ["key", "float", "string"]})))
+            for n, v in sides}
+    opened = "openCollection" if docs else "openTable"
+    head = (f"a, b = {opened}('a'), {opened}('b')\n"
+            f"j = a.join(b, {on!r})\n")
+    p, q = (f"j.filter({format_predicate(c)!r})" for c in (p, q))
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            with open(os.path.join(d, name), "w", encoding="utf-8") as f:
+                f.write(text)
+        eng = Engine(EngineConfig(data_dir=d))
+        try:
+            want = eng.run(head + f"execute({p})")
+        except EngineError as e:
+            with pytest.raises(type(e)):
+                eng.run(head + f"execute({p}.union({q}))")
+            return
+        try:
+            got = eng.run(head + f"execute({p}.union({q}))")
+        except EngineError:
+            with pytest.raises(EngineError):
+                eng.run(head + f"execute({q})")
+            return
+        rest = eng.run(head + f"execute({q})")
+    if docs:
+        assert identical(got.docs, want.docs + rest.docs)
+    else:
+        assert got.schema == want.schema == rest.schema
+        assert identical(got.rows, want.rows + rest.rows)
+
+
 PROJECT_REFS = ["a", "b", "b.c", "k", "t.a", "t.b", "t.b.d", "z"]
 
 
@@ -360,7 +437,7 @@ def test_document_aggregate_matches_reference(col, keys, aggs):
 # ------------------------------------------------------ stated semantics
 
 def run_filter(rel, text):
-    return execute_tree(node("filter", scan("t"), pred=parse_predicate(text)),
+    return run_tree(node("filter", scan("t"), pred=parse_predicate(text)),
                         {"t": rel}).rows
 
 
@@ -388,7 +465,7 @@ def test_junction_stops_where_the_row_wise_form_stops():
 
 def test_int_sums_do_not_wrap():
     rel = Relation([("x", INT)], [(2 ** 62,)] * 3 + [(-1,)])
-    out = execute_tree(node("aggregate", scan("t"),
+    out = run_tree(node("aggregate", scan("t"),
                             aggs=[("sum", "x", "s"), ("avg", "x", "a")]),
                        {"t": rel})
     assert out.rows == [(3 * 2 ** 62 - 1, (3 * 2 ** 62 - 1) / 4)]
@@ -397,14 +474,14 @@ def test_int_sums_do_not_wrap():
 def test_null_keys_form_one_group_in_first_appearance_order():
     rel = Relation([("g", INT), ("x", INT)],
                    [(2, 1), (None, 2), (1, 3), (None, 4), (2, 5)])
-    out = execute_tree(node("aggregate", scan("t"), keys=["g"],
+    out = run_tree(node("aggregate", scan("t"), keys=["g"],
                             aggs=[("sum", "x", "s")]), {"t": rel})
     assert out.rows == [(2, 6), (None, 6), (1, 3)]
 
 
 def test_min_max_fold_floats_in_input_order():
     rel = Relation([("x", FLOAT)], [(0.0,), (-0.0,), (1.5,)])
-    out = execute_tree(node("aggregate", scan("t"),
+    out = run_tree(node("aggregate", scan("t"),
                             aggs=[("min", "x", "lo"), ("max", "x", "hi")]),
                        {"t": rel})
     assert [str(v) for v in out.rows[0]] == ["0.0", "1.5"]  # the first zero
@@ -413,7 +490,7 @@ def test_min_max_fold_floats_in_input_order():
 # ------------------------------------------------------------------- union
 
 def union(a, b):
-    return execute_tree(node("union", scan("a"), scan("b")), {"a": a, "b": b})
+    return run_tree(node("union", scan("a"), scan("b")), {"a": a, "b": b})
 
 
 def test_union_int_with_uint_is_int():

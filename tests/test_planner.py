@@ -205,18 +205,19 @@ def test_shared_scan_detaches_once_with_two_aliases():
     plan.add("join", "relational", inputs=[j1, f])
     main, trees = dag_to_trees(plan, _whole_plan_partition(plan))
     assert len(trees) == 1
-    key, tree = trees[0]
-    assert key == f"n{s.id}" and tree.op == "scan"
+    nid, tree = trees[0]
+    assert nid == s.id and tree.op == "scan"
     aliases = []
 
     def walk(t):
         if t.op == "alias_ref":
-            aliases.append(t.params["key"])
+            aliases.append(t.params)
         for c in t.children:
             walk(c)
 
     walk(main)
-    assert aliases.count(f"n{s.id}") == 3  # twice in the self-join, once in filter
+    # twice in the self-join, once in filter, each holding only the node id
+    assert aliases == [{"id": s.id}] * 3
 
 
 def test_cross_partition_inputs_become_alias_refs():
@@ -229,29 +230,33 @@ def test_cross_partition_inputs_become_alias_refs():
     assert trees == []
     assert main.op == "filter"
     assert main.children[0].op == "alias_ref"
-    assert main.children[0].params["key"] == f"n{conv.id}"
+    assert main.children[0].params == {"id": conv.id}
     assert flt.id in rel.node_ids
 
 
 def test_exported_node_detaches_even_without_internal_fanout():
     # a node consumed only once inside may still feed *other* partitions;
-    # listing it in exports must hoist it into the materialized tree list
+    # such a reader must hoist it into the materialized tree list
     plan = LogicalPlan()
     s = plan.add("scan", "relational", name="t")
     f = plan.add("filter", "relational", inputs=[s])
     srt = plan.add("sort", "relational", inputs=[f])
     part = Partition(0, "relational", frozenset([s.id, f.id, srt.id]), srt.id)
+    main, trees = dag_to_trees(plan, part)
+    assert trees == [] and main.children[0].op == "filter"
 
-    main, trees = dag_to_trees(plan, part, exports=[f.id])
-    assert [k for k, _ in trees] == [f"n{f.id}"]
+    plan.add("to_array", "inter-model", inputs=[f])
+    main, trees = dag_to_trees(plan, part)
+    assert [nid for nid, _ in trees] == [f.id]
     assert trees[0][1].op == "filter"
     assert main.op == "sort" and main.children[0].op == "alias_ref"
-    assert main.children[0].params["key"] == f"n{f.id}"
+    assert main.children[0].params == {"id": f.id}
 
-    # exporting the output node or a foreign node changes nothing
-    same_main, same_trees = dag_to_trees(plan, part, exports=[srt.id, 999])
-    assert same_trees == []
-    assert same_main.children[0].op == "filter"
+    # a reader in another partition of the output node changes nothing
+    plan.add("to_array", "inter-model", inputs=[srt])
+    same_main, same_trees = dag_to_trees(plan, part)
+    assert [nid for nid, _ in same_trees] == [f.id]
+    assert same_main == main
 
 
 def test_array_partition_refuses_tree_decomposition():

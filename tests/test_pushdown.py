@@ -24,6 +24,7 @@ from multimodel.buffer_pool import BufferPool
 from multimodel.errors import BindingError, EngineError, PlanError
 from multimodel.models import INT, ArrayMeta, CellSchema, Relation
 from multimodel.planner import LogicalPlan, partition, rewrite
+from multimodel.predicates import format_predicate, parse_predicate
 from multimodel.script import bind_script
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
@@ -35,25 +36,27 @@ JOIN = "interest.cid = filled.cid AND interest.pid = filled.pid"
 
 def _join_plan(filters, *, pred=JOIN, out="relational", rec_op="scan"):
     """scan interest (through ``rec_op``) joined to a rand array, then the
-    filters in turn; returns (plan, the last node's id)."""
+    filters in turn; returns (plan, the last node's id).  Predicates are
+    given as text and parsed, as the binder parses them."""
     plan = LogicalPlan()
     rec = plan.add("scan", "relational", name="interest",
                    qualifier="interest")
     if rec_op == "join":
         other = plan.add("scan", "relational", name="x", qualifier="x")
         rec = plan.add("join", "relational", [rec, other],
-                       pred="interest.cid = x.cid")
+                       pred=parse_predicate("interest.cid = x.cid"))
     arr = plan.add("rand", "array", size=[4, 4], seed=0)
-    top = plan.add("join_rel_array", "inter-model", [rec, arr], pred=pred,
+    top = plan.add("join_rel_array", "inter-model", [rec, arr],
+                   pred=parse_predicate(pred),
                    rec_name="interest", arr_name="filled", out_model=out)
     for f in filters:
-        top = plan.add("filter", out, [top], pred=f)
+        top = plan.add("filter", out, [top], pred=parse_predicate(f))
     return plan, top.id
 
 
 def _filters(plan):
-    """(pred, op of its input) of each filter, in plan order."""
-    return [(n.params["pred"], plan.node(n.inputs[0]).op)
+    """(pred as text, op of its input) of each filter, in plan order."""
+    return [(format_predicate(n.params["pred"]), plan.node(n.inputs[0]).op)
             for n in plan.nodes if n.op == "filter"]
 
 
@@ -93,7 +96,7 @@ def test_a_join_with_other_readers_or_that_is_the_target_keeps_its_filter():
     plan, f = _join_plan(["cid = 3"])
     join = plan.node(f).inputs[0]
     assert rewrite(plan, join)[0].nodes == plan.nodes
-    plan.add("filter", "relational", [join], pred="pid = 1")
+    plan.add("filter", "relational", [join], pred=parse_predicate("pid = 1"))
     assert rewrite(plan, f)[0].nodes == plan.nodes
 
 
@@ -105,7 +108,7 @@ def test_only_the_filter_directly_above_the_join_moves():
     plan, target = rewrite(*_join_plan(["cid = 3", "pid = 2"]))
     assert _filters(plan) == [("cid = 3", "scan"),
                               ("pid = 2", "join_rel_array")]
-    assert plan.node(target).params["pred"] == "pid = 2"
+    assert plan.node(target).params["pred"] == parse_predicate("pid = 2")
 
 
 def test_the_target_keeps_a_predicate_that_moved_whole():

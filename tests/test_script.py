@@ -321,6 +321,80 @@ def test_node_shared_across_partitions(tmp_path):
                                 (1, 1, 4.0, 4.0)]
 
 
+def write_pairs(tmp_path):
+    """Tables a(k, x), b(k, y) and collections da, db of the same rows."""
+    (tmp_path / "a.csv").write_text("k,x\n1,10\n2,20\n")
+    (tmp_path / "b.csv").write_text("k,y\n1,7\n2,8\n")
+    (tmp_path / "da.jsonl").write_text(
+        '{"k": 1, "x": 10}\n{"k": 2, "x": 20}\n')
+    (tmp_path / "db.jsonl").write_text('{"k": 1, "y": 7}\n{"k": 2, "y": 8}\n')
+
+
+def test_a_join_read_twice_keeps_its_qualifiers(tmp_path):
+    # j has two readers, so it is materialized once and read back by both;
+    # each still reads a.x as a's column
+    write_pairs(tmp_path)
+    eng = engine(tmp_path)
+    j = "a, b = openTable('a'), openTable('b')\nj = a.join(b, 'a.k = b.k')\n"
+    one = eng.run(j + "execute(j.filter('a.x = 10'))")
+    assert one.rows == [(1, 10, 1, 7)]
+    two = eng.run(j + "execute(j.filter('a.x = 10')"
+                  ".union(j.filter('b.y = 7')))")
+    assert [c for c, _ in two.schema] == ["a.k", "x", "b.k", "y"]
+    assert two.rows == [(1, 10, 1, 7)] * 2
+
+
+def test_a_document_join_read_twice_keeps_its_qualifiers(tmp_path):
+    write_pairs(tmp_path)
+    res = engine(tmp_path).run(
+        "a, b = openCollection('da'), openCollection('db')\n"
+        "j = a.join(b, 'da.k = db.k')\n"
+        "execute(j.filter('da.x = 10').union(j.filter('db.y = 7')))\n")
+    assert res.docs == [{"k": 1, "x": 10, "y": 7}] * 2
+
+
+def test_a_dataset_named_like_a_node_is_not_that_node(tmp_path):
+    # hits is node 3; a table named n3 is read as itself, beside the hits
+    (tmp_path / "pts.csv").write_text("r,c,w\n0,1,7\n1,0,8\n")
+    (tmp_path / "cells.csv").write_text("r,c,v\n0,1,4\n1,0,9\n")
+    (tmp_path / "n3.csv").write_text("r,c,w,v\n5,5,5,5\n")
+    Catalog(str(tmp_path)).ingest("coo", str(tmp_path / "cells.csv"), "arr",
+                                  size=(2, 2), tile=(1, 1))
+    eng = engine(tmp_path)
+    text = ("pts = openTable('pts').filter('w > 0')\n"
+            "arr = openArray('arr')\n"
+            "hits = arr.join(pts, 'pts.r = arr.r AND pts.c = arr.c', "
+            "RELATIONAL)\n"
+            "execute(hits.union(openTable('n3')))\n")
+    plan, _ = eng.plan_script(text)
+    assert [n.op for n in plan.nodes][3] == "join_rel_array"
+    res = eng.run(text)
+    assert sorted(res.rows) == [(0, 1, 7, 4), (1, 0, 8, 9), (5, 5, 5, 5)]
+
+
+def test_a_filter_pushed_onto_an_aggregate_reads_its_numbered_names(tmp_path):
+    # the aggregate names its two key columns x and x#1, so the filter moved
+    # below the join reads x as the join's records do
+    (tmp_path / "nest.jsonl").write_text(
+        '{"a": {"x": 0}, "b": {"x": 1}}\n' * 2 +
+        '{"a": {"x": 1}, "b": {"x": 0}}\n')
+    (tmp_path / "cnt.csv").write_text("x,n,v\n0,2,5\n1,1,6\n")
+    Catalog(str(tmp_path)).ingest("coo", str(tmp_path / "cnt.csv"), "cnt",
+                                  size=(3, 3), tile=(3, 3))
+    eng = engine(tmp_path)
+    text = ("g = openCollection('nest').aggregate('a.x, b.x', "
+            "'count(*) as n')\n"
+            "arr = openArray('cnt')\n"
+            "execute(arr.join(g, 'g.x = arr.x AND g.n = arr.n', RELATIONAL)"
+            ".filter('x = 0'))\n")
+    plan, _ = eng.plan_script(text)
+    moved = next(n for n in plan.nodes if n.op == "filter")
+    assert plan.node(moved.inputs[0]).op == "aggregate"
+    res = eng.run(text)
+    assert [c for c, _ in res.schema] == ["x", "x#1", "n", "v"]
+    assert res.rows == [(0, 1, 2, 5)]
+
+
 def test_runtime_errors_carry_partition_index(tmp_path):
     write_points(tmp_path)
     eng = engine(tmp_path)

@@ -22,6 +22,7 @@ from multimodel import Engine, EngineConfig, array_engine
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import BindingError, EngineError
 from multimodel.planner import LogicalPlan, partition
+from multimodel.predicates import parse_predicate
 
 UNBOUNDED = 1 << 30
 STRATEGIES = ("auto", "mshj", "probe-only", "convert")
@@ -254,7 +255,8 @@ def _plan(second_reader: bool):
     h = plan.add("rand", "array", size=[2, 4], seed=2)
     mm = plan.add("matmul", "array", [w, h])
     join = plan.add("join_rel_array", "inter-model", [rec, mm],
-                    pred="r.a = filled.dim0 AND r.b = filled.dim1",
+                    pred=parse_predicate(
+                        "r.a = filled.dim0 AND r.b = filled.dim1"),
                     rec_name="r", arr_name="filled", out_model="relational")
     if second_reader:
         plan.add("ewise", "array", [mm, mm], fn="+")
