@@ -8,7 +8,9 @@ bucket order so that every referenced tile is pinned exactly once.
 ``join_via_conversion`` turns the array into a relation and runs a plain
 relational join.  All three hand their result to one emit step, which
 returns relational, document or array output; array output is always built
-by ``to_array``.  Document records join to document output only.
+by ``to_array``.  Document records join to document output only.  Records
+come and go as ``rd_engine`` frames; a public value is framed where it
+enters, and a join hands one back.
 
 Each record's tile coordinates (the stage keys), linear tile id and cell
 within the tile are computed once, before ordering, by the locator that
@@ -29,10 +31,10 @@ Stage tiles never enter the pool, so the join evicts nothing.
 records' columns (``_extract_dims``) yields the bound coordinates, the kept
 records and the value columns; when no metadata is given, the extent,
 value types and tiling are derived from that same pass, and the builder
-chooses the layout from its per-tile cell counts.  Relations and
-collections both hold typed columns, so for either the pass is a dtype and
-minimum check of the bound int64 columns, and a join emits relational or
-document output as columns gathered at the matched rows.
+chooses the layout from its per-tile cell counts.  Both record frames
+hold typed columns, so for either the pass is a dtype and minimum check of
+the bound int64 columns, and a join emits relational or document output as
+columns gathered at the matched rows.
 """
 
 from __future__ import annotations
@@ -48,8 +50,11 @@ from .errors import BindingError, EngineError, OutputSpecError
 from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
                      infer_column_type, tile_extent)
-from .predicates import bound_names, equi_conjuncts
-from .rd_engine import _overlay, execute_tree, frame_to_public, node
+from .predicates import (And, Cmp, Not, Or, Ref, equi_conjuncts,
+                         parse_predicate)
+from .rd_engine import (DocFrame, RelFrame, _as_frame, _col_index, _column,
+                        _join, _merged, _path, _present, _public_names,
+                        _rel_to_doc, frame_to_public)
 
 
 STRATEGIES = ("mshj", "convert", "probe-only")  # "auto" picks one of them
@@ -132,7 +137,7 @@ def _dim_problem(v) -> str:
 
 
 def _noun(records) -> str:
-    return "row" if isinstance(records, Relation) else "document"
+    return "row" if isinstance(records, RelFrame) else "document"
 
 
 def _record_error(records, i: int, detail: str) -> BindingError:
@@ -140,22 +145,6 @@ def _record_error(records, i: int, detail: str) -> BindingError:
     and ``detail`` let ``Catalog.ingest`` name its line instead."""
     return BindingError(f"{_noun(records)} {i}: {detail}", index=i,
                         detail=detail)
-
-
-def _attr_index(rel: Relation, attr: str) -> int:
-    try:
-        return rel.attr_index(attr)
-    except KeyError:
-        raise BindingError(f"relation has no attribute {attr!r}") from None
-
-
-def _record_path(records, path: str):
-    """``(Column, mask of the records that have it)`` of a relation
-    attribute or a document path."""
-    if isinstance(records, Relation):
-        return (records.columns[_attr_index(records, path)],
-                np.ones(len(records), dtype=bool))
-    return records.path(path)
 
 
 def _dims_ok(col: Column) -> np.ndarray | None:
@@ -198,12 +187,12 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     record is named.
     """
     n = len(records)
-    label = "dimension attribute {!r}" if isinstance(records, Relation) \
+    label = "dimension attribute {!r}" if isinstance(records, RelFrame) \
         else "path {!r}"
     reach = np.ones(n, dtype=bool)  # records with every earlier bound path
     cols, bads = [], []
     for attr in binding.attrs:
-        col, present = _record_path(records, attr)
+        col, present = _present(records, attr)
         reach = reach & present
         ok = _dims_ok(col)
         bads.append(np.zeros(n, bool) if ok is None else reach & ~ok)
@@ -217,7 +206,7 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
             for c in cols]
     values, absent, bads = [], [], []
     for path in value_paths:
-        col, present = _record_path(records, path)
+        col, present = _present(records, path)
         if kept is not None:
             col, present = col.take(kept), present[kept]
         values.append(col)
@@ -275,59 +264,68 @@ def _output_model(records, out: JoinOutputSpec | None) -> str:
     Document records have no fixed columns to lay out as rows or cells, so
     they join to document output only."""
     if out is None:
-        return "document" if isinstance(records, Collection) else "relational"
-    if isinstance(records, Collection) and out.model != "document":
+        return "document" if isinstance(records, DocFrame) else "relational"
+    if isinstance(records, DocFrame) and out.model != "document":
         raise OutputSpecError(
             f"document records join to DOCUMENT output only, not "
             f"{out.model.upper()}")
     return out.model
 
 
+def _rel_output(records: RelFrame, schema: CellSchema, arr_name: str,
+                columns: list[Column]) -> RelFrame:
+    """A relational join's output: each record column under its qualifier
+    and the name it prints as (``a.k`` beside ``b.k``), then each cell value
+    under ``arr_name`` and its attribute name, ``_r`` appended while taken."""
+    names = _public_names(records.cols)
+    return RelFrame(
+        [(q, p) for (q, _), p in zip(records.cols, names)] +
+        [(arr_name, a) for a in _dedupe(list(schema.attr_names), set(names))],
+        records.types + list(schema.attr_types), columns, len(columns[0]))
+
+
 def _joined_records(records, arr: StoredArray, idx: np.ndarray,
-                    binding: DimBinding, vals: list[np.ndarray]):
+                    binding: DimBinding, vals: list[np.ndarray],
+                    arr_name: str):
     """Each matched record extended with its cell: the records' columns
     gathered at the matched rows, and the cell's values as columns.  A
-    relation appends them (renamed ``_r`` on a collision); a document also
-    gets the cell's dimensions from its bound paths, gains each cell key its
-    shape lacks, after its own keys, and keeps its own value of a key."""
+    relation appends them (``_rel_output``); a document also gets the cell's
+    dimensions from its bound paths, gains each cell key its shape lacks,
+    after its own keys, and keeps its own value of a key."""
     schema = arr.meta.schema
     cells = [column_from_array(v, t) for v, t in zip(vals, schema.attr_types)]
-    if isinstance(records, Relation):
-        names = _dedupe(list(schema.attr_names), set(records.attr_names))
-        return Relation.from_columns(
-            list(records.schema) + list(zip(names, schema.attr_types)),
-            [c.take(idx) for c in records.columns] + cells, len(idx))
-    docs = records.take(idx)
-    coords = [Column(np.asarray(_record_path(records, a)[0].values[idx],
-                                np.int64)) for a in binding.attrs]
-    cells = dict(zip(schema.dim_names + schema.attr_names, coords + cells))
-    columns = dict(docs.columns)
-    for k, c in cells.items():
-        columns[k] = _overlay(columns[k], docs.has(k), c) \
-            if k in columns else c
-    shapes = [s + tuple(k for k in cells if k not in s) for s in docs.shapes]
-    return Collection.from_columns("joined", shapes, docs.shape_ids, columns)
+    if isinstance(records, RelFrame):
+        return _rel_output(records, schema, arr_name,
+                           [c.take(idx) for c in records.columns] + cells)
+    coords = [Column(np.asarray(_path(records, a)[0].values[idx], np.int64))
+              for a in binding.attrs]
+    keys = schema.dim_names + schema.attr_names
+    cell_docs = DocFrame((arr_name,), Collection.from_columns(
+        "", [keys], np.zeros(len(idx), np.int64),
+        dict(zip(keys, coords + cells))))
+    return _merged(records, cell_docs, idx, np.arange(len(idx)),
+                   tuple(dict.fromkeys(records.quals + (arr_name,))))
 
 
-def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str):
-    """Turn a join result into the requested output model; every strategy
-    ends here.  Array output keeps the input array's extent, tiling and
-    layout: each row becomes the cell at its bound coordinates, and every
-    other column becomes a value attribute."""
-    if isinstance(joined, Collection) or model == "relational":
-        return joined
-    if model == "document":  # one shape: every row has every attribute
-        return Collection.from_columns(
-            "joined", [tuple(joined.attr_names)],
-            np.zeros(len(joined), np.int64),
-            dict(zip(joined.attr_names, joined.columns)))
+def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str,
+          public: bool):
+    """Turn a join result into the requested output model, public for
+    public records; every strategy ends here.  Array output keeps the input
+    array's extent, tiling and layout: each row becomes the cell at its
+    bound coordinates, and every other column becomes a value attribute."""
+    if model == "document" and isinstance(joined, RelFrame):
+        joined = _rel_to_doc(joined)
+    if model != "array":
+        return frame_to_public(joined) if public else joined
     if binding is None:
         raise OutputSpecError("array output needs a dimension binding")
-    values = [n for n in joined.attr_names if n not in binding.attrs]
-    types = [joined.schema[joined.attr_index(n)][1] for n in values]
-    meta = ArrayMeta(CellSchema(binding.attrs, tuple(values), tuple(types)),
+    at = [_col_index(joined, a) for a in binding.attrs]
+    rest = [i for i in range(len(joined.cols)) if i not in at]
+    dims, values = ([joined.cols[i][1] for i in ix] for ix in (at, rest))
+    meta = ArrayMeta(CellSchema(tuple(dims), tuple(values),
+                                tuple(joined.types[i] for i in rest)),
                      arr.meta.size, arr.meta.tile_size, arr.meta.layout)
-    return to_array(joined, list(binding.attrs), values, meta, arr.pool,
+    return to_array(joined, dims, values, meta, arr.pool,
                     name="joined", spool_dir=arr.spool_dir)
 
 
@@ -382,19 +380,24 @@ def _locate(records, binding: DimBinding, meta: ArrayMeta,
     return kept, tq, tile_ids, cells
 
 
-def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
+def _probe_join(strategy: str, records, arr: StoredArray,
                 binding: DimBinding, out: JoinOutputSpec | None,
-                stats: JoinStats | None, trace: JoinTrace | None):
+                stats: JoinStats | None, trace: JoinTrace | None,
+                rec_name: str = "rec", arr_name: str = "arr"):
     """The probe path of mshj and probe-only: extract the bound dimensions,
-    drop records outside the array, probe in ``probe_order(...)`` and emit.
+    drop records outside the array, probe (mshj: in bucket order) and emit.
     Records probing an absent cell produce no output."""
-    model = _output_model(records, out)
+    frame = _as_frame(records, rec_name)
+    model = _output_model(frame, out)
     stats = stats if stats is not None else JoinStats()
     stats.strategy = strategy
-    _check_binding(arr, binding)
-    kept, tq, tile_ids, cells = _locate(records, binding, arr.meta, stats)
+    if len(binding.attrs) != arr.meta.d:
+        raise BindingError(f"binding has {len(binding.attrs)} attributes for "
+                           f"a {arr.meta.d}-dimensional array")
+    kept, tq, tile_ids, cells = _locate(frame, binding, arr.meta, stats)
     t0 = time.perf_counter()
-    order = probe_order(arr, tq, kept, stats, trace)
+    order = _bucket_order(arr, tq, kept, stats, trace) if strategy == "mshj" \
+        else np.arange(len(tile_ids), dtype=np.int64)
     stats.build_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -406,10 +409,10 @@ def _probe_join(strategy: str, probe_order, records, arr: StoredArray,
 
     t0 = time.perf_counter()
     hit = order[found]
-    joined = _joined_records(records, arr, _at(kept, hit), binding,
-                             [v[found] for v in vals])
+    joined = _joined_records(frame, arr, _at(kept, hit), binding,
+                             [v[found] for v in vals], arr_name)
     stats.output_rows = len(hit)
-    res = _emit(joined, arr, binding, model)
+    res = _emit(joined, arr, binding, model, frame is not records)
     stats.emit_seconds += time.perf_counter() - t0
     return res
 
@@ -430,11 +433,6 @@ def _bucket_order(arr: StoredArray, tq, kept, stats: JoinStats,
     return order
 
 
-def _input_order(arr: StoredArray, tq, kept, stats: JoinStats,
-                 trace: JoinTrace | None) -> np.ndarray:
-    return np.arange(len(tq[0]), dtype=np.int64)
-
-
 def mshj(records, arr: StoredArray, binding: DimBinding,
          out: JoinOutputSpec | None = None, *,
          stats: JoinStats | None = None, trace: JoinTrace | None = None):
@@ -445,8 +443,7 @@ def mshj(records, arr: StoredArray, binding: DimBinding,
     referenced tile exactly once.  Records outside the array extent or
     probing an absent cell produce no output.
     """
-    return _probe_join("mshj", _bucket_order, records, arr, binding, out,
-                       stats, trace)
+    return _probe_join("mshj", records, arr, binding, out, stats, trace)
 
 
 def join_probe_only(records, arr: StoredArray, binding: DimBinding,
@@ -456,8 +453,8 @@ def join_probe_only(records, arr: StoredArray, binding: DimBinding,
     """Baseline: mshj's probe in input record order (no bucketing).
     A tile is still pinned once per contiguous run, so scattered orders pin
     the same tile repeatedly."""
-    return _probe_join("probe-only", _input_order, records, arr, binding, out,
-                       stats, trace)
+    return _probe_join("probe-only", records, arr, binding, out, stats,
+                       trace)
 
 
 def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
@@ -466,59 +463,64 @@ def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
                         stats: JoinStats | None = None):
     """Baseline: array → relation, then an ordinary relational/document join.
 
-    `pred` may be any predicate over the two inputs (qualified by `rec_name`
-    / `arr_name`); when omitted it is derived from `binding` as an equi-join
+    `pred` may be any predicate over the two inputs (the records' columns
+    qualified by their own qualifiers or `rec_name`, the array's by
+    `arr_name`); when omitted it is derived from `binding` as an equi-join
     on every dimension.
     """
-    model = _output_model(records, out)
+    frame = _as_frame(records, rec_name)
+    model = _output_model(frame, out)
     stats = stats if stats is not None else JoinStats()
     stats.strategy = "convert"
     if pred is None:
         if binding is None:
             raise BindingError("conversion join needs a binding or a predicate")
-        from .predicates import parse_predicate
         parts = [f"{rec_name}.{a} = {arr_name}.{d}"
                  for a, d in zip(binding.attrs, arr.meta.schema.dim_names)]
         pred = parse_predicate(" and ".join(parts))
-    if isinstance(records, Relation):
-        # `<rec_name>.x = <arr_name>.y` reads the record's own x, as mshj
-        # does, and never a column literally named `<rec_name>.x`
-        for x in bound_names(pred, rec_name, arr_name):
-            _attr_index(records, x)
-    stats.n_records = len(records)
+    stats.n_records = len(frame)
 
     t0 = time.perf_counter()
-    arel = to_relation(arr)
+    arel = _as_frame(to_relation(arr), arr_name)
     stats.convert_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tree = node("join",
-                node("scan", name="__rec", qualifier=rec_name),
-                node("scan", name="__arr", qualifier=arr_name),
-                pred=pred)
     schema = arr.meta.schema
-    if isinstance(records, Relation):
-        taken = set(records.attr_names)
-        attr_out = _dedupe(list(schema.attr_names), taken)
-        cols = [f"{rec_name}.{c}" for c in records.attr_names] + \
-               [f"{arr_name}.{a}" for a in schema.attr_names]
-        tree = node("project", tree, cols=cols,
-                    names=records.attr_names + attr_out)
-    joined = frame_to_public(execute_tree(tree, {"__rec": records,
-                                                 "__arr": arel}))
+    if isinstance(frame, DocFrame):  # a path under rec_name is the record's
+        aliased = DocFrame(frame.quals + (rec_name,), frame.coll)
+        joined = DocFrame(tuple(dict.fromkeys(frame.quals + (arr_name,))),
+                          _join(aliased, arel, pred).coll)
+    else:
+        left = RelFrame([(q or rec_name, n) for q, n in frame.cols],
+                        frame.types, frame.columns, frame.n)
+        joined = _join(left, arel, _own_refs(pred, left, rec_name))
+        del joined.columns[len(frame.cols):len(frame.cols) + schema.d]
+        joined = _rel_output(frame, schema, arr_name, joined.columns)
     stats.probe_seconds += time.perf_counter() - t0
     stats.output_rows = len(joined)
     t0 = time.perf_counter()
-    res = _emit(joined, arr, binding, model)
+    res = _emit(joined, arr, binding, model, frame is not records)
     stats.emit_seconds += time.perf_counter() - t0
     return res
 
 
-def _check_binding(arr: StoredArray, binding: DimBinding) -> None:
-    if len(binding.attrs) != arr.meta.d:
-        raise BindingError(
-            f"binding has {len(binding.attrs)} attributes for a "
-            f"{arr.meta.d}-dimensional array")
+def _own_refs(p, records: RelFrame, rec_name: str):
+    """``p`` with each ``<rec_name>.x`` written ``q.x``, the name of the
+    column x resolves to among the records (each has a qualifier): the
+    records' own x, as mshj reads it, and never a column literally named
+    ``<rec_name>.x``.  An x the records lack is a binding error."""
+    if isinstance(p, (And, Or)):
+        return type(p)(tuple(_own_refs(i, records, rec_name) for i in p.items))
+    if isinstance(p, Not):
+        return Not(_own_refs(p.item, records, rec_name))
+    if isinstance(p, Cmp):
+        return Cmp(p.op, _own_refs(p.left, records, rec_name),
+                   _own_refs(p.right, records, rec_name))
+    head, _, x = p.path.partition(".") if isinstance(p, Ref) else ("",) * 3
+    if head != rec_name or not x:
+        return p
+    _present(records, x)  # raises for an x the records lack
+    return Ref("{}.{}".format(*records.cols[_col_index(records, x)]))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +581,8 @@ def join_tiles(records, meta: ArrayMeta, pred, *, rec_name: str,
                                    arr_name, strategy)
         if strategy == "convert":
             return None
-        return np.unique(_locate(records, binding, meta, JoinStats())[2])
+        return np.unique(_locate(_as_frame(records, rec_name), binding, meta,
+                                 JoinStats())[2])
     except EngineError:
         return None
 
@@ -593,14 +596,12 @@ def dispatch_join(records, arr: StoredArray, pred,
     to mshj, any other predicate falls back to the conversion strategy."""
     strategy, binding = _route(pred, arr.meta.schema.dim_names, rec_name,
                                arr_name, strategy)
-    if strategy == "mshj":
-        return mshj(records, arr, binding, out, stats=stats, trace=trace)
-    if strategy == "probe-only":
-        return join_probe_only(records, arr, binding, out, stats=stats,
-                               trace=trace)
-    return join_via_conversion(records, arr, binding, out, pred=pred,
-                               rec_name=rec_name, arr_name=arr_name,
-                               stats=stats)
+    if strategy == "convert":
+        return join_via_conversion(records, arr, binding, out, pred=pred,
+                                   rec_name=rec_name, arr_name=arr_name,
+                                   stats=stats)
+    return _probe_join(strategy, records, arr, binding, out, stats, trace,
+                       rec_name, arr_name)
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +627,12 @@ def to_array(src, dim_names: list[str], value_names: list[str],
                              len(value_names) != len(meta.schema.attr_names)):
         raise OutputSpecError("dim/value name count does not match the array schema")
     binding = DimBinding(tuple(dim_names))
+    src = _as_frame(src, "rec")
     dims, kept, cols = _extract_dims(src, binding, value_names)
     inferred = meta is None
-    if inferred:
-        if isinstance(src, Relation):
-            types = [src.schema[_attr_index(src, vn)][1] for vn in value_names]
-        else:
-            types = [_value_type(c) for c in cols]
+    if inferred:  # a relation's declared types, else the values' own
+        types = [_column(src, vn)[1] for vn in value_names] \
+            if isinstance(src, RelFrame) else list(map(_value_type, cols))
         size = (tuple(int(c.max()) + 1 for c in dims) if len(dims[0])
                 else (1,) * len(dim_names))
         meta = ArrayMeta(CellSchema(binding.attrs, tuple(value_names),

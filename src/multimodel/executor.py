@@ -8,15 +8,15 @@ lands in a registry keyed by its output node's id, where downstream
 partitions pick it up.  Relational and document partitions run as operator
 trees, and a record node's value is the frame its tree made
 (``rd_engine``): every reader of the node, in any partition, sees the same
-columns and qualifiers.  A frame becomes a public Relation or Collection
-only where one is needed: as an input of the bridge, and as the run's
-result.  Array partitions run node by node on tiled arrays; inter-model
-partitions are the conversion / join bridge calls.  A conversion passes its
-records to ``bridge.to_array`` with only the default tile extent and spool
-directory; the bridge derives the array's extent, value types and tiling
-from its one walk over the records.  A matmul read
-only by a record–array join whose records have run computes only the tiles
-that join probes (``_tile_demand``).
+columns and qualifiers.  Array partitions run node by node on tiled arrays;
+inter-model partitions are the conversion / join bridge calls, which take
+and give frames too, so a frame becomes a public Relation or Collection
+only as the run's result.  A conversion passes its records to
+``bridge.to_array`` with only the default tile extent and spool directory;
+the bridge derives the array's extent, value types and tiling from its one
+walk over the records.  A matmul read only by a record–array join whose
+records have run computes only the tiles that join probes
+(``_tile_demand``).
 
 Intermediates live until their last consumer has run: each node's consumers
 are counted from the plan, and when the count reaches zero the node's
@@ -288,7 +288,7 @@ class Engine:
             if n.params.get(flag) else reg[i].meta
             for i, flag in zip(n.inputs, ("transpose_a", "transpose_b"))))
         p = join.params
-        return join_tiles(_public(records), meta, p["pred"],
+        return join_tiles(records, meta, p["pred"],
                           rec_name=p["rec_name"], arr_name=p["arr_name"],
                           strategy=self.config.strategy)
 
@@ -319,12 +319,12 @@ class Engine:
     def _bridge_node(self, n, reg):
         p = n.params
         if n.op == "to_array":
-            return to_array(_public(reg[n.inputs[0]]), p["dims"],
+            return to_array(reg[n.inputs[0]], p["dims"],
                             p["values"], None, self.pool,
                             default_tile=self.config.default_tile,
                             spool_dir=self.config.spool_dir)
         if n.op == "join_rel_array":
-            records, arr = _public(reg[n.inputs[0]]), reg[n.inputs[1]]
+            records, arr = reg[n.inputs[0]], reg[n.inputs[1]]
             stats = JoinStats()
             res = dispatch_join(records, arr, p["pred"],
                                 JoinOutputSpec(p["out_model"]),

@@ -370,9 +370,9 @@ def _bound_attrs(params: Mapping[str, Any]) -> set[str]:
 
 def _pushable(pred, attrs: set[str]) -> bool:
     """Whether ``pred`` only compares, by ``=`` and ``!=`` under any AND, OR
-    and NOT, literals and bare references to ``attrs``.  (A qualified
-    reference above the join would name another column, and an order
-    comparison can raise on a record the join drops.)"""
+    and NOT, literals and bare references to ``attrs``.  (The plan does not
+    know the records' qualifiers, which name the same columns above the
+    join; an order comparison can raise on a record the join drops.)"""
     if isinstance(pred, (And, Or)):
         return all(_pushable(p, attrs) for p in pred.items)
     if isinstance(pred, Not):
@@ -386,9 +386,9 @@ def _plain_names(plan: LogicalPlan, nid: int, model: str) -> bool:
     ``model`` filter on them, as it reads the records the node produces.
     Always for documents.  For a relation, when filters, sorts and limits
     lead from nid to a scan, or to a node of another model: a relational
-    join may hold two columns of one bare name, which its result renders
-    apart, while a scan's columns, a public value's and an aggregate's
-    (see ``rd_engine``) are named apart already."""
+    join may hold two columns of one bare name, which a record–array join's
+    output names apart (``bridge``), while a scan's columns and an
+    aggregate's (see ``rd_engine``) are named apart already."""
     if model == "document":
         return True
     n = plan.node(nid)
@@ -418,16 +418,11 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     conjunct of its top-level AND that ``_pushable`` accepts moves into a new
     filter on the join's records (see ``_bound_attrs``, ``_plain_names``);
     the rest stay above the join, and a filter left with none is dropped.
-    The target is not dropped but keeps its whole predicate, which every
-    row reaching it passes: a result keeps the name its last operator gives
-    it (a collection from a filter is ``result``, from a join ``joined``).
-    A moved conjunct reads a record's value as the join emits it and never
-    raises, so the plan that runs raises only where the plan as bound
-    raises, and where that one succeeds both give the same rows, order and
-    schema.  (Except under the ``convert`` strategy for a relation that
-    lacks x but has a column literally named ``<rec_name>.x``: the join
-    reads that column, and the output's x is an array attribute of that
-    name.)
+    The target is not dropped, so the run's target node stays, but keeps
+    its whole predicate, which every row reaching it passes.  A moved
+    conjunct reads a record's value as the join emits it and never raises,
+    so the plan that runs raises only where the plan as bound raises, and
+    where that one succeeds both give the same rows, order and schema.
     """
     cons = plan.consumers()
     metas: dict[int, ArrayMeta | None] = {}

@@ -23,13 +23,13 @@ Dicts are built only to unwind and for a document sort's tie-break.
 Column references carry optional qualifiers ("review.oid"): a bare name must
 resolve to exactly one column, a qualified name matches its source relation.
 Joins preserve qualifiers so collisions stay addressable.  A node's value is
-its frame, and every reader of the node, in its own tree or in another
-partition, sees the same columns and qualifiers.  Project and aggregate
-name their columns without a qualifier and number a repeated name the way
-a public Relation renders it ("x", "x#1"), so a frame never holds two
-unqualified columns of one name.  Converting to a public Relation
-(``frame_to_public``) renders colliding qualified names as
-"qualifier.name".
+its frame, a record–array join's included (``bridge``), and every reader of
+the node, in its own tree or in another partition, sees the same columns
+and qualifiers.  Project and aggregate name their columns without a
+qualifier and number a repeated name the way a public Relation renders it
+("x", "x#1"), so a frame never holds two unqualified columns of one name.
+Converting to a public Relation (``frame_to_public``) renders colliding
+qualified names as "qualifier.name".
 
 Each operator resolves its references once, when it starts, into column
 getters and compiled predicates; an unknown or ambiguous column raises
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFoundError, PlanError, TypeMismatchError
+from .errors import BindingError, NotFoundError, PlanError, TypeMismatchError
 from .models import (ABSENT, FLOAT, INT, Collection, Column, Relation,
                      object_column, column_of, compile_path, compile_set,
                      infer_column_type)
@@ -61,8 +61,7 @@ from .planner import TreeNode
 from .predicates import (And, Cmp, Ref, compile_columns, equi_conjuncts,
                          universal_key)
 
-__all__ = ["RelFrame", "DocFrame", "execute_tree", "node",
-           "frame_to_public", "relation_frame", "collection_frame"]
+__all__ = ["RelFrame", "DocFrame", "execute_tree", "node", "frame_to_public"]
 
 
 def node(op: str, *children: TreeNode, **params) -> TreeNode:
@@ -98,15 +97,6 @@ class DocFrame:
 
     def take(self, idx: np.ndarray) -> "DocFrame":
         return DocFrame(self.quals, self.coll.take(idx))
-
-
-def relation_frame(rel: Relation, qualifier: str | None = None) -> RelFrame:
-    return RelFrame([(qualifier, n) for n, _ in rel.schema],
-                    [t for _, t in rel.schema], list(rel.columns), len(rel))
-
-
-def collection_frame(col: Collection, qualifier: str | None = None) -> DocFrame:
-    return DocFrame((qualifier or col.name,), col)
 
 
 def frame_to_public(f):
@@ -167,6 +157,18 @@ def _path(f: DocFrame, path: str) -> tuple[Column, np.ndarray]:
     return col, present
 
 
+def _present(f, path: str) -> tuple[Column, np.ndarray]:
+    """A path's column on either frame and the mask of the rows that have
+    it, every row of a relation; for the bridge, which reports a relation's
+    name that resolves to no one column as a BindingError."""
+    if isinstance(f, DocFrame):
+        return _path(f, path)
+    try:
+        return f.columns[_col_index(f, path)], np.ones(f.n, dtype=bool)
+    except PlanError:
+        raise BindingError(f"relation has no attribute {path!r}") from None
+
+
 def _overlay(a: Column, mask: np.ndarray, b: Column) -> Column:
     """a's value in the rows of ``mask``, b's in the others."""
     if mask.all():
@@ -223,8 +225,8 @@ def execute_tree(tree: TreeNode, registry: dict | None = None):
 
     A scan reads the Relation or Collection the registry holds under its
     dataset name.  An alias_ref reads the value it holds under the leaf's
-    node id: a frame as it is, with the columns and qualifiers its own tree
-    gave it, and a public value framed with no qualifier."""
+    node id: a frame as it is, with the columns and qualifiers its maker
+    gave it, and a public value (never the executor's) framed unqualified."""
     return _exec(tree, registry or {})
 
 
@@ -236,9 +238,7 @@ def _exec(n: TreeNode, reg: dict):
         nid = n.params["id"]
         if nid not in reg:
             raise PlanError(f"no value for node {nid}")
-        value = reg[nid]
-        return value if isinstance(value, (RelFrame, DocFrame)) \
-            else _as_frame(value, None)
+        return _as_frame(reg[nid], None)
 
     kids = [_exec(c, reg) for c in n.children]
     if op == "filter":
@@ -268,10 +268,15 @@ def _scan(params: dict, reg: dict):
 
 
 def _as_frame(obj, qualifier):
+    """A frame as it is; a public value under ``qualifier``."""
+    if isinstance(obj, (RelFrame, DocFrame)):
+        return obj
     if isinstance(obj, Relation):
-        return relation_frame(obj, qualifier)
+        return RelFrame([(qualifier, n) for n, _ in obj.schema],
+                        [t for _, t in obj.schema], list(obj.columns),
+                        len(obj))
     if isinstance(obj, Collection):
-        return collection_frame(obj, qualifier)
+        return DocFrame((qualifier or obj.name,), obj)
     raise PlanError(f"cannot scan object of type {type(obj).__name__}")
 
 

@@ -70,7 +70,7 @@ def test_bound_equalities_move_below_the_join_and_the_rest_stay():
 
 
 @pytest.mark.parametrize("pred", [
-    "interest.cid = 3",  # above the join a qualified name reads another column
+    "interest.cid = 3",  # the plan does not know the records' qualifiers
     "cid < 3",           # an order comparison may raise on a dropped record
     "cid = rating",      # rating is the array's
     "cid = 3 OR rating = 1",
@@ -273,7 +273,12 @@ def join_cases(draw):
     compare = st.builds(lambda k, op, x: f"{k} {op} {x}",
                         st.sampled_from([a, b, c, "v"]),
                         st.sampled_from(["<", ">=", "=", "!="]), lit)
-    other = st.one_of(compare, compare, compare,
+    # r qualifies the records above the join, arr the array's attribute
+    qualified = st.builds(lambda k, op, x: f"{k} {op} {x}",
+                          st.sampled_from([f"r.{a}", f"r.{b}", f"r.{c}",
+                                           "arr.v"]),
+                          st.sampled_from(["=", "!=", ">="]), lit)
+    other = st.one_of(compare, compare, compare, qualified,
                       st.builds(lambda x: f"{rec}.{a} != {x}", lit))
     conjunct = st.recursive(
         st.one_of(pushable, other),

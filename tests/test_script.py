@@ -21,6 +21,7 @@ from multimodel import (
     partition,
     plan_to_dict,
 )
+from multimodel.executor import format_result
 from multimodel.script import parse_script
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
@@ -393,6 +394,126 @@ def test_a_filter_pushed_onto_an_aggregate_reads_its_numbered_names(tmp_path):
     res = eng.run(text)
     assert [c for c, _ in res.schema] == ["x", "x#1", "n", "v"]
     assert res.rows == [(0, 1, 2, 5)]
+
+
+# ------------------------------------- names above a record–array join
+
+JOIN_STRATEGIES = ("auto", "mshj", "probe-only", "convert")
+
+
+def write_names_catalog(path):
+    """t(r, c, w), g(k, z), a(r, c, v), a2(r, c, k), b(k), and 2 x 2 arrays
+    cells and cv with a value v and ck with a value k, one cell per tile."""
+    (path / "t.csv").write_text("r,c,w\n0,0,3\n1,1,4\n0,1,5\n")
+    (path / "g.csv").write_text("k,z\n3,30\n4,40\n5,50\n")
+    (path / "a.csv").write_text("r,c,v\n0,0,3\n1,1,4\n")
+    (path / "a2.csv").write_text("r,c,k\n0,0,3\n1,1,4\n")
+    (path / "b.csv").write_text("k\n3\n4\n")
+    for name, attr in (("cells", "v"), ("cv", "v"), ("ck", "k")):
+        (path / f"{name}.csv").write_text(
+            f"r,c,{attr}\n0,0,1.5\n1,1,2.5\n0,1,3.5\n1,0,4.5\n")
+        Catalog(str(path)).ingest("coo", str(path / f"{name}.csv"), name,
+                                  size=(2, 2), tile=(1, 1))
+
+
+def _rows_of(res):
+    """The names and the rows of a result, rows in a fixed order."""
+    if isinstance(res, Relation):
+        return res.schema, sorted(map(repr, res.rows))
+    return None, sorted(json.dumps(d) for d in res.docs)
+
+
+NAMES = ("t, g = openTable('t'), openTable('g')\n"
+         "cells = openArray('cells')\n")
+ARRAY_SIDE = "h = cells.join(t, 't.r = cells.r AND t.c = cells.c', {m})\n"
+RECORD_SIDE = "h = t.join(g, 't.w = g.k')\n"
+
+
+@pytest.mark.parametrize("model", ["RELATIONAL", "DOCUMENT"])
+@pytest.mark.parametrize("qualified, plain", [
+    (ARRAY_SIDE + "execute(h.filter('t.w = 3'))",
+     ARRAY_SIDE + "execute(h.filter('w = 3'))"),
+    (ARRAY_SIDE + "execute(h.filter('cells.v = 1.5'))",
+     ARRAY_SIDE + "execute(h.filter('v = 1.5'))"),
+    (ARRAY_SIDE + "execute(h.join(g, 't.w = g.k'))",
+     ARRAY_SIDE + "execute(h.join(g, 'w = g.k'))"),
+    (RECORD_SIDE + "execute(cells.join(h, 't.r = cells.r AND "
+     "t.c = cells.c', {m}))",
+     RECORD_SIDE + "execute(cells.join(h, 'r = cells.r AND c = cells.c', "
+     "{m}))"),
+    (RECORD_SIDE + "execute(cells.join(h, 'h.r = cells.r AND "
+     "h.c = cells.c', {m}).filter('g.z = 30'))",
+     RECORD_SIDE + "execute(cells.join(h, 'h.r = cells.r AND "
+     "h.c = cells.c', {m}).filter('z = 30'))"),
+], ids=["filter t.w", "filter cells.v", "join on t.w", "bound t.r",
+        "filter g.z"])
+def test_qualified_names_above_a_record_array_join(tmp_path, model,
+                                                   qualified, plain):
+    """Records keep their qualifiers through a record–array join, and the
+    array's attributes take its name: a qualified name reads what its bare
+    form reads, under either output model and every strategy."""
+    write_names_catalog(tmp_path)
+    got = {}
+    for strategy in JOIN_STRATEGIES:
+        eng = engine(tmp_path, strategy=strategy)
+        want = _rows_of(eng.run(NAMES + plain.format(m=model) + "\n"))
+        assert want[1], strategy  # the bare form finds rows
+        got[strategy] = _rows_of(eng.run(NAMES + qualified.format(m=model)
+                                         + "\n"))
+        assert got[strategy] == want, strategy
+    assert len(set(map(repr, got.values()))) == 1
+
+
+@pytest.mark.parametrize("script, printed", [
+    # an array attribute a record column prints under takes `_r`
+    ("a, cv = openTable('a'), openArray('cv')\n"
+     "execute(cv.join(a, 'a.r = cv.r AND a.c = cv.c', {m}))\n",
+     {"RELATIONAL": "r,c,v,v_r\n0,0,3,1.5\n1,1,4,2.5\n",
+      "DOCUMENT": '{"r": 0, "c": 0, "v": 3, "v_r": 1.5}\n'
+                  '{"r": 1, "c": 1, "v": 4, "v_r": 2.5}\n'}),
+    # record columns a2.k and b.k keep their printed names; the array's k
+    # prints as it is
+    ("a2, b, ck = openTable('a2'), openTable('b'), openArray('ck')\n"
+     "h = a2.join(b, 'a2.k = b.k')\n"
+     "execute(ck.join(h, 'h.r = ck.r AND h.c = ck.c', {m}))\n",
+     {"RELATIONAL": "r,c,a2.k,b.k,k\n0,0,3,3,1.5\n1,1,4,4,2.5\n",
+      "DOCUMENT": '{"r": 0, "c": 0, "a2.k": 3, "b.k": 3, "k": 1.5}\n'
+                  '{"r": 1, "c": 1, "a2.k": 4, "b.k": 4, "k": 2.5}\n'}),
+], ids=["v beside v", "a2.k, b.k beside k"])
+@pytest.mark.parametrize("model", ["RELATIONAL", "DOCUMENT"])
+@pytest.mark.parametrize("strategy", JOIN_STRATEGIES)
+def test_names_that_collide_at_a_record_array_join_print_as_before(
+        tmp_path, script, printed, model, strategy):
+    write_names_catalog(tmp_path)
+    res = engine(tmp_path, strategy=strategy).run(script.format(m=model))
+    assert format_result(res) == printed[model]
+
+
+@pytest.mark.parametrize("script", ["recommend", "tile_join"])
+def test_only_the_result_is_made_public(tmp_path, monkeypatch, script):
+    """Records reach the bridge, and leave it, as frames: a run turns one
+    frame into a public value, its result."""
+    from multimodel import bridge, executor, rd_engine
+    if script == "recommend":
+        write_recommend_catalog(tmp_path)
+        text = RECOMMEND
+    else:
+        write_tile_join_catalog(tmp_path)
+        with open(os.path.join(PERFBENCH, "tile_join.m2s"),
+                  encoding="utf-8") as f:
+            text = f.read()
+    made = []
+    public = rd_engine.frame_to_public
+
+    def spy(frame):
+        made.append(public(frame))
+        return made[-1]
+
+    for mod in (rd_engine, executor, bridge):  # wherever it is looked up
+        if getattr(mod, "frame_to_public", None) is public:
+            monkeypatch.setattr(mod, "frame_to_public", spy)
+    res = engine(tmp_path, default_tile=2).run(text)
+    assert len(made) == 1 and made[0] is res and len(res) > 0
 
 
 def test_runtime_errors_carry_partition_index(tmp_path):
