@@ -61,15 +61,9 @@ from .planner import (
 )
 from .predicates import parse_predicate, parse_sort_spec
 from .bridge import (
-    DimBinding,
-    JoinOutputSpec,
     JoinStats,
     JoinTrace,
     dispatch_join,
-    join_probe_only,
-    join_via_conversion,
-    match_all_dims_binding,
-    mshj,
     to_array,
     to_relation,
 )

@@ -1,16 +1,19 @@
 """Inter-model operations: conversions and relation/collection-to-array joins.
 
-The centerpiece is the multi-stage hash join (``mshj``): records are
-re-ordered to match the array's tiling through D stable bucketing stages
-(one per dimension, bucket index ``floor(v_d / TS_d)``), then probed in
-bucket order so that every referenced tile is pinned exactly once.
-``join_probe_only`` runs the same probe in input record order.
-``join_via_conversion`` turns the array into a relation and runs a plain
-relational join.  All three hand their result to one emit step, which
-returns relational, document or array output; array output is always built
-by ``to_array``.  Document records join to document output only.  Records
-come and go as ``rd_engine`` frames; a public value is framed where it
-enters, and a join hands one back.
+``dispatch_join`` is the one record–array join.  It takes the script's
+predicate and output model and routes the join (``_route``): an equi-join
+binding every array dimension runs the multi-stage hash join (mshj), any
+other predicate turns the array into a relation and runs a plain relational
+join (convert).  mshj re-orders the records to match the array's tiling
+through D stable bucketing stages (one per dimension, bucket index
+``floor(v_d / TS_d)``), then probes them in bucket order so that every
+referenced tile is pinned exactly once; probe-only, which a caller can
+force, runs the same probe in input record order.  Every strategy hands its
+result to one emit step, which returns relational, document or array
+output; array output is always built by ``to_array``.  Document records
+join to document output only.  Records come and go as ``rd_engine``
+frames; a public value is framed where it enters, and a join hands one
+back.
 
 Each record's tile coordinates (the stage keys), linear tile id and cell
 within the tile are computed once, before ordering, by the locator that
@@ -50,8 +53,7 @@ from .errors import BindingError, EngineError, OutputSpecError
 from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
                      infer_column_type, tile_extent)
-from .predicates import (And, Cmp, Not, Or, Ref, equi_conjuncts,
-                         parse_predicate)
+from .predicates import And, Cmp, Not, Or, Ref, equi_conjuncts
 from .rd_engine import (DocFrame, RelFrame, _as_frame, _col_index, _column,
                         _join, _merged, _path, _present, _public_names,
                         _rel_to_doc, frame_to_public)
@@ -70,18 +72,6 @@ class DimBinding:
     def __post_init__(self):
         if len(set(self.attrs)) != len(self.attrs):
             raise BindingError(f"duplicate binding attributes {self.attrs}")
-
-
-@dataclass(frozen=True)
-class JoinOutputSpec:
-    """Target model of a record-array join.  Relational and array output
-    hold the record columns first, then the array's value attributes."""
-
-    model: str = "relational"  # relational | document | array
-
-    def __post_init__(self):
-        if self.model not in ("relational", "document", "array"):
-            raise OutputSpecError(f"unknown output model {self.model!r}")
 
 
 @dataclass
@@ -259,17 +249,19 @@ def _dedupe(names: list[str], taken: set[str]) -> list[str]:
     return out
 
 
-def _output_model(records, out: JoinOutputSpec | None) -> str:
+def _output_model(records, out: str | None) -> str:
     """The requested output model; records keep their own model by default.
     Document records have no fixed columns to lay out as rows or cells, so
     they join to document output only."""
     if out is None:
         return "document" if isinstance(records, DocFrame) else "relational"
-    if isinstance(records, DocFrame) and out.model != "document":
+    if out not in ("relational", "document", "array"):
+        raise OutputSpecError(f"unknown output model {out!r}")
+    if isinstance(records, DocFrame) and out != "document":
         raise OutputSpecError(
             f"document records join to DOCUMENT output only, not "
-            f"{out.model.upper()}")
-    return out.model
+            f"{out.upper()}")
+    return out
 
 
 def _rel_output(records: RelFrame, schema: CellSchema, arr_name: str,
@@ -380,20 +372,13 @@ def _locate(records, binding: DimBinding, meta: ArrayMeta,
     return kept, tq, tile_ids, cells
 
 
-def _probe_join(strategy: str, records, arr: StoredArray,
-                binding: DimBinding, out: JoinOutputSpec | None,
-                stats: JoinStats | None, trace: JoinTrace | None,
-                rec_name: str = "rec", arr_name: str = "arr"):
+def _probe_join(strategy: str, frame, arr: StoredArray, binding: DimBinding,
+                stats: JoinStats, trace: JoinTrace | None, arr_name: str):
     """The probe path of mshj and probe-only: extract the bound dimensions,
-    drop records outside the array, probe (mshj: in bucket order) and emit.
-    Records probing an absent cell produce no output."""
-    frame = _as_frame(records, rec_name)
-    model = _output_model(frame, out)
-    stats = stats if stats is not None else JoinStats()
-    stats.strategy = strategy
-    if len(binding.attrs) != arr.meta.d:
-        raise BindingError(f"binding has {len(binding.attrs)} attributes for "
-                           f"a {arr.meta.d}-dimensional array")
+    drop records outside the array, probe and join each hit to its cell.
+    mshj probes in bucket order, so every referenced tile is pinned once;
+    probe-only probes in record order, pinning a tile once per run of its
+    records.  Records probing an absent cell produce no output."""
     kept, tq, tile_ids, cells = _locate(frame, binding, arr.meta, stats)
     t0 = time.perf_counter()
     order = _bucket_order(arr, tq, kept, stats, trace) if strategy == "mshj" \
@@ -412,9 +397,8 @@ def _probe_join(strategy: str, records, arr: StoredArray,
     joined = _joined_records(frame, arr, _at(kept, hit), binding,
                              [v[found] for v in vals], arr_name)
     stats.output_rows = len(hit)
-    res = _emit(joined, arr, binding, model, frame is not records)
     stats.emit_seconds += time.perf_counter() - t0
-    return res
+    return joined
 
 
 def _bucket_order(arr: StoredArray, tq, kept, stats: JoinStats,
@@ -433,53 +417,12 @@ def _bucket_order(arr: StoredArray, tq, kept, stats: JoinStats,
     return order
 
 
-def mshj(records, arr: StoredArray, binding: DimBinding,
-         out: JoinOutputSpec | None = None, *,
-         stats: JoinStats | None = None, trace: JoinTrace | None = None):
-    """Multi-stage hash join: D bucketing stages, then a tile-ordered probe.
-
-    Each stage stably re-orders records by ``floor(v_d / TS_d)``; after the
-    last stage the scan order is grouped by tile, so the probe pins every
-    referenced tile exactly once.  Records outside the array extent or
-    probing an absent cell produce no output.
-    """
-    return _probe_join("mshj", records, arr, binding, out, stats, trace)
-
-
-def join_probe_only(records, arr: StoredArray, binding: DimBinding,
-                    out: JoinOutputSpec | None = None, *,
-                    stats: JoinStats | None = None,
-                    trace: JoinTrace | None = None):
-    """Baseline: mshj's probe in input record order (no bucketing).
-    A tile is still pinned once per contiguous run, so scattered orders pin
-    the same tile repeatedly."""
-    return _probe_join("probe-only", records, arr, binding, out, stats,
-                       trace)
-
-
-def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
-                        out: JoinOutputSpec | None = None, *,
-                        pred=None, rec_name: str = "rec", arr_name: str = "arr",
-                        stats: JoinStats | None = None):
-    """Baseline: array → relation, then an ordinary relational/document join.
-
-    `pred` may be any predicate over the two inputs (the records' columns
-    qualified by their own qualifiers or `rec_name`, the array's by
-    `arr_name`); when omitted it is derived from `binding` as an equi-join
-    on every dimension.
-    """
-    frame = _as_frame(records, rec_name)
-    model = _output_model(frame, out)
-    stats = stats if stats is not None else JoinStats()
-    stats.strategy = "convert"
-    if pred is None:
-        if binding is None:
-            raise BindingError("conversion join needs a binding or a predicate")
-        parts = [f"{rec_name}.{a} = {arr_name}.{d}"
-                 for a, d in zip(binding.attrs, arr.meta.schema.dim_names)]
-        pred = parse_predicate(" and ".join(parts))
+def _convert_join(frame, arr: StoredArray, pred, stats: JoinStats,
+                  rec_name: str, arr_name: str):
+    """Array → relation, then an ordinary relational or document join on
+    `pred`, which may be any predicate over the records (qualified by their
+    own qualifiers or `rec_name`) and the array (by `arr_name`)."""
     stats.n_records = len(frame)
-
     t0 = time.perf_counter()
     arel = _as_frame(to_relation(arr), arr_name)
     stats.convert_seconds += time.perf_counter() - t0
@@ -498,10 +441,7 @@ def join_via_conversion(records, arr: StoredArray, binding: DimBinding | None,
         joined = _rel_output(frame, schema, arr_name, joined.columns)
     stats.probe_seconds += time.perf_counter() - t0
     stats.output_rows = len(joined)
-    t0 = time.perf_counter()
-    res = _emit(joined, arr, binding, model, frame is not records)
-    stats.emit_seconds += time.perf_counter() - t0
-    return res
+    return joined
 
 
 def _own_refs(p, records: RelFrame, rec_name: str):
@@ -526,8 +466,8 @@ def _own_refs(p, records: RelFrame, rec_name: str):
 # ---------------------------------------------------------------------------
 # dispatcher
 
-def match_all_dims_binding(pred, dim_names, rec_name: str,
-                           arr_name: str) -> DimBinding | None:
+def _match_all_dims_binding(pred, dim_names, rec_name: str,
+                            arr_name: str) -> DimBinding | None:
     """If `pred` is a pure equi-join binding each array dimension in
     `dim_names` once, return the record-side binding (in their order)."""
     pairs, residual = equi_conjuncts(pred)
@@ -561,7 +501,7 @@ def match_all_dims_binding(pred, dim_names, rec_name: str,
 def _route(pred, dim_names, rec_name: str, arr_name: str, strategy: str):
     """(strategy run, binding of `pred` or None): ``auto`` probes an
     equi-join binding every array dimension and converts otherwise."""
-    binding = match_all_dims_binding(pred, dim_names, rec_name, arr_name)
+    binding = _match_all_dims_binding(pred, dim_names, rec_name, arr_name)
     if strategy == "auto":
         strategy = "mshj" if binding is not None else "convert"
     if strategy in ("mshj", "probe-only") and binding is None:
@@ -587,21 +527,31 @@ def join_tiles(records, meta: ArrayMeta, pred, *, rec_name: str,
         return None
 
 
-def dispatch_join(records, arr: StoredArray, pred,
-                  out: JoinOutputSpec | None = None, *,
+def dispatch_join(records, arr: StoredArray, pred, out: str | None = None, *,
                   rec_name: str = "rec", arr_name: str = "arr",
                   strategy: str = "auto", stats: JoinStats | None = None,
                   trace: JoinTrace | None = None):
-    """Route an inter-model join (``_route``): all-dimension equi-joins go
-    to mshj, any other predicate falls back to the conversion strategy."""
+    """The record–array join of `records` (qualified by their own qualifiers
+    or `rec_name`) to `arr` (by `arr_name`) on `pred`, in output model `out`
+    (relational, document or array; by default the records' own).
+    ``_route`` picks the strategy: an equi-join binding every dimension
+    probes (mshj), any other predicate converts the array to a relation and
+    joins it; `strategy` forces one of ``STRATEGIES``."""
     strategy, binding = _route(pred, arr.meta.schema.dim_names, rec_name,
                                arr_name, strategy)
+    frame = _as_frame(records, rec_name)
+    model = _output_model(frame, out)
+    stats = stats if stats is not None else JoinStats()
+    stats.strategy = strategy
     if strategy == "convert":
-        return join_via_conversion(records, arr, binding, out, pred=pred,
-                                   rec_name=rec_name, arr_name=arr_name,
-                                   stats=stats)
-    return _probe_join(strategy, records, arr, binding, out, stats, trace,
-                       rec_name, arr_name)
+        joined = _convert_join(frame, arr, pred, stats, rec_name, arr_name)
+    else:
+        joined = _probe_join(strategy, frame, arr, binding, stats, trace,
+                             arr_name)
+    t0 = time.perf_counter()
+    res = _emit(joined, arr, binding, model, frame is not records)
+    stats.emit_seconds += time.perf_counter() - t0
+    return res
 
 
 # ---------------------------------------------------------------------------

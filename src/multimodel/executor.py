@@ -11,12 +11,14 @@ trees, and a record node's value is the frame its tree made
 columns and qualifiers.  Array partitions run node by node on tiled arrays;
 inter-model partitions are the conversion / join bridge calls, which take
 and give frames too, so a frame becomes a public Relation or Collection
-only as the run's result.  A conversion passes its records to
-``bridge.to_array`` with only the default tile extent and spool directory;
-the bridge derives the array's extent, value types and tiling from its one
-walk over the records.  A matmul read only by a record–array join whose
-records have run computes only the tiles that join probes
-(``_tile_demand``).
+only as the run's result.  A record–array join passes the plan's
+predicate, output model and names to ``bridge.dispatch_join`` as they are,
+with the configured strategy; the bridge routes it.  A conversion passes
+its records to ``bridge.to_array`` with only the default tile extent and
+spool directory; the bridge derives the array's extent, value types and
+tiling from its one walk over the records.  A matmul read only by a
+record–array join whose records have run computes only the tiles that join
+probes (``_tile_demand``).
 
 Intermediates live until their last consumer has run: each node's consumers
 are counted from the plan, and when the count reaches zero the node's
@@ -42,8 +44,7 @@ import numpy as np
 
 from . import array_engine
 from .array_store import StoredArray
-from .bridge import (JoinOutputSpec, JoinStats, dispatch_join, join_tiles,
-                     to_array, to_relation)
+from .bridge import JoinStats, dispatch_join, join_tiles, to_array, to_relation
 from .buffer_pool import BufferPool
 from .errors import (ConfigError, DataFormatError, EngineError, NotFoundError,
                      PlanError)
@@ -326,8 +327,7 @@ class Engine:
         if n.op == "join_rel_array":
             records, arr = reg[n.inputs[0]], reg[n.inputs[1]]
             stats = JoinStats()
-            res = dispatch_join(records, arr, p["pred"],
-                                JoinOutputSpec(p["out_model"]),
+            res = dispatch_join(records, arr, p["pred"], p["out_model"],
                                 rec_name=p["rec_name"],
                                 arr_name=p["arr_name"],
                                 strategy=self.config.strategy, stats=stats)

@@ -417,9 +417,8 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
     with relational or document output that is not the target, each
     conjunct of its top-level AND that ``_pushable`` accepts moves into a new
     filter on the join's records (see ``_bound_attrs``, ``_plain_names``);
-    the rest stay above the join, and a filter left with none is dropped.
-    The target is not dropped, so the run's target node stays, but keeps
-    its whole predicate, which every row reaching it passes.  A moved
+    the rest stay above the join, and a filter left with none is dropped;
+    when that filter is the target, its join becomes the target.  A moved
     conjunct reads a record's value as the join emits it and never raises,
     so the plan that runs raises only where the plan as bound raises, and
     where that one succeeds both give the same rows, order and schema.
@@ -503,11 +502,12 @@ def rewrite(plan: LogicalPlan, target: int) -> tuple[LogicalPlan, int]:
         specs[j.id][3][0] = key
         if kept:
             specs[f][2]["pred"] = _conjoin(kept)
-        elif f != target:
+        else:
             del specs[f]
             forward[f] = j.id
     for spec in specs.values():
         spec[3] = [forward.get(i, i) for i in spec[3]]
+    target = forward.get(target, target)
 
     order: list[int] = []  # bound order; new nodes just before their reader
 

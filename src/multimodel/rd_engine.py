@@ -146,11 +146,16 @@ def _col_index(frame: RelFrame, path: str) -> int:
 
 
 def _path(f: DocFrame, path: str) -> tuple[Column, np.ndarray]:
-    """A document path's column and the mask of the rows that have it.  A
-    path whose head is one of the frame's qualifiers falls back to the rest
-    of it in the rows that lack the full path."""
+    """A document path's column and the mask of the rows that have it.  In
+    the rows that lack the full path, a dotted path falls back to a
+    top-level key spelled as the whole path (``a.k``, as ``_rel_to_doc``
+    keys a colliding column), and then, when its head is one of the frame's
+    qualifiers, to the rest of it."""
     col, present = f.coll.path(path)
     head, _, rest = path.partition(".")
+    if rest and path in f.coll.columns and not present.all():
+        other, has_other = f.coll.columns[path], f.coll.has(path)
+        col, present = _overlay(col, present, other), present | has_other
     if rest and head in f.quals and not present.all():
         other, has_other = f.coll.path(rest)
         col, present = _overlay(col, present, other), present | has_other
@@ -770,9 +775,10 @@ def _join_doc(left: DocFrame, right: DocFrame, pred):
     merged pairs of each batch; the output is the kept pairs merged."""
     quals = tuple(dict.fromkeys(left.quals + right.quals))
 
-    def strip(path: str, side: DocFrame) -> str:
+    def strip(path: str, side: DocFrame) -> str:  # a top-level key stays
         head, _, rest = path.partition(".")
-        return rest if rest and head in side.quals else path
+        return rest if rest and head in side.quals and \
+            path not in side.coll.columns else path
 
     def has(side: DocFrame, other: DocFrame):
         def side_has(p):  # a qualifier names the side, else a non-null value

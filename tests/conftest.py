@@ -6,6 +6,7 @@ import pytest
 from multimodel.array_store import ArrayBuilder
 from multimodel.buffer_pool import BufferPool
 from multimodel.models import ArrayMeta, CellSchema, ValueType
+from multimodel.predicates import parse_predicate
 
 
 @pytest.fixture
@@ -25,6 +26,15 @@ def cell_schema(d: int = 2, attrs=(("value", "float"),)) -> CellSchema:
 def array_meta(size, tile_size, layout="dense", attrs=(("value", "float"),), seed=None):
     return ArrayMeta(cell_schema(len(size), attrs), tuple(size), tuple(tile_size),
                      layout=layout, seed=seed)
+
+
+def dims_pred(arr, attrs):
+    """The equi-join binding each of `arr`'s dimensions to the record
+    attribute (or path) in its place in `attrs`, ``rec.<attr> = arr.<dim>``,
+    under ``dispatch_join``'s default names."""
+    return parse_predicate(" and ".join(
+        f"rec.{a} = arr.{d}"
+        for a, d in zip(attrs, arr.meta.schema.dim_names)))
 
 
 _KINDS = {"i": "int", "u": "uint", "f": "float", "b": "bool"}

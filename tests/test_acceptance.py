@@ -20,13 +20,14 @@ import pytest
 from multimodel import Engine, EngineConfig
 from multimodel.array_store import StoredArray
 from multimodel.bench import bench_bufferpool, bench_mshj
-from multimodel.bridge import (DimBinding, JoinStats, JoinTrace,
-                               join_probe_only, mshj, to_array, to_relation)
+from multimodel.bridge import (JoinStats, JoinTrace, dispatch_join, to_array,
+                               to_relation)
 from multimodel.buffer_pool import BufferObject, BufferPool
 from multimodel.models import (BOOL, FLOAT, INT, ArrayMeta, CellSchema,
                                Relation)
 from multimodel.planner import MODELS, dag_to_trees, partition, topo_order
 from multimodel.script import bind_script
+from conftest import dims_pred
 from plan_oracles import (check_partitioning, check_topo, random_plan,
                           symbolic_dag, symbolic_tree)
 from test_bridge import FIVE, build_array
@@ -77,8 +78,9 @@ def _join_instance(d: int, layout: str, seed: int) -> dict:
     rel = Relation([(f"a{k}", INT) for k in range(d)] + [("rid", INT)], rows)
 
     stats, trace = JoinStats(), JoinTrace()
-    res = mshj(rel, arr, DimBinding(tuple(f"a{k}" for k in range(d))),
-               stats=stats, trace=trace)
+    res = dispatch_join(rel, arr,
+                        dims_pred(arr, tuple(f"a{k}" for k in range(d))),
+                        strategy="mshj", stats=stats, trace=trace)
     expected = [r + cells[r[:d]] for r in rows if r[:d] in cells]
     return {
         "d": d, "layout": layout, "n": n,
@@ -121,7 +123,8 @@ def test_criterion_2_five_record_trace_matches_hand_computation(pool):
     arr = build_array(pool, (30, 10), (10, 5),
                       {(23, 8): (1.5,), (5, 2): (2.5,), (15, 1): (3.5,)})
     trace = JoinTrace()
-    mshj(FIVE, arr, DimBinding(("v0", "v1")), trace=trace)
+    dispatch_join(FIVE, arr, dims_pred(arr, ("v0", "v1")), strategy="mshj",
+                  trace=trace)
     assert trace.stage_buckets[0] == [[1, 3], [2, 4], [0]]
     assert trace.stage_buckets[1] == [[1, 3, 2, 4], [0]]
     assert trace.probe_order == [1, 3, 2, 4, 0]
@@ -158,12 +161,12 @@ def test_criterion_3_tiles_pinned_exactly_once(tmp_path):
     rng = random.Random(5)
     rows = [(rng.randrange(8), rng.randrange(8), i) for i in range(200)]
     rel = Relation([("a0", INT), ("a1", INT), ("rid", INT)], rows)
-    binding = DimBinding(("a0", "a1"))
     reads = {}
-    for strat, fn in (("mshj", mshj), ("probe-only", join_probe_only)):
+    for strat in ("mshj", "probe-only"):
         cold = StoredArray.load(path, BufferPool(tile_bytes))
         trace = JoinTrace()
-        fn(rel, cold, binding, trace=trace)
+        dispatch_join(rel, cold, dims_pred(cold, ("a0", "a1")),
+                      strategy=strat, trace=trace)
         assert len(set(map(tuple, trace.pins))) == 4  # revisits occurred
         reads[strat] = sum(cold.disk_reads.values())
     assert reads["mshj"] == 4
@@ -181,7 +184,7 @@ def test_criterion_4_build_phase_is_linear_in_n():
     cells = {tuple(int(x) for x in coords[k]): (1.0,) for k in range(4000)}
     arr = build_array(pool, size, (16, 16, 16), cells,
                       dims=("d0", "d1", "d2"))
-    binding = DimBinding(("a0", "a1", "a2"))
+    pred = dims_pred(arr, ("a0", "a1", "a2"))
 
     ns = [10_000, 30_000, 100_000, 300_000, 1_000_000]
     times = []
@@ -192,7 +195,7 @@ def test_criterion_4_build_phase_is_linear_in_n():
         best = math.inf
         for _ in range(2):
             stats = JoinStats()
-            mshj(rel, arr, binding, stats=stats)
+            dispatch_join(rel, arr, pred, strategy="mshj", stats=stats)
             assert stats.block_scans == 4  # three stages plus the probe
             best = min(best, stats.build_seconds)
         times.append(best)

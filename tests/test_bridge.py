@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from multimodel.array_store import ArrayBuilder
-from multimodel.bridge import (DimBinding, JoinOutputSpec, JoinStats,
-                               JoinTrace, dispatch_join, join_probe_only,
-                               join_via_conversion, match_all_dims_binding,
-                               mshj, to_array, to_relation)
-from multimodel.errors import BindingError, BoundsError, DuplicateCellError
+from multimodel.bridge import (STRATEGIES, JoinStats, JoinTrace, dispatch_join,
+                               to_array, to_relation)
+from multimodel.errors import (BindingError, BoundsError, DuplicateCellError,
+                               OutputSpecError)
 from multimodel.models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                                Collection, Relation)
 from multimodel.predicates import parse_predicate
+
+from conftest import dims_pred
 
 
 def build_array(pool, size, tile_size, cells, layout="dense",
@@ -67,7 +68,8 @@ def small_array(pool):
 
 def test_building_stages_bucket_by_tile_extent(pool, small_array):
     trace = JoinTrace()
-    mshj(FIVE, small_array, DimBinding(("v0", "v1")), trace=trace)
+    dispatch_join(FIVE, small_array, dims_pred(small_array, ("v0", "v1")),
+                  strategy="mshj", trace=trace)
     # stage 0: floor(v0/10) -> 3 buckets; record 0 (v0=23) lands in bucket 2
     assert trace.stage_buckets[0] == [[1, 3], [2, 4], [0]]
     # stage 1: floor(v1/5) -> 2 buckets, previous order preserved
@@ -78,8 +80,9 @@ def test_building_stages_bucket_by_tile_extent(pool, small_array):
 def test_probe_coordinates_and_single_pins(pool, small_array):
     trace = JoinTrace()
     stats = JoinStats()
-    out = mshj(FIVE, small_array, DimBinding(("v0", "v1")),
-               stats=stats, trace=trace)
+    out = dispatch_join(FIVE, small_array,
+                        dims_pred(small_array, ("v0", "v1")), strategy="mshj",
+                        stats=stats, trace=trace)
     assert trace.tcs == [(0, 0), (0, 0), (1, 0), (1, 0), (2, 1)]
     assert trace.ccs == [(5, 2), (7, 4), (5, 1), (2, 3), (3, 3)]
     # last probed record is (23, 8): tile (2,1), cell (3,3)
@@ -97,68 +100,80 @@ def test_probe_coordinates_and_single_pins(pool, small_array):
 
 def test_block_scans_are_dims_plus_one(pool, small_array):
     stats = JoinStats()
-    mshj(FIVE, small_array, DimBinding(("v0", "v1")), stats=stats)
+    dispatch_join(FIVE, small_array, dims_pred(small_array, ("v0", "v1")),
+                  strategy="mshj", stats=stats)
     assert stats.block_scans == 3  # 2 building stages + 1 probe pass
 
     stats = JoinStats()
-    join_probe_only(FIVE, small_array, DimBinding(("v0", "v1")), stats=stats)
+    dispatch_join(FIVE, small_array, dims_pred(small_array, ("v0", "v1")),
+                  strategy="probe-only", stats=stats)
     assert stats.block_scans == 1
 
 
 def test_probe_only_in_input_order_revisits_tiles(pool, small_array):
     stats = JoinStats()
-    mshj(FIVE, small_array, DimBinding(("v0", "v1")), stats=stats)
+    dispatch_join(FIVE, small_array, dims_pred(small_array, ("v0", "v1")),
+                  strategy="mshj", stats=stats)
     base = stats.tile_pins
 
     small_array.reset_io_stats()
     stats2 = JoinStats()
     # input order revisits tiles: (2,1),(0,0),(1,0),(0,0),(1,0)
-    join_probe_only(FIVE, small_array, DimBinding(("v0", "v1")),
-                    stats=stats2)
+    dispatch_join(FIVE, small_array, dims_pred(small_array, ("v0", "v1")),
+                  strategy="probe-only", stats=stats2)
     assert stats2.tile_pins == 5 > base
 
 
 def test_probe_only_on_presorted_records_matches_mshj_pins(pool, small_array):
     trace = JoinTrace()
     stats = JoinStats()
-    mshj(FIVE, small_array, DimBinding(("v0", "v1")),
-         stats=stats, trace=trace)
+    dispatch_join(FIVE, small_array, dims_pred(small_array, ("v0", "v1")),
+                  strategy="mshj", stats=stats, trace=trace)
     presorted = Relation(FIVE.schema, [FIVE.rows[i] for i in trace.probe_order])
     stats2 = JoinStats()
-    out = join_probe_only(presorted, small_array, DimBinding(("v0", "v1")),
-                          stats=stats2)
+    out = dispatch_join(presorted, small_array,
+                        dims_pred(small_array, ("v0", "v1")),
+                        strategy="probe-only", stats=stats2)
     assert stats2.tile_pins == stats.tile_pins
     assert len(out.rows) == 3
 
 
 def test_empty_relation_gives_empty_output(pool, small_array):
     empty = Relation(FIVE.schema, [])
-    out = mshj(empty, small_array, DimBinding(("v0", "v1")))
+    out = dispatch_join(empty, small_array,
+                        dims_pred(small_array, ("v0", "v1")), strategy="mshj")
     assert out.rows == [] and out.schema[:3] == FIVE.schema
 
-    arr_out = mshj(empty, small_array, DimBinding(("v0", "v1")),
-                   JoinOutputSpec("array"))
+    arr_out = dispatch_join(empty, small_array,
+                            dims_pred(small_array, ("v0", "v1")), "array",
+                            strategy="mshj")
     assert arr_out.cell_count() == 0
 
-    col_out = mshj(Collection("c", []), small_array,
-                   DimBinding(("v0", "v1")), JoinOutputSpec("document"))
+    col_out = dispatch_join(Collection("c", []), small_array,
+                            dims_pred(small_array, ("v0", "v1")), "document",
+                            strategy="mshj")
     assert col_out.docs == []
 
 
 def test_binding_errors(pool, small_array):
     bad = Relation([("v0", INT), ("v1", INT)], [(1, -2)])
     with pytest.raises(BindingError):
-        mshj(bad, small_array, DimBinding(("v0", "v1")))
+        dispatch_join(bad, small_array, dims_pred(small_array, ("v0", "v1")),
+                      strategy="mshj")
     mixed = Relation([("v0", INT), ("v1", INT)], [(1, "x")])
     with pytest.raises(BindingError):
-        mshj(mixed, small_array, DimBinding(("v0", "v1")))
+        dispatch_join(mixed, small_array, dims_pred(small_array, ("v0", "v1")),
+                      strategy="mshj")
     booly = Relation([("v0", INT), ("v1", INT)], [(1, True)])
     with pytest.raises(BindingError):
-        mshj(booly, small_array, DimBinding(("v0", "v1")))
+        dispatch_join(booly, small_array, dims_pred(small_array, ("v0", "v1")),
+                      strategy="mshj")
     with pytest.raises(BindingError):
-        mshj(FIVE, small_array, DimBinding(("v0",)))
+        dispatch_join(FIVE, small_array, dims_pred(small_array, ("v0",)),
+                      strategy="mshj")
     with pytest.raises(BindingError):
-        mshj(FIVE, small_array, DimBinding(("v0", "nope")))
+        dispatch_join(FIVE, small_array,
+                      dims_pred(small_array, ("v0", "nope")), strategy="mshj")
 
 
 @pytest.mark.parametrize("bad", [-1, True, 1.0, "3", None])
@@ -167,13 +182,16 @@ def test_dimension_check_names_first_bad_value(pool, small_array, bad, at):
     col = [1] * 9 + [-7]  # a later bad value is not the one named
     col[at] = bad
     with pytest.raises(BindingError) as err:
-        mshj(Relation([("v0", INT), ("v1", INT)], [(v, 2) for v in col]),
-             small_array, DimBinding(("v0", "v1")))
+        dispatch_join(Relation([("v0", INT), ("v1", INT)],
+                               [(v, 2) for v in col]),
+                      small_array, dims_pred(small_array, ("v0", "v1")),
+                      strategy="mshj")
     assert str(err.value) == (f"row {at}: dimension attribute 'v0' must be "
                               f"a non-negative integer, got {bad!r}")
     with pytest.raises(BindingError) as err:
-        mshj(Collection("c", [{"v0": v, "v1": 2} for v in col]), small_array,
-             DimBinding(("v0", "v1")), JoinOutputSpec("document"))
+        dispatch_join(Collection("c", [{"v0": v, "v1": 2} for v in col]),
+                      small_array, dims_pred(small_array, ("v0", "v1")),
+                      "document", strategy="mshj")
     assert str(err.value) == (f"document {at}: path 'v0' must be a "
                               f"non-negative integer, got {bad!r}")
 
@@ -190,9 +208,12 @@ def test_dimension_beyond_int64_is_binding_error(pool, small_array, big):
     calls = [
         (lambda: to_array(rel, ["v0", "v1"], [], None, pool), on_row),
         (lambda: to_array(docs, ["v0", "v1"], [], None, pool), on_doc),
-        (lambda: mshj(rel, small_array, DimBinding(("v0", "v1"))), on_row),
-        (lambda: mshj(docs, small_array, DimBinding(("v0", "v1")),
-                      JoinOutputSpec("document")), on_doc),
+        (lambda: dispatch_join(rel, small_array,
+                               dims_pred(small_array, ("v0", "v1")),
+                               strategy="mshj"), on_row),
+        (lambda: dispatch_join(docs, small_array,
+                               dims_pred(small_array, ("v0", "v1")),
+                               "document", strategy="mshj"), on_doc),
     ]
     for call, message in calls:
         with pytest.raises(BindingError) as err:
@@ -205,7 +226,8 @@ def test_join_phases_fit_in_its_wall_time(pool):
     rel, arr = _random_instance(pool, rng, 2, "dense", n_rows=3000)
     stats = JoinStats()
     t0 = time.perf_counter()
-    mshj(rel, arr, DimBinding(("a0", "a1")), stats=stats)
+    dispatch_join(rel, arr, dims_pred(arr, ("a0", "a1")), strategy="mshj",
+                  stats=stats)
     wall = time.perf_counter() - t0
     phases = (stats.extract_seconds, stats.build_seconds, stats.probe_seconds)
     assert all(p > 0 for p in phases)
@@ -214,7 +236,8 @@ def test_join_phases_fit_in_its_wall_time(pool):
 
 def test_out_of_range_records_are_dropped(pool, small_array):
     rel = Relation([("v0", INT), ("v1", INT)], [(5, 2), (99, 2), (5, 77)])
-    out = mshj(rel, small_array, DimBinding(("v0", "v1")))
+    out = dispatch_join(rel, small_array, dims_pred(small_array, ("v0", "v1")),
+                        strategy="mshj")
     assert out.rows == [(5, 2, 2.5)]
 
 
@@ -243,7 +266,7 @@ def test_mshj_matches_nested_loop_oracle_2d(pool, layout):
     for trial in range(6):
         rel, arr = _random_instance(pool, rng, 2, layout)
         attrs = ("a0", "a1")
-        got = mshj(rel, arr, DimBinding(attrs))
+        got = dispatch_join(rel, arr, dims_pred(arr, attrs), strategy="mshj")
         assert multiset(got.rows) == multiset(nested_loop_oracle(rel, attrs, arr))
 
 
@@ -253,7 +276,7 @@ def test_mshj_matches_nested_loop_oracle_other_dims(pool, d):
     for trial in range(5):
         rel, arr = _random_instance(pool, rng, d, "coo")
         attrs = tuple(f"a{i}" for i in range(d))
-        got = mshj(rel, arr, DimBinding(attrs))
+        got = dispatch_join(rel, arr, dims_pred(arr, attrs), strategy="mshj")
         assert multiset(got.rows) == multiset(nested_loop_oracle(rel, attrs, arr))
 
 
@@ -266,27 +289,25 @@ def _unique_records(rng, size, n):
                     [c + (k,) for k, c in enumerate(coords)])
 
 
-STRATEGIES = (mshj, join_probe_only, join_via_conversion)
-
-
 def test_strategies_agree_everywhere(pool):
     rng = random.Random(99)
-    b = DimBinding(("a0", "a1"))
     doc_key = lambda d: repr(sorted(d.items()))
     for trial in range(5):
         rel, arr = _random_instance(pool, rng, 2, "dense", n_rows=80)
-        r1, r2, r3 = (join(rel, arr, b) for join in STRATEGIES)
+        pred = dims_pred(arr, ("a0", "a1"))
+        r1, r2, r3 = (dispatch_join(rel, arr, pred, strategy=s)
+                      for s in STRATEGIES)
         assert multiset(r1.rows) == multiset(r2.rows) == multiset(r3.rows)
         assert r1.schema == r2.schema == r3.schema
 
-        docs = [join(rel, arr, b, JoinOutputSpec("document")).docs
-                for join in STRATEGIES]
+        docs = [dispatch_join(rel, arr, pred, "document", strategy=s).docs
+                for s in STRATEGIES]
         assert len({tuple(sorted(map(doc_key, d))) for d in docs}) == 1
         assert len(docs[0]) == len(r1.rows)
 
         uniq = _unique_records(rng, arr.meta.size, 30)
-        arrays = [join(uniq, arr, b, JoinOutputSpec("array"))
-                  for join in STRATEGIES]
+        arrays = [dispatch_join(uniq, arr, pred, "array", strategy=s)
+                  for s in STRATEGIES]
         assert cells_of(arrays[0]) == cells_of(arrays[1]) == cells_of(arrays[2])
         assert len({a.meta for a in arrays}) == 1
 
@@ -295,7 +316,8 @@ def test_probe_order_is_radix_sorted(pool):
     rng = random.Random(4)
     rel, arr = _random_instance(pool, rng, 3, "dense", n_rows=300)
     trace = JoinTrace()
-    mshj(rel, arr, DimBinding(("a0", "a1", "a2")), trace=trace)
+    dispatch_join(rel, arr, dims_pred(arr, ("a0", "a1", "a2")),
+                  strategy="mshj", trace=trace)
     keys = [tuple(reversed(tc)) for tc in trace.tcs]
     assert keys == sorted(keys)
     # grouped by tile: each distinct tile forms one contiguous run
@@ -307,7 +329,8 @@ def test_referenced_tiles_pinned_once_others_never(pool):
     rel, arr = _random_instance(pool, rng, 2, "coo", n_rows=150)
     arr.reset_io_stats()
     trace = JoinTrace()
-    mshj(rel, arr, DimBinding(("a0", "a1")), trace=trace)
+    dispatch_join(rel, arr, dims_pred(arr, ("a0", "a1")), strategy="mshj",
+                  trace=trace)
     referenced = set(trace.tcs)
     assert set(arr.pin_counts) == referenced
     assert all(c == 1 for c in arr.pin_counts.values())
@@ -319,8 +342,8 @@ def test_shuffled_probe_only_reads_exceed_distinct_tiles(pool):
                                 out_of_range=False)
     trace = JoinTrace()
     stats = JoinStats()
-    join_probe_only(rel, arr, DimBinding(("a0", "a1")),
-                    stats=stats, trace=trace)
+    dispatch_join(rel, arr, dims_pred(arr, ("a0", "a1")),
+                  strategy="probe-only", stats=stats, trace=trace)
     k = len(set(trace.tcs))
     assert stats.tile_pins >= k
     revisits = stats.tile_pins - len(set(trace.pins))
@@ -335,7 +358,8 @@ def test_join_to_array_output(pool):
     _, arr = _random_instance(pool, rng, 2, "dense", n_rows=0,
                               out_of_range=False)
     rel = _unique_records(rng, arr.meta.size, 40)
-    out = mshj(rel, arr, DimBinding(("a0", "a1")), JoinOutputSpec("array"))
+    out = dispatch_join(rel, arr, dims_pred(arr, ("a0", "a1")), "array",
+                        strategy="mshj")
     assert out.meta.schema.dim_names == ("a0", "a1")
     assert out.meta.schema.attr_names == ("tag", "val")
     oracle = {(r[0], r[1]): (r[2], r[3]) for r in
@@ -348,14 +372,15 @@ def test_join_to_array_output(pool):
 def test_array_output_duplicate_coordinates(pool, small_array):
     dup = Relation([("v0", INT), ("v1", INT)], [(5, 2), (5, 2)])
     with pytest.raises(DuplicateCellError):
-        mshj(dup, small_array, DimBinding(("v0", "v1")),
-             JoinOutputSpec("array"))
+        dispatch_join(dup, small_array, dims_pred(small_array, ("v0", "v1")),
+                      "array", strategy="mshj")
 
 
 def test_attr_name_collision_gets_suffix(pool):
     rel = Relation([("d0", INT), ("d1", INT), ("val", INT)], [(0, 0, 7)])
     arr = build_array(pool, (4, 4), (2, 2), {(0, 0): (1.5,)})
-    out = mshj(rel, arr, DimBinding(("d0", "d1")))
+    out = dispatch_join(rel, arr, dims_pred(arr, ("d0", "d1")),
+                        strategy="mshj")
     assert [n for n, _ in out.schema] == ["d0", "d1", "val", "val_r"]
     assert out.rows == [(0, 0, 7, 1.5)]
 
@@ -373,7 +398,8 @@ def test_document_side_join_merges_cell_into_doc(pool):
     arr = build_array(pool, (4, 4), (2, 2),
                       {(0, 1): (9.5,), (2, 2): (1.0,)},
                       dims=("cid", "pid"), attrs=(("rating", FLOAT),))
-    out = mshj(DOCS, arr, DimBinding(("who.cid", "item.pid")))
+    out = dispatch_join(DOCS, arr, dims_pred(arr, ("who.cid", "item.pid")),
+                        strategy="mshj")
     assert out.docs == [{"who": {"cid": 0}, "item": {"pid": 1}, "w": 2.0,
                          "cid": 0, "pid": 1, "rating": 9.5}]
 
@@ -382,7 +408,7 @@ def test_document_join_keeps_left_value_on_collision(pool):
     arr = build_array(pool, (4,), (2,), {(1,): (5.5,)},
                       dims=("x",), attrs=(("rating", FLOAT),))
     col = Collection("c", [{"x": 1, "rating": "mine"}])
-    out = mshj(col, arr, DimBinding(("x",)))
+    out = dispatch_join(col, arr, dims_pred(arr, ("x",)), strategy="mshj")
     assert out.docs == [{"x": 1, "rating": "mine"}]
 
 
@@ -392,9 +418,9 @@ def test_document_join_strategies_agree(pool):
                       dims=("cid", "pid"), attrs=(("rating", FLOAT),))
     flat = Collection("m", [{"cid": i % 4, "pid": (i * 7) % 4, "n": i}
                             for i in range(12)])
-    b = DimBinding(("cid", "pid"))
-    a = mshj(flat, arr, b)
-    c = join_via_conversion(flat, arr, b)
+    pred = dims_pred(arr, ("cid", "pid"))
+    a = dispatch_join(flat, arr, pred, strategy="mshj")
+    c = dispatch_join(flat, arr, pred, strategy="convert")
     key = lambda d: sorted(d.items(), key=repr)
     assert sorted(map(key, a.docs)) == sorted(map(key, c.docs))
 
@@ -430,18 +456,36 @@ def test_dispatch_partial_or_non_equi_converts(pool, small_array):
 
 def test_dispatch_forced_mshj_needs_full_binding(pool, small_array):
     pred = parse_predicate("r.v0 = a.d0")
-    with pytest.raises(BindingError):
-        dispatch_join(FIVE, small_array, pred, rec_name="r", arr_name="a",
-                      strategy="mshj")
+    for strategy in ("mshj", "probe-only"):
+        with pytest.raises(BindingError):
+            dispatch_join(FIVE, small_array, pred, rec_name="r",
+                          arr_name="a", strategy=strategy)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_unknown_or_impossible_output_model_is_refused(pool, small_array,
+                                                          strategy):
+    pred = dims_pred(small_array, ("v0", "v1"))
+    with pytest.raises(OutputSpecError, match="unknown output model 'bogus'"):
+        dispatch_join(FIVE, small_array, pred, "bogus", strategy=strategy)
+    docs = Collection("c", [{"v0": 5, "v1": 2}])
+    for out in ("relational", "array"):
+        with pytest.raises(OutputSpecError, match="DOCUMENT output only"):
+            dispatch_join(docs, small_array, pred, out, strategy=strategy)
 
 
 def test_match_binding_orders_by_dimension(pool, small_array):
     pred = parse_predicate("a.d1 = r.v1 and r.v0 = a.d0")  # swapped, reversed
-    dims = small_array.meta.schema.dim_names
-    b = match_all_dims_binding(pred, dims, "r", "a")
-    assert b == DimBinding(("v0", "v1"))
-    assert match_all_dims_binding(
-        parse_predicate("a.d0 = a.d1"), dims, "r", "a") is None
+    stats, trace = JoinStats(), JoinTrace()
+    out = dispatch_join(FIVE, small_array, pred, rec_name="r", arr_name="a",
+                        stats=stats, trace=trace)
+    assert stats.strategy == "mshj"
+    # v0 binds d0 and v1 binds d1: the worked example's cells and rows
+    assert trace.ccs == [(5, 2), (7, 4), (5, 1), (2, 3), (3, 3)]
+    assert len(out.rows) == 3
+    dispatch_join(FIVE, small_array, parse_predicate("a.d0 = a.d1"),
+                  rec_name="r", arr_name="a", stats=stats)
+    assert stats.strategy == "convert"
 
 
 # -------------------------------------------------------------- conversions

@@ -19,14 +19,13 @@ from hypothesis import strategies as st
 
 from multimodel import Engine, EngineConfig, array_engine
 from multimodel.array_store import ArrayBuilder, StoredArray
-from multimodel.bridge import (DimBinding, join_probe_only, join_via_conversion,
-                               mshj, to_array, to_relation)
+from multimodel.bridge import STRATEGIES, dispatch_join, to_array, to_relation
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import ShapeError
 from multimodel.models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                                Relation)
 
-from conftest import built_tile
+from conftest import built_tile, dims_pred
 
 UNBOUNDED = 1 << 30
 TYPES = {"int": INT, "float": FLOAT, "bool": BOOL}
@@ -288,9 +287,10 @@ def _consumers(x, pool, spool_dir, other_layout, seed):
     records = Relation([("p", INT), ("q", INT), ("tag", INT)], [
         (int(rng.integers(r + 1)), int(rng.integers(c + 1)), i)
         for i in range(12)])
-    binding = DimBinding(("p", "q"))
-    for join in (mshj, join_probe_only, join_via_conversion):
-        got[join.__name__] = repr(join(records, x, binding).rows)
+    pred = dims_pred(x, ("p", "q"))
+    for strategy in STRATEGIES:
+        got[strategy] = repr(dispatch_join(records, x, pred,
+                                           strategy=strategy).rows)
     return got, [other, *made, *out.values()]
 
 

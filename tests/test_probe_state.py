@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from multimodel.array_store import ArrayBuilder, StoredArray
 from multimodel.bench import SHAPES, _gen_records, build_bench_array
-from multimodel.bridge import (DimBinding, JoinOutputSpec, JoinStats,
-                               _bucket_order, _tile_cells, join_probe_only,
-                               join_via_conversion, mshj)
+from multimodel.bridge import (JoinStats, _bucket_order, _tile_cells,
+                               dispatch_join)
 from multimodel.buffer_pool import BufferPool
 from multimodel.models import (INT, ArrayMeta, CellSchema, Collection,
                                Relation)
+
+from conftest import dims_pred
 
 # tiles (or cells) along one dimension on both sides of the uint8 and uint16
 # limits; two dimensions of 65,536 or more cross the uint32 limit
@@ -146,13 +147,14 @@ def test_cells_past_float64_precision_probe_exactly(tmp_path, monkeypatch):
     built = builder.finish()  # its tile is resident
     built.save(path)
     rel = Relation([("x0", INT), ("x1", INT)], cells + [(side - 1, side - 3)])
-    binding = DimBinding(("x0", "x1"))
+    pred = dims_pred(built, ("x0", "x1"))
     want = [(0, 3, 3), (side - 1, side - 2, 2), (side - 1, side - 1, 1)]
     for search in (SEARCHSORTED, _searchsorted_as_numpy_1):
         monkeypatch.setattr(np, "searchsorted", search)
         for arr in (StoredArray.load(path, BufferPool(1 << 20)), built):
-            assert sorted(mshj(rel, arr, binding).rows) == want
-            assert sorted(join_probe_only(rel, arr, binding).rows) == want
+            for strategy in ("mshj", "probe-only"):
+                assert sorted(dispatch_join(rel, arr, pred,
+                                            strategy=strategy).rows) == want
 
 
 # --------------------------------------------------- strategies agree
@@ -206,17 +208,19 @@ def _check_strategies_agree(meta, arr, probes, documents):
     if documents:
         recs = Collection("recs", [dict(zip(names, p), tag=i)
                                    for i, p in enumerate(probes)])
-        out = JoinOutputSpec("document")
+        out = "document"
     else:
         recs = Relation([(n, INT) for n in names] + [("tag", INT)],
                         [p + (i,) for i, p in enumerate(probes)])
-        out = JoinOutputSpec("relational")
-    binding = DimBinding(tuple(names))
+        out = "relational"
+    pred = dims_pred(arr, names)
     stats = JoinStats()
-    got = _rows(mshj(recs, arr, binding, out, stats=stats))
-    in_order = _rows(join_probe_only(recs, arr, binding, out))
+    got = _rows(dispatch_join(recs, arr, pred, out, strategy="mshj",
+                              stats=stats))
+    in_order = _rows(dispatch_join(recs, arr, pred, out,
+                                   strategy="probe-only"))
     # last: the conversion pins every tile, so they become resident
-    want = _rows(join_via_conversion(recs, arr, binding, out))
+    want = _rows(dispatch_join(recs, arr, pred, out, strategy="convert"))
     assert got == in_order == want
     assert stats.output_rows == len(want)
 
@@ -242,12 +246,12 @@ def test_mshj_heap_peak_per_record_is_bounded(tmp_path, d, layout):
             largest = max(largest, tile.nbytes)
     capacity = 4 * largest
     arr = StoredArray.load(path, BufferPool(capacity))
-    binding = DimBinding(tuple(f"a{i}" for i in range(d)))
+    pred = dims_pred(arr, [f"a{i}" for i in range(d)])
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res = mshj(rel, arr, binding)
+        res = dispatch_join(rel, arr, pred, strategy="mshj")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

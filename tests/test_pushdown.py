@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multimodel import Engine, EngineConfig
+from multimodel.executor import format_result
 from multimodel.array_store import ArrayBuilder
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import BindingError, EngineError, PlanError
@@ -26,6 +27,8 @@ from multimodel.models import INT, ArrayMeta, CellSchema, Relation
 from multimodel.planner import LogicalPlan, partition, rewrite
 from multimodel.predicates import format_predicate, parse_predicate
 from multimodel.script import bind_script
+
+from test_script import write_names_catalog
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
 with open(os.path.join(DATA, "recommend.m2s"), encoding="utf-8") as _f:
@@ -111,14 +114,24 @@ def test_only_the_filter_directly_above_the_join_moves():
     assert plan.node(target).params["pred"] == parse_predicate("pid = 2")
 
 
-def test_the_target_keeps_a_predicate_that_moved_whole():
-    # a collection is named by the operator that made it: keep that one
-    plan, target = rewrite(*_join_plan(["cid = 3"], out="document"))
-    assert _filters(plan) == [("cid = 3", "scan"),
-                              ("cid = 3", "join_rel_array")]
-    assert plan.node(target).op == "filter"
-    assert [n.model for n in plan.nodes if n.op == "filter"] == [
-        "relational", "document"]
+@pytest.mark.parametrize("model", ["RELATIONAL", "DOCUMENT"])
+def test_a_target_filter_that_moved_whole_leaves_its_join_the_target(
+        tmp_path, model):
+    plan, target = rewrite(*_join_plan(["cid = 3"], out=model.lower()))
+    assert _filters(plan) == [("cid = 3", "scan")]
+    assert plan.node(target).op == "join_rel_array"
+
+    write_names_catalog(tmp_path)
+    script = ("t, cells = openTable('t'), openArray('cells')\n"
+              "execute(cells.join(t, 't.r = cells.r AND t.c = cells.c', "
+              f"{model}).filter('r = 0'))\n")
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    doc = eng.explain(script)
+    assert [n["op"] for n in doc["nodes"] if n["id"] == doc["target"]] == [
+        "join_rel_array"]
+    got = format_result(eng.run(script))
+    assert got and got == format_result(
+        eng.run_plan(*bind_script(script, eng.catalog, eng.config)))
 
 
 def test_explain_shows_the_filter_above_the_join_as_bound_and_below_as_run():

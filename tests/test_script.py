@@ -489,6 +489,43 @@ def test_names_that_collide_at_a_record_array_join_print_as_before(
     assert format_result(res) == printed[model]
 
 
+def _as_dicts(res) -> list[dict]:
+    if isinstance(res, Relation):
+        names = [n for n, _ in res.schema]
+        return [dict(zip(names, row)) for row in res.rows]
+    return res.docs
+
+
+@pytest.mark.parametrize("query", [
+    "j.filter('a.k = 3')",
+    "j.join(g, 'a.k = g.x')",
+    "j.aggregate('a.k', 'count(*) as n')",
+    "j.sort('a.k')",
+])
+@pytest.mark.parametrize("strategy", JOIN_STRATEGIES)
+def test_a_colliding_column_reads_alike_under_document_output(
+        tmp_path, strategy, query):
+    """Above a record–array join, `a.k` is the records' column printed
+    `a.k` under either output model, not the cell's bare `k`: the cells'
+    `k` runs against `a.k`, so reading one for the other changes every
+    answer."""
+    (tmp_path / "a.csv").write_text("r,c,k\n0,0,3\n1,1,4\n0,1,5\n")
+    (tmp_path / "b.csv").write_text("k,z\n3,30\n4,40\n")
+    (tmp_path / "g.csv").write_text("x,tag\n3,p\n4,q\n")
+    (tmp_path / "cells.csv").write_text("r,c,k\n0,0,8\n1,1,7\n")
+    Catalog(str(tmp_path)).ingest("coo", str(tmp_path / "cells.csv"),
+                                  "cells", size=(2, 2), tile=(1, 1))
+    script = ("a, b, g = openTable('a'), openTable('b'), openTable('g')\n"
+              "cells = openArray('cells')\n"
+              "h = a.join(b, 'a.k = b.k')\n"
+              "j = cells.join(h, 'h.r = cells.r AND h.c = cells.c', {m})\n"
+              f"execute({query})\n")
+    eng = engine(tmp_path, strategy=strategy)
+    rel, doc = (_as_dicts(eng.run(script.format(m=m)))
+                for m in ("RELATIONAL", "DOCUMENT"))
+    assert rel and doc == rel
+
+
 @pytest.mark.parametrize("script", ["recommend", "tile_join"])
 def test_only_the_result_is_made_public(tmp_path, monkeypatch, script):
     """Records reach the bridge, and leave it, as frames: a run turns one

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from multimodel.array_store import ArrayBuilder, StoredArray
-from multimodel.bridge import DimBinding, JoinStats, join_probe_only, mshj
+from multimodel.bridge import JoinStats, dispatch_join
 from multimodel.buffer_pool import BufferPool
 from multimodel.errors import InternalError
 from multimodel.models import FLOAT, INT, ArrayMeta, CellSchema, Relation
 
-from conftest import built_tile
+from conftest import built_tile, dims_pred
 
 UNBOUNDED = 1 << 30
 SHAPES = {2: ((30, 20), (6, 5)), 3: ((12, 10, 8), (4, 5, 4))}
@@ -80,7 +80,7 @@ def test_rows_do_not_depend_on_pool_capacity(tmp_path, monkeypatch, kind, d,
                                              layout):
     one = _tile_bytes(d, layout)
     rel = _records(d)
-    binding = DimBinding(tuple(f"x{i}" for i in range(d)))
+    attrs = [f"x{i}" for i in range(d)]
     stage_bytes = []
     read_stage = StoredArray._read_stage
 
@@ -90,7 +90,7 @@ def test_rows_do_not_depend_on_pool_capacity(tmp_path, monkeypatch, kind, d,
         return read_stage(self, reads, fds)
 
     monkeypatch.setattr(StoredArray, "_read_stage", spy)
-    for join in (mshj, join_probe_only):
+    for strategy in ("mshj", "probe-only"):
         want = None
         for capacity in (UNBOUNDED, one, 2 * one, 7 * one):
             arr = _source(kind, d, layout, capacity, tmp_path)
@@ -98,11 +98,12 @@ def test_rows_do_not_depend_on_pool_capacity(tmp_path, monkeypatch, kind, d,
             resident = arr.pool.resident_ids()
             stats = JoinStats()
             stage_bytes.clear()
-            rows = join(rel, arr, binding, stats=stats).rows
+            rows = dispatch_join(rel, arr, dims_pred(arr, attrs),
+                                 strategy=strategy, stats=stats).rows
             if want is None:
                 want = rows
                 assert len(rows) > 0
-            assert rows == want, (join.__name__, capacity)
+            assert rows == want, (strategy, capacity)
             assert max(arr.disk_reads.values(), default=0) <= stats.stages
             # stage tiles stay out of the pool: nothing added or evicted
             assert arr.pool.resident_ids() == resident
@@ -118,7 +119,8 @@ def test_in_memory_array_reads_nothing():
     arr = _build(2, "dense", BufferPool(UNBOUNDED))
     rel = _records(2)
     stats = JoinStats()
-    got = mshj(rel, arr, DimBinding(("x0", "x1")), stats=stats)
+    got = dispatch_join(rel, arr, dims_pred(arr, ("x0", "x1")),
+                        strategy="mshj", stats=stats)
     assert len(got) > 0
     assert (stats.preads, stats.bytes_read, arr.total_reads) == (0, 0, 0)
     assert stats.stages == 1
@@ -144,16 +146,16 @@ def _slot_bytes(path, tcs):
 def test_join_stats_identities(tmp_path, layout):
     path = _saved(tmp_path, layout=layout)
     rel = _records(2, n=600)
-    binding = DimBinding(("x0", "x1"))
-    for join, capacity in ((mshj, _tile_bytes(2, layout)),
-                           (mshj, UNBOUNDED), (join_probe_only, 3000)):
+    for strategy, capacity in (("mshj", _tile_bytes(2, layout)),
+                               ("mshj", UNBOUNDED), ("probe-only", 3000)):
         arr = StoredArray.load(path, BufferPool(capacity))
         stats = JoinStats()
-        join(rel, arr, binding, stats=stats)
+        dispatch_join(rel, arr, dims_pred(arr, ("x0", "x1")),
+                      strategy=strategy, stats=stats)
         read = arr.total_reads
         assert 0 < stats.preads <= read
         assert stats.bytes_read == _slot_bytes(path, arr.disk_reads)
-        if layout == "dense" and join is mshj and capacity < UNBOUNDED:
+        if layout == "dense" and strategy == "mshj" and capacity < UNBOUNDED:
             # a one-tile pool: one stage per distinct tile read (the absent
             # tile costs no bytes and rides along with the next one)
             assert stats.stages == len(arr.disk_reads) == read
@@ -179,12 +181,13 @@ def test_mixed_layout_file_joins_like_its_cells(tmp_path):
     path = str(tmp_path / "mixed.m2ar")
     arr.save(path)
     rel = _records(2)
-    binding = DimBinding(("x0", "x1"))
-    want = mshj(rel, arr, binding).rows
-    for join in (mshj, join_probe_only):
+    pred = dims_pred(arr, ("x0", "x1"))
+    want = dispatch_join(rel, arr, pred, strategy="mshj").rows
+    for strategy in ("mshj", "probe-only"):
         loaded = StoredArray.load(path, BufferPool(UNBOUNDED))
         stats = JoinStats()
-        got = join(rel, loaded, binding, stats=stats).rows
+        got = dispatch_join(rel, loaded, pred, strategy=strategy,
+                            stats=stats).rows
         assert sorted(got) == sorted(want)
         assert stats.stages == 1
 
@@ -271,8 +274,8 @@ def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-@pytest.mark.parametrize("join", [mshj, join_probe_only])
-def test_truncated_file_names_the_tile_and_leaks_nothing(tmp_path, join):
+@pytest.mark.parametrize("strategy", ["mshj", "probe-only"])
+def test_truncated_file_names_the_tile_and_leaks_nothing(tmp_path, strategy):
     path = _saved(tmp_path)
     arr = StoredArray.load(path, BufferPool(UNBOUNDED))
     last = arr.tile_coords()[-1]
@@ -283,6 +286,7 @@ def test_truncated_file_names_the_tile_and_leaks_nothing(tmp_path, join):
             pass
     fds = _open_fds()
     with pytest.raises(InternalError, match=re.escape(f"tile {last} ")):
-        join(_records(2, n=2000), arr, DimBinding(("x0", "x1")))
+        dispatch_join(_records(2, n=2000), arr, dims_pred(arr, ("x0", "x1")),
+                      strategy=strategy)
     assert _open_fds() == fds
     assert arr.pin_counts and not arr.active_pins

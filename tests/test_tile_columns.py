@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multimodel.array_store import ArrayBuilder, StoredArray
-from multimodel.bridge import DimBinding, JoinStats, mshj, to_relation
+from multimodel.bridge import JoinStats, dispatch_join, to_relation
 from multimodel.buffer_pool import BufferPool
 from multimodel.cli import main
 from multimodel.errors import ArrayFileError, CapacityError, EngineError
 from multimodel.models import INT, Relation
 
-from conftest import array_meta, built_tile
+from conftest import array_meta, built_tile, dims_pred
 
 SIZE, TS = (12, 10), (4, 5)  # a 3 x 2 grid
 NTILES = 6
@@ -234,7 +234,9 @@ def test_corrupt_sparse_slot_is_refused_where_it_is_read(tmp_path, layout, at,
     rel = Relation([("x", INT), ("y", INT)], [(0, 0), (1, 1)])
     reads = {
         "pin": lambda arr: arr.pin((0, 0)),
-        "staged probe": lambda arr: mshj(rel, arr, DimBinding(("x", "y"))),
+        "staged probe": lambda arr: dispatch_join(rel, arr,
+                                                  dims_pred(arr, ("x", "y")),
+                                                  strategy="mshj"),
         "to_relation": to_relation,
     }
     for how, read in reads.items():
