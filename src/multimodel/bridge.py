@@ -8,12 +8,15 @@ join (convert).  mshj re-orders the records to match the array's tiling
 through D stable bucketing stages (one per dimension, bucket index
 ``floor(v_d / TS_d)``), then probes them in bucket order so that every
 referenced tile is pinned exactly once; probe-only, which a caller can
-force, runs the same probe in input record order.  Every strategy hands its
+force, runs the same probe in input record order.  One record attribute may
+bind several dimensions (``rec.v = arr.d0 AND rec.v = arr.d1`` joins on the
+diagonal); a dimension bound twice converts.  Every strategy hands its
 result to one emit step, which returns relational, document or array
 output; array output is always built by ``to_array``.  Document records
-join to document output only.  Records come and go as ``rd_engine``
-frames; a public value is framed where it enters, and a join hands one
-back.
+join to document output only.  A join takes its records, a Relation or
+a Collection, as they are, with the qualifiers their tree gave them (a
+reference under ``rec_name`` reads the records' own column), and returns
+one of the two in the same way.
 
 Each record's tile coordinates (the stage keys), linear tile id and cell
 within the tile are computed once, before ordering, by the locator that
@@ -34,10 +37,10 @@ Stage tiles never enter the pool, so the join evicts nothing.
 records' columns (``_extract_dims``) yields the bound coordinates, the kept
 records and the value columns; when no metadata is given, the extent,
 value types and tiling are derived from that same pass, and the builder
-chooses the layout from its per-tile cell counts.  Both record frames
-hold typed columns, so for either the pass is a dtype and minimum check of
-the bound int64 columns, and a join emits relational or document output as
-columns gathered at the matched rows.
+chooses the layout from its per-tile cell counts.  Relations and
+collections both hold typed columns, so for either the pass is a dtype and
+minimum check of the bound int64 columns, and a join emits relational or
+document output as columns gathered at the matched rows.
 """
 
 from __future__ import annotations
@@ -54,24 +57,11 @@ from .models import (BOOL, FLOAT, INT, UINT, ArrayMeta, CellSchema,
                      Collection, Column, Relation, column_from_array,
                      infer_column_type, tile_extent)
 from .predicates import And, Cmp, Not, Or, Ref, equi_conjuncts
-from .rd_engine import (DocFrame, RelFrame, _as_frame, _col_index, _column,
-                        _join, _merged, _path, _present, _public_names,
-                        _rel_to_doc, frame_to_public)
+from .rd_engine import (_col_index, _column, _join, _merged, _path, _present,
+                        _qualify, _rel_to_doc)
 
 
 STRATEGIES = ("mshj", "convert", "probe-only")  # "auto" picks one of them
-
-
-@dataclass(frozen=True)
-class DimBinding:
-    """Record attributes (or dotted paths), one per array dimension, in
-    dimension order."""
-
-    attrs: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.attrs)) != len(self.attrs):
-            raise BindingError(f"duplicate binding attributes {self.attrs}")
 
 
 @dataclass
@@ -127,7 +117,7 @@ def _dim_problem(v) -> str:
 
 
 def _noun(records) -> str:
-    return "row" if isinstance(records, RelFrame) else "document"
+    return "row" if isinstance(records, Relation) else "document"
 
 
 def _record_error(records, i: int, detail: str) -> BindingError:
@@ -163,9 +153,11 @@ def _at(kept, i):
     return i if kept is None else kept[i]
 
 
-def _extract_dims(records, binding: DimBinding, value_paths=()):
+def _extract_dims(records, binding: tuple, value_paths=()):
     """Bound dimension values (one int64 array per dimension), the records
     they come from and the records' value columns, from one pass over them.
+    ``binding`` names the record path of each dimension, in dimension
+    order; one path may bind several dimensions.
 
     Returns (dims, kept, values) where kept maps rows back to record indices
     (None when every record is kept; an int64 column is then used in place)
@@ -177,11 +169,11 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
     record is named.
     """
     n = len(records)
-    label = "dimension attribute {!r}" if isinstance(records, RelFrame) \
+    label = "dimension attribute {!r}" if isinstance(records, Relation) \
         else "path {!r}"
     reach = np.ones(n, dtype=bool)  # records with every earlier bound path
     cols, bads = [], []
-    for attr in binding.attrs:
+    for attr in binding:
         col, present = _present(records, attr)
         reach = reach & present
         ok = _dims_ok(col)
@@ -189,7 +181,7 @@ def _extract_dims(records, binding: DimBinding, value_paths=()):
         cols.append(col)
     if (bad := _first_bad(bads)) is not None:
         r, j = bad
-        raise _record_error(records, r, f"{label.format(binding.attrs[j])} "
+        raise _record_error(records, r, f"{label.format(binding[j])} "
                                         f"{_dim_problem(cols[j].tolist()[r])}")
     kept = None if reach.all() else np.flatnonzero(reach)
     dims = [np.asarray(c.values if kept is None else c.values[kept], np.int64)
@@ -254,30 +246,30 @@ def _output_model(records, out: str | None) -> str:
     Document records have no fixed columns to lay out as rows or cells, so
     they join to document output only."""
     if out is None:
-        return "document" if isinstance(records, DocFrame) else "relational"
+        return "document" if isinstance(records, Collection) else "relational"
     if out not in ("relational", "document", "array"):
         raise OutputSpecError(f"unknown output model {out!r}")
-    if isinstance(records, DocFrame) and out != "document":
+    if isinstance(records, Collection) and out != "document":
         raise OutputSpecError(
             f"document records join to DOCUMENT output only, not "
             f"{out.upper()}")
     return out
 
 
-def _rel_output(records: RelFrame, schema: CellSchema, arr_name: str,
-                columns: list[Column]) -> RelFrame:
+def _rel_output(records: Relation, schema: CellSchema, arr_name: str,
+                columns: list[Column]) -> Relation:
     """A relational join's output: each record column under its qualifier
     and the name it prints as (``a.k`` beside ``b.k``), then each cell value
     under ``arr_name`` and its attribute name, ``_r`` appended while taken."""
-    names = _public_names(records.cols)
-    return RelFrame(
+    names = records.attr_names
+    return Relation.qualified(
         [(q, p) for (q, _), p in zip(records.cols, names)] +
         [(arr_name, a) for a in _dedupe(list(schema.attr_names), set(names))],
         records.types + list(schema.attr_types), columns, len(columns[0]))
 
 
 def _joined_records(records, arr: StoredArray, idx: np.ndarray,
-                    binding: DimBinding, vals: list[np.ndarray],
+                    binding: tuple, vals: list[np.ndarray],
                     arr_name: str):
     """Each matched record extended with its cell: the records' columns
     gathered at the matched rows, and the cell's values as columns.  A
@@ -286,32 +278,33 @@ def _joined_records(records, arr: StoredArray, idx: np.ndarray,
     after its own keys, and keeps its own value of a key."""
     schema = arr.meta.schema
     cells = [column_from_array(v, t) for v, t in zip(vals, schema.attr_types)]
-    if isinstance(records, RelFrame):
+    if isinstance(records, Relation):
         return _rel_output(records, schema, arr_name,
                            [c.take(idx) for c in records.columns] + cells)
     coords = [Column(np.asarray(_path(records, a)[0].values[idx], np.int64))
-              for a in binding.attrs]
+              for a in binding]
     keys = schema.dim_names + schema.attr_names
-    cell_docs = DocFrame((arr_name,), Collection.from_columns(
+    cell_docs = Collection.from_columns(
         "", [keys], np.zeros(len(idx), np.int64),
-        dict(zip(keys, coords + cells))))
+        dict(zip(keys, coords + cells)), (arr_name,))
     return _merged(records, cell_docs, idx, np.arange(len(idx)),
                    tuple(dict.fromkeys(records.quals + (arr_name,))))
 
 
-def _emit(joined, arr: StoredArray, binding: DimBinding | None, model: str,
-          public: bool):
-    """Turn a join result into the requested output model, public for
-    public records; every strategy ends here.  Array output keeps the input
-    array's extent, tiling and layout: each row becomes the cell at its
-    bound coordinates, and every other column becomes a value attribute."""
-    if model == "document" and isinstance(joined, RelFrame):
+def _emit(joined, arr: StoredArray, binding: tuple | None, model: str):
+    """Turn a join result into the requested output model; every strategy
+    ends here.  Array output keeps the input array's extent, tiling and
+    layout: each row becomes the cell at its bound coordinates, and every
+    other column becomes a value attribute, so each dimension needs a
+    record attribute of its own."""
+    if model == "document" and isinstance(joined, Relation):
         joined = _rel_to_doc(joined)
     if model != "array":
-        return frame_to_public(joined) if public else joined
-    if binding is None:
-        raise OutputSpecError("array output needs a dimension binding")
-    at = [_col_index(joined, a) for a in binding.attrs]
+        return joined
+    if binding is None or len(set(binding)) < len(binding):
+        raise OutputSpecError("array output needs each dimension bound to a "
+                              "record attribute of its own")
+    at = [_col_index(joined, a) for a in binding]
     rest = [i for i in range(len(joined.cols)) if i not in at]
     dims, values = ([joined.cols[i][1] for i in ix] for ix in (at, rest))
     meta = ArrayMeta(CellSchema(tuple(dims), tuple(values),
@@ -356,7 +349,7 @@ def _drop_out_of_range(dims, kept, size):
         ([c[ok] for c in dims], _at(kept, np.flatnonzero(ok)))
 
 
-def _locate(records, binding: DimBinding, meta: ArrayMeta,
+def _locate(records, binding: tuple, meta: ArrayMeta,
             stats: JoinStats):
     """Where the probe reads each record inside an array with ``meta``: its
     index (None when every record is read), tile coordinates, linear tile
@@ -372,14 +365,14 @@ def _locate(records, binding: DimBinding, meta: ArrayMeta,
     return kept, tq, tile_ids, cells
 
 
-def _probe_join(strategy: str, frame, arr: StoredArray, binding: DimBinding,
+def _probe_join(strategy: str, records, arr: StoredArray, binding: tuple,
                 stats: JoinStats, trace: JoinTrace | None, arr_name: str):
     """The probe path of mshj and probe-only: extract the bound dimensions,
     drop records outside the array, probe and join each hit to its cell.
     mshj probes in bucket order, so every referenced tile is pinned once;
     probe-only probes in record order, pinning a tile once per run of its
     records.  Records probing an absent cell produce no output."""
-    kept, tq, tile_ids, cells = _locate(frame, binding, arr.meta, stats)
+    kept, tq, tile_ids, cells = _locate(records, binding, arr.meta, stats)
     t0 = time.perf_counter()
     order = _bucket_order(arr, tq, kept, stats, trace) if strategy == "mshj" \
         else np.arange(len(tile_ids), dtype=np.int64)
@@ -394,7 +387,7 @@ def _probe_join(strategy: str, frame, arr: StoredArray, binding: DimBinding,
 
     t0 = time.perf_counter()
     hit = order[found]
-    joined = _joined_records(frame, arr, _at(kept, hit), binding,
+    joined = _joined_records(records, arr, _at(kept, hit), binding,
                              [v[found] for v in vals], arr_name)
     stats.output_rows = len(hit)
     stats.emit_seconds += time.perf_counter() - t0
@@ -417,34 +410,38 @@ def _bucket_order(arr: StoredArray, tq, kept, stats: JoinStats,
     return order
 
 
-def _convert_join(frame, arr: StoredArray, pred, stats: JoinStats,
+def _convert_join(records, arr: StoredArray, pred, stats: JoinStats,
                   rec_name: str, arr_name: str):
     """Array → relation, then an ordinary relational or document join on
     `pred`, which may be any predicate over the records (qualified by their
     own qualifiers or `rec_name`) and the array (by `arr_name`)."""
-    stats.n_records = len(frame)
+    stats.n_records = len(records)
     t0 = time.perf_counter()
-    arel = _as_frame(to_relation(arr), arr_name)
+    arel = _qualify(to_relation(arr), arr_name)
     stats.convert_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     schema = arr.meta.schema
-    if isinstance(frame, DocFrame):  # a path under rec_name is the record's
-        aliased = DocFrame(frame.quals + (rec_name,), frame.coll)
-        joined = DocFrame(tuple(dict.fromkeys(frame.quals + (arr_name,))),
-                          _join(aliased, arel, pred).coll)
+    if isinstance(records, Collection):  # a path under rec_name is theirs
+        c = _join(Collection.from_columns(
+            records.name, records.shapes, records.shape_ids, records.columns,
+            records.quals + (rec_name,)), arel, pred)
+        joined = Collection.from_columns(
+            c.name, c.shapes, c.shape_ids, c.columns,
+            tuple(dict.fromkeys(records.quals + (arr_name,))))
     else:
-        left = RelFrame([(q or rec_name, n) for q, n in frame.cols],
-                        frame.types, frame.columns, frame.n)
+        left = Relation.qualified(
+            [(q or rec_name, n) for q, n in records.cols], records.types,
+            records.columns, records.n)
         joined = _join(left, arel, _own_refs(pred, left, rec_name))
-        del joined.columns[len(frame.cols):len(frame.cols) + schema.d]
-        joined = _rel_output(frame, schema, arr_name, joined.columns)
+        del joined.columns[len(records.cols):len(records.cols) + schema.d]
+        joined = _rel_output(records, schema, arr_name, joined.columns)
     stats.probe_seconds += time.perf_counter() - t0
     stats.output_rows = len(joined)
     return joined
 
 
-def _own_refs(p, records: RelFrame, rec_name: str):
+def _own_refs(p, records: Relation, rec_name: str):
     """``p`` with each ``<rec_name>.x`` written ``q.x``, the name of the
     column x resolves to among the records (each has a qualifier): the
     records' own x, as mshj reads it, and never a column literally named
@@ -467,9 +464,10 @@ def _own_refs(p, records: RelFrame, rec_name: str):
 # dispatcher
 
 def _match_all_dims_binding(pred, dim_names, rec_name: str,
-                            arr_name: str) -> DimBinding | None:
+                            arr_name: str) -> tuple | None:
     """If `pred` is a pure equi-join binding each array dimension in
-    `dim_names` once, return the record-side binding (in their order)."""
+    `dim_names` once, return the record path bound to each (in their
+    order); one path may bind several dimensions."""
     pairs, residual = equi_conjuncts(pred)
     if residual is not None or not pairs:
         return None
@@ -495,7 +493,7 @@ def _match_all_dims_binding(pred, dim_names, rec_name: str,
         bound[dim] = tail if q in (None, rec_name) else rec
     if set(bound) != set(dim_names):
         return None
-    return DimBinding(tuple(bound[d] for d in dim_names))
+    return tuple(bound[d] for d in dim_names)
 
 
 def _route(pred, dim_names, rec_name: str, arr_name: str, strategy: str):
@@ -521,8 +519,7 @@ def join_tiles(records, meta: ArrayMeta, pred, *, rec_name: str,
                                    arr_name, strategy)
         if strategy == "convert":
             return None
-        return np.unique(_locate(_as_frame(records, rec_name), binding, meta,
-                                 JoinStats())[2])
+        return np.unique(_locate(records, binding, meta, JoinStats())[2])
     except EngineError:
         return None
 
@@ -539,17 +536,16 @@ def dispatch_join(records, arr: StoredArray, pred, out: str | None = None, *,
     joins it; `strategy` forces one of ``STRATEGIES``."""
     strategy, binding = _route(pred, arr.meta.schema.dim_names, rec_name,
                                arr_name, strategy)
-    frame = _as_frame(records, rec_name)
-    model = _output_model(frame, out)
+    model = _output_model(records, out)
     stats = stats if stats is not None else JoinStats()
     stats.strategy = strategy
     if strategy == "convert":
-        joined = _convert_join(frame, arr, pred, stats, rec_name, arr_name)
+        joined = _convert_join(records, arr, pred, stats, rec_name, arr_name)
     else:
-        joined = _probe_join(strategy, frame, arr, binding, stats, trace,
+        joined = _probe_join(strategy, records, arr, binding, stats, trace,
                              arr_name)
     t0 = time.perf_counter()
-    res = _emit(joined, arr, binding, model, frame is not records)
+    res = _emit(joined, arr, binding, model)
     stats.emit_seconds += time.perf_counter() - t0
     return res
 
@@ -576,16 +572,17 @@ def to_array(src, dim_names: list[str], value_names: list[str],
     if meta is not None and (len(dim_names) != meta.d or
                              len(value_names) != len(meta.schema.attr_names)):
         raise OutputSpecError("dim/value name count does not match the array schema")
-    binding = DimBinding(tuple(dim_names))
-    src = _as_frame(src, "rec")
+    binding = tuple(dim_names)
+    if len(set(binding)) != len(binding):
+        raise BindingError(f"duplicate binding attributes {binding}")
     dims, kept, cols = _extract_dims(src, binding, value_names)
     inferred = meta is None
     if inferred:  # a relation's declared types, else the values' own
         types = [_column(src, vn)[1] for vn in value_names] \
-            if isinstance(src, RelFrame) else list(map(_value_type, cols))
+            if isinstance(src, Relation) else list(map(_value_type, cols))
         size = (tuple(int(c.max()) + 1 for c in dims) if len(dims[0])
                 else (1,) * len(dim_names))
-        meta = ArrayMeta(CellSchema(binding.attrs, tuple(value_names),
+        meta = ArrayMeta(CellSchema(binding, tuple(value_names),
                                     tuple(types)),
                          size, tile_extent(size, default_tile))
     _check_ints(src, kept, value_names, meta.schema.attr_types, cols)

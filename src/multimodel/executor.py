@@ -6,12 +6,13 @@ and partitioned; partitions run in topological order, record partitions
 first among those ready (``topo_order``), and every partition's result
 lands in a registry keyed by its output node's id, where downstream
 partitions pick it up.  Relational and document partitions run as operator
-trees, and a record node's value is the frame its tree made
-(``rd_engine``): every reader of the node, in any partition, sees the same
-columns and qualifiers.  Array partitions run node by node on tiled arrays;
-inter-model partitions are the conversion / join bridge calls, which take
-and give frames too, so a frame becomes a public Relation or Collection
-only as the run's result.  A record–array join passes the plan's
+trees, and a record node's value is the Relation or Collection its tree
+made (``rd_engine``): every reader of the node, in any partition, sees the
+same columns and qualifiers, and so does the caller when the node is the
+run's target (a collection result is renamed ``result``, its columns
+shared).  Array partitions run node by node on tiled arrays; inter-model
+partitions are the conversion / join bridge calls, which take and give
+records as they are.  A record–array join passes the plan's
 predicate, output model and names to ``bridge.dispatch_join`` as they are,
 with the configured strategy; the bridge routes it.  A conversion passes
 its records to ``bridge.to_array`` with only the default tile extent and
@@ -55,7 +56,7 @@ from .models import (FLOAT, STRING, UINT, ArrayMeta, CellSchema, Collection,
 from .planner import (LogicalPlan, Partition, PartitionDag, dag_to_trees,
                       partition, partition_dag_to_dict, plan_to_dict, rewrite,
                       topo_order)
-from .rd_engine import DocFrame, RelFrame, execute_tree, frame_to_public
+from .rd_engine import execute_tree
 from .script import bind_script
 
 _EXT = {"relational": ".csv", "document": ".jsonl", "array": ".m2ar"}
@@ -231,7 +232,12 @@ class Engine:
                 except EngineError as e:
                     e.partition = part.index  # which stage failed, for reporting
                     raise
-            return _public(reg[target])
+            res = reg[target]
+            if isinstance(res, Collection):  # named alike whatever made it
+                res = Collection.from_columns("result", res.shapes,
+                                              res.shape_ids, res.columns,
+                                              res.quals)
+            return res
         except BaseException:
             for value in reg.values():
                 if isinstance(value, StoredArray):
@@ -384,14 +390,6 @@ class _Liveness:
                 value = self.reg.pop(nid, None)
                 if isinstance(value, StoredArray):
                     value.release()
-
-
-def _public(value):
-    """A record node's frame as a public Relation or Collection; any other
-    value as it is."""
-    if isinstance(value, (RelFrame, DocFrame)):
-        return frame_to_public(value)
-    return value
 
 
 def run_script(path: str, config: EngineConfig | None = None, *,

@@ -197,13 +197,18 @@ def column_from_array(arr: np.ndarray, vt: "ValueType") -> Column:
 
 
 class Relation:
-    """Schema plus one Column per attribute; treat instances as immutable.
+    """Columns, one Column per attribute, each named by a qualifier (or
+    None) and a name; treat instances as immutable.
 
     ``Relation(schema, rows)`` takes row tuples, and ``rows`` builds them
-    again; ``from_columns`` and ``columns`` skip the tuples.  ``len()``
-    counts rows without building them."""
+    again; ``from_columns`` and ``columns`` skip the tuples.  Both build
+    unqualified columns of distinct names.  ``qualified`` takes the columns
+    as a join or a scan names them, so two columns may share a name under
+    different qualifiers.  ``schema`` and ``attr_names`` print each name
+    bare, a colliding one as ``qualifier.name``, and number a repeat
+    (``x``, ``x#1``).  ``len()`` counts rows without building them."""
 
-    __slots__ = ("schema", "columns", "_n")
+    __slots__ = ("cols", "types", "columns", "n")
     __hash__ = None
 
     def __init__(self, schema: list[tuple[str, ValueType]], rows=()):
@@ -225,30 +230,44 @@ class Relation:
         rel._init(schema, columns, len(columns[0]) if columns else n or 0)
         return rel
 
+    @classmethod
+    def qualified(cls, cols: list, types: list, columns: list[Column],
+                  n: int) -> "Relation":
+        """A relation over ``cols``, (qualifier or None, name) pairs, as they
+        are: two columns may share a name under different qualifiers."""
+        rel = cls.__new__(cls)
+        rel.cols, rel.types, rel.columns, rel.n = cols, types, columns, n
+        return rel
+
     def _init(self, schema, columns, n):
         names = [name for name, _ in schema]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute names in schema: {names}")
-        self.schema, self.columns, self._n = list(schema), columns, n
+        self.cols = [(None, name) for name in names]
+        self.types = [vt for _, vt in schema]
+        self.columns, self.n = columns, n
+
+    @property
+    def schema(self) -> list[tuple[str, ValueType]]:
+        return list(zip(self.attr_names, self.types))
+
+    @property
+    def attr_names(self) -> list[str]:
+        return _public_names(self.cols)
 
     @property
     def rows(self) -> list[tuple]:
         if not self.columns:
-            return [()] * self._n
+            return [()] * self.n
         return list(zip(*(c.tolist() for c in self.columns)))
 
-    @property
-    def attr_names(self) -> list[str]:
-        return [n for n, _ in self.schema]
-
-    def attr_index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.schema):
-            if n == name:
-                return i
-        raise KeyError(name)
+    def take(self, idx: np.ndarray) -> "Relation":
+        return Relation.qualified(self.cols, self.types,
+                                  [c.take(idx) for c in self.columns],
+                                  len(idx))
 
     def __len__(self):
-        return self._n
+        return self.n
 
     def __eq__(self, other):
         if not isinstance(other, Relation):
@@ -257,6 +276,27 @@ class Relation:
 
     def __repr__(self):
         return f"Relation(schema={self.schema!r}, rows={self.rows!r})"
+
+
+def _public_names(cols) -> list[str]:
+    """The printed name of each (qualifier, name) column: its name, or
+    ``qualifier.name`` where another column shares the name, numbered."""
+    bare = [n for _, n in cols]
+    return _numbered([n if bare.count(n) == 1 or q is None else f"{q}.{n}"
+                      for q, n in cols])
+
+
+def _numbered(names) -> list[str]:
+    """The names with each repeat renamed ``name#k``, k the first count
+    that makes it unique: ``x, x`` gives ``x, x#1``."""
+    out: list[str] = []
+    for n in names:
+        name, k = n, 0
+        while name in out:
+            k += 1
+            name = f"{n}#{k}"
+        out.append(name)
+    return out
 
 
 # the Python type of a document value -> the dtype of a column of such values
@@ -283,14 +323,17 @@ class Collection:
     ``shape_ids`` (int64) gives each document's.  A document has a key
     exactly when its shape does, so a column's ``null`` marks stored nulls
     only; under a document that lacks the key a column holds a filler.
+    ``quals`` are the qualifiers a path may start with (``(name,)`` by
+    default): a scan's, and after a join both sides'.
     ``Collection(name, docs)`` shreds dicts and ``docs`` builds them again;
     ``from_columns``, ``take``, ``has`` and ``path`` skip the dicts, and
     ``len()`` counts documents without building them."""
 
-    __slots__ = ("name", "shapes", "shape_ids", "columns", "__weakref__")
+    __slots__ = ("name", "shapes", "shape_ids", "columns", "quals",
+                 "__weakref__")
     __hash__ = None
 
-    def __init__(self, name: str, docs=()):
+    def __init__(self, name: str, docs=(), quals: tuple | None = None):
         docs = docs if isinstance(docs, list) else list(docs)
         # each document's shape as the row where it first appears, then
         # shapes numbered in that order
@@ -300,14 +343,17 @@ class Collection:
         self.name, self.shapes = name, list(first)
         self.shape_ids = np.unique(at, return_inverse=True)[1].astype(np.int64)
         self.columns = _shred(docs, self.shapes, self.shape_ids)
+        self.quals = (name,) if quals is None else quals
 
     @classmethod
     def from_columns(cls, name: str, shapes: list, shape_ids: np.ndarray,
-                     columns: dict) -> "Collection":
+                     columns: dict,
+                     quals: tuple | None = None) -> "Collection":
         """A collection over existing columns (shared, not copied)."""
         col = cls.__new__(cls)
         col.name, col.shapes, col.shape_ids, col.columns = \
             name, shapes, shape_ids, columns
+        col.quals = (name,) if quals is None else quals
         return col
 
     def __len__(self):
@@ -316,7 +362,7 @@ class Collection:
     def take(self, idx) -> "Collection":
         return Collection.from_columns(
             self.name, self.shapes, self.shape_ids[idx],
-            {k: c.take(idx) for k, c in self.columns.items()})
+            {k: c.take(idx) for k, c in self.columns.items()}, self.quals)
 
     def has(self, key: str) -> np.ndarray:
         """Mask of the documents that have the top-level key."""

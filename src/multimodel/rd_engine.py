@@ -6,30 +6,31 @@ alias-refs into a registry of materialized results keyed by node id. One
 executor serves both record models; documents use dotted paths wherever
 relations use column references.
 
-Both models run a column at a time.  A RelFrame holds one Column per
-attribute (see models); a DocFrame holds its collection's columns, one per
-top-level key, and each document's shape, the tuple of its keys.  A path
-read from a DocFrame is its key's column, absent read as null, and below
-the top-level key it is read per value.  Filter, sort, limit, aggregate and
+Both models run a column at a time.  A Relation holds one Column per
+attribute; a Collection holds one per top-level key, and each document's
+shape, the tuple of its keys (see models).  A path read from a collection
+is its key's column, absent read as null, and below the top-level key it
+is read per value.  Filter, sort, limit, aggregate and
 the join's pairing have one body for both models: filter evaluates the
 compiled predicate over whole columns with Kleene logic on masks; the
 equi-join and grouping key on column codes; sort and limit order and cut
 through index vectors.  Per-value work is left only where the values are
-objects.  Project, union and the join's output change a frame's shape and
-stay model-specific: over documents they select, gather and overlay
+objects.  Project, union and the join's output change a value's shape
+and stay model-specific: over documents they select, gather and overlay
 columns, and map each input shape (or pair of shapes) to an output shape.
 Dicts are built only to unwind and for a document sort's tie-break.
 
 Column references carry optional qualifiers ("review.oid"): a bare name must
 resolve to exactly one column, a qualified name matches its source relation.
-Joins preserve qualifiers so collisions stay addressable.  A node's value is
-its frame, a record–array join's included (``bridge``), and every reader of
-the node, in its own tree or in another partition, sees the same columns
-and qualifiers.  Project and aggregate name their columns without a
-qualifier and number a repeated name the way a public Relation renders it
-("x", "x#1"), so a frame never holds two unqualified columns of one name.
-Converting to a public Relation (``frame_to_public``) renders colliding
-qualified names as "qualifier.name".
+A scan qualifies each column by the scan's qualifier, and a collection's
+paths by its ``quals``; joins keep both sides' qualifiers so collisions stay
+addressable.  A node's value is the Relation or Collection its tree made, a
+record–array join's included (``bridge``), and every reader of the node, in
+its own tree or in another partition or as the run's result, sees the same
+columns and qualifiers.  Project and aggregate name their columns without a
+qualifier and number a repeated name the way ``Relation.schema`` prints it
+("x", "x#1"), so a relation never holds two unqualified columns of one
+name; ``schema`` prints colliding qualified names as "qualifier.name".
 
 Each operator resolves its references once, when it starts, into column
 getters and compiled predicates; an unknown or ambiguous column raises
@@ -49,95 +50,34 @@ equals a number, and a float NaN matches nothing and groups alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BindingError, NotFoundError, PlanError, TypeMismatchError
 from .models import (ABSENT, FLOAT, INT, Collection, Column, Relation,
-                     object_column, column_of, compile_path, compile_set,
-                     infer_column_type)
+                     _numbered, object_column, column_of, compile_path,
+                     compile_set, infer_column_type)
 from .planner import TreeNode
 from .predicates import (And, Cmp, Ref, compile_columns, equi_conjuncts,
                          universal_key)
 
-__all__ = ["RelFrame", "DocFrame", "execute_tree", "node", "frame_to_public"]
+__all__ = ["execute_tree", "node"]
 
 
 def node(op: str, *children: TreeNode, **params) -> TreeNode:
     return TreeNode(op, params, children)
 
 
-@dataclass
-class RelFrame:
-    cols: list  # [(qualifier | None, name)]
-    types: list
-    columns: list  # [Column], one per entry of cols
-    n: int  # rows
-
-    def __len__(self) -> int:
-        return self.n
-
-    def take(self, idx: np.ndarray) -> "RelFrame":
-        return RelFrame(self.cols, self.types,
-                        [c.take(idx) for c in self.columns], len(idx))
-
-
-@dataclass
-class DocFrame:
-    quals: tuple
-    coll: Collection  # columns, shape ids and shapes
-
-    @property
-    def n(self) -> int:
-        return len(self.coll)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def take(self, idx: np.ndarray) -> "DocFrame":
-        return DocFrame(self.quals, self.coll.take(idx))
-
-
-def frame_to_public(f):
-    if isinstance(f, DocFrame):
-        c = f.coll
-        return Collection.from_columns("result", c.shapes, c.shape_ids,
-                                       c.columns)
-    names = _public_names(f.cols)
-    return Relation.from_columns(list(zip(names, f.types)), f.columns, f.n)
-
-
-def _public_names(cols) -> list[str]:
-    bare = [n for _, n in cols]
-    return _numbered([n if bare.count(n) == 1 or q is None else f"{q}.{n}"
-                      for q, n in cols])
-
-
-def _numbered(names) -> list[str]:
-    """The names with each repeat renamed ``name#k``, k the first count
-    that makes it unique: ``x, x`` gives ``x, x#1``."""
-    out: list[str] = []
-    for n in names:
-        name, k = n, 0
-        while name in out:
-            k += 1
-            name = f"{n}#{k}"
-        out.append(name)
-    return out
-
-
 # ------------------------------------------------------------ ref resolution
 
-def _col_index(frame: RelFrame, path: str) -> int:
+def _col_index(rel: Relation, path: str) -> int:
     head, _, rest = path.partition(".")
     if rest:
-        matches = [i for i, (q, n) in enumerate(frame.cols)
+        matches = [i for i, (q, n) in enumerate(rel.cols)
                    if q == head and n == rest]
         if not matches:  # a column literally named with the dotted path
-            matches = [i for i, (_, n) in enumerate(frame.cols) if n == path]
+            matches = [i for i, (_, n) in enumerate(rel.cols) if n == path]
     else:
-        matches = [i for i, (_, n) in enumerate(frame.cols) if n == path]
+        matches = [i for i, (_, n) in enumerate(rel.cols) if n == path]
     if len(matches) == 1:
         return matches[0]
     if not matches:
@@ -145,28 +85,28 @@ def _col_index(frame: RelFrame, path: str) -> int:
     raise PlanError(f"ambiguous column reference {path!r}")
 
 
-def _path(f: DocFrame, path: str) -> tuple[Column, np.ndarray]:
+def _path(f: Collection, path: str) -> tuple[Column, np.ndarray]:
     """A document path's column and the mask of the rows that have it.  In
     the rows that lack the full path, a dotted path falls back to a
     top-level key spelled as the whole path (``a.k``, as ``_rel_to_doc``
-    keys a colliding column), and then, when its head is one of the frame's
-    qualifiers, to the rest of it."""
-    col, present = f.coll.path(path)
+    keys a colliding column), and then, when its head is one of the
+    collection's qualifiers, to the rest of it."""
+    col, present = f.path(path)
     head, _, rest = path.partition(".")
-    if rest and path in f.coll.columns and not present.all():
-        other, has_other = f.coll.columns[path], f.coll.has(path)
+    if rest and path in f.columns and not present.all():
+        other, has_other = f.columns[path], f.has(path)
         col, present = _overlay(col, present, other), present | has_other
     if rest and head in f.quals and not present.all():
-        other, has_other = f.coll.path(rest)
+        other, has_other = f.path(rest)
         col, present = _overlay(col, present, other), present | has_other
     return col, present
 
 
 def _present(f, path: str) -> tuple[Column, np.ndarray]:
-    """A path's column on either frame and the mask of the rows that have
+    """A path's column in either model and the mask of the rows that have
     it, every row of a relation; for the bridge, which reports a relation's
     name that resolves to no one column as a BindingError."""
-    if isinstance(f, DocFrame):
+    if isinstance(f, Collection):
         return _path(f, path)
     try:
         return f.columns[_col_index(f, path)], np.ones(f.n, dtype=bool)
@@ -195,10 +135,10 @@ def _getter(col: Column):
 
 
 def _column(f, path: str):
-    """``(Column, declared type)`` of a path on either frame.  A document
+    """``(Column, declared type)`` of a path in either model.  A document
     path has no declared type, and reads null where it is absent (an object
     column then holds None there)."""
-    if isinstance(f, RelFrame):
+    if isinstance(f, Relation):
         i = _col_index(f, path)
         return f.columns[i], f.types[i]
     col, present = _path(f, path)
@@ -214,24 +154,23 @@ def _row_columns(f) -> list:
     """The columns whose ranks, in turn, order whole rows: a relation's
     attributes, or a collection's documents, built as dicts, as one object
     column."""
-    return f.columns if isinstance(f, RelFrame) else \
-        [object_column(f.coll.docs)]
+    return f.columns if isinstance(f, Relation) else [object_column(f.docs)]
 
 
 def _resolver(f):
-    """``path -> column getter`` over the frame."""
+    """``path -> column getter`` over a relation or collection."""
     return lambda path: _getter(_column(f, path)[0])
 
 
 # ----------------------------------------------------------------- execution
 
 def execute_tree(tree: TreeNode, registry: dict | None = None):
-    """Run a plan tree; returns its root's RelFrame or DocFrame.
+    """Run a plan tree; returns its root's Relation or Collection.
 
     A scan reads the Relation or Collection the registry holds under its
-    dataset name.  An alias_ref reads the value it holds under the leaf's
-    node id: a frame as it is, with the columns and qualifiers its maker
-    gave it, and a public value (never the executor's) framed unqualified."""
+    dataset name, under the scan's qualifier.  An alias_ref reads the value
+    it holds under the leaf's node id as it is, with the columns and
+    qualifiers its maker gave it."""
     return _exec(tree, registry or {})
 
 
@@ -243,7 +182,7 @@ def _exec(n: TreeNode, reg: dict):
         nid = n.params["id"]
         if nid not in reg:
             raise PlanError(f"no value for node {nid}")
-        return _as_frame(reg[nid], None)
+        return reg[nid]
 
     kids = [_exec(c, reg) for c in n.children]
     if op == "filter":
@@ -269,40 +208,39 @@ def _scan(params: dict, reg: dict):
     name = params["name"]
     if name not in reg:
         raise NotFoundError(f"dataset {name!r} not found")
-    return _as_frame(reg[name], params.get("qualifier") or name)
+    return _qualify(reg[name], params.get("qualifier") or name)
 
 
-def _as_frame(obj, qualifier):
-    """A frame as it is; a public value under ``qualifier``."""
-    if isinstance(obj, (RelFrame, DocFrame)):
-        return obj
+def _qualify(obj, qualifier: str):
+    """A copy of a relation or collection that shares its columns, under
+    ``qualifier``."""
     if isinstance(obj, Relation):
-        return RelFrame([(qualifier, n) for n, _ in obj.schema],
-                        [t for _, t in obj.schema], list(obj.columns),
-                        len(obj))
+        return Relation.qualified([(qualifier, n) for n in obj.attr_names],
+                                  obj.types, list(obj.columns), len(obj))
     if isinstance(obj, Collection):
-        return DocFrame((qualifier or obj.name,), obj)
+        return Collection.from_columns(obj.name, obj.shapes, obj.shape_ids,
+                                       obj.columns, (qualifier,))
     raise PlanError(f"cannot scan object of type {type(obj).__name__}")
 
 
 def _filter(f, pred):
     keep = compile_columns(pred, _resolver(f))
-    t, _ = keep(np.arange(f.n))
+    t, _ = keep(np.arange(len(f)))
     return f.take(np.flatnonzero(t))
 
 
 def _project(f, cols, names):
     out_names = names or [c.rpartition(".")[2] for c in cols]
-    if isinstance(f, RelFrame):
+    if isinstance(f, Relation):
         idx = [_col_index(f, c) for c in cols]
-        return RelFrame([(None, n) for n in _numbered(out_names)],
-                        [f.types[i] for i in idx],
-                        [f.columns[i] for i in idx], f.n)
+        return Relation.qualified([(None, n) for n in _numbered(out_names)],
+                                  [f.types[i] for i in idx],
+                                  [f.columns[i] for i in idx], f.n)
     # a document keeps the names of the paths it has, a repeated name at its
     # first such position and with its last such value; rows of one input
     # shape that have the same paths share an output shape
     paths = [_path(f, c) for c in cols]
-    group, first = _group([Column(f.coll.shape_ids)] +
+    group, first = _group([Column(f.shape_ids)] +
                           [Column(present) for _, present in paths])
     has = np.stack([present[first] for _, present in paths], axis=1)
     shapes: dict = {}
@@ -314,8 +252,8 @@ def _project(f, cols, names):
         columns[n] = _overlay(col, present, columns[n]) if n in columns \
             else col
     shape_ids = np.asarray(shape_of, dtype=np.int64)[group]
-    return DocFrame(f.quals, Collection.from_columns(
-        f.coll.name, list(shapes), shape_ids, columns))
+    return Collection.from_columns(f.name, list(shapes), shape_ids, columns,
+                                   f.quals)
 
 
 def _sort(f, keys):
@@ -327,7 +265,7 @@ def _sort(f, keys):
         by.append(k if col.null is None else np.where(col.null, top, k))
     ties = [_rank(c)[0] for c in _row_columns(f)]  # the whole-row tie-break
     # lexsort's primary key is its last: the sort keys, then the tie-break
-    order = np.lexsort(ties[::-1] + by[::-1]) if ties else np.arange(f.n)
+    order = np.lexsort(ties[::-1] + by[::-1]) if ties else np.arange(len(f))
     return f.take(order)
 
 
@@ -347,11 +285,11 @@ def _rank(col: Column) -> tuple[np.ndarray, int]:
 
 
 def _limit(f, k: int):
-    return f.take(np.arange(f.n)[:k])
+    return f.take(np.arange(len(f))[:k])
 
 
 def _union(a, b):
-    if isinstance(a, RelFrame) and isinstance(b, RelFrame):
+    if isinstance(a, Relation) and isinstance(b, Relation):
         if len(a.cols) != len(b.cols):
             raise TypeMismatchError(
                 f"union arity mismatch: {len(a.cols)} vs {len(b.cols)}")
@@ -360,10 +298,9 @@ def _union(a, b):
         columns = [_concat(_as_type(ca, ta, t), _as_type(cb, tb, t), t)
                    for ca, cb, ta, tb, t in zip(a.columns, b.columns, a.types,
                                                 b.types, types)]
-        return RelFrame(a.cols, types, columns, a.n + b.n)
-    if isinstance(a, DocFrame) and isinstance(b, DocFrame):
-        return DocFrame(tuple(dict.fromkeys(a.quals + b.quals)),
-                        _concat_docs(a.coll, b.coll))
+        return Relation.qualified(a.cols, types, columns, a.n + b.n)
+    if isinstance(a, Collection) and isinstance(b, Collection):
+        return _concat_docs(a, b)
     raise TypeMismatchError("cannot union a relation with a collection")
 
 
@@ -403,8 +340,9 @@ def _concat(a: Column, b: Column, vt) -> Column:
 
 
 def _concat_docs(a: Collection, b: Collection) -> Collection:
-    """b's documents after a's: one shape table, and each key's column over
-    both, a filler where one side has no such key."""
+    """b's documents after a's, under both's qualifiers: one shape table,
+    and each key's column over both, a filler where one side has no such
+    key."""
     shapes = {s: i for i, s in enumerate(dict.fromkeys(a.shapes + b.shapes))}
     shape_ids = np.concatenate([
         np.asarray([shapes[s] for s in c.shapes], np.int64)[c.shape_ids]
@@ -415,15 +353,16 @@ def _concat_docs(a: Collection, b: Collection) -> Collection:
         ca, cb = (c.columns[k] if k in c.columns else
                   Column(np.zeros(len(c), dtype)) for c in (a, b))
         columns[k] = _concat(ca, cb, None)
-    return Collection.from_columns(a.name, list(shapes), shape_ids, columns)
+    return Collection.from_columns(a.name, list(shapes), shape_ids, columns,
+                                   tuple(dict.fromkeys(a.quals + b.quals)))
 
 
 def _unwind(f, path: str):
-    if not isinstance(f, DocFrame):
+    if not isinstance(f, Collection):
         raise TypeMismatchError("unwind applies to collections")
     get, set_value = compile_path(path), compile_set(path)
     docs = []
-    for d in f.coll.docs:
+    for d in f.docs:
         v = get(d)
         if v is ABSENT:
             continue  # documents lacking the path contribute nothing
@@ -431,7 +370,7 @@ def _unwind(f, path: str):
             raise TypeMismatchError(f"unwind path {path!r} is not a list")
         for elem in v:
             docs.append(set_value(d, elem))
-    return DocFrame(f.quals, Collection(f.coll.name, docs))
+    return Collection(f.name, docs, f.quals)
 
 
 # ---------------------------------------------------------------- aggregate
@@ -451,7 +390,7 @@ def _aggregate(f, keys, aggs):
         key_cols = [c.take(first) for c in key_cols]
         ngroups = len(first)
     else:  # one group, even over no rows: the identity row
-        codes, ngroups = np.zeros(f.n, dtype=np.int64), 1
+        codes, ngroups = np.zeros(len(f), dtype=np.int64), 1
     types = [vt or infer_column_type(c.tolist())
              for c, vt in zip(key_cols, types)]
     # count is INT and avg FLOAT; sum, min and max keep the aggregated
@@ -469,7 +408,8 @@ def _aggregate(f, keys, aggs):
         out.append(res)
     names = [k.rpartition(".")[2] for k in keys] + \
         [name for _, _, name in aggs]
-    return RelFrame([(None, n) for n in _numbered(names)], types, out, ngroups)
+    return Relation.qualified([(None, n) for n in _numbered(names)], types,
+                              out, ngroups)
 
 
 def _group(cols: list[Column]) -> tuple[np.ndarray, np.ndarray]:
@@ -622,24 +562,24 @@ def _acc_final(acc, func):
 # --------------------------------------------------------------------- joins
 
 def _join(left, right, pred):
-    if isinstance(left, RelFrame) and isinstance(right, RelFrame):
+    if isinstance(left, Relation) and isinstance(right, Relation):
         return _join_rel(left, right, pred)
-    ldoc = left if isinstance(left, DocFrame) else _rel_to_doc(left)
-    rdoc = right if isinstance(right, DocFrame) else _rel_to_doc(right)
+    ldoc = left if isinstance(left, Collection) else _rel_to_doc(left)
+    rdoc = right if isinstance(right, Collection) else _rel_to_doc(right)
     return _join_doc(ldoc, rdoc, pred)
 
 
-def _rel_to_doc(f: RelFrame) -> DocFrame:
+def _rel_to_doc(f: Relation) -> Collection:
     """The relation's columns as documents of one shape, keyed by the names
-    its public Relation gives them (``a.k`` and ``b.k`` for two columns k),
-    under the relation's qualifiers; a null stays a stored null."""
+    its schema prints (``a.k`` and ``b.k`` for two columns k), under the
+    relation's qualifiers; a null stays a stored null."""
     quals = tuple(dict.fromkeys(q for q, _ in f.cols if q))
-    columns = dict(zip(_public_names(f.cols), f.columns))
-    return DocFrame(quals, Collection.from_columns(
-        "", [tuple(columns)], np.zeros(f.n, np.int64), columns))
+    columns = dict(zip(f.attr_names, f.columns))
+    return Collection.from_columns("", [tuple(columns)],
+                                   np.zeros(f.n, np.int64), columns, quals)
 
 
-def _resolvable_rel(f: RelFrame, path: str) -> bool:
+def _resolvable_rel(f: Relation, path: str) -> bool:
     try:
         _col_index(f, path)
         return True
@@ -671,12 +611,12 @@ def _split_equi(pred, left_has, right_has):
 _CROSS_BATCH = 1 << 16
 
 
-def _join_rel(left: RelFrame, right: RelFrame, pred):
+def _join_rel(left: Relation, right: Relation, pred):
     """Candidate row pairs (equal keys, or all pairs), kept where the rest
     of the condition is true, then the output columns gathered once.  The
     condition reads its columns through the candidates' row indices."""
-    out = RelFrame(left.cols + right.cols, left.types + right.types,
-                   left.columns + right.columns, 0)
+    out = Relation.qualified(left.cols + right.cols, left.types + right.types,
+                             left.columns + right.columns, 0)
     keyed, residual = _split_equi(
         pred, lambda p: _resolvable_rel(left, p),
         lambda p: _resolvable_rel(right, p))
@@ -701,8 +641,9 @@ def _join_rel(left: RelFrame, right: RelFrame, pred):
         lidx.append(li)
         ridx.append(ri)
     lidx, ridx = np.concatenate(lidx), np.concatenate(ridx)
-    return RelFrame(out.cols, out.types, [c.take(lidx) for c in left.columns]
-                    + [c.take(ridx) for c in right.columns], len(lidx))
+    return Relation.qualified(
+        out.cols, out.types, [c.take(lidx) for c in left.columns] +
+        [c.take(ridx) for c in right.columns], len(lidx))
 
 
 def _cross_pairs(nl: int, nr: int):
@@ -769,18 +710,18 @@ def _join_codes(a: Column, b: Column) -> np.ndarray:
     return code
 
 
-def _join_doc(left: DocFrame, right: DocFrame, pred):
+def _join_doc(left: Collection, right: Collection, pred):
     """Candidate pairs as ``_join_rel`` takes them, from key columns of the
     document paths, kept where the rest of the condition is true over the
     merged pairs of each batch; the output is the kept pairs merged."""
     quals = tuple(dict.fromkeys(left.quals + right.quals))
 
-    def strip(path: str, side: DocFrame) -> str:  # a top-level key stays
+    def strip(path: str, side: Collection) -> str:  # a top-level key stays
         head, _, rest = path.partition(".")
         return rest if rest and head in side.quals and \
-            path not in side.coll.columns else path
+            path not in side.columns else path
 
-    def has(side: DocFrame, other: DocFrame):
+    def has(side: Collection, other: Collection):
         def side_has(p):  # a qualifier names the side, else a non-null value
             head = p.partition(".")[0]
             if head in side.quals or head in other.quals:
@@ -795,7 +736,7 @@ def _join_doc(left: DocFrame, right: DocFrame, pred):
     cond = residual if keyed else pred
     lidx, ridx = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for li, ri in ([_equi_pairs(keys)] if keys else
-                   _cross_pairs(left.n, right.n)):
+                   _cross_pairs(len(left), len(right))):
         if cond is not None:
             pairs = _merged(left, right, li, ri, quals)
             t, _ = compile_columns(cond, _resolver(pairs))(np.arange(len(li)))
@@ -806,14 +747,13 @@ def _join_doc(left: DocFrame, right: DocFrame, pred):
                    quals)
 
 
-def _merged(left: DocFrame, right: DocFrame, li: np.ndarray, ri: np.ndarray,
-            quals: tuple) -> DocFrame:
+def _merged(lc: Collection, rc: Collection, li: np.ndarray, ri: np.ndarray,
+            quals: tuple) -> Collection:
     """Row pairs (li, ri) as one document each: the left's keys, then the
     right's keys the left lacks.  Both sides' columns are gathered at the
     pairs, a key on both sides takes the left value where the left row has
     the key, and each (left shape, right shape) pair maps to one merged
     shape."""
-    lc, rc = left.coll, right.coll
     pair = lc.shape_ids[li] * len(rc.shapes) + rc.shape_ids[ri]
     pairs, inverse = np.unique(pair, return_inverse=True)
     shapes: dict = {}
@@ -828,5 +768,5 @@ def _merged(left: DocFrame, right: DocFrame, li: np.ndarray, ri: np.ndarray,
         columns[k] = _overlay(columns[k], lc.has(k)[li], c) \
             if k in columns else c
     shape_ids = np.asarray(shape_of, dtype=np.int64)[inverse]
-    return DocFrame(quals, Collection.from_columns(
-        lc.name, list(shapes), shape_ids, columns))
+    return Collection.from_columns(lc.name, list(shapes), shape_ids, columns,
+                                   quals)

@@ -31,11 +31,11 @@ import numpy as np
 
 from multimodel.bridge import _dim_problem, _is_dim
 from multimodel.errors import BindingError, PlanError, TypeMismatchError
-from multimodel.models import (ABSENT, FLOAT, INT, Collection,
+from multimodel.models import (ABSENT, FLOAT, INT, Collection, _public_names,
                                compile_path, compile_set, infer_column_type)
 from multimodel.predicates import (And, Cmp, Lit, Not, Or, Ref,
                                    compare_values, universal_key)
-from multimodel.rd_engine import _col_index, _public_names, _split_equi
+from multimodel.rd_engine import _col_index, _split_equi
 
 
 @dataclass

@@ -43,7 +43,7 @@ def cells_of(arr):
 
 def nested_loop_oracle(rel, attrs, arr):
     cells = cells_of(arr)
-    idx = [rel.attr_index(a) for a in attrs]
+    idx = [rel.attr_names.index(a) for a in attrs]
     return [row + cells[tuple(row[i] for i in idx)]
             for row in rel.rows if tuple(row[i] for i in idx) in cells]
 
@@ -474,6 +474,65 @@ def test_an_unknown_or_impossible_output_model_is_refused(pool, small_array,
             dispatch_join(docs, small_array, pred, out, strategy=strategy)
 
 
+# a 6x6 array with cells on and off its diagonal, and records whose one
+# attribute v binds both dimensions: (4, 4) has no cell, 9 is out of range
+DIAGONAL = "rec.v = arr.d0 AND rec.v = arr.d1"
+ON_DIAGONAL = Relation([("v", INT), ("tag", INT)],
+                       [(2, 0), (3, 1), (4, 2), (5, 3), (9, 4), (2, 5)])
+
+
+@pytest.fixture
+def diagonal_array(pool):
+    return build_array(pool, (6, 6), (2, 2),
+                       {(0, 0): (0.5,), (2, 2): (2.5,), (3, 3): (3.5,),
+                        (2, 3): (9.0,), (5, 5): (5.5,)})
+
+
+@pytest.mark.parametrize("records, out", [
+    ("relation", "relational"), ("relation", "document"),
+    ("collection", "document")])
+def test_one_attribute_may_bind_every_dimension(pool, diagonal_array,
+                                                records, out):
+    recs = ON_DIAGONAL if records == "relation" else Collection(
+        "c", [{"v": v, "tag": t} for v, t in ON_DIAGONAL.rows])
+    pred = parse_predicate(DIAGONAL)
+    got = {}
+    for strategy in ("auto",) + STRATEGIES:
+        stats = JoinStats()
+        res = dispatch_join(recs, diagonal_array, pred, out,
+                            strategy=strategy, stats=stats)
+        assert stats.strategy == ("mshj" if strategy == "auto" else strategy)
+        got[strategy] = multiset(res.rows if out == "relational" else
+                                 [sorted(d.items()) for d in res.docs])
+    want = [(2, 0, 2.5), (3, 1, 3.5), (5, 3, 5.5), (2, 5, 2.5)]
+    if out == "relational":
+        assert got["auto"] == multiset(want)
+    assert all(rows == got["auto"] for rows in got.values())
+
+
+@pytest.mark.parametrize("strategy", ("auto",) + STRATEGIES)
+def test_a_diagonal_join_refuses_array_output(pool, diagonal_array,
+                                              strategy):
+    with pytest.raises(OutputSpecError, match="record attribute of its own"):
+        dispatch_join(ON_DIAGONAL, diagonal_array, parse_predicate(DIAGONAL),
+                      "array", strategy=strategy)
+
+
+def test_a_dimension_bound_twice_converts(pool, diagonal_array):
+    rel = Relation([("a", INT), ("b", INT), ("c", INT)],
+                   [(2, 2, 2), (2, 3, 3), (3, 3, 3), (2, 2, 3), (5, 5, 5)])
+    pred = parse_predicate(
+        "rec.a = arr.d0 AND rec.b = arr.d0 AND rec.c = arr.d1")
+    stats = JoinStats()
+    out = dispatch_join(rel, diagonal_array, pred, stats=stats)
+    assert stats.strategy == "convert"
+    assert multiset(out.rows) == multiset(
+        [(2, 2, 2, 2.5), (3, 3, 3, 3.5), (2, 2, 3, 9.0), (5, 5, 5, 5.5)])
+    for strategy in ("mshj", "probe-only"):
+        with pytest.raises(BindingError, match="every array dimension"):
+            dispatch_join(rel, diagonal_array, pred, strategy=strategy)
+
+
 def test_match_binding_orders_by_dimension(pool, small_array):
     pred = parse_predicate("a.d1 = r.v1 and r.v0 = a.d0")  # swapped, reversed
     stats, trace = JoinStats(), JoinTrace()
@@ -520,6 +579,12 @@ def test_to_array_errors(pool):
     with pytest.raises(BindingError):
         to_array(Relation([("x", INT), ("v", FLOAT)], [(-1, 1.0)]),
                  ["x"], ["v"], meta, pool)
+
+
+def test_to_array_refuses_a_repeated_dimension_name(pool):
+    rel = Relation([("x", INT), ("v", FLOAT)], [(1, 1.0)])
+    with pytest.raises(BindingError, match="duplicate binding attributes"):
+        to_array(rel, ["x", "x"], ["v"], None, pool)
 
 
 def test_to_array_refuses_values_it_cannot_store(pool):

@@ -39,7 +39,7 @@ from multimodel.models import (BOOL, FLOAT, INT, STRING, UINT, ArrayMeta,
                                collection_to_jsonl, relation_to_csv)
 from multimodel.predicates import (And, Cmp, Lit, Not, Or, Ref,
                                    format_predicate, parse_predicate)
-from multimodel.rd_engine import execute_tree, frame_to_public, node
+from multimodel.rd_engine import execute_tree, node
 
 BIG = 2 ** 53
 INTS = st.one_of(st.integers(-3, 3), st.sampled_from(
@@ -105,10 +105,10 @@ def same(tree, reg):
         want = rowwise.run(tree, reg)
     except Exception as e:  # noqa: BLE001 - the type is what is compared
         with pytest.raises(Exception) as got:
-            run_tree(tree, reg)
+            execute_tree(tree, reg)
         assert type(got.value) is type(e), (got.value, e)
         return
-    out = run_tree(tree, reg)
+    out = execute_tree(tree, reg)
     if isinstance(out, Collection):
         assert identical(out.docs, want), (out.docs, want)
         assert len(out) == len(want)
@@ -130,11 +130,6 @@ def test_identical_tells_types_key_order_and_zero_signs_apart():
 
 def scan(name, qualifier=None):
     return node("scan", name=name, qualifier=qualifier)
-
-
-def run_tree(tree, registry):
-    """The tree's frame as the public Relation or Collection it renders."""
-    return frame_to_public(execute_tree(tree, registry))
 
 
 @SETTINGS
@@ -437,8 +432,8 @@ def test_document_aggregate_matches_reference(col, keys, aggs):
 # ------------------------------------------------------ stated semantics
 
 def run_filter(rel, text):
-    return run_tree(node("filter", scan("t"), pred=parse_predicate(text)),
-                        {"t": rel}).rows
+    return execute_tree(node("filter", scan("t"), pred=parse_predicate(text)),
+                            {"t": rel}).rows
 
 
 def test_int_and_float_compare_exactly():
@@ -465,32 +460,32 @@ def test_junction_stops_where_the_row_wise_form_stops():
 
 def test_int_sums_do_not_wrap():
     rel = Relation([("x", INT)], [(2 ** 62,)] * 3 + [(-1,)])
-    out = run_tree(node("aggregate", scan("t"),
-                            aggs=[("sum", "x", "s"), ("avg", "x", "a")]),
-                       {"t": rel})
+    out = execute_tree(node("aggregate", scan("t"),
+                                aggs=[("sum", "x", "s"), ("avg", "x", "a")]),
+                           {"t": rel})
     assert out.rows == [(3 * 2 ** 62 - 1, (3 * 2 ** 62 - 1) / 4)]
 
 
 def test_null_keys_form_one_group_in_first_appearance_order():
     rel = Relation([("g", INT), ("x", INT)],
                    [(2, 1), (None, 2), (1, 3), (None, 4), (2, 5)])
-    out = run_tree(node("aggregate", scan("t"), keys=["g"],
-                            aggs=[("sum", "x", "s")]), {"t": rel})
+    out = execute_tree(node("aggregate", scan("t"), keys=["g"],
+                                aggs=[("sum", "x", "s")]), {"t": rel})
     assert out.rows == [(2, 6), (None, 6), (1, 3)]
 
 
 def test_min_max_fold_floats_in_input_order():
     rel = Relation([("x", FLOAT)], [(0.0,), (-0.0,), (1.5,)])
-    out = run_tree(node("aggregate", scan("t"),
-                            aggs=[("min", "x", "lo"), ("max", "x", "hi")]),
-                       {"t": rel})
+    out = execute_tree(node("aggregate", scan("t"),
+                                aggs=[("min", "x", "lo"), ("max", "x", "hi")]),
+                           {"t": rel})
     assert [str(v) for v in out.rows[0]] == ["0.0", "1.5"]  # the first zero
 
 
 # ------------------------------------------------------------------- union
 
 def union(a, b):
-    return run_tree(node("union", scan("a"), scan("b")), {"a": a, "b": b})
+    return execute_tree(node("union", scan("a"), scan("b")), {"a": a, "b": b})
 
 
 def test_union_int_with_uint_is_int():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from multimodel import models
 from multimodel.cli import main
 from multimodel.errors import DataFormatError, EngineError, PathError
-from multimodel.executor import Catalog
+from multimodel.executor import Catalog, Engine, EngineConfig
 from multimodel.models import (
     _CSV_CHUNK,
     ABSENT,
@@ -481,6 +481,27 @@ def test_bad_jsonl_in_a_run_is_one_line_naming_partition_and_line(
     assert len(err) == 1
     assert err[0].startswith("error: dataset 'ev', line 2: ")
     assert err[0].endswith("(partition 0)")
+
+
+def test_ingested_jsonl_opens_as_the_same_documents(tmp_path, capsys):
+    docs = [{"k": 1, "tags": ["a", "b"]}, {"k": 2, "who": {"id": 7}},
+            {"k": None}]
+    src, cat = tmp_path / "raw.jsonl", tmp_path / "cat"
+    src.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    Catalog(str(cat)).ingest("jsonl", str(src), "ev")
+    res = Engine(EngineConfig(data_dir=str(cat))).run(
+        "execute(openCollection('ev'))\n")
+    assert res.docs == docs
+    bad = '{"k": 1}\n\n{"k": 2\n'
+    with pytest.raises(DataFormatError) as e:
+        collection_from_jsonl(bad, "bad")
+    assert e.value.line == 3
+    src.write_text(bad)
+    capsys.readouterr()
+    assert main(["ingest", "jsonl", str(src), "--as", "bad",
+                 "--data", str(cat)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {e.value}"]
+    assert not (cat / "bad.jsonl").exists()
 
 
 json_values = st.recursive(

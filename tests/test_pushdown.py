@@ -134,6 +134,25 @@ def test_a_target_filter_that_moved_whole_leaves_its_join_the_target(
         eng.run_plan(*bind_script(script, eng.catalog, eng.config)))
 
 
+def test_a_filter_moves_onto_records_that_are_a_filtered_sorted_scan(
+        tmp_path):
+    """Filters and sorts lead from the join's records to a scan, so a bare
+    name reads them as it reads the join's output, and the bound equality
+    moves onto them."""
+    write_names_catalog(tmp_path)
+    script = ("t, cells = openTable('t'), openArray('cells')\n"
+              "s = t.filter('w != 4').sort('w DESC')\n"
+              "execute(cells.join(s, 's.r = cells.r AND s.c = cells.c', "
+              "RELATIONAL).filter('c = 1 AND v > 1'))\n")
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    assert _filters(eng.plan_script(script)[0]) == [
+        ("w != 4", "scan"), ("c = 1", "sort"), ("v > 1", "join_rel_array")]
+    got = eng.run(script)
+    want = eng.run_plan(*bind_script(script, eng.catalog, eng.config))
+    assert got.rows == [(0, 1, 5, 3.5)]
+    _same(got, want)
+
+
 def test_explain_shows_the_filter_above_the_join_as_bound_and_below_as_run():
     doc = Engine(EngineConfig(data_dir=DATA)).explain(RECOMMEND)
 

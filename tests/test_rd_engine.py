@@ -8,7 +8,7 @@ import pytest
 from multimodel.errors import NotFoundError, PlanError, TypeMismatchError
 from multimodel.models import Collection, Relation, ValueType
 from multimodel.predicates import parse_predicate
-from multimodel.rd_engine import execute_tree, frame_to_public, node
+from multimodel.rd_engine import execute_tree, node
 
 INT = ValueType("int")
 FLOAT = ValueType("float")
@@ -17,11 +17,6 @@ STRING = ValueType("string")
 
 def scan(name, qualifier=None):
     return node("scan", name=name, qualifier=qualifier)
-
-
-def run_tree(tree, registry):
-    """The tree's frame as the public Relation or Collection it renders."""
-    return frame_to_public(execute_tree(tree, registry))
 
 
 def multiset(rows):
@@ -48,7 +43,7 @@ def test_doc_join_then_project_two_rows():
                 node("join", scan("review"), scan("order"),
                      pred=parse_predicate("review.oid = order.oid")),
                 cols=["cid", "pid", "rating"])
-    out = run_tree(tree, {"review": REVIEWS, "order": ORDERS})
+    out = execute_tree(tree, {"review": REVIEWS, "order": ORDERS})
     assert out.docs == [
         {"cid": 100, "pid": 10, "rating": 4.5},
         {"cid": 101, "pid": 11, "rating": 3.0},
@@ -59,7 +54,7 @@ def test_doc_join_merge_keeps_left_value():
     left = Collection("l", [{"k": 1, "x": "left"}])
     right = Collection("r", [{"k": 1, "x": "right", "y": 2}])
     tree = node("join", scan("l"), scan("r"), pred=parse_predicate("l.k = r.k"))
-    out = run_tree(tree, {"l": left, "r": right})
+    out = execute_tree(tree, {"l": left, "r": right})
     assert out.docs == [{"k": 1, "x": "left", "y": 2}]
 
 
@@ -68,14 +63,14 @@ def test_qualified_refs_resolve_after_merge():
                 node("join", scan("review"), scan("order"),
                      pred=parse_predicate("review.oid = order.oid")),
                 pred=parse_predicate("order.cid = 101"))
-    out = run_tree(tree, {"review": REVIEWS, "order": ORDERS})
+    out = execute_tree(tree, {"review": REVIEWS, "order": ORDERS})
     assert [d["cid"] for d in out.docs] == [101]
 
 
 def test_filter_empty_relation_keeps_schema():
     rel = Relation([("a", INT), ("b", STRING)], [])
-    out = run_tree(node("filter", scan("t"), pred=parse_predicate("a = 1")),
-                       {"t": rel})
+    out = execute_tree(
+        node("filter", scan("t"), pred=parse_predicate("a = 1")), {"t": rel})
     assert out.schema == rel.schema
     assert out.rows == []
 
@@ -88,7 +83,7 @@ def test_relational_equi_join_matches_nested_loop_oracle():
                      [(rng.randrange(8), rng.randrange(100)) for _ in range(50)])
     tree = node("join", scan("l", "l"), scan("r", "r"),
                 pred=parse_predicate("l.k = r.k"))
-    got = run_tree(tree, {"l": left, "r": right})
+    got = execute_tree(tree, {"l": left, "r": right})
     oracle = [lr + rr for lr in left.rows for rr in right.rows if lr[0] == rr[0]]
     assert multiset(got.rows) == multiset(oracle)
     assert [n for n, _ in got.schema] == ["l.k", "a", "r.k", "b"]
@@ -99,7 +94,7 @@ def test_join_with_nulls_never_matches():
     right = Relation([("k", INT)], [(None,), (1,)])
     tree = node("join", scan("l", "l"), scan("r", "r"),
                 pred=parse_predicate("l.k = r.k"))
-    out = run_tree(tree, {"l": left, "r": right})
+    out = execute_tree(tree, {"l": left, "r": right})
     assert out.rows == [(1, 1)]
 
 
@@ -108,7 +103,7 @@ def test_non_equi_join_nested_loop():
     right = Relation([("b", INT)], [(3,), (7,)])
     tree = node("join", scan("l", "l"), scan("r", "r"),
                 pred=parse_predicate("a < b"))
-    out = run_tree(tree, {"l": left, "r": right})
+    out = execute_tree(tree, {"l": left, "r": right})
     oracle = [(a, b) for (a,) in left.rows for (b,) in right.rows if a < b]
     assert multiset(out.rows) == multiset(oracle)
 
@@ -118,7 +113,7 @@ def test_join_equi_plus_residual():
     right = Relation([("k", INT), ("w", INT)], [(1, 5), (2, 50)])
     tree = node("join", scan("l", "l"), scan("r", "r"),
                 pred=parse_predicate("l.k = r.k and v > w"))
-    out = run_tree(tree, {"l": left, "r": right})
+    out = execute_tree(tree, {"l": left, "r": right})
     assert out.rows == [(1, 10, 1, 5)]
 
 
@@ -126,25 +121,25 @@ def test_join_equi_plus_residual():
 
 def test_unwind_splits_lists():
     col = Collection("c", [{"a": [1, 2], "id": 7}])
-    out = run_tree(node("unwind", scan("c"), path="a"), {"c": col})
+    out = execute_tree(node("unwind", scan("c"), path="a"), {"c": col})
     assert out.docs == [{"a": 1, "id": 7}, {"a": 2, "id": 7}]
 
 
 def test_unwind_drops_docs_without_path():
     col = Collection("c", [{"a": [1]}, {"b": 2}])
-    out = run_tree(node("unwind", scan("c"), path="a"), {"c": col})
+    out = execute_tree(node("unwind", scan("c"), path="a"), {"c": col})
     assert out.docs == [{"a": 1}]
 
 
 def test_unwind_non_list_is_type_error():
     col = Collection("c", [{"a": 3}])
     with pytest.raises(TypeMismatchError):
-        run_tree(node("unwind", scan("c"), path="a"), {"c": col})
+        execute_tree(node("unwind", scan("c"), path="a"), {"c": col})
 
 
 def test_unwind_nested_path_preserves_other_fields():
     col = Collection("c", [{"m": {"tags": ["x", "y"], "n": 1}, "id": 4}])
-    out = run_tree(node("unwind", scan("c"), path="m.tags"), {"c": col})
+    out = execute_tree(node("unwind", scan("c"), path="m.tags"), {"c": col})
     assert out.docs == [
         {"m": {"tags": "x", "n": 1}, "id": 4},
         {"m": {"tags": "y", "n": 1}, "id": 4},
@@ -159,8 +154,8 @@ def test_unwind_count_matches_counting_oracle():
         if rng.random() < 0.7:
             d["xs"] = [rng.random() for _ in range(rng.randrange(4))]
         docs.append(d)
-    out = run_tree(node("unwind", scan("c"), path="xs"),
-                       {"c": Collection("c", docs)})
+    out = execute_tree(node("unwind", scan("c"), path="xs"),
+                           {"c": Collection("c", docs)})
     expect = sum(len(d["xs"]) for d in docs if "xs" in d)
     assert len(out.docs) == expect
 
@@ -169,14 +164,14 @@ def test_unwind_count_matches_counting_oracle():
 
 def test_count_star():
     rel = Relation([("id", INT)], [(i,) for i in range(7)])
-    out = run_tree(node("aggregate", scan("t"),
-                            aggs=[("count", None, "count")]), {"t": rel})
+    out = execute_tree(node("aggregate", scan("t"),
+                                aggs=[("count", None, "count")]), {"t": rel})
     assert out.rows == [(7,)]
 
 
 def test_aggregate_empty_input_identity_row():
     rel = Relation([("x", INT)], [])
-    out = run_tree(
+    out = execute_tree(
         node("aggregate", scan("t"),
              aggs=[("count", None, "n"), ("sum", "x", "s")]), {"t": rel})
     assert out.rows == [(0, None)]
@@ -184,7 +179,7 @@ def test_aggregate_empty_input_identity_row():
 
 def test_count_star_includes_nulls_sum_excludes():
     rel = Relation([("x", INT)], [(1,), (None,), (3,)])
-    out = run_tree(
+    out = execute_tree(
         node("aggregate", scan("t"),
              aggs=[("count", None, "n"), ("count", "x", "nx"),
                    ("sum", "x", "s"), ("avg", "x", "a")]), {"t": rel})
@@ -196,7 +191,7 @@ def test_grouped_aggregate_matches_reference():
     rows = [(rng.randrange(5), rng.randrange(20), rng.choice([None, 1.5, 2.5]))
             for _ in range(200)]
     rel = Relation([("g", INT), ("x", INT), ("y", FLOAT)], rows)
-    out = run_tree(
+    out = execute_tree(
         node("aggregate", scan("t"), keys=["g"],
              aggs=[("count", None, "n"), ("sum", "x", "sx"),
                    ("min", "x", "mn"), ("max", "x", "mx"),
@@ -222,13 +217,13 @@ def test_grouped_aggregate_matches_reference():
 def test_sum_on_strings_is_type_error():
     rel = Relation([("s", STRING)], [("a",)])
     with pytest.raises(TypeMismatchError):
-        run_tree(node("aggregate", scan("t"), aggs=[("sum", "s", "x")]),
-                     {"t": rel})
+        execute_tree(node("aggregate", scan("t"), aggs=[("sum", "s", "x")]),
+                         {"t": rel})
 
 
 def test_aggregate_on_documents():
     col = Collection("c", [{"g": "a", "v": 1}, {"g": "a", "v": 3}, {"g": "b"}])
-    out = run_tree(
+    out = execute_tree(
         node("aggregate", scan("c"), keys=["g"],
              aggs=[("count", None, "n"), ("sum", "v", "s")]), {"c": col})
     assert out.rows == [("a", 2, 4), ("b", 1, None)]
@@ -238,7 +233,7 @@ def test_aggregate_output_types():
     BOOL = ValueType("bool")
     rel = Relation([("g", INT), ("f", FLOAT), ("b", BOOL)],
                    [(1, 2, True), (2, 2.5, False), (2, None, True)])
-    out = run_tree(
+    out = execute_tree(
         node("aggregate", scan("t"), keys=["g"],
              aggs=[("sum", "f", "s"), ("min", "f", "mn"), ("max", "b", "mb"),
                    ("min", "b", "nb"), ("count", "f", "n"),
@@ -252,7 +247,7 @@ def test_aggregate_output_types():
     # documents: the type of all group results, FLOAT when every one is null
     col = Collection("c", [{"g": "a", "v": 2, "ok": True},
                            {"g": "b", "v": 2.5, "ok": False}, {"g": "c"}])
-    out = run_tree(
+    out = execute_tree(
         node("aggregate", scan("c"), keys=["g"],
              aggs=[("sum", "v", "s"), ("max", "ok", "m"),
                    ("min", "none", "z")]), {"c": col})
@@ -265,11 +260,11 @@ def test_sort_desc_limit_is_prefix_of_full_sort():
     rng = random.Random(31)
     rows = [(i, rng.choice([None, rng.random() * 5])) for i in range(40)]
     rel = Relation([("id", INT), ("rating", FLOAT)], rows)
-    full = run_tree(node("sort", scan("t"), keys=[("rating", True)]),
-                        {"t": rel})
-    top = run_tree(node("limit",
-                            node("sort", scan("t"), keys=[("rating", True)]),
-                            n=10), {"t": rel})
+    full = execute_tree(node("sort", scan("t"), keys=[("rating", True)]),
+                            {"t": rel})
+    top = execute_tree(
+        node("limit", node("sort", scan("t"), keys=[("rating", True)]), n=10),
+        {"t": rel})
     assert top.rows == full.rows[:10]
     ratings = [r[1] for r in full.rows]
     non_null = [r for r in ratings if r is not None]
@@ -279,22 +274,24 @@ def test_sort_desc_limit_is_prefix_of_full_sort():
 
 def test_sort_nulls_last_ascending_too():
     rel = Relation([("x", INT)], [(None,), (2,), (1,)])
-    out = run_tree(node("sort", scan("t"), keys=[("x", False)]), {"t": rel})
+    out = execute_tree(node("sort", scan("t"), keys=[("x", False)]),
+                       {"t": rel})
     assert out.rows == [(1,), (2,), (None,)]
 
 
 def test_sort_ties_broken_by_full_row():
     rel = Relation([("k", INT), ("v", STRING)],
                    [(1, "b"), (1, "a"), (0, "z")])
-    out = run_tree(node("sort", scan("t"), keys=[("k", False)]), {"t": rel})
+    out = execute_tree(node("sort", scan("t"), keys=[("k", False)]),
+                       {"t": rel})
     assert out.rows == [(0, "z"), (1, "a"), (1, "b")]
 
 
 def test_multi_key_sort():
     rel = Relation([("a", INT), ("b", INT)],
                    [(1, 3), (0, 9), (1, 1), (0, 2)])
-    out = run_tree(node("sort", scan("t"),
-                            keys=[("a", False), ("b", True)]), {"t": rel})
+    out = execute_tree(node("sort", scan("t"),
+                                keys=[("a", False), ("b", True)]), {"t": rel})
     assert out.rows == [(0, 9), (0, 2), (1, 3), (1, 1)]
 
 
@@ -303,7 +300,7 @@ def test_multi_key_sort():
 def test_union_concatenates():
     a = Relation([("x", INT)], [(1,), (2,)])
     b = Relation([("x", INT)], [(2,), (3,)])
-    out = run_tree(node("union", scan("a"), scan("b")), {"a": a, "b": b})
+    out = execute_tree(node("union", scan("a"), scan("b")), {"a": a, "b": b})
     assert multiset(out.rows) == multiset([(1,), (2,), (2,), (3,)])
 
 
@@ -311,22 +308,22 @@ def test_union_arity_mismatch():
     a = Relation([("x", INT)], [(1,)])
     b = Relation([("x", INT), ("y", INT)], [(1, 2)])
     with pytest.raises(TypeMismatchError):
-        run_tree(node("union", scan("a"), scan("b")), {"a": a, "b": b})
+        execute_tree(node("union", scan("a"), scan("b")), {"a": a, "b": b})
 
 
 def test_missing_dataset():
     with pytest.raises(NotFoundError):
-        run_tree(scan("nope"), {})
+        execute_tree(scan("nope"), {})
 
 
 def test_unresolved_alias_is_plan_error():
     with pytest.raises(PlanError):
-        run_tree(node("alias_ref", id=3), {})
+        execute_tree(node("alias_ref", id=3), {})
 
 
 def test_alias_ref_resolves_registry_entry():
     rel = Relation([("x", INT)], [(5,)])
-    out = run_tree(node("alias_ref", id=3), {3: rel})
+    out = execute_tree(node("alias_ref", id=3), {3: rel})
     assert out.rows == [(5,)]
 
 
@@ -340,36 +337,36 @@ def test_alias_ref_reads_a_frame_as_it_is_and_a_scan_reads_by_name():
                           {"a": a, "b": b})
     assert len(joined) == 1
     assert execute_tree(node("alias_ref", id=3), {3: joined}) is joined
-    out = run_tree(node("union",
-                        node("filter", node("alias_ref", id=3),
-                             pred=parse_predicate("a.x = 10")),
-                        scan("3")), {3: joined, "3": Relation(
-                            [("k", INT), ("x", INT), ("j", INT), ("y", INT)],
-                            [(5, 5, 5, 5)])})
+    other = Relation([("k", INT), ("x", INT), ("j", INT), ("y", INT)],
+                     [(5, 5, 5, 5)])
+    out = execute_tree(node("union",
+                            node("filter", node("alias_ref", id=3),
+                                 pred=parse_predicate("a.x = 10")),
+                            scan("3")), {3: joined, "3": other})
     assert out.rows == [(1, 10, 1, 7), (5, 5, 5, 5)]
 
 
 def test_unknown_column_is_plan_error():
     rel = Relation([("x", INT)], [(5,)])
     with pytest.raises(PlanError):
-        run_tree(node("filter", scan("t"), pred=parse_predicate("y = 1")),
-                     {"t": rel})
+        execute_tree(node("filter", scan("t"), pred=parse_predicate("y = 1")),
+                         {"t": rel})
 
 
 def test_unknown_column_fails_on_empty_input_and_behind_false_conjunct():
     for rows in ([], [(1,), (2,)]):
         rel = Relation([("x", INT)], rows)
         with pytest.raises(PlanError, match="nosuch"):
-            run_tree(node("filter", scan("t"), pred=parse_predicate(
-                "x > 5 and nosuch = 1")), {"t": rel})
+            execute_tree(node("filter", scan("t"), pred=parse_predicate(
+                    "x > 5 and nosuch = 1")), {"t": rel})
 
 
 def test_not_drops_null_rows_like_not_equal():
     # three-valued logic: "x = 3" is unknown on a null x, and so is its NOT
     rel = Relation([("x", INT)], [(3,), (4,), (None,)])
     for text in ("not x = 3", "x != 3", "not (x = 3 and x = x)"):
-        out = run_tree(node("filter", scan("t"),
-                                pred=parse_predicate(text)), {"t": rel})
+        out = execute_tree(node("filter", scan("t"),
+                                    pred=parse_predicate(text)), {"t": rel})
         assert out.rows == [(4,)], text
 
 
@@ -377,9 +374,9 @@ def test_join_keeps_only_pairs_where_condition_is_true():
     left = Relation([("k", INT), ("v", INT)], [(1, None), (1, 2)])
     right = Relation([("k", INT), ("w", INT)], [(1, 5)])
     for text in ("l.k = r.k and not v > w", "not v > w"):  # hashed, nested
-        out = run_tree(node("join", scan("l", "l"), scan("r", "r"),
-                                pred=parse_predicate(text)),
-                           {"l": left, "r": right})
+        out = execute_tree(node("join", scan("l", "l"), scan("r", "r"),
+                                    pred=parse_predicate(text)),
+                               {"l": left, "r": right})
         assert out.rows == [(1, 2, 1, 5)], text
 
 
@@ -388,13 +385,13 @@ def test_int_keys_beyond_float_precision_stay_distinct():
     left = Relation([("k", INT)], [(big,), (1,)])
     right = Relation([("k", FLOAT)], [(big + 1,), (big,), (1.0,)])
     for text in ("l.k = r.k", "l.k <= r.k and l.k >= r.k"):  # hashed, nested
-        out = run_tree(node("join", scan("l", "l"), scan("r", "r"),
-                                pred=parse_predicate(text)),
-                           {"l": left, "r": right})
+        out = execute_tree(node("join", scan("l", "l"), scan("r", "r"),
+                                    pred=parse_predicate(text)),
+                               {"l": left, "r": right})
         assert out.rows == [(big, big), (1, 1.0)], text
     rel = Relation([("k", INT)], [(big,), (big + 1,), (big,)])
-    out = run_tree(node("aggregate", scan("t"), keys=["k"],
-                            aggs=[("count", None, "n")]), {"t": rel})
+    out = execute_tree(node("aggregate", scan("t"), keys=["k"],
+                                aggs=[("count", None, "n")]), {"t": rel})
     assert sorted(out.rows) == [(big, 2), (big + 1, 1)]
 
 
@@ -415,7 +412,7 @@ def test_column_references_resolve_once_per_operator(monkeypatch):
         rel = Relation([("g", INT), ("v", INT)],
                        [(i % 7, i) for i in range(n)])
         calls.clear()
-        out = run_tree(tree, {"t": rel})
+        out = execute_tree(tree, {"t": rel})
         assert len(out.rows) == 7
         counts.append(len(calls))
     assert 0 < counts[0] == counts[1]
@@ -424,14 +421,14 @@ def test_column_references_resolve_once_per_operator(monkeypatch):
 def test_predicate_type_mismatch_is_type_error():
     rel = Relation([("x", STRING)], [("a",)])
     with pytest.raises(TypeMismatchError):
-        run_tree(node("filter", scan("t"), pred=parse_predicate("x > 3")),
-                     {"t": rel})
+        execute_tree(node("filter", scan("t"), pred=parse_predicate("x > 3")),
+                         {"t": rel})
 
 
 def test_project_renames():
     rel = Relation([("x", INT), ("y", INT)], [(1, 2)])
-    out = run_tree(node("project", scan("t"), cols=["y", "x"],
-                            names=["first", "second"]), {"t": rel})
+    out = execute_tree(node("project", scan("t"), cols=["y", "x"],
+                                names=["first", "second"]), {"t": rel})
     assert out.schema == [("first", INT), ("second", INT)]
     assert out.rows == [(2, 1)]
 
@@ -449,7 +446,7 @@ def test_random_operator_pipeline_matches_reference():
                           cols=["g", "w"]),
                      keys=[("w", True)]),
                 n=25)
-    got = run_tree(tree, {"t": rel})
+    got = execute_tree(tree, {"t": rel})
     ref = [(g, w) for g, x, w in rows if x >= 10 and g != 3]
     ref.sort(key=lambda r: (r[0], r[1]))
     ref.sort(key=lambda r: r[1], reverse=True)
@@ -517,5 +514,5 @@ def test_min_max_over_unorderable_values_is_type_error():
         col = Collection("c", [{"v": a}, {"v": b}])
         for func in ("min", "max"):
             with pytest.raises(TypeMismatchError, match=func):
-                run_tree(node("aggregate", scan("c"),
-                                  aggs=[(func, "v", "m")]), {"c": col})
+                execute_tree(node("aggregate", scan("c"),
+                                      aggs=[(func, "v", "m")]), {"c": col})

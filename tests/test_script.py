@@ -239,7 +239,7 @@ def test_to_array_walks_records_once(tmp_path, monkeypatch):
     walk = bridge._extract_dims
 
     def spy(*args, **kwargs):
-        walks.append(args[1].attrs)
+        walks.append(args[1])
         return walk(*args, **kwargs)
 
     for mod in (bridge, executor):  # wherever the walk is looked up
@@ -527,10 +527,10 @@ def test_a_colliding_column_reads_alike_under_document_output(
 
 
 @pytest.mark.parametrize("script", ["recommend", "tile_join"])
-def test_only_the_result_is_made_public(tmp_path, monkeypatch, script):
-    """Records reach the bridge, and leave it, as frames: a run turns one
-    frame into a public value, its result."""
-    from multimodel import bridge, executor, rd_engine
+def test_the_result_is_the_value_its_tree_made(tmp_path, monkeypatch, script):
+    """A run returns the target's value as its tree made it: the result's
+    columns are that value's, not copies."""
+    from multimodel import executor
     if script == "recommend":
         write_recommend_catalog(tmp_path)
         text = RECOMMEND
@@ -540,17 +540,16 @@ def test_only_the_result_is_made_public(tmp_path, monkeypatch, script):
                   encoding="utf-8") as f:
             text = f.read()
     made = []
-    public = rd_engine.frame_to_public
+    run_tree = executor.execute_tree
 
-    def spy(frame):
-        made.append(public(frame))
+    def spy(tree, registry):
+        made.append(run_tree(tree, registry))
         return made[-1]
 
-    for mod in (rd_engine, executor, bridge):  # wherever it is looked up
-        if getattr(mod, "frame_to_public", None) is public:
-            monkeypatch.setattr(mod, "frame_to_public", spy)
+    monkeypatch.setattr(executor, "execute_tree", spy)
     res = engine(tmp_path, default_tile=2).run(text)
-    assert len(made) == 1 and made[0] is res and len(res) > 0
+    assert len(res) > 0 and len(res.columns) == len(made[-1].columns)
+    assert all(a is b for a, b in zip(res.columns, made[-1].columns))
 
 
 def test_runtime_errors_carry_partition_index(tmp_path):
