@@ -21,11 +21,10 @@ from functools import partial
 import numpy as np
 
 from .array_store import ArrayBuilder, StoredArray
-from .bridge import STRATEGIES, JoinStats, dispatch_join, to_relation
+from .bridge import STRATEGIES, JoinStats, dispatch_join
 from .buffer_pool import BufferObject, BufferPool
 from .errors import ConfigError
-from .models import (FLOAT, INT, ArrayMeta, CellSchema, Collection, Column,
-                     Relation)
+from .models import FLOAT, INT, ArrayMeta, CellSchema, Column, Relation
 from .predicates import parse_predicate
 
 REPORT_COLUMNS = [
@@ -61,19 +60,11 @@ def parse_sweep(text: str) -> list[int]:
     return ns
 
 
-def checksum(result) -> str:
-    """Order-insensitive digest of a join result, for cross-strategy
-    comparison."""
+def checksum(result: Relation) -> str:
+    """Order-insensitive digest of a join's result relation, for
+    cross-strategy comparison."""
     h = hashlib.sha1()
-    if isinstance(result, StoredArray):
-        result = to_relation(result)
-    if isinstance(result, Relation):
-        items = sorted(repr(r) for r in result.rows)
-    elif isinstance(result, Collection):
-        items = sorted(repr(sorted(d.items())) for d in result.docs)
-    else:
-        items = [repr(result)]
-    for it in items:
+    for it in sorted(repr(r) for r in result.rows):
         h.update(it.encode())
         h.update(b"\n")
     return h.hexdigest()[:12]

@@ -371,7 +371,8 @@ def _probe_join(strategy: str, records, arr: StoredArray, binding: tuple,
     drop records outside the array, probe and join each hit to its cell.
     mshj probes in bucket order, so every referenced tile is pinned once;
     probe-only probes in record order, pinning a tile once per run of its
-    records.  Records probing an absent cell produce no output."""
+    records.  Either emits its hits in record order.  Records probing an
+    absent cell produce no output."""
     kept, tq, tile_ids, cells = _locate(records, binding, arr.meta, stats)
     t0 = time.perf_counter()
     order = _bucket_order(arr, tq, kept, stats, trace) if strategy == "mshj" \
@@ -386,6 +387,8 @@ def _probe_join(strategy: str, records, arr: StoredArray, binding: tuple,
     stats.probe_seconds += time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    found = np.flatnonzero(found)
+    found = found[np.argsort(order[found])]  # back in record order
     hit = order[found]
     joined = _joined_records(records, arr, _at(kept, hit), binding,
                              [v[found] for v in vals], arr_name)

@@ -27,9 +27,11 @@ registry entry is dropped and, for an array, ``StoredArray.release`` takes
 its tiles out of the pool unspilled and deletes its spill file.  Array
 partitions count per node, the other partitions when the whole partition
 has run.  The run's target is never freed; a failed run frees every array
-still registered.  A scanned table or collection is loaded at most once per
-run and dropped after the last partition that scans it: a run holds only
-the inputs it still needs, and never data an earlier run loaded.
+still registered.  A dataset is one scan node (``script``), so one
+partition loads it, into that partition's own scope: a table or collection
+is dropped when the partition ends, or, when its scan node's value is read
+by later partitions, after the last of them, like any other node.  A run
+never holds data an earlier run loaded.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import csv
 import io
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .models import (FLOAT, STRING, UINT, ArrayMeta, CellSchema, Collection,
                      Relation, _csv_row_line, collection_from_jsonl,
                      collection_to_jsonl, csv_row_count, relation_from_csv,
                      relation_to_csv, tile_extent)
-from .planner import (LogicalPlan, Partition, PartitionDag, dag_to_trees,
+from .planner import (LogicalPlan, Partition, dag_to_trees,
                       partition, partition_dag_to_dict, plan_to_dict, rewrite,
                       topo_order)
 from .rd_engine import execute_tree
@@ -224,7 +225,7 @@ class Engine:
         self.join_stats = []  # the joins of this run only
         pd = partition(plan)
         reg: dict[int, object] = {}  # node id -> value
-        live = _Liveness(plan, target, reg, pd)
+        live = _Liveness(plan, target, reg)
         try:
             for part in topo_order(pd):
                 try:
@@ -243,17 +244,14 @@ class Engine:
                 if isinstance(value, StoredArray):
                     value.release()
             raise
-        finally:
-            live.datasets.clear()  # a held traceback keeps `live` alive
 
     # -- per-partition dispatch ---------------------------------------------
 
     def _run_partition(self, plan: LogicalPlan, part: Partition, reg: dict,
                        live: _Liveness):
         if part.model in ("relational", "document"):
-            self._run_rd_partition(plan, part, reg, live)
+            self._run_rd_partition(plan, part, reg)
             live.ran(part.node_ids)
-            live.scanned(part)
         elif part.model == "array":
             for nid in sorted(part.node_ids):  # inputs have lower ids
                 n = plan.node(nid)
@@ -265,14 +263,13 @@ class Engine:
             reg[nid] = self._bridge_node(plan.node(nid), reg)
             live.ran((nid,))
 
-    def _run_rd_partition(self, plan, part, reg, live):
-        scope = dict(reg)  # and each scanned dataset under its name
-        for model, name in _scans(plan, part):
-            if (model, name) not in live.datasets:
-                load = (self.catalog.load_table if model == "relational"
+    def _run_rd_partition(self, plan, part, reg):
+        scope = dict(reg)  # and each dataset the partition scans, by name
+        for n in map(plan.node, part.node_ids):
+            if n.op == "scan":
+                load = (self.catalog.load_table if n.model == "relational"
                         else self.catalog.load_collection)
-                live.datasets[model, name] = load(name)
-            scope[name] = live.datasets[model, name]
+                scope[n.params["name"]] = load(n.params["name"])
         main, trees = dag_to_trees(plan, part)
         for nid, tree in trees:
             scope[nid] = reg[nid] = execute_tree(tree, scope)
@@ -349,33 +346,14 @@ def _plan_document(plan: LogicalPlan, target: int) -> dict:
     return doc
 
 
-def _scans(plan: LogicalPlan, part: Partition) -> set[tuple[str, str]]:
-    """(model, name) of each dataset a partition scans."""
-    return {(n.model, n.params["name"]) for n in map(plan.node, part.node_ids)
-            if n.op == "scan"}
-
-
 class _Liveness:
     """Remaining consumers per plan node; frees a node's registry entry once
-    none is left.  Likewise the datasets the run has loaded: each is loaded
-    at most once per run and dropped after the last partition that scans
-    it."""
+    none is left."""
 
-    def __init__(self, plan: LogicalPlan, target: int, reg: dict,
-                 pd: PartitionDag):
+    def __init__(self, plan: LogicalPlan, target: int, reg: dict):
         self.plan, self.target, self.reg = plan, target, reg
         self.remaining = {nid: len(set(cs))
                           for nid, cs in plan.consumers().items()}
-        self.datasets: dict[tuple[str, str], object] = {}
-        self.scans = Counter(key for part in pd.partitions
-                             for key in _scans(plan, part))
-
-    def scanned(self, part: Partition) -> None:
-        """`part` has run: drop each dataset no later partition scans."""
-        for key in _scans(self.plan, part):
-            self.scans[key] -= 1
-            if self.scans[key] == 0:
-                self.datasets.pop(key, None)
 
     def ran(self, nids) -> None:
         """`nids` have run: each of their inputs has one consumer fewer, and

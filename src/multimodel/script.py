@@ -13,11 +13,12 @@ single ``execute(target)``.  Python's own :mod:`ast` parser reads it, and
 Any other node is refused with a :class:`ScriptError` at its line and
 column.  Scripts bind to a :class:`LogicalPlan`; dataset expressions become
 plan nodes while plain integers stay bind-time values, so loops unroll and
-``rand({rows, rank})`` receives concrete shapes.  Predicates, sort specs
-and aggregate lists are parsed here, once: a plan holds the predicate's
-tree, ``(path, descending)`` sort keys and ``(func, attr, name)``
-aggregates.  ``count()`` directly on an
-opened dataset is evaluated at bind time for the same reason.
+``rand({rows, rank})`` receives concrete shapes.  A dataset is one scan
+node: opening it again gives the node the first ``open*`` call made.
+Predicates, sort specs and aggregate lists are parsed here, once: a plan
+holds the predicate's tree, ``(path, descending)`` sort keys and
+``(func, attr, name)`` aggregates.  ``count()`` directly on an opened
+dataset is evaluated at bind time for the same reason.
 
 Example::
 
@@ -104,6 +105,7 @@ class Binder:
         self.plan = LogicalPlan()
         self.env: dict[str, Any] = {}
         self.rand_count = 0
+        self.opened: dict[tuple[str, str], NodeRef] = {}  # (model, name)
         self.target: int | None = None
         self.lines: list[str] = []
 
@@ -242,12 +244,14 @@ class Binder:
             self._args(e, func)
             name = self._arg_str(e, 0)
             model = _OPEN_KINDS[func]
-            if not self.catalog.exists(name, model):
-                raise NotFoundError(f"dataset {name!r} not found "
-                                    f"(line {e.lineno})")
-            op = "scan_array" if model == _ARR else "scan"
-            n = self.plan.add(op, model, name=name, qualifier=name)
-            return NodeRef(n.id, model)
+            if (model, name) not in self.opened:
+                if not self.catalog.exists(name, model):
+                    raise NotFoundError(f"dataset {name!r} not found "
+                                        f"(line {e.lineno})")
+                op = "scan_array" if model == _ARR else "scan"
+                n = self.plan.add(op, model, name=name, qualifier=name)
+                self.opened[model, name] = NodeRef(n.id, model)
+            return self.opened[model, name]
         if func == "rand":
             items = _brace(self._args(e, func)[0])
             if not items:

@@ -12,7 +12,7 @@ import pytest
 from multimodel import Engine, EngineConfig
 from multimodel.array_store import StoredArray, Tile
 from multimodel.buffer_pool import BufferPool
-from multimodel.executor import Catalog
+from multimodel.executor import Catalog, format_result
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "recommend")
 with open(os.path.join(DATA, "recommend.m2s"), encoding="utf-8") as _f:
@@ -218,8 +218,8 @@ def test_each_dataset_is_loaded_once_per_run(tmp_path, monkeypatch):
         return load_table(self, name)
 
     monkeypatch.setattr(Catalog, "load_table", counting)
-    # the table is scanned by the conversion's partition and again by the
-    # join's, which runs after the array partition in between
+    # the table's one scan is read by the conversion and again by the join,
+    # which runs after the array partition in between
     script = ("a = openTable('t').toArray({'r', 'c'}, {'v'})\n"
               "b = a + a\n"
               "execute(b.join(openTable('t'), 't.r = b.r AND t.c = b.c', "
@@ -265,3 +265,43 @@ def test_dataset_is_freed_after_the_last_partition_that_scans_it(
     monkeypatch.setattr(Engine, "_bridge_node", check)
     engine(tmp_path, default_tile=4).run(RECOMMEND)
     assert alive_at_conversion == {"review": False, "order": False}
+
+
+def test_a_table_opened_twice_is_one_scan_loaded_once(tmp_path, monkeypatch):
+    (tmp_path / "t.csv").write_text("k,v\n1,10\n2,20\n1,30\n")
+    loads = Counter()
+    load_table = Catalog.load_table
+
+    def counting(self, name):
+        loads[name] += 1
+        return load_table(self, name)
+
+    monkeypatch.setattr(Catalog, "load_table", counting)
+    script = "execute(openTable('t').join(openTable('t'), 't.k = t.k'))\n"
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    doc = eng.explain(script)
+    for plan in (doc, doc["bound"]):
+        assert [n["op"] for n in plan["nodes"]].count("scan") == 1
+    assert format_result(eng.run(script)) == (
+        "t.k,t.v,t.k#1,t.v#1\n1,10,1,10\n1,10,1,30\n2,20,2,20\n"
+        "1,30,1,10\n1,30,1,30\n")
+    assert loads["t"] == 1
+
+
+def test_an_array_opened_twice_is_one_stored_array(tmp_path, monkeypatch):
+    (tmp_path / "cells.csv").write_text("r,c,v\n0,1,4\n1,0,9\n")
+    Catalog(str(tmp_path)).ingest("coo", str(tmp_path / "cells.csv"),
+                                  "cells", size=(2, 2), tile=(1, 1))
+    made = []
+    load = StoredArray.load
+
+    def counting(cls, *args, **kw):
+        made.append(load(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(StoredArray, "load", classmethod(counting))
+    eng = Engine(EngineConfig(data_dir=str(tmp_path)))
+    res = eng.run("a = openArray('cells')\nb = openArray('cells')\n"
+                  "execute(a + b)\n")
+    assert len(made) == 1
+    assert format_result(res) == "r,c,v\n0,1,8\n1,0,18\n"

@@ -21,6 +21,7 @@ from multimodel import (
     partition,
     plan_to_dict,
 )
+from multimodel.cli import main
 from multimodel.executor import format_result
 from multimodel.script import parse_script
 
@@ -782,3 +783,94 @@ def test_positions_count_characters(tmp_path):
         engine(tmp_path).plan_script(
             f"t = openTable('points')\r\n{line}\r\nexecute(t)\n")
     assert (e.value.line, e.value.col) == (2, line.index("sort") + 1)
+
+
+# every refusal of the binder, at its (line, col), with `t` a table, `n` the
+# integer 2 and `a` an array bound on line 1
+@pytest.mark.parametrize("line, message, col", [
+    ("t.x = t", "assignment target must be a name", 3),
+    ("x, y = t", "2 targets but 1 values", 1),
+    ("for t.x in range(2):\n  x = t", "expected a loop variable", 7),
+    ("for i in range(n - 3):\n  x = t",
+     "range() needs a non-negative integer known at bind time", 10),
+    ("execute(n)", "execute() needs a dataset expression", 1),
+    ("x = 'points'", "string literal outside an argument position", 5),
+    ("x = {1, 2}", "brace list outside an argument position", 5),
+    ("x = rand({2, 0})",
+     "rand sizes must be positive integers known at bind time", 5),
+    ("x = openTables('points')", "unknown function 'openTables'", 5),
+    ("x = n @ n", "'@' applies to arrays", 5),
+    ("x = n / (n - 2)", "division by zero", 5),
+    ("x = t + a", "cannot apply '+' to these operands", 5),
+    ("x = t.frobnicate()", "unknown method .frobnicate()", 7),
+    ("x = n.filter('x > 1')", "unknown method .filter()", 7),
+    ("x = n.T", ".transpose needs a dataset", 7),
+    ("x = t.unwind('x')", ".unwind does not apply to relational data", 7),
+    ("x = t.T", ".transpose does not apply to relational data", 7),
+    ("x = t.filter(x > 1)", "argument 1 must be a quoted string", 7),
+    ("x = t.project(' , ')", "project needs at least one column", 7),
+    ("x = t.limit(n - 3)", "limit needs a non-negative integer", 7),
+    ("x = t.limit(1.5)", "limit needs a non-negative integer", 7),
+    ("x = t.union(a)", "union needs a dataset of the same model", 7),
+    ("x = t.aggregate('x', 'sum(y)')",
+     "bad aggregate 'sum(y)'; expected func(attr) as name", 7),
+    ("x = t.toArray('x', {'y'})",
+     "toArray takes {'dim', ...}, {'value', ...}", 7),
+    ("x = t.toArray({x}, {'y'})", "toArray names must be quoted strings",
+     16),
+    ("x = a.matmul(t)", "matmul needs an array argument", 7),
+    ("x = t.join(n, 't.x = n.x')", "join needs a dataset argument", 7),
+    ("x = t.join(a, 't.x = a.d0', TABLE)",
+     "join output model must be RELATIONAL, DOCUMENT or ARRAY", 7),
+    ("x = a.join(a, 'a.d0 = a.d0')",
+     "array-array joins match on coordinates; no predicate applies", 7),
+    ("x = t.join(a)", "join needs a predicate string", 7),
+    ("x = t.join(t, 't.x = t.y', ARRAY)",
+     "a relational join cannot emit array output", 7),
+])
+def test_every_binder_refusal_names_its_position(tmp_path, line, message,
+                                                 col):
+    write_points(tmp_path)
+    with pytest.raises(ScriptError) as e:
+        engine(tmp_path).plan_script(
+            "t, n, a = openTable('points'), 2, rand({2, 2})\n"
+            f"{line}\nexecute(t)\n")
+    assert str(e.value) == f"line 2, col {col}: {message}"
+    assert (e.value.line, e.value.col) == (2, col)
+
+
+@pytest.mark.parametrize("query, message", [
+    ("openTable('t').join(openTable('g'), 't.k = g.k').filter('k = 1')",
+     "ambiguous column reference 'k'"),
+    ("openTable('t').aggregate('k', 'sum(*) as s')",
+     "sum(*) is not defined; name an attribute"),
+    ("openTable('e').aggregate('k', 'sum(*) as s')",
+     "sum(*) is not defined; name an attribute"),
+    ("openTable('t').aggregate('k', 'median(v) as m')",
+     "unknown aggregate 'median'"),
+], ids=["ambiguous", "sum(*)", "sum(*) of no rows", "median"])
+def test_record_refusals_reach_a_script(tmp_path, query, message):
+    (tmp_path / "t.csv").write_text("k,v\n1,2.5\n2,3.5\n")
+    (tmp_path / "g.csv").write_text("k,g\n1,7\n")
+    (tmp_path / "e.csv").write_text("k,v\n")  # a header only
+    with pytest.raises(PlanError) as e:
+        engine(tmp_path).run(f"execute({query})\n")
+    assert str(e.value) == message and e.value.partition == 0
+
+
+@pytest.mark.parametrize("tile", [0, 1, 2])
+@pytest.mark.parametrize("strategy", JOIN_STRATEGIES)
+def test_every_strategy_prints_the_matches_in_record_order(
+        tmp_path, capsys, strategy, tile):
+    """mshj probes in tile order, and must still emit the matches in the
+    records' order, as probe-only and convert do, at any tile size."""
+    (tmp_path / "t.csv").write_text("r,c,w\n3,3,1\n0,0,2\n2,1,3\n1,2,4\n")
+    (tmp_path / "x.csv").write_text("r,c,v\n0,0,10\n1,2,20\n2,1,30\n3,3,40\n")
+    script = tmp_path / "q.m2s"
+    script.write_text("t = openTable('t')\n"
+                      "A = openTable('x').toArray({'r', 'c'}, {'v'})\n"
+                      "execute(A.join(t, 't.r = A.r AND t.c = A.c', "
+                      "RELATIONAL).limit(2))\n")
+    assert main(["run", str(script), "--data", str(tmp_path),
+                 "--strategy", strategy, "--tile", str(tile)]) == 0
+    assert capsys.readouterr().out == "r,c,w,v\n3,3,1,40\n0,0,2,10\n"

@@ -173,7 +173,30 @@ def _entry_beyond_the_file(raw, tags, directory):
     return raw
 
 
-@pytest.mark.parametrize("corrupt, what", [
+def _bad_magic(raw, tags, directory):
+    raw[:4] = b"M2XX"
+    return raw
+
+
+def _unsupported_version(raw, tags, directory):
+    struct.pack_into("<I", raw, 4, 99)
+    return raw
+
+
+def _bad_descriptor(raw, tags, directory):
+    d = struct.unpack_from("<I", raw, 8)[0]
+    raw[16 + 16 * d] = ord("x")  # the descriptor's JSON no longer parses
+    return raw
+
+
+HEADER_CORRUPTIONS = [
+    (_bad_magic, "not an array file"),
+    (_unsupported_version, "unsupported version 99"),
+    (_bad_descriptor, "bad header or descriptor"),
+]
+
+
+@pytest.mark.parametrize("corrupt, what", HEADER_CORRUPTIONS + [
     (_cut_in_directory, "truncated"),
     (_unknown_tag, "unknown layout tag 9"),
     (_empty_present_tile, "with a 0-byte slot"),
@@ -197,6 +220,19 @@ def test_corrupt_array_file_through_the_cli_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "a.m2ar" in err[0] and "unknown layout tag 9" in err[0]
+
+
+@pytest.mark.parametrize("corrupt, what", HEADER_CORRUPTIONS)
+def test_a_bad_array_file_header_through_the_cli_is_one_line(
+        tmp_path, capsys, corrupt, what):
+    path, raw, tags, directory = _saved(tmp_path)
+    path.write_bytes(bytes(corrupt(raw, tags, directory)))
+    script = tmp_path / "q.m2s"
+    script.write_text("execute(openArray('a'))\n")
+    assert main(["run", str(script), "--data", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(path) in err[0] and what in err[0]
 
 
 def _sparse_slot(tmp_path, layout):
